@@ -1,0 +1,110 @@
+package nx
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"testing"
+
+	"nxzip/internal/corpus"
+	"nxzip/internal/lz77"
+)
+
+// The model clock, frozen. A host-side optimisation of the LZ stage (or of
+// anything else under the engine) must leave every compressed byte, every
+// device cycle and every LZ-stage counter where it was; this file pins them
+// for the corpus kinds x {64 KiB, 1 MiB} x {P9, z15} x {FHT, DHT} x
+// {no history, 32 KiB history}. Regenerate with
+//
+//	go test ./internal/nx -run TestModelGolden -update
+//
+// only in a change that means to move the model.
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/model_golden.json from the current code")
+
+const (
+	goldenPath    = "testdata/model_golden.json"
+	goldenHistory = 32 << 10
+	goldenSeed    = 12
+)
+
+type goldenEntry struct {
+	Name         string       `json:"name"`
+	SHA256       string       `json:"sha256"`
+	DeviceCycles int64        `json:"device_cycles"`
+	LZ           lz77.HWStats `json:"lz"`
+}
+
+func modelGoldenEntries(t *testing.T) []goldenEntry {
+	t.Helper()
+	var out []goldenEntry
+	for _, mc := range []struct {
+		name string
+		cfg  DeviceConfig
+	}{{"p9", P9Device()}, {"z15", Z15Device()}} {
+		ctx := NewDevice(mc.cfg).OpenContext(100)
+		for _, size := range []int{64 << 10, 1 << 20} {
+			for _, kind := range corpus.Kinds() {
+				data := corpus.Generate(kind, goldenHistory+size, goldenSeed)
+				for _, fc := range []FuncCode{FCCompressFHT, FCCompressDHT} {
+					for _, hist := range []bool{false, true} {
+						crb := &CRB{Func: fc, Wrap: WrapRaw, Input: data[goldenHistory:]}
+						if hist {
+							crb.History = data[:goldenHistory]
+						}
+						name := fmt.Sprintf("%s/%s/%d/%s/hist=%v", mc.name, kind, size, fc, hist)
+						csb, rep, err := ctx.Submit(crb)
+						if err != nil || csb.CC != CCSuccess {
+							t.Fatalf("%s: err=%v CC=%s %s", name, err, csb.CC, csb.Detail)
+						}
+						sum := sha256.Sum256(csb.Output)
+						out = append(out, goldenEntry{
+							Name:         name,
+							SHA256:       hex.EncodeToString(sum[:]),
+							DeviceCycles: rep.TotalCycles,
+							LZ:           csb.LZ,
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+func TestModelGolden(t *testing.T) {
+	got := modelGoldenEntries(t)
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d entries to %s", len(got), goldenPath)
+		return
+	}
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	var want []goldenEntry
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d entries, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("model moved:\n got  %+v\n want %+v", got[i], want[i])
+		}
+	}
+}
