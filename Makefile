@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-json fuzz-smoke nxbench parallel trace-demo obs-demo flightrec-demo drain-demo tenants-demo
+.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-json bench-host fuzz-smoke nxbench parallel trace-demo obs-demo flightrec-demo drain-demo tenants-demo
 
 ## check: the tier-1 gate — build, vet, gofmt, the full test suite under
 ## the race detector, the fault-injection chaos suite, the zero-alloc
@@ -68,15 +68,28 @@ bench-json:
 ## decode, 842 decode), the CLI-facing parsers (format names, the
 ## admission -key=value policy) and the Prometheus exposition round-trip
 ## (WriteProm output with adversarial tenant labels must always
-## ParseProm back). Finds panics/OOMs in the bounds-checked decode loops
-## and parser edge cases; go test -fuzz accepts one fuzz target per
-## invocation, hence one run each.
+## ParseProm back) — plus the differential target that holds the
+## host-fast lz77.HWMatcher to its reference implementation (equal
+## tokens and equal HWStats, i.e. the model clock does not move). Finds
+## panics/OOMs in the bounds-checked decode loops and parser edge cases;
+## go test -fuzz accepts one fuzz target per invocation, hence one run
+## each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzParseFormat -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 30s ./internal/admission
 	$(GO) test -run '^$$' -fuzz FuzzPromRoundTrip -fuzztime 30s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzHWMatcherEqualsReference -fuzztime 30s ./internal/lz77
+
+## bench-host: the host clock of the compress kernel path, end to end and
+## then layer by layer — bench/'s bulk_oneshot workload untraced (the
+## nine end-to-end metrics; compress_mbps is the headline) and traced
+## (the per-layer ledger; lz77.hw.ns_per_byte is the LZ stage). See
+## bench/README.md for the paired-run method a claimed gain needs.
+bench-host:
+	$(GO) run ./bench -workload bulk_oneshot -trace 0
+	$(GO) run ./bench -workload bulk_oneshot -trace 1
 
 ## obs-demo: observability self-check — run a workload behind an
 ## ephemeral exposition server, scrape /metrics, verify the Prometheus

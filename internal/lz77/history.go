@@ -25,95 +25,16 @@ func (m *HWMatcher) TokenizeWithHistory(dst []Token, history, src []byte) ([]Tok
 	if len(history) > m.p.MaxDist {
 		history = history[len(history)-m.p.MaxDist:]
 	}
-	combined := make([]byte, 0, len(history)+len(src))
-	combined = append(combined, history...)
-	combined = append(combined, src...)
+	// The matcher is single-user, so the history+src image lives in a
+	// scratch buffer it owns rather than a fresh allocation per segment.
+	m.combined = append(append(m.combined[:0], history...), src...)
 
-	dst, st := m.tokenizeFrom(dst, combined, len(history))
+	dst, st := m.tokenizeFrom(dst, m.combined, len(history))
 	// History replay cost: the engine ingests the history at line rate to
 	// rebuild its tables before new data can be matched.
 	replay := int64((len(history) + m.p.InputWidth - 1) / m.p.InputWidth)
 	st.Beats += replay
 	st.Cycles += replay
-	return dst, st
-}
-
-// tokenizeFrom is Tokenize generalized to start emitting at offset start;
-// positions before start are table-inserted only.
-func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, HWStats) {
-	var st HWStats
-	n := len(src)
-	if n == 0 {
-		return dst, st
-	}
-	m.reset()
-
-	w := m.p.InputWidth
-	st.Beats = int64((n - start + w - 1) / w)
-
-	if m.bankBeat == nil {
-		m.bankBeat = make([]int64, m.p.Banks)
-	}
-	bankUsed := m.bankBeat
-	for i := range bankUsed {
-		bankUsed[i] = -1
-	}
-
-	// Replay phase: insert history positions without emitting tokens.
-	for j := 0; j+MinMatch+1 <= n && j < start; j++ {
-		bj, sj := m.slot(src, j)
-		m.insert(src, j, bj, sj)
-	}
-
-	i := start
-	for i < n {
-		if i+MinMatch+1 > n {
-			dst = append(dst, Lit(src[i]))
-			st.Literals++
-			i++
-			continue
-		}
-		beat := int64((i - start) / w)
-		bank, set := m.slot(src, i)
-		st.Probes++
-		if bankUsed[bank] == beat {
-			st.BankConflicts++
-		}
-		bankUsed[bank] = beat
-
-		length, dist := m.probe(src, i, &st, bank, set)
-		m.insert(src, i, bank, set)
-
-		if m.p.Lazy && length >= MinMatch && length < 32 && i+1+MinMatch+1 <= n {
-			b2, s2 := m.slot(src, i+1)
-			st.Probes++
-			l2, d2 := m.probe(src, i+1, &st, b2, s2)
-			if l2 > length {
-				dst = append(dst, Lit(src[i]))
-				st.Literals++
-				i++
-				m.insert(src, i, b2, s2)
-				length, dist = l2, d2
-			}
-		}
-
-		if length >= MinMatch {
-			dst = append(dst, Match(length, dist))
-			st.Matches++
-			end := i + length
-			for j := i + 1; j < end && j+MinMatch+1 <= n; j++ {
-				bj, sj := m.slot(src, j)
-				m.insert(src, j, bj, sj)
-			}
-			i = end
-			continue
-		}
-		dst = append(dst, Lit(src[i]))
-		st.Literals++
-		i++
-	}
-
-	st.Cycles = st.Beats + st.BankConflicts
 	return dst, st
 }
 

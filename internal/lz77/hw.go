@@ -1,5 +1,7 @@
 package lz77
 
+import "fmt"
+
 // Hardware matcher: a functional and cycle-approximate model of the LZ77
 // stage in the POWER9/z15 compression accelerator.
 //
@@ -54,22 +56,41 @@ type HWStats struct {
 
 // HWMatcher is the hardware LZ77 model. It is NOT safe for concurrent use;
 // the device model serializes requests per engine, matching the silicon.
+//
+// What is modelled is a banked, set-associative table of FIFO sets, one
+// probe per position, invalidated between operations by an epoch tag. How
+// the host stores it is its own business as long as every token and every
+// HWStats field comes out the same: each set is one contiguous row of Ways
+// positions (one 64-byte line at Ways = 16) used as a ring, plus one
+// setMeta word. Positions are inserted in strictly increasing order within
+// an operation, so walking a ring newest to oldest visits candidates in
+// ascending distance — which is what makes probe's early exits exact.
 type HWMatcher struct {
 	p     HWParams
-	table [][]int32 // [bank*sets + set][way] -> position, -1 if empty
 	sets  int
+	table []int32   // [(bank*sets+set)*Ways + way] -> position
+	meta  []setMeta // [bank*sets + set]
 	// History invalidation between operations is an epoch tag on each
 	// set's valid bits, the way the silicon does it — a set whose tag
-	// differs from the current generation holds no candidates and is
-	// lazily re-initialised on first insert. A full SRAM wipe per
-	// operation would cost millions of cycles (8 MB of table for the
-	// z15 geometry) and would dominate every small request.
-	gen      uint32
-	setGen   []uint32
+	// differs from the current generation holds no candidates. A full
+	// SRAM wipe per operation would cost millions of cycles (8 MB of
+	// table for the z15 geometry) and would dominate every small request.
+	gen      uint16
 	bankBeat []int64 // per-bank scratch: beat number the bank last served
+	combined []byte  // TokenizeWithHistory scratch: history followed by src
 }
 
-// NewHWMatcher validates params and builds the matcher.
+// setMeta is one set's valid bits: the epoch that wrote it, the ring slot
+// the next insert overwrites (the oldest way once the set is full) and how
+// many ways hold a position from this epoch.
+type setMeta struct {
+	gen     uint16
+	head, n uint8
+}
+
+// NewHWMatcher validates params and builds the matcher. Banks must be a
+// power of two (the bank index is a mask of the hash; anything else would
+// alias banks and corrupt the conflict model) and Ways at most 255.
 func NewHWMatcher(p HWParams) *HWMatcher {
 	if p.InputWidth <= 0 {
 		p.InputWidth = 16
@@ -86,15 +107,17 @@ func NewHWMatcher(p HWParams) *HWMatcher {
 	if p.MaxDist <= 0 || p.MaxDist > WindowSize {
 		p.MaxDist = WindowSize
 	}
-	m := &HWMatcher{p: p, sets: 1 << p.HashBits, gen: 1}
-	m.table = make([][]int32, p.Banks*m.sets)
-	ways := make([]int32, len(m.table)*p.Ways)
-	for i := range m.table {
-		m.table[i] = ways[i*p.Ways : (i+1)*p.Ways : (i+1)*p.Ways]
+	if p.Banks&(p.Banks-1) != 0 {
+		panic(fmt.Sprintf("lz77: HWParams.Banks = %d is not a power of two", p.Banks))
 	}
-	// setGen starts zeroed: every set is stale relative to gen 1, so the
-	// ways need no -1 fill — insert initialises a set on first touch.
-	m.setGen = make([]uint32, len(m.table))
+	if p.Ways > 255 {
+		panic(fmt.Sprintf("lz77: HWParams.Ways = %d exceeds 255", p.Ways))
+	}
+	m := &HWMatcher{p: p, sets: 1 << p.HashBits, gen: 1}
+	// meta starts zeroed: every set is stale relative to gen 1.
+	m.meta = make([]setMeta, p.Banks*m.sets)
+	m.table = make([]int32, len(m.meta)*p.Ways)
+	m.bankBeat = make([]int64, p.Banks)
 	return m
 }
 
@@ -104,26 +127,29 @@ func (m *HWMatcher) Params() HWParams { return m.p }
 func (m *HWMatcher) reset() {
 	m.gen++
 	if m.gen == 0 {
-		// Generation counter wrapped: pay the full wipe once per 2^32
+		// Generation counter wrapped: pay the full wipe once per 2^16
 		// operations so a set tagged in a previous epoch cannot read as
 		// current.
-		for i := range m.setGen {
-			m.setGen[i] = 0
-		}
+		clear(m.meta)
 		m.gen = 1
 	}
 }
 
-// slot returns (bank, set) for the hash of position i.
-func (m *HWMatcher) slot(src []byte, i int) (int, int) {
-	h := hash4(src, i)
-	bank := int(h) & (m.p.Banks - 1)
-	set := (int(h) >> 4) & (m.sets - 1)
-	return bank, set
+// slot returns the index into meta of the set position i hashes to; the
+// bank is slot >> HashBits.
+func (m *HWMatcher) slot(src []byte, i int) int {
+	h := int(hash4(src, i))
+	return h&(m.p.Banks-1)<<m.p.HashBits | (h>>4)&(m.sets-1)
 }
 
 // Tokenize produces tokens for src and the cycle statistics of doing so.
 func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
+	return m.tokenizeFrom(dst, src, 0)
+}
+
+// tokenizeFrom emits tokens for src[start:]; positions before start (the
+// replayed history) are table-inserted only.
+func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, HWStats) {
 	var st HWStats
 	n := len(src)
 	if n == 0 {
@@ -132,7 +158,7 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 	m.reset()
 
 	w := m.p.InputWidth
-	st.Beats = int64((n + w - 1) / w)
+	st.Beats = int64((n - start + w - 1) / w)
 
 	// Cycle model: each beat of InputWidth bytes costs one cycle plus one
 	// replay cycle per bank conflict within the beat. We track which bank
@@ -141,15 +167,17 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 	// (the hardware inserts every position to keep history complete);
 	// inserts use a write port and do not conflict with probes in this
 	// model.
-	if m.bankBeat == nil {
-		m.bankBeat = make([]int64, m.p.Banks)
-	}
-	bankUsed := m.bankBeat // -1 init: no bank has served a beat yet
+	bankUsed := m.bankBeat
 	for i := range bankUsed {
-		bankUsed[i] = -1
+		bankUsed[i] = -1 // no bank has served a beat yet
 	}
 
-	i := 0
+	// Replay phase: insert history positions without emitting tokens.
+	for j := 0; j+MinMatch+1 <= n && j < start; j++ {
+		m.insert(j, m.slot(src, j))
+	}
+
+	i := start
 	for i < n {
 		if i+MinMatch+1 > n {
 			// Tail too short to match.
@@ -158,30 +186,31 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 			i++
 			continue
 		}
-		beat := int64(i / w)
-		bank, set := m.slot(src, i)
+		beat := int64((i - start) / w)
+		idx := m.slot(src, i)
+		bank := idx >> m.p.HashBits
 		st.Probes++
 		if bankUsed[bank] == beat {
 			st.BankConflicts++
 		}
 		bankUsed[bank] = beat
 
-		length, dist := m.probe(src, i, &st, bank, set)
-		m.insert(src, i, bank, set)
+		length, dist := m.probe(src, i, &st, idx)
+		m.insert(i, idx)
 
 		if m.p.Lazy && length >= MinMatch && length < 32 && i+1+MinMatch+1 <= n {
 			// One-deep lazy refinement: probe i+1; if strictly longer,
-			// emit a literal and take the later match.
-			b2, s2 := m.slot(src, i+1)
+			// emit a literal and take the later match. The second probe
+			// takes no part in the bank-conflict accounting.
+			idx2 := m.slot(src, i+1)
 			st.Probes++
-			l2, d2 := m.probe(src, i+1, &st, b2, s2)
+			l2, d2 := m.probe(src, i+1, &st, idx2)
 			if l2 > length {
 				dst = append(dst, Lit(src[i]))
 				st.Literals++
 				i++
-				m.insert(src, i, b2, s2)
+				m.insert(i, idx2)
 				length, dist = l2, d2
-				bank, set = b2, s2
 			}
 		}
 
@@ -193,8 +222,7 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 			// inserts up to InputWidth positions per cycle as they stream
 			// through).
 			for j := i + 1; j < end && j+MinMatch+1 <= n; j++ {
-				bj, sj := m.slot(src, j)
-				m.insert(src, j, bj, sj)
+				m.insert(j, m.slot(src, j))
 			}
 			i = end
 			continue
@@ -209,31 +237,41 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 }
 
 // probe compares the (at most Ways) candidates in the set against the
-// current position and returns the best match.
-func (m *HWMatcher) probe(src []byte, i int, st *HWStats, bank, set int) (int, int) {
-	idx := bank*m.sets + set
-	if m.setGen[idx] != m.gen {
+// current position and returns the best match: the longest, and among
+// equally long ones the nearest. It walks the ring newest to oldest, i.e.
+// in ascending distance, so the first candidate beyond MaxDist ends the
+// walk and a later candidate can only win by being strictly longer.
+func (m *HWMatcher) probe(src []byte, i int, st *HWStats, idx int) (int, int) {
+	md := m.meta[idx]
+	if md.gen != m.gen {
 		// Stale epoch: the set holds no candidates from this operation.
 		return 0, 0
 	}
-	entry := m.table[idx]
+	ways := m.p.Ways
+	row := m.table[idx*ways : idx*ways+ways]
 	maxLen := len(src) - i
 	if maxLen > MaxMatch {
 		maxLen = MaxMatch
 	}
 	bestLen, bestDist := 0, 0
-	for _, cand := range entry {
-		if cand < 0 {
-			continue
+	way := int(md.head)
+	for k := int(md.n); k > 0; k-- {
+		if way == 0 {
+			way = ways
 		}
-		c := int(cand)
+		way--
+		c := int(row[way])
 		d := i - c
-		if d <= 0 || d > m.p.MaxDist {
+		if d > m.p.MaxDist {
+			break
+		}
+		// Candidates is a model counter: every in-window way is compared
+		// by the hardware, whether or not the host needs to look.
+		st.Candidates++
+		if bestLen == maxLen || src[c+bestLen] != src[i+bestLen] {
 			continue
 		}
-		st.Candidates++
-		l := matchLen(src, c, i, maxLen)
-		if l > bestLen || (l == bestLen && d < bestDist) {
+		if l := matchLen(src, c, i, maxLen); l > bestLen {
 			bestLen, bestDist = l, d
 		}
 	}
@@ -245,16 +283,16 @@ func (m *HWMatcher) probe(src []byte, i int, st *HWStats, bank, set int) (int, i
 
 // insert records position i in its set with FIFO replacement (the oldest
 // way is evicted), matching a simple hardware shift-register set.
-func (m *HWMatcher) insert(src []byte, i, bank, set int) {
-	idx := bank*m.sets + set
-	entry := m.table[idx]
-	if m.setGen[idx] != m.gen {
-		// First touch this operation: lazily invalidate the stale ways.
-		for w := range entry {
-			entry[w] = -1
-		}
-		m.setGen[idx] = m.gen
+func (m *HWMatcher) insert(i, idx int) {
+	md := &m.meta[idx]
+	if md.gen != m.gen {
+		*md = setMeta{gen: m.gen}
 	}
-	copy(entry[1:], entry[:len(entry)-1])
-	entry[0] = int32(i)
+	m.table[idx*m.p.Ways+int(md.head)] = int32(i)
+	if md.head++; int(md.head) == m.p.Ways {
+		md.head = 0
+	}
+	if int(md.n) < m.p.Ways {
+		md.n++
+	}
 }

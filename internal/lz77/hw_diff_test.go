@@ -1,0 +1,329 @@
+package lz77
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"nxzip/internal/corpus"
+)
+
+// hwPair runs the production matcher and the reference side by side. Both
+// matchers live as long as the pair, so every call after the first also
+// exercises the epoch invalidation of the previous operation's table.
+type hwPair struct {
+	hw  *HWMatcher
+	ref *refHWMatcher
+}
+
+func newHWPair(p HWParams) *hwPair {
+	hw := NewHWMatcher(p)
+	return &hwPair{hw: hw, ref: newRefHWMatcher(hw.Params())}
+}
+
+// check tokenizes src after history on both sides and reports the first
+// difference in the token streams or in any HWStats field.
+func (pr *hwPair) check(history, src []byte) error {
+	got, gst := pr.hw.TokenizeWithHistory(nil, history, src)
+	want, wst := pr.ref.TokenizeWithHistory(nil, history, src)
+	if gst != wst {
+		return fmt.Errorf("stats differ:\n got  %+v\n want %+v", gst, wst)
+	}
+	if err := diffTokens(got, want); err != nil {
+		return err
+	}
+	return ValidateWithHistory(got, history, src)
+}
+
+// diffTokens reports the first place two token streams part.
+func diffTokens(got, want []Token) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d tokens, reference has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("token %d = %v, reference has %v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// diffParamGrid is Ways {1, 3, 4, 16} x Banks 2..64 x Lazy x MaxDist
+// {256, 32 KiB}. The small HashBits make sets overflow and evict on short
+// inputs; MaxDist 256 makes the out-of-window break fire.
+func diffParamGrid() []HWParams {
+	var ps []HWParams
+	for _, ways := range []int{1, 3, 4, 16} {
+		for banks := 2; banks <= 64; banks *= 2 {
+			for _, lazy := range []bool{false, true} {
+				for _, maxDist := range []int{256, WindowSize} {
+					ps = append(ps, HWParams{
+						InputWidth: 4 + banks%3*6, Banks: banks, Ways: ways,
+						HashBits: 3 + banks%5, Lazy: lazy, MaxDist: maxDist,
+					})
+				}
+			}
+		}
+	}
+	return ps
+}
+
+// diffInputs are short inputs aimed at the matcher's edges.
+func diffInputs() map[string][]byte {
+	rng := rand.New(rand.NewSource(12))
+	// The same 4-byte prefix followed by contexts of different lengths,
+	// so one set holds candidates of many match lengths and the
+	// longest-then-nearest selection is decided way by way.
+	var ladder []byte
+	for i := 0; i < 300; i++ {
+		ladder = append(ladder, "abcdefghijklmnopqrstuvwxyz"[:4+rng.Intn(20)]...)
+		ladder = append(ladder, byte(rng.Intn(4)))
+	}
+	lowEntropy := make([]byte, 4096)
+	for i := range lowEntropy {
+		lowEntropy[i] = byte(rng.Intn(3))
+	}
+	random := make([]byte, 2048)
+	rng.Read(random)
+	in := map[string][]byte{
+		"ladder":      ladder,
+		"lowentropy":  lowEntropy,
+		"random":      random,
+		"allequal":    bytes.Repeat([]byte{7}, 3000),
+		"longrun":     append(append(bytes.Repeat([]byte("xy"), 700), random[:100]...), bytes.Repeat([]byte{0}, 900)...),
+		"endsOnMatch": []byte("abcdefgh-0123-abcdefgh"),
+		"endsOnMax":   append(bytes.Repeat([]byte("q"), MaxMatch+1), bytes.Repeat([]byte("q"), MaxMatch)...),
+		"period300":   bytes.Repeat(random[:300], 8),
+		"text":        corpus.Generate(corpus.Text, 6000, 12),
+		"binary":      corpus.Generate(corpus.Binary, 6000, 12),
+	}
+	for n := 0; n <= 5; n++ {
+		in[fmt.Sprintf("len%d", n)] = []byte("aaaaa")[:n]
+	}
+	return in
+}
+
+func TestHWMatcherEqualsReference(t *testing.T) {
+	inputs := diffInputs()
+	for _, p := range diffParamGrid() {
+		pr := newHWPair(p)
+		for name, src := range inputs {
+			// No history, then the same bytes split into history + src at
+			// a few points (1 and 3: history too short to insert fully;
+			// 300: longer than MaxDist 256, so it is truncated).
+			for _, split := range []int{0, 1, 3, 300, len(src) / 2} {
+				if split > len(src) {
+					continue
+				}
+				if err := pr.check(src[:split], src[split:]); err != nil {
+					t.Fatalf("%+v input %q split %d: %v", pr.hw.Params(), name, split, err)
+				}
+			}
+		}
+	}
+}
+
+// TestHWMatcherEqualsReferenceLarge runs the shipped geometries (and the
+// degenerate one-way table) over inputs long enough to wrap every ring
+// many times and to reach the full window.
+func TestHWMatcherEqualsReferenceLarge(t *testing.T) {
+	inputs := testInputs(t)
+	for _, k := range []corpus.Kind{corpus.Text, corpus.Binary, corpus.Columnar} {
+		inputs[k.String()] = corpus.Generate(k, 256<<10, 12)
+	}
+	for _, p := range []HWParams{P9HWParams(), Z15HWParams(), {InputWidth: 4, Banks: 2, Ways: 1, HashBits: 4}} {
+		pr := newHWPair(p)
+		for name, src := range inputs {
+			if err := pr.check(nil, src); err != nil {
+				t.Fatalf("%+v input %q: %v", p, name, err)
+			}
+			if len(src) > WindowSize {
+				if err := pr.check(src[:WindowSize], src[WindowSize:]); err != nil {
+					t.Fatalf("%+v input %q with history: %v", p, name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestHWMatcherEpochWrap drives the generation counter through its
+// wrap-around: the sets one operation tagged must not read as current when
+// the counter comes round to the same value again.
+func TestHWMatcherEpochWrap(t *testing.T) {
+	pr := newHWPair(HWParams{InputWidth: 8, Banks: 4, Ways: 3, HashBits: 4})
+	in := diffInputs()
+	if err := pr.check(nil, in["ladder"]); err != nil {
+		t.Fatal(err)
+	}
+	tagged := pr.hw.gen
+	pr.hw.gen = ^uint16(0)
+	for op := uint16(1); op <= tagged; op++ {
+		// Too short to insert anything, so only the wipe can retire the
+		// old tags before the last operation probes under the same value.
+		src := in["len2"]
+		if op == tagged {
+			src = in["text"]
+		}
+		if err := pr.check(nil, src); err != nil {
+			t.Fatalf("op %d after the wrap: %v", op, err)
+		}
+	}
+	if pr.hw.gen != tagged {
+		t.Fatalf("gen = %d, want %d: the counter did not wrap", pr.hw.gen, tagged)
+	}
+}
+
+func FuzzHWMatcherEqualsReference(f *testing.F) {
+	f.Add([]byte("abcabcabcabcabc"), uint16(0), uint16(0))
+	f.Add([]byte("abcdefgh-0123-abcdefgh"), uint16(0x1ff), uint16(9))
+	f.Add(bytes.Repeat([]byte{0}, 600), uint16(0x2a3), uint16(300))
+	f.Add([]byte("ab"), uint16(7), uint16(1))
+	pairs := map[HWParams]*hwPair{}
+	f.Fuzz(func(t *testing.T, data []byte, cfg, split uint16) {
+		p := HWParams{
+			Ways:       []int{1, 3, 4, 16}[cfg&3],
+			Banks:      2 << ((cfg >> 2 & 7) % 6),
+			Lazy:       cfg>>5&1 == 1,
+			MaxDist:    []int{256, WindowSize}[cfg>>6&1],
+			HashBits:   []int{3, 7}[cfg>>7&1],
+			InputWidth: []int{4, 8, 16, 5}[cfg>>8&3],
+		}
+		src := data
+		if cfg>>10&1 == 1 {
+			// Fuzz inputs are short; repeat one so rings wrap and matches
+			// reach MaxMatch.
+			src = bytes.Repeat(data, 8)
+		}
+		pr := pairs[p]
+		if pr == nil {
+			pr = newHWPair(p)
+			pairs[p] = pr
+		}
+		at := 0
+		if len(src) > 0 {
+			at = int(split) % (len(src) + 1)
+		}
+		if err := pr.check(src[:at], src[at:]); err != nil {
+			t.Fatalf("%+v split %d: %v", p, at, err)
+		}
+	})
+}
+
+func TestNewHWMatcherRejectsNonPowerOfTwoBanks(t *testing.T) {
+	for _, banks := range []int{3, 6, 12, 48} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Banks = %d accepted", banks)
+				}
+			}()
+			NewHWMatcher(HWParams{Banks: banks})
+		}()
+	}
+	for banks := 1; banks <= 64; banks *= 2 {
+		NewHWMatcher(HWParams{Banks: banks, HashBits: 3})
+	}
+}
+
+func TestMatchLenEdges(t *testing.T) {
+	lens := []int{257, 258}
+	for l := 0; l <= 17; l++ {
+		lens = append(lens, l)
+	}
+	const b = 300
+	for _, maxLen := range lens {
+		// src ends exactly at b+maxLen: a read past the limit is a panic.
+		src := make([]byte, b+maxLen)
+		for i := range src {
+			src[i] = byte(i % 7)
+		}
+		copy(src[b:], src[9:9+maxLen])
+		if got := matchLen(src, 9, b, maxLen); got != maxLen {
+			t.Fatalf("maxLen %d, full match: got %d", maxLen, got)
+		}
+		for off := 0; off <= 15 && off < maxLen; off++ {
+			src[b+off] ^= 0x80
+			want := refMatchLen(src, 9, b, maxLen)
+			if want != off {
+				t.Fatalf("oracle: mismatch at %d read as %d", off, want)
+			}
+			if got := matchLen(src, 9, b, maxLen); got != want {
+				t.Fatalf("maxLen %d, mismatch at %d: got %d", maxLen, off, got)
+			}
+			src[b+off] ^= 0x80
+		}
+		// Overlapping candidate (distance 1), as a run produces.
+		run := bytes.Repeat([]byte{5}, maxLen+1)
+		if got := matchLen(run, 0, 1, maxLen); got != maxLen {
+			t.Fatalf("maxLen %d, distance-1 run: got %d", maxLen, got)
+		}
+	}
+}
+
+func TestHash4EqualsReference(t *testing.T) {
+	src := corpus.Generate(corpus.Binary, 4096, 12)
+	for i := 0; i+4 <= len(src); i++ {
+		if hash4(src, i) != refHash4(src, i) {
+			t.Fatalf("hash4 differs at %d", i)
+		}
+	}
+}
+
+// TestSoftMatcherEqualsReference holds SoftMatcher's tokens (they feed
+// SoftwareGzip) to the byte-loop matchLen/hash4 oracle on the codec_mix
+// payload classes.
+func TestSoftMatcherEqualsReference(t *testing.T) {
+	for _, k := range []corpus.Kind{corpus.Text, corpus.JSONLogs, corpus.Columnar, corpus.Binary} {
+		src := corpus.Generate(k, 64<<10, 12)
+		for _, level := range []int{1, 6, 9} {
+			got := NewSoftMatcher(LevelParams(level)).Tokenize(nil, src)
+			want := newRefSoftMatcher(LevelParams(level)).Tokenize(nil, src)
+			if err := diffTokens(got, want); err != nil {
+				t.Fatalf("%s level %d: %v", k, level, err)
+			}
+		}
+	}
+}
+
+var benchSink int
+
+func BenchmarkHWMatcherTokenize(b *testing.B) {
+	for _, mc := range []struct {
+		name string
+		p    HWParams
+	}{{"p9", P9HWParams()}, {"z15", Z15HWParams()}} {
+		for _, k := range []corpus.Kind{corpus.Text, corpus.Binary, corpus.Random} {
+			b.Run(mc.name+"/"+k.String(), func(b *testing.B) {
+				src := corpus.Generate(k, 1<<20, 12)
+				m := NewHWMatcher(mc.p)
+				tokens, _ := m.Tokenize(nil, src)
+				b.SetBytes(int64(len(src)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tokens, _ = m.Tokenize(tokens[:0], src)
+				}
+				benchSink = len(tokens)
+			})
+		}
+	}
+}
+
+func BenchmarkMatchLen(b *testing.B) {
+	for _, n := range []int{3, 8, 20, 64, MaxMatch} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			// The candidate agrees for n bytes, then differs.
+			src := bytes.Repeat([]byte("0123456789abcdef"), 64)
+			const cur = 512
+			if n < MaxMatch {
+				src[cur+n] ^= 1
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += matchLen(src, 0, cur, MaxMatch)
+			}
+		})
+	}
+}

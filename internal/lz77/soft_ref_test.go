@@ -1,71 +1,17 @@
 package lz77
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
-
-// Software matcher: hash-head + prev chains with lazy matching, following
-// zlib's deflate. This is the reproduction's software baseline (the "zlib
-// running on a general-purpose core" side of every speedup table).
-
-// SoftParams are the per-level search tuning knobs, mirroring zlib's
-// configuration_table.
-type SoftParams struct {
-	GoodLength int // reduce lazy search above this match length
-	MaxLazy    int // do not perform lazy search above this length
-	NiceLength int // stop searching when current match is at least this long
-	MaxChain   int // maximum hash-chain links to follow
-}
-
-// softLevels mirrors zlib's deflate configuration table, levels 1..9.
-var softLevels = [10]SoftParams{
-	{},                   // level 0 unused (stored blocks handled by deflate pkg)
-	{4, 4, 8, 4},         // 1: fastest
-	{4, 5, 16, 8},        // 2
-	{4, 6, 32, 32},       // 3
-	{4, 4, 16, 16},       // 4 (lazy begins)
-	{8, 16, 32, 32},      // 5
-	{8, 16, 128, 128},    // 6: default
-	{8, 32, 128, 256},    // 7
-	{32, 128, 258, 1024}, // 8
-	{32, 258, 258, 4096}, // 9: best
-}
-
-// LevelParams returns the zlib-equivalent tuning for compression levels
-// 1..9.
-func LevelParams(level int) SoftParams {
-	if level < 1 {
-		level = 1
-	}
-	if level > 9 {
-		level = 9
-	}
-	return softLevels[level]
-}
-
-const (
-	hashBits = 15
-	hashSize = 1 << hashBits
-)
-
-// hash4 mixes the 4 bytes at p[i:] into hashBits. The accelerator and zlib
-// both hash a short prefix; a multiplicative mix keeps chains short without
-// per-byte shifting state.
-func hash4(p []byte, i int) uint32 {
-	return binary.LittleEndian.Uint32(p[i:]) * 2654435761 >> (32 - hashBits)
-}
-
-// SoftMatcher is a reusable software LZ77 tokenizer.
-type SoftMatcher struct {
+// refSoftMatcher is SoftMatcher as it stood before matchLen and hash4
+// moved to wide loads, bound to the byte-loop refMatchLen/refHash4: the
+// oracle for "SoftMatcher's output did not change".
+type refSoftMatcher struct {
 	params SoftParams
 	head   [hashSize]int32
 	prev   []int32
 }
 
-// NewSoftMatcher returns a matcher with the given search parameters.
-func NewSoftMatcher(params SoftParams) *SoftMatcher {
-	m := &SoftMatcher{params: params}
+// newRefSoftMatcher returns a matcher with the given search parameters.
+func newRefSoftMatcher(params SoftParams) *refSoftMatcher {
+	m := &refSoftMatcher{params: params}
 	for i := range m.head {
 		m.head[i] = -1
 	}
@@ -75,7 +21,7 @@ func NewSoftMatcher(params SoftParams) *SoftMatcher {
 // Tokenize produces the LZ77 token stream for src, appending to dst.
 // Matching is confined to a WindowSize backward window, exactly as DEFLATE
 // requires.
-func (m *SoftMatcher) Tokenize(dst []Token, src []byte) []Token {
+func (m *refSoftMatcher) Tokenize(dst []Token, src []byte) []Token {
 	n := len(src)
 	if n == 0 {
 		return dst
@@ -92,7 +38,7 @@ func (m *SoftMatcher) Tokenize(dst []Token, src []byte) []Token {
 		if i+MinMatch+1 > n {
 			return
 		}
-		h := hash4(src, i)
+		h := refHash4(src, i)
 		prev[i] = m.head[h]
 		m.head[h] = int32(i)
 	}
@@ -167,7 +113,7 @@ func (m *SoftMatcher) Tokenize(dst []Token, src []byte) []Token {
 
 // findMatch searches the hash chain at position i and returns the best
 // (length, dist) found, honoring the level's chain and nice-length bounds.
-func (m *SoftMatcher) findMatch(src []byte, i, prevLen int) (int, int) {
+func (m *refSoftMatcher) findMatch(src []byte, i, prevLen int) (int, int) {
 	params := m.params
 	chainLen := params.MaxChain
 	if prevLen >= params.GoodLength {
@@ -182,7 +128,7 @@ func (m *SoftMatcher) findMatch(src []byte, i, prevLen int) (int, int) {
 		maxLen = MaxMatch
 	}
 	bestLen, bestDist := 0, 0
-	h := hash4(src, i)
+	h := refHash4(src, i)
 	cand := m.head[h]
 	for cand > int32(limit) && chainLen > 0 {
 		c := int(cand)
@@ -192,7 +138,7 @@ func (m *SoftMatcher) findMatch(src []byte, i, prevLen int) (int, int) {
 			chainLen--
 			continue
 		}
-		l := matchLen(src, c, i, maxLen)
+		l := refMatchLen(src, c, i, maxLen)
 		if l > bestLen {
 			bestLen, bestDist = l, i-c
 			if l >= params.NiceLength || l == maxLen {
@@ -208,24 +154,9 @@ func (m *SoftMatcher) findMatch(src []byte, i, prevLen int) (int, int) {
 	return bestLen, bestDist
 }
 
-func (m *SoftMatcher) prevLink(c int) int32 {
+func (m *refSoftMatcher) prevLink(c int) int32 {
 	if c >= len(m.prev) {
 		return -1
 	}
 	return m.prev[c]
-}
-
-// matchLen counts matching bytes between positions a (candidate) and b
-// (current), up to maxLen. Requires a < b and b+maxLen <= len(src).
-func matchLen(src []byte, a, b, maxLen int) int {
-	l := 0
-	for ; l+8 <= maxLen; l += 8 {
-		if x := binary.LittleEndian.Uint64(src[a+l:]) ^ binary.LittleEndian.Uint64(src[b+l:]); x != 0 {
-			return l + bits.TrailingZeros64(x)>>3
-		}
-	}
-	for l < maxLen && src[a+l] == src[b+l] {
-		l++
-	}
-	return l
 }

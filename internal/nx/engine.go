@@ -316,7 +316,7 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 		mode = deflate.ModeFixed
 	case FCCompressDHT:
 		mode = deflate.ModeDynamic
-		dht = e.sampleDHT(tokens, input)
+		dht = e.sampleDHT(tokens)
 	case FCCompressCannedDHT:
 		mode = deflate.ModeDynamic
 		dht = crb.DHT
@@ -381,7 +381,7 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 // symbol receives a +1 floor so the table is complete (the hardware
 // requires a decodable-by-construction table because data after the sample
 // may use any symbol).
-func (e *Engine) sampleDHT(tokens []lz77.Token, input []byte) *deflate.DHT {
+func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
 	sampleBytes := e.cfg.Pipeline.DHTSampleBytes
 	covered := 0
 	end := 0
@@ -409,7 +409,6 @@ func (e *Engine) sampleDHT(tokens []lz77.Token, input []byte) *deflate.DHT {
 		// back to nil (generated-per-block) defensively.
 		return nil
 	}
-	_ = input
 	return dht
 }
 
