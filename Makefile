@@ -38,12 +38,13 @@ bench:
 
 ## bench-alloc: the zero-alloc acceptance gate. The AllocsPerRun assert
 ## (0 allocations per steady-state pooled one-shot, compress and
-## decompress — with the flight recorder both detached AND attached)
+## decompress — with the flight recorder both detached AND attached —
+## and the result plus the returned Metrics for the copying one-shots)
 ## must run without the race detector — race instrumentation
 ## allocates — so it runs plain here, and the batch/pooled paths run
 ## again under -race for the memory model.
 bench-alloc:
-	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree' -count=1 .
+	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite' -count=1 .
 
 ## bench-json: run the E18 topology sweep (aggregate GB/s vs device

@@ -201,31 +201,3 @@ func (a *Accelerator) admissionCtrl() *admission.Controller {
 	}
 	return a.root.adm.Load()
 }
-
-// admitOp presents one root-level operation at the gate. The returned
-// ticket is nil unless the decision is DecisionAdmit.
-func (a *Accelerator) admitOp(deadline time.Time, cancel <-chan struct{}) (*admission.Ticket, admission.Decision, error) {
-	return a.admit(deadline, cancel, false)
-}
-
-// admitOpNoWait is admitOp for callers that hold outstanding tickets of
-// their own (the batch path): a saturated gate returns
-// admission.ErrWouldWait immediately instead of queueing the request
-// behind slots the caller itself must free.
-func (a *Accelerator) admitOpNoWait(deadline time.Time, cancel <-chan struct{}) (*admission.Ticket, admission.Decision, error) {
-	return a.admit(deadline, cancel, true)
-}
-
-func (a *Accelerator) admit(deadline time.Time, cancel <-chan struct{}, noWait bool) (*admission.Ticket, admission.Decision, error) {
-	ctrl := a.admissionCtrl()
-	if ctrl == nil {
-		return nil, admission.DecisionAdmit, nil
-	}
-	return ctrl.Admit(admission.AdmitRequest{
-		Class:    admission.Class(a.class.Load()),
-		Tenant:   a.nctx.ID(),
-		Deadline: deadline,
-		Cancel:   cancel,
-		NoWait:   noWait,
-	})
-}

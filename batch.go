@@ -12,7 +12,6 @@ package nxzip
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"nxzip/internal/admission"
@@ -49,8 +48,9 @@ type BatchRequest struct {
 	// most that many requests.)
 	Metrics Metrics
 	// Err reports a terminal per-request failure. Requests whose device
-	// flaked mid-batch are transparently completed by the software
-	// fallback with Metrics.Degraded set, so Err is non-nil only when
+	// flaked mid-batch are transparently re-dispatched to another device
+	// or, failing that, completed by the software fallback with
+	// Metrics.Degraded set, so Err is non-nil only when
 	// the input itself is at fault (or the fallback failed too), the
 	// Deadline/Cancel gate tripped, or the admission gate shed the
 	// request under overload (admission.ErrOverloaded).
@@ -59,12 +59,20 @@ type BatchRequest struct {
 	// request, -1 when the software fallback completed it. E21 uses it to
 	// reconstruct each device's share of the batch timeline.
 	Device int
+}
 
-	// req is the root-minted RequestID, stamped on the entry's CRB so the
-	// request's span and digest correlate; devAttempt records whether a
-	// device ran (and failed) the request before the software fallback.
-	req        uint64
-	devAttempt bool
+// batchItem pairs a batch request with its pipeline request.
+type batchItem struct {
+	br *BatchRequest
+	r  *request
+}
+
+// done publishes the request's result on its BatchRequest. dev is the
+// serving device, -1 for the software path or none.
+func (it batchItem) done(dev int, out []byte, err error) {
+	it.br.Out, it.br.Err, it.br.Device = out, err, dev
+	it.br.Metrics = it.r.m
+	it.r.free()
 }
 
 // CompressBatch compresses every request into a gzip frame using the
@@ -72,204 +80,96 @@ type BatchRequest struct {
 // one FIFO round per device per batch instead of one per request.
 // Results and per-request errors land on the requests themselves. Nil
 // requests are skipped. Like the one-shot paths, device-local failures
-// degrade to the software encoder rather than failing the batch.
+// re-dispatch and then degrade to the software encoder rather than
+// failing the batch.
 func (a *Accelerator) CompressBatch(reqs []*BatchRequest) {
-	if len(reqs) == 0 {
-		return
-	}
-	rec := a.recorder()
-	start := time.Now()
 	n := a.nctx.Size()
 	groups := make([][]nx.BatchEntry, n)
-	owners := make([][]*BatchRequest, n)
-	spans := make([][][2]uint64, n)
-	var soft []*BatchRequest
-	// Admission tickets are held per dispatch wave, not for the whole
+	owners := make([][]batchItem, n)
+	// wave is every request admitted since the last flush; stragglers are
+	// the requests a wave could not complete, finished one by one at the
+	// end. Admission tickets are held per dispatch wave, not for the whole
 	// batch: a batch larger than the gate's in-flight ceiling would
 	// otherwise saturate the gate with its own earlier tickets and park
 	// later requests behind slots nothing can free until the batch ends.
-	// Requests admit with NoWait; when the gate reports full, the wave
-	// accumulated so far is dispatched and its tickets released before
-	// admission continues. Release is idempotent and nil-safe.
-	var tickets []*admission.Ticket
-	defer func() { // safety net; flush releases on the normal path
-		for _, t := range tickets {
-			t.Release()
-		}
-	}()
-	// expired fails r in place when its Deadline/Cancel gate has tripped.
-	expired := func(r *BatchRequest, attempts int, device string) bool {
-		if r.Cancel != nil {
-			select {
-			case <-r.Cancel:
-				r.Err = fmt.Errorf("nxzip: batch compress: %w", nx.ErrCanceled)
-			default:
-			}
-		}
-		if r.Err == nil && !r.Deadline.IsZero() && time.Now().After(r.Deadline) {
-			r.Err = fmt.Errorf("nxzip: batch compress: %w", nx.ErrDeadlineExceeded)
-		}
-		if r.Err == nil {
-			return false
-		}
-		a.completeDigest(rec, r.req, "batch-compress", "deflate", device, &r.Metrics, start, attempts, telemetry.OutcomeError)
-		if rec != nil {
-			r.Err = reqError(r.req, r.Err)
-		}
-		return true
-	}
+	var (
+		wave       []*request
+		stragglers []batchItem
+	)
 	// flush dispatches the accumulated wave — one envelope per device
-	// with queued entries — settles its results (failing requests over to
-	// soft where eligible), then releases the wave's tickets so the next
-	// wave or concurrent traffic can take the slots.
+	// with queued entries — releases the wave's tickets so the next wave
+	// or concurrent traffic can take the slots, then settles the results.
 	flush := func() {
-		waved := false
-		for i := range groups {
-			if len(groups[i]) > 0 {
-				waved = true
-				break
-			}
+		errs := a.nctx.SubmitBatch(groups)
+		for _, r := range wave {
+			r.ticket.Release()
 		}
-		if waved {
-			errs := a.nctx.SubmitBatch(groups)
-			for i := range groups {
-				if len(groups[i]) == 0 {
-					continue
+		wave = wave[:0]
+		for i := range groups {
+			for k := range groups[i] {
+				en, it := &groups[i][k], owners[i][k]
+				err := errs[i] // device-level failure drops the whole group
+				if err == nil {
+					err = en.Err
 				}
-				ctx := a.nctx.At(i)
-				for k := range groups[i] {
-					en := &groups[i][k]
-					r := owners[i][k]
-					ctx.ReleaseVA(spans[i][k][0])
-					ctx.ReleaseVA(spans[i][k][1])
-					err := errs[i] // device-level failure drops the whole group
-					if err == nil {
-						err = en.Err
-					}
-					if err == nil && en.CSB.CC != nx.CCSuccess {
-						err = ccFail("batch compress", &en.CSB)
-					}
-					if err == nil {
-						r.Out = en.CSB.Output
-						fillMetrics(&r.Metrics, &en.Rep, &en.CSB)
-						r.Device = i
-						a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeOK)
-						continue
-					}
-					if !failoverEligible(err) {
-						r.Err = err
-						a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeError)
-						if rec != nil {
-							r.Err = reqError(r.req, r.Err)
-						}
-						continue
-					}
-					r.devAttempt = true
-					soft = append(soft, r)
+				out, _, err := it.r.settle(&en.CSB, &en.Rep, err)
+				switch {
+				case err == nil:
+					it.done(i, out, it.r.finish(a.node.Label(i), telemetry.OutcomeOK, nil))
+				case it.r.absorb(err):
+					stragglers = append(stragglers, it)
+				default:
+					it.done(-1, nil, it.r.finish(a.node.Label(i), telemetry.OutcomeError, err))
 				}
 			}
-		}
-		for _, t := range tickets {
-			t.Release()
-		}
-		tickets = tickets[:0]
-		for i := range groups {
-			groups[i] = groups[i][:0]
-			owners[i] = owners[i][:0]
-			spans[i] = spans[i][:0]
+			groups[i], owners[i] = groups[i][:0], owners[i][:0]
 		}
 	}
-	for _, r := range reqs {
-		if r == nil {
+	for _, br := range reqs {
+		if br == nil {
 			continue
 		}
-		r.Err = nil
-		r.Device = -1
-		r.req = nextReq()
-		r.devAttempt = false
-		if expired(r, 0, "") {
+		it := batchItem{br, a.newRequest(a.nctx, nil, op{kind: opCompress, name: "batch-compress", format: FormatGzip,
+			src: br.Src, dst: br.Dst, deadline: br.Deadline, cancel: br.Cancel})}
+		if err := it.r.expired(); err != nil {
+			it.done(-1, nil, it.r.finish("", telemetry.OutcomeError, err))
 			continue
 		}
-		// Overload gate, per request: a shed fails the request with
-		// ErrOverloaded before any device work; a brownout degrade routes
-		// it straight to the software fallback.
-		ticket, dec, aerr := a.admitOpNoWait(r.Deadline, r.Cancel)
-		if errors.Is(aerr, admission.ErrWouldWait) {
-			// The gate is full — possibly with this batch's own wave. Make
-			// room by dispatching and releasing what we hold, then present
-			// again, this time willing to queue: any further wait is
-			// genuine contention with other traffic, not self-inflicted.
+		// Requests admit with NoWait; when the gate reports full —
+		// possibly with this batch's own wave — make room by dispatching
+		// and releasing what we hold, then present again, this time willing
+		// to queue: any further wait is genuine contention with other
+		// traffic, not self-inflicted.
+		err := it.r.admit(true)
+		if errors.Is(err, admission.ErrWouldWait) {
 			flush()
-			ticket, dec, aerr = a.admitOp(r.Deadline, r.Cancel)
+			err = it.r.admit(false)
 		}
-		if aerr != nil {
-			r.Err = aerr
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", "admission", &r.Metrics, start, 0, telemetry.OutcomeShed)
-			if rec != nil {
-				r.Err = reqError(r.req, r.Err)
-			}
-			continue
-		}
-		tickets = append(tickets, ticket)
-		if dec == admission.DecisionDegrade {
-			soft = append(soft, r)
-			continue
-		}
-		i, perr := a.nctx.PickIndexAvail()
-		if perr != nil {
-			soft = append(soft, r) // pool unhealthy: straight to software
-			continue
-		}
-		ctx := a.nctx.At(i)
-		srcVA, err := ctx.AcquireVA(len(r.Src))
 		if err != nil {
-			r.Err = err
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeError)
+			it.done(-1, nil, it.r.finish("admission", telemetry.OutcomeShed, err))
 			continue
 		}
-		capOut := 2*len(r.Src) + 1024
-		dstVA, err := ctx.AcquireVA(capOut)
-		if err != nil {
-			ctx.ReleaseVA(srcVA)
-			r.Err = err
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeError)
+		i, ok := it.r.pick()
+		if !ok {
+			stragglers = append(stragglers, it) // brownout or pool unhealthy: software
+		} else if err := it.r.build(i); err != nil {
+			it.done(-1, nil, it.r.finish(a.node.Label(i), telemetry.OutcomeError, err))
 			continue
+		} else {
+			groups[i] = append(groups[i], nx.BatchEntry{CRB: it.r.crb})
+			owners[i] = append(owners[i], it)
 		}
-		en := nx.BatchEntry{CRB: nx.CRB{
-			Func: a.funcCode(), Wrap: nx.WrapGzip, Input: r.Src,
-			SourceVA: srcVA, TargetVA: dstVA, TargetCap: capOut,
-			Target: r.Dst, ReqID: r.req,
-			Deadline: r.Deadline, Cancel: r.Cancel,
-		}}
-		if en.CRB.Func == nx.FCCompressCannedDHT {
-			en.CRB.DHT = a.canned
-		}
-		groups[i] = append(groups[i], en)
-		owners[i] = append(owners[i], r)
-		spans[i] = append(spans[i], [2]uint64{srcVA, dstVA})
+		wave = append(wave, it.r)
 	}
 	flush()
-	for _, r := range soft {
-		attempts := 1
-		if r.devAttempt {
-			attempts = 2
+	// A straggler's device flaked (or it never had one): it rides the
+	// single-request attempt loop — another device, then software.
+	for _, it := range stragglers {
+		out, err := it.r.resume()
+		dev := -1
+		if err == nil && !it.r.m.Degraded {
+			dev = it.r.dev
 		}
-		if expired(r, attempts, "software") {
-			continue
-		}
-		out, m, err := a.softCompress(r.Src, nx.WrapGzip)
-		if err != nil {
-			r.Err = err
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", "software", &r.Metrics, start, attempts, telemetry.OutcomeError)
-			if rec != nil {
-				r.Err = reqError(r.req, r.Err)
-			}
-			continue
-		}
-		a.met.fallback(nx.Codecs(nx.CodecDeflate))
-		r.Out = append(r.Dst[:0], out...)
-		r.Metrics = *m
-		r.Device = -1
-		a.completeDigest(rec, r.req, "batch-compress", "deflate", "software", &r.Metrics, start, attempts, telemetry.OutcomeDegraded)
+		it.done(dev, out, err)
 	}
 }

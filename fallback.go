@@ -14,14 +14,11 @@ import (
 	"fmt"
 	"time"
 
-	"nxzip/internal/admission"
 	"nxzip/internal/checksum"
 	"nxzip/internal/deflate"
 	"nxzip/internal/lz4"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nx"
-	"nxzip/internal/obs"
-	"nxzip/internal/telemetry"
 	"nxzip/internal/topology"
 	"nxzip/internal/x842"
 )
@@ -52,129 +49,12 @@ func ccFail(op string, csb *nx.CSB) error {
 	return fmt.Errorf("nxzip: %s: %w", op, csb.CC.Err())
 }
 
-// failoverOn runs op against the pool with re-dispatch and software
-// fallback: each attempt picks a healthy device through nctx (feeding
-// the outcome back into the health scoreboard), device-local failures
-// re-dispatch up to one attempt per device plus one, and when no healthy
-// device remains or the budget runs out, soft produces the result
-// instead. The returned Metrics carry the wasted device cycles of failed
-// attempts, the re-dispatch count, and Degraded=true for software
-// results.
-//
-// One RequestID is minted per call and handed to every attempt as
-// (req, hop): op stamps it into its CRB so the attempt's span, the
-// failover events between attempts, and any quarantine the scoreboard
-// issues all carry the same ID — the flight recorder chains them back
-// into one request history, with the winning attempt identifiable by
-// its hop number.
-func (a *Accelerator) failoverOn(nctx *topology.Context, opName string, need nx.CodecSet, op func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error), soft func() ([]byte, *Metrics, error)) ([]byte, *Metrics, error) {
-	rec := a.recorder()
-	req := nextReq()
-	start := time.Now()
-	codec := need.String()
-	wasted := &Metrics{}
-
-	// Overload gate: present at admission before any device work. A shed
-	// costs nothing downstream (digested as OutcomeShed with no device);
-	// a brownout degrade skips the device loop and goes straight to the
-	// software path; an admit holds a slot until the request completes.
-	ticket, dec, aerr := a.admitOp(time.Time{}, nil)
-	if aerr != nil {
-		a.completeDigest(rec, req, opName, codec, "admission", wasted, start, 0, telemetry.OutcomeShed)
-		if rec != nil {
-			aerr = reqError(req, aerr)
-		}
-		return nil, wasted, aerr
-	}
-	defer ticket.Release()
-	brownout := dec == admission.DecisionDegrade
-
-	attempts := nctx.Size() + 1
-	attempt := 0
-	for ; !brownout && attempt < attempts; attempt++ {
-		i, perr := nctx.PickIndexCodec(need)
-		if perr != nil {
-			// Pool unhealthy — or, with ErrNoCapableDevice, wrong
-			// hardware entirely: straight to software either way.
-			break
-		}
-		nctx.AcquireIndex(i)
-		out, m, err := op(nctx.At(i), req, attempt)
-		nctx.ReleaseIndexReq(i, err, req)
-		if err == nil {
-			if m == nil {
-				m = &Metrics{}
-			}
-			m.Redispatches = attempt
-			m.DeviceCycles += wasted.DeviceCycles
-			m.DeviceTime += wasted.DeviceTime
-			m.Faults += wasted.Faults
-			if attempt > 0 {
-				a.met.redispatches.Add(int64(attempt))
-			}
-			a.completeDigest(rec, req, opName, codec, a.node.Label(i), m, start, attempt+1, telemetry.OutcomeOK)
-			return out, m, nil
-		}
-		addMetricsInto(wasted, m)
-		if !failoverEligible(err) {
-			a.completeDigest(rec, req, opName, codec, a.node.Label(i), wasted, start, attempt+1, telemetry.OutcomeError)
-			if rec != nil {
-				err = reqError(req, err)
-			}
-			return nil, wasted, err
-		}
-		wasted.Redispatches = attempt + 1
-		if bus := a.node.Bus(); bus != nil {
-			bus.Publish(obs.Event{Type: obs.EventFailover, Device: a.node.Label(i), Req: req,
-				Detail: fmt.Sprintf("re-dispatching after: %v", err)})
-		}
-	}
-	if wasted.Redispatches > 0 {
-		a.met.redispatches.Add(int64(wasted.Redispatches))
-	}
-	out, m, err := soft()
-	if err != nil {
-		// The software path is authoritative: its failure (e.g. genuinely
-		// corrupt input) is the real answer, not the device flake.
-		a.completeDigest(rec, req, opName, codec, "software", wasted, start, max(attempt, 1), telemetry.OutcomeError)
-		if rec != nil {
-			err = reqError(req, err)
-		}
-		return nil, wasted, err
-	}
-	a.met.fallback(need)
-	detail := fmt.Sprintf("software path after %d re-dispatches", wasted.Redispatches)
-	if brownout {
-		detail = "software path by brownout: admission degraded the request under overload"
-	}
-	a.node.Bus().Publish(obs.Event{Type: obs.EventFallback, Req: req, Detail: detail})
-	m.Degraded = true
-	m.Redispatches = wasted.Redispatches
-	m.DeviceCycles += wasted.DeviceCycles
-	m.DeviceTime += wasted.DeviceTime
-	m.Faults += wasted.Faults
-	a.completeDigest(rec, req, opName, codec, "software", m, start, max(attempt, 1), telemetry.OutcomeDegraded)
-	return out, m, nil
-}
-
-// withFailover is failoverOn over the accelerator's own node context,
-// for the DEFLATE entry points.
-func (a *Accelerator) withFailover(opName string, op func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error), soft func() ([]byte, *Metrics, error)) ([]byte, *Metrics, error) {
-	return a.failoverOn(a.nctx, opName, nx.Codecs(nx.CodecDeflate), op, soft)
-}
-
-// withFailoverCodec is withFailover with an explicit codec requirement:
-// dispatch only considers devices advertising every codec in need, and
-// the digest/fallback telemetry is labeled with the set.
-func (a *Accelerator) withFailoverCodec(opName string, need nx.CodecSet, op func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error), soft func() ([]byte, *Metrics, error)) ([]byte, *Metrics, error) {
-	return a.failoverOn(a.nctx, opName, need, op, soft)
-}
-
 // softMetrics builds the Metrics of a software-path result: host
 // wall-clock stands in for device time (so Throughput stays meaningful),
 // no device cycles are charged, and checksums cover the plaintext.
-func softMetrics(plain []byte, in, out int, start time.Time) *Metrics {
-	m := &Metrics{
+// inflated selects the ratio's direction (output/input).
+func softMetrics(plain []byte, in, out int, start time.Time, inflated bool) Metrics {
+	m := Metrics{
 		InBytes:    in,
 		OutBytes:   out,
 		DeviceTime: time.Since(start),
@@ -182,130 +62,100 @@ func softMetrics(plain []byte, in, out int, start time.Time) *Metrics {
 		Adler32:    checksum.SumAdler32(plain),
 		Degraded:   true,
 	}
-	if in > 0 && out > 0 {
-		if out > in { // decompression: output/input
-			m.Ratio = float64(out) / float64(in)
-		} else {
-			m.Ratio = float64(in) / float64(out)
-		}
+	switch {
+	case in == 0 || out == 0:
+	case inflated:
+		m.Ratio = float64(out) / float64(in)
+	default:
+		m.Ratio = float64(in) / float64(out)
 	}
 	return m
 }
 
-// softCompress is the software fallback of the one-shot compression
-// paths.
-func (a *Accelerator) softCompress(src []byte, wrap nx.Wrap) ([]byte, *Metrics, error) {
+// soft runs o on the software path — the same pure-Go codecs the engine
+// model runs, minus the device — and writes the result's accounting to
+// m. Its verdict on the input is authoritative: an error here means the
+// stream really is corrupt (or over budget), not that a device flaked.
+func (a *Accelerator) soft(o *op, m *Metrics) ([]byte, error) {
 	start := time.Now()
-	opts := deflate.Options{Level: softLevel}
 	var (
-		out []byte
-		err error
+		out   []byte
+		plain = o.src // what the checksums cover
+		in    = len(o.src)
+		err   error
 	)
-	switch wrap {
-	case nx.WrapGzip:
-		out, err = deflate.CompressGzip(src, opts)
-	case nx.WrapZlib:
-		out, err = deflate.CompressZlib(src, opts)
-	default:
-		out, err = deflate.Compress(src, opts)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	m := softMetrics(src, len(src), len(out), start)
-	m.Ratio = 0
-	if len(out) > 0 {
-		m.Ratio = float64(len(src)) / float64(len(out))
-	}
-	return out, m, nil
-}
-
-// softDecompress is the software fallback of the one-shot decompression
-// paths. Its verdict on the input is authoritative: an error here means
-// the stream really is corrupt (or over budget), not that a device
-// flaked.
-func (a *Accelerator) softDecompress(src []byte, wrap nx.Wrap, maxOutput int) ([]byte, *Metrics, error) {
-	start := time.Now()
-	opts := deflate.InflateOptions{MaxOutput: maxOutput}
-	var (
-		out []byte
-		err error
-	)
-	switch wrap {
-	case nx.WrapGzip:
-		out, err = deflate.DecompressGzip(src, opts)
-	case nx.WrapZlib:
-		out, err = deflate.DecompressZlib(src, opts)
-	default:
-		out, err = deflate.Decompress(src, opts)
-	}
-	if err != nil {
-		if errors.Is(err, deflate.ErrTooLarge) {
-			err = fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", maxOutput)
+	switch o.kind {
+	case opCompress:
+		out, err = softEncode(o.format, o.src)
+	case opDict:
+		out, err = deflate.CompressZlibDict(o.src, o.history, deflate.Options{Level: softLevel})
+	case opSegment:
+		out, err = softSegment(o.history, o.src, !o.notFinal)
+	case opDecompress:
+		out, err = softDecode(o.format, o.src, o.maxOutput)
+	case opMember:
+		out, in, err = deflate.DecompressGzipTail(o.src, deflate.InflateOptions{MaxOutput: o.maxOutput})
+	case opResume:
+		out, err = o.state.SoftFeed(o.src, !o.notFinal)
+	case opTranscode:
+		if plain, err = softDecode(o.format, o.src, 0); err == nil {
+			out, err = softEncode(o.to, plain)
 		}
-		return nil, nil, err
 	}
-	m := softMetrics(out, len(src), len(out), start)
-	m.Ratio = 0
-	if len(src) > 0 {
-		m.Ratio = float64(len(out)) / float64(len(src))
+	if errors.Is(err, deflate.ErrTooLarge) {
+		err = fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", o.maxOutput)
 	}
-	return out, m, nil
+	if err != nil {
+		return nil, err
+	}
+	if o.inflates() {
+		plain = out
+	}
+	*m = softMetrics(plain, in, len(out), start, o.inflates())
+	return out, nil
 }
 
-// compressMember compresses one chunk into a gzip member through nctx
-// with re-dispatch and software fallback — the per-worker entry point of
-// Writer and ParallelWriter.
-func (a *Accelerator) compressMember(nctx *topology.Context, src []byte) ([]byte, *Metrics, error) {
-	return a.failoverOn(nctx, "member-compress", nx.Codecs(nx.CodecDeflate),
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			return a.compressOn(ctx, src, nx.WrapGzip, req, hop)
-		},
-		func() ([]byte, *Metrics, error) { return a.softCompress(src, nx.WrapGzip) })
+// softEncode compresses src into format f at the fallback's level.
+func softEncode(f Format, src []byte) ([]byte, error) {
+	opts := deflate.Options{Level: softLevel}
+	switch f {
+	case FormatGzip:
+		return deflate.CompressGzip(src, opts)
+	case FormatZlib:
+		return deflate.CompressZlib(src, opts)
+	case FormatRaw:
+		return deflate.Compress(src, opts)
+	case Format842:
+		return x842.Compress(src), nil
+	case FormatLZ4:
+		return lz4.Compress(src), nil
+	}
+	return nil, fmt.Errorf("nxzip: no software compressor for format %v", f)
 }
 
-// decompressMember inflates the first gzip member of src through nctx
-// with re-dispatch and software fallback, returning the plaintext, the
-// encoded bytes consumed, and metrics.
-func (a *Accelerator) decompressMember(nctx *topology.Context, src []byte, budget int) ([]byte, int, *Metrics, error) {
-	if budget < 1 {
-		budget = 1
+// softDecode decompresses a format-f stream, bounded by maxOutput.
+func softDecode(f Format, src []byte, maxOutput int) ([]byte, error) {
+	opts := deflate.InflateOptions{MaxOutput: maxOutput}
+	switch f {
+	case FormatGzip:
+		return deflate.DecompressGzip(src, opts)
+	case FormatZlib:
+		return deflate.DecompressZlib(src, opts)
+	case FormatRaw:
+		return deflate.Decompress(src, opts)
+	case Format842:
+		return x842.Decompress(src, maxOutput)
+	case FormatLZ4:
+		return lz4.Decompress(src, maxOutput)
 	}
-	var consumed int
-	out, m, err := a.failoverOn(nctx, "member-decompress", nx.Codecs(nx.CodecDeflate),
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			plain, c, m, err := a.decompressMemberOn(ctx, src, budget, req, hop)
-			if err == nil {
-				consumed = c
-			}
-			return plain, m, err
-		},
-		func() ([]byte, *Metrics, error) {
-			start := time.Now()
-			plain, c, err := deflate.DecompressGzipTail(src, deflate.InflateOptions{MaxOutput: budget})
-			if err != nil {
-				if errors.Is(err, deflate.ErrTooLarge) {
-					err = fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", budget)
-				}
-				return nil, nil, err
-			}
-			consumed = c
-			m := softMetrics(plain, c, len(plain), start)
-			m.Ratio = 0
-			if c > 0 {
-				m.Ratio = float64(len(plain)) / float64(c)
-			}
-			return plain, m, nil
-		})
-	return out, consumed, m, err
+	return nil, fmt.Errorf("nxzip: no software decompressor for format %v", f)
 }
 
 // softSegment compresses one raw stream segment in software, carrying
 // the history window exactly as the engine does: matches may reach into
 // the previous 32 KiB, non-final segments end in a sync flush so the
 // outputs concatenate into one valid DEFLATE stream.
-func (a *Accelerator) softSegment(history, chunk []byte, final bool) ([]byte, *Metrics, error) {
-	start := time.Now()
+func softSegment(history, chunk []byte, final bool) ([]byte, error) {
 	matcher := lz77.NewSoftMatcher(lz77.LevelParams(softLevel))
 	var toks []lz77.Token
 	if len(history) > 0 {
@@ -313,61 +163,22 @@ func (a *Accelerator) softSegment(history, chunk []byte, final bool) ([]byte, *M
 	} else {
 		toks = matcher.Tokenize(nil, chunk)
 	}
-	body, err := deflate.EncodeTokensStream(toks, chunk, deflate.ModeFixed, nil, final)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := softMetrics(chunk, len(chunk), len(body), start)
-	m.Ratio = 0
-	if len(body) > 0 {
-		m.Ratio = float64(len(chunk)) / float64(len(body))
-	}
-	return body, m, nil
+	return deflate.EncodeTokensStream(toks, chunk, deflate.ModeFixed, nil, final)
 }
 
-// softBlockCompress / softBlockDecompress are the per-codec software
-// fallbacks of the block-codec entry points: the same pure-Go codecs
-// the engine model runs, minus the device.
-func softBlockCompress(codec nx.Codec, src []byte) ([]byte, *Metrics, error) {
-	start := time.Now()
-	var out []byte
-	switch codec {
-	case nx.Codec842:
-		out = x842.Compress(src)
-	case nx.CodecLZ4:
-		out = lz4.Compress(src)
-	default:
-		return nil, nil, fmt.Errorf("nxzip: no software block compressor for codec %s", codec)
-	}
-	m := softMetrics(src, len(src), len(out), start)
-	m.Ratio = 0
-	if len(out) > 0 {
-		m.Ratio = float64(len(src)) / float64(len(out))
-	}
-	return out, m, nil
+// compressMember compresses one chunk into a gzip member through nctx —
+// the per-worker entry point of ParallelWriter.
+func (a *Accelerator) compressMember(nctx *topology.Context, src []byte) ([]byte, *Metrics, error) {
+	return a.doNew(nctx, op{kind: opCompress, name: "member-compress", format: FormatGzip, src: src})
 }
 
-func softBlockDecompress(codec nx.Codec, src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	start := time.Now()
-	var (
-		out []byte
-		err error
-	)
-	switch codec {
-	case nx.Codec842:
-		out, err = x842.Decompress(src, maxOutput)
-	case nx.CodecLZ4:
-		out, err = lz4.Decompress(src, maxOutput)
-	default:
-		return nil, nil, fmt.Errorf("nxzip: no software block decompressor for codec %s", codec)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	m := softMetrics(out, len(src), len(out), start)
-	m.Ratio = 0
-	if len(src) > 0 {
-		m.Ratio = float64(len(out)) / float64(len(src))
-	}
-	return out, m, nil
+// decompressMember inflates the first gzip member of src through nctx,
+// bounded by budget output bytes, returning the plaintext, the encoded
+// bytes consumed, and metrics. The engine decodes the member exactly
+// once and reports consumed bytes via the CSB's SPBC, so multi-member
+// streams advance without a separate boundary-finding pass.
+func (a *Accelerator) decompressMember(nctx *topology.Context, src []byte, budget int) ([]byte, int, *Metrics, error) {
+	out, m, err := a.doNew(nctx, op{kind: opMember, name: "member-decompress", format: FormatGzip,
+		src: src, maxOutput: max(budget, 1)})
+	return out, m.InBytes, m, err
 }

@@ -92,26 +92,20 @@ func (f Format) wrap() nx.Wrap {
 // CompressFormat compresses src into the named format through whichever
 // devices advertise its codec, with per-codec software fallback.
 func (a *Accelerator) CompressFormat(f Format, src []byte) ([]byte, *Metrics, error) {
-	switch f {
-	case FormatGzip, FormatZlib, FormatRaw:
-		return a.compress(src, f.wrap())
-	case Format842, FormatLZ4:
-		return a.blockCompressOp(f.Codec(), src)
+	if f < FormatGzip || f > FormatLZ4 {
+		return nil, nil, fmt.Errorf("nxzip: unknown format %v", f)
 	}
-	return nil, nil, fmt.Errorf("nxzip: unknown format %v", f)
+	return a.compress(f, src)
 }
 
 // DecompressFormat decompresses a stream of the named format. maxOutput
 // of 0 applies a size heuristic; pass an explicit bound for untrusted
 // input.
 func (a *Accelerator) DecompressFormat(f Format, src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	switch f {
-	case FormatGzip, FormatZlib, FormatRaw:
-		return a.decompress(src, f.wrap(), maxOutput)
-	case Format842, FormatLZ4:
-		return a.blockDecompressOp(f.Codec(), src, maxOutput)
+	if f < FormatGzip || f > FormatLZ4 {
+		return nil, nil, fmt.Errorf("nxzip: unknown format %v", f)
 	}
-	return nil, nil, fmt.Errorf("nxzip: unknown format %v", f)
+	return a.decompress(f, src, maxOutput)
 }
 
 // Transcode converts src from one format to another in a single node
@@ -123,82 +117,10 @@ func (a *Accelerator) DecompressFormat(f Format, src []byte, maxOutput int) ([]b
 // Metrics.Degraded set. Transcoding between two framings of the same
 // codec (gzip → zlib) is rejected: reframe instead.
 func (a *Accelerator) Transcode(from, to Format, src []byte) ([]byte, *Metrics, error) {
-	cf, ct := from.Codec(), to.Codec()
-	if cf == ct {
+	if from.Codec() == to.Codec() {
 		return nil, nil, fmt.Errorf("nxzip: transcode %s → %s: same codec on both sides", from, to)
 	}
-	// FCTranscode carries one Wrap field for whichever side is DEFLATE;
-	// between two block codecs the framing is moot.
-	wrap := nx.WrapRaw
-	switch {
-	case cf == nx.CodecDeflate:
-		wrap = from.wrap()
-	case ct == nx.CodecDeflate:
-		wrap = to.wrap()
-	}
-	need := nx.Codecs(cf, ct)
-	return a.withFailoverCodec("transcode", need,
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			crb := &nx.CRB{
-				Func: nx.FCTranscode, Wrap: wrap,
-				SourceCodec: cf, TargetCodec: ct,
-				Input: src, ReqID: req, Hop: hop,
-			}
-			csb, rep, err := ctx.Submit(crb)
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail("transcode", csb)
-			}
-			return csb.Output, reportToMetrics(rep, csb), nil
-		},
-		func() ([]byte, *Metrics, error) { return a.softTranscode(from, to, src) })
-}
-
-// softTranscode is Transcode's software fallback: decode with the
-// source codec's software path, re-encode with the target's, and merge
-// the two passes' accounting.
-func (a *Accelerator) softTranscode(from, to Format, src []byte) ([]byte, *Metrics, error) {
-	var (
-		plain []byte
-		dm    *Metrics
-		err   error
-	)
-	if from.Codec() == nx.CodecDeflate {
-		plain, dm, err = a.softDecompress(src, from.wrap(), 0)
-	} else {
-		plain, dm, err = softBlockDecompress(from.Codec(), src, 0)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var (
-		out []byte
-		cm  *Metrics
-	)
-	if to.Codec() == nx.CodecDeflate {
-		out, cm, err = a.softCompress(plain, to.wrap())
-	} else {
-		out, cm, err = softBlockCompress(to.Codec(), plain)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	addMetricsInto(cm, dm)
-	cm.InBytes = len(src)
-	cm.OutBytes = len(out)
-	cm.Ratio = 0
-	if len(out) > 0 {
-		cm.Ratio = float64(len(src)) / float64(len(out))
-	}
-	return out, cm, nil
-}
-
-// nodeFormatOp runs one format-routed call on the node's shared default
-// view.
-func (n *Node) nodeFormatOp(op func(a *Accelerator) ([]byte, *Metrics, error)) ([]byte, *Metrics, error) {
-	return op(n.defaultView())
+	return a.doNew(a.nctx, op{kind: opTranscode, name: "transcode", format: from, to: to, src: src})
 }
 
 // CompressFormat compresses through the node's shared default view —
@@ -206,23 +128,17 @@ func (n *Node) nodeFormatOp(op func(a *Accelerator) ([]byte, *Metrics, error)) (
 // open an explicit View still get capability-filtered dispatch across
 // every device.
 func (n *Node) CompressFormat(f Format, src []byte) ([]byte, *Metrics, error) {
-	return n.nodeFormatOp(func(a *Accelerator) ([]byte, *Metrics, error) {
-		return a.CompressFormat(f, src)
-	})
+	return n.defaultView().CompressFormat(f, src)
 }
 
 // DecompressFormat decompresses through the node's shared default view.
 func (n *Node) DecompressFormat(f Format, src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	return n.nodeFormatOp(func(a *Accelerator) ([]byte, *Metrics, error) {
-		return a.DecompressFormat(f, src, maxOutput)
-	})
+	return n.defaultView().DecompressFormat(f, src, maxOutput)
 }
 
 // Transcode converts formats through the node's shared default view.
 func (n *Node) Transcode(from, to Format, src []byte) ([]byte, *Metrics, error) {
-	return n.nodeFormatOp(func(a *Accelerator) ([]byte, *Metrics, error) {
-		return a.Transcode(from, to, src)
-	})
+	return n.defaultView().Transcode(from, to, src)
 }
 
 // DeviceCodecs reports the codec capability set device i advertises

@@ -28,7 +28,6 @@
 package nxzip
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -314,190 +313,31 @@ func (a *Accelerator) TrainTable(sample []byte) error {
 	return nil
 }
 
-func reportToMetrics(rep *nx.Report, csb *nx.CSB) *Metrics {
-	m := &Metrics{}
-	fillMetrics(m, rep, csb)
-	return m
-}
-
 // fillMetrics writes one request's accounting into a caller-owned
-// Metrics — the allocation-free core reportToMetrics wraps.
+// Metrics.
 func fillMetrics(m *Metrics, rep *nx.Report, csb *nx.CSB) {
-	*m = Metrics{}
-	if rep != nil {
-		m.InBytes = rep.InBytes
-		m.OutBytes = rep.OutBytes
-		m.Ratio = rep.Ratio
-		m.DeviceCycles = rep.TotalCycles
-		m.DeviceTime = rep.Time
-		m.Faults = rep.Retries
-		m.PasteRejects = rep.PasteRejects
-		m.BackoffWaits = rep.BackoffWaits
-		m.BackoffTime = rep.BackoffTime
-		m.WastedCycles = rep.WastedCycles
-	}
-	if csb != nil {
-		m.CRC32 = csb.CRC32
-		m.Adler32 = csb.Adler32
-		m.QueueWait = csb.QueueWait
+	*m = Metrics{
+		InBytes:      rep.InBytes,
+		OutBytes:     rep.OutBytes,
+		Ratio:        rep.Ratio,
+		DeviceCycles: rep.TotalCycles,
+		DeviceTime:   rep.Time,
+		Faults:       rep.Retries,
+		PasteRejects: rep.PasteRejects,
+		BackoffWaits: rep.BackoffWaits,
+		BackoffTime:  rep.BackoffTime,
+		WastedCycles: rep.WastedCycles,
+		CRC32:        csb.CRC32,
+		Adler32:      csb.Adler32,
+		QueueWait:    csb.QueueWait,
 	}
 }
 
-// compress runs one compression request with the configured table mode,
-// on whichever device the node's dispatch policy picks, re-dispatching
-// device-local failures and falling back to the software encoder when
-// the pool is unhealthy.
-func (a *Accelerator) compress(src []byte, wrap nx.Wrap) ([]byte, *Metrics, error) {
-	return a.withFailover("compress",
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			return a.compressOn(ctx, src, wrap, req, hop)
-		},
-		func() ([]byte, *Metrics, error) { return a.softCompress(src, wrap) })
-}
-
-// compressOn runs one compression request through an explicit context —
-// parallel workers drive their own send windows through this path. It
-// rides the pooled core: the engine writes into pool-owned scratch, the
-// caller gets an exact-size copy (one allocation — the result itself),
-// and VA spans recycle through the context arena.
-func (a *Accelerator) compressOn(ctx *nx.Context, src []byte, wrap nx.Wrap, req uint64, hop int) ([]byte, *Metrics, error) {
-	os := getOneShot()
-	m := &Metrics{}
-	out, err := a.compressInto(ctx, os, os.buf[:0], src, wrap, m, req, hop)
-	if err != nil {
-		putOneShot(os)
-		return nil, m, err
-	}
-	os.buf = out[:0] // keep the (possibly grown) backing pooled
-	res := make([]byte, len(out))
-	copy(res, out)
-	putOneShot(os)
-	return res, m, nil
-}
-
-func (a *Accelerator) decompress(src []byte, wrap nx.Wrap, maxOutput int) ([]byte, *Metrics, error) {
-	if maxOutput <= 0 {
-		maxOutput = 256 * len(src)
-		if maxOutput < 1<<20 {
-			maxOutput = 1 << 20
-		}
-	}
-	return a.withFailover("decompress",
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			return a.decompressOn(ctx, src, wrap, maxOutput, req, hop)
-		},
-		func() ([]byte, *Metrics, error) { return a.softDecompress(src, wrap, maxOutput) })
-}
-
-// decompressOn runs one decompression request through an explicit
-// (already dispatched) device context. Buffers must be mapped on the
-// same device the request runs on, so the pick happens before the
-// arena acquire. Like compressOn it rides the pooled core and returns
-// an exact-size copy of the plaintext.
-func (a *Accelerator) decompressOn(ctx *nx.Context, src []byte, wrap nx.Wrap, maxOutput int, req uint64, hop int) ([]byte, *Metrics, error) {
-	if maxOutput <= 0 {
-		maxOutput = 256 * len(src)
-		if maxOutput < 1<<20 {
-			maxOutput = 1 << 20
-		}
-	}
-	os := getOneShot()
-	m := &Metrics{}
-	out, err := a.decompressInto(ctx, os, os.buf[:0], src, wrap, maxOutput, m, req, hop)
-	if err != nil {
-		putOneShot(os)
-		return nil, m, err
-	}
-	os.buf = out[:0]
-	res := make([]byte, len(out))
-	copy(res, out)
-	putOneShot(os)
-	return res, m, nil
-}
-
-// memberCapInitial is the first output-buffer size decompressMemberOn
-// tries; memberCapGrowth multiplies it on each target-space resubmit.
-const (
-	memberCapInitial = 4 << 20
-	memberCapGrowth  = 8
-)
-
-// decompressMemberOn inflates the first gzip member of src through ctx,
-// bounded by budget output bytes, returning the plaintext, the encoded
-// bytes consumed, and the request metrics. The engine decodes the member
-// exactly once and reports consumed bytes via the CSB's SPBC, so
-// multi-member streams advance without a separate boundary-finding pass.
-//
-// The output buffer starts modest and grows on CCTargetSpace — the
-// resubmit loop the production NX library runs on CC=13. Mapping (and
-// translating) a worst-case DEFLATE-expansion buffer up front would cost
-// more pages than the member itself; this way the common member costs one
-// small mapping and a bomb is rejected after at most one buffer's worth
-// of decode per size step.
-func (a *Accelerator) decompressMemberOn(ctx *nx.Context, src []byte, budget int, req uint64, hop int) ([]byte, int, *Metrics, error) {
-	if budget < 1 {
-		budget = 1
-	}
-	srcVA, err := ctx.AcquireVA(len(src))
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer ctx.ReleaseVA(srcVA)
-	capOut := memberCapInitial
-	if capOut > budget {
-		capOut = budget
-	}
-	total := &Metrics{}
-	for {
-		dstVA, err := ctx.AcquireVA(capOut)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		crb := &nx.CRB{
-			Func: nx.FCDecompress, Wrap: nx.WrapGzip, Input: src,
-			SourceVA: srcVA, TargetVA: dstVA,
-			TargetCap: capOut, MaxOutput: budget, FirstMemberOnly: true,
-			ReqID: req, Hop: hop,
-		}
-		csb, rep, err := ctx.Submit(crb)
-		// The model's data plane completes inside Submit, so the span can
-		// recycle immediately — each grow round releases its buffer before
-		// acquiring the next size up. (The old per-round MapBuffer leaked
-		// every outgrown mapping for the life of the context.)
-		ctx.ReleaseVA(dstVA)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		m := reportToMetrics(rep, csb)
-		addMetricsInto(total, m)
-		switch {
-		case csb.CC == nx.CCTargetSpace && capOut < budget:
-			// Buffer too small, budget not exhausted: enlarge and resubmit.
-			capOut *= memberCapGrowth
-			if capOut > budget {
-				capOut = budget
-			}
-		case csb.CC == nx.CCTargetSpace:
-			return nil, 0, total, fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", budget)
-		case csb.CC != nx.CCSuccess:
-			return nil, 0, total, ccFail("decompress", csb)
-		default:
-			total.InBytes = csb.SPBC
-			total.OutBytes = csb.TPBC
-			total.Ratio = m.Ratio
-			total.CRC32 = csb.CRC32
-			total.Adler32 = csb.Adler32
-			return csb.Output, csb.SPBC, total, nil
-		}
-	}
-}
-
-// addMetricsInto accumulates the device-cost fields of m into dst (byte
-// counts and checksums are set by the caller once the operation settles).
-func addMetricsInto(dst, m *Metrics) {
-	if m == nil {
-		return
-	}
+// addCost accumulates the device-cost fields of m into dst: cycles and
+// time, fault and paste/backoff recovery, re-dispatches, and whether any
+// part was degraded to software. Byte counts, ratio and checksums belong
+// to whoever settles the operation.
+func (dst *Metrics) addCost(m *Metrics) {
 	dst.DeviceCycles += m.DeviceCycles
 	dst.DeviceTime += m.DeviceTime
 	dst.Faults += m.Faults
@@ -505,105 +345,96 @@ func addMetricsInto(dst, m *Metrics) {
 	dst.BackoffWaits += m.BackoffWaits
 	dst.BackoffTime += m.BackoffTime
 	dst.WastedCycles += m.WastedCycles
+	dst.Redispatches += m.Redispatches
+	dst.Degraded = dst.Degraded || m.Degraded
+}
+
+// add accumulates one member's or segment's byte counts and device cost
+// into a stream's running Stats.
+func (dst *Metrics) add(m *Metrics) {
+	dst.InBytes += m.InBytes
+	dst.OutBytes += m.OutBytes
+	dst.addCost(m)
+}
+
+// compress runs one whole-payload compression into format f: the
+// DEFLATE framings with the configured table mode, the block codecs
+// through whichever devices advertise them.
+func (a *Accelerator) compress(f Format, src []byte) ([]byte, *Metrics, error) {
+	return a.doNew(a.nctx, op{kind: opCompress, name: oneShotNames[f.Codec()][0], format: f, src: src})
+}
+
+// decompress is compress's twin. maxOutput of 0 applies the size
+// heuristic.
+func (a *Accelerator) decompress(f Format, src []byte, maxOutput int) ([]byte, *Metrics, error) {
+	if maxOutput <= 0 {
+		maxOutput = defaultMaxOutput(len(src))
+	}
+	return a.doNew(a.nctx, op{kind: opDecompress, name: oneShotNames[f.Codec()][1], format: f, src: src, maxOutput: maxOutput})
+}
+
+// oneShotNames holds the digest Op strings of the whole-payload
+// requests, compress and decompress per codec.
+var oneShotNames = [nx.CodecCount][2]string{
+	nx.CodecDeflate: {"compress", "decompress"},
+	nx.Codec842:     {"842-compress", "842-decompress"},
+	nx.CodecLZ4:     {"lz4-compress", "lz4-decompress"},
 }
 
 // CompressGzip compresses src into a gzip stream through the accelerator
 // model.
 func (a *Accelerator) CompressGzip(src []byte) ([]byte, *Metrics, error) {
-	return a.compress(src, nx.WrapGzip)
+	return a.compress(FormatGzip, src)
 }
 
 // CompressZlib compresses src into a zlib stream.
 func (a *Accelerator) CompressZlib(src []byte) ([]byte, *Metrics, error) {
-	return a.compress(src, nx.WrapZlib)
+	return a.compress(FormatZlib, src)
 }
 
 // CompressRaw compresses src into a bare DEFLATE stream.
 func (a *Accelerator) CompressRaw(src []byte) ([]byte, *Metrics, error) {
-	return a.compress(src, nx.WrapRaw)
+	return a.compress(FormatRaw, src)
 }
 
 // DecompressGzip inflates a (single-member) gzip stream. maxOutput of 0
 // applies a size heuristic; pass an explicit bound for untrusted input.
 func (a *Accelerator) DecompressGzip(src []byte) ([]byte, *Metrics, error) {
-	return a.decompress(src, nx.WrapGzip, 0)
+	return a.decompress(FormatGzip, src, 0)
 }
 
 // DecompressZlib inflates a zlib stream.
 func (a *Accelerator) DecompressZlib(src []byte) ([]byte, *Metrics, error) {
-	return a.decompress(src, nx.WrapZlib, 0)
+	return a.decompress(FormatZlib, src, 0)
 }
 
 // DecompressRaw inflates a bare DEFLATE stream.
 func (a *Accelerator) DecompressRaw(src []byte) ([]byte, *Metrics, error) {
-	return a.decompress(src, nx.WrapRaw, 0)
+	return a.decompress(FormatRaw, src, 0)
 }
 
 // Compress842 compresses with the 842 engine (the POWER NX's memory
 // compression format).
 func (a *Accelerator) Compress842(src []byte) ([]byte, *Metrics, error) {
-	return a.blockCompressOp(nx.Codec842, src)
+	return a.compress(Format842, src)
 }
 
 // Decompress842 decompresses 842 data. maxOutput of 0 applies a size
 // heuristic; pass an explicit bound for untrusted input.
 func (a *Accelerator) Decompress842(src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	return a.blockDecompressOp(nx.Codec842, src, maxOutput)
+	return a.decompress(Format842, src, maxOutput)
 }
 
 // CompressLZ4 compresses src into one LZ4 block through the pool's
 // LZ4-capable devices, with software fallback.
 func (a *Accelerator) CompressLZ4(src []byte) ([]byte, *Metrics, error) {
-	return a.blockCompressOp(nx.CodecLZ4, src)
+	return a.compress(FormatLZ4, src)
 }
 
 // DecompressLZ4 decompresses one LZ4 block. maxOutput of 0 applies a
 // size heuristic; pass an explicit bound for untrusted input.
 func (a *Accelerator) DecompressLZ4(src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	return a.blockDecompressOp(nx.CodecLZ4, src, maxOutput)
-}
-
-// blockCompressOp runs any block codec (842, LZ4) through the
-// codec-routed failover path: dispatch considers only devices
-// advertising the codec, and when none is healthy — or the pool simply
-// has no such hardware — the matching software codec produces the
-// result with Metrics.Degraded set.
-func (a *Accelerator) blockCompressOp(codec nx.Codec, src []byte) ([]byte, *Metrics, error) {
-	return a.withFailoverCodec(codec.String()+"-compress", nx.Codecs(codec),
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			csb, rep, err := ctx.Submit(&nx.CRB{Func: codec.CompressFunc(), Input: src, ReqID: req, Hop: hop})
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail(codec.String(), csb)
-			}
-			return csb.Output, reportToMetrics(rep, csb), nil
-		},
-		func() ([]byte, *Metrics, error) { return softBlockCompress(codec, src) })
-}
-
-// blockDecompressOp is blockCompressOp's decompression side.
-func (a *Accelerator) blockDecompressOp(codec nx.Codec, src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	if maxOutput <= 0 {
-		maxOutput = 256 * len(src)
-		if maxOutput < 1<<20 {
-			maxOutput = 1 << 20
-		}
-	}
-	budget := maxOutput
-	return a.withFailoverCodec(codec.String()+"-decompress", nx.Codecs(codec),
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			csb, rep, err := ctx.Submit(&nx.CRB{Func: codec.DecompressFunc(), Input: src, MaxOutput: budget, TargetCap: budget, ReqID: req, Hop: hop})
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail(codec.String(), csb)
-			}
-			return csb.Output, reportToMetrics(rep, csb), nil
-		},
-		func() ([]byte, *Metrics, error) { return softBlockDecompress(codec, src, budget) })
+	return a.decompress(FormatLZ4, src, maxOutput)
 }
 
 // Context exposes the raw device context for advanced use (canned DHTs,
@@ -635,41 +466,11 @@ func GunzipMulti(src []byte) ([]byte, error) {
 // mechanism (the engine replays it through the LZ stage), and the wrapper
 // applies the FDICT framing with the dictionary's Adler-32.
 func (a *Accelerator) CompressZlibDict(src, dict []byte) ([]byte, *Metrics, error) {
-	return a.withFailover("dict-compress",
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			crb := &nx.CRB{
-				Func:    a.funcCode(),
-				Wrap:    nx.WrapRaw,
-				Input:   src,
-				History: dict,
-				ReqID:   req,
-				Hop:     hop,
-			}
-			if crb.Func == nx.FCCompressCannedDHT {
-				crb.DHT = a.canned
-			}
-			csb, rep, err := ctx.Submit(crb)
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail("dict compress", csb)
-			}
-			return deflate.ZlibWrapDict(csb.Output, src, dict), reportToMetrics(rep, csb), nil
-		},
-		func() ([]byte, *Metrics, error) {
-			start := time.Now()
-			out, err := deflate.CompressZlibDict(src, dict, deflate.Options{Level: softLevel})
-			if err != nil {
-				return nil, nil, err
-			}
-			m := softMetrics(src, len(src), len(out), start)
-			m.Ratio = 0
-			if len(out) > 0 {
-				m.Ratio = float64(len(src)) / float64(len(out))
-			}
-			return out, m, nil
-		})
+	out, m, err := a.doNew(a.nctx, op{kind: opDict, name: "dict-compress", format: FormatRaw, src: src, history: dict})
+	if err == nil && !m.Degraded { // the software encoder frames its own output
+		out = deflate.ZlibWrapDict(out, src, dict)
+	}
+	return out, m, err
 }
 
 // DecompressZlibDict inflates a zlib stream that may require a preset

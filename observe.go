@@ -35,14 +35,7 @@ func (n *Node) Bus() *obs.Bus { return n.topo.Bus() }
 
 // EnableEvents attaches an event bus to the accelerator's underlying
 // node (a view shares the node's bus). Idempotent.
-func (a *Accelerator) EnableEvents() *obs.Bus {
-	if bus := a.node.Bus(); bus != nil {
-		return bus
-	}
-	bus := obs.NewBus()
-	a.node.SetEventBus(bus)
-	return bus
-}
+func (a *Accelerator) EnableEvents() *obs.Bus { return a.root.EnableEvents() }
 
 // DeviceStatuses builds the per-device operational table the /snapshot
 // endpoint and nxtop show: health, dispatch and load, FIFO occupancy,

@@ -121,15 +121,7 @@ func (w *ParallelWriter) collect() {
 		if failed {
 			continue // keep draining so workers never block forever
 		}
-		w.Stats.InBytes += r.m.InBytes
-		w.Stats.OutBytes += r.m.OutBytes
-		w.Stats.DeviceCycles += r.m.DeviceCycles
-		w.Stats.DeviceTime += r.m.DeviceTime
-		w.Stats.Faults += r.m.Faults
-		w.Stats.Redispatches += r.m.Redispatches
-		if r.m.Degraded {
-			w.Stats.Degraded = true
-		}
+		w.Stats.add(r.m)
 		if _, err := w.out.Write(r.gz); err != nil {
 			w.mu.Lock()
 			if w.err == nil {

@@ -4,119 +4,17 @@ package nxzip
 // submission protocol was already cheap in work — one paste, one FIFO
 // round — but every request minted a CRB, a CSB, a Report, a Metrics, an
 // output buffer, and a pair of fresh VA mappings. At small payloads that
-// garbage, not the engine, sets the request rate. This file pools the
-// request blocks (sync.Pool), reuses VA spans through the context arena
-// (Context.AcquireVA/ReleaseVA), and threads caller-owned destination
-// buffers through CRB.Target so a steady-state request touches the
-// allocator zero times.
+// garbage, not the engine, sets the request rate. The request pipeline
+// (request.go) pools the request blocks (sync.Pool) and reuses VA spans
+// through the context arena (Context.AcquireVA/ReleaseVA); the entry
+// points here thread caller-owned destination buffers through CRB.Target
+// so a steady-state request touches the allocator zero times.
 //
 // Aliasing rules: the pooled blocks never escape — CompressGzipInto and
 // friends return bytes backed by the *caller's* dst (or a grown
 // replacement of it), and the copying wrappers (CompressGzip et al.)
 // return an exact-size copy while the scratch backing stays in the pool.
 // Nothing handed to the caller is ever put back in a pool.
-
-import (
-	"sync"
-	"time"
-
-	"nxzip/internal/admission"
-	"nxzip/internal/nx"
-	"nxzip/internal/telemetry"
-)
-
-// oneShot bundles one request's reusable blocks: the CRB/CSB/Report
-// trio, plus a pool-owned scratch buffer used as the engine target by
-// the copying (non-Into) wrappers.
-type oneShot struct {
-	crb nx.CRB
-	csb nx.CSB
-	rep nx.Report
-	buf []byte // scratch target backing; never escapes the pool
-}
-
-var oneShotPool = sync.Pool{New: func() any { return new(oneShot) }}
-
-func getOneShot() *oneShot { return oneShotPool.Get().(*oneShot) }
-
-// putOneShot returns os to the pool with every caller-visible reference
-// dropped, so a pooled entry can neither pin request data past the call
-// nor alias bytes the caller now owns. buf is pool-owned scratch and is
-// deliberately kept (that retention is the point of the pool).
-func putOneShot(os *oneShot) {
-	buf := os.buf
-	*os = oneShot{buf: buf}
-	oneShotPool.Put(os)
-}
-
-// compressInto runs one compression request through ctx using os's
-// pooled blocks and a caller-owned destination: the engine appends the
-// frame into dst[:0], growing the backing only when the frame outruns
-// cap(dst), and m receives the request accounting. VA spans come from
-// the context arena, so the steady state performs no MMU mapping work
-// and no allocation.
-func (a *Accelerator) compressInto(ctx *nx.Context, os *oneShot, dst, src []byte, wrap nx.Wrap, m *Metrics, req uint64, hop int) ([]byte, error) {
-	*m = Metrics{}
-	srcVA, err := ctx.AcquireVA(len(src))
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.ReleaseVA(srcVA)
-	capOut := 2*len(src) + 1024
-	dstVA, err := ctx.AcquireVA(capOut)
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.ReleaseVA(dstVA)
-	os.crb = nx.CRB{
-		Func: a.funcCode(), Wrap: wrap, Input: src,
-		SourceVA: srcVA, TargetVA: dstVA, TargetCap: capOut,
-		Target: dst, ReqID: req, Hop: hop,
-	}
-	if os.crb.Func == nx.FCCompressCannedDHT {
-		os.crb.DHT = a.canned
-	}
-	err = ctx.SubmitInto(&os.crb, &os.csb, &os.rep)
-	fillMetrics(m, &os.rep, &os.csb)
-	if err != nil {
-		return nil, err
-	}
-	if os.csb.CC != nx.CCSuccess {
-		return nil, ccFail("compress", &os.csb)
-	}
-	return os.csb.Output, nil
-}
-
-// decompressInto is compressInto's inflate twin: the decoded plaintext
-// is appended into dst[:0] (via the inflater's destination threading),
-// bounded by maxOutput.
-func (a *Accelerator) decompressInto(ctx *nx.Context, os *oneShot, dst, src []byte, wrap nx.Wrap, maxOutput int, m *Metrics, req uint64, hop int) ([]byte, error) {
-	*m = Metrics{}
-	srcVA, err := ctx.AcquireVA(len(src))
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.ReleaseVA(srcVA)
-	dstVA, err := ctx.AcquireVA(maxOutput)
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.ReleaseVA(dstVA)
-	os.crb = nx.CRB{
-		Func: nx.FCDecompress, Wrap: wrap, Input: src,
-		SourceVA: srcVA, TargetVA: dstVA, TargetCap: maxOutput, MaxOutput: maxOutput,
-		Target: dst, ReqID: req, Hop: hop,
-	}
-	err = ctx.SubmitInto(&os.crb, &os.csb, &os.rep)
-	fillMetrics(m, &os.rep, &os.csb)
-	if err != nil {
-		return nil, err
-	}
-	if os.csb.CC != nx.CCSuccess {
-		return nil, ccFail("decompress", &os.csb)
-	}
-	return os.csb.Output, nil
-}
 
 // CompressGzipInto compresses src into a gzip stream appended to
 // dst[:0], returning the frame. The result aliases dst unless the frame
@@ -127,12 +25,12 @@ func (a *Accelerator) decompressInto(ctx *nx.Context, os *oneShot, dst, src []by
 // table and therefore allocates; the software-fallback and re-dispatch
 // error paths allocate freely). A nil m discards the accounting.
 func (a *Accelerator) CompressGzipInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.compressIntoDispatch(dst, src, nx.WrapGzip, m)
+	return a.compressInto(FormatGzip, dst, src, m)
 }
 
 // CompressZlibInto is CompressGzipInto with zlib framing.
 func (a *Accelerator) CompressZlibInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.compressIntoDispatch(dst, src, nx.WrapZlib, m)
+	return a.compressInto(FormatZlib, dst, src, m)
 }
 
 // DecompressGzipInto inflates a (single-member) gzip stream into
@@ -141,194 +39,19 @@ func (a *Accelerator) CompressZlibInto(dst, src []byte, m *Metrics) ([]byte, err
 // cap(dst); pass an adequately sized dst both for the bound you want
 // and for the zero-allocation steady state.
 func (a *Accelerator) DecompressGzipInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.decompressIntoDispatch(dst, src, nx.WrapGzip, m)
+	return a.decompressInto(FormatGzip, dst, src, m)
 }
 
 // DecompressZlibInto is DecompressGzipInto for zlib streams.
 func (a *Accelerator) DecompressZlibInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.decompressIntoDispatch(dst, src, nx.WrapZlib, m)
+	return a.decompressInto(FormatZlib, dst, src, m)
 }
 
-// compressIntoDispatch is the Into-path dispatch loop: the same
-// re-dispatch + software-fallback policy as failoverOn, written without
-// closures (closures escape their captures to the heap, which would put
-// two allocations on every call of the zero-alloc path).
-func (a *Accelerator) compressIntoDispatch(dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
-	var scratch Metrics
-	if m == nil {
-		m = &scratch
-	}
-	rec := a.recorder()
-	req := nextReq()
-	start := time.Now()
-	// Overload gate, same contract as failoverOn: a shed fails the
-	// request before any device work; a brownout degrade skips the device
-	// loop and runs the software path. With admission off the ticket is
-	// nil and this is one atomic load (the zero-alloc guarantee holds);
-	// with it on, the gate costs one small ticket allocation.
-	ticket, dec, aerr := a.admitOp(time.Time{}, nil)
-	if aerr != nil {
-		a.completeDigest(rec, req, "compress", "deflate", "admission", m, start, 0, telemetry.OutcomeShed)
-		if rec != nil {
-			aerr = reqError(req, aerr)
-		}
-		return nil, aerr
-	}
-	defer ticket.Release()
-	os := getOneShot()
-	var (
-		wastedCycles int64
-		wastedTime   time.Duration
-		wastedFaults int
-		redispatches int
-	)
-	attempts := a.nctx.Size() + 1
-	if dec == admission.DecisionDegrade {
-		attempts = 0 // brownout: straight to software
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		i, perr := a.nctx.PickIndexAvail()
-		if perr != nil {
-			break // pool unhealthy: straight to software
-		}
-		a.nctx.AcquireIndex(i)
-		out, err := a.compressInto(a.nctx.At(i), os, dst, src, wrap, m, req, attempt)
-		a.nctx.ReleaseIndexReq(i, err, req)
-		if err == nil {
-			m.Redispatches = attempt
-			m.DeviceCycles += wastedCycles
-			m.DeviceTime += wastedTime
-			m.Faults += wastedFaults
-			if attempt > 0 {
-				a.met.redispatches.Add(int64(attempt))
-			}
-			putOneShot(os)
-			a.completeDigest(rec, req, "compress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeOK)
-			return out, nil
-		}
-		wastedCycles += m.DeviceCycles
-		wastedTime += m.DeviceTime
-		wastedFaults += m.Faults
-		if !failoverEligible(err) {
-			putOneShot(os)
-			a.completeDigest(rec, req, "compress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeError)
-			if rec != nil {
-				err = reqError(req, err)
-			}
-			return nil, err
-		}
-		redispatches = attempt + 1
-	}
-	putOneShot(os)
-	if redispatches > 0 {
-		a.met.redispatches.Add(int64(redispatches))
-	}
-	out, sm, err := a.softCompress(src, wrap)
-	if err != nil {
-		a.completeDigest(rec, req, "compress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeError)
-		if rec != nil {
-			err = reqError(req, err)
-		}
-		return nil, err
-	}
-	a.met.fallback(nx.Codecs(nx.CodecDeflate))
-	*m = *sm
-	m.Redispatches = redispatches
-	m.DeviceCycles += wastedCycles
-	m.DeviceTime += wastedTime
-	m.Faults += wastedFaults
-	a.completeDigest(rec, req, "compress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeDegraded)
-	return append(dst[:0], out...), nil
+func (a *Accelerator) compressInto(f Format, dst, src []byte, m *Metrics) ([]byte, error) {
+	return a.do(a.nctx, nil, op{kind: opCompress, name: "compress", format: f, src: src, dst: dst}, m)
 }
 
-// decompressIntoDispatch mirrors compressIntoDispatch for inflate.
-func (a *Accelerator) decompressIntoDispatch(dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
-	var scratch Metrics
-	if m == nil {
-		m = &scratch
-	}
-	maxOutput := 256 * len(src)
-	if maxOutput < 1<<20 {
-		maxOutput = 1 << 20
-	}
-	if c := cap(dst); c > maxOutput {
-		maxOutput = c
-	}
-	rec := a.recorder()
-	req := nextReq()
-	start := time.Now()
-	// Overload gate, mirroring compressIntoDispatch.
-	ticket, dec, aerr := a.admitOp(time.Time{}, nil)
-	if aerr != nil {
-		a.completeDigest(rec, req, "decompress", "deflate", "admission", m, start, 0, telemetry.OutcomeShed)
-		if rec != nil {
-			aerr = reqError(req, aerr)
-		}
-		return nil, aerr
-	}
-	defer ticket.Release()
-	os := getOneShot()
-	var (
-		wastedCycles int64
-		wastedTime   time.Duration
-		wastedFaults int
-		redispatches int
-	)
-	attempts := a.nctx.Size() + 1
-	if dec == admission.DecisionDegrade {
-		attempts = 0
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		i, perr := a.nctx.PickIndexAvail()
-		if perr != nil {
-			break
-		}
-		a.nctx.AcquireIndex(i)
-		out, err := a.decompressInto(a.nctx.At(i), os, dst, src, wrap, maxOutput, m, req, attempt)
-		a.nctx.ReleaseIndexReq(i, err, req)
-		if err == nil {
-			m.Redispatches = attempt
-			m.DeviceCycles += wastedCycles
-			m.DeviceTime += wastedTime
-			m.Faults += wastedFaults
-			if attempt > 0 {
-				a.met.redispatches.Add(int64(attempt))
-			}
-			putOneShot(os)
-			a.completeDigest(rec, req, "decompress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeOK)
-			return out, nil
-		}
-		wastedCycles += m.DeviceCycles
-		wastedTime += m.DeviceTime
-		wastedFaults += m.Faults
-		if !failoverEligible(err) {
-			putOneShot(os)
-			a.completeDigest(rec, req, "decompress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeError)
-			if rec != nil {
-				err = reqError(req, err)
-			}
-			return nil, err
-		}
-		redispatches = attempt + 1
-	}
-	putOneShot(os)
-	if redispatches > 0 {
-		a.met.redispatches.Add(int64(redispatches))
-	}
-	out, sm, err := a.softDecompress(src, wrap, maxOutput)
-	if err != nil {
-		a.completeDigest(rec, req, "decompress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeError)
-		if rec != nil {
-			err = reqError(req, err)
-		}
-		return nil, err
-	}
-	a.met.fallback(nx.Codecs(nx.CodecDeflate))
-	*m = *sm
-	m.Redispatches = redispatches
-	m.DeviceCycles += wastedCycles
-	m.DeviceTime += wastedTime
-	m.Faults += wastedFaults
-	a.completeDigest(rec, req, "decompress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeDegraded)
-	return append(dst[:0], out...), nil
+func (a *Accelerator) decompressInto(f Format, dst, src []byte, m *Metrics) ([]byte, error) {
+	return a.do(a.nctx, nil, op{kind: opDecompress, name: "decompress", format: f, src: src, dst: dst,
+		maxOutput: max(defaultMaxOutput(len(src)), cap(dst))}, m)
 }

@@ -170,10 +170,10 @@ func TestOneShotMappingsStable(t *testing.T) {
 	}
 }
 
-// TestMemberGrowLoopMappingsBounded pins the decompressMemberOn leak
-// fix: the CCTargetSpace grow loop recycles each outgrown destination
-// span, so repeated multi-member decodes (with growth) hold the mapped
-// page count flat instead of leaking every intermediate buffer.
+// TestMemberGrowLoopMappingsBounded pins the member-decode leak fix: the
+// CCTargetSpace grow loop recycles each outgrown destination span, so
+// repeated multi-member decodes (with growth) hold the mapped page count
+// flat instead of leaking every intermediate buffer.
 func TestMemberGrowLoopMappingsBounded(t *testing.T) {
 	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})
 	defer acc.Close()
@@ -186,7 +186,7 @@ func TestMemberGrowLoopMappingsBounded(t *testing.T) {
 	}
 	budget := len(src) + 1024
 	decode := func() {
-		plain, consumed, _, err := acc.decompressMemberOn(acc.ctx, gz, budget, 0, 0)
+		plain, consumed, _, err := acc.decompressMember(acc.nctx, gz, budget)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,19 +105,7 @@ func (w *Writer) submit(chunk []byte) error {
 		w.err = err
 		return err
 	}
-	w.Stats.InBytes += m.InBytes
-	w.Stats.OutBytes += m.OutBytes
-	w.Stats.DeviceCycles += m.DeviceCycles
-	w.Stats.DeviceTime += m.DeviceTime
-	w.Stats.Faults += m.Faults
-	w.Stats.PasteRejects += m.PasteRejects
-	w.Stats.BackoffWaits += m.BackoffWaits
-	w.Stats.BackoffTime += m.BackoffTime
-	w.Stats.WastedCycles += m.WastedCycles
-	w.Stats.Redispatches += m.Redispatches
-	if m.Degraded {
-		w.Stats.Degraded = true
-	}
+	w.Stats.add(m)
 	w.acc.met.writerMembers.Inc()
 	if _, err := w.out.Write(gz); err != nil {
 		w.err = err
@@ -341,19 +329,7 @@ func (r *Reader) addMetrics(m *Metrics) {
 	if m == nil {
 		return
 	}
-	r.Stats.InBytes += m.InBytes
-	r.Stats.OutBytes += m.OutBytes
-	r.Stats.DeviceCycles += m.DeviceCycles
-	r.Stats.DeviceTime += m.DeviceTime
-	r.Stats.Faults += m.Faults
-	r.Stats.PasteRejects += m.PasteRejects
-	r.Stats.BackoffWaits += m.BackoffWaits
-	r.Stats.BackoffTime += m.BackoffTime
-	r.Stats.WastedCycles += m.WastedCycles
-	r.Stats.Redispatches += m.Redispatches
-	if m.Degraded {
-		r.Stats.Degraded = true
-	}
+	r.Stats.add(m)
 	r.acc.met.readerMembers.Inc()
 }
 

@@ -110,9 +110,20 @@ func (r *StreamReader) fill() error {
 	// trailer is never fed to the inflater as payload... the session
 	// tolerates trailing bytes (it stops at the final block), so feed it
 	// all and recover the trailer from state.Tail().
+	//
+	// The chunk is a pipeline request pinned to the stream's device. The
+	// resume state travels in the CRB, so the pin may migrate — but only
+	// on pre-engine failures (nx.Retryable): once the engine has fed the
+	// session the state has advanced and a replay would double-feed the
+	// chunk, so data-plane errors surface directly. With no healthy
+	// device left the session's own software inflater finishes the chunk;
+	// the resume state is the same object either way.
 	chunk := r.inbuf
 	r.inbuf = nil
-	out, err := r.submitResume(chunk)
+	var m Metrics
+	out, err := r.acc.do(r.acc.nctx, &r.ctx, op{kind: opResume, name: "stream-decompress", format: FormatRaw,
+		src: chunk, state: r.state, notFinal: !r.srcExhaust}, &m)
+	r.Stats.add(&m) // on failure: the cost of the failed attempts
 	if err != nil {
 		return err
 	}
@@ -120,7 +131,6 @@ func (r *StreamReader) fill() error {
 	r.outPos = 0
 	r.crc.Update(out)
 	r.isize += uint32(len(out))
-	r.Stats.OutBytes += len(out)
 
 	if r.state.Done() {
 		if err := r.finishTrailer(); err != nil {
@@ -130,65 +140,6 @@ func (r *StreamReader) fill() error {
 		return errors.New("nxzip: truncated gzip stream")
 	}
 	return nil
-}
-
-// submitResume runs one resume request on the pinned device. Only
-// pre-engine failures (nx.Retryable) may migrate the pin to another
-// device: once the engine has fed the session, the resume state has
-// advanced and a replay would double-feed the chunk, so data-plane
-// errors surface directly. When no healthy device remains, the session's
-// own software inflater finishes the chunk — the resume state is the
-// same object either way.
-func (r *StreamReader) submitResume(chunk []byte) ([]byte, error) {
-	attempts := r.acc.nctx.Size() + 1
-	redispatched := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		csb, rep, err := r.ctx.Submit(&nx.CRB{
-			Func: nx.FCDecompress, Wrap: nx.WrapRaw, Input: chunk,
-			DecompState: r.state, NotFinal: !r.srcExhaust,
-		})
-		if err == nil && csb.CC != nx.CCSuccess {
-			err = ccFail("stream decompress", csb)
-		}
-		r.acc.nctx.ReportFor(r.ctx, err)
-		if err == nil {
-			r.Stats.InBytes += rep.InBytes
-			r.Stats.DeviceCycles += rep.TotalCycles
-			r.Stats.DeviceTime += rep.Time
-			r.Stats.Faults += rep.Retries
-			if attempt > 0 {
-				r.Stats.Redispatches += attempt
-				r.acc.met.redispatches.Add(int64(attempt))
-			}
-			return csb.Output, nil
-		}
-		if rep != nil {
-			r.Stats.DeviceCycles += rep.TotalCycles
-			r.Stats.DeviceTime += rep.Time
-			r.Stats.Faults += rep.Retries
-		}
-		if !nx.Retryable(err) {
-			return nil, err
-		}
-		redispatched = attempt + 1
-		next, perr := r.acc.nctx.PickStickyAvoid(r.ctx)
-		if perr != nil {
-			break
-		}
-		r.ctx = next
-	}
-	if redispatched > 0 {
-		r.Stats.Redispatches += redispatched
-		r.acc.met.redispatches.Add(int64(redispatched))
-	}
-	out, err := r.state.SoftFeed(chunk, r.srcExhaust)
-	if err != nil {
-		return nil, err
-	}
-	r.acc.met.fallback(nx.Codecs(nx.CodecDeflate))
-	r.Stats.Degraded = true
-	r.Stats.InBytes += len(chunk)
-	return out, nil
 }
 
 // finishTrailer validates CRC32/ISIZE once the final block has decoded.

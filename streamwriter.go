@@ -111,11 +111,18 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 	}
 }
 
+// submit runs one segment as a pipeline request pinned to the stream's
+// device. The history window rides the CRB, so the pin migrates to
+// another healthy device on device-local failure (or off a draining
+// one) and the stream continues byte-identically; with no healthy device
+// left the software segment encoder takes over.
 func (w *StreamWriter) submit(chunk []byte, final bool) error {
 	if err := w.start(); err != nil {
 		return err
 	}
-	body, m, err := w.submitSegment(chunk, final)
+	var m Metrics
+	body, err := w.acc.do(w.acc.nctx, &w.ctx, op{kind: opSegment, name: "stream-compress", format: FormatRaw,
+		src: chunk, history: w.history, notFinal: !final}, &m)
 	if err != nil {
 		w.err = err
 		return err
@@ -126,91 +133,12 @@ func (w *StreamWriter) submit(chunk []byte, final bool) error {
 	}
 	w.crc.Update(chunk)
 	w.isize += uint32(len(chunk))
-	w.Stats.InBytes += len(chunk)
-	w.Stats.OutBytes += len(body)
-	w.Stats.DeviceCycles += m.DeviceCycles
-	w.Stats.DeviceTime += m.DeviceTime
-	w.Stats.Faults += m.Faults
-	w.Stats.PasteRejects += m.PasteRejects
-	w.Stats.BackoffWaits += m.BackoffWaits
-	w.Stats.BackoffTime += m.BackoffTime
-	w.Stats.WastedCycles += m.WastedCycles
-	w.Stats.Redispatches += m.Redispatches
-	if m.Degraded {
-		w.Stats.Degraded = true
-	}
+	w.Stats.add(&m)
 	w.acc.met.streamSegments.Inc()
 
 	// Maintain the history window: the last 32 KiB of the logical stream.
 	w.history = appendWindow(w.history, chunk)
 	return nil
-}
-
-// submitSegment runs one segment on the pinned device, migrating the pin
-// to another healthy device on device-local failure — the history window
-// rides the CRB, so any device can continue the stream — and falling
-// back to the software segment encoder when no healthy device remains.
-func (w *StreamWriter) submitSegment(chunk []byte, final bool) ([]byte, *Metrics, error) {
-	// Proactive drain migration: a draining device stops admitting but
-	// a pinned stream would otherwise keep submitting to it. The history
-	// window travels in the CRB, so re-pin before this segment — the
-	// stream continues byte-identically elsewhere and the draining
-	// device quiesces without waiting out the stream.
-	if i := w.acc.nctx.IndexOf(w.ctx); i >= 0 && w.acc.node.Draining(i) {
-		if next, perr := w.acc.nctx.PickStickyAvoid(w.ctx); perr == nil {
-			w.ctx = next
-		}
-	}
-	wasted := &Metrics{}
-	attempts := w.acc.nctx.Size() + 1
-	for attempt := 0; attempt < attempts; attempt++ {
-		crb := &nx.CRB{
-			Func:     w.acc.funcCode(),
-			Wrap:     nx.WrapRaw,
-			Input:    chunk,
-			History:  w.history,
-			NotFinal: !final,
-		}
-		if crb.Func == nx.FCCompressCannedDHT {
-			crb.DHT = w.acc.canned
-		}
-		csb, rep, err := w.ctx.Submit(crb)
-		if err == nil && csb.CC != nx.CCSuccess {
-			err = ccFail("stream segment", csb)
-		}
-		w.acc.nctx.ReportFor(w.ctx, err)
-		if err == nil {
-			m := reportToMetrics(rep, csb)
-			m.Redispatches = attempt
-			addMetricsInto(m, wasted)
-			if attempt > 0 {
-				w.acc.met.redispatches.Add(int64(attempt))
-			}
-			return csb.Output, m, nil
-		}
-		addMetricsInto(wasted, reportToMetrics(rep, csb))
-		if !failoverEligible(err) {
-			return nil, wasted, err
-		}
-		wasted.Redispatches = attempt + 1
-		next, perr := w.acc.nctx.PickStickyAvoid(w.ctx)
-		if perr != nil {
-			break
-		}
-		w.ctx = next
-	}
-	if wasted.Redispatches > 0 {
-		w.acc.met.redispatches.Add(int64(wasted.Redispatches))
-	}
-	body, m, err := w.acc.softSegment(w.history, chunk, final)
-	if err != nil {
-		return nil, wasted, err
-	}
-	w.acc.met.fallback(nx.Codecs(nx.CodecDeflate))
-	m.Degraded = true
-	m.Redispatches = wasted.Redispatches
-	addMetricsInto(m, wasted)
-	return body, m, nil
 }
 
 func appendWindow(window, chunk []byte) []byte {
