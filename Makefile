@@ -28,9 +28,10 @@ race:
 ## CC errors, fault/paste storms, credit leaks, engine hangs, device
 ## kill/revive, failover, software fallback, graceful drain (including
 ## the kill-mid-drain race), overload shedding, tenant-series churn and
-## burn-rate evaluation, and the parallel soak.
+## burn-rate evaluation, the parallel soak, and the submission-protocol
+## conformance rows (every nx entry point under the same faults).
 chaos:
-	$(GO) test -race -run 'Chaos|Inject|FaultStorm|EngineHang|Offline|Deadline|Cancel|CreditLeak|Backoff|Resume|Drain|Overload|Admission|Tenant|Burn' . ./internal/nx ./internal/faultinject ./internal/topology ./internal/admission ./internal/obs
+	$(GO) test -race -run 'Submission|Chaos|Inject|FaultStorm|EngineHang|Offline|Deadline|Cancel|CreditLeak|Backoff|Resume|Drain|Overload|Admission|Tenant|Burn' . ./internal/nx ./internal/faultinject ./internal/topology ./internal/admission ./internal/obs
 
 ## bench: regenerate the paper's tables/figures as Go benchmarks.
 bench:
@@ -42,8 +43,11 @@ bench:
 ## and the result plus the returned Metrics for the copying one-shots)
 ## must run without the race detector — race instrumentation
 ## allocates — so it runs plain here, and the batch/pooled paths run
-## again under -race for the memory model.
+## again under -race for the memory model. The device layer has its own
+## gate one level down: nx.Context.SubmitInto at 0 allocations, beside
+## the conformance table that holds every nx entry point to one protocol.
 bench-alloc:
+	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
 	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite' -count=1 .
 

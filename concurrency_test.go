@@ -313,30 +313,41 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 
 // TestWriterCloseIdempotent: double Close returns nil (the defer-heavy
 // caller pattern), and Write after Close reports ErrWriterClosed rather
-// than a fake submission failure.
+// than a fake submission failure — on all three writers.
 func TestWriterCloseIdempotent(t *testing.T) {
 	acc := Open(P9())
 	defer acc.Close()
-	var comp bytes.Buffer
-	w := acc.NewWriter(&comp)
-	if _, err := w.Write([]byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("third Close: %v", err)
-	}
-	if _, err := w.Write([]byte("late")); !errors.Is(err, ErrWriterClosed) {
-		t.Fatalf("write after close: %v, want ErrWriterClosed", err)
-	}
-	// The stream is still valid.
-	if got, err := GunzipMulti(comp.Bytes()); err != nil || string(got) != "payload" {
-		t.Fatalf("stream corrupted by double close (err %v)", err)
+	for _, tc := range []struct {
+		name string
+		open func(out io.Writer) io.WriteCloser
+	}{
+		{"Writer", func(out io.Writer) io.WriteCloser { return acc.NewWriter(out) }},
+		{"ParallelWriter", func(out io.Writer) io.WriteCloser { return acc.NewParallelWriter(out) }},
+		{"StreamWriter", func(out io.Writer) io.WriteCloser { return acc.NewStreamWriter(out) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var comp bytes.Buffer
+			w := tc.open(&comp)
+			if _, err := w.Write([]byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("third Close: %v", err)
+			}
+			if _, err := w.Write([]byte("late")); !errors.Is(err, ErrWriterClosed) {
+				t.Fatalf("write after close: %v, want ErrWriterClosed", err)
+			}
+			// The stream is still valid.
+			if got, err := GunzipMulti(comp.Bytes()); err != nil || string(got) != "payload" {
+				t.Fatalf("stream corrupted by double close (err %v)", err)
+			}
+		})
 	}
 }
 
