@@ -216,16 +216,15 @@ func TestFlightRecorderEndToEndChaos(t *testing.T) {
 	}
 	pokeHealth() // force the healthy→unhealthy evaluation edge now
 
-	for rec.PostmortemCount() == 0 {
+	// The trigger counts before it writes (and may run on the sampler's
+	// goroutine), so wait for the bundle itself, not the count.
+	var bundles []string
+	for bundles = rec.Bundles(); len(bundles) == 0; bundles = rec.Bundles() {
 		if time.Now().After(deadline) {
-			t.Fatal("SLO transition never triggered a postmortem")
+			t.Fatalf("SLO transition left no bundle on disk (%d postmortems counted)", rec.PostmortemCount())
 		}
 		time.Sleep(10 * time.Millisecond)
 		pokeHealth()
-	}
-	bundles := rec.Bundles()
-	if len(bundles) == 0 {
-		t.Fatal("postmortem counted but no bundle on disk")
 	}
 	if _, reason := rec.LastTrigger(); !strings.Contains(reason, "slo unhealthy") {
 		t.Fatalf("trigger reason %q, want slo unhealthy", reason)

@@ -1,14 +1,5 @@
 package nx
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"nxzip/internal/telemetry"
-	"nxzip/internal/vas"
-)
-
 // Batched small-request submission.
 //
 // The per-request cost of the queued path — a paste, a send-window
@@ -26,295 +17,41 @@ type BatchEntry struct {
 	CRB CRB
 	CSB CSB
 	Rep Report
-	// Err reports per-entry submission-protocol failures (a fault
-	// resubmit that exhausted its budget, a failed touch). Data-plane
-	// completions are CSB.CC, exactly as for single submission.
+	// Err reports per-entry submission-protocol failures (a tripped
+	// Deadline/Cancel gate, a fault resubmit that exhausted its budget, a
+	// failed touch). Data-plane completions are CSB.CC, exactly as for
+	// single submission. An entry that arrives with Err set is skipped.
 	Err error
-
-	// span is the per-entry trace record when a tracer is installed: the
-	// shared submit/FIFO phases of the envelope plus this entry's own
-	// pipeline breakdown, so chained-setup savings are visible per entry.
-	span *telemetry.Span
 }
 
 // SubmitBatch pastes the whole batch as one switchboard envelope — one
 // paste, one credit, one FIFO round for len(entries) requests — and
-// waits for the dequeuer to run every entry. Entries that complete with
+// waits for the dequeuer to run every entry. It is the same protocol as
+// SubmitInto over an envelope of N slots. Entries that complete with
 // CCTranslationFault are touched and resubmitted individually through
 // the full single-request protocol; their Err fields carry any terminal
-// submission failure. Per-entry Deadline/Cancel gates are honored at
-// the same boundaries as single submission: entries whose gate has
-// tripped before the paste (or while the envelope waits out paste
-// backoff) complete with ErrDeadlineExceeded/ErrCanceled and never
-// reach an engine; once the envelope is pasted the batch runs as one
-// unit, and only the fault-straggler resubmission path re-checks. An
-// injected engine hang drops the whole batch (ErrEngineHang), mirroring
-// a wedged descriptor ring.
+// submission failure. Per-entry Deadline/Cancel gates are honored while
+// the envelope is still the submitter's: entries whose gate has tripped
+// before the paste (or while the envelope waits out paste backoff)
+// complete with ErrDeadlineExceeded/ErrCanceled and never reach an
+// engine; once the envelope is pasted the batch runs as one unit, and
+// only the fault-straggler resubmission path re-checks. The returned
+// error is an envelope-level failure — device offline or busy, window
+// closed, or an injected engine hang, which drops the whole batch
+// (ErrEngineHang), mirroring a wedged descriptor ring.
 func (c *Context) SubmitBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	d := c.dev
-	pol := d.cfg.Submit
-	if d.Offline() {
-		d.met.offlineRejects.Inc()
-		return ErrDeviceOffline
-	}
 	p := getPending()
 	defer putPending(p)
-	p.batch = entries
-	p.submitStart = time.Now()
-	tr := d.tracer.Load()
-	if tr != nil {
-		for i := range entries {
-			en := &entries[i]
-			sp := tr.Start(en.CRB.Func.String(), int(c.pid), c.window)
-			sp.ReqID = en.CRB.ReqID
-			sp.Hop = en.CRB.Hop
-			sp.Tenant = c.tenant
-			sp.Priority = c.priorityName()
-			en.span = sp
-		}
-	}
-	// expireEntries fails entries whose liveness gates tripped and
-	// reports how many are still live. Run before the paste and after
-	// each backoff sleep — the points where the envelope is still ours.
-	expireEntries := func() (live int) {
-		now := time.Now()
-		for i := range entries {
-			en := &entries[i]
-			if en.Err != nil {
-				continue
-			}
-			if en.CRB.Cancel != nil {
-				select {
-				case <-en.CRB.Cancel:
-					en.Err = ErrCanceled
-					if en.span != nil {
-						en.span.CC = "canceled"
-						tr.Finish(en.span)
-						en.span = nil
-					}
-					continue
-				default:
-				}
-			}
-			if !en.CRB.Deadline.IsZero() && now.After(en.CRB.Deadline) {
-				d.met.deadlineFails.Inc()
-				en.Err = fmt.Errorf("%w (expired before batch dispatch)", ErrDeadlineExceeded)
-				if en.span != nil {
-					en.span.CC = "deadline"
-					tr.Finish(en.span)
-					en.span = nil
-				}
-				continue
-			}
-			live++
-		}
-		return live
-	}
-	if expireEntries() == 0 {
-		return nil
-	}
-	// finishSpans closes every still-open entry span; cc overrides the
-	// completion label for envelope-level failures (the dequeuer stamps
-	// per-entry CCs on success).
-	finishSpans := func(cc string) {
-		if tr == nil {
-			return
-		}
-		for i := range entries {
-			en := &entries[i]
-			if en.span == nil {
-				continue
-			}
-			if cc != "" {
-				en.span.CC = cc
-			}
-			tr.Finish(en.span)
-			en.span = nil
-		}
-	}
-	wrapped := &p.wrapped
-	var (
-		rejects     int
-		waits       int
-		backoffTime time.Duration
-	)
-	backoff := pol.BackoffBase
-	pasted := false
-	for try := 0; try < pol.MaxPasteAttempts && waits < pol.MaxBackoffWaits; try++ {
-		p.pastedAt = time.Now()
-		err := d.sb.Paste(c.window, wrapped)
-		if err == nil {
-			pasted = true
-			break
-		}
-		if errors.Is(err, vas.ErrWindowClosed) {
-			finishSpans("window-closed")
-			return err
-		}
-		rejects++
-		if d.Offline() {
-			d.met.offlineRejects.Inc()
-			finishSpans("device-offline")
-			return ErrDeviceOffline
-		}
-		if pending := d.sb.Dequeue(); pending != nil {
-			c.runOne(pending)
-			continue
-		}
-		sleep := jitter(backoff)
-		time.Sleep(sleep)
-		waits++
-		backoffTime += sleep
-		d.met.backoffWaits.Inc()
-		if backoff *= 2; backoff > pol.BackoffMax {
-			backoff = pol.BackoffMax
-		}
-		if expireEntries() == 0 {
-			// Every entry's gate tripped while we backed off; the
-			// envelope has nothing left to carry.
-			if backoffTime > 0 {
-				d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-			}
-			return nil
-		}
-	}
-	if backoffTime > 0 {
-		d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-	}
-	if !pasted {
-		finishSpans("device-busy")
-		return fmt.Errorf("%w (batch of %d: %d rejects, %d backoff waits)", ErrDeviceBusy, len(entries), rejects, waits)
-	}
-	// Drain until our batch completes, running whatever we dequeue —
-	// the same submitter-as-engine-driver protocol as SubmitInto.
-	waiting := true
-	for waiting {
-		select {
-		case <-p.done:
-			waiting = false
-		default:
-			if pending := d.sb.Dequeue(); pending != nil {
-				c.runOne(pending)
-				continue
-			}
-			<-p.done
-			waiting = false
-		}
-	}
-	if !p.ran {
-		finishSpans("engine-hang")
-		return fmt.Errorf("%w (batch of %d)", ErrEngineHang, len(entries))
-	}
-	pasteAccounted := false
 	for i := range entries {
 		en := &entries[i]
-		if en.Err != nil {
-			// Expired/canceled before the paste: never ran, CSB is zero.
-			continue
-		}
-		if en.CSB.CC == CCTranslationFault {
-			// Touch-and-resubmit, per entry: the rest of the batch is
-			// done, so the straggler goes back through the single-request
-			// protocol (which touches again on repeat faults). The entry's
-			// batch span closes on the fault; the resubmission emits its
-			// own span under the same ReqID.
-			if en.span != nil {
-				tr.Finish(en.span)
-				en.span = nil
-			}
-			wasted := en.CSB.Cycles.Total
-			d.met.faultRetries.Inc()
-			if terr := d.mmu.Touch(c.pid, en.CSB.FaultVA); terr != nil {
-				en.Err = fmt.Errorf("nx: fault handler: %w", terr)
-				continue
-			}
-			// The straggler resubmits alone: full setup/complete again.
-			en.CRB.Chained = false
-			en.CRB.ChainedComplete = false
-			en.Err = c.SubmitInto(&en.CRB, &en.CSB, &en.Rep)
-			if en.Err == nil {
-				en.Rep.Retries++
-				en.Rep.WastedCycles += wasted
-				en.Rep.TotalCycles += wasted
-			}
-			continue
-		}
-		fillReport(d, &en.CRB, &en.CSB, &en.Rep)
-		if !pasteAccounted {
-			// Batch-level paste accounting rides on the first entry that
-			// completed in the envelope (there is one paste for the whole
-			// batch, not N).
-			en.Rep.PasteRejects = rejects
-			en.Rep.BackoffWaits = waits
-			en.Rep.BackoffTime = backoffTime
-			pasteAccounted = true
-		}
+		p.slots = append(p.slots, slot{crb: &en.CRB, csb: &en.CSB, rep: &en.Rep, err: en.Err, deadline: en.CRB.Deadline})
 	}
-	finishSpans("")
-	return nil
-}
-
-// runBatch is the dequeuer side of SubmitBatch: every entry runs back to
-// back, spread round-robin across the device's engines, then the single
-// envelope completes and the owner gets its token. Called from runOne
-// with the injected-hang gate already passed.
-func (c *Context) runBatch(wrapped *vas.CRB, p *pendingCRB, dequeuedAt time.Time) {
-	m := c.dev.met
-	queueWait := dequeuedAt.Sub(p.pastedAt)
-	m.queueWaitUS.Observe(float64(queueWait) / float64(time.Microsecond))
-	// Entries whose Deadline/Cancel gate tripped before the paste carry a
-	// pre-set Err and never run; the chained-setup flags are computed over
-	// the entries that actually execute.
-	last := -1
-	for i := range p.batch {
-		if p.batch[i].Err == nil {
-			last = i
-		}
+	err := c.submit(p)
+	for i := range entries {
+		entries[i].Err = p.slots[i].err
 	}
-	ran := 0
-	for i := range p.batch {
-		en := &p.batch[i]
-		if en.Err != nil {
-			continue
-		}
-		// The first run entry pays the envelope's full paste-to-dispatch
-		// setup; the rest chain behind it. The last run entry's CSB
-		// writeback doubles as the envelope completion; earlier entries
-		// only store their CSB.
-		en.CRB.Chained = ran > 0
-		en.CRB.ChainedComplete = i != last
-		ran++
-		idx := int(c.dev.nextEng.Add(1)-1) % len(c.dev.engines)
-		engStart := time.Now()
-		c.dev.engines[idx].ProcessInto(wrapped.PID, &en.CRB, &en.CSB)
-		en.CSB.QueueWait = queueWait
-		m.requests.Inc()
-		m.inBytes.Add(int64(en.CSB.SPBC))
-		m.outBytes.Add(int64(en.CSB.TPBC))
-		m.bumpCodec(&en.CRB, &en.CSB)
-		if cc := en.CSB.CC; cc >= 0 && cc < ccCount {
-			m.cc[cc].Inc()
-		}
-		if s := en.span; s != nil {
-			// Each entry's span shares the envelope's submit/FIFO phases
-			// and carries its own pipeline breakdown — the chained-setup
-			// discount shows up as a smaller setup stage on entries > 0.
-			s.Engine = idx
-			s.ERATHits += en.CSB.ERATHits
-			s.ERATMisses += en.CSB.ERATMisses
-			s.DeviceCycles += en.CSB.Cycles.Total
-			s.InBytes = en.CSB.SPBC
-			s.OutBytes = en.CSB.TPBC
-			s.CC = en.CSB.CC.String()
-			s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-			s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-			s.RecordPipeline(engStart, time.Now(), pipelineStages(en.CSB.Cycles))
-		}
-	}
-	p.ran = true
-	c.dev.sb.Complete(wrapped)
-	p.done <- struct{}{}
+	return err
 }

@@ -625,64 +625,116 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(half + z%(half+1))
 }
 
-// pendingCRB is the switchboard payload for one in-flight request: the
-// request itself plus a completion slot. Whichever submitter goroutine
-// dequeues the entry runs it and signals done; the owner waits on done,
-// so concurrent submitters never lose a request another goroutine
-// drained.
-//
-// Entries are pooled: done is a buffered (capacity-1) channel carrying
-// one token per completed round instead of being closed, so the same
-// entry cycles through fault rounds and back into the pool. ran replaces
-// the old nil-CSB hang check — the CSB is caller-owned now and may hold
-// stale bytes, so only the dequeuer's explicit flag says whether a
-// completion was written.
-//
-// The trace fields cross goroutines with well-defined happens-before
-// edges: the owner writes span/submitStart/pastedAt/pasteRejects before
-// the successful Paste (the switchboard mutex publishes them to the
-// dequeuer); the dequeuer writes the span's execution stages before the
-// done send publishes them back to the owner.
-type pendingCRB struct {
-	crb  *CRB
-	csb  *CSB
-	done chan struct{}
-
-	wrapped vas.CRB // reusable switchboard envelope; Payload points back here
-	ran     bool    // dequeuer wrote a CSB (false after an engine hang)
-
-	// batch, when non-nil, replaces crb/csb: the dequeuer runs every
-	// entry in order on the device's engines and completes the envelope
-	// once — one paste, one credit, one FIFO slot for the whole batch.
-	batch []BatchEntry
-
-	span         *telemetry.Span
-	submitStart  time.Time // first paste attempt of this round
-	pastedAt     time.Time // stamped just before each paste attempt
-	pasteRejects int       // credit/FIFO bounces this round
+// slot is one request of an envelope: the caller-owned request,
+// completion and accounting blocks plus the recovery state the protocol
+// keeps per request. A slot is open until err is set or its Report is
+// written.
+type slot struct {
+	crb *CRB
+	csb *CSB
+	rep *Report
+	// err is the slot's terminal submission-protocol failure (a tripped
+	// gate, a fault storm, a failed touch). Data-plane completions are
+	// CSB.CC. Failed slots never reach an engine again.
+	err  error
+	span *telemetry.Span
+	// deadline is CRB.Deadline, or for a lone CRB that carries none the
+	// device's SubmitPolicy.Timeout from submission.
+	deadline time.Time
+	retries  int   // fault-and-resubmit rounds so far
+	wasted   int64 // cycles burned by the faulted rounds
 }
 
-// pendingPool recycles pendingCRBs (and their done channels and
-// switchboard envelopes) so the steady-state submission path allocates
-// nothing per request.
+// pendingCRB is the submission envelope and the switchboard payload: the
+// slots that ride one paste, one credit and one FIFO entry, plus a
+// completion token. A single request is an envelope of one slot, a batch
+// is an envelope of N, and the synchronous interface runs the same slots
+// without the paste/await pair. Whichever submitter goroutine dequeues
+// the envelope runs it and signals done; the owner waits on done, so
+// concurrent submitters never lose a request another goroutine drained.
+//
+// Envelopes are pooled, slot backing included, so neither a single
+// request nor a batch allocates in steady state: done is a buffered
+// (capacity-1) channel carrying one token per completed round instead of
+// being closed, so the same envelope cycles through fault rounds and
+// back into the pool. ran is the hang check — the CSBs are caller-owned
+// and may hold stale bytes, so only the dequeuer's explicit flag says
+// whether completions were written.
+//
+// The fields cross goroutines with well-defined happens-before edges:
+// the owner writes the slots (spans included), submitStart, pastedAt and
+// rejects before the successful Paste (the switchboard mutex publishes
+// them to the dequeuer); the dequeuer writes CSBs, ran and the spans'
+// queue and execution stages before the done send publishes them back
+// to the owner. Between those two edges the owner touches nothing but
+// done.
+type pendingCRB struct {
+	slots []slot
+	done  chan struct{}
+
+	wrapped vas.CRB // reusable switchboard envelope; Payload points back here
+	ran     bool    // dequeuer wrote the CSBs (false after an engine hang)
+	sync    bool    // synchronous interface: the caller dispatches, no paste
+	tr      *telemetry.Tracer
+
+	submitStart time.Time // first paste attempt of this round
+	pastedAt    time.Time // stamped just before each paste attempt
+
+	// Paste accounting, summed across rounds: there is one paste per
+	// round for the whole envelope, so the first slot to complete carries
+	// it on its Report (accounted) and every span shares the count.
+	rejects     int // credit/FIFO/injected bounces
+	waits       int // backoff sleeps taken
+	backoffTime time.Duration
+	accounted   bool
+}
+
+// pendingPool recycles envelopes (and their slot backing, done channels
+// and switchboard wrappers) so the steady-state submission path
+// allocates nothing per request.
 var pendingPool = sync.Pool{New: func() any {
-	p := &pendingCRB{done: make(chan struct{}, 1)}
+	p := &pendingCRB{slots: make([]slot, 0, 1), done: make(chan struct{}, 1)}
 	p.wrapped.Payload = p
 	return p
 }}
 
 func getPending() *pendingCRB { return pendingPool.Get().(*pendingCRB) }
 
-// putPending drops request references before pooling so recycled entries
-// pin no caller buffers.
+// putPending drops request references before pooling so recycled
+// envelopes pin no caller buffers.
 func putPending(p *pendingCRB) {
-	p.crb = nil
-	p.csb = nil
-	p.batch = nil
-	p.span = nil
-	p.ran = false
-	p.pasteRejects = 0
+	clear(p.slots)
+	*p = pendingCRB{slots: p.slots[:0], done: p.done, wrapped: p.wrapped}
 	pendingPool.Put(p)
+}
+
+// finish closes the slot's span; a non-empty label overrides the
+// completion code the dequeuer stamped.
+func (p *pendingCRB) finish(s *slot, label string) {
+	if s.span == nil {
+		return
+	}
+	if label != "" {
+		s.span.CC = label
+	}
+	p.tr.Finish(s.span)
+	s.span = nil
+}
+
+// fail settles one slot with a submission-protocol error.
+func (p *pendingCRB) fail(s *slot, label string, err error) {
+	s.err = err
+	p.finish(s, label)
+}
+
+// end closes every span still open — under an envelope-level failure
+// label, or as the dequeuer stamped them when label is empty — and
+// surfaces err.
+func (p *pendingCRB) end(label string, err error) error {
+	for i := range p.slots {
+		p.finish(&p.slots[i], label)
+	}
+	return err
 }
 
 // backoffCycles converts wall-clock backoff into engine cycles at the
@@ -691,20 +743,31 @@ func backoffCycles(d *Device, t time.Duration) int64 {
 	return int64(t.Seconds() * d.cfg.Engine.Pipeline.ClockGHz * 1e9)
 }
 
-// fillReport builds the success-side accounting from a completion block;
-// submission-level extras (retries, paste/backoff counts, wasted cycles)
-// are layered on by the caller.
-func fillReport(d *Device, crb *CRB, csb *CSB, rep *Report) {
+// report builds a completed slot's accounting from its completion block
+// and recovery state. The envelope's paste accounting — and the backoff
+// it waited out, charged as wasted cycles — rides the first slot to
+// complete: there is one paste for the whole envelope, not N.
+func (p *pendingCRB) report(d *Device, s *slot) {
+	csb, rep := s.csb, s.rep
 	*rep = Report{
-		Engine:      d.cfg.Engine.Pipeline.Name,
-		Func:        crb.Func,
-		Wrap:        crb.Wrap,
-		InBytes:     csb.SPBC,
-		OutBytes:    csb.TPBC,
-		Breakdown:   csb.Cycles,
-		TotalCycles: csb.Cycles.Total,
-		LZ:          csb.LZ,
+		Engine:       d.cfg.Engine.Pipeline.Name,
+		Func:         s.crb.Func,
+		Wrap:         s.crb.Wrap,
+		InBytes:      csb.SPBC,
+		OutBytes:     csb.TPBC,
+		Breakdown:    csb.Cycles,
+		Retries:      s.retries,
+		WastedCycles: s.wasted,
+		LZ:           csb.LZ,
 	}
+	if !p.accounted {
+		p.accounted = true
+		rep.PasteRejects = p.rejects
+		rep.BackoffWaits = p.waits
+		rep.BackoffTime = p.backoffTime
+		rep.WastedCycles += backoffCycles(d, p.backoffTime)
+	}
+	rep.TotalCycles = rep.WastedCycles + csb.Cycles.Total
 	rep.Time = d.cfg.Engine.Pipeline.Time(rep.TotalCycles)
 	if csb.SPBC > 0 && csb.TPBC > 0 {
 		rep.Ratio = float64(csb.SPBC) / float64(csb.TPBC)
@@ -729,257 +792,339 @@ func fillReport(d *Device, crb *CRB, csb *CSB, rep *Report) {
 // filled and csb holds the last completion written — zero-valued when
 // the request never reached an engine.
 func (c *Context) SubmitInto(crb *CRB, csb *CSB, rep *Report) error {
-	d := c.dev
-	pol := d.cfg.Submit
-	deadline := crb.Deadline
-	if deadline.IsZero() && pol.Timeout > 0 {
-		deadline = time.Now().Add(pol.Timeout)
-	}
-	tr := d.tracer.Load()
-	span := tr.Start(crb.Func.String(), int(c.pid), c.window)
-	if span != nil {
-		span.ReqID = crb.ReqID
-		span.Hop = crb.Hop
-		span.Tenant = c.tenant
-		span.Priority = c.priorityName()
-	}
-	var (
-		retries      int
-		wasted       int64
-		pasteRejects int
-		backoffWaits int
-		backoffTime  time.Duration
-	)
-	// fail finishes the span and surfaces err; the caller-owned csb holds
-	// whatever completion was last written.
-	fail := func(label string, err error) error {
-		if backoffTime > 0 {
-			d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-		}
-		if span != nil {
-			span.CC = label
-		}
-		tr.Finish(span)
-		return err
-	}
-	// abort checks the request's liveness gates: cancellation, deadline,
-	// device offline. Called between recovery rounds, never mid-engine.
-	abort := func() (string, error) {
-		if crb.Cancel != nil {
-			select {
-			case <-crb.Cancel:
-				return "canceled", ErrCanceled
-			default:
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			d.met.deadlineFails.Inc()
-			return "deadline", fmt.Errorf("%w (after %d fault rounds, %d backoff waits)", ErrDeadlineExceeded, retries, backoffWaits)
-		}
-		if d.Offline() {
-			d.met.offlineRejects.Inc()
-			return "device-offline", ErrDeviceOffline
-		}
-		return "", nil
+	return c.submitOne(slot{crb: crb, csb: csb, rep: rep}, false)
+}
+
+// submitOne drives a lone request — SubmitInto, SyncCall, or a batch's
+// fault straggler carrying its first round in s — as an envelope of one.
+func (c *Context) submitOne(s slot, sync bool) error {
+	s.deadline = s.crb.Deadline
+	if t := c.dev.cfg.Submit.Timeout; s.deadline.IsZero() && t > 0 {
+		s.deadline = time.Now().Add(t)
 	}
 	p := getPending()
 	defer putPending(p)
-	p.crb = crb
-	p.csb = csb
-	p.span = span
-	wrapped := &p.wrapped
-	for {
-		if label, err := abort(); err != nil {
-			return fail(label, err)
+	p.slots = append(p.slots, s)
+	p.sync = sync
+	if err := c.submit(p); err != nil {
+		return err
+	}
+	return p.slots[0].err
+}
+
+// submit drives an envelope to completion: open a span per slot, run
+// recovery rounds until every slot is settled, account the backoff.
+// Slot-level failures land in slot.err; the returned error is an
+// envelope-level one (device offline or busy, window closed, engine
+// hang) that no slot outlived.
+func (c *Context) submit(p *pendingCRB) error {
+	d := c.dev
+	if p.tr = d.tracer.Load(); p.tr != nil {
+		window := c.window
+		if p.sync {
+			window = -1 // the synchronous interface bypasses the VAS queue
 		}
-		p.ran = false
-		p.pasteRejects = 0
-		p.submitStart = time.Now()
-		pasted := false
-		backoff := pol.BackoffBase
-		roundWaits := 0
-		for try := 0; try < pol.MaxPasteAttempts && roundWaits < pol.MaxBackoffWaits; try++ {
-			p.pastedAt = time.Now()
-			err := d.sb.Paste(c.window, wrapped)
-			if err == nil {
-				pasted = true
-				break
+		for i := range p.slots {
+			if s := &p.slots[i]; s.err == nil {
+				s.span = p.tr.Start(s.crb.Func.String(), int(c.pid), window)
+				s.span.ReqID = s.crb.ReqID
+				s.span.Hop = s.crb.Hop
+				s.span.Tenant = c.tenant
+				s.span.Priority = c.priorityName()
 			}
-			if errors.Is(err, vas.ErrWindowClosed) {
-				return fail("window-closed", err)
+		}
+	}
+	err := c.rounds(p)
+	if p.backoffTime > 0 {
+		d.met.backoffUS.Observe(float64(p.backoffTime) / float64(time.Microsecond))
+	}
+	return p.end("", err)
+}
+
+// rounds is the recovery loop. One round gates the open slots, carries
+// them to the engines (paste and await, or direct dispatch on the
+// synchronous interface) and settles each: a completion becomes a
+// Report, a translation fault is touched and resubmitted. A lone slot
+// resubmits in place; a batch's fault stragglers each resubmit alone —
+// the rest of the batch is done, so they pay full setup/complete again —
+// with the first round carried into their Retries/WastedCycles.
+func (c *Context) rounds(p *pendingCRB) error {
+	for {
+		if live, err := c.gate(p); live == 0 || err != nil {
+			return err
+		}
+		if p.sync {
+			p.wrapped.PID = c.pid
+			c.run(p, time.Now(), 0)
+		} else {
+			if pasted, err := c.paste(p); !pasted {
+				return err
 			}
-			p.pasteRejects++
-			if label, aerr := abort(); aerr != nil {
-				pasteRejects += p.pasteRejects
-				return fail(label, aerr)
+			c.await(p)
+			if !p.ran {
+				// The dequeuer dropped the envelope without a CSB write
+				// (drainOne counted it; the watchdog reset reclaimed the
+				// window credit).
+				return p.end("engine-hang", fmt.Errorf("%w (%d requests, first %s)", ErrEngineHang, len(p.slots), p.slots[0].crb.Func))
 			}
-			// Credit/FIFO pressure: drain one entry and retry. An empty
-			// FIFO with the paste still bouncing means the backlog is
-			// running on other goroutines — or the window's credits have
-			// leaked — so back off exponentially instead of spinning.
-			if pending := d.sb.Dequeue(); pending != nil {
-				c.runOne(pending)
+		}
+		lone := len(p.slots) == 1
+		again := false
+		for i := range p.slots {
+			s := &p.slots[i]
+			switch {
+			case s.err != nil:
+			case s.csb.CC != CCTranslationFault:
+				p.report(c.dev, s)
+			case lone:
+				again = c.touch(p, s)
+			default:
+				// The entry's batch span closes on the fault; the
+				// resubmission emits its own under the same ReqID.
+				p.finish(s, "")
+				if c.touch(p, s) {
+					s.crb.Chained, s.crb.ChainedComplete = false, false
+					s.err = c.submitOne(slot{crb: s.crb, csb: s.csb, rep: s.rep, retries: s.retries, wasted: s.wasted}, false)
+				}
+			}
+		}
+		if !again {
+			return nil
+		}
+	}
+}
+
+// gate checks the liveness of every open slot — cancellation, then
+// deadline — failing the ones that tripped, and then of the device.
+// Called between recovery rounds and while the envelope is still ours
+// during a paste, never mid-engine. It reports how many slots are still
+// open; an offline device fails the envelope.
+func (c *Context) gate(p *pendingCRB) (live int, err error) {
+	d := c.dev
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.err != nil {
+			continue
+		}
+		if s.crb.Cancel != nil {
+			select {
+			case <-s.crb.Cancel:
+				p.fail(s, "canceled", ErrCanceled)
 				continue
+			default:
 			}
+		}
+		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+			d.met.deadlineFails.Inc()
+			p.fail(s, "deadline", fmt.Errorf("%w (after %d fault rounds, %d backoff waits)", ErrDeadlineExceeded, s.retries, p.waits))
+			continue
+		}
+		live++
+	}
+	if live > 0 && d.Offline() {
+		d.met.offlineRejects.Inc()
+		return live, p.end("device-offline", ErrDeviceOffline)
+	}
+	return live, nil
+}
+
+// paste puts the envelope on the receive FIFO. A bounce means credit or
+// FIFO pressure: drain one entry and retry. An empty FIFO with the paste
+// still bouncing means the backlog is running on other goroutines — or
+// the window's credits have leaked — so back off exponentially instead
+// of spinning. The gate runs again after every backoff sleep; a lone
+// request also re-checks after every bounce. pasted is false with a nil
+// error when every slot's gate tripped while the envelope waited.
+func (c *Context) paste(p *pendingCRB) (pasted bool, err error) {
+	d := c.dev
+	pol := d.cfg.Submit
+	backoff := pol.BackoffBase
+	waits := 0
+	p.ran = false
+	for try := 0; try < pol.MaxPasteAttempts && waits < pol.MaxBackoffWaits; try++ {
+		p.pastedAt = time.Now()
+		if try == 0 {
+			p.submitStart = p.pastedAt
+		}
+		err := d.sb.Paste(c.window, &p.wrapped)
+		if err == nil {
+			return true, nil
+		}
+		if errors.Is(err, vas.ErrWindowClosed) {
+			return false, p.end("window-closed", err)
+		}
+		p.rejects++
+		slept := !c.drainOne()
+		if slept {
 			sleep := jitter(backoff)
 			time.Sleep(sleep)
-			roundWaits++
-			backoffTime += sleep
+			waits++
+			p.waits++
+			p.backoffTime += sleep
 			d.met.backoffWaits.Inc()
 			if backoff *= 2; backoff > pol.BackoffMax {
 				backoff = pol.BackoffMax
 			}
 		}
-		backoffWaits += roundWaits
-		if !pasted {
-			pasteRejects += p.pasteRejects
-			return fail("device-busy", fmt.Errorf("%w (%d rejects, %d backoff waits)", ErrDeviceBusy, pasteRejects, backoffWaits))
+		if slept || len(p.slots) == 1 {
+			if live, err := c.gate(p); live == 0 || err != nil {
+				return false, err
+			}
 		}
-		// Engine picks up work in FIFO order; drain until ours completes.
-		// An empty FIFO before our completion means another submitter
-		// dequeued our entry — wait for it to finish the run.
-		waiting := true
-		for waiting {
-			select {
-			case <-p.done:
-				waiting = false
-			default:
-				if pending := d.sb.Dequeue(); pending != nil {
-					c.runOne(pending)
-					continue
-				}
+	}
+	return false, p.end("device-busy", fmt.Errorf("%w (%d requests: %d rejects, %d backoff waits)", ErrDeviceBusy, len(p.slots), p.rejects, p.waits))
+}
+
+// await drains the FIFO until the envelope's own completion token
+// arrives. Engines pick up work in FIFO order; an empty FIFO before our
+// completion means another submitter dequeued our envelope — wait for it
+// to finish the run.
+func (c *Context) await(p *pendingCRB) {
+	for {
+		select {
+		case <-p.done:
+			return
+		default:
+			if !c.drainOne() {
 				<-p.done
-				waiting = false
+				return
 			}
-		}
-		pasteRejects += p.pasteRejects
-		if !p.ran {
-			// Engine hang: the dequeuer dropped the request without a CSB
-			// write (runOne counted it; the watchdog reset reclaimed the
-			// window credit).
-			return fail("engine-hang", fmt.Errorf("%w (func %s)", ErrEngineHang, crb.Func))
-		}
-		if csb.CC != CCTranslationFault {
-			wastedAll := wasted + backoffCycles(d, backoffTime)
-			fillReport(d, crb, csb, rep)
-			rep.Retries = retries
-			rep.PasteRejects = pasteRejects
-			rep.BackoffWaits = backoffWaits
-			rep.BackoffTime = backoffTime
-			rep.WastedCycles = wastedAll
-			rep.TotalCycles = wastedAll + csb.Cycles.Total
-			rep.Time = d.cfg.Engine.Pipeline.Time(rep.TotalCycles)
-			if backoffTime > 0 {
-				d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-			}
-			if span != nil {
-				span.InBytes = csb.SPBC
-				span.OutBytes = csb.TPBC
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return nil
-		}
-		// Fault protocol: touch and resubmit, bounded by the round cap.
-		retries++
-		wasted += csb.Cycles.Total
-		d.met.faultRetries.Inc()
-		if retries >= pol.MaxFaultRounds {
-			d.met.faultStorms.Inc()
-			return fail("fault-storm", fmt.Errorf("%w (%d rounds, va %#x)", ErrFaultStorm, retries, csb.FaultVA))
-		}
-		faultStart := time.Now()
-		if err := d.mmu.Touch(c.pid, csb.FaultVA); err != nil {
-			if span != nil {
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return fmt.Errorf("nx: fault handler: %w", err)
-		}
-		if span != nil {
-			// The done channel has closed, so the span is ours again:
-			// record the OS interlude, attributed to the round that
-			// faulted, then open the next round.
-			span.RecordStage(telemetry.StageFault, faultStart, time.Now(), csb.Cycles.Total)
-			span.Retries++
 		}
 	}
 }
 
-// runOne executes a dequeued CRB on the next engine (round-robin across
-// the device's engines, which process concurrently — the z15 NXU pairs
-// two compression cores behind one queue), completes it at the
-// switchboard, and signals the submitting goroutine.
-func (c *Context) runOne(wrapped *vas.CRB) {
+// drainOne serves the next FIFO entry, if there is one: the envelope's
+// queue phases land on its spans, its slots run (unless the engine hangs),
+// the switchboard completion returns the credit, and the owner gets its
+// token.
+func (c *Context) drainOne() bool {
+	d := c.dev
+	wrapped := d.sb.Dequeue()
+	if wrapped == nil {
+		return false
+	}
 	p := wrapped.Payload.(*pendingCRB)
 	dequeuedAt := time.Now()
-	if c.dev.inj.Load().Decide(faultinject.EngineHang) {
-		// Hung engine: the request (or whole batch) is dropped without a
-		// CSB write. The OS watchdog resets the engine and completes the
-		// window credit so the queue keeps flowing; the submitter sees
-		// ran=false and reports ErrEngineHang. Modelled as an immediate
-		// drop — no wall-clock stall — to keep chaos tests deterministic
-		// and fast.
-		c.dev.met.engineHangs.Inc()
-		if h := c.dev.events.Load(); h != nil {
-			var req uint64
-			if p.crb != nil {
-				req = p.crb.ReqID
-			} else if len(p.batch) > 0 {
-				req = p.batch[0].CRB.ReqID
-			}
-			h.bus.Publish(obs.Event{Type: obs.EventEngineHang, Device: h.label, Req: req,
+	for i := range p.slots {
+		// This goroutine owns the spans between Dequeue and the done
+		// send. Every slot shares the envelope's submit/FIFO phases;
+		// Engine stays -1 unless an engine picks the slot up.
+		if sp := p.slots[i].span; sp != nil {
+			sp.Engine = -1
+			sp.PasteRejects = p.rejects
+			sp.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
+			sp.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
+		}
+	}
+	if d.inj.Load().Decide(faultinject.EngineHang) {
+		// Hung engine: the whole envelope is dropped without a CSB write,
+		// like a wedged descriptor ring. The OS watchdog resets the engine
+		// and completes the window credit so the queue keeps flowing; the
+		// submitter sees ran=false and reports ErrEngineHang. Modelled as
+		// an immediate drop — no wall-clock stall — to keep chaos tests
+		// deterministic and fast.
+		d.met.engineHangs.Inc()
+		if h := d.events.Load(); h != nil {
+			h.bus.Publish(obs.Event{Type: obs.EventEngineHang, Device: h.label, Req: p.slots[0].crb.ReqID,
 				Detail: "request dropped without CSB write; watchdog reclaimed credit"})
 		}
-		if s := p.span; s != nil {
-			s.Engine = -1
-			s.PasteRejects += p.pasteRejects
-			s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-			s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-		}
-		for i := range p.batch {
-			if s := p.batch[i].span; s != nil {
-				s.Engine = -1
-				s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-				s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-			}
-		}
-		c.dev.sb.Complete(wrapped)
-		p.done <- struct{}{}
-		return
+	} else {
+		queueWait := dequeuedAt.Sub(p.pastedAt)
+		d.met.queueWaitUS.Observe(float64(queueWait) / float64(time.Microsecond))
+		c.run(p, dequeuedAt, queueWait)
 	}
-	if p.batch != nil {
-		c.runBatch(wrapped, p, dequeuedAt)
-		return
-	}
-	idx := int(c.dev.nextEng.Add(1)-1) % len(c.dev.engines)
-	c.dev.engines[idx].ProcessInto(wrapped.PID, p.crb, p.csb)
-	p.ran = true
-	engineEnd := time.Now()
-	queueWait := dequeuedAt.Sub(p.pastedAt)
-	p.csb.QueueWait = queueWait
-	m := c.dev.met
-	m.requests.Inc()
-	m.inBytes.Add(int64(p.csb.SPBC))
-	m.outBytes.Add(int64(p.csb.TPBC))
-	m.bumpCodec(p.crb, p.csb)
-	if cc := p.csb.CC; cc >= 0 && cc < ccCount {
-		m.cc[cc].Inc()
-	}
-	m.queueWaitUS.Observe(float64(queueWait) / float64(time.Microsecond))
-	if s := p.span; s != nil {
-		// This goroutine owns the span between Dequeue and the done send.
-		s.Engine = idx
-		s.ERATHits += p.csb.ERATHits
-		s.ERATMisses += p.csb.ERATMisses
-		s.DeviceCycles += p.csb.Cycles.Total
-		s.PasteRejects += p.pasteRejects
-		s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-		s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-		s.RecordPipeline(dequeuedAt, engineEnd, pipelineStages(p.csb.Cycles))
-	}
-	c.dev.sb.Complete(wrapped)
+	d.sb.Complete(wrapped)
 	p.done <- struct{}{}
+	return true
+}
+
+// run executes every open slot back to back, spread round-robin across
+// the device's engines (which process concurrently — the z15 NXU pairs
+// two compression cores behind one queue), the way a driver services a
+// ring of descriptors. When more than one slot runs, the first pays the
+// envelope's full paste-to-dispatch setup and the rest chain behind it;
+// the last one's CSB writeback doubles as the envelope completion and
+// the earlier ones only store their CSB.
+func (c *Context) run(p *pendingCRB, start time.Time, queueWait time.Duration) {
+	d := c.dev
+	m := d.met
+	live, last := 0, -1
+	for i := range p.slots {
+		if p.slots[i].err == nil {
+			live++
+			last = i
+		}
+	}
+	ran := 0
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.err != nil {
+			continue
+		}
+		if live > 1 {
+			s.crb.Chained = ran > 0
+			s.crb.ChainedComplete = i != last
+		}
+		ran++
+		idx := int(d.nextEng.Add(1)-1) % len(d.engines)
+		d.engines[idx].ProcessInto(p.wrapped.PID, s.crb, s.csb)
+		csb := s.csb
+		csb.QueueWait = queueWait
+		m.requests.Inc()
+		if p.sync {
+			m.syncCalls.Inc()
+		}
+		m.inBytes.Add(int64(csb.SPBC))
+		m.outBytes.Add(int64(csb.TPBC))
+		m.bumpCodec(s.crb, csb)
+		if cc := csb.CC; cc >= 0 && cc < ccCount {
+			m.cc[cc].Inc()
+		}
+		if sp := s.span; sp != nil {
+			// Each span carries its own pipeline breakdown — the chained
+			// discount shows up as a smaller setup stage on slots > 0.
+			end := time.Now()
+			sp.Engine = idx
+			sp.ERATHits += csb.ERATHits
+			sp.ERATMisses += csb.ERATMisses
+			sp.DeviceCycles += csb.Cycles.Total
+			sp.InBytes = csb.SPBC
+			sp.OutBytes = csb.TPBC
+			sp.CC = csb.CC.String()
+			sp.RecordPipeline(start, end, pipelineStages(csb.Cycles))
+			start = end
+		}
+	}
+	p.ran = true
+}
+
+// touch is the OS side of one translation fault: count the round, hold
+// it to the cap, make the page present. It reports whether the slot may
+// resubmit; otherwise the slot has failed.
+func (c *Context) touch(p *pendingCRB, s *slot) bool {
+	d := c.dev
+	csb := s.csb
+	s.retries++
+	s.wasted += csb.Cycles.Total
+	d.met.faultRetries.Inc()
+	if s.retries >= d.cfg.Submit.MaxFaultRounds {
+		d.met.faultStorms.Inc()
+		p.fail(s, "fault-storm", fmt.Errorf("%w (%d rounds, va %#x)", ErrFaultStorm, s.retries, csb.FaultVA))
+		return false
+	}
+	faultStart := time.Now()
+	if err := d.mmu.Touch(c.pid, csb.FaultVA); err != nil {
+		p.fail(s, "", fmt.Errorf("nx: fault handler: %w", err))
+		return false
+	}
+	if sp := s.span; sp != nil {
+		// The done token has arrived, so the span is ours again: record
+		// the OS interlude, attributed to the round that faulted, then
+		// open the next round.
+		sp.RecordStage(telemetry.StageFault, faultStart, time.Now(), csb.Cycles.Total)
+		sp.Retries++
+	}
+	return true
 }
 
 // pipelineStages flattens a modelled breakdown into span stages (only
@@ -1067,107 +1212,32 @@ func (c *Context) Decompress(input []byte, wrap Wrap, maxOutput int, resident bo
 // non-nil and holds the last completion written — zero-valued when the
 // request never reached an engine.
 func (c *Context) Submit(crb *CRB) (*CSB, *Report, error) {
-	csb := &CSB{}
-	rep := &Report{}
-	if err := c.SubmitInto(crb, csb, rep); err != nil {
-		return csb, nil, err
-	}
-	return csb, rep, nil
+	return c.submitNew(crb, false)
 }
 
 // SyncCall submits a request through the synchronous-instruction
 // interface (the z15 integration style): no VAS paste, no queue — the
-// calling CPU dispatches the engine directly and waits. The fault
-// protocol still applies (the instruction completes partially and
-// software retries after touching the page). Returns an error on devices
-// without a synchronous path.
+// calling CPU dispatches the engine directly and waits. The rest of the
+// protocol still applies: the liveness gates run at the top of every
+// round, and a fault completes the instruction partially so software
+// retries after touching the page. Returns an error on devices without
+// a synchronous path.
 func (c *Context) SyncCall(crb *CRB) (*CSB, *Report, error) {
 	if c.dev.cfg.Engine.Pipeline.SyncSetupCycles <= 0 {
 		return nil, nil, fmt.Errorf("nx: %s has no synchronous submission interface", c.dev.cfg.Engine.Pipeline.Name)
 	}
 	crb.SyncSubmit = true
-	tr := c.dev.tracer.Load()
-	// Window -1: the synchronous interface bypasses the VAS queue.
-	span := tr.Start(crb.Func.String(), int(c.pid), -1)
-	if span != nil {
-		span.ReqID = crb.ReqID
-		span.Hop = crb.Hop
-		span.Tenant = c.tenant
-		span.Priority = c.priorityName()
+	return c.submitNew(crb, true)
+}
+
+// submitNew is submitOne into freshly allocated completion blocks.
+func (c *Context) submitNew(crb *CRB, sync bool) (*CSB, *Report, error) {
+	csb := &CSB{}
+	rep := &Report{}
+	if err := c.submitOne(slot{crb: crb, csb: csb, rep: rep}, sync); err != nil {
+		return csb, nil, err
 	}
-	var (
-		retries int
-		wasted  int64
-	)
-	for {
-		start := time.Now()
-		idx := int(c.dev.nextEng.Add(1)-1) % len(c.dev.engines)
-		csb := c.dev.engines[idx].Process(c.pid, crb)
-		m := c.dev.met
-		m.requests.Inc()
-		m.syncCalls.Inc()
-		m.inBytes.Add(int64(csb.SPBC))
-		m.outBytes.Add(int64(csb.TPBC))
-		m.bumpCodec(crb, csb)
-		if cc := csb.CC; cc >= 0 && cc < ccCount {
-			m.cc[cc].Inc()
-		}
-		if span != nil {
-			span.Engine = idx
-			span.ERATHits += csb.ERATHits
-			span.ERATMisses += csb.ERATMisses
-			span.DeviceCycles += csb.Cycles.Total
-			span.RecordPipeline(start, time.Now(), pipelineStages(csb.Cycles))
-		}
-		if csb.CC != CCTranslationFault {
-			rep := &Report{
-				Engine:       c.dev.cfg.Engine.Pipeline.Name,
-				Func:         crb.Func,
-				Wrap:         crb.Wrap,
-				InBytes:      csb.SPBC,
-				OutBytes:     csb.TPBC,
-				Breakdown:    csb.Cycles,
-				Retries:      retries,
-				WastedCycles: wasted,
-				TotalCycles:  wasted + csb.Cycles.Total,
-				LZ:           csb.LZ,
-			}
-			rep.Time = c.dev.cfg.Engine.Pipeline.Time(rep.TotalCycles)
-			if csb.SPBC > 0 && csb.TPBC > 0 {
-				rep.Ratio = float64(csb.SPBC) / float64(csb.TPBC)
-			}
-			if span != nil {
-				span.InBytes = csb.SPBC
-				span.OutBytes = csb.TPBC
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return csb, rep, nil
-		}
-		retries++
-		wasted += csb.Cycles.Total
-		c.dev.met.faultRetries.Inc()
-		if retries >= c.dev.cfg.Submit.MaxFaultRounds {
-			c.dev.met.faultStorms.Inc()
-			if span != nil {
-				span.CC = "fault-storm"
-			}
-			tr.Finish(span)
-			return csb, nil, fmt.Errorf("%w (%d rounds, va %#x)", ErrFaultStorm, retries, csb.FaultVA)
-		}
-		faultStart := time.Now()
-		if err := c.dev.mmu.Touch(c.pid, csb.FaultVA); err != nil {
-			if span != nil {
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return csb, nil, fmt.Errorf("nx: fault handler: %w", err)
-		}
-		if span != nil {
-			span.RecordStage(telemetry.StageFault, faultStart, time.Now(), csb.Cycles.Total)
-			span.Retries++
-		}
-	}
+	return csb, rep, nil
 }
 
 // Device returns the device this context is bound to.

@@ -201,7 +201,6 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 		if delta > 0 && csb.Cycles.Setup >= e.cfg.Pipeline.SetupCycles {
 			csb.Cycles.Setup -= delta
 			csb.Cycles.Total -= delta
-			e.busyCycles -= delta
 		}
 	}
 	if crb.Chained && e.cfg.Pipeline.ChainSetupCycles > 0 {

@@ -11,7 +11,7 @@ import (
 	"nxzip/internal/obs"
 )
 
-// ErrNoHealthyDevice is returned by PickAvail when every device of the
+// ErrNoHealthyDevice is returned by the Avail picks when every device of the
 // node is quarantined and none is due for a probe — the signal the
 // failover layer uses to fall back to the software path.
 var ErrNoHealthyDevice = errors.New("topology: no healthy device available")

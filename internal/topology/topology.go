@@ -383,8 +383,8 @@ func (c *Context) Primary() *nx.Context { return c.ctxs[0] }
 func (c *Context) At(i int) *nx.Context { return c.ctxs[i] }
 
 // deflateNeed is the capability requirement of the classic
-// single-format entry points (Pick, PickAvail, PickIndexAvail,
-// PickSticky): they all submit DEFLATE work, so on a mixed-capability
+// single-format entry points (Pick, PickIndexAvail, PickSticky): they
+// all submit DEFLATE work, so on a mixed-capability
 // node they must route past devices that only serve other codecs.
 var deflateNeed = nx.Codecs(nx.CodecDeflate)
 
@@ -427,9 +427,11 @@ func (c *Context) acquire(i int) (*nx.Context, func(error)) {
 	}
 }
 
-// PickIndexAvail is PickAvail by index: it routes one request through
-// the policy and health scoreboard and returns the chosen device index,
-// or ErrNoHealthyDevice when nothing is admissible. Paired with
+// PickIndexAvail is Pick by index for failover-aware callers: it routes
+// one request through the policy and health scoreboard and returns the
+// chosen device index, or ErrNoHealthyDevice when nothing is admissible
+// (all quarantined, no probe due) instead of a doomed device, so the
+// caller can take the software path immediately. Paired with
 // AcquireIndex/ReleaseIndex it is the allocation-free dispatch path —
 // no context pointer, no release closure — used by the pooled one-shot
 // and batch submitters (the index also keys At and Device for buffer
@@ -485,30 +487,18 @@ func (c *Context) ReleaseIndexReq(i int, err error, req uint64) {
 // mapped — a VA mapped on one device's MMU means nothing to another —
 // which is why submission helpers take the picked context. When every
 // device is quarantined Pick still returns the policy's choice (callers
-// that would rather fall back to software use PickAvail).
+// that would rather fall back to software use PickIndexAvail).
 func (c *Context) Pick() (*nx.Context, func(error)) {
 	i, _ := c.pickIndex()
 	return c.acquire(i)
 }
 
-// PickAvail is Pick for failover-aware callers: when no device is
-// admissible (all quarantined, no probe due) it reports
-// ErrNoHealthyDevice instead of returning a doomed context, so the
-// caller can take the software path immediately.
-func (c *Context) PickAvail() (*nx.Context, func(error), error) {
-	i, ok := c.pickIndex()
-	if !ok {
-		return nil, nil, ErrNoHealthyDevice
-	}
-	ctx, release := c.acquire(i)
-	return ctx, release, nil
-}
-
 // PickSticky routes a whole stream: the policy assigns a device once (at
 // stream construction — segments share history or resume state, so they
 // stay put) and only the pick itself is counted against the device's
-// in-flight load. Stream owners feed per-segment outcomes through
-// ReportFor and migrate with PickStickyAvoid on failure.
+// in-flight load. Stream owners feed per-segment outcomes to the node
+// (Node.ReportResultReq, by IndexOf the pinned context) and migrate with
+// PickStickyAvoid on failure.
 func (c *Context) PickSticky() *nx.Context {
 	i, _ := c.pickIndex()
 	c.node.dispatch[i].Inc()
@@ -524,13 +514,6 @@ func (c *Context) IndexOf(ctx *nx.Context) int {
 		}
 	}
 	return -1
-}
-
-// ReportFor feeds one submission outcome for the device owning ctx into
-// the health scoreboard — the sticky-pick counterpart of Pick's release
-// closure.
-func (c *Context) ReportFor(ctx *nx.Context, err error) {
-	c.node.ReportResult(c.IndexOf(ctx), err)
 }
 
 // PickStickyAvoid re-pins a stream after its device failed: it returns

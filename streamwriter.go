@@ -2,7 +2,6 @@ package nxzip
 
 import (
 	"encoding/binary"
-	"errors"
 	"io"
 
 	"nxzip/internal/checksum"
@@ -75,7 +74,7 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 		return 0, w.err
 	}
 	if w.closed {
-		return 0, errors.New("nxzip: write on closed StreamWriter")
+		return 0, ErrWriterClosed
 	}
 	// Bytes already buffered from previous calls; chunks drain these
 	// oldest-first, so they tell us how much of a failed chunk came from
