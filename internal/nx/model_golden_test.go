@@ -1,6 +1,7 @@
 package nx
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"nxzip/internal/corpus"
+	"nxzip/internal/deflate"
 	"nxzip/internal/lz77"
 )
 
@@ -17,7 +19,11 @@ import (
 // anything else under the engine) must leave every compressed byte, every
 // device cycle and every LZ-stage counter where it was; this file pins them
 // for the corpus kinds x {64 KiB, 1 MiB} x {P9, z15} x {FHT, DHT} x
-// {no history, 32 KiB history}. Regenerate with
+// {no history, 32 KiB history}. Each history-free stream is then decoded
+// raw, gzip-framed (whole and first-member-only with a second member
+// behind it) and zlib-framed, pinning what the decompressor reports: SPBC,
+// TPBC, both checksums and the cycles, which depend only on the bytes
+// consumed and produced. Regenerate with
 //
 //	go test ./internal/nx -run TestModelGolden -update
 //
@@ -36,6 +42,11 @@ type goldenEntry struct {
 	SHA256       string       `json:"sha256"`
 	DeviceCycles int64        `json:"device_cycles"`
 	LZ           lz77.HWStats `json:"lz"`
+	// Decompress rows only; SHA256 is then over the plaintext.
+	SPBC    int    `json:"spbc,omitempty"`
+	TPBC    int    `json:"tpbc,omitempty"`
+	CRC32   uint32 `json:"crc32,omitempty"`
+	Adler32 uint32 `json:"adler32,omitempty"`
 }
 
 func modelGoldenEntries(t *testing.T) []goldenEntry {
@@ -67,10 +78,50 @@ func modelGoldenEntries(t *testing.T) []goldenEntry {
 							DeviceCycles: rep.TotalCycles,
 							LZ:           csb.LZ,
 						})
+						if !hist {
+							out = append(out, decompressGoldenEntries(t, ctx, name, csb.Output, crb.Input)...)
+						}
 					}
 				}
 			}
 		}
+	}
+	return out
+}
+
+// decompressGoldenEntries decodes one raw stream under every framing the
+// engine unwraps.
+func decompressGoldenEntries(t *testing.T, ctx *Context, name string, raw, plain []byte) []goldenEntry {
+	t.Helper()
+	gz := deflate.GzipWrap(raw, plain)
+	var out []goldenEntry
+	for _, dc := range []struct {
+		tag string
+		crb CRB
+	}{
+		{"raw", CRB{Wrap: WrapRaw, Input: raw}},
+		{"gzip", CRB{Wrap: WrapGzip, Input: gz}},
+		{"gzip-first", CRB{Wrap: WrapGzip, Input: append(bytes.Clone(gz), gz...), FirstMemberOnly: true}},
+		{"zlib", CRB{Wrap: WrapZlib, Input: deflate.ZlibWrap(raw, plain)}},
+	} {
+		crb := dc.crb
+		crb.Func = FCDecompress
+		crb.TargetCap = len(plain)
+		name := name + "/decompress-" + dc.tag
+		csb, rep, err := ctx.Submit(&crb)
+		if err != nil || csb.CC != CCSuccess {
+			t.Fatalf("%s: err=%v CC=%s %s", name, err, csb.CC, csb.Detail)
+		}
+		sum := sha256.Sum256(csb.Output)
+		out = append(out, goldenEntry{
+			Name:         name,
+			SHA256:       hex.EncodeToString(sum[:]),
+			DeviceCycles: rep.TotalCycles,
+			SPBC:         csb.SPBC,
+			TPBC:         csb.TPBC,
+			CRC32:        csb.CRC32,
+			Adler32:      csb.Adler32,
+		})
 	}
 	return out
 }
