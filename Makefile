@@ -45,8 +45,11 @@ bench:
 ## allocates — so it runs plain here, and the batch/pooled paths run
 ## again under -race for the memory model. The device layer has its own
 ## gate one level down: nx.Context.SubmitInto at 0 allocations, beside
-## the conformance table that holds every nx entry point to one protocol.
+## the conformance table that holds every nx entry point to one protocol;
+## and the inflate core its own below that: dynamic blocks into a roomy
+## Dst, and a skim, at 0 allocations (tables live in the pooled inflater).
 bench-alloc:
+	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
 	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite' -count=1 .
@@ -75,7 +78,10 @@ bench-json:
 ## (WriteProm output with adversarial tenant labels must always
 ## ParseProm back) — plus the differential target that holds the
 ## host-fast lz77.HWMatcher to its reference implementation (equal
-## tokens and equal HWStats, i.e. the model clock does not move). Finds
+## tokens and equal HWStats, i.e. the model clock does not move), and the
+## three DEFLATE decode targets: the inflate core against its reference
+## (equal bytes, consumed input and error class), lossless re-encoding of
+## whatever decodes, and Session against the one-shot decode. Finds
 ## panics/OOMs in the bounds-checked decode loops and parser edge cases;
 ## go test -fuzz accepts one fuzz target per invocation, hence one run
 ## each.
@@ -86,11 +92,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 30s ./internal/admission
 	$(GO) test -run '^$$' -fuzz FuzzPromRoundTrip -fuzztime 30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzHWMatcherEqualsReference -fuzztime 30s ./internal/lz77
+	$(GO) test -run '^$$' -fuzz FuzzInflateEqualsReference -fuzztime 30s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz 'FuzzDecompress$$' -fuzztime 30s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz FuzzSessionEqualsOneShot -fuzztime 30s ./internal/deflate
 
-## bench-host: the host clock of the compress kernel path, end to end and
-## then layer by layer — bench/'s bulk_oneshot workload untraced (the
-## nine end-to-end metrics; compress_mbps is the headline) and traced
-## (the per-layer ledger; lz77.hw.ns_per_byte is the LZ stage). See
+## bench-host: the host clock of the kernel paths, end to end and then
+## layer by layer — bench/'s bulk_oneshot workload untraced (the nine
+## end-to-end metrics; compress_mbps and decompress_mbps are the
+## headlines) and traced (the per-layer ledger; lz77.hw.ns_per_byte is
+## the LZ stage, deflate.inflate.ns_per_byte the decode stage). See
 ## bench/README.md for the paired-run method a claimed gain needs.
 bench-host:
 	$(GO) run ./bench -workload bulk_oneshot -trace 0

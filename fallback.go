@@ -94,7 +94,7 @@ func (a *Accelerator) soft(o *op, m *Metrics) ([]byte, error) {
 	case opDecompress:
 		out, err = softDecode(o.format, o.src, o.maxOutput)
 	case opMember:
-		out, in, err = deflate.DecompressGzipTail(o.src, deflate.InflateOptions{MaxOutput: o.maxOutput})
+		out, in, _, err = deflate.DecompressGzipTail(o.src, deflate.InflateOptions{MaxOutput: o.maxOutput})
 	case opResume:
 		out, err = o.state.SoftFeed(o.src, !o.notFinal)
 	case opTranscode:
@@ -134,13 +134,15 @@ func softEncode(f Format, src []byte) ([]byte, error) {
 }
 
 // softDecode decompresses a format-f stream, bounded by maxOutput.
-func softDecode(f Format, src []byte, maxOutput int) ([]byte, error) {
+func softDecode(f Format, src []byte, maxOutput int) (out []byte, err error) {
 	opts := deflate.InflateOptions{MaxOutput: maxOutput}
 	switch f {
 	case FormatGzip:
-		return deflate.DecompressGzip(src, opts)
+		out, _, err = deflate.DecompressGzip(src, opts)
+		return out, err
 	case FormatZlib:
-		return deflate.DecompressZlib(src, opts)
+		out, _, err = deflate.DecompressZlib(src, opts)
+		return out, err
 	case FormatRaw:
 		return deflate.Decompress(src, opts)
 	case Format842:

@@ -136,6 +136,85 @@ func TestReaderAlignAndBytes(t *testing.T) {
 	}
 }
 
+// bitAt is the definition the Reader is held to: bit i of an LSB-first stream.
+func bitAt(data []byte, i int) uint64 { return uint64(data[i/8]>>(i%8)) & 1 }
+
+// A random walk of every read, peek, skip, align and bulk-byte operation
+// over a buffer long enough for the 8-byte fill and short enough to end in
+// the byte-at-a-time tail, each result checked bit by bit against the data
+// and the position accounting checked after every step.
+func TestReaderWalkMatchesBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, rng.Intn(40))
+		rng.Read(data)
+		r, at, total := NewReader(data), 0, len(data)*8
+		for at < total {
+			n := rng.Intn(49)
+			switch op := rng.Intn(6); {
+			case op == 0: // peek never moves, pads with zeros past the end
+				v, avail := r.PeekBits(uint(n))
+				if want := min(n, total-at); int(avail) != want {
+					t.Fatalf("peek %d at %d/%d: avail %d", n, at, total, avail)
+				}
+				for i := 0; i < n; i++ {
+					want := uint64(0)
+					if at+i < total {
+						want = bitAt(data, at+i)
+					}
+					if v>>i&1 != want {
+						t.Fatalf("peek %d at %d: bit %d wrong", n, at, i)
+					}
+				}
+			case op == 1: // skips of any size, past the accumulator too
+				n = rng.Intn(200)
+				if err := r.SkipBits(uint(n)); (err != nil) != (n > total-at) {
+					t.Fatalf("skip %d at %d/%d: %v", n, at, total, err)
+				} else if err != nil {
+					at = total
+					continue
+				}
+				at += n
+			case op == 2:
+				at += int(r.AlignByte())
+				if at%8 != 0 {
+					t.Fatalf("align left position %d", at)
+				}
+				p := make([]byte, rng.Intn(12))
+				if err := r.ReadBytes(p); (err != nil) != (len(p) > (total-at)/8) {
+					t.Fatalf("ReadBytes %d at %d/%d: %v", len(p), at, total, err)
+				} else if err != nil {
+					at = total
+					continue
+				}
+				if !bytes.Equal(p, data[at/8:at/8+len(p)]) {
+					t.Fatalf("ReadBytes %d at %d: wrong bytes", len(p), at)
+				}
+				at += 8 * len(p)
+			case op == 3: // a decode loop borrowing and returning the position
+				_, pos, acc, nacc := r.State()
+				r.SetState(pos, acc|^uint64(0)<<nacc, nacc) // junk above nacc is ignored
+			default:
+				v, err := r.ReadBits(uint(n))
+				if (err != nil) != (n > total-at) {
+					t.Fatalf("read %d at %d/%d: %v", n, at, total, err)
+				} else if err != nil {
+					continue
+				}
+				for i := 0; i < n; i++ {
+					if v>>i&1 != bitAt(data, at+i) {
+						t.Fatalf("read %d at %d: bit %d wrong", n, at, i)
+					}
+				}
+				at += n
+			}
+			if r.BitsConsumed() != at || r.BitsRemaining() != total-at {
+				t.Fatalf("position %d/%d, reader says %d consumed %d remaining", at, total, r.BitsConsumed(), r.BitsRemaining())
+			}
+		}
+	}
+}
+
 func TestReaderBitsAccounting(t *testing.T) {
 	r := NewReader(make([]byte, 4))
 	if r.BitsRemaining() != 32 || r.BitsConsumed() != 0 {

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -12,7 +13,7 @@ var ErrUnexpectedEOF = errors.New("bitio: unexpected end of bit stream")
 type Reader struct {
 	data []byte
 	pos  int    // next byte index to load
-	acc  uint64 // bit accumulator
+	acc  uint64 // bit accumulator; bits at and above nacc are zero
 	nacc uint   // valid bits in acc
 }
 
@@ -29,14 +30,38 @@ func (r *Reader) Reset(data []byte) {
 	r.nacc = 0
 }
 
-// fill loads bytes into the accumulator until it holds at least want bits
-// or input is exhausted.
+// fill tops the accumulator up to at least 56 bits with one 8-byte load
+// while eight input bytes remain, and byte by byte (to at least want bits,
+// or to the end of input) over the last seven.
 func (r *Reader) fill(want uint) {
+	if r.pos+8 <= len(r.data) {
+		r.acc |= binary.LittleEndian.Uint64(r.data[r.pos:]) << r.nacc
+		n := (63 - r.nacc) >> 3 // whole bytes that fit
+		r.pos += int(n)
+		r.nacc += n * 8
+		r.acc &= 1<<r.nacc - 1 // the partial ninth byte is not ours yet
+		return
+	}
 	for r.nacc < want && r.pos < len(r.data) {
 		r.acc |= uint64(r.data[r.pos]) << r.nacc
 		r.pos++
 		r.nacc += 8
 	}
+}
+
+// State exposes the read position to a decode loop that keeps the bit
+// buffer in locals: the underlying bytes, the index of the next byte to
+// load, the accumulator and its count of valid bits. The loop hands the
+// last three back through SetState when it stops.
+func (r *Reader) State() (data []byte, pos int, acc uint64, nacc uint) {
+	return r.data, r.pos, r.acc, r.nacc
+}
+
+// SetState moves the Reader to a position a decode loop advanced to. Bits
+// of acc at and above nacc are ignored, so the loop may leave the bytes it
+// loaded ahead of pos in them.
+func (r *Reader) SetState(pos int, acc uint64, nacc uint) {
+	r.pos, r.acc, r.nacc = pos, acc&(1<<nacc-1), nacc
 }
 
 // ReadBits reads n bits (n <= 48) and returns them as the low bits of the
@@ -45,9 +70,11 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n > 48 {
 		panic("bitio: ReadBits count out of range")
 	}
-	r.fill(n)
 	if r.nacc < n {
-		return 0, ErrUnexpectedEOF
+		r.fill(n)
+		if r.nacc < n {
+			return 0, ErrUnexpectedEOF
+		}
 	}
 	v := r.acc & ((1 << n) - 1)
 	r.acc >>= n
@@ -56,13 +83,15 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 }
 
 // PeekBits returns up to n bits without consuming them. If fewer than n
-// bits remain, the missing high bits are zero; ok reports how many bits
-// were actually available. Decoders use this for table lookups near EOF.
+// bits remain, the missing high bits are zero; avail reports how many of
+// the n bits are real. Decoders use this for table lookups near EOF.
 func (r *Reader) PeekBits(n uint) (v uint64, avail uint) {
 	if n > 48 {
 		panic("bitio: PeekBits count out of range")
 	}
-	r.fill(n)
+	if r.nacc < n {
+		r.fill(n)
+	}
 	avail = r.nacc
 	if avail > n {
 		avail = n
@@ -72,13 +101,20 @@ func (r *Reader) PeekBits(n uint) (v uint64, avail uint) {
 
 // SkipBits discards n bits. It returns ErrUnexpectedEOF if fewer remain.
 func (r *Reader) SkipBits(n uint) error {
-	for n > 48 {
-		if _, err := r.ReadBits(48); err != nil {
-			return err
-		}
-		n -= 48
+	if n <= r.nacc {
+		r.acc >>= n
+		r.nacc -= n
+		return nil
 	}
-	_, err := r.ReadBits(n)
+	// Past the accumulator: step over whole bytes without loading them.
+	n -= r.nacc
+	r.acc, r.nacc = 0, 0
+	if n/8 > uint(len(r.data)-r.pos) {
+		r.pos = len(r.data)
+		return ErrUnexpectedEOF
+	}
+	r.pos += int(n / 8)
+	_, err := r.ReadBits(n % 8)
 	return err
 }
 
@@ -97,24 +133,22 @@ func (r *Reader) AlignByte() uint {
 	return drop
 }
 
-// ReadBytes copies n whole bytes into p's first n entries after aligning is
-// the caller's responsibility; the stream must already be byte-aligned.
+// ReadBytes fills p with the next len(p) whole bytes. The stream must
+// already be byte-aligned; aligning is the caller's responsibility.
 func (r *Reader) ReadBytes(p []byte) error {
 	if r.nacc%8 != 0 {
 		panic("bitio: ReadBytes on unaligned stream")
 	}
-	for i := range p {
-		if r.nacc >= 8 {
-			p[i] = byte(r.acc)
-			r.acc >>= 8
-			r.nacc -= 8
-			continue
-		}
-		if r.pos >= len(r.data) {
-			return fmt.Errorf("%w: need %d more bytes", ErrUnexpectedEOF, len(p)-i)
-		}
-		p[i] = r.data[r.pos]
-		r.pos++
+	i := 0
+	for ; i < len(p) && r.nacc > 0; i++ {
+		p[i] = byte(r.acc)
+		r.acc >>= 8
+		r.nacc -= 8
+	}
+	n := copy(p[i:], r.data[r.pos:])
+	r.pos += n
+	if i+n < len(p) {
+		return fmt.Errorf("%w: need %d more bytes", ErrUnexpectedEOF, len(p)-i-n)
 	}
 	return nil
 }

@@ -35,6 +35,57 @@ func TestCRC32MatchesStdlib(t *testing.T) {
 	}
 }
 
+// bitwiseCRC32 is the definition: one polynomial division step per bit, no
+// tables. It shares nothing with Update but IEEEPoly.
+func bitwiseCRC32(p []byte) uint32 {
+	crc := ^uint32(0)
+	for _, b := range p {
+		crc ^= uint32(b)
+		for i := 0; i < 8; i++ {
+			crc = crc>>1 ^ IEEEPoly&-(crc&1)
+		}
+	}
+	return ^crc
+}
+
+// Every length around the 16-byte main step and every split of an
+// incremental update across it, against the table-free definition; Adler-32
+// likewise around its 8-byte step and its NMAX reduction, against stdlib.
+func TestChecksumsMatchOraclesAtStepBoundaries(t *testing.T) {
+	data := make([]byte, 3*5552+40)
+	rand.New(rand.NewSource(5)).Read(data)
+	for i := range data[:64] {
+		data[i] = 0xFF // the worst case for Adler's lane sums
+	}
+	lengths := []int{5551, 5552, 5553, 2 * 5552, 2*5552 + 7, len(data)}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		p := data[:n]
+		if got, want := Sum32(p), bitwiseCRC32(p); got != want {
+			t.Fatalf("CRC32 of %d bytes = %08x, bitwise %08x", n, got, want)
+		}
+		if got, want := SumAdler32(p), adler32.Checksum(p); got != want {
+			t.Fatalf("Adler32 of %d bytes = %08x, stdlib %08x", n, got, want)
+		}
+		for _, cut := range []int{1, 7, 8, 15, 16, 17} {
+			if cut > n {
+				continue
+			}
+			var c CRC32
+			c.Update(p[:cut])
+			c.Update(p[cut:])
+			ad := NewAdler32()
+			ad.Update(p[:cut])
+			ad.Update(p[cut:])
+			if c.Sum() != bitwiseCRC32(p) || ad.Sum() != adler32.Checksum(p) {
+				t.Fatalf("%d bytes split at %d: CRC %08x Adler %08x", n, cut, c.Sum(), ad.Sum())
+			}
+		}
+	}
+}
+
 func TestCRC32Incremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := make([]byte, 100000)

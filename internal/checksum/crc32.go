@@ -5,15 +5,17 @@
 // data beat.
 package checksum
 
+import "encoding/binary"
+
 // CRC-32 with the IEEE polynomial, bit-reflected, as used by gzip.
-// Implemented with an 8-way slicing table for speed; the table is generated
-// at init from the polynomial rather than embedded, which both documents
-// the math and keeps the source small.
+// Implemented with a 16-way slicing table (16 KiB) for speed; the table is
+// generated at init from the polynomial rather than embedded, which both
+// documents the math and keeps the source small.
 
 // IEEEPoly is the reversed (bit-reflected) IEEE 802.3 polynomial.
 const IEEEPoly = 0xEDB88320
 
-var crcTable [8][256]uint32
+var crcTable [16][256]uint32
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -29,7 +31,7 @@ func init() {
 	}
 	for i := 0; i < 256; i++ {
 		c := crcTable[0][i]
-		for k := 1; k < 8; k++ {
+		for k := 1; k < len(crcTable); k++ {
 			c = crcTable[0][c&0xFF] ^ c>>8
 			crcTable[k][i] = c
 		}
@@ -50,18 +52,21 @@ func (c *CRC32) Update(p []byte) {
 		c.init = true
 	}
 	crc := c.state
-	// Slicing-by-8 main loop.
-	for len(p) >= 8 {
-		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-		crc = crcTable[7][crc&0xFF] ^
-			crcTable[6][crc>>8&0xFF] ^
-			crcTable[5][crc>>16&0xFF] ^
-			crcTable[4][crc>>24] ^
-			crcTable[3][p[4]] ^
-			crcTable[2][p[5]] ^
-			crcTable[1][p[6]] ^
-			crcTable[0][p[7]]
-		p = p[8:]
+	// Slicing-by-16 main loop: one 8-byte load per 8 bytes (the p[:16:16]
+	// reslice is the only bounds check) and sixteen table reads in four
+	// independent XOR chains, of which one takes in the running value and
+	// so waits on the last step.
+	t := &crcTable
+	for len(p) >= 16 {
+		q := p[:16:16]
+		lo := binary.LittleEndian.Uint64(q) ^ uint64(crc)
+		hi := binary.LittleEndian.Uint64(q[8:])
+		c0 := t[15][byte(lo)] ^ t[14][byte(lo>>8)] ^ t[13][byte(lo>>16)] ^ t[12][byte(lo>>24)]
+		c1 := t[11][byte(lo>>32)] ^ t[10][byte(lo>>40)] ^ t[9][byte(lo>>48)] ^ t[8][lo>>56]
+		c2 := t[7][byte(hi)] ^ t[6][byte(hi>>8)] ^ t[5][byte(hi>>16)] ^ t[4][byte(hi>>24)]
+		c3 := t[3][byte(hi>>32)] ^ t[2][byte(hi>>40)] ^ t[1][byte(hi>>48)] ^ t[0][hi>>56]
+		crc = c0 ^ c1 ^ (c2 ^ c3)
+		p = p[16:]
 	}
 	for _, b := range p {
 		crc = crcTable[0][byte(crc)^b] ^ crc>>8

@@ -34,21 +34,15 @@ func ReadBlockHeader(r *bitio.Reader) (*BlockHeader, error) {
 		r.AlignByte()
 		return h, nil
 	case 1:
-		h.LitLen, err = huffman.NewDecoder(FixedLitLenLengths(), huffman.DefaultPrimaryBits)
-		if err != nil {
-			return nil, err
-		}
-		h.Dist, err = huffman.NewDecoder(FixedDistLengths(), huffman.DefaultPrimaryBits)
-		if err != nil {
-			return nil, err
-		}
+		h.LitLen, h.Dist = &fixedLitLen, &fixedDist
 		return h, nil
 	case 2:
-		h.LitLen, h.Dist, err = readDynamicHeader(r)
-		if err != nil {
+		in := new(inflater) // the header keeps the tables: not pooled
+		if err := in.readDynamicHeader(r); err != nil {
 			return nil, err
 		}
+		h.LitLen, h.Dist = &in.litLen, &in.dist
 		return h, nil
 	}
-	return nil, fmt.Errorf("%w: reserved block type 3", ErrCorrupt)
+	return nil, errReservedType
 }

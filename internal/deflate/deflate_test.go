@@ -5,6 +5,9 @@ import (
 	"compress/flate"
 	"compress/gzip"
 	"compress/zlib"
+	"fmt"
+	"hash/adler32"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -96,9 +99,16 @@ func TestCompressAllLevels(t *testing.T) {
 }
 
 func TestInflateStdlibOutput(t *testing.T) {
-	// Our inflater must accept zlib-family encoder output (stdlib flate).
+	// Our inflater must accept zlib-family encoder output: everything
+	// stdlib flate emits, at every level. The differential runs one way
+	// only — we also accept incomplete Huffman codes, which stdlib's
+	// inflater rejects, so its verdict on arbitrary input is not ours.
+	levels := []int{flate.HuffmanOnly}
+	for lvl := flate.NoCompression; lvl <= flate.BestCompression; lvl++ {
+		levels = append(levels, lvl)
+	}
 	for name, src := range corpusInputs(t) {
-		for _, lvl := range []int{flate.BestSpeed, flate.DefaultCompression, flate.BestCompression, flate.HuffmanOnly} {
+		for _, lvl := range levels {
 			var buf bytes.Buffer
 			fw, err := flate.NewWriter(&buf, lvl)
 			if err != nil {
@@ -117,6 +127,7 @@ func TestInflateStdlibOutput(t *testing.T) {
 			if !bytes.Equal(got, src) {
 				t.Fatalf("%s/level %d: mismatch", name, lvl)
 			}
+			checkEqualsReference(t, fmt.Sprintf("%s/level %d", name, lvl), buf.Bytes(), 0, len(src)+1024)
 		}
 	}
 }
@@ -145,12 +156,15 @@ func TestGzipRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecompressGzip(gz, InflateOptions{})
+		got, crc, err := DecompressGzip(gz, InflateOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(got, src) {
 			t.Fatalf("%s: mismatch", name)
+		}
+		if want := crc32.ChecksumIEEE(src); crc != want {
+			t.Fatalf("%s: returned CRC %08x, want %08x", name, crc, want)
 		}
 		// stdlib gzip must accept our framing and bits.
 		zr, err := gzip.NewReader(bytes.NewReader(gz))
@@ -180,7 +194,7 @@ func TestGzipReadStdlibOutput(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressGzip(buf.Bytes(), InflateOptions{})
+	got, _, err := DecompressGzip(buf.Bytes(), InflateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +209,15 @@ func TestZlibRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressZlib(z, InflateOptions{})
+	got, adler, err := DecompressZlib(z, InflateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, src) {
 		t.Fatal("mismatch")
+	}
+	if want := adler32.Checksum(src); adler != want {
+		t.Fatalf("returned Adler-32 %08x, want %08x", adler, want)
 	}
 	// stdlib zlib accepts ours.
 	zr, err := zlib.NewReader(bytes.NewReader(z))
@@ -219,7 +236,7 @@ func TestZlibRoundTrip(t *testing.T) {
 	sw := zlib.NewWriter(&buf)
 	sw.Write(src)
 	sw.Close()
-	got2, err := DecompressZlib(buf.Bytes(), InflateOptions{})
+	got2, _, err := DecompressZlib(buf.Bytes(), InflateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,19 +251,19 @@ func TestGzipDetectsCorruption(t *testing.T) {
 	// CRC corruption.
 	bad := append([]byte{}, gz...)
 	bad[len(bad)-5] ^= 0xFF
-	if _, err := DecompressGzip(bad, InflateOptions{}); err == nil {
+	if _, _, err := DecompressGzip(bad, InflateOptions{}); err == nil {
 		t.Fatal("corrupt CRC accepted")
 	}
 	// ISIZE corruption.
 	bad2 := append([]byte{}, gz...)
 	bad2[len(bad2)-1] ^= 0x01
-	if _, err := DecompressGzip(bad2, InflateOptions{}); err == nil {
+	if _, _, err := DecompressGzip(bad2, InflateOptions{}); err == nil {
 		t.Fatal("corrupt ISIZE accepted")
 	}
 	// Magic corruption.
 	bad3 := append([]byte{}, gz...)
 	bad3[0] = 0
-	if _, err := DecompressGzip(bad3, InflateOptions{}); err == nil {
+	if _, _, err := DecompressGzip(bad3, InflateOptions{}); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
 }

@@ -134,6 +134,7 @@ func NewSessionWithWindow(opts InflateOptions, window []byte) *Session {
 	if len(window) > lz77.WindowSize {
 		window = window[len(window)-lz77.WindowSize:]
 	}
-	s.window = append([]byte{}, window...)
+	s.buf = append([]byte{}, window...)
+	s.hist = len(s.buf)
 	return s
 }

@@ -132,23 +132,24 @@ func CompressGzip(src []byte, opts Options) ([]byte, error) {
 }
 
 // DecompressGzip unwraps and inflates a gzip stream, verifying CRC32 and
-// ISIZE.
-func DecompressGzip(src []byte, opts InflateOptions) ([]byte, error) {
+// ISIZE. It returns the CRC-32 it verified — the plaintext's — so a caller
+// that reports the checksum need not compute it again.
+func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, err error) {
 	body, wantCRC, wantSize, err := GzipUnwrap(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out, err := Decompress(body, opts)
+	out, err = Decompress(body, opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if uint32(len(out)) != wantSize {
-		return nil, fmt.Errorf("%w: ISIZE %d, got %d bytes", ErrBadLength, wantSize, len(out))
+		return nil, 0, fmt.Errorf("%w: ISIZE %d, got %d bytes", ErrBadLength, wantSize, len(out))
 	}
-	if got := checksum.Sum32(out); got != wantCRC {
-		return nil, fmt.Errorf("%w: CRC32 %08x, want %08x", ErrBadChecksum, got, wantCRC)
+	if crc = checksum.Sum32(out); crc != wantCRC {
+		return nil, 0, fmt.Errorf("%w: CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
 	}
-	return out, nil
+	return out, crc, nil
 }
 
 // ZlibWrap frames a raw DEFLATE stream as zlib (RFC 1950) with the default
@@ -197,20 +198,21 @@ func CompressZlib(src []byte, opts Options) ([]byte, error) {
 	return ZlibWrap(body, src), nil
 }
 
-// DecompressZlib unwraps and inflates a zlib stream, verifying Adler-32.
-func DecompressZlib(src []byte, opts InflateOptions) ([]byte, error) {
+// DecompressZlib unwraps and inflates a zlib stream, verifying Adler-32,
+// and returns the verified checksum with the plaintext.
+func DecompressZlib(src []byte, opts InflateOptions) (out []byte, adler uint32, err error) {
 	body, want, err := ZlibUnwrap(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out, err := Decompress(body, opts)
+	out, err = Decompress(body, opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if got := checksum.SumAdler32(out); got != want {
-		return nil, fmt.Errorf("%w: adler %08x, want %08x", ErrBadChecksum, got, want)
+	if adler = checksum.SumAdler32(out); adler != want {
+		return nil, 0, fmt.Errorf("%w: adler %08x, want %08x", ErrBadChecksum, adler, want)
 	}
-	return out, nil
+	return out, adler, nil
 }
 
 // ParseGzipHeader returns the length of the gzip header at the start of
@@ -255,32 +257,32 @@ func ParseGzipHeader(src []byte) (int, error) {
 }
 
 // DecompressGzipTail inflates the FIRST gzip member of src in a single
-// pass, verifying its CRC32 and ISIZE, and returns the plaintext plus the
-// total bytes consumed (header + DEFLATE stream + trailer). Bytes beyond
-// the first member are left untouched, so multi-member streams decode by
-// repeated calls — each member is inflated exactly once.
-func DecompressGzipTail(src []byte, opts InflateOptions) ([]byte, int, error) {
+// pass, verifying its CRC32 and ISIZE, and returns the plaintext, the
+// total bytes consumed (header + DEFLATE stream + trailer) and the verified
+// CRC-32. Bytes beyond the first member are left untouched, so multi-member
+// streams decode by repeated calls — each member is inflated exactly once.
+func DecompressGzipTail(src []byte, opts InflateOptions) (out []byte, consumed int, crc uint32, err error) {
 	hlen, err := ParseGzipHeader(src)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	body, used, err := DecompressTail(src[hlen:], opts)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	trailerAt := hlen + used
 	if trailerAt+8 > len(src) {
-		return nil, 0, fmt.Errorf("%w: truncated gzip trailer", ErrBadMagic)
+		return nil, 0, 0, fmt.Errorf("%w: truncated gzip trailer", ErrBadMagic)
 	}
 	wantCRC := binary.LittleEndian.Uint32(src[trailerAt:])
 	wantSize := binary.LittleEndian.Uint32(src[trailerAt+4:])
 	if uint32(len(body)) != wantSize {
-		return nil, 0, fmt.Errorf("%w: member ISIZE %d, got %d", ErrBadLength, wantSize, len(body))
+		return nil, 0, 0, fmt.Errorf("%w: member ISIZE %d, got %d", ErrBadLength, wantSize, len(body))
 	}
-	if got := checksum.Sum32(body); got != wantCRC {
-		return nil, 0, fmt.Errorf("%w: member CRC32 %08x, want %08x", ErrBadChecksum, got, wantCRC)
+	if crc = checksum.Sum32(body); crc != wantCRC {
+		return nil, 0, 0, fmt.Errorf("%w: member CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
 	}
-	return body, trailerAt + 8, nil
+	return body, trailerAt + 8, crc, nil
 }
 
 // SkimGzipMember locates the end of the first gzip member of src without
@@ -330,7 +332,7 @@ func DecompressGzipMulti(src []byte, opts InflateOptions) ([]byte, error) {
 		if budget < 1 {
 			budget = 1
 		}
-		body, consumed, err := DecompressGzipTail(src, InflateOptions{MaxOutput: budget})
+		body, consumed, _, err := DecompressGzipTail(src, InflateOptions{MaxOutput: budget})
 		if err != nil {
 			return nil, err
 		}

@@ -56,7 +56,7 @@ func FuzzGzipUnwrap(f *testing.F) {
 	f.Add([]byte{0x1F, 0x8B})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; success implies verified CRC.
-		if out, err := DecompressGzip(data, InflateOptions{MaxOutput: 1 << 20}); err == nil {
+		if out, _, err := DecompressGzip(data, InflateOptions{MaxOutput: 1 << 20}); err == nil {
 			_ = out
 		}
 		if out, err := DecompressGzipMulti(data, InflateOptions{MaxOutput: 1 << 20}); err == nil {

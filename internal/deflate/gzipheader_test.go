@@ -63,7 +63,7 @@ func TestGzipHeaderStdlibInterop(t *testing.T) {
 		t.Fatal("payload mismatch")
 	}
 	// And our full-stream reader still accepts it.
-	got2, err := DecompressGzip(full, InflateOptions{})
+	got2, _, err := DecompressGzip(full, InflateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

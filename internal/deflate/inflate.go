@@ -1,6 +1,7 @@
 package deflate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"nxzip/internal/bitio"
 	"nxzip/internal/huffman"
+	"nxzip/internal/lz77"
 )
 
 // inflatePasses and skimPasses count full decodes and structure-only walks
@@ -30,6 +32,15 @@ func SkimPasses() int64 { return skimPasses.Load() }
 var (
 	ErrCorrupt  = errors.New("deflate: corrupt stream")
 	ErrTooLarge = errors.New("deflate: output exceeds limit")
+
+	// The two corruptions that more input cannot cure; a Session reports
+	// them at once instead of waiting for the rest of the block.
+	errStoredLen    = fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
+	errReservedType = fmt.Errorf("%w: reserved block type 3", ErrCorrupt)
+
+	errLitLenCode = fmt.Errorf("%w: invalid literal/length code", ErrCorrupt)
+	errDistCode   = fmt.Errorf("%w: invalid distance code", ErrCorrupt)
+	errDistance   = fmt.Errorf("%w: distance past start of output", ErrCorrupt)
 )
 
 // InflateOptions bounds decompression.
@@ -41,445 +52,411 @@ type InflateOptions struct {
 	// Dst, when non-nil, supplies the output backing: decompression
 	// appends to Dst[:0], reusing its capacity — the software analogue of
 	// the accelerator DMA-ing output into the caller's target DDE. The
-	// caller must not alias Dst with the compressed source.
+	// caller must not alias Dst with the compressed source. Capacity past
+	// the returned length is scratch: the decoder copies in 8-byte words.
 	Dst []byte
 }
 
-const defaultMaxOutput = 1 << 30
+const (
+	defaultMaxOutput = 1 << 30
 
-var (
-	fixedDecOnce sync.Once
-	fixedLLDec   *huffman.Decoder
-	fixedDDec    *huffman.Decoder
+	// The fast loop's margins. One refill is one 8-byte load and yields at
+	// least 56 bits, more than the 48 a longest symbol pair (15+5 length,
+	// 15+13 distance) consumes; one iteration emits at most a 258-byte
+	// match, copied in 8-byte words that may overshoot by 7.
+	fastInMargin  = 8
+	fastOutMargin = lz77.MaxMatch + 8
 )
 
-// fixedDecoders returns the shared RFC 1951 static-table decoders,
-// built once: the tables are read-only during Decode, so every inflate
-// pass (and every modeled engine) shares one pair.
-func fixedDecoders() (*huffman.Decoder, *huffman.Decoder, error) {
-	var err error
-	fixedDecOnce.Do(func() {
-		fixedLLDec, err = huffman.NewDecoder(FixedLitLenLengths(), huffman.DefaultPrimaryBits)
-		if err != nil {
-			return
-		}
-		fixedDDec, err = huffman.NewDecoder(FixedDistLengths(), huffman.DefaultPrimaryBits)
-	})
-	if fixedLLDec == nil || fixedDDec == nil {
-		if err == nil {
-			err = fmt.Errorf("deflate: fixed decode tables unavailable")
-		}
-		return nil, nil, err
+// The RFC 1951 static tables, shared by every pass (read-only once built).
+var fixedLitLen, fixedDist = func() (ll, d huffman.Decoder) {
+	if err := errors.Join(ll.Init(FixedLitLenLengths(), huffman.DefaultPrimaryBits, litLenValues[:]),
+		d.Init(FixedDistLengths(), huffman.DefaultPrimaryBits, distValues[:])); err != nil {
+		panic(err) // the fixed code is a constant
 	}
-	return fixedLLDec, fixedDDec, nil
+	return
+}()
+
+// inflater is the state of one decode pass: the bit reader, the output
+// cursor, and the dynamic-block tables and code-length scratch, whose
+// storage is reused from block to block and — through inflaterPool — from
+// pass to pass, so a steady-state inflate into opts.Dst allocates nothing.
+type inflater struct {
+	r      bitio.Reader
+	out    []byte // output backing, filled up to n; nil when skimming
+	n      int    // plaintext bytes produced so far
+	maxOut int
+	skim   bool // track n only: no output bytes are stored
+
+	litLen, dist, codeLen huffman.Decoder
+	lengths               [NumLitLen + NumDist]uint8
 }
 
-// readerPool recycles bit readers: the decoder consumes them through the
-// BitSource interface, which pins them to the heap, so a stack value
-// would escape anyway — pooling keeps a steady-state inflate into
-// opts.Dst allocation-free.
-var readerPool = sync.Pool{New: func() any { return new(bitio.Reader) }}
+var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 
-func getReader(src []byte) *bitio.Reader {
-	r := readerPool.Get().(*bitio.Reader)
-	r.Reset(src)
-	return r
-}
-
-func putReader(r *bitio.Reader) {
-	r.Reset(nil) // drop the src reference before pooling
-	readerPool.Put(r)
+// inflateStream runs one pooled pass over src: a full decode into opts.Dst,
+// or a skim that only measures. It returns the plaintext (nil on a skim),
+// its length and the whole bytes of src the stream occupied.
+func inflateStream(src []byte, opts InflateOptions, skim bool) (out []byte, n, consumed int, err error) {
+	in := inflaterPool.Get().(*inflater)
+	in.r.Reset(src)
+	in.out, in.n, in.skim = nil, 0, skim
+	if !skim {
+		in.out = opts.Dst[:cap(opts.Dst)]
+	}
+	if in.maxOut = opts.MaxOutput; in.maxOut <= 0 {
+		in.maxOut = defaultMaxOutput
+	}
+	for final := false; !final && err == nil; {
+		final, err = in.nextBlock()
+	}
+	if err == nil {
+		in.r.AlignByte()
+		n, consumed = in.n, in.r.BitsConsumed()/8
+		if !skim {
+			out = in.out[:n]
+		}
+	}
+	in.r.Reset(nil) // drop the src and output references before pooling
+	in.out = nil
+	inflaterPool.Put(in)
+	return out, n, consumed, err
 }
 
 // Decompress inflates a raw DEFLATE stream.
 func Decompress(src []byte, opts InflateOptions) ([]byte, error) {
-	r := getReader(src)
-	defer putReader(r)
-	out, err := inflate(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := DecompressTail(src, opts)
+	return out, err
 }
 
 // DecompressTail inflates a raw DEFLATE stream and also returns the number
 // of bytes of src consumed (the stream may be followed by a trailer).
 func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, err error) {
-	r := getReader(src)
-	defer putReader(r)
-	out, err = inflate(r, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	r.AlignByte()
-	return out, r.BitsConsumed() / 8, nil
-}
-
-func inflate(r *bitio.Reader, opts InflateOptions) ([]byte, error) {
 	inflatePasses.Add(1)
-	maxOut := opts.MaxOutput
-	if maxOut <= 0 {
-		maxOut = defaultMaxOutput
-	}
-	var out []byte
-	if opts.Dst != nil {
-		out = opts.Dst[:0]
-	}
-	for {
-		final, err := r.ReadBool()
-		if err != nil {
-			return nil, fmt.Errorf("%w: missing block header", ErrCorrupt)
-		}
-		btype, err := r.ReadBits(2)
-		if err != nil {
-			return nil, fmt.Errorf("%w: missing block type", ErrCorrupt)
-		}
-		switch btype {
-		case 0: // stored
-			r.AlignByte()
-			lenv, err := r.ReadBits(16)
-			if err != nil {
-				return nil, fmt.Errorf("%w: stored length", ErrCorrupt)
-			}
-			nlen, err := r.ReadBits(16)
-			if err != nil {
-				return nil, fmt.Errorf("%w: stored nlen", ErrCorrupt)
-			}
-			if uint16(lenv) != ^uint16(nlen) {
-				return nil, fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
-			}
-			if len(out)+int(lenv) > maxOut {
-				return nil, ErrTooLarge
-			}
-			// Grow out and read the payload straight into it — no staging
-			// buffer.
-			n := len(out)
-			for j := 0; j < int(lenv); j++ {
-				out = append(out, 0)
-			}
-			if err := r.ReadBytes(out[n:]); err != nil {
-				return nil, fmt.Errorf("%w: stored payload truncated", ErrCorrupt)
-			}
-		case 1: // fixed Huffman
-			fixedLL, fixedD, err := fixedDecoders()
-			if err != nil {
-				return nil, err
-			}
-			out, err = inflateBlock(r, out, maxOut, fixedLL, fixedD)
-			if err != nil {
-				return nil, err
-			}
-		case 2: // dynamic Huffman
-			ll, d, err := readDynamicHeader(r)
-			if err != nil {
-				return nil, err
-			}
-			out, err = inflateBlock(r, out, maxOut, ll, d)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: reserved block type 3", ErrCorrupt)
-		}
-		if final {
-			return out, nil
-		}
-	}
+	out, _, consumed, err = inflateStream(src, opts, false)
+	return out, consumed, err
 }
 
 // SkimTail walks a raw DEFLATE stream's block structure without
-// materializing output: it decodes symbols and tracks only the plaintext
-// length, returning that length and the bytes of src consumed. This is
-// the cheap boundary-finding pass parallel multi-member decoding uses —
-// it needs no 32 KiB window and writes no output bytes, so it costs a
-// fraction of a full inflate.
+// materializing output: the same decode loop with the stores left out,
+// tracking only the plaintext length, and returning that length and the
+// bytes of src consumed. This is the cheap boundary-finding pass parallel
+// multi-member decoding uses — it needs no 32 KiB window and writes no
+// output bytes, so it costs a fraction of a full inflate.
 func SkimTail(src []byte, opts InflateOptions) (outLen, consumed int, err error) {
-	r := getReader(src)
-	defer putReader(r)
-	outLen, err = skim(r, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	r.AlignByte()
-	return outLen, r.BitsConsumed() / 8, nil
-}
-
-func skim(r *bitio.Reader, opts InflateOptions) (int, error) {
 	skimPasses.Add(1)
-	maxOut := opts.MaxOutput
-	if maxOut <= 0 {
-		maxOut = defaultMaxOutput
-	}
-	outLen := 0
-	for {
-		final, err := r.ReadBool()
-		if err != nil {
-			return 0, fmt.Errorf("%w: missing block header", ErrCorrupt)
-		}
-		btype, err := r.ReadBits(2)
-		if err != nil {
-			return 0, fmt.Errorf("%w: missing block type", ErrCorrupt)
-		}
-		switch btype {
-		case 0: // stored
-			r.AlignByte()
-			lenv, err := r.ReadBits(16)
-			if err != nil {
-				return 0, fmt.Errorf("%w: stored length", ErrCorrupt)
-			}
-			nlen, err := r.ReadBits(16)
-			if err != nil {
-				return 0, fmt.Errorf("%w: stored nlen", ErrCorrupt)
-			}
-			if uint16(lenv) != ^uint16(nlen) {
-				return 0, fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
-			}
-			if outLen+int(lenv) > maxOut {
-				return 0, ErrTooLarge
-			}
-			buf := make([]byte, lenv)
-			if err := r.ReadBytes(buf); err != nil {
-				return 0, fmt.Errorf("%w: stored payload truncated", ErrCorrupt)
-			}
-			outLen += int(lenv)
-		case 1: // fixed Huffman
-			fixedLL, fixedD, err := fixedDecoders()
-			if err != nil {
-				return 0, err
-			}
-			outLen, err = skimBlock(r, outLen, maxOut, fixedLL, fixedD)
-			if err != nil {
-				return 0, err
-			}
-		case 2: // dynamic Huffman
-			ll, d, err := readDynamicHeader(r)
-			if err != nil {
-				return 0, err
-			}
-			outLen, err = skimBlock(r, outLen, maxOut, ll, d)
-			if err != nil {
-				return 0, err
-			}
-		default:
-			return 0, fmt.Errorf("%w: reserved block type 3", ErrCorrupt)
-		}
-		if final {
-			return outLen, nil
-		}
-	}
+	_, outLen, consumed, err = inflateStream(src, opts, true)
+	return outLen, consumed, err
 }
 
-// skimBlock decodes symbols until end-of-block, tracking length only.
-func skimBlock(r *bitio.Reader, outLen, maxOut int, ll, d *huffman.Decoder) (int, error) {
-	for {
-		sym, err := ll.Decode(r)
-		if err != nil {
-			return 0, fmt.Errorf("%w: litlen: %v", ErrCorrupt, err)
-		}
-		if sym < 256 {
-			if outLen+1 > maxOut {
-				return 0, ErrTooLarge
-			}
-			outLen++
-			continue
-		}
-		if sym == EndOfBlock {
-			return outLen, nil
-		}
-		base, nb, ok := LengthFromSymbol(sym)
-		if !ok {
-			return 0, fmt.Errorf("%w: length symbol %d", ErrCorrupt, sym)
-		}
-		length := base
-		if nb > 0 {
-			ex, err := r.ReadBits(uint(nb))
-			if err != nil {
-				return 0, fmt.Errorf("%w: length extra", ErrCorrupt)
-			}
-			length += int(ex)
-		}
-		dsym, err := d.Decode(r)
-		if err != nil {
-			return 0, fmt.Errorf("%w: dist: %v", ErrCorrupt, err)
-		}
-		dbase, dnb, ok := DistFromSymbol(dsym)
-		if !ok {
-			return 0, fmt.Errorf("%w: dist symbol %d", ErrCorrupt, dsym)
-		}
-		dist := dbase
-		if dnb > 0 {
-			ex, err := r.ReadBits(uint(dnb))
-			if err != nil {
-				return 0, fmt.Errorf("%w: dist extra", ErrCorrupt)
-			}
-			dist += int(ex)
-		}
-		if dist > outLen {
-			return 0, fmt.Errorf("%w: distance %d past start", ErrCorrupt, dist)
-		}
-		if outLen+length > maxOut {
-			return 0, ErrTooLarge
-		}
-		outLen += length
+// nextBlock decodes one block, header to end-of-block.
+func (in *inflater) nextBlock() (final bool, err error) {
+	hdr, err := in.r.ReadBits(3)
+	if err != nil {
+		return false, fmt.Errorf("%w: missing block header", ErrCorrupt)
 	}
+	switch hdr >> 1 {
+	case 0:
+		err = in.stored()
+	case 1:
+		err = in.block(&fixedLitLen, &fixedDist)
+	case 2:
+		if err = in.readDynamicHeader(&in.r); err == nil {
+			err = in.block(&in.litLen, &in.dist)
+		}
+	default:
+		err = errReservedType
+	}
+	return hdr&1 != 0, err
 }
 
-// readDynamicHeader parses HLIT/HDIST/HCLEN and the two code tables.
-func readDynamicHeader(r *bitio.Reader) (ll, d *huffman.Decoder, err error) {
-	hlit, err := r.ReadBits(5)
+// stored copies one stored block's payload straight from the input.
+func (in *inflater) stored() error {
+	in.r.AlignByte()
+	v, err := in.r.ReadBits(32)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: HLIT", ErrCorrupt)
+		return fmt.Errorf("%w: stored length", ErrCorrupt)
 	}
-	hdist, err := r.ReadBits(5)
+	if uint16(v) != ^uint16(v>>16) {
+		return errStoredLen
+	}
+	lenv := int(uint16(v))
+	if in.n+lenv > in.maxOut {
+		return ErrTooLarge
+	}
+	if in.skim {
+		err = in.r.SkipBits(uint(lenv) * 8)
+	} else {
+		in.grow(lenv)
+		err = in.r.ReadBytes(in.out[in.n : in.n+lenv])
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: HDIST", ErrCorrupt)
+		return fmt.Errorf("%w: stored payload truncated", ErrCorrupt)
 	}
-	hclen, err := r.ReadBits(4)
+	in.n += lenv
+	return nil
+}
+
+// grow makes sure k more bytes fit (the caller has checked them against
+// maxOut). A caller-supplied backing that is large enough is never left;
+// when it is not, the new one at least doubles, holds three times the input
+// still unread, and leaves the fast loop its margin — budget permitting.
+func (in *inflater) grow(k int) {
+	if in.n+k <= len(in.out) {
+		return
+	}
+	want := max(2*len(in.out), in.n+k+fastOutMargin, in.n+3*(in.r.BitsRemaining()/8))
+	buf := make([]byte, min(want, in.maxOut))
+	copy(buf, in.out[:in.n])
+	in.out = buf
+}
+
+// readDynamicHeader parses HLIT/HDIST/HCLEN and the two code tables into
+// in.litLen and in.dist.
+func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
+	v, err := r.ReadBits(14)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: HCLEN", ErrCorrupt)
+		return fmt.Errorf("%w: HLIT/HDIST/HCLEN", ErrCorrupt)
 	}
-	nlit := int(hlit) + 257
-	ndist := int(hdist) + 1
-	ncl := int(hclen) + 4
+	nlit, ndist, ncl := int(v&31)+257, int(v>>5&31)+1, int(v>>10)+4
 	if nlit > NumLitLen {
-		return nil, nil, fmt.Errorf("%w: HLIT %d too large", ErrCorrupt, nlit)
+		return fmt.Errorf("%w: HLIT %d too large", ErrCorrupt, nlit)
 	}
 	if ndist > NumDist {
-		return nil, nil, fmt.Errorf("%w: HDIST %d too large", ErrCorrupt, ndist)
+		return fmt.Errorf("%w: HDIST %d too large", ErrCorrupt, ndist)
 	}
-	clLengths := make([]uint8, NumCodeLength)
+	var clLengths [NumCodeLength]uint8
 	for i := 0; i < ncl; i++ {
 		v, err := r.ReadBits(3)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: CL lengths", ErrCorrupt)
+			return fmt.Errorf("%w: CL lengths", ErrCorrupt)
 		}
 		clLengths[clOrder[i]] = uint8(v)
 	}
-	clDec, err := huffman.NewDecoder(clLengths, 7)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: CL table: %v", ErrCorrupt, err)
+	if err := in.codeLen.Init(clLengths[:], maxCLCodeLen, nil); err != nil {
+		return fmt.Errorf("%w: CL table: %v", ErrCorrupt, err)
 	}
-	lengths := make([]uint8, nlit+ndist)
+	lengths := in.lengths[:nlit+ndist]
+	clear(lengths)
 	for i := 0; i < len(lengths); {
-		sym, err := clDec.Decode(r)
+		sym, err := in.codeLen.Decode(r)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: CL symbol: %v", ErrCorrupt, err)
+			return fmt.Errorf("%w: CL symbol: %v", ErrCorrupt, err)
 		}
-		switch {
-		case sym <= 15:
+		if sym <= 15 {
 			lengths[i] = uint8(sym)
 			i++
-		case sym == 16:
-			if i == 0 {
-				return nil, nil, fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
-			}
-			n, err := r.ReadBits(2)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: repeat extra", ErrCorrupt)
-			}
-			rep := int(n) + 3
-			if i+rep > len(lengths) {
-				return nil, nil, fmt.Errorf("%w: repeat overruns table", ErrCorrupt)
-			}
-			v := lengths[i-1]
-			for j := 0; j < rep; j++ {
-				lengths[i] = v
-				i++
-			}
-		case sym == 17:
-			n, err := r.ReadBits(3)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: zero-run extra", ErrCorrupt)
-			}
-			rep := int(n) + 3
-			if i+rep > len(lengths) {
-				return nil, nil, fmt.Errorf("%w: zero run overruns table", ErrCorrupt)
-			}
-			i += rep
-		case sym == 18:
-			n, err := r.ReadBits(7)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: zero-run extra", ErrCorrupt)
-			}
-			rep := int(n) + 11
-			if i+rep > len(lengths) {
-				return nil, nil, fmt.Errorf("%w: zero run overruns table", ErrCorrupt)
-			}
-			i += rep
-		default:
-			return nil, nil, fmt.Errorf("%w: CL symbol %d", ErrCorrupt, sym)
-		}
-	}
-	llLengths := lengths[:nlit]
-	dLengths := lengths[nlit:]
-	if llLengths[EndOfBlock] == 0 {
-		return nil, nil, fmt.Errorf("%w: no end-of-block code", ErrCorrupt)
-	}
-	ll, err = huffman.NewDecoder(llLengths, huffman.DefaultPrimaryBits)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: litlen table: %v", ErrCorrupt, err)
-	}
-	d, err = huffman.NewDecoder(dLengths, huffman.DefaultPrimaryBits)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: dist table: %v", ErrCorrupt, err)
-	}
-	return ll, d, nil
-}
-
-// inflateBlock decodes symbols until end-of-block.
-func inflateBlock(r *bitio.Reader, out []byte, maxOut int, ll, d *huffman.Decoder) ([]byte, error) {
-	for {
-		sym, err := ll.Decode(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: litlen: %v", ErrCorrupt, err)
-		}
-		if sym < 256 {
-			if len(out)+1 > maxOut {
-				return nil, ErrTooLarge
-			}
-			out = append(out, byte(sym))
 			continue
 		}
-		if sym == EndOfBlock {
-			return out, nil
-		}
-		base, nb, ok := LengthFromSymbol(sym)
-		if !ok {
-			return nil, fmt.Errorf("%w: length symbol %d", ErrCorrupt, sym)
-		}
-		length := base
-		if nb > 0 {
-			ex, err := r.ReadBits(uint(nb))
-			if err != nil {
-				return nil, fmt.Errorf("%w: length extra", ErrCorrupt)
+		// 16 repeats the previous length 3-6 times; 17 and 18 run 3-10 and
+		// 11-138 zeros.
+		nbits, base, fill := uint(2), 3, uint8(0)
+		switch sym {
+		case 16:
+			if i == 0 {
+				return fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
 			}
-			length += int(ex)
+			fill = lengths[i-1]
+		case 17:
+			nbits = 3
+		case 18:
+			nbits, base = 7, 11
 		}
-		dsym, err := d.Decode(r)
+		n, err := r.ReadBits(nbits)
 		if err != nil {
-			return nil, fmt.Errorf("%w: dist: %v", ErrCorrupt, err)
+			return fmt.Errorf("%w: repeat extra", ErrCorrupt)
 		}
-		dbase, dnb, ok := DistFromSymbol(dsym)
-		if !ok {
-			return nil, fmt.Errorf("%w: dist symbol %d", ErrCorrupt, dsym)
+		rep := base + int(n)
+		if i+rep > len(lengths) {
+			return fmt.Errorf("%w: repeat overruns table", ErrCorrupt)
 		}
-		dist := dbase
-		if dnb > 0 {
-			ex, err := r.ReadBits(uint(dnb))
-			if err != nil {
-				return nil, fmt.Errorf("%w: dist extra", ErrCorrupt)
-			}
-			dist += int(ex)
-		}
-		if dist > len(out) {
-			return nil, fmt.Errorf("%w: distance %d past start", ErrCorrupt, dist)
-		}
-		if len(out)+length > maxOut {
-			return nil, ErrTooLarge
-		}
-		start := len(out) - dist
-		for j := 0; j < length; j++ {
-			out = append(out, out[start+j])
+		for ; rep > 0; rep-- {
+			lengths[i] = fill
+			i++
 		}
 	}
+	if lengths[EndOfBlock] == 0 {
+		return fmt.Errorf("%w: no end-of-block code", ErrCorrupt)
+	}
+	if err := in.litLen.Init(lengths[:nlit], huffman.DefaultPrimaryBits, litLenValues[:]); err != nil {
+		return fmt.Errorf("%w: litlen table: %v", ErrCorrupt, err)
+	}
+	if err := in.dist.Init(lengths[nlit:], huffman.DefaultPrimaryBits, distValues[:]); err != nil {
+		return fmt.Errorf("%w: dist table: %v", ErrCorrupt, err)
+	}
+	return nil
+}
+
+// block decodes symbols up to and including end-of-block: the fast loop
+// while its margins hold, one careful symbol at a time where they do not
+// (the last bytes of input, the last of the capacity or the budget).
+func (in *inflater) block(litLen, dist *huffman.Decoder) error {
+	for {
+		limit := in.maxOut
+		if !in.skim && len(in.out) < limit {
+			limit = len(in.out)
+		}
+		// Two margins of unread bits: up to 63 of them are already in the
+		// Reader's accumulator, not ahead of its byte position.
+		if in.n+fastOutMargin <= limit && in.r.BitsRemaining() >= 2*8*fastInMargin {
+			if eob, err := in.fast(litLen, dist, limit-fastOutMargin); eob || err != nil {
+				return err
+			}
+		}
+		if eob, err := in.careful(litLen, dist); eob || err != nil {
+			return err
+		}
+	}
+}
+
+// widen[d] is the smallest multiple of d that is at least 8: a match at
+// distance d < 8 repeats with that period too, so once its first 8 bytes
+// are in place the rest can be copied in words from that far back.
+var widen = [8]int{0, 8, 8, 9, 8, 10, 12, 14}
+
+// fast decodes symbols while at least fastInMargin bytes of input are
+// unread and n is at most limit (fastOutMargin short of both the output
+// backing and maxOut), so that no symbol needs an end-of-input, capacity or
+// budget check of its own. The bit buffer lives in locals — bb holds nb
+// valid bits, the byte after them is data[pos] — and goes back to the
+// Reader on the way out.
+func (in *inflater) fast(litLen, dist *huffman.Decoder, limit int) (eob bool, err error) {
+	data, pos, bb, nb := in.r.State()
+	out, n, store := in.out, in.n, !in.skim
+	llTab, llBits := litLen.Table()
+	dTab, dBits := dist.Table()
+	llMask, dMask := uint64(1)<<llBits-1, uint64(1)<<dBits-1
+loop:
+	for pos+fastInMargin <= len(data) && n <= limit {
+		// Refill to 56..63 bits: bits above nb are the same bytes OR-ed in
+		// again, so only whole bytes are counted as taken.
+		bb |= binary.LittleEndian.Uint64(data[pos:]) << nb
+		pos += int(63-nb) >> 3
+		nb |= 56
+
+		e := llTab[bb&llMask]
+	dispatch:
+		if e.IsLiteral() {
+			// Up to three literals on one refill (3 x 15 <= 56 bits);
+			// whatever follows them gets a full buffer of its own.
+			for k := 0; ; k++ {
+				bb >>= e.Len()
+				nb -= e.Len()
+				if store {
+					out[n] = byte(e.Sym())
+				}
+				n++
+				if e = llTab[bb&llMask]; k == 2 || !e.IsLiteral() {
+					continue loop
+				}
+			}
+		}
+		if e.IsSpecial() {
+			switch {
+			case e.IsLink():
+				e = e.Sub(llTab, bb>>llBits)
+				goto dispatch
+			case e.Sym() == EndOfBlock:
+				bb >>= e.Len()
+				nb -= e.Len()
+				eob = true
+			default:
+				err = errLitLenCode
+			}
+			break loop
+		}
+		bb >>= e.Len()
+		length := e.Base() + int(bb&(1<<e.Extra()-1))
+		bb >>= e.Extra()
+		nb -= e.Len() + e.Extra()
+
+		de := dTab[bb&dMask]
+		if de.IsSpecial() {
+			if de.IsLink() {
+				de = de.Sub(dTab, bb>>dBits)
+			}
+			if de.IsSpecial() {
+				err = errDistCode
+				break loop
+			}
+		}
+		bb >>= de.Len()
+		d := de.Base() + int(bb&(1<<de.Extra()-1))
+		bb >>= de.Extra()
+		nb -= de.Len() + de.Extra()
+		if d > n {
+			err = errDistance
+			break loop
+		}
+		if store {
+			i, back := 0, d
+			if d < 8 {
+				// Spread the d-byte pattern over one word (shifts of 64 or
+				// more contribute nothing), then carry on from widen[d] back.
+				p := binary.LittleEndian.Uint64(out[n-d:]) & (1<<(8*uint(d)) - 1)
+				p |= p << (8 * uint(d))
+				p |= p << (16 * uint(d))
+				p |= p << (32 * uint(d))
+				binary.LittleEndian.PutUint64(out[n:], p)
+				i, back = 8, widen[d]
+			}
+			for ; i < length; i += 8 {
+				binary.LittleEndian.PutUint64(out[n+i:], binary.LittleEndian.Uint64(out[n+i-back:]))
+			}
+		}
+		n += length
+	}
+	in.r.SetState(pos, bb, nb)
+	in.n = n
+	return eob, err
+}
+
+// careful decodes one symbol with every check the fast loop's margins
+// stand in for: truncated input at each read, the budget and the capacity
+// before each store. The order of the checks is the error a caller sees.
+func (in *inflater) careful(litLen, dist *huffman.Decoder) (eob bool, err error) {
+	e, err := litLen.Lookup(&in.r)
+	if err != nil {
+		return false, errLitLenCode
+	}
+	length, d := 1, 0
+	if !e.IsLiteral() {
+		if e.IsSpecial() {
+			if e.Sym() == EndOfBlock {
+				return true, nil
+			}
+			return false, errLitLenCode
+		}
+		x, err := in.r.ReadBits(e.Extra())
+		if err != nil {
+			return false, fmt.Errorf("%w: length extra", ErrCorrupt)
+		}
+		length = e.Base() + int(x)
+		de, err := dist.Lookup(&in.r)
+		if err != nil || de.IsSpecial() {
+			return false, errDistCode
+		}
+		if x, err = in.r.ReadBits(de.Extra()); err != nil {
+			return false, fmt.Errorf("%w: dist extra", ErrCorrupt)
+		}
+		if d = de.Base() + int(x); d > in.n {
+			return false, errDistance
+		}
+	}
+	if in.n+length > in.maxOut {
+		return false, ErrTooLarge
+	}
+	if !in.skim {
+		in.grow(length)
+		out := in.out[in.n : in.n+length]
+		if d == 0 {
+			out[0] = byte(e.Sym())
+		} else {
+			for i, b := range in.out[in.n-d:][:length] { // byte order: the ranges may overlap
+				out[i] = b
+			}
+		}
+	}
+	in.n += length
+	return false, nil
 }

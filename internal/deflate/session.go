@@ -3,8 +3,6 @@ package deflate
 import (
 	"fmt"
 
-	"nxzip/internal/bitio"
-	"nxzip/internal/huffman"
 	"nxzip/internal/lz77"
 )
 
@@ -25,11 +23,11 @@ type Session struct {
 
 	in       []byte // accumulated unconsumed-by-commit input
 	bitsUsed int    // committed bit position within in
-	window   []byte // last 32 KiB of output
+	buf      []byte // decode scratch: the history window, then the block in flight
+	hist     int    // committed bytes of buf (at least the last 32 KiB of output)
 	produced int    // total bytes produced
 	done     bool
-	fixedLL  *huffman.Decoder
-	fixedD   *huffman.Decoder
+	dec      inflater // the session's own tables and bit reader
 }
 
 // NewSession creates an empty session.
@@ -56,18 +54,9 @@ func (s *Session) Feed(p []byte, final bool) ([]byte, error) {
 	}
 	s.in = append(s.in, p...)
 
-	maxOut := s.opts.MaxOutput
-	if maxOut <= 0 {
-		maxOut = defaultMaxOutput
-	}
-
 	var out []byte
 	for {
-		r := bitio.NewReader(s.in)
-		if err := r.SkipBits(uint(s.bitsUsed)); err != nil {
-			return out, fmt.Errorf("%w: lost position", ErrCorrupt)
-		}
-		chunk, finalBlock, err := s.tryBlock(r, final)
+		chunk, finalBlock, err := s.tryBlock(final)
 		if err == errNeedMore {
 			if final {
 				return out, fmt.Errorf("%w: truncated stream", ErrCorrupt)
@@ -79,13 +68,10 @@ func (s *Session) Feed(p []byte, final bool) ([]byte, error) {
 			return out, err
 		}
 		// Commit.
-		if s.produced+len(chunk) > maxOut {
-			return out, ErrTooLarge
-		}
 		s.produced += len(chunk)
+		s.hist += len(chunk)
 		out = append(out, chunk...)
-		s.appendWindow(chunk)
-		s.bitsUsed = r.BitsConsumed()
+		s.bitsUsed = s.bitsUsed/8*8 + s.dec.r.BitsConsumed()
 		if finalBlock {
 			s.done = true
 			s.compact()
@@ -97,98 +83,40 @@ func (s *Session) Feed(p []byte, final bool) ([]byte, error) {
 // errNeedMore is an internal signal: the block could not be committed yet.
 var errNeedMore = fmt.Errorf("deflate: need more input")
 
-// tryBlock decodes one block starting at r's position, using the session
-// window for back-references. It does not mutate session state.
-func (s *Session) tryBlock(r *bitio.Reader, final bool) (chunk []byte, finalBlock bool, err error) {
-	finalBit, err := r.ReadBool()
-	if err != nil {
+// tryBlock decodes the block at the committed position into the scratch
+// behind the history window, so distances resolve without copying the
+// window. It does not move the committed state.
+func (s *Session) tryBlock(final bool) (chunk []byte, finalBlock bool, err error) {
+	d := &s.dec
+	d.r.Reset(s.in[s.bitsUsed/8:])
+	if d.r.SkipBits(uint(s.bitsUsed%8)) != nil {
 		return nil, false, errNeedMore
 	}
-	btype, err := r.ReadBits(2)
-	if err != nil {
-		return nil, false, errNeedMore
+	if s.hist >= 2*lz77.WindowSize { // slide: keep one window of history
+		s.hist = copy(s.buf, s.buf[s.hist-lz77.WindowSize:s.hist])
 	}
-
-	// Decode into a buffer seeded with the window so distances resolve;
-	// strip the window prefix afterwards.
-	base := len(s.window)
-	buf := append([]byte{}, s.window...)
-
-	switch btype {
-	case 0:
-		r.AlignByte()
-		lenv, err := r.ReadBits(16)
-		if err != nil {
-			return nil, false, errNeedMore
-		}
-		nlen, err := r.ReadBits(16)
-		if err != nil {
-			return nil, false, errNeedMore
-		}
-		if uint16(lenv) != ^uint16(nlen) {
-			return nil, false, fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
-		}
-		payload := make([]byte, lenv)
-		if err := r.ReadBytes(payload); err != nil {
-			return nil, false, errNeedMore
-		}
-		buf = append(buf, payload...)
-	case 1:
-		if s.fixedLL == nil {
-			s.fixedLL, err = huffman.NewDecoder(FixedLitLenLengths(), huffman.DefaultPrimaryBits)
-			if err != nil {
-				return nil, false, err
-			}
-			s.fixedD, err = huffman.NewDecoder(FixedDistLengths(), huffman.DefaultPrimaryBits)
-			if err != nil {
-				return nil, false, err
-			}
-		}
-		buf, err = inflateBlock(r, buf, 1<<62, s.fixedLL, s.fixedD)
-		if err != nil {
-			return nil, false, classify(err, r, final)
-		}
-	case 2:
-		ll, d, err := readDynamicHeader(r)
-		if err != nil {
-			return nil, false, classify(err, r, final)
-		}
-		buf, err = inflateBlock(r, buf, 1<<62, ll, d)
-		if err != nil {
-			return nil, false, classify(err, r, final)
-		}
+	budget := s.opts.MaxOutput
+	if budget <= 0 {
+		budget = defaultMaxOutput
+	}
+	d.out, d.n, d.maxOut = s.buf[:cap(s.buf)], s.hist, s.hist+budget-s.produced
+	finalBlock, err = d.nextBlock()
+	s.buf = d.out // the decode may have grown it
+	switch {
+	case err == nil:
+	case final, err == ErrTooLarge, err == errStoredLen, err == errReservedType:
+		return nil, false, err
 	default:
-		return nil, false, fmt.Errorf("%w: reserved block type 3", ErrCorrupt)
+		// Could be a genuine corruption, but with more input pending we
+		// cannot tell it from truncation; retry after the next Feed.
+		return nil, false, errNeedMore
 	}
-
 	// Safety margin: without end-of-input knowledge, only commit when the
 	// decode provably never consumed zero-padding.
-	if !final && r.BitsRemaining() < 64 {
+	if !final && d.r.BitsRemaining() < 64 {
 		return nil, false, errNeedMore
 	}
-	return buf[base:], finalBit, nil
-}
-
-// classify turns a decode error into errNeedMore when it may have been
-// caused by truncation rather than corruption.
-func classify(err error, r *bitio.Reader, final bool) error {
-	if final && r.BitsRemaining() >= 64 {
-		return err
-	}
-	if !final {
-		// Could be a genuine corruption, but with more input pending we
-		// cannot distinguish; retry after the next Feed.
-		return errNeedMore
-	}
-	return err
-}
-
-// appendWindow maintains the 32 KiB history.
-func (s *Session) appendWindow(chunk []byte) {
-	s.window = append(s.window, chunk...)
-	if len(s.window) > lz77.WindowSize {
-		s.window = s.window[len(s.window)-lz77.WindowSize:]
-	}
+	return d.out[s.hist:d.n], finalBlock, nil
 }
 
 // compact drops committed whole bytes from the input buffer.

@@ -178,6 +178,31 @@ func TestSessionProducedCount(t *testing.T) {
 	}
 }
 
+// A feed's cost must not grow with the number of blocks it holds: the
+// reader starts at the committed byte (not at byte 0, skipping forward),
+// and blocks decode behind the window in the session's scratch (no
+// per-block window copy, no per-block tables).
+func TestSessionFeedAllocsIndependentOfBlockCount(t *testing.T) {
+	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog; "), 12000)
+	allocs := func(blockSize int) float64 {
+		comp, err := Compress(src, Options{Mode: ModeDynamic, BlockSize: blockSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			s := NewSession(InflateOptions{})
+			out, err := s.Feed(comp, true)
+			if err != nil || !bytes.Equal(out, src) {
+				t.Fatalf("feed: %d bytes, %v", len(out), err)
+			}
+		})
+	}
+	few, many := allocs(256<<10), allocs(2<<10) // ~3 blocks vs ~270
+	if many > few+40 {
+		t.Fatalf("%v allocs over ~270 blocks vs %v over ~3: per-block allocation is back", many, few)
+	}
+}
+
 func BenchmarkSessionFeed(b *testing.B) {
 	src := corpusInputs(b)["text"]
 	comp, _ := Compress(src, Options{BlockSize: 16 << 10})

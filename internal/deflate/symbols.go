@@ -5,7 +5,10 @@
 // software baseline and the accelerator model.
 package deflate
 
-import "nxzip/internal/lz77"
+import (
+	"nxzip/internal/huffman"
+	"nxzip/internal/lz77"
+)
 
 // Alphabet sizes (RFC 1951 §3.2.5/3.2.7).
 const (
@@ -121,6 +124,26 @@ func DistFromSymbol(sym int) (base int, nbits uint8, ok bool) {
 	}
 	return int(distBase[sym]), distExtra[sym], true
 }
+
+// litLenValues and distValues are what the decode tables carry per symbol
+// beside its code: a length or distance symbol's base and extra-bit count,
+// huffman.Special for end-of-block and the reserved symbols a fixed code
+// can spell (286, 287, 30, 31). A literal needs nothing but its symbol.
+var litLenValues, distValues = func() (ll [288]huffman.Entry, d [32]huffman.Entry) {
+	for sym := EndOfBlock; sym < len(ll); sym++ {
+		ll[sym] = huffman.Special
+		if base, nb, ok := LengthFromSymbol(sym); ok {
+			ll[sym] = huffman.Value(base, nb)
+		}
+	}
+	for sym := range d {
+		d[sym] = huffman.Special
+		if base, nb, ok := DistFromSymbol(sym); ok {
+			d[sym] = huffman.Value(base, nb)
+		}
+	}
+	return
+}()
 
 // FixedLitLenLengths returns the static-Huffman literal/length code lengths
 // (RFC 1951 §3.2.6). 288 entries: symbols 286/287 participate in code

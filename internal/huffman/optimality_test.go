@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"nxzip/internal/bitio"
 )
 
 // weightedLength computes sum(freq_i * len_i).
@@ -216,35 +218,16 @@ func TestDecoderEncoderTableAgreement(t *testing.T) {
 		for k := 0; k < 16; k++ {
 			sym := rng.Intn(n)
 			c := enc.Codes[sym]
-			src := &singleCode{v: uint64(c.Bits), n: uint(c.Len)}
-			got, err := dec.Decode(src)
+			w := bitio.NewWriter(nil)
+			w.WriteBits(uint64(c.Bits), uint(c.Len))
+			r := bitio.NewReader(w.Bytes())
+			got, err := dec.Decode(r)
 			if err != nil {
 				t.Fatalf("decode sym %d: %v", sym, err)
 			}
-			if got != sym {
-				t.Fatalf("decode got %d want %d", got, sym)
+			if got != sym || r.BitsConsumed() != int(c.Len) {
+				t.Fatalf("decode got %d (%d bits) want %d (%d bits)", got, r.BitsConsumed(), sym, c.Len)
 			}
 		}
 	}
-}
-
-// singleCode is a BitSource yielding one code then zeros.
-type singleCode struct {
-	v    uint64
-	n    uint
-	used uint
-}
-
-func (s *singleCode) PeekBits(n uint) (uint64, uint) {
-	rem := s.n - s.used
-	v := s.v >> s.used
-	if n < rem {
-		return v & ((1 << n) - 1), n
-	}
-	return v, rem
-}
-
-func (s *singleCode) SkipBits(n uint) error {
-	s.used += n
-	return nil
 }

@@ -416,6 +416,9 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 		out      []byte
 		err      error
 		consumed = len(crb.Input)
+		// A framing helper verifies its trailer checksum over the plaintext
+		// and hands it back; only the other one is left to compute below.
+		crc, adler uint32
 	)
 	// The decoder stops as soon as output exceeds what the target buffer
 	// can hold (or the caller's explicit budget, whichever is smaller):
@@ -430,11 +433,11 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 	opts := deflate.InflateOptions{MaxOutput: limit, Dst: crb.Target}
 	switch {
 	case crb.Wrap == WrapGzip && crb.FirstMemberOnly:
-		out, consumed, err = deflate.DecompressGzipTail(crb.Input, opts)
+		out, consumed, crc, err = deflate.DecompressGzipTail(crb.Input, opts)
 	case crb.Wrap == WrapGzip:
-		out, err = deflate.DecompressGzip(crb.Input, opts)
+		out, crc, err = deflate.DecompressGzip(crb.Input, opts)
 	case crb.Wrap == WrapZlib:
-		out, err = deflate.DecompressZlib(crb.Input, opts)
+		out, adler, err = deflate.DecompressZlib(crb.Input, opts)
 	default:
 		out, err = deflate.Decompress(crb.Input, opts)
 	}
@@ -461,8 +464,13 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 	csb.Output = out
 	csb.SPBC = consumed
 	csb.TPBC = len(out)
-	csb.CRC32 = checksum.Sum32(out)
-	csb.Adler32 = checksum.SumAdler32(out)
+	if crb.Wrap != WrapGzip {
+		crc = checksum.Sum32(out)
+	}
+	if crb.Wrap != WrapZlib {
+		adler = checksum.SumAdler32(out)
+	}
+	csb.CRC32, csb.Adler32 = crc, adler
 	csb.Cycles = e.cfg.Pipeline.Decompress(consumed, len(out), translateCycles)
 }
 
@@ -546,9 +554,9 @@ func (e *Engine) transcode(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int
 		opts := deflate.InflateOptions{MaxOutput: limit}
 		switch crb.Wrap {
 		case WrapGzip:
-			plain, err = deflate.DecompressGzip(crb.Input, opts)
+			plain, _, err = deflate.DecompressGzip(crb.Input, opts)
 		case WrapZlib:
-			plain, err = deflate.DecompressZlib(crb.Input, opts)
+			plain, _, err = deflate.DecompressZlib(crb.Input, opts)
 		default:
 			plain, err = deflate.Decompress(crb.Input, opts)
 		}

@@ -452,7 +452,8 @@ func SoftwareGzip(src []byte, level int) ([]byte, error) {
 
 // SoftwareGunzip inflates a gzip stream in software.
 func SoftwareGunzip(src []byte) ([]byte, error) {
-	return deflate.DecompressGzip(src, deflate.InflateOptions{})
+	out, _, err := deflate.DecompressGzip(src, deflate.InflateOptions{})
+	return out, err
 }
 
 // GunzipMulti inflates a possibly multi-member gzip stream (what the
