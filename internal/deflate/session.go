@@ -32,6 +32,9 @@ type Session struct {
 
 // NewSession creates an empty session.
 func NewSession(opts InflateOptions) *Session {
+	if opts.MaxOutput <= 0 {
+		opts.MaxOutput = defaultMaxOutput
+	}
 	return &Session{opts: opts}
 }
 
@@ -95,11 +98,7 @@ func (s *Session) tryBlock(final bool) (chunk []byte, finalBlock bool, err error
 	if s.hist >= 2*lz77.WindowSize { // slide: keep one window of history
 		s.hist = copy(s.buf, s.buf[s.hist-lz77.WindowSize:s.hist])
 	}
-	budget := s.opts.MaxOutput
-	if budget <= 0 {
-		budget = defaultMaxOutput
-	}
-	d.out, d.n, d.maxOut = s.buf[:cap(s.buf)], s.hist, s.hist+budget-s.produced
+	d.out, d.n, d.maxOut = s.buf[:cap(s.buf)], s.hist, s.hist+s.opts.MaxOutput-s.produced
 	finalBlock, err = d.nextBlock()
 	s.buf = d.out // the decode may have grown it
 	switch {

@@ -162,7 +162,7 @@ func (d *Decoder) Init(lengths []uint8, primaryBits uint, values []Entry) error 
 			}
 			prefix := bits.Reverse16(uint16(first[l])) >> (16 - l) & uint16(primary-1)
 			first[l]++
-			if width := Entry(uint(l) - primaryBits); d.table[prefix] == invalid || d.table[prefix]&15 < width {
+			if width := Entry(uint(l) - primaryBits); d.table[prefix]&15 < width { // invalid has width 0
 				d.table[prefix] = link | width
 			}
 		}
