@@ -183,6 +183,9 @@ func TestSessionProducedCount(t *testing.T) {
 // and blocks decode behind the window in the session's scratch (no
 // per-block window copy, no per-block tables).
 func TestSessionFeedAllocsIndependentOfBlockCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog; "), 12000)
 	allocs := func(blockSize int) float64 {
 		comp, err := Compress(src, Options{Mode: ModeDynamic, BlockSize: blockSize})
