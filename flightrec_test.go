@@ -14,6 +14,7 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/telemetry"
+	"nxzip/internal/testutil"
 )
 
 // TestFlightRecorderAllocFree is the PR's zero-overhead gate: with the
@@ -23,7 +24,7 @@ import (
 // performs ZERO heap allocations per request. Runs in `make bench-alloc`
 // next to the detached gate (TestIntoPathAllocFree).
 func TestFlightRecorderAllocFree(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
 	}
 	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})

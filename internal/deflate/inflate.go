@@ -52,8 +52,10 @@ type InflateOptions struct {
 	// Dst, when non-nil, supplies the output backing: decompression
 	// appends to Dst[:0], reusing its capacity — the software analogue of
 	// the accelerator DMA-ing output into the caller's target DDE. The
-	// caller must not alias Dst with the compressed source. Capacity past
-	// the returned length is scratch: the decoder copies in 8-byte words.
+	// caller must not alias Dst with the compressed source. The decoder
+	// copies matches in 8-byte words, so up to 7 bytes of capacity past the
+	// returned length are scratch; nothing past cap(Dst) or MaxOutput is
+	// ever written — fence a window of a shared buffer with either.
 	Dst []byte
 }
 
@@ -199,13 +201,15 @@ func (in *inflater) stored() error {
 
 // grow makes sure k more bytes fit (the caller has checked them against
 // maxOut). A caller-supplied backing that is large enough is never left;
-// when it is not, the new one at least doubles, holds three times the input
-// still unread, and leaves the fast loop its margin — budget permitting.
+// when it is not, the new one doubles and leaves the fast loop its margin —
+// budget permitting. The size follows the output only, never the unread
+// input (which, for a first member, is the rest of a multi-member stream):
+// a pass allocates and clears O(its own output) bytes, whatever follows it.
 func (in *inflater) grow(k int) {
 	if in.n+k <= len(in.out) {
 		return
 	}
-	want := max(2*len(in.out), in.n+k+fastOutMargin, in.n+3*(in.r.BitsRemaining()/8))
+	want := max(2*len(in.out), in.n+k+fastOutMargin)
 	buf := make([]byte, min(want, in.maxOut))
 	copy(buf, in.out[:in.n])
 	in.out = buf

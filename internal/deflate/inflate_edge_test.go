@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nxzip/internal/bitio"
 	"nxzip/internal/corpus"
 	"nxzip/internal/huffman"
 	"nxzip/internal/lz77"
+	"nxzip/internal/testutil"
 )
 
 // The boundary between the fast loop and the careful one, from both sides:
@@ -171,8 +173,34 @@ func TestFirstMemberConsumedIsExact(t *testing.T) {
 	}
 }
 
+func TestManySmallMembersAllocateInProportionToTheirOutput(t *testing.T) {
+	// A first-member decode with no Dst sees the rest of the stream as unread
+	// input. Its buffer must follow its own output, or M small members cost
+	// O(M * stream) bytes allocated and cleared — the bomb MaxOutput rules out.
+	plain := []byte("one small member's worth of payload\n")
+	member, err := CompressGzip(plain, Options{Mode: ModeFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const members = 4000
+	stream := bytes.Repeat(member, members)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := DecompressGzipMulti(stream, InflateOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(out, bytes.Repeat(plain, members)) {
+		t.Fatalf("err %v, %d bytes", err, len(out))
+	}
+	// One margin-sized buffer a member plus the appends that join them; sizing
+	// by the unread input would come to 3 * len(stream) * members / 2.
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(members*1024+8*len(out)); got > bound {
+		t.Errorf("%d members, %d bytes of stream, %d of output: %d bytes allocated, want at most %d",
+			members, len(stream), len(out), got, bound)
+	}
+}
+
 func TestDecodeAllocsNothingInSteadyState(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	plain := corpus.Generate(corpus.Text, 256<<10, 9)

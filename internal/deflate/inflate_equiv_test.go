@@ -28,7 +28,8 @@ func errClass(err error) string {
 // refInflate under the same options and requires equal bytes, equal
 // consumed input and an equal error class. dstCap < 0 leaves Dst nil;
 // otherwise Dst is an empty slice of that capacity inside a larger guard
-// buffer whose bytes past the capacity must come back untouched.
+// buffer whose bytes past the capacity must come back untouched, as must
+// those inside it from 7 past the returned length on (the Dst scratch rule).
 func checkEqualsReference(t testing.TB, name string, src []byte, maxOut, dstCap int) {
 	t.Helper()
 	want, wantUsed, wantErr := refDecompressTail(src, InflateOptions{MaxOutput: maxOut})
@@ -57,6 +58,11 @@ func checkEqualsReference(t testing.TB, name string, src []byte, maxOut, dstCap 
 		}
 		if gotErr == nil && len(want) > 0 && len(want) <= dstCap && &got[0] != &guard[0] {
 			t.Fatalf("%s: output fits Dst but was not decoded into it", name)
+		}
+		for i := len(got) + 7; gotErr == nil && i < dstCap; i++ {
+			if guard[i] != 0xA5 {
+				t.Fatalf("%s: wrote %d bytes past the returned length", name, i+1-len(got))
+			}
 		}
 	}
 	// Decompress and SkimTail sit on the same core: same verdict, same length.

@@ -5,6 +5,8 @@ import (
 	"compress/flate"
 	"math/rand"
 	"testing"
+
+	"nxzip/internal/testutil"
 )
 
 // feedInPieces drives a Session with chunkSizes-byte pieces of comp.
@@ -183,7 +185,7 @@ func TestSessionProducedCount(t *testing.T) {
 // and blocks decode behind the window in the session's scratch (no
 // per-block window copy, no per-block tables).
 func TestSessionFeedAllocsIndependentOfBlockCount(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog; "), 12000)

@@ -255,6 +255,10 @@ type CRB struct {
 	// buffer: supplying it makes the request path allocation-free.
 	// Callers reusing Target across requests must copy CSB.Output out
 	// before the next submission, and Target must not alias Input.
+	// Like a DDE, the whole buffer is the engine's for the request:
+	// decompression stores 8-byte words, so up to 7 bytes past TPBC may
+	// be overwritten — never past cap(Target) nor past TargetCap. Fence
+	// a window of a shared buffer with TargetCap or a three-index slice.
 	// Nil keeps the engine-allocates behaviour.
 	Target []byte
 

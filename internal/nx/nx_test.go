@@ -182,6 +182,29 @@ func TestTargetSpaceExhausted(t *testing.T) {
 	}
 }
 
+// TestDecompressStaysInsideTheTargetDDE: the decoder's word stores may run
+// a few bytes past its output, but not past TargetCap into the rest of the
+// backing the caller lent (the DDE's byte count is the decode budget, and
+// the word stores stop a margin short of the budget).
+func TestDecompressStaysInsideTheTargetDDE(t *testing.T) {
+	ctx := newP9Context(t)
+	src := corpus.Generate(corpus.Text, 50<<10, 6)
+	csb, _, err := ctx.Submit(&CRB{Func: FCCompressDHT, Wrap: WrapGzip, Input: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tcap := len(src); tcap < len(src)+8; tcap++ {
+		big := bytes.Repeat([]byte{0xA5}, len(src)+4096)
+		back, _, err := ctx.Submit(&CRB{Func: FCDecompress, Wrap: WrapGzip, Input: csb.Output, TargetCap: tcap, Target: big[:0]})
+		if err != nil || back.CC != CCSuccess || !bytes.Equal(back.Output, src) || &back.Output[0] != &big[0] {
+			t.Fatalf("TargetCap %d: cc=%v err=%v, %d bytes", tcap, back.CC, err, len(back.Output))
+		}
+		if !bytes.Equal(big[tcap:], bytes.Repeat([]byte{0xA5}, len(big)-tcap)) {
+			t.Fatalf("TargetCap %d: bytes past the DDE overwritten", tcap)
+		}
+	}
+}
+
 func TestChecksumsInCSB(t *testing.T) {
 	ctx := newP9Context(t)
 	src := corpus.Generate(corpus.Text, 50<<10, 6)

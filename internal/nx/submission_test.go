@@ -9,6 +9,7 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/telemetry"
+	"nxzip/internal/testutil"
 )
 
 // subResult is one request's outcome, whichever entry point carried it.
@@ -429,7 +430,7 @@ func TestSubmissionConcurrentPaths(t *testing.T) {
 // caller-owned CRB, CSB, Report and target buffer and no tracer, a
 // steady-state SubmitInto allocates nothing.
 func TestSubmitIntoAllocFree(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
 	}
 	dev := NewDevice(P9Device())

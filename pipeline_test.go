@@ -19,6 +19,7 @@ import (
 	"nxzip/internal/lz4"
 	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
+	"nxzip/internal/testutil"
 )
 
 // tenantLatencyCount sums the observations of a tenant's latency family
@@ -399,7 +400,7 @@ func TestLifecycleConformance(t *testing.T) {
 // *Metrics and nothing else; the block codecs no longer mint a CRB, a
 // CSB and a Report per request on top of the engine's own output.
 func TestOneShotAllocBound(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
 	}
 	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})

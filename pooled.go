@@ -37,7 +37,11 @@ func (a *Accelerator) CompressZlibInto(dst, src []byte, m *Metrics) ([]byte, err
 // dst[:0] with the same append semantics as CompressGzipInto. The
 // output bound is the larger of the DecompressGzip heuristic and
 // cap(dst); pass an adequately sized dst both for the bound you want
-// and for the zero-allocation steady state.
+// and for the zero-allocation steady state. All of cap(dst) belongs to
+// the call: the decoder stores 8-byte words, so up to 7 bytes past the
+// returned length may be overwritten (never anything past cap(dst)).
+// To decode into a window of a shared buffer, fence it with a
+// three-index slice: big[off:off:end].
 func (a *Accelerator) DecompressGzipInto(dst, src []byte, m *Metrics) ([]byte, error) {
 	return a.decompressInto(FormatGzip, dst, src, m)
 }

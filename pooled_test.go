@@ -6,6 +6,7 @@ import (
 
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
+	"nxzip/internal/testutil"
 )
 
 // TestCompressGzipIntoRoundtrip covers the caller-owned-buffer contract:
@@ -71,6 +72,33 @@ func TestCompressGzipIntoRoundtrip(t *testing.T) {
 	}
 }
 
+// TestDecompressIntoStaysInsideItsWindow pins the dst scratch rule: the
+// decoder may overwrite up to 7 bytes past the returned length, and nothing
+// outside a three-index window of a shared buffer.
+func TestDecompressIntoStaysInsideItsWindow(t *testing.T) {
+	acc := Open(Config{Device: P9().Device})
+	defer acc.Close()
+	for _, kind := range []corpus.Kind{corpus.Text, corpus.JSONLogs, corpus.Zeros} {
+		src := corpus.Generate(kind, 24<<10, 5)
+		gz, _, err := acc.CompressGzip(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const off, room = 512, 4096
+		big := bytes.Repeat([]byte{0xA5}, off+len(src)+room+512)
+		end := off + len(src) + room
+		back, err := acc.DecompressGzipInto(big[off:off:end], gz, nil)
+		if err != nil || !bytes.Equal(back, src) || &back[0] != &big[off] {
+			t.Fatalf("%v: err %v, %d bytes, in place %v", kind, err, len(back), &back[0] == &big[off])
+		}
+		for i, b := range big {
+			if (i < off || i >= off+len(src)+7) && b != 0xA5 {
+				t.Fatalf("%v: byte %d overwritten (window %d..%d, output ends at %d)", kind, i, off, end, off+len(src))
+			}
+		}
+	}
+}
+
 func TestCompressZlibIntoRoundtrip(t *testing.T) {
 	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})
 	defer acc.Close()
@@ -91,7 +119,7 @@ func TestCompressZlibIntoRoundtrip(t *testing.T) {
 // sample (which allocates by design, like the silicon building its
 // tables on-chip).
 func TestIntoPathAllocFree(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
 	}
 	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})
