@@ -23,7 +23,9 @@ import (
 // raw, gzip-framed (whole and first-member-only with a second member
 // behind it) and zlib-framed, pinning what the decompressor reports: SPBC,
 // TPBC, both checksums and the cycles, which depend only on the bytes
-// consumed and produced. Regenerate with
+// consumed and produced. After those, per device and corpus kind at 64 KiB:
+// canned-DHT compression, the lz4 and 842 block codecs and transcode
+// (codecGoldenEntries). Regenerate with
 //
 //	go test ./internal/nx -run TestModelGolden -update
 //
@@ -84,6 +86,72 @@ func modelGoldenEntries(t *testing.T) []goldenEntry {
 					}
 				}
 			}
+		}
+		out = append(out, codecGoldenEntries(t, ctx, mc.name)...)
+	}
+	return out
+}
+
+// goldenCannedDHT is a caller-supplied table as the NX library ships them:
+// built once from a text sample, every symbol floored at one so it covers
+// any input.
+func goldenCannedDHT(t *testing.T) *deflate.DHT {
+	t.Helper()
+	tokens, _ := lz77.NewHWMatcher(lz77.P9HWParams()).Tokenize(nil, corpus.Generate(corpus.Text, 64<<10, goldenSeed+1))
+	lf, df := deflate.CountFrequencies(tokens)
+	for i := range lf {
+		lf[i]++
+	}
+	for i := range df {
+		df[i]++
+	}
+	dht, err := deflate.BuildDHT(lf, df)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dht
+}
+
+// codecGoldenEntries pins the function codes the rows above do not reach:
+// canned-DHT compression (gzip- and zlib-framed, so the compress side's
+// CRC-32 and Adler-32 are in the file too), the lz4 and 842 block codecs in
+// both directions, and transcode in both directions.
+func codecGoldenEntries(t *testing.T, ctx *Context, dev string) []goldenEntry {
+	t.Helper()
+	canned := goldenCannedDHT(t)
+	var out []goldenEntry
+	run := func(name string, crb *CRB) *CSB {
+		csb, rep, err := ctx.Submit(crb)
+		if err != nil || csb.CC != CCSuccess {
+			t.Fatalf("%s: err=%v CC=%s %s", name, err, csb.CC, csb.Detail)
+		}
+		sum := sha256.Sum256(csb.Output)
+		out = append(out, goldenEntry{
+			Name:         name,
+			SHA256:       hex.EncodeToString(sum[:]),
+			DeviceCycles: rep.TotalCycles,
+			LZ:           csb.LZ,
+			SPBC:         csb.SPBC,
+			TPBC:         csb.TPBC,
+			CRC32:        csb.CRC32,
+			Adler32:      csb.Adler32,
+		})
+		return csb
+	}
+	for _, kind := range corpus.Kinds() {
+		plain := corpus.Generate(kind, 64<<10, goldenSeed)
+		name := fmt.Sprintf("%s/%s/%d/", dev, kind, len(plain))
+		gz := run(name+"compress-canned-dht/gzip", &CRB{Func: FCCompressCannedDHT, Wrap: WrapGzip, Input: plain, DHT: canned}).Output
+		run(name+"compress-canned-dht/zlib/hist=true", &CRB{Func: FCCompressCannedDHT, Wrap: WrapZlib, Input: plain[goldenHistory:], History: plain[:goldenHistory], DHT: canned})
+		for _, bc := range []struct {
+			tag           string
+			codec         Codec
+			compress, dec FuncCode
+		}{{"lz4", CodecLZ4, FCLZ4Compress, FCLZ4Decompress}, {"842", Codec842, FC842Compress, FC842Decompress}} {
+			blk := run(name+bc.tag+"-compress", &CRB{Func: bc.compress, Input: plain}).Output
+			run(name+bc.tag+"-decompress", &CRB{Func: bc.dec, Input: blk, TargetCap: len(plain)})
+			run(name+"transcode-gzip-to-"+bc.tag, &CRB{Func: FCTranscode, Wrap: WrapGzip, SourceCodec: CodecDeflate, TargetCodec: bc.codec, Input: gz, TargetCap: 2 * len(plain)})
+			run(name+"transcode-"+bc.tag+"-to-zlib", &CRB{Func: FCTranscode, Wrap: WrapZlib, SourceCodec: bc.codec, TargetCodec: CodecDeflate, Input: blk, TargetCap: 2 * len(plain)})
 		}
 	}
 	return out
