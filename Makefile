@@ -48,6 +48,9 @@ bench:
 ## the conformance table that holds every nx entry point to one protocol;
 ## and the inflate core its own below that: dynamic blocks into a roomy
 ## Dst, and a skim, at 0 allocations (tables live in the pooled inflater).
+## TestIntoPathAllocFree and TestSubmitIntoAllocFree each run twice, fixed
+## table and engine-generated DHT: counting, the Huffman build, the header
+## plan and the codes all live in the engine's encoder scratch.
 bench-alloc:
 	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
@@ -78,13 +81,16 @@ bench-json:
 ## (WriteProm output with adversarial tenant labels must always
 ## ParseProm back) — plus the differential target that holds the
 ## host-fast lz77.HWMatcher to its reference implementation (equal
-## tokens and equal HWStats, i.e. the model clock does not move), and the
+## tokens and equal HWStats, i.e. the model clock does not move), the
 ## three DEFLATE decode targets: the inflate core against its reference
 ## (equal bytes, consumed input and error class), lossless re-encoding of
-## whatever decodes, and Session against the one-shot decode. Finds
-## panics/OOMs in the bounds-checked decode loops and parser edge cases;
-## go test -fuzz accepts one fuzz target per invocation, hence one run
-## each.
+## whatever decodes, and Session against the one-shot decode — and, tenth,
+## the encoder against its reference (table construction, header, emit
+## loop and bit writer: equal bytes and equal error for every block mode,
+## table source and shape of dst; the compressed bytes are the model's
+## TPBC and ratio). Finds panics/OOMs in the bounds-checked decode loops
+## and parser edge cases; go test -fuzz accepts one fuzz target per
+## invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -95,13 +101,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInflateEqualsReference -fuzztime 30s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz 'FuzzDecompress$$' -fuzztime 30s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz FuzzSessionEqualsOneShot -fuzztime 30s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz FuzzEncodeEqualsReference -fuzztime 30s ./internal/deflate
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — bench/'s bulk_oneshot workload untraced (the nine
 ## end-to-end metrics; compress_mbps and decompress_mbps are the
-## headlines) and traced (the per-layer ledger; lz77.hw.ns_per_byte is
-## the LZ stage, deflate.inflate.ns_per_byte the decode stage). See
-## bench/README.md for the paired-run method a claimed gain needs.
+## headlines) and traced (the per-layer ledger). The compress headline
+## rows are compress_mbps end to end and, under it, lz77.hw.ns_per_byte
+## (the LZ stage), deflate.encode.ns_per_byte (the emit loop) and
+## deflate.dht.us_per_block (table generation); the decode one is
+## deflate.inflate.ns_per_byte. See bench/README.md for the paired-run
+## method a claimed gain needs.
 bench-host:
 	$(GO) run ./bench -workload bulk_oneshot -trace 0
 	$(GO) run ./bench -workload bulk_oneshot -trace 1

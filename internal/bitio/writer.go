@@ -10,6 +10,8 @@
 // any per-field bit reversal.
 package bitio
 
+import "encoding/binary"
+
 // Writer accumulates bits LSB-first into an in-memory buffer.
 //
 // The zero value is ready to use. Writer never fails: all state lives in
@@ -17,7 +19,7 @@ package bitio
 type Writer struct {
 	buf   []byte
 	acc   uint64 // bit accumulator, valid low `nacc` bits
-	nacc  uint   // number of valid bits in acc (< 8 after flushAcc)
+	nacc  uint   // number of valid bits in acc (< 8 between calls)
 	start int    // length of buf at last Reset, for Len accounting
 }
 
@@ -47,20 +49,37 @@ func (w *Writer) ResetTo(buf []byte) {
 }
 
 // WriteBits writes the low n bits of v, LSB first. n must be in [0, 48].
-// Bits above n in v are ignored.
+// Bits above n in v are ignored. With eight bytes of capacity to spare the
+// accumulator is stored whole and only its whole bytes kept (the bytes
+// between len and cap are scratch); closer to the capacity it appends byte
+// by byte, filling a caller's buffer to the last byte before outgrowing it.
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 48 {
 		panic("bitio: WriteBits count out of range")
 	}
-	v &= (1 << n) - 1
-	w.acc |= v << w.nacc
+	w.acc |= v & (1<<n - 1) << w.nacc
 	w.nacc += n
+	if p := len(w.buf); p+8 <= cap(w.buf) {
+		binary.LittleEndian.PutUint64(w.buf[p:p+8], w.acc)
+		w.buf = w.buf[:p+int(w.nacc>>3)]
+		w.acc >>= w.nacc &^ 7
+		w.nacc &= 7
+		return
+	}
 	for w.nacc >= 8 {
 		w.buf = append(w.buf, byte(w.acc))
 		w.acc >>= 8
 		w.nacc -= 8
 	}
 }
+
+// State lends the write position to an emit loop that keeps it in locals:
+// the buffer (len is what is written, the spare capacity is room to write
+// into), the accumulator and its count of pending bits, below 8. SetState
+// takes back the buffer re-sliced to the bytes now written, and the rest.
+func (w *Writer) State() (buf []byte, acc uint64, nacc uint) { return w.buf, w.acc, w.nacc }
+
+func (w *Writer) SetState(buf []byte, acc uint64, nacc uint) { w.buf, w.acc, w.nacc = buf, acc, nacc }
 
 // WriteBool writes a single bit.
 func (w *Writer) WriteBool(b bool) {

@@ -226,3 +226,20 @@ func TestCombineCRC32(t *testing.T) {
 		t.Fatalf("large combine %08x != %08x", got, Sum32(big))
 	}
 }
+
+// TestSumBothMatchesStdlib holds the striped single pass to the stdlib on
+// lengths around its stripe boundaries.
+func TestSumBothMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	buf := make([]byte, 3*bothStripe+100)
+	rng.Read(buf)
+	for _, n := range []int{0, 1, 15, bothStripe - 1, bothStripe, bothStripe + 1, 2 * bothStripe, 2*bothStripe + 7, len(buf)} {
+		crc, adler := SumBoth(buf[:n])
+		if want := crc32.ChecksumIEEE(buf[:n]); crc != want {
+			t.Errorf("n=%d: crc %08x, want %08x", n, crc, want)
+		}
+		if want := adler32.Checksum(buf[:n]); adler != want {
+			t.Errorf("n=%d: adler %08x, want %08x", n, adler, want)
+		}
+	}
+}

@@ -94,6 +94,26 @@ func Sum32(p []byte) uint32 {
 	return c.Sum()
 }
 
+// bothStripe is how much of the message SumBoth hands to one checksum
+// before the other: small enough that the second reads it from L1.
+const bothStripe = 8 << 10
+
+// SumBoth returns the CRC-32 and the Adler-32 of p in one pass over it,
+// as the accelerator's checksum units see each data beat once: the two
+// are run stripe by stripe, so memory is streamed once, not twice.
+func SumBoth(p []byte) (crc, adler uint32) {
+	var c CRC32
+	var ad Adler32
+	for len(p) > bothStripe {
+		c.Update(p[:bothStripe])
+		ad.Update(p[:bothStripe])
+		p = p[bothStripe:]
+	}
+	c.Update(p)
+	ad.Update(p)
+	return c.Sum(), ad.Sum()
+}
+
 // CombineCRC32 returns the CRC-32 of the concatenation of two messages
 // given their individual CRCs and the length of the second. The
 // accelerator library uses this to stitch per-request checksums into a

@@ -2,6 +2,7 @@ package deflate
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"nxzip/internal/bitio"
@@ -15,40 +16,33 @@ import (
 // supply a canned DHT, ask the engine to generate one from the data, or
 // fall back to the fixed table.
 //
-// The code lengths fully determine the canonical encoders and the
-// serialized header, so both are derived once on first use and cached on
-// the table (LitLen/Dist must not be mutated after the table is first
-// used to encode). DHTs are shared by pointer; they must not be copied
-// after first use.
+// The code lengths fully determine the canonical codes and the serialized
+// header, so both are derived once on first use and cached on the table
+// (LitLen/Dist must not be mutated after the table is first used to
+// encode). DHTs are shared by pointer; they must not be copied after first
+// use.
 type DHT struct {
 	LitLen []uint8 // 257..286 entries (must include EndOfBlock)
 	Dist   []uint8 // 1..30 entries
 
 	prepOnce sync.Once
-	prepLL   *huffman.Encoder
-	prepD    *huffman.Encoder
-	prepPlan *headerPlan
+	prep     *dynTables
 	prepErr  error
 }
 
-// prepared returns the cached canonical encoders and header plan for the
-// table, deriving them on first call. This is what makes the canned-DHT
-// request path allocation-free: a long-lived table — exactly how the NX
-// library ships canned DHTs — pays table construction once, not per
-// request.
-func (d *DHT) prepared() (*huffman.Encoder, *huffman.Encoder, *headerPlan, error) {
+// prepared returns the table in encodable form, deriving it on first call.
+// This is what makes the canned-DHT request path allocation-free: a
+// long-lived table — exactly how the NX library ships canned DHTs — pays
+// table construction once, not per request. A StreamEncoder's sampled
+// table arrives with prep already pointing into the encoder's scratch.
+func (d *DHT) prepared() (*dynTables, error) {
 	d.prepOnce.Do(func() {
-		d.prepPlan, d.prepErr = planHeader(d)
-		if d.prepErr != nil {
-			return
+		if d.prep == nil {
+			d.prep = new(dynTables)
+			d.prepErr = d.prep.init(new(huffman.Builder), d.LitLen, d.Dist)
 		}
-		d.prepLL, d.prepErr = huffman.NewEncoder(padLengths(d.LitLen, NumLitLen))
-		if d.prepErr != nil {
-			return
-		}
-		d.prepD, d.prepErr = huffman.NewEncoder(padLengths(d.Dist, NumDist))
 	})
-	return d.prepLL, d.prepD, d.prepPlan, d.prepErr
+	return d.prep, d.prepErr
 }
 
 // CountFrequencies tallies litlen/dist symbol frequencies for a token
@@ -84,32 +78,37 @@ func CountFrequenciesInto(litlen, dist []int64, tokens []lz77.Token) {
 // emitted (RFC 1951 permits zero but one dummy code maximizes decoder
 // compatibility, matching zlib).
 func BuildDHT(litlenFreq, distFreq []int64) (*DHT, error) {
-	lf := make([]int64, NumLitLen)
-	copy(lf, litlenFreq)
-	if lf[EndOfBlock] == 0 {
-		lf[EndOfBlock] = 1
+	var (
+		b  huffman.Builder
+		lf [NumLitLen]int64
+		df [NumDist]int64
+	)
+	copy(lf[:], litlenFreq)
+	copy(df[:], distFreq)
+	d := &DHT{LitLen: make([]uint8, NumLitLen), Dist: make([]uint8, NumDist)}
+	if err := buildLengths(&b, d.LitLen, d.Dist, lf[:], df[:]); err != nil {
+		return nil, err
 	}
-	df := make([]int64, NumDist)
-	copy(df, distFreq)
-	used := false
-	for _, f := range df {
-		if f > 0 {
-			used = true
-			break
-		}
-	}
-	if !used {
+	return d, nil
+}
+
+// buildLengths is BuildDHT into the caller's full-alphabet length slices.
+// The two guarantees are patched into the frequencies for the build and
+// taken out again: ModeAuto costs the block with the same counts after.
+func buildLengths(b *huffman.Builder, litLen, dist []uint8, lf, df []int64) error {
+	eob, d0 := lf[EndOfBlock], df[0]
+	lf[EndOfBlock] = max(eob, 1)
+	if !slices.ContainsFunc(df, func(f int64) bool { return f > 0 }) {
 		df[0] = 1
 	}
-	ll, err := huffman.BuildLengths(lf, maxCodeLen)
+	err := b.Lengths(litLen, lf, maxCodeLen)
 	if err != nil {
-		return nil, fmt.Errorf("deflate: litlen table: %w", err)
+		err = fmt.Errorf("deflate: litlen table: %w", err)
+	} else if err = b.Lengths(dist, df, maxCodeLen); err != nil {
+		err = fmt.Errorf("deflate: dist table: %w", err)
 	}
-	dl, err := huffman.BuildLengths(df, maxCodeLen)
-	if err != nil {
-		return nil, fmt.Errorf("deflate: dist table: %w", err)
-	}
-	return &DHT{LitLen: ll, Dist: dl}, nil
+	lf[EndOfBlock], df[0] = eob, d0
+	return err
 }
 
 // trim returns lengths with trailing zeros removed, but at least min
@@ -129,10 +128,10 @@ type clSymbol struct {
 	ebits uint8
 }
 
-// runLength encodes a sequence of code lengths into the code-length
-// alphabet (symbols 0..15 literal, 16 repeat-prev, 17/18 zero runs).
-func runLength(lengths []uint8) []clSymbol {
-	var out []clSymbol
+// runLength appends to out the encoding of a sequence of code lengths in
+// the code-length alphabet (symbols 0..15 literal, 16 repeat-prev, 17/18
+// zero runs).
+func runLength(out []clSymbol, lengths []uint8) []clSymbol {
 	i := 0
 	for i < len(lengths) {
 		v := lengths[i]
@@ -188,72 +187,57 @@ func runLength(lengths []uint8) []clSymbol {
 }
 
 // headerPlan is a fully-computed dynamic block header, ready to write and
-// with a known bit cost (used for stored/fixed/dynamic selection).
+// with a known bit cost (used for stored/fixed/dynamic selection). All
+// fixed arrays: a plan lives inside a dynTables.
 type headerPlan struct {
-	litlen    []uint8 // trimmed
-	dist      []uint8 // trimmed
-	clSymbols []clSymbol
-	clLengths []uint8 // 19 entries
-	clEnc     *huffman.Encoder
-	bits      int
+	hlit, hdist, hclen int // entries sent: litlen, dist, code-length-code lengths
+	nsyms              int // the litlen then dist lengths, run-length coded: syms[:nsyms]
+	syms               [NumLitLen + NumDist]clSymbol
+	clLengths          [NumCodeLength]uint8
+	clCodes            [NumCodeLength]huffman.Code
+	bits               int
 }
 
-// planHeader computes the serialized form of a DHT.
-func planHeader(d *DHT) (*headerPlan, error) {
-	ll := trim(d.LitLen, 257)
-	dl := trim(d.Dist, 1)
-	if len(ll) > NumLitLen || len(dl) > NumDist {
-		return nil, fmt.Errorf("deflate: DHT alphabet too large (%d litlen, %d dist)", len(ll), len(dl))
-	}
-	combined := make([]uint8, 0, len(ll)+len(dl))
-	combined = append(combined, ll...)
-	combined = append(combined, dl...)
-	syms := runLength(combined)
-	clFreq := make([]int64, NumCodeLength)
-	for _, s := range syms {
+// init computes the serialized form of a table from its trimmed lengths.
+func (h *headerPlan) init(b *huffman.Builder, litLen, dist []uint8) error {
+	h.hlit, h.hdist = len(litLen), len(dist)
+	var combined [NumLitLen + NumDist]uint8
+	n := copy(combined[:], litLen)
+	n += copy(combined[n:], dist)
+	h.nsyms = len(runLength(h.syms[:0], combined[:n]))
+	var clFreq [NumCodeLength]int64
+	for _, s := range h.syms[:h.nsyms] {
 		clFreq[s.sym]++
 	}
-	clLengths, err := huffman.BuildLengths(clFreq, maxCLCodeLen)
-	if err != nil {
-		return nil, err
+	if err := b.Lengths(h.clLengths[:], clFreq[:], maxCLCodeLen); err != nil {
+		return err
 	}
-	clEnc, err := huffman.NewEncoder(clLengths)
-	if err != nil {
-		return nil, err
+	if err := huffman.AssignCodes(h.clCodes[:], h.clLengths[:]); err != nil {
+		return err
 	}
 	// HCLEN: number of code-length-code lengths transmitted, in clOrder,
 	// with trailing zeros omitted (min 4).
-	hclen := NumCodeLength
-	for hclen > 4 && clLengths[clOrder[hclen-1]] == 0 {
-		hclen--
+	h.hclen = NumCodeLength
+	for h.hclen > 4 && h.clLengths[clOrder[h.hclen-1]] == 0 {
+		h.hclen--
 	}
-	bits := 5 + 5 + 4 + 3*hclen
-	for _, s := range syms {
-		bits += int(clEnc.Codes[s.sym].Len) + int(s.ebits)
+	h.bits = 5 + 5 + 4 + 3*h.hclen
+	for _, s := range h.syms[:h.nsyms] {
+		h.bits += int(h.clCodes[s.sym].Len) + int(s.ebits)
 	}
-	return &headerPlan{
-		litlen: ll, dist: dl, clSymbols: syms,
-		clLengths: clLengths, clEnc: clEnc, bits: bits,
-	}, nil
+	return nil
 }
 
 // write emits the dynamic header (after the 3 block-header bits).
 func (h *headerPlan) write(w *bitio.Writer) {
-	w.WriteBits(uint64(len(h.litlen)-257), 5)
-	w.WriteBits(uint64(len(h.dist)-1), 5)
-	hclen := NumCodeLength
-	for hclen > 4 && h.clLengths[clOrder[hclen-1]] == 0 {
-		hclen--
-	}
-	w.WriteBits(uint64(hclen-4), 4)
-	for i := 0; i < hclen; i++ {
+	w.WriteBits(uint64(h.hlit-257), 5)
+	w.WriteBits(uint64(h.hdist-1), 5)
+	w.WriteBits(uint64(h.hclen-4), 4)
+	for i := 0; i < h.hclen; i++ {
 		w.WriteBits(uint64(h.clLengths[clOrder[i]]), 3)
 	}
-	for _, s := range h.clSymbols {
-		c := h.clEnc.Codes[s.sym]
-		w.WriteBits(uint64(c.Bits), uint(c.Len))
-		if s.ebits > 0 {
-			w.WriteBits(uint64(s.extra), uint(s.ebits))
-		}
+	for _, s := range h.syms[:h.nsyms] {
+		c := h.clCodes[s.sym]
+		w.WriteBits(uint64(c.Bits)|uint64(s.extra)<<c.Len, uint(c.Len+s.ebits))
 	}
 }

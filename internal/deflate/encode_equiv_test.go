@@ -59,15 +59,14 @@ func refEncode(c encodeCase, prefix []byte) ([]byte, error) {
 	return e.EncodeStream(bytes.Clone(prefix), c.tokens, c.src, c.mode, dht, c.final)
 }
 
-// prodEncode serializes c with the production encoder into dst.
+// prodEncode serializes c with the production encoder into dst; a sampled
+// table is built in the encoder's scratch, as the engine builds it.
 func prodEncode(e *StreamEncoder, c encodeCase, dst []byte) ([]byte, error) {
 	var dht *DHT
 	switch {
 	case c.sampled > 0:
-		lf, df := sampleFrequencies(CountFrequencies, c.tokens[:c.sampled])
-		var err error
-		if dht, err = BuildDHT(lf, df); err != nil {
-			return nil, err
+		if dht = e.SampleDHT(c.tokens[:c.sampled]); dht == nil {
+			return nil, fmt.Errorf("SampleDHT built no table")
 		}
 	case c.litLen != nil:
 		dht = &DHT{LitLen: c.litLen, Dist: c.dist}
@@ -166,7 +165,8 @@ func expandTokens(t testing.TB, tokens []lz77.Token) []byte {
 // edgeTokens are streams no matcher run is sure to produce: every literal,
 // every match length at the nearest and the farthest distance, every
 // distance symbol's first and last distance, the longest-farthest match
-// repeated (the most bits a token can carry), and the smallest alphabets.
+// repeated (the most bits a token can carry) and as the last token, the
+// smallest alphabets, and every count of bits pending before the flush.
 func edgeTokens() map[string][]lz77.Token {
 	var window []lz77.Token
 	for i := 0; i < lz77.WindowSize; i++ {
@@ -190,7 +190,7 @@ func edgeTokens() map[string][]lz77.Token {
 	for i := 0; i < 256; i++ {
 		allLits = append(allLits, lz77.Lit(byte(i)))
 	}
-	return map[string][]lz77.Token{
+	out := map[string][]lz77.Token{
 		"none":       nil,
 		"oneLiteral": {lz77.Lit('a')},
 		"oneSymbol":  bytes2lits(bytes.Repeat([]byte{'a'}, 40)),
@@ -200,7 +200,17 @@ func edgeTokens() map[string][]lz77.Token {
 		"allLens":    allLens,
 		"allDists":   allDists,
 		"widest":     widest,
+		// The widest token last: with dst short of room by a byte or a few
+		// it is the token in hand when the buffer has to grow.
+		"widestLast": append(append([]lz77.Token{}, window...), lz77.Match(258, lz77.WindowSize)),
 	}
+	// k nine-bit literals under the fixed table leave the block (3 header
+	// bits, 7 for end-of-block) ending 2+k bits into a byte: every count of
+	// pending bits, odd and even, in front of a sync flush.
+	for k := 0; k < 8; k++ {
+		out[fmt.Sprintf("pending%d", (2+k)%8)] = bytes2lits(bytes.Repeat([]byte{0x90}, k))
+	}
+	return out
 }
 
 func bytes2lits(p []byte) []lz77.Token {
@@ -300,14 +310,16 @@ func TestEncodeEqualsReference(t *testing.T) {
 }
 
 // checkTablesEqualReference holds table construction to the reference on
-// one frequency vector: code lengths under both of DEFLATE's limits, the
-// canonical codes of those lengths, and (when the vector is alphabet
-// sized) the DHT pair.
+// one frequency vector: code lengths (over at most the MaxSymbols a table
+// can have) under both of DEFLATE's limits and one between, the canonical
+// codes of those lengths, and (when the vector is alphabet sized) the DHT
+// pair.
 func checkTablesEqualReference(t testing.TB, name string, freqs []int64) {
 	t.Helper()
+	alphabet := freqs[:min(len(freqs), huffman.MaxSymbols)]
 	for _, maxBits := range []int{maxCLCodeLen, 9, maxCodeLen} {
-		want, wantErr := refBuildLengths(freqs, maxBits)
-		got, gotErr := huffman.BuildLengths(freqs, maxBits)
+		want, wantErr := refBuildLengths(alphabet, maxBits)
+		got, gotErr := huffman.BuildLengths(alphabet, maxBits)
 		if errText(gotErr) != errText(wantErr) {
 			t.Fatalf("%s maxBits %d: error %v, reference %v", name, maxBits, gotErr, wantErr)
 		}

@@ -1,6 +1,8 @@
 package deflate
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -44,39 +46,100 @@ const maxStoredBlock = 65535
 
 // BlockWriter serializes token streams into DEFLATE blocks on a bit
 // stream. It is the shared back end of the software codec and the
-// accelerator model's Huffman-encode stage. The frequency scratch lives
-// in the struct so a reused BlockWriter counts symbols without
-// allocating; the fixed Huffman tables are process-wide (they are
-// defined by RFC 1951 and immutable after construction).
+// accelerator model's Huffman-encode stage. Everything a block needs
+// beyond the tokens — symbol counts, the Huffman builder and a generated
+// table with its header — is scratch in the struct, so a reused
+// BlockWriter writes blocks without allocating; the fixed Huffman table
+// is process-wide (RFC 1951 defines it, immutable after construction).
 type BlockWriter struct {
 	w        *bitio.Writer
 	wroteEnd bool
 	litFreq  [NumLitLen]int64
 	distFreq [NumDist]int64
+	builder  huffman.Builder
+	litLen   [NumLitLen]uint8 // the generated table's lengths
+	dist     [NumDist]uint8
+	gen      dynTables // and its encodable form
+}
+
+// emitCode is what a match writes for a length or a distance symbol: the
+// Huffman code and, above it, the extra bits — a length's merged in (the
+// table is indexed by length), a distance symbol's left for the token.
+type emitCode struct {
+	bits uint32
+	n    uint8 // bits written: code plus extra
+	len  uint8 // the code alone
+}
+
+// blockTables is one Huffman table pair in the form the emit loop reads.
+type blockTables struct {
+	lit    [288]huffman.Code // by literal/length symbol; the fixed table codes 286 and 287 too
+	length [lz77.MaxMatch - lz77.MinMatch + 1]emitCode
+	dist   [NumDist]emitCode
+}
+
+// init assigns canonical codes to the lengths and merges the extra bits in.
+func (tb *blockTables) init(litLen, dist []uint8) error {
+	clear(tb.lit[:])
+	if err := huffman.AssignCodes(tb.lit[:], litLen); err != nil {
+		return err
+	}
+	var dc [32]huffman.Code // the fixed table codes 30 and 31 too
+	if err := huffman.AssignCodes(dc[:], dist); err != nil {
+		return err
+	}
+	for l := range tb.length {
+		sym, extra, nb := LengthSymbol(l + lz77.MinMatch)
+		c := tb.lit[sym]
+		tb.length[l] = emitCode{bits: uint32(c.Bits) | extra<<c.Len, n: c.Len + nb, len: c.Len}
+	}
+	for s := range tb.dist {
+		tb.dist[s] = emitCode{bits: uint32(dc[s].Bits), n: dc[s].Len + distExtra[s], len: dc[s].Len}
+	}
+	return nil
+}
+
+// dynTables is a dynamic table in encodable form: the codes, the
+// serialized header, and whether every symbol has a code — a block coded
+// with a complete table needs no coverage check, so no counting pass.
+type dynTables struct {
+	blockTables
+	plan     headerPlan
+	complete bool
+}
+
+func (d *dynTables) init(b *huffman.Builder, litLen, dist []uint8) error {
+	litLen, dist = trim(litLen, 257), trim(dist, 1)
+	if len(litLen) > NumLitLen || len(dist) > NumDist {
+		return fmt.Errorf("deflate: DHT alphabet too large (%d litlen, %d dist)", len(litLen), len(dist))
+	}
+	if err := d.plan.init(b, litLen, dist); err != nil {
+		return err
+	}
+	if err := d.blockTables.init(litLen, dist); err != nil {
+		return err
+	}
+	// Trimmed, so full-sized means the last symbols have codes too.
+	d.complete = len(litLen) == NumLitLen && len(dist) == NumDist &&
+		bytes.IndexByte(litLen, 0) < 0 && bytes.IndexByte(dist, 0) < 0
+	return nil
 }
 
 var (
-	fixedEncOnce sync.Once
-	fixedLLEnc   *huffman.Encoder
-	fixedDEnc    *huffman.Encoder
+	fixedOnce sync.Once
+	fixed     blockTables
 )
 
-// fixedEncoders returns the shared RFC 1951 static-table encoders. They
-// are read-only after construction, so every BlockWriter (and every
-// modeled engine) shares one pair.
-func fixedEncoders() (*huffman.Encoder, *huffman.Encoder) {
-	fixedEncOnce.Do(func() {
-		fl, err := huffman.NewEncoder(FixedLitLenLengths())
-		if err != nil {
-			panic("deflate: fixed litlen table: " + err.Error())
+// fixedTables returns the shared RFC 1951 static table. It is read-only
+// after construction, so every BlockWriter (and every modeled engine)
+// shares it.
+func fixedTables() *blockTables {
+	fixedOnce.Do(func() {
+		if err := fixed.init(FixedLitLenLengths(), FixedDistLengths()); err != nil {
+			panic("deflate: fixed table: " + err.Error())
 		}
-		fd, err := huffman.NewEncoder(FixedDistLengths())
-		if err != nil {
-			panic("deflate: fixed dist table: " + err.Error())
-		}
-		fixedLLEnc, fixedDEnc = fl, fd
 	})
-	return fixedLLEnc, fixedDEnc
+	return &fixed
 }
 
 // NewBlockWriter wraps a bit writer.
@@ -96,14 +159,18 @@ func (bw *BlockWriter) Reset(w *bitio.Writer) {
 // and returns them as slices.
 func (bw *BlockWriter) countInto(tokens []lz77.Token) ([]int64, []int64) {
 	lf, df := bw.litFreq[:], bw.distFreq[:]
-	for i := range lf {
-		lf[i] = 0
-	}
-	for i := range df {
-		df[i] = 0
-	}
+	clear(lf)
+	clear(df)
 	CountFrequenciesInto(lf, df, tokens)
 	return lf, df
+}
+
+// generate builds the scratch table from symbol frequencies.
+func (bw *BlockWriter) generate(litFreq, distFreq []int64) (*dynTables, error) {
+	if err := buildLengths(&bw.builder, bw.litLen[:], bw.dist[:], litFreq, distFreq); err != nil {
+		return nil, err
+	}
+	return &bw.gen, bw.gen.init(&bw.builder, bw.litLen[:], bw.dist[:])
 }
 
 // WriteBlock emits one block containing tokens (whose expansion is src,
@@ -114,67 +181,56 @@ func (bw *BlockWriter) WriteBlock(tokens []lz77.Token, src []byte, final bool, m
 	if bw.wroteEnd {
 		return fmt.Errorf("deflate: write after final block")
 	}
-	litFreq, distFreq := bw.countInto(tokens)
-	fixedLL, fixedD := fixedEncoders()
-
-	// Cost of fixed encoding.
-	fixedBits := 3 + bw.costBits(litFreq, distFreq, fixedLL, fixedD)
-
-	// Cost of dynamic encoding. A canned dht carries its encoders and
-	// header plan from first use (see DHT.prepared), so the canned path
-	// builds no tables per block — only a freshly generated table pays
-	// the construction cost, exactly as the hardware builds its DHT
-	// on-chip in DHT-generate mode.
-	var (
-		plan    *headerPlan
-		dynBits = int64(1) << 62
-		llEnc   *huffman.Encoder
-		dEnc    *huffman.Encoder
-	)
+	// A canned dht carries its codes and header plan from first use (see
+	// DHT.prepared), so the canned path builds no tables per block — only
+	// a freshly generated table pays the construction cost, exactly as the
+	// hardware builds its DHT on-chip in DHT-generate mode. The symbols
+	// are counted only for what reads the counts: ModeAuto's costing, a
+	// table to generate, or a table that may lack a code this block uses
+	// (the hardware raises a CC error for that case).
+	var dyn *dynTables
 	if mode == ModeDynamic || mode == ModeAuto {
-		useDHT := dht
 		var err error
-		if useDHT == nil {
-			useDHT, err = BuildDHT(litFreq, distFreq)
-			if err != nil {
+		if dht != nil {
+			if dyn, err = dht.prepared(); err != nil {
 				return err
 			}
 		}
-		if llEnc, dEnc, plan, err = useDHT.prepared(); err != nil {
-			return err
+		if mode == ModeAuto || dyn == nil || !dyn.complete {
+			litFreq, distFreq := bw.countInto(tokens)
+			if dyn == nil {
+				if dyn, err = bw.generate(litFreq, distFreq); err != nil {
+					return err
+				}
+			}
+			if err := dyn.checkCoverage(litFreq, distFreq); err != nil {
+				return err
+			}
+			if mode == ModeAuto {
+				fixedBits := 3 + fixedTables().costBits(litFreq, distFreq)
+				dynBits := 3 + int64(dyn.plan.bits) + dyn.costBits(litFreq, distFreq)
+				storedBits := storedCost(len(src), bw.w.BitsWritten())
+				switch {
+				case storedBits <= fixedBits && storedBits <= dynBits:
+					mode = ModeStored
+				case fixedBits <= dynBits:
+					mode = ModeFixed
+				default:
+					mode = ModeDynamic
+				}
+			}
 		}
-		// A canned DHT may lack codes for symbols this block uses; detect
-		// and reject (the hardware raises a CC error for this case).
-		if err := checkCoverage(litFreq, llEnc, distFreq, dEnc); err != nil {
-			return err
-		}
-		dynBits = 3 + int64(plan.bits) + bw.costBits(litFreq, distFreq, llEnc, dEnc)
 	}
-
-	storedBits := storedCost(len(src), bw.w.BitsWritten())
-
 	switch mode {
 	case ModeStored:
 		bw.writeStoredChain(src, final)
 	case ModeFixed:
 		bw.writeHeader(final, 1)
-		bw.writeTokens(tokens, fixedLL, fixedD)
+		bw.writeTokens(tokens, fixedTables())
 	case ModeDynamic:
 		bw.writeHeader(final, 2)
-		plan.write(bw.w)
-		bw.writeTokens(tokens, llEnc, dEnc)
-	case ModeAuto:
-		switch {
-		case storedBits <= fixedBits && storedBits <= dynBits:
-			bw.writeStoredChain(src, final)
-		case fixedBits <= dynBits:
-			bw.writeHeader(final, 1)
-			bw.writeTokens(tokens, fixedLL, fixedD)
-		default:
-			bw.writeHeader(final, 2)
-			plan.write(bw.w)
-			bw.writeTokens(tokens, llEnc, dEnc)
-		}
+		dyn.plan.write(bw.w)
+		bw.writeTokens(tokens, &dyn.blockTables)
 	default:
 		return fmt.Errorf("deflate: unknown block mode %d", mode)
 	}
@@ -184,26 +240,15 @@ func (bw *BlockWriter) WriteBlock(tokens []lz77.Token, src []byte, final bool, m
 	return nil
 }
 
-// padLengths extends lengths to n entries with zeros (encoder tables are
-// indexed by symbol).
-func padLengths(lengths []uint8, n int) []uint8 {
-	if len(lengths) >= n {
-		return lengths[:n]
-	}
-	out := make([]uint8, n)
-	copy(out, lengths)
-	return out
-}
-
 // checkCoverage verifies every used symbol has a code.
-func checkCoverage(litFreq []int64, ll *huffman.Encoder, distFreq []int64, d *huffman.Encoder) error {
+func (tb *blockTables) checkCoverage(litFreq, distFreq []int64) error {
 	for sym, f := range litFreq {
-		if f > 0 && ll.Codes[sym].Len == 0 {
+		if f > 0 && tb.lit[sym].Len == 0 {
 			return fmt.Errorf("deflate: DHT missing litlen code for symbol %d", sym)
 		}
 	}
 	for sym, f := range distFreq {
-		if f > 0 && d.Codes[sym].Len == 0 {
+		if f > 0 && tb.dist[sym].len == 0 {
 			return fmt.Errorf("deflate: DHT missing dist code for symbol %d", sym)
 		}
 	}
@@ -211,26 +256,21 @@ func checkCoverage(litFreq []int64, ll *huffman.Encoder, distFreq []int64, d *hu
 }
 
 // costBits computes the token payload cost (including end-of-block) under
-// the given encoders, excluding the 3 header bits and any table header.
-func (bw *BlockWriter) costBits(litFreq, distFreq []int64, ll, d *huffman.Encoder) int64 {
+// the table, excluding the 3 header bits and any table header.
+func (tb *blockTables) costBits(litFreq, distFreq []int64) int64 {
 	var bits int64
 	for sym, f := range litFreq {
 		if f == 0 {
 			continue
 		}
-		bits += f * int64(ll.Codes[sym].Len)
+		bits += f * int64(tb.lit[sym].Len)
 		if sym > EndOfBlock {
 			_, nb, _ := LengthFromSymbol(sym)
 			bits += f * int64(nb)
 		}
 	}
 	for sym, f := range distFreq {
-		if f == 0 {
-			continue
-		}
-		bits += f * int64(d.Codes[sym].Len)
-		_, nb, _ := DistFromSymbol(sym)
-		bits += f * int64(nb)
+		bits += f * int64(tb.dist[sym].n)
 	}
 	return bits
 }
@@ -288,29 +328,54 @@ func storedCost(n, pos int) int64 {
 	}
 }
 
-func (bw *BlockWriter) writeTokens(tokens []lz77.Token, ll, d *huffman.Encoder) {
+// writeTokens emits the tokens and the end-of-block symbol. The bit
+// writer's position is on loan for the whole loop (bitio.Writer.State):
+// a token is one or two table reads merged into at most 48 bits, ORed in
+// above the at most 7 pending ones, and flushed with one 8-byte store of
+// which only the whole bytes are kept. Within 8 bytes of the buffer's
+// capacity the store has no room; the token goes through WriteBits, which
+// appends byte by byte and grows the buffer only when the output really
+// does not fit — a caller-owned buffer is filled to its last byte first.
+func (bw *BlockWriter) writeTokens(tokens []lz77.Token, tb *blockTables) {
 	w := bw.w
-	for _, t := range tokens {
-		if !t.IsMatch() {
-			c := ll.Codes[t.Literal()]
-			w.WriteBits(uint64(c.Bits), uint(c.Len))
+	buf, acc, nacc := w.State()
+	pos := len(buf)
+	buf = buf[:cap(buf)]
+	for i := 0; i <= len(tokens); i++ {
+		var (
+			bits uint64
+			n    uint
+		)
+		switch {
+		case i == len(tokens):
+			bits, n = uint64(tb.lit[EndOfBlock].Bits), uint(tb.lit[EndOfBlock].Len)
+		case !tokens[i].IsMatch():
+			c := tb.lit[tokens[i].Literal()]
+			bits, n = uint64(c.Bits), uint(c.Len)
+		default:
+			le := tb.length[tokens[i].Length()-lz77.MinMatch]
+			x := uint32(tokens[i].Dist() - 1)
+			de := tb.dist[distCode(x)]
+			x &= 1<<(de.n-de.len) - 1 // the distance's extra bits
+			bits = uint64(le.bits) | (uint64(de.bits)|uint64(x)<<de.len)<<le.n
+			n = uint(le.n) + uint(de.n)
+		}
+		if pos+8 > len(buf) {
+			w.SetState(buf[:pos], acc, nacc)
+			w.WriteBits(bits, n)
+			buf, acc, nacc = w.State()
+			pos = len(buf)
+			buf = buf[:cap(buf)]
 			continue
 		}
-		ls, lextra, lnb := LengthSymbol(t.Length())
-		c := ll.Codes[ls]
-		w.WriteBits(uint64(c.Bits), uint(c.Len))
-		if lnb > 0 {
-			w.WriteBits(uint64(lextra), uint(lnb))
-		}
-		ds, dextra, dnb := DistSymbol(t.Dist())
-		dc := d.Codes[ds]
-		w.WriteBits(uint64(dc.Bits), uint(dc.Len))
-		if dnb > 0 {
-			w.WriteBits(uint64(dextra), uint(dnb))
-		}
+		acc |= bits << nacc
+		nacc += n
+		binary.LittleEndian.PutUint64(buf[pos:], acc)
+		pos += int(nacc >> 3)
+		acc >>= nacc &^ 7
+		nacc &= 7
 	}
-	eob := ll.Codes[EndOfBlock]
-	w.WriteBits(uint64(eob.Bits), uint(eob.Len))
+	w.SetState(buf[:pos], acc, nacc)
 }
 
 // Options configures the one-shot software compressor.
@@ -410,12 +475,33 @@ func EncodeTokensStream(tokens []lz77.Token, src []byte, mode BlockMode, dht *DH
 // buffer. The zero value is ready to use; a StreamEncoder is not safe
 // for concurrent use.
 type StreamEncoder struct {
-	w  bitio.Writer
-	bw BlockWriter
+	w       bitio.Writer
+	bw      BlockWriter
+	sampled DHT // SampleDHT's result, over bw's scratch table
 }
 
-// NewStreamEncoder returns an empty encoder.
-func NewStreamEncoder() *StreamEncoder { return &StreamEncoder{} }
+// SampleDHT builds the table of a single-pass DHT request in the encoder's
+// scratch: symbols are counted over tokens (the head of the request's
+// stream) and every symbol is then floored at one, so the table is
+// complete — data after the sample may use any symbol. The table is the
+// encoder's, valid for EncodeStream on this encoder until the next
+// SampleDHT. (All-positive frequencies cannot fail to build; if they did,
+// the nil table would have EncodeStream generate one from the whole block.)
+func (e *StreamEncoder) SampleDHT(tokens []lz77.Token) *DHT {
+	lf, df := e.bw.countInto(tokens)
+	for i := range lf {
+		lf[i]++
+	}
+	for i := range df {
+		df[i]++
+	}
+	dyn, err := e.bw.generate(lf, df)
+	if err != nil {
+		return nil
+	}
+	e.sampled.LitLen, e.sampled.Dist, e.sampled.prep = e.bw.litLen[:], e.bw.dist[:], dyn
+	return &e.sampled
+}
 
 // EncodeStream appends one stream segment (see EncodeTokensStream for
 // the segment semantics) to dst and returns the extended slice.

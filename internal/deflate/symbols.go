@@ -100,13 +100,18 @@ func LengthSymbol(length int) (sym int, extra uint32, nbits uint8) {
 // DistSymbol returns the distance symbol and extra-bit value/count for a
 // match distance.
 func DistSymbol(dist int) (sym int, extra uint32, nbits uint8) {
-	var s int
-	if dist <= 256 {
-		s = int(distSymSmall[dist])
-	} else {
-		s = int(distSymLarge[(dist-1)>>7])
+	s := distCode(uint32(dist - 1))
+	return int(s), uint32(dist) - uint32(distBase[s]), distExtra[s]
+}
+
+// distCode returns the symbol of distance x+1. Every symbol's first
+// distance is one more than a multiple of its extra-bit span, so the extra
+// bits of the distance are simply the low distExtra bits of x.
+func distCode(x uint32) uint8 {
+	if x < 256 {
+		return distSymSmall[x+1]
 	}
-	return s, uint32(dist) - uint32(distBase[s]), distExtra[s]
+	return distSymLarge[x>>7]
 }
 
 // LengthFromSymbol decodes a length symbol's base and extra-bit count.

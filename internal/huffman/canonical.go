@@ -1,6 +1,9 @@
 package huffman
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Code is one canonical Huffman code: the code bits (already bit-reversed
 // for LSB-first emission into a DEFLATE stream) and its length in bits.
@@ -19,25 +22,35 @@ type Encoder struct {
 // the DEFLATE convention: shorter codes first, ties broken by symbol order,
 // codes counted upward within each length.
 func NewEncoder(lengths []uint8) (*Encoder, error) {
+	codes := make([]Code, len(lengths))
+	if err := AssignCodes(codes, lengths); err != nil {
+		return nil, err
+	}
+	return &Encoder{Codes: codes, Lengths: lengths}, nil
+}
+
+// AssignCodes is NewEncoder into the caller's codes[:len(lengths)], with
+// no allocation.
+func AssignCodes(codes []Code, lengths []uint8) error {
+	codes = codes[:len(lengths)]
+	clear(codes)
 	maxLen := uint8(0)
 	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen = max(maxLen, l)
 	}
 	if maxLen == 0 {
-		return &Encoder{Codes: make([]Code, len(lengths)), Lengths: lengths}, nil
+		return nil
 	}
 	if maxLen > 31 {
-		return nil, fmt.Errorf("huffman: code length %d too large", maxLen)
+		return fmt.Errorf("huffman: code length %d too large", maxLen)
 	}
-	counts := make([]uint32, maxLen+1)
+	var counts [32]uint32
 	for _, l := range lengths {
 		counts[l]++
 	}
 	counts[0] = 0
 	// first code of each length
-	next := make([]uint32, maxLen+2)
+	var next [33]uint32
 	code := uint32(0)
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + counts[l-1]) << 1
@@ -45,27 +58,16 @@ func NewEncoder(lengths []uint8) (*Encoder, error) {
 	}
 	// over-subscription check
 	if k := KraftSum(lengths, int(maxLen)); k > 1<<maxLen {
-		return nil, fmt.Errorf("huffman: over-subscribed code (kraft %d > %d)", k, 1<<maxLen)
+		return fmt.Errorf("huffman: over-subscribed code (kraft %d > %d)", k, 1<<maxLen)
 	}
-	codes := make([]Code, len(lengths))
 	for sym, l := range lengths {
 		if l == 0 {
 			continue
 		}
-		c := next[l]
+		codes[sym] = Code{Bits: bits.Reverse16(uint16(next[l])) >> (16 - l), Len: l}
 		next[l]++
-		codes[sym] = Code{Bits: uint16(reverse16(uint16(c), uint(l))), Len: l}
 	}
-	return &Encoder{Codes: codes, Lengths: lengths}, nil
-}
-
-func reverse16(v uint16, n uint) uint16 {
-	var out uint16
-	for i := uint(0); i < n; i++ {
-		out = out<<1 | (v & 1)
-		v >>= 1
-	}
-	return out
+	return nil
 }
 
 // TotalBits returns the encoded size in bits of a message with the given

@@ -58,35 +58,33 @@ type HWStats struct {
 // the device model serializes requests per engine, matching the silicon.
 //
 // What is modelled is a banked, set-associative table of FIFO sets, one
-// probe per position, invalidated between operations by an epoch tag. How
-// the host stores it is its own business as long as every token and every
-// HWStats field comes out the same: each set is one contiguous row of Ways
-// positions (one 64-byte line at Ways = 16) used as a ring, plus one
-// setMeta word. Positions are inserted in strictly increasing order within
-// an operation, so walking a ring newest to oldest visits candidates in
-// ascending distance — which is what makes probe's early exits exact.
+// probe per position, emptied between operations without a wipe (the
+// silicon tags valid bits with an epoch; clearing 8 MB of z15 table would
+// dominate every small request). How the host stores it is its own
+// business as long as every token and every HWStats field comes out the
+// same: each set is one contiguous row of Ways entries (one 64-byte line at
+// Ways = 16) used as a ring, plus one byte naming the slot the next insert
+// overwrites. An entry is base+position, each operation's base lying more
+// than MaxDist past everything the previous one stored — so a leftover
+// reads as farther back than the window reaches, and "stale" and "out of
+// window" are one compare. Positions are inserted in strictly increasing
+// order, so walking a ring newest to oldest visits candidates in ascending
+// distance and the first entry out of the window ends the walk.
 type HWMatcher struct {
-	p     HWParams
-	sets  int
-	table []int32   // [(bank*sets+set)*Ways + way] -> position
-	meta  []setMeta // [bank*sets + set]
-	// History invalidation between operations is an epoch tag on each
-	// set's valid bits, the way the silicon does it — a set whose tag
-	// differs from the current generation holds no candidates. A full
-	// SRAM wipe per operation would cost millions of cycles (8 MB of
-	// table for the z15 geometry) and would dominate every small request.
-	gen      uint16
-	bankBeat []int64 // per-bank scratch: beat number the bank last served
-	combined []byte  // TokenizeWithHistory scratch: history followed by src
+	p        HWParams
+	sets     int
+	table    []uint32 // [(bank*sets+set)*Ways + way] -> base + position
+	head     []uint8  // [bank*sets + set] -> ring slot the next insert overwrites
+	end      uint32   // one past the largest entry any operation stored
+	bankBeat []int64  // per-bank scratch: beat number the bank last served
+	combined []byte   // TokenizeWithHistory scratch: history followed by src
 }
 
-// setMeta is one set's valid bits: the epoch that wrote it, the ring slot
-// the next insert overwrites (the oldest way once the set is full) and how
-// many ways hold a position from this epoch.
-type setMeta struct {
-	gen     uint16
-	head, n uint8
-}
+// MaxInput is the longest source one operation can take. Entries are 32
+// bits wide; the first sits MaxDist+1 above zero, which is what an empty
+// slot holds, and up to WindowSize bytes of replayed history come before
+// the source.
+const MaxInput = 1<<32 - 1 - (WindowSize + 1) - WindowSize
 
 // NewHWMatcher validates params and builds the matcher. Banks must be a
 // power of two (the bank index is a mask of the hash; anything else would
@@ -113,10 +111,9 @@ func NewHWMatcher(p HWParams) *HWMatcher {
 	if p.Ways > 255 {
 		panic(fmt.Sprintf("lz77: HWParams.Ways = %d exceeds 255", p.Ways))
 	}
-	m := &HWMatcher{p: p, sets: 1 << p.HashBits, gen: 1}
-	// meta starts zeroed: every set is stale relative to gen 1.
-	m.meta = make([]setMeta, p.Banks*m.sets)
-	m.table = make([]int32, len(m.meta)*p.Ways)
+	m := &HWMatcher{p: p, sets: 1 << p.HashBits}
+	m.head = make([]uint8, p.Banks*m.sets)
+	m.table = make([]uint32, len(m.head)*p.Ways)
 	m.bankBeat = make([]int64, p.Banks)
 	return m
 }
@@ -124,22 +121,23 @@ func NewHWMatcher(p HWParams) *HWMatcher {
 // Params returns the configuration.
 func (m *HWMatcher) Params() HWParams { return m.p }
 
-func (m *HWMatcher) reset() {
-	m.gen++
-	if m.gen == 0 {
-		// Generation counter wrapped: pay the full wipe once per 2^16
-		// operations so a set tagged in a previous epoch cannot read as
-		// current.
-		clear(m.meta)
-		m.gen = 1
+// rebase returns the base of an operation over n bytes (history included):
+// MaxDist+1 past the previous operation's last entry, so nothing that one
+// left is in any window of this one. Only when 32 bits cannot hold base+n is
+// the table wiped and the numbering restarted — once per 4 GiB of input,
+// where the epoch tag this replaces wiped once per 2^16 operations.
+func (m *HWMatcher) rebase(n int) uint32 {
+	if uint64(n) > MaxInput+WindowSize {
+		panic(fmt.Sprintf("lz77: %d-byte operation exceeds MaxInput", n))
 	}
-}
-
-// slot returns the index into meta of the set position i hashes to; the
-// bank is slot >> HashBits.
-func (m *HWMatcher) slot(src []byte, i int) int {
-	h := int(hash4(src, i))
-	return h&(m.p.Banks-1)<<m.p.HashBits | (h>>4)&(m.sets-1)
+	gap := uint32(m.p.MaxDist + 1)
+	if uint64(m.end)+uint64(gap)+uint64(n) > 1<<32-1 {
+		clear(m.table)
+		m.end = 0
+	}
+	base := m.end + gap
+	m.end = base + uint32(n)
+	return base
 }
 
 // Tokenize produces tokens for src and the cycle statistics of doing so.
@@ -148,17 +146,31 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 }
 
 // tokenizeFrom emits tokens for src[start:]; positions before start (the
-// replayed history) are table-inserted only.
+// replayed history) are table-inserted only. The table, the geometry and
+// the counters live in locals for the whole scan (a store through m.table
+// would otherwise force every m.* field to be reloaded), insert is written
+// out where it happens, and HWStats is filled in once at the end.
 func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, HWStats) {
-	var st HWStats
 	n := len(src)
 	if n == 0 {
-		return dst, st
+		return dst, HWStats{}
 	}
-	m.reset()
+	var (
+		table, head = m.table, m.head
+		base        = m.rebase(n)
+		ways        = m.p.Ways
+		maxDist     = uint32(m.p.MaxDist)
+		hashBits    = uint(m.p.HashBits)
+		bankMask    = uint32(m.p.Banks - 1)
+		setMask     = uint32(m.sets - 1)
+		lazy        = m.p.Lazy
+		w           = m.p.InputWidth
+		// Positions from hashEnd on are too close to the end to hash:
+		// never probed, never inserted.
+		hashEnd = n - MinMatch
 
-	w := m.p.InputWidth
-	st.Beats = int64((n - start + w - 1) / w)
+		probes, conflicts, candidates, matches, literals int64
+	)
 
 	// Cycle model: each beat of InputWidth bytes costs one cycle plus one
 	// replay cycle per bank conflict within the beat. We track which bank
@@ -171,128 +183,138 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 	for i := range bankUsed {
 		bankUsed[i] = -1 // no bank has served a beat yet
 	}
+	// The beat of position i is (i-start)/w, recomputed only when i passes
+	// beatEnd, the first position of the next beat.
+	beat, beatEnd := int64(-1), start
 
-	// Replay phase: insert history positions without emitting tokens.
-	for j := 0; j+MinMatch+1 <= n && j < start; j++ {
-		m.insert(j, m.slot(src, j))
-	}
-
-	i := start
-	for i < n {
-		if i+MinMatch+1 > n {
+	// Positions [from, to) are inserted without being probed: the replayed
+	// history first, then what each match covers (bounded stride: hardware
+	// inserts up to InputWidth positions per cycle as they stream through).
+	from, to := 0, start
+	for i := start; ; {
+		for j := from; j < to && j < hashEnd; j++ {
+			h := hash4(src, j)
+			idx := int(h&bankMask<<hashBits | h>>4&setMask)
+			hd := int(head[idx])
+			table[idx*ways+hd] = base + uint32(j)
+			if hd++; hd == ways {
+				hd = 0
+			}
+			head[idx] = uint8(hd)
+		}
+		from = to
+		if i >= n {
+			break
+		}
+		if i >= hashEnd {
 			// Tail too short to match.
 			dst = append(dst, Lit(src[i]))
-			st.Literals++
+			literals++
 			i++
 			continue
 		}
-		beat := int64((i - start) / w)
-		idx := m.slot(src, i)
-		bank := idx >> m.p.HashBits
-		st.Probes++
+		if i >= beatEnd {
+			beat = int64((i - start) / w)
+			beatEnd = start + (int(beat)+1)*w
+		}
+		h := hash4(src, i)
+		bank := h & bankMask
+		idx := int(bank<<hashBits | h>>4&setMask)
+		probes++
 		if bankUsed[bank] == beat {
-			st.BankConflicts++
+			conflicts++
 		}
 		bankUsed[bank] = beat
 
-		length, dist := m.probe(src, i, &st, idx)
-		m.insert(i, idx)
+		row := table[idx*ways : idx*ways+ways]
+		hd := int(head[idx])
+		length, dist, c := probe(src, row, hd, i, base, maxDist)
+		candidates += int64(c)
+		row[hd] = base + uint32(i)
+		if hd++; hd == ways {
+			hd = 0
+		}
+		head[idx] = uint8(hd)
 
-		if m.p.Lazy && length >= MinMatch && length < 32 && i+1+MinMatch+1 <= n {
+		if lazy && length >= MinMatch && length < 32 && i+1 < hashEnd {
 			// One-deep lazy refinement: probe i+1; if strictly longer,
 			// emit a literal and take the later match. The second probe
 			// takes no part in the bank-conflict accounting.
-			idx2 := m.slot(src, i+1)
-			st.Probes++
-			l2, d2 := m.probe(src, i+1, &st, idx2)
+			h := hash4(src, i+1)
+			idx := int(h&bankMask<<hashBits | h>>4&setMask)
+			row := table[idx*ways : idx*ways+ways]
+			hd := int(head[idx])
+			probes++
+			l2, d2, c := probe(src, row, hd, i+1, base, maxDist)
+			candidates += int64(c)
 			if l2 > length {
 				dst = append(dst, Lit(src[i]))
-				st.Literals++
+				literals++
 				i++
-				m.insert(i, idx2)
+				row[hd] = base + uint32(i)
+				if hd++; hd == ways {
+					hd = 0
+				}
+				head[idx] = uint8(hd)
 				length, dist = l2, d2
 			}
 		}
 
 		if length >= MinMatch {
 			dst = append(dst, Match(length, dist))
-			st.Matches++
-			end := i + length
-			// Insert the covered positions (bounded stride: hardware
-			// inserts up to InputWidth positions per cycle as they stream
-			// through).
-			for j := i + 1; j < end && j+MinMatch+1 <= n; j++ {
-				m.insert(j, m.slot(src, j))
-			}
-			i = end
+			matches++
+			from, to = i+1, i+length
+			i = to
 			continue
 		}
 		dst = append(dst, Lit(src[i]))
-		st.Literals++
+		literals++
 		i++
 	}
 
-	st.Cycles = st.Beats + st.BankConflicts
-	return dst, st
+	beats := int64((n - start + w - 1) / w)
+	return dst, HWStats{
+		Cycles: beats + conflicts, Beats: beats, BankConflicts: conflicts,
+		Probes: probes, Candidates: candidates, Matches: matches, Literals: literals,
+	}
 }
 
-// probe compares the (at most Ways) candidates in the set against the
-// current position and returns the best match: the longest, and among
-// equally long ones the nearest. It walks the ring newest to oldest, i.e.
-// in ascending distance, so the first candidate beyond MaxDist ends the
-// walk and a later candidate can only win by being strictly longer.
-func (m *HWMatcher) probe(src []byte, i int, st *HWStats, idx int) (int, int) {
-	md := m.meta[idx]
-	if md.gen != m.gen {
-		// Stale epoch: the set holds no candidates from this operation.
-		return 0, 0
-	}
-	ways := m.p.Ways
-	row := m.table[idx*ways : idx*ways+ways]
+// probe compares the candidates in one set's row against position i and
+// returns the best match — the longest, and among equally long ones the
+// nearest — and how many candidates were in the window. It walks the ring
+// newest to oldest from the slot before head, i.e. in ascending distance,
+// so the first entry beyond maxDist ends the walk (everything after it is
+// older still, or a leftover of an earlier operation, or an empty slot) and
+// a later candidate can only win by being strictly longer.
+func probe(src []byte, row []uint32, head, i int, base, maxDist uint32) (length, dist, candidates int) {
 	maxLen := len(src) - i
 	if maxLen > MaxMatch {
 		maxLen = MaxMatch
 	}
-	bestLen, bestDist := 0, 0
-	way := int(md.head)
-	for k := int(md.n); k > 0; k-- {
+	cur := base + uint32(i)
+	way := head
+	for range row {
 		if way == 0 {
-			way = ways
+			way = len(row)
 		}
 		way--
-		c := int(row[way])
-		d := i - c
-		if d > m.p.MaxDist {
+		d := cur - row[way]
+		if d > maxDist {
 			break
 		}
 		// Candidates is a model counter: every in-window way is compared
 		// by the hardware, whether or not the host needs to look.
-		st.Candidates++
-		if bestLen == maxLen || src[c+bestLen] != src[i+bestLen] {
+		candidates++
+		c := i - int(d)
+		if length == maxLen || src[c+length] != src[i+length] {
 			continue
 		}
-		if l := matchLen(src, c, i, maxLen); l > bestLen {
-			bestLen, bestDist = l, d
+		if l := matchLen(src, c, i, maxLen); l > length {
+			length, dist = l, int(d)
 		}
 	}
-	if bestLen < MinMatch {
-		return 0, 0
+	if length < MinMatch {
+		return 0, 0, candidates
 	}
-	return bestLen, bestDist
-}
-
-// insert records position i in its set with FIFO replacement (the oldest
-// way is evicted), matching a simple hardware shift-register set.
-func (m *HWMatcher) insert(i, idx int) {
-	md := &m.meta[idx]
-	if md.gen != m.gen {
-		*md = setMeta{gen: m.gen}
-	}
-	m.table[idx*m.p.Ways+int(md.head)] = int32(i)
-	if md.head++; int(md.head) == m.p.Ways {
-		md.head = 0
-	}
-	if int(md.n) < m.p.Ways {
-		md.n++
-	}
+	return length, dist, candidates
 }

@@ -11,7 +11,7 @@ import (
 
 // hwPair runs the production matcher and the reference side by side. Both
 // matchers live as long as the pair, so every call after the first also
-// exercises the epoch invalidation of the previous operation's table.
+// has the previous operation's entries to see through.
 type hwPair struct {
 	hw  *HWMatcher
 	ref *refHWMatcher
@@ -147,31 +147,80 @@ func TestHWMatcherEqualsReferenceLarge(t *testing.T) {
 	}
 }
 
-// TestHWMatcherEpochWrap drives the generation counter through its
-// wrap-around: the sets one operation tagged must not read as current when
-// the counter comes round to the same value again.
+// TestHWMatcherEpochWrap drives the entry numbering to the end of its 32
+// bits. An operation that ends exactly on the last value runs without a
+// wipe; one that would end a byte past it — its base still fits, its length
+// alone crosses — and one whose base already does not fit must wipe and
+// restart the numbering. What the wipe protects is 4 GiB away: the entries
+// the earlier operation left near the top would read as current once the
+// numbering climbs back to their values, so the test rewinds it there in
+// one step and runs other data over the same range.
 func TestHWMatcherEpochWrap(t *testing.T) {
-	pr := newHWPair(HWParams{InputWidth: 8, Banks: 4, Ways: 3, HashBits: 4})
 	in := diffInputs()
-	if err := pr.check(nil, in["ladder"]); err != nil {
-		t.Fatal(err)
-	}
-	tagged := pr.hw.gen
-	pr.hw.gen = ^uint16(0)
-	for op := uint16(1); op <= tagged; op++ {
-		// Too short to insert anything, so only the wipe can retire the
-		// old tags before the last operation probes under the same value.
-		src := in["len2"]
-		if op == tagged {
-			src = in["text"]
+	ladder, text := in["ladder"], in["text"]
+	const top = 1<<32 - 1
+	gap := uint32(WindowSize + 1)
+	for _, tc := range []struct {
+		name       string
+		history, n int    // the second operation: short, so it overwrites next to nothing
+		over       uint32 // by how much it overshoots the top
+		wipe       bool
+	}{
+		{"ends on the last value", 0, 5, 0, false},
+		{"length alone crosses", 0, 5, 1, true},
+		{"length alone crosses, with history", 300, 5, 1, true},
+		{"base does not fit", 0, 5, 5 + 9, true},
+	} {
+		pr := newHWPair(HWParams{InputWidth: 8, Banks: 4, Ways: 3, HashBits: 4})
+		second := uint32(tc.history + tc.n)
+		pr.hw.end = top - (gap + uint32(len(ladder))) - (gap + second) + tc.over
+		firstBase := pr.hw.end + gap
+		if err := pr.check(nil, ladder); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := pr.check(nil, src); err != nil {
-			t.Fatalf("op %d after the wrap: %v", op, err)
+		if err := pr.check(text[:tc.history], text[tc.history:tc.history+tc.n]); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !tc.wipe {
+			if pr.hw.end != top {
+				t.Fatalf("%s: end = %d, want %d", tc.name, pr.hw.end, uint32(top))
+			}
+			continue
+		}
+		if pr.hw.end != gap+second {
+			t.Fatalf("%s: end = %d, want %d: the numbering did not restart", tc.name, pr.hw.end, gap+second)
+		}
+		for _, v := range pr.hw.table {
+			if v >= pr.hw.end {
+				t.Fatalf("%s: entry %d survives at or above end %d", tc.name, v, pr.hw.end)
+			}
+		}
+		pr.hw.end = firstBase - gap
+		if err := pr.check(text[:40], text[40:]); err != nil {
+			t.Fatalf("%s, back at the first operation's base: %v", tc.name, err)
 		}
 	}
-	if pr.hw.gen != tagged {
-		t.Fatalf("gen = %d, want %d: the counter did not wrap", pr.hw.gen, tagged)
+}
+
+// TestHWMatcherMaxInput checks the input limit's arithmetic on the base
+// alone, without a 4 GiB buffer: the longest source behind the longest
+// history ends exactly on the last 32-bit value on an empty table, forces
+// a wipe on a used one, and a byte more is refused.
+func TestHWMatcherMaxInput(t *testing.T) {
+	m := NewHWMatcher(P9HWParams())
+	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 {
+		t.Fatalf("on an empty table: base %d, end %d", base, m.end)
 	}
+	m.table[5] = 77
+	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 || m.table[5] != 0 {
+		t.Fatalf("on a full numbering: base %d, end %d, entry %d: no wipe", base, m.end, m.table[5])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an operation one byte over MaxInput + WindowSize was accepted")
+		}
+	}()
+	m.rebase(MaxInput + WindowSize + 1)
 }
 
 func FuzzHWMatcherEqualsReference(f *testing.F) {
@@ -293,6 +342,25 @@ func BenchmarkHWMatcherTokenize(b *testing.B) {
 		name string
 		p    HWParams
 	}{{"p9", P9HWParams()}, {"z15", Z15HWParams()}} {
+		// Small operations, one per slice of a 1 MiB buffer: each meets sets
+		// no recent operation touched, which the whole-buffer runs below
+		// (warm after the first few KiB) cannot show.
+		for _, size := range []int{256, 1 << 10, 4 << 10} {
+			b.Run(fmt.Sprintf("%s/text-%dB", mc.name, size), func(b *testing.B) {
+				src := corpus.Generate(corpus.Text, 1<<20, 12)
+				m := NewHWMatcher(mc.p)
+				var tokens []Token
+				b.SetBytes(int64(len(src)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for off := 0; off < len(src); off += size {
+						tokens, _ = m.Tokenize(tokens[:0], src[off:off+size])
+					}
+				}
+				benchSink = len(tokens)
+			})
+		}
 		for _, k := range []corpus.Kind{corpus.Text, corpus.Binary, corpus.Random} {
 			b.Run(mc.name+"/"+k.String(), func(b *testing.B) {
 				src := corpus.Generate(k, 1<<20, 12)

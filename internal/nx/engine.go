@@ -2,6 +2,7 @@ package nx
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -293,6 +294,11 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 		csb.Detail = "stream segments must use raw wrap"
 		return
 	}
+	if uint64(len(input)) > lz77.MaxInput {
+		csb.CC = CCInvalidCRB
+		csb.Detail = fmt.Sprintf("source of %d bytes exceeds the LZ stage's %d", len(input), lz77.MaxInput)
+		return
+	}
 	var (
 		tokens  []lz77.Token
 		lzStats lz77.HWStats
@@ -346,8 +352,7 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 		csb.Detail = err.Error()
 		return
 	}
-	crc := checksum.Sum32(input)
-	adler := checksum.SumAdler32(input)
+	crc, adler := checksum.SumBoth(input)
 	switch crb.Wrap {
 	case WrapGzip:
 		out = deflate.AppendGzipTrailer(out, crc, len(input))
@@ -379,7 +384,8 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 // only over tokens covering the first DHTSampleBytes of input, then every
 // symbol receives a +1 floor so the table is complete (the hardware
 // requires a decodable-by-construction table because data after the sample
-// may use any symbol).
+// may use any symbol). The table is built in the encoder's scratch — the
+// engine's on-chip table memory — and is good for this request's encode.
 func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
 	sampleBytes := e.cfg.Pipeline.DHTSampleBytes
 	covered := 0
@@ -395,20 +401,7 @@ func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
 		}
 		end = i + 1
 	}
-	lf, df := deflate.CountFrequencies(tokens[:end])
-	for i := range lf {
-		lf[i]++
-	}
-	for i := range df {
-		df[i]++
-	}
-	dht, err := deflate.BuildDHT(lf, df)
-	if err != nil {
-		// Frequencies are all positive; construction cannot fail. Fall
-		// back to nil (generated-per-block) defensively.
-		return nil
-	}
-	return dht
+	return e.enc.SampleDHT(tokens[:end])
 }
 
 func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int64) {
@@ -611,8 +604,7 @@ func (e *Engine) move(crb *CRB, csb *CSB, translateCycles int64) {
 	csb.Output = out
 	csb.SPBC = len(crb.Input)
 	csb.TPBC = len(out)
-	csb.CRC32 = checksum.Sum32(crb.Input)
-	csb.Adler32 = checksum.SumAdler32(crb.Input)
+	csb.CRC32, csb.Adler32 = checksum.SumBoth(crb.Input)
 	// Pure data movement: bounded by the DMA width on both sides.
 	b := pipeline.Breakdown{
 		Setup:     e.cfg.Pipeline.SetupCycles,

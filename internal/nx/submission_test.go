@@ -433,6 +433,14 @@ func TestSubmitIntoAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
 	}
+	// The generate-DHT function code builds its table in the engine's
+	// encoder scratch: the same zero as the fixed table.
+	for _, fc := range []FuncCode{FCCompressFHT, FCCompressDHT} {
+		t.Run(fc.String(), func(t *testing.T) { submitIntoAllocFree(t, fc) })
+	}
+}
+
+func submitIntoAllocFree(t *testing.T, fc FuncCode) {
 	dev := NewDevice(P9Device())
 	ctx := dev.OpenContext(1)
 	defer ctx.Close()
@@ -446,7 +454,7 @@ func TestSubmitIntoAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crb := CRB{Func: FCCompressFHT, Wrap: WrapGzip, Input: src, SourceVA: srcVA, TargetVA: dstVA,
+	crb := CRB{Func: fc, Wrap: WrapGzip, Input: src, SourceVA: srcVA, TargetVA: dstVA,
 		TargetCap: capOut, Target: make([]byte, 0, capOut)}
 	var (
 		csb CSB

@@ -122,7 +122,19 @@ func TestIntoPathAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
 	}
-	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})
+	// TableDynamic is the engine-generated DHT: counting, the Huffman
+	// build, the header plan and the codes all live in the engine's
+	// encoder scratch, so it is held to the same zero as the fixed table.
+	for _, tc := range []struct {
+		name string
+		mode TableMode
+	}{{"TableFixed", TableFixed}, {"TableDynamic", TableDynamic}} {
+		t.Run(tc.name, func(t *testing.T) { intoPathAllocFree(t, tc.mode) })
+	}
+}
+
+func intoPathAllocFree(t *testing.T, mode TableMode) {
+	acc := Open(Config{Device: P9().Device, TableMode: mode})
 	defer acc.Close()
 	src := corpus.Generate(corpus.Text, 8<<10, 3)
 	dst := make([]byte, 0, 16<<10)
