@@ -324,3 +324,49 @@ func BenchmarkReadBits(b *testing.B) {
 		_, _ = r.ReadBits(32)
 	}
 }
+
+// TestWriterFillsCallerBufferToTheLastByte writes the same bit sequence
+// into buffers whose spare capacity runs from nothing to plenty: the bytes
+// never differ, the caller's buffer is used while the output fits it (the
+// wide store needs eight bytes of room; closer to the end bytes are
+// appended singly), and nothing past its capacity is touched.
+func TestWriterFillsCallerBufferToTheLastByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type field struct {
+		v uint64
+		n uint
+	}
+	var fields []field
+	for i := 0; i < 200; i++ {
+		fields = append(fields, field{rng.Uint64(), uint(rng.Intn(49))})
+	}
+	ref := NewWriter(nil)
+	for _, f := range fields {
+		ref.WriteBits(f.v, f.n)
+	}
+	want := bytes.Clone(ref.Bytes())
+	for spare := 0; spare <= len(want)+9; spare++ {
+		guard := bytes.Repeat([]byte{0xA5}, spare+16)
+		w := NewWriter(guard[:0:spare])
+		for i, f := range fields {
+			if i == len(fields)/2 {
+				// An emit loop borrows the position and hands it back.
+				buf, acc, nacc := w.State()
+				w.SetState(buf, acc, nacc)
+			}
+			w.WriteBits(f.v, f.n)
+		}
+		got := w.Bytes()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("spare %d: bytes differ", spare)
+		}
+		if spare >= len(want) && &got[0] != &guard[0] {
+			t.Fatalf("spare %d: output fits the caller's buffer but left it", spare)
+		}
+		for i, b := range guard[spare:] {
+			if b != 0xA5 {
+				t.Fatalf("spare %d: wrote %d bytes past the capacity", spare, i+1)
+			}
+		}
+	}
+}

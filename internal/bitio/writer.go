@@ -79,6 +79,7 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 // takes back the buffer re-sliced to the bytes now written, and the rest.
 func (w *Writer) State() (buf []byte, acc uint64, nacc uint) { return w.buf, w.acc, w.nacc }
 
+// SetState moves the Writer to where an emit loop advanced to.
 func (w *Writer) SetState(buf []byte, acc uint64, nacc uint) { w.buf, w.acc, w.nacc = buf, acc, nacc }
 
 // WriteBool writes a single bit.

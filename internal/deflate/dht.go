@@ -142,10 +142,7 @@ func runLength(out []clSymbol, lengths []uint8) []clSymbol {
 		switch {
 		case v == 0 && run >= 3:
 			for run >= 3 {
-				r := run
-				if r > 138 {
-					r = 138
-				}
+				r := min(run, 138)
 				if r <= 10 {
 					out = append(out, clSymbol{17, uint8(r - 3), 3})
 				} else {
@@ -154,33 +151,21 @@ func runLength(out []clSymbol, lengths []uint8) []clSymbol {
 				run -= r
 				i += r
 			}
-			for ; run > 0; run-- {
-				out = append(out, clSymbol{0, 0, 0})
-				i++
-			}
 		case v != 0 && run >= 4:
 			// Emit the value once, then repeat-prev runs of 3..6.
 			out = append(out, clSymbol{v, 0, 0})
 			i++
 			run--
 			for run >= 3 {
-				r := run
-				if r > 6 {
-					r = 6
-				}
+				r := min(run, 6)
 				out = append(out, clSymbol{16, uint8(r - 3), 2})
 				run -= r
 				i += r
 			}
-			for ; run > 0; run-- {
-				out = append(out, clSymbol{v, 0, 0})
-				i++
-			}
-		default:
-			for ; run > 0; run-- {
-				out = append(out, clSymbol{v, 0, 0})
-				i++
-			}
+		}
+		for ; run > 0; run-- { // what no run symbol covers goes out as is
+			out = append(out, clSymbol{v, 0, 0})
+			i++
 		}
 	}
 	return out

@@ -158,11 +158,9 @@ func (bw *BlockWriter) Reset(w *bitio.Writer) {
 // countInto tallies token frequencies into the writer's scratch arrays
 // and returns them as slices.
 func (bw *BlockWriter) countInto(tokens []lz77.Token) ([]int64, []int64) {
-	lf, df := bw.litFreq[:], bw.distFreq[:]
-	clear(lf)
-	clear(df)
-	CountFrequenciesInto(lf, df, tokens)
-	return lf, df
+	bw.litFreq, bw.distFreq = [NumLitLen]int64{}, [NumDist]int64{}
+	CountFrequenciesInto(bw.litFreq[:], bw.distFreq[:], tokens)
+	return bw.litFreq[:], bw.distFreq[:]
 }
 
 // generate builds the scratch table from symbol frequencies.
@@ -182,12 +180,11 @@ func (bw *BlockWriter) WriteBlock(tokens []lz77.Token, src []byte, final bool, m
 		return fmt.Errorf("deflate: write after final block")
 	}
 	// A canned dht carries its codes and header plan from first use (see
-	// DHT.prepared), so the canned path builds no tables per block — only
-	// a freshly generated table pays the construction cost, exactly as the
-	// hardware builds its DHT on-chip in DHT-generate mode. The symbols
-	// are counted only for what reads the counts: ModeAuto's costing, a
-	// table to generate, or a table that may lack a code this block uses
-	// (the hardware raises a CC error for that case).
+	// DHT.prepared): only a freshly generated table pays construction, as
+	// the hardware builds its DHT on-chip in DHT-generate mode. Symbols are
+	// counted only for what reads the counts: ModeAuto's costing, a table
+	// to generate, or a table that may lack a code this block uses (the
+	// hardware raises a CC error for that case).
 	var dyn *dynTables
 	if mode == ModeDynamic || mode == ModeAuto {
 		var err error
@@ -329,13 +326,12 @@ func storedCost(n, pos int) int64 {
 }
 
 // writeTokens emits the tokens and the end-of-block symbol. The bit
-// writer's position is on loan for the whole loop (bitio.Writer.State):
-// a token is one or two table reads merged into at most 48 bits, ORed in
-// above the at most 7 pending ones, and flushed with one 8-byte store of
-// which only the whole bytes are kept. Within 8 bytes of the buffer's
-// capacity the store has no room; the token goes through WriteBits, which
-// appends byte by byte and grows the buffer only when the output really
-// does not fit — a caller-owned buffer is filled to its last byte first.
+// writer's position is on loan for the whole loop (bitio.Writer.State): a
+// token is one or two table reads merged into at most 48 bits, ORed in above
+// the at most 7 pending ones, and flushed with one 8-byte store of which
+// only the whole bytes are kept. Within 8 bytes of the buffer's capacity the
+// token goes through WriteBits instead, which fills a caller-owned buffer
+// to its last byte and grows out of it only when the output does not fit.
 func (bw *BlockWriter) writeTokens(tokens []lz77.Token, tb *blockTables) {
 	w := bw.w
 	buf, acc, nacc := w.State()

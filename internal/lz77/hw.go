@@ -1,6 +1,9 @@
 package lz77
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Hardware matcher: a functional and cycle-approximate model of the LZ77
 // stage in the POWER9/z15 compression accelerator.
@@ -146,10 +149,10 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 }
 
 // tokenizeFrom emits tokens for src[start:]; positions before start (the
-// replayed history) are table-inserted only. The table, the geometry and
-// the counters live in locals for the whole scan (a store through m.table
-// would otherwise force every m.* field to be reloaded), insert is written
-// out where it happens, and HWStats is filled in once at the end.
+// replayed history) are table-inserted only. Table, geometry and counters
+// live in locals for the whole scan (a store through m.table would force
+// every m.* field to be reloaded), insert is written out where it happens,
+// and HWStats is filled in once at the end.
 func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, HWStats) {
 	n := len(src)
 	if n == 0 {
@@ -160,7 +163,7 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		base        = m.rebase(n)
 		ways        = m.p.Ways
 		maxDist     = uint32(m.p.MaxDist)
-		hashBits    = uint(m.p.HashBits)
+		hashBits    = uint(m.p.HashBits) & 31 // masked: the shifts below need no range check
 		bankMask    = uint32(m.p.Banks - 1)
 		setMask     = uint32(m.sets - 1)
 		lazy        = m.p.Lazy
@@ -169,16 +172,20 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		// never probed, never inserted.
 		hashEnd = n - MinMatch
 
-		probes, conflicts, candidates, matches, literals int64
+		probes, conflicts, candidates, matches int64
 	)
+	// Room for the worst case, a literal per byte, so the loop stores
+	// tokens by index instead of appending.
+	k0 := len(dst)
+	dst = slices.Grow(dst, n-start)[:k0+n-start]
+	k := k0
 
 	// Cycle model: each beat of InputWidth bytes costs one cycle plus one
 	// replay cycle per bank conflict within the beat. We track which bank
-	// each *probed* position used per beat. Positions covered by an
-	// in-progress match are not probed for matching but are still inserted
-	// (the hardware inserts every position to keep history complete);
-	// inserts use a write port and do not conflict with probes in this
-	// model.
+	// each *probed* position used per beat. Positions covered by a match
+	// are not probed but are still inserted (the hardware inserts every
+	// position to keep history complete); inserts use a write port and do
+	// not conflict with probes in this model.
 	bankUsed := m.bankBeat
 	for i := range bankUsed {
 		bankUsed[i] = -1 // no bank has served a beat yet
@@ -191,8 +198,9 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 	// history first, then what each match covers (bounded stride: hardware
 	// inserts up to InputWidth positions per cycle as they stream through).
 	from, to := 0, start
-	for i := start; ; {
-		for j := from; j < to && j < hashEnd; j++ {
+	i := start
+	for {
+		for j, end := from, min(to, hashEnd); j < end; j++ {
 			h := hash4(src, j)
 			idx := int(h&bankMask<<hashBits | h>>4&setMask)
 			hd := int(head[idx])
@@ -203,15 +211,8 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 			head[idx] = uint8(hd)
 		}
 		from = to
-		if i >= n {
-			break
-		}
 		if i >= hashEnd {
-			// Tail too short to match.
-			dst = append(dst, Lit(src[i]))
-			literals++
-			i++
-			continue
+			break
 		}
 		if i >= beatEnd {
 			beat = int64((i - start) / w)
@@ -248,8 +249,8 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 			l2, d2, c := probe(src, row, hd, i+1, base, maxDist)
 			candidates += int64(c)
 			if l2 > length {
-				dst = append(dst, Lit(src[i]))
-				literals++
+				dst[k] = Lit(src[i])
+				k++
 				i++
 				row[hd] = base + uint32(i)
 				if hd++; hd == ways {
@@ -261,19 +262,25 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		}
 
 		if length >= MinMatch {
-			dst = append(dst, Match(length, dist))
+			dst[k] = Match(length, dist)
+			k++
 			matches++
 			from, to = i+1, i+length
 			i = to
 			continue
 		}
-		dst = append(dst, Lit(src[i]))
-		literals++
+		dst[k] = Lit(src[i])
+		k++
 		i++
+	}
+	for ; i < n; i++ { // tail too short to match
+		dst[k] = Lit(src[i])
+		k++
 	}
 
 	beats := int64((n - start + w - 1) / w)
-	return dst, HWStats{
+	literals := int64(k-k0) - matches
+	return dst[:k], HWStats{
 		Cycles: beats + conflicts, Beats: beats, BankConflicts: conflicts,
 		Probes: probes, Candidates: candidates, Matches: matches, Literals: literals,
 	}
@@ -282,15 +289,12 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 // probe compares the candidates in one set's row against position i and
 // returns the best match — the longest, and among equally long ones the
 // nearest — and how many candidates were in the window. It walks the ring
-// newest to oldest from the slot before head, i.e. in ascending distance,
-// so the first entry beyond maxDist ends the walk (everything after it is
-// older still, or a leftover of an earlier operation, or an empty slot) and
-// a later candidate can only win by being strictly longer.
+// newest to oldest from the slot before head, i.e. in ascending distance:
+// the first entry beyond maxDist ends the walk (what follows is older, a
+// leftover of an earlier operation, or an empty slot) and a later
+// candidate can only win by being strictly longer.
 func probe(src []byte, row []uint32, head, i int, base, maxDist uint32) (length, dist, candidates int) {
-	maxLen := len(src) - i
-	if maxLen > MaxMatch {
-		maxLen = MaxMatch
-	}
+	maxLen := min(len(src)-i, MaxMatch)
 	cur := base + uint32(i)
 	way := head
 	for range row {

@@ -384,8 +384,7 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 // only over tokens covering the first DHTSampleBytes of input, then every
 // symbol receives a +1 floor so the table is complete (the hardware
 // requires a decodable-by-construction table because data after the sample
-// may use any symbol). The table is built in the encoder's scratch — the
-// engine's on-chip table memory — and is good for this request's encode.
+// may use any symbol). It lives in the encoder's scratch until the next one.
 func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
 	sampleBytes := e.cfg.Pipeline.DHTSampleBytes
 	covered := 0
