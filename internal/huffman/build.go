@@ -57,11 +57,12 @@ func (a buildItem) lessBit(b buildItem) uint64 {
 
 func (a buildItem) less(b buildItem) bool { return a.lessBit(b) != 0 }
 
-// up and down are container/heap's, typed and in place: the same
-// comparisons in the same order, so equal weights leave the heap in the
-// order they always did and the code lengths — which depend on it — are
-// the ones container/heap produced. down holds the sinking item aside and
-// writes it once where container/heap's chain of swaps would leave it.
+// up and down are the standard library heap package's, typed and in
+// place: the same comparisons in the same order, so equal weights leave the
+// heap in the order they always did and the code lengths — which depend on
+// it — are the ones heap.Init/Pop/Push produced. down holds the sinking
+// item aside and writes it once where the library's chain of swaps would
+// leave it.
 func up(h []buildItem, j int) {
 	for {
 		i := (j - 1) / 2 // parent
@@ -238,10 +239,7 @@ func (b *Builder) repairOverflow(lengths []uint8, freqs []int64, maxBits int) {
 		}
 	}
 	slices.SortFunc(live, func(x, y buildItem) int {
-		if x.weight != y.weight {
-			return cmp.Compare(x.weight, y.weight)
-		}
-		return cmp.Compare(x.node, y.node)
+		return cmp.Or(cmp.Compare(x.weight, y.weight), cmp.Compare(x.node, y.node))
 	})
 	li := 0
 	for l := maxBits; l >= 1; l-- {

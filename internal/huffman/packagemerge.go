@@ -1,8 +1,9 @@
 package huffman
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BuildLengthsOptimal computes *optimal* length-limited Huffman code
@@ -44,11 +45,8 @@ func BuildLengthsOptimal(freqs []int64, maxBits int) ([]uint8, error) {
 	if len(live) > 1<<maxBits {
 		return nil, fmt.Errorf("huffman: %d symbols cannot fit in %d bits", len(live), maxBits)
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].freq != live[j].freq {
-			return live[i].freq < live[j].freq
-		}
-		return live[i].sym < live[j].sym
+	slices.SortFunc(live, func(a, b item) int {
+		return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.sym, b.sym))
 	})
 
 	// node is a coin in package-merge: either an original symbol (leaf)
