@@ -50,9 +50,12 @@ bench:
 ## Dst, and a skim, at 0 allocations (tables live in the pooled inflater).
 ## TestIntoPathAllocFree and TestSubmitIntoAllocFree each run twice, fixed
 ## table and engine-generated DHT: counting, the Huffman build, the header
-## plan and the codes all live in the engine's encoder scratch.
+## plan and the codes all live in the engine's encoder scratch. The 842
+## codec's gate is one allocation a call, its output: Compress (the match
+## tables are on its stack), and Decompress under an exact budget.
 bench-alloc:
 	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
+	$(GO) test -run 'TestOneAllocation' -count=1 ./internal/x842
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
 	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite' -count=1 .
@@ -84,13 +87,19 @@ bench-json:
 ## tokens and equal HWStats, i.e. the model clock does not move), the
 ## three DEFLATE decode targets: the inflate core against its reference
 ## (equal bytes, consumed input and error class), lossless re-encoding of
-## whatever decodes, and Session against the one-shot decode — and, tenth,
-## the encoder against its reference (table construction, header, emit
-## loop and bit writer: equal bytes and equal error for every block mode,
+## whatever decodes, and Session against the one-shot decode — tenth, the
+## encoder against its reference (table construction, header, emit loop
+## and bit writer: equal bytes and equal error for every block mode,
 ## table source and shape of dst; the compressed bytes are the model's
-## TPBC and ratio). Finds panics/OOMs in the bounds-checked decode loops
-## and parser edge cases; go test -fuzz accepts one fuzz target per
-## invocation, hence one run each.
+## TPBC and ratio) — and, eleventh and twelfth, the 842 kernels against
+## the codec they replaced: the encoder (equal bytes, on the input as it
+## comes and folded to a two-symbol alphabet that keeps every fifo full,
+## and Decompress takes them back — which is what x842's FuzzRoundTrip,
+## still outside this run, was for) and the decoder (equal bytes or an
+## equal error class on arbitrary streams and budgets). Twelve targets
+## in all. Finds panics/OOMs in the bounds-checked decode loops and parser
+## edge cases; go test -fuzz accepts one fuzz target per invocation, hence
+## one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -102,19 +111,25 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecompress$$' -fuzztime 30s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz FuzzSessionEqualsOneShot -fuzztime 30s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz FuzzEncodeEqualsReference -fuzztime 30s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz FuzzCompressEqualsReference -fuzztime 30s ./internal/x842
+	$(GO) test -run '^$$' -fuzz FuzzDecompressEqualsReference -fuzztime 30s ./internal/x842
 
 ## bench-host: the host clock of the kernel paths, end to end and then
-## layer by layer — bench/'s bulk_oneshot workload untraced (the nine
-## end-to-end metrics; compress_mbps and decompress_mbps are the
-## headlines) and traced (the per-layer ledger). The compress headline
-## rows are compress_mbps end to end and, under it, lz77.hw.ns_per_byte
-## (the LZ stage), deflate.encode.ns_per_byte (the emit loop) and
-## deflate.dht.us_per_block (table generation); the decode one is
-## deflate.inflate.ns_per_byte. See bench/README.md for the paired-run
-## method a claimed gain needs.
+## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot
+## unless given) untraced (the nine end-to-end metrics; compress_mbps and
+## decompress_mbps are the headlines) and traced (the per-layer ledger).
+## On bulk_oneshot the compress headline rows are compress_mbps end to end
+## and, under it, lz77.hw.ns_per_byte (the LZ stage),
+## deflate.encode.ns_per_byte (the emit loop) and deflate.dht.us_per_block
+## (table generation); the decode one is deflate.inflate.ns_per_byte.
+## make bench-host WORKLOAD=codec_mix prints the block codecs' rows: its
+## headlines are x842.compress.ns_per_byte and x842.decompress.ns_per_byte
+## (the 842 kernels) and nxzip.x842.mbps (842 through the root API). See
+## bench/README.md for the paired-run method a claimed gain needs.
+WORKLOAD ?= bulk_oneshot
 bench-host:
-	$(GO) run ./bench -workload bulk_oneshot -trace 0
-	$(GO) run ./bench -workload bulk_oneshot -trace 1
+	$(GO) run ./bench -workload $(WORKLOAD) -trace 0
+	$(GO) run ./bench -workload $(WORKLOAD) -trace 1
 
 ## obs-demo: observability self-check — run a workload behind an
 ## ephemeral exposition server, scrape /metrics, verify the Prometheus

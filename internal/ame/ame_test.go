@@ -2,6 +2,7 @@ package ame
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"nxzip/internal/corpus"
@@ -194,5 +195,30 @@ func TestConservationInvariants(t *testing.T) {
 	}
 	if got := int64(p.residentCount()) * 4096; got != st.UncompBytes {
 		t.Fatalf("resident bytes %d vs LRU count %d", st.UncompBytes, got)
+	}
+}
+
+// TestPoolAccountingPinned holds the pool's accounting on a fixed page set
+// to the numbers the three-map 842 encoder produced: pool occupancy and
+// engine cycles are functions of the compressed sizes, so a codec rewrite
+// that moved one stream's length would move them.
+func TestPoolAccountingPinned(t *testing.T) {
+	kinds := []corpus.Kind{corpus.Text, corpus.Columnar, corpus.Binary, corpus.Zeros, corpus.Random, corpus.JSONLogs}
+	cfg := DefaultConfig()
+	cfg.UncompressedTarget = 16
+	w := Workload{Pages: 192, HotFraction: 0.1, HotWeight: 0.8, Accesses: 3000, Seed: 42}
+	got, err := w.Run(New(cfg), func(id int) []byte {
+		return corpus.Generate(kinds[id%len(kinds)], cfg.PageSize, int64(id))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Accesses: 3000, Expansions: 1019, Compressions: 4312, EngineCycles: 21566533,
+		PoolBytes: 264969, UncompBytes: 208896, LogicalBytes: 786432, FailedToCompact: 3152}
+	if got != want {
+		t.Fatalf("pool accounting moved:\n got %+v\nwant %+v", got, want)
+	}
+	if f := got.ExpansionFactor(); math.Abs(f-1.659612) > 1e-6 {
+		t.Fatalf("expansion factor %.6f, want 1.659612", f)
 	}
 }

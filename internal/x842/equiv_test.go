@@ -21,7 +21,7 @@ func errClass(err error) string {
 		return "nil"
 	case errors.Is(err, ErrCorrupt):
 		return "corrupt"
-	case strings.Contains(err.Error(), "output exceeds"):
+	case errors.Is(err, ErrTooLarge), strings.HasPrefix(err.Error(), "x842: output exceeds"):
 		return "too-large"
 	}
 	return "other: " + err.Error()

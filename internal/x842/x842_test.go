@@ -3,9 +3,13 @@ package x842
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"nxzip/internal/corpus"
 )
 
 func roundTrip(t *testing.T, name string, src []byte) []byte {
@@ -127,33 +131,38 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 }
 
 func TestDecompressTruncated(t *testing.T) {
-	src := bytes.Repeat([]byte("TRUNCATE"), 100)
+	// END is the final operation, so every proper prefix stops inside one:
+	// corrupt for callers that only ask that, truncated for those that can
+	// fetch more.
+	src := append(bytes.Repeat([]byte("TRUNCATE"), 100), corpus.Generate(corpus.Text, 1003, 9)...)
 	comp := Compress(src)
-	for cut := 1; cut < len(comp); cut += 7 {
-		if _, err := Decompress(comp[:cut], 0); err == nil {
-			// A truncated stream may decode cleanly only if the cut
-			// happens to land after an END op, which never occurs here
-			// because END is the final operation.
-			t.Fatalf("truncation at %d accepted", cut)
+	for cut := 0; cut < len(comp); cut++ {
+		if _, err := Decompress(comp[:cut], 0); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncation at %d of %d: %v", cut, len(comp), err)
 		}
 	}
 }
 
 func TestDecompressOutputLimit(t *testing.T) {
-	src := make([]byte, 100000)
+	src := append(make([]byte, 100000), 1, 2, 3)
 	comp := Compress(src)
-	if _, err := Decompress(comp, 100); err == nil {
-		t.Fatal("output limit not enforced")
+	for _, budget := range []int{1, 100, len(src) - 8, len(src) - 1} {
+		if _, err := Decompress(comp, budget); !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("budget %d: %v, want ErrTooLarge alone", budget, err)
+		}
+	}
+	if out, err := Decompress(comp, len(src)); err != nil || !bytes.Equal(out, src) {
+		t.Fatalf("exact budget: %d bytes, err %v", len(out), err)
 	}
 }
 
 func TestRepeatWithNoPrevious(t *testing.T) {
-	w := &msbWriter{}
+	w := &refMSBWriter{}
 	w.writeBits(opRepeat, opBits)
 	w.writeBits(3, repeatBits)
 	w.writeBits(opEnd, opBits)
-	if _, err := Decompress(w.bytes(), 0); err == nil {
-		t.Fatal("repeat with no previous phrase accepted")
+	if _, err := Decompress(w.bytes(), 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("repeat with no previous phrase: %v", err)
 	}
 }
 
@@ -187,21 +196,26 @@ func TestRoundTripStructuredProperty(t *testing.T) {
 }
 
 func TestResolveIndexSymmetry(t *testing.T) {
-	// fifoIndex (encoder) and resolveIndex (decoder) must be inverse for
-	// every valid candidate/total pair.
-	for _, chunk := range []int{2, 4, 8} {
-		fsize := map[int]int{2: fifo2Size, 4: fifo4Size, 8: fifo8Size}[chunk]
-		for total := chunk; total < 3*fsize; total += chunk * 3 {
-			for cand := 0; cand+chunk <= total; cand += chunk {
-				idx := fifoIndex(cand, total, chunk, fsize)
-				if idx < 0 {
-					continue
+	// The index the encoder writes for a position (its ring slot) and the
+	// decoder's resolve must be inverse for every position in reach of a
+	// phrase, whether or not the phrase starts aligned (it does not after a
+	// mid-stream OP_SHORT_DATA); out of reach resolve must refuse or name
+	// decoded bytes, never the phrase itself.
+	for _, f := range []struct {
+		log   uint
+		fsize int
+	}{{1, fifo2Size}, {2, fifo4Size}, {3, fifo8Size}} {
+		chunk := 1 << f.log
+		for total := 0; total < 3*f.fsize; total += 1 + total%7 {
+			for idx := 0; idx < f.fsize/chunk; idx++ {
+				off := resolve(uint64(idx), total, f.log, f.fsize)
+				if want, err := refResolveIndex(idx, total, chunk, f.fsize); (err != nil) != (off < 0) || (err == nil && off != want) {
+					t.Fatalf("chunk %d total %d idx %d: resolved to %d, reference %d (%v)", chunk, total, idx, off, want, err)
 				}
-				got, err := resolveIndex(idx, total, chunk, fsize)
-				if err != nil {
-					t.Fatalf("chunk %d total %d cand %d: %v", chunk, total, cand, err)
-				}
-				if got != cand {
+			}
+			for cand := max(0, total&^7-f.fsize) &^ (chunk - 1); total%8 == 0 && cand+chunk <= total; cand += chunk {
+				idx := cand >> f.log & (f.fsize/chunk - 1) // as find returns it
+				if got := resolve(uint64(idx), total, f.log, f.fsize); got != cand {
 					t.Fatalf("chunk %d total %d cand %d: resolved to %d", chunk, total, cand, got)
 				}
 			}
@@ -210,36 +224,172 @@ func TestResolveIndexSymmetry(t *testing.T) {
 }
 
 func TestMSBBitIO(t *testing.T) {
-	w := &msbWriter{}
-	w.writeBits(0b10110, 5)
-	w.writeBits(0b001, 3)
-	got := w.bytes()
-	if len(got) != 1 || got[0] != 0b10110001 {
-		t.Fatalf("got %08b", got[0])
-	}
-	r := &msbReader{data: got}
-	v, err := r.readBits(5)
-	if err != nil || v != 0b10110 {
-		t.Fatalf("read %05b err %v", v, err)
-	}
-	v, err = r.readBits(3)
-	if err != nil || v != 0b001 {
-		t.Fatalf("read %03b err %v", v, err)
-	}
-	if _, err := r.readBits(1); err != ErrTruncated {
-		t.Fatalf("expected ErrTruncated, got %v", err)
+	// put and peek against the reference writer and reader: every count put
+	// takes, at every bit phase.
+	rng := rand.New(rand.NewSource(57))
+	for phase := uint(0); phase < 8; phase++ {
+		var (
+			dst  = make([]byte, 1024)
+			ref  = &refMSBWriter{}
+			o    int
+			acc  uint64
+			nacc uint
+			vals []uint64
+		)
+		o, acc, nacc = put(dst, o, acc, nacc, 0, phase)
+		ref.writeBits(0, phase)
+		for n := uint(0); n <= 56; n++ {
+			v := rng.Uint64() >> (64 - n) // 0 when n is 0
+			vals = append(vals, v)
+			o, acc, nacc = put(dst, o, acc, nacc, v, n)
+			ref.writeBits(v, n)
+		}
+		if nacc >= 8 || acc<<nacc != 0 {
+			t.Fatalf("phase %d: %d pending bits, accumulator %#x", phase, nacc, acc)
+		}
+		got := dst[:o+int(nacc+7)>>3]
+		if !bytes.Equal(got, ref.bytes()) {
+			t.Fatalf("phase %d: put wrote\n%x, reference\n%x", phase, got, ref.bytes())
+		}
+		r := &refMSBReader{data: got}
+		bp := int(phase)
+		if _, err := r.readBits(phase); err != nil {
+			t.Fatal(err)
+		}
+		padded := append(bytes.Clone(got), make([]byte, 8)...)
+		for n, v := range vals {
+			want, err := r.readBits(uint(n))
+			if err != nil || want != v {
+				t.Fatalf("phase %d: reference read %#x of %d bits, err %v; wrote %#x", phase, want, n, err, v)
+			}
+			if n > 0 && peek(padded, bp)>>(64-uint(n)) != v {
+				t.Fatalf("phase %d: peek at bit %d read %#x of %d bits, wrote %#x", phase, bp, peek(padded, bp)>>(64-uint(n)), n, v)
+			}
+			bp += n
+		}
 	}
 }
 
 func TestTemplateTableConsistency(t *testing.T) {
-	// Every template's actions must cover exactly 8 bytes.
+	// Every template's actions must cover exactly 8 bytes, and opLen must
+	// be its opcode plus its actions.
 	for op, tmpl := range templates {
-		total := 0
+		total, bits := 0, uint(opBits)
 		for _, a := range tmpl {
 			total += actionBytes[a]
+			bits += actionBits[a]
 		}
 		if total != 8 {
 			t.Fatalf("template %#x covers %d bytes", op, total)
+		}
+		if uint(opLen[op]) != bits {
+			t.Fatalf("template %#x: opLen %d, actions take %d bits", op, opLen[op], bits)
+		}
+	}
+	// The product structure both kernels work on: opcode 5*first+second is
+	// the first half's actions followed by the second's — the same bits,
+	// though the table writes adjacent literals as one wider action (D2 D2
+	// as D4, D4 D4 as D8) — and 0x19 is the I8.
+	split := func(actions []uint8) (out []uint8) {
+		for _, a := range actions {
+			switch a {
+			case actD8:
+				out = append(out, actD2, actD2, actD2, actD2)
+			case actD4:
+				out = append(out, actD2, actD2)
+			case actN0:
+			default:
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	halfActions := [halfWays][]uint8{
+		halfD4: {actD4}, halfD2I2: {actD2, actI2}, halfI2D2: {actI2, actD2}, halfI2I2: {actI2, actI2}, halfI4: {actI4},
+	}
+	for first := range halfActions {
+		bits := uint(0)
+		for _, a := range halfActions[first] {
+			bits += actionBits[a]
+		}
+		if halfBits[first] != bits {
+			t.Fatalf("half %d: halfBits %d, actions take %d", first, halfBits[first], bits)
+		}
+		for second := range halfActions {
+			want := split(append(append([]uint8{}, halfActions[first]...), halfActions[second]...))
+			if got := templates[halfWays*first+second]; !bytes.Equal(split(got[:]), want) {
+				t.Fatalf("template %#x is %v, not half %d then half %d", halfWays*first+second, got, first, second)
+			}
+		}
+	}
+	if templates[opI8] != [4]uint8{actI8, actN0, actN0, actN0} {
+		t.Fatalf("template %#x is %v, not I8", opI8, templates[opI8])
+	}
+	// bestTemplate against the reference encoder's per-phrase search, for
+	// every combination of available indices.
+	for avail := range bestTemplate {
+		plan := refPhrasePlan{i2: [4]int{-1, -1, -1, -1}, i4: [2]int{-1, -1}, i8: -1}
+		for q := range plan.i2 {
+			plan.i2[q] += avail >> q & 1
+		}
+		for h := range plan.i4 {
+			plan.i4[h] += avail >> (4 + h) & 1
+		}
+		plan.i8 += avail >> 6 & 1
+		bestOp, bestCost := 0x00, uint(opBits)+64
+		for op := 1; op < len(templates); op++ {
+			if cost, ok := refTemplateCost(templates[op], plan); ok && cost < bestCost {
+				bestOp, bestCost = op, cost
+			}
+		}
+		if int(bestTemplate[avail]) != bestOp {
+			t.Fatalf("bestTemplate[%07b] = %#x, the search picks %#x", avail, bestTemplate[avail], bestOp)
+		}
+		// The lookups Compress skips cannot change the choice: an I8 decides
+		// alone, an I4 decides its half whatever that half's I2s are.
+		if avail>>6 == 1 && bestOp != opI8 {
+			t.Fatalf("bestTemplate[%07b] = %#x with an I8 available", avail, bestOp)
+		}
+		for h := 0; h < 2; h++ {
+			if avail>>(4+h)&1 == 1 && bestTemplate[avail&^(3<<(2*h))] != bestTemplate[avail] {
+				t.Fatalf("bestTemplate[%07b]: half %d has an I4 yet its I2 bits change the choice", avail, h)
+			}
+		}
+	}
+}
+
+// TestMaxInput checks the limit on the arithmetic: the largest value the
+// match tables store for a MaxInput-byte source fits their int32, and one
+// more phrase would not.
+func TestMaxInput(t *testing.T) {
+	largest := func(n int64) int64 { // position+1 of the last quarter of the last whole phrase
+		return (n-8)&^7 + 6 + 1
+	}
+	if v := largest(MaxInput); int64(int32(v)) != v {
+		t.Fatalf("a MaxInput-byte source stores %d, which does not fit an int32", v)
+	}
+	if v := largest(MaxInput + 16); int64(int32(v)) == v {
+		t.Fatalf("MaxInput is conservative by two phrases: %d still fits", v)
+	}
+}
+
+// TestOneAllocation is the codec's allocation gate (make bench-alloc):
+// Compress allocates its output, sized to the format's worst case, and
+// Decompress under an exact budget allocates its output and nothing else
+// (a stream that expands more than twofold grows it from 2*len(src)).
+func TestOneAllocation(t *testing.T) {
+	for _, k := range []corpus.Kind{corpus.Text, corpus.Binary, corpus.Random} {
+		src := corpus.Generate(k, 64<<10+5, 3)
+		var comp []byte
+		if n := testing.AllocsPerRun(10, func() { comp = Compress(src) }); n != 1 {
+			t.Errorf("%s: Compress allocates %v times, want 1", k, n)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := Decompress(comp, len(src)); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%s: Decompress under an exact budget allocates %v times, want 1", k, n)
 		}
 	}
 }
@@ -253,22 +403,89 @@ func TestD8Roundtrip(t *testing.T) {
 	roundTrip(t, "d8", src[:])
 }
 
-func BenchmarkCompress842(b *testing.B) {
-	src := bytes.Repeat([]byte("the 842 format works on 8-byte phrases. "), 1600)
-	b.SetBytes(int64(len(src)))
-	for i := 0; i < b.N; i++ {
-		Compress(src)
+// benchInputs is AME's page, codec_mix's payload and a bulk buffer, each
+// over five entropy classes.
+func benchInputs() (names []string, inputs [][]byte) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"4K", 4 << 10}, {"64K", 64 << 10}, {"1M", 1 << 20}} {
+		for _, k := range []corpus.Kind{corpus.Text, corpus.Columnar, corpus.Binary, corpus.Zeros, corpus.Random} {
+			names = append(names, k.String()+"/"+size.name)
+			inputs = append(inputs, corpus.Generate(k, size.n, 1))
+		}
 	}
+	return names, inputs
+}
+
+// collidingInput is the match tables' worst case, built against their
+// hash: every 4-byte half of every phrase lands in one head4 bucket and
+// every phrase in one head8 bucket, and no value recurs within 4 KiB — so
+// each of those lookups walks a chain as long as its ring (512 and 256
+// links) and finds nothing. A multiplicative hash of a phrase is that of
+// its first half shifted up plus that of its second, so the search is for
+// halves alone: about 2^30 multiplications.
+func collidingInput(n int) []byte {
+	var firsts, seconds []uint64
+	for v := uint64(1); len(firsts) < 512; v++ {
+		switch p := v * hashMul; {
+		case p>>53 != 0:
+		case p<<32>>54 == 0:
+			firsts = append(firsts, v)
+		case len(seconds) < 512:
+			seconds = append(seconds, v)
+		}
+	}
+	block := make([]byte, 0, 8*len(firsts))
+	for i, first := range firsts {
+		block = binary.BigEndian.AppendUint64(block, first<<32|seconds[i])
+	}
+	return bytes.Repeat(block, n/len(block)+1)[:n]
+}
+
+var benchSink []byte
+
+func BenchmarkCompress842(b *testing.B) {
+	run := func(name string, input func() []byte) {
+		b.Run(name, func(b *testing.B) {
+			src := input()
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = Compress(src)
+			}
+		})
+	}
+	names, inputs := benchInputs()
+	for i, src := range inputs {
+		run(names[i], func() []byte { return src })
+	}
+	// Built once, and only if this sub-benchmark is selected: the search
+	// takes a second.
+	run("colliding/64K", sync.OnceValue(func() []byte {
+		src := collidingInput(64 << 10)
+		if !bytes.Equal(Compress(src), refCompress(src)) {
+			b.Fatal("colliding input: bytes differ from the reference encoder's")
+		}
+		return src
+	}))
 }
 
 func BenchmarkDecompress842(b *testing.B) {
-	src := bytes.Repeat([]byte("the 842 format works on 8-byte phrases. "), 1600)
-	comp := Compress(src)
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp, 0); err != nil {
-			b.Fatal(err)
-		}
+	names, inputs := benchInputs()
+	for i, src := range inputs {
+		comp := Compress(src)
+		b.Run(names[i], func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				out, err := Decompress(comp, len(src))
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = out
+			}
+		})
 	}
 }
