@@ -8,6 +8,8 @@ package nxzip
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"nxzip/internal/corpus"
@@ -253,6 +255,13 @@ func TestNodeFormatAPI(t *testing.T) {
 		plain, _, err := node.DecompressFormat(f, enc, len(src)+64)
 		if err != nil || !bytes.Equal(plain, src) {
 			t.Fatalf("DecompressFormat(%s): err=%v equal=%v", f, err, bytes.Equal(plain, src))
+		}
+		// A sound stream over its budget is the device's target-space
+		// answer in every format — not corruption, which would send it
+		// round the other devices and through the software decoder first.
+		_, _, err = node.DecompressFormat(f, enc, len(src)-1)
+		if !errors.Is(err, nx.ErrTargetSpace) || !strings.Contains(err.Error(), "exceeds") || strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("DecompressFormat(%s) one byte short: %v", f, err)
 		}
 	}
 

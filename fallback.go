@@ -126,6 +126,9 @@ func softEncode(f Format, src []byte) ([]byte, error) {
 	case FormatRaw:
 		return deflate.Compress(src, opts)
 	case Format842:
+		if len(src) > x842.MaxInput {
+			return nil, fmt.Errorf("nxzip: source of %d bytes exceeds the 842 encoder's %d", len(src), x842.MaxInput)
+		}
 		return x842.Compress(src), nil
 	case FormatLZ4:
 		return lz4.Compress(src), nil

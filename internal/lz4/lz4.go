@@ -3,7 +3,8 @@
 // length extension and 16-bit match offsets. It is the repo's second
 // software block engine next to internal/x842 and deliberately mirrors
 // that package's API — Compress returns a self-contained block,
-// Decompress bounds its output and wraps every failure in ErrCorrupt —
+// Decompress bounds its output and fails with ErrTooLarge when a block
+// would decode past the bound and an error wrapping ErrCorrupt otherwise —
 // so the nx engine drives both through one per-codec dispatch table.
 //
 // The format follows the LZ4 block specification: each sequence is a
@@ -19,8 +20,13 @@ import (
 	"fmt"
 )
 
-// ErrCorrupt reports an undecodable block. All Decompress errors wrap it.
+// ErrCorrupt reports an undecodable block. Every Decompress error wraps
+// it or ErrTooLarge.
 var ErrCorrupt = errors.New("lz4: corrupt block")
+
+// ErrTooLarge reports a block that would decode past the output budget:
+// the block may be sound, the budget is not enough for it.
+var ErrTooLarge = errors.New("lz4: output exceeds the budget")
 
 // DefaultMaxOutput bounds decompression when the caller does not: a
 // decompression bomb stops here instead of exhausting memory.
@@ -171,9 +177,9 @@ func readLen(src []byte, si *int, base int) (int, error) {
 }
 
 // Decompress decodes one LZ4 block. Output is bounded by maxOutput
-// (DefaultMaxOutput when <= 0); exceeding the bound, running off either
-// buffer, or referencing data before the output start all fail with an
-// error wrapping ErrCorrupt. The decoder is deliberately more permissive
+// (DefaultMaxOutput when <= 0); exceeding the bound fails with an error
+// wrapping ErrTooLarge, running off the input or referencing data before
+// the output start with one wrapping ErrCorrupt. The decoder is deliberately more permissive
 // than the encoder-side end-condition rules: any sequence stream that
 // stays in bounds decodes.
 func Decompress(src []byte, maxOutput int) ([]byte, error) {
@@ -210,7 +216,7 @@ func Decompress(src []byte, maxOutput int) ([]byte, error) {
 			return nil, corrupt("literal run of %d overruns input", ll)
 		}
 		if len(out)+ll > maxOutput {
-			return nil, corrupt("output exceeds %d-byte budget", maxOutput)
+			return nil, fmt.Errorf("%w of %d bytes", ErrTooLarge, maxOutput)
 		}
 		out = append(out, src[si:si+ll]...)
 		si += ll
@@ -236,7 +242,7 @@ func Decompress(src []byte, maxOutput int) ([]byte, error) {
 		}
 		ml += minMatch
 		if len(out)+ml > maxOutput {
-			return nil, corrupt("output exceeds %d-byte budget", maxOutput)
+			return nil, fmt.Errorf("%w of %d bytes", ErrTooLarge, maxOutput)
 		}
 		// Byte-at-a-time copy: offsets smaller than the match length
 		// replicate the overlap region, which is the format's RLE idiom.

@@ -86,8 +86,8 @@ func TestLongLengthFields(t *testing.T) {
 func TestMaxOutputBudget(t *testing.T) {
 	src := bytes.Repeat([]byte{9}, 1<<16)
 	comp := Compress(src)
-	if _, err := Decompress(comp, 100); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("budget overflow error = %v, want ErrCorrupt", err)
+	if _, err := Decompress(comp, 100); !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("budget overflow error = %v, want ErrTooLarge alone", err)
 	}
 	if out, err := Decompress(comp, 1<<16); err != nil || len(out) != 1<<16 {
 		t.Fatalf("exact budget: %d bytes, err %v", len(out), err)

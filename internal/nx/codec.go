@@ -9,9 +9,11 @@ package nx
 // code it does not implement.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
+	"nxzip/internal/deflate"
 	"nxzip/internal/lz4"
 	"nxzip/internal/x842"
 )
@@ -181,13 +183,14 @@ func (crb *CRB) RequiredCodecs() CodecSet {
 }
 
 // blockCodec describes a byte-aligned block codec (842, LZ4) behind the
-// generic engine dispatch: compress, bounded decompress, and the
-// ingest-lane multiplier for the per-codec cycle model. LZ4's
-// byte-aligned tokens let the match pipeline consume twice the DEFLATE
-// input width per cycle (Chen et al.); 842's template scheme runs at
-// line rate (multiplier 1).
+// generic engine dispatch: compress (and the longest source it takes, 0
+// for any), bounded decompress, and the ingest-lane multiplier for the
+// per-codec cycle model. LZ4's byte-aligned tokens let the match pipeline
+// consume twice the DEFLATE input width per cycle (Chen et al.); 842's
+// template scheme runs at line rate (multiplier 1).
 type blockCodec struct {
 	compress    func(src []byte) []byte
+	maxInput    int
 	decompress  func(src []byte, maxOutput int) ([]byte, error)
 	ingestLanes int
 }
@@ -195,6 +198,27 @@ type blockCodec struct {
 // blockCodecs is indexed by Codec; CodecDeflate stays nil — DEFLATE runs
 // the full LZ/Huffman pipeline, not the block path.
 var blockCodecs = [codecCount]blockCodec{
-	Codec842: {compress: x842.Compress, decompress: x842.Decompress, ingestLanes: 1},
+	Codec842: {compress: x842.Compress, maxInput: x842.MaxInput, decompress: x842.Decompress, ingestLanes: 1},
 	CodecLZ4: {compress: lz4.Compress, decompress: lz4.Decompress, ingestLanes: 2},
+}
+
+// decodeLimit is the most a decode may produce: what the target buffer
+// holds or the caller's explicit budget, whichever is smaller. The decoders
+// stop there, so the engine never materializes bytes it has nowhere to
+// put and a decompression bomb costs one buffer's worth of work.
+func decodeLimit(crb *CRB) int {
+	if tc := targetCap(crb); crb.MaxOutput <= 0 || tc < crb.MaxOutput {
+		return tc
+	}
+	return crb.MaxOutput
+}
+
+// decodeCC classifies a failed decode. A tripped output budget is target
+// space, not corruption — the stream may be sound, and software enlarges
+// the buffer (or rejects the bomb) and resubmits.
+func decodeCC(err error) CC {
+	if errors.Is(err, deflate.ErrTooLarge) || errors.Is(err, x842.ErrTooLarge) || errors.Is(err, lz4.ErrTooLarge) {
+		return CCTargetSpace
+	}
+	return CCDataCorrupt
 }

@@ -412,17 +412,9 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 		// and hands it back; only the other one is left to compute below.
 		crc, adler uint32
 	)
-	// The decoder stops as soon as output exceeds what the target buffer
-	// can hold (or the caller's explicit budget, whichever is smaller):
-	// the engine never materializes bytes it has nowhere to put, so a
-	// decompression bomb costs one buffer's worth of work, not the bomb's.
-	limit := crb.MaxOutput
-	if tc := targetCap(crb); limit <= 0 || tc < limit {
-		limit = tc
-	}
 	// Dst threads the caller-owned target buffer into the inflate loop so
 	// a pooled decompression allocates nothing when the output fits.
-	opts := deflate.InflateOptions{MaxOutput: limit, Dst: crb.Target}
+	opts := deflate.InflateOptions{MaxOutput: decodeLimit(crb), Dst: crb.Target}
 	switch {
 	case crb.Wrap == WrapGzip && crb.FirstMemberOnly:
 		out, consumed, crc, err = deflate.DecompressGzipTail(crb.Input, opts)
@@ -434,14 +426,7 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 		out, err = deflate.Decompress(crb.Input, opts)
 	}
 	if err != nil {
-		if errors.Is(err, deflate.ErrTooLarge) {
-			// The output budget tripped mid-decode: target space, not
-			// corruption — software enlarges the buffer (or rejects the
-			// bomb) and resubmits.
-			csb.CC = CCTargetSpace
-		} else {
-			csb.CC = CCDataCorrupt
-		}
+		csb.CC = decodeCC(err)
 		csb.Detail = err.Error()
 		// Detection cost: the engine read the input before tripping.
 		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
@@ -477,6 +462,11 @@ func (e *Engine) blockCompress(crb *CRB, csb *CSB, translateCycles int64, codec 
 		csb.Detail = "no block compressor for codec " + codec.String()
 		return
 	}
+	if bt.maxInput > 0 && len(crb.Input) > bt.maxInput {
+		csb.CC = CCInvalidCRB
+		csb.Detail = fmt.Sprintf("source of %d bytes exceeds the %s encoder's %d", len(crb.Input), codec, bt.maxInput)
+		return
+	}
 	out := bt.compress(crb.Input)
 	ingest := int64(len(crb.Input)/(e.cfg.LZ.InputWidth*bt.ingestLanes) + 1)
 	cycles := e.cfg.Pipeline.Compress(len(crb.Input), len(out), ingest, translateCycles, false)
@@ -501,9 +491,9 @@ func (e *Engine) blockDecompress(crb *CRB, csb *CSB, translateCycles int64, code
 		csb.Detail = "no block decompressor for codec " + codec.String()
 		return
 	}
-	out, err := bt.decompress(crb.Input, crb.MaxOutput)
+	out, err := bt.decompress(crb.Input, decodeLimit(crb))
 	if err != nil {
-		csb.CC = CCDataCorrupt
+		csb.CC = decodeCC(err)
 		csb.Detail = err.Error()
 		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
 		return
@@ -556,7 +546,7 @@ func (e *Engine) transcode(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int
 		plain, err = blockCodecs[crb.SourceCodec].decompress(crb.Input, limit)
 	}
 	if err != nil {
-		csb.CC = CCDataCorrupt
+		csb.CC = decodeCC(err)
 		csb.Detail = err.Error()
 		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
 		return
