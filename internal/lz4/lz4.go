@@ -179,9 +179,9 @@ func readLen(src []byte, si *int, base int) (int, error) {
 // Decompress decodes one LZ4 block. Output is bounded by maxOutput
 // (DefaultMaxOutput when <= 0); exceeding the bound fails with an error
 // wrapping ErrTooLarge, running off the input or referencing data before
-// the output start with one wrapping ErrCorrupt. The decoder is deliberately more permissive
-// than the encoder-side end-condition rules: any sequence stream that
-// stays in bounds decodes.
+// the output start with one wrapping ErrCorrupt. The decoder is
+// deliberately more permissive than the encoder-side end-condition rules:
+// any sequence stream that stays in bounds decodes.
 func Decompress(src []byte, maxOutput int) ([]byte, error) {
 	if maxOutput <= 0 {
 		maxOutput = DefaultMaxOutput

@@ -60,18 +60,21 @@ func checkDecompress(t testing.TB, name string, src []byte, maxOut int) {
 	}
 }
 
-// fillerWord is the i-th 16-bit word of a filler in which no 2-, 4- or
-// 8-byte aligned value repeats and none equals a marker (0xFFFx words).
-func fillerWord(i int) uint16 { return uint16(0x0100 + i) }
+// fifos is the three fifos' geometry, for tests that walk all of them.
+var fifos = []struct {
+	log          uint
+	chunk, fsize int
+}{{1, 2, fifo2Size}, {2, 4, fifo4Size}, {3, 8, fifo8Size}}
 
-// edgeInput places one chunk-sized marker value twice, dist bytes apart,
-// the first at byte offset first, in otherwise repeat-free filler — so the
+// edgeInput places one chunk-sized marker value (0xFFFx words) twice, dist
+// bytes apart, the first at byte offset first, in a filler of counting
+// 16-bit words in which no aligned 2-, 4- or 8-byte value repeats — so the
 // second occurrence's only possible reference is exactly dist back.
 func edgeInput(chunk, first, dist int) []byte {
 	n := (first+dist+chunk+7)&^7 + 24
 	src := make([]byte, n)
 	for i := 0; i < n/2; i++ {
-		binary.BigEndian.PutUint16(src[2*i:], fillerWord(i))
+		binary.BigEndian.PutUint16(src[2*i:], uint16(0x0100+i))
 	}
 	for _, at := range []int{first, first + dist} {
 		for k := 0; k < chunk; k += 2 {
@@ -124,7 +127,7 @@ func equivInputs() map[string][]byte {
 		in[fmt.Sprintf("tail/%d/alone", tail)] = text[:tail]
 		in[fmt.Sprintf("tail/%d/after-zeros", tail)] = append(make([]byte, 16), text[:tail]...)
 	}
-	for _, f := range []struct{ chunk, fsize int }{{2, fifo2Size}, {4, fifo4Size}, {8, fifo8Size}} {
+	for _, f := range fifos {
 		for _, d := range []int{-f.chunk, 0, 2, 4, 8} {
 			if d%f.chunk != 0 {
 				continue
@@ -154,7 +157,7 @@ func TestCompressEqualsReference(t *testing.T) {
 	// The window-edge inputs must sit on the edge. A fifo's reach is
 	// measured from the start of the phrase being encoded: a recurrence
 	// exactly one fifo before it is referenced, one phrase further is not.
-	for _, f := range []struct{ chunk, fsize int }{{2, fifo2Size}, {4, fifo4Size}, {8, fifo8Size}} {
+	for _, f := range fifos {
 		inside := len(Compress(edgeInput(f.chunk, 0, f.fsize)))
 		outside := len(Compress(edgeInput(f.chunk, 0, f.fsize+8)))
 		if inside >= outside {

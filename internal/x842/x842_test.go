@@ -201,11 +201,8 @@ func TestResolveIndexSymmetry(t *testing.T) {
 	// phrase, whether or not the phrase starts aligned (it does not after a
 	// mid-stream OP_SHORT_DATA); out of reach resolve must refuse or name
 	// decoded bytes, never the phrase itself.
-	for _, f := range []struct {
-		log   uint
-		fsize int
-	}{{1, fifo2Size}, {2, fifo4Size}, {3, fifo8Size}} {
-		chunk := 1 << f.log
+	for _, f := range fifos {
+		chunk := f.chunk
 		for total := 0; total < 3*f.fsize; total += 1 + total%7 {
 			for idx := 0; idx < f.fsize/chunk; idx++ {
 				off := resolve(uint64(idx), total, f.log, f.fsize)
