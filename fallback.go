@@ -171,10 +171,32 @@ func softSegment(history, chunk []byte, final bool) ([]byte, error) {
 	return deflate.EncodeTokensStream(toks, chunk, deflate.ModeFixed, nil, final)
 }
 
-// compressMember compresses one chunk into a gzip member through nctx —
-// the per-worker entry point of ParallelWriter.
-func (a *Accelerator) compressMember(nctx *topology.Context, src []byte) ([]byte, *Metrics, error) {
-	return a.doNew(nctx, op{kind: opCompress, name: "member-compress", format: FormatGzip, src: src})
+// compressMember compresses one chunk through nctx into a gzip member
+// that carries its own length (deflate.IndexGzipMember), appended to
+// buf[:0] — the one member emitter Writer and ParallelWriter share. The
+// engine frames a canonical member MemberIndexLen bytes into buf and the
+// host writes the stamp over the gap, so the request, the CRB and the
+// cycle model know nothing of the index and the body is not copied again;
+// m.OutBytes counts the stamp, as the sink will.
+func (a *Accelerator) compressMember(nctx *topology.Context, buf, src []byte, m *Metrics) ([]byte, error) {
+	const gap = deflate.MemberIndexLen
+	if room := gap + len(src)/2 + 128; cap(buf) < room {
+		buf = make([]byte, 0, room)
+	}
+	out, err := a.do(nctx, nil, op{kind: opCompress, name: "member-compress", format: FormatGzip, src: src, dst: buf[gap:gap]}, m)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) <= cap(buf)-gap {
+		buf = buf[:gap+len(out)] // appended in place
+	} else {
+		// The member outgrew buf and the engine's append moved it: give
+		// it a home with the gap in front, and room for the next to vary.
+		buf = append(make([]byte, gap, gap+len(out)+len(out)/8), out...)
+	}
+	deflate.IndexGzipMember(buf)
+	m.OutBytes += gap
+	return buf, nil
 }
 
 // decompressMember inflates the first gzip member of src through nctx,

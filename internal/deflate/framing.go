@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"nxzip/internal/checksum"
 )
@@ -54,6 +55,31 @@ func AppendGzipTrailer(dst []byte, crc uint32, isize int) []byte {
 	binary.LittleEndian.PutUint32(tail[0:4], crc)
 	binary.LittleEndian.PutUint32(tail[4:8], uint32(isize))
 	return append(dst, tail[:]...)
+}
+
+// MemberIndexLen is what the length subfield adds to a member's header:
+// XLEN, then one RFC 1952 subfield — the ID bytes 'N' 'X', SLEN = 4 and
+// the member's whole encoded length, header through trailer, as a
+// little-endian uint32. Every gzip reader skips it; ParseGzipHeader hands
+// it back as the hint a multi-member reader hops by. The ID is private
+// (not registered), chosen clear of the ones RFC 1952 lists and of the
+// subfields met in the wild: BGZF's 'B' 'C', dictzip's 'R' 'A'.
+const MemberIndexLen = 10
+
+// IndexGzipMember stamps the length subfield on the canonical member in
+// buf[MemberIndexLen:] (AppendGzipHeader's header, FLG 0): the header moves
+// to the front of buf with FEXTRA set and the subfield takes the ten bytes
+// it vacates, so the body is framed where the encoder left it. A member
+// too long for the field is stamped 0, which no reader takes for a hint.
+func IndexGzipMember(buf []byte) {
+	copy(buf, buf[MemberIndexLen:][:10])
+	buf[3] |= gzFEXTRA
+	n := uint32(len(buf))
+	if uint64(len(buf)) > math.MaxUint32 {
+		n = 0
+	}
+	copy(buf[10:], []byte{MemberIndexLen - 2, 0, 'N', 'X', 4, 0})
+	binary.LittleEndian.PutUint32(buf[16:], n)
 }
 
 // AppendZlibHeader appends the 2-byte zlib header ZlibWrap emits.

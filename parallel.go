@@ -1,7 +1,6 @@
 package nxzip
 
 import (
-	"bytes"
 	"io"
 	"sync"
 )
@@ -24,16 +23,22 @@ const DefaultParallelWorkers = 4
 // Write and Close must be called from one goroutine; the concurrency is
 // internal. Stats is valid after Close returns.
 type ParallelWriter struct {
-	acc     *Accelerator
-	out     io.Writer
-	chunk   int
-	workers int
+	acc   *Accelerator
+	out   io.Writer
+	chunk int
 
-	buf   bytes.Buffer
-	jobs  chan *pwJob
-	order chan *pwJob
-	done  chan struct{} // collector exit
-	wkWG  sync.WaitGroup
+	cur   *pwJob      // the chunk Write is filling; nil between chunks
+	jobs  chan *pwJob // to the workers
+	order chan *pwJob // to the collector, in submission order
+	// free holds the jobs not in the pipeline. There are 2x workers of
+	// them in all — enough to keep every worker busy while the collector
+	// waits on the oldest, the role the FIFO depth plays on the device —
+	// and Write blocks here when compression runs that far ahead of the
+	// sink. A job keeps its chunk and member buffers from one use to the
+	// next. jobs and order have room for every job, so only free blocks.
+	free chan *pwJob
+	done chan struct{} // collector exit
+	wkWG sync.WaitGroup
 
 	mu        sync.Mutex
 	err       error // first worker/sink error
@@ -45,15 +50,13 @@ type ParallelWriter struct {
 	Stats Metrics
 }
 
+// pwJob is one chunk on its way to becoming one member.
 type pwJob struct {
-	data []byte
-	res  chan pwRes
-}
-
-type pwRes struct {
-	gz  []byte
-	m   *Metrics
-	err error
+	data []byte        // the chunk, copied from the caller's writes
+	gz   []byte        // the member a worker made of it,
+	m    Metrics       // its accounting
+	err  error         // and why there is none
+	done chan struct{} // worker to collector: gz, m and err are set
 }
 
 // NewParallelWriter returns a ParallelWriter with the default chunk size
@@ -72,17 +75,18 @@ func (a *Accelerator) NewParallelWriterChunk(out io.Writer, chunk, workers int) 
 	if workers <= 0 {
 		workers = DefaultParallelWorkers
 	}
+	depth := 2 * workers
 	w := &ParallelWriter{
-		acc:     a,
-		out:     out,
-		chunk:   chunk,
-		workers: workers,
-		jobs:    make(chan *pwJob, workers),
-		// The reorder queue bounds how far ahead compression may run:
-		// 2x workers keeps every worker busy while capping buffered
-		// members, the same role the FIFO depth plays on the device.
-		order: make(chan *pwJob, 2*workers),
+		acc:   a,
+		out:   out,
+		chunk: chunk,
+		jobs:  make(chan *pwJob, depth),
+		order: make(chan *pwJob, depth),
+		free:  make(chan *pwJob, depth),
 		done:  make(chan struct{}),
+	}
+	for i := 0; i < depth; i++ {
+		w.free <- &pwJob{done: make(chan struct{}, 1)}
 	}
 	for i := 0; i < workers; i++ {
 		w.wkWG.Add(1)
@@ -100,42 +104,44 @@ func (w *ParallelWriter) worker() {
 	nctx := w.acc.node.OpenContext(w.acc.nctx.PID())
 	defer nctx.Close()
 	for job := range w.jobs {
-		gz, m, err := w.acc.compressMember(nctx, job.data)
-		job.res <- pwRes{gz: gz, m: m, err: err}
+		job.gz, job.err = w.acc.compressMember(nctx, job.gz, job.data, &job.m)
+		job.done <- struct{}{}
 	}
 }
 
-// collect writes finished members to the sink in submission order.
+// collect writes finished members to the sink in submission order and
+// puts their jobs back on the free list.
 func (w *ParallelWriter) collect() {
 	defer close(w.done)
 	for job := range w.order {
-		r := <-job.res
+		<-job.done
 		w.acc.met.reorderDepth.Add(-1)
 		w.mu.Lock()
 		failed := w.err != nil
-		if r.err != nil && !failed {
-			w.err = r.err
+		if job.err != nil && !failed {
+			w.err = job.err
 			failed = true
 		}
 		w.mu.Unlock()
-		if failed {
-			continue // keep draining so workers never block forever
-		}
-		w.Stats.add(r.m)
-		if _, err := w.out.Write(r.gz); err != nil {
-			w.mu.Lock()
-			if w.err == nil {
-				w.err = err
+		if !failed { // else keep draining, so Write never blocks forever
+			w.Stats.add(&job.m)
+			if _, err := w.out.Write(job.gz); err != nil {
+				w.mu.Lock()
+				if w.err == nil {
+					w.err = err
+				}
+				w.mu.Unlock()
 			}
-			w.mu.Unlock()
 		}
+		job.data = job.data[:0]
+		w.free <- job
 	}
 }
 
-// dispatch hands one chunk to the pipeline, blocking when the reorder
-// queue is full (backpressure).
-func (w *ParallelWriter) dispatch(chunk []byte) {
-	job := &pwJob{data: chunk, res: make(chan pwRes, 1)}
+// dispatch hands the chunk being filled to the pipeline.
+func (w *ParallelWriter) dispatch() {
+	job := w.cur
+	w.cur = nil
 	w.order <- job
 	w.acc.met.parallelChunks.Inc()
 	w.acc.met.reorderDepth.Add(1)
@@ -149,9 +155,10 @@ func (w *ParallelWriter) firstErr() error {
 	return w.err
 }
 
-// Write buffers p and dispatches full chunks to the workers. Errors are
-// asynchronous: a failure in a worker or the sink surfaces on a later
-// Write or on Close.
+// Write copies p into chunk buffers — once, straight from p — and
+// dispatches each full one to the workers, blocking while every job is in
+// the pipeline (backpressure). Errors are asynchronous: a failure in a
+// worker or the sink surfaces on a later Write or on Close.
 func (w *ParallelWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, ErrWriterClosed
@@ -159,11 +166,16 @@ func (w *ParallelWriter) Write(p []byte) (int, error) {
 	if err := w.firstErr(); err != nil {
 		return 0, err
 	}
-	w.buf.Write(p)
-	for w.buf.Len() >= w.chunk {
-		data := make([]byte, w.chunk)
-		copy(data, w.buf.Next(w.chunk))
-		w.dispatch(data)
+	for rest := p; len(rest) > 0; {
+		if w.cur == nil {
+			w.cur = <-w.free
+		}
+		take := min(w.chunk-len(w.cur.data), len(rest))
+		w.cur.data = append(w.cur.data, rest[:take]...)
+		rest = rest[take:]
+		if len(w.cur.data) == w.chunk {
+			w.dispatch()
+		}
 	}
 	return len(p), nil
 }
@@ -176,10 +188,11 @@ func (w *ParallelWriter) Close() error {
 		return w.firstErr()
 	}
 	w.closed = true
-	if w.buf.Len() > 0 || !w.submitted {
-		data := make([]byte, w.buf.Len())
-		copy(data, w.buf.Next(w.buf.Len()))
-		w.dispatch(data)
+	if w.cur == nil && !w.submitted {
+		w.cur = <-w.free // no data at all: one empty member
+	}
+	if w.cur != nil {
+		w.dispatch()
 	}
 	close(w.jobs)
 	close(w.order)

@@ -25,7 +25,10 @@ var ErrWriterClosed = errors.New("nxzip: writer closed")
 // (one member per submitted request — RFC 1952 defines concatenated
 // members as the concatenation of their plaintexts, and gunzip/stdlib
 // handle them natively). This mirrors how buffer-oriented accelerator
-// requests are composed into streams in the NX software stack.
+// requests are composed into streams in the NX software stack. Each
+// member carries its encoded length in a header subfield other readers
+// skip (deflate.IndexGzipMember), which is what lets Reader find the
+// members without decoding them.
 //
 // A Writer is a single-stream object: use it from one goroutine at a
 // time. Multiple Writers on one Accelerator may run concurrently; for
@@ -34,6 +37,7 @@ type Writer struct {
 	acc    *Accelerator
 	out    io.Writer
 	buf    bytes.Buffer
+	member []byte // the last member's backing, reused for the next
 	chunk  int
 	closed bool
 	err    error
@@ -100,12 +104,14 @@ func (w *Writer) Write(p []byte) (int, error) {
 }
 
 func (w *Writer) submit(chunk []byte) error {
-	gz, m, err := w.acc.CompressGzip(chunk)
+	var m Metrics
+	gz, err := w.acc.compressMember(w.acc.nctx, w.member, chunk, &m)
 	if err != nil {
 		w.err = err
 		return err
 	}
-	w.Stats.add(m)
+	w.member = gz
+	w.Stats.add(&m)
 	w.acc.met.writerMembers.Inc()
 	if _, err := w.out.Write(gz); err != nil {
 		w.err = err

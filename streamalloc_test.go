@@ -1,0 +1,72 @@
+package nxzip
+
+// streamalloc_test.go gates what the stream wrappers allocate on bench/'s
+// stream_parallel shape — one 8 MiB stream of mixed classes — in bytes a
+// stream: the wrappers' buffers are recycled, so what is left is the
+// kernels' own (make bench-alloc runs these without the race detector).
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"testing"
+
+	"nxzip/internal/corpus"
+	"nxzip/internal/testutil"
+)
+
+// streamParallelInput is stream_parallel's payload: 64 KiB pieces of
+// three classes interleaved.
+func streamParallelInput() []byte {
+	const piece, n = 64 << 10, 128
+	kinds := []corpus.Kind{corpus.Text, corpus.Columnar, corpus.Binary}
+	stream := make([]byte, 0, n*piece)
+	for i := 0; i < n; i++ {
+		stream = append(stream, corpus.Generate(kinds[i%3], piece, int64(i))...)
+	}
+	return stream
+}
+
+// allocatedBytes is the heap a call of f allocates, warm: the second of
+// two runs, so pools and lazily sized scratch are in place.
+func allocatedBytes(f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestParallelWriterAllocsBounded(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := P9()
+	cfg.Device.Engines = 2
+	acc := Open(cfg)
+	defer acc.Close()
+	src := streamParallelInput()
+	var sink bytes.Buffer
+	got := allocatedBytes(func() {
+		sink.Reset()
+		w := acc.NewParallelWriterChunk(&sink, 256<<10, 2)
+		if _, err := w.Write(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Four jobs' chunk and member buffers are 2 MiB; the rest is the
+	// engine's per-request tables. Copying p through a bytes.Buffer and
+	// each chunk out again came to 22 MB.
+	const bound = 4 << 20
+	if got > bound {
+		t.Errorf("ParallelWriter allocated %d bytes for an %d-byte stream, want at most %d", got, len(src), bound)
+	}
+	t.Logf("%d bytes allocated", got)
+	if plain, err := io.ReadAll(acc.NewReader(bytes.NewReader(sink.Bytes()))); err != nil || !bytes.Equal(plain, src) {
+		t.Fatalf("round trip: %v", err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"nxzip/internal/corpus"
+	"nxzip/internal/deflate"
 	"nxzip/internal/nx"
 	"nxzip/internal/telemetry"
 )
@@ -220,8 +221,9 @@ func TestParallelWriterChromeTrace(t *testing.T) {
 	if got := snap.Counter("nx.in_bytes", ""); got != int64(len(src)) {
 		t.Fatalf("nx.in_bytes = %d, want %d", got, len(src))
 	}
-	if got := snap.Counter("nx.out_bytes", ""); got != int64(w.Stats.OutBytes) {
-		t.Fatalf("nx.out_bytes = %d, want %d", got, w.Stats.OutBytes)
+	// The engines never see the length stamp the host adds to each member.
+	if got, want := snap.Counter("nx.out_bytes", ""), int64(w.Stats.OutBytes-wantMembers*deflate.MemberIndexLen); got != want {
+		t.Fatalf("nx.out_bytes = %d, want %d", got, want)
 	}
 	if got := snap.Counter("vas.completes", ""); got != int64(wantMembers) {
 		t.Fatalf("vas.completes = %d, want %d", got, wantMembers)
