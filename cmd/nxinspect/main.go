@@ -107,7 +107,7 @@ func unframe(src []byte) ([]byte, string, error) {
 func nextGzipMember(src []byte, n int) ([]byte, error) {
 	rest := src
 	for i := 0; ; i++ {
-		hlen, err := deflate.ParseGzipHeader(rest)
+		hlen, _, err := deflate.ParseGzipHeader(rest)
 		if err != nil {
 			return nil, nil // no more members
 		}

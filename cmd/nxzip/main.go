@@ -16,6 +16,7 @@
 //	nxzip -metrics corpus.txt            # dump the device metrics snapshot
 //	nxzip -trace t.json -stream corpus.txt  # Chrome trace of every request
 //	nxzip -devices 4 -v corpus.txt       # shard chunks across a 4-device node
+//	nxzip -d -devices 4 -o corpus.txt corpus.gz   # decode its members four at a time
 //	nxzip -devices 4 -dispatch least-loaded corpus.txt
 //	nxzip -devices 4 -chaos heavy -v corpus.txt   # inject faults; watch recovery
 //	nxzip -devices 4 -chaos heavy -events ev.jsonl corpus.txt  # log quarantine/failover events
@@ -40,31 +41,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "nxzip: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("nxzip", flag.ExitOnError)
 	var (
-		decompress = flag.Bool("d", false, "decompress")
-		chip       = flag.String("chip", "p9", "accelerator model: p9 or z15")
-		fht        = flag.Bool("fht", false, "use the fixed Huffman table function code")
-		swLevel    = flag.Int("sw", 0, "bypass the accelerator; software codec at this level (1..9)")
-		format     = flag.String("format", "gzip", "stream format: gzip, zlib, raw, 842 or lz4")
-		stream     = flag.Bool("stream", false, "single-member streaming mode with 32 KiB history carry")
-		chunk      = flag.Int("chunk", 1<<20, "streaming request size in bytes")
-		outPath    = flag.String("o", "", "output file (default stdout)")
-		verbose    = flag.Bool("v", false, "print device accounting to stderr")
-		dumpMet    = flag.Bool("metrics", false, "print the device metrics snapshot to stderr")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of every request to this file")
-		eventsPath = flag.String("events", "", "write control-plane events (quarantine, failover, fallback, ...) as JSON lines to this file")
-		devices    = flag.Int("devices", 1, "device count: >1 opens a multi-accelerator node and shards compression across it")
-		dispatch   = flag.String("dispatch", "", "node dispatch policy: round-robin (default), least-loaded, affinity")
-		chaos      = flag.String("chaos", "", "inject faults: a named profile (mild, heavy, fault-storm, ...) or \"class=rate,...\"")
+		decompress = fs.Bool("d", false, "decompress")
+		chip       = fs.String("chip", "p9", "accelerator model: p9 or z15")
+		fht        = fs.Bool("fht", false, "use the fixed Huffman table function code")
+		swLevel    = fs.Int("sw", 0, "bypass the accelerator; software codec at this level (1..9)")
+		format     = fs.String("format", "gzip", "stream format: gzip, zlib, raw, 842 or lz4")
+		stream     = fs.Bool("stream", false, "single-member streaming mode with 32 KiB history carry")
+		chunk      = fs.Int("chunk", 1<<20, "streaming request size in bytes")
+		outPath    = fs.String("o", "", "output file (default stdout)")
+		verbose    = fs.Bool("v", false, "print device accounting to stderr")
+		dumpMet    = fs.Bool("metrics", false, "print the device metrics snapshot to stderr")
+		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON of every request to this file")
+		eventsPath = fs.String("events", "", "write control-plane events (quarantine, failover, fallback, ...) as JSON lines to this file")
+		devices    = fs.Int("devices", 1, "device count: >1 opens a multi-accelerator node and shards compression (with -d: decodes members) across it")
+		dispatch   = fs.String("dispatch", "", "node dispatch policy: round-robin (default), least-loaded, affinity")
+		chaos      = fs.String("chaos", "", "inject faults: a named profile (mild, heavy, fault-storm, ...) or \"class=rate,...\"")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 	if *devices < 1 {
 		return fmt.Errorf("-devices %d: need at least one device", *devices)
 	}
@@ -81,8 +83,8 @@ func run() error {
 	}
 
 	in := os.Stdin
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
 			return err
 		}
@@ -212,6 +214,12 @@ func run() error {
 				return cerr
 			}
 			result = nil
+			metrics = &r.Stats
+		} else if *decompress && *devices > 1 {
+			// The mirror of -devices on the way in: members that carry
+			// their length decode side by side, one worker a device.
+			r := acc.NewParallelReader(bytes.NewReader(src), *devices)
+			result, err = io.ReadAll(r)
 			metrics = &r.Stats
 		} else if *decompress {
 			result, err = nxzip.GunzipMulti(src) // accept multi-member

@@ -103,7 +103,7 @@ func (a *Accelerator) soft(o *op, m *Metrics) ([]byte, error) {
 		}
 	}
 	if errors.Is(err, deflate.ErrTooLarge) {
-		err = fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", o.maxOutput)
+		err = errExceeds(o.maxOutput)
 	}
 	if err != nil {
 		return nil, err
@@ -199,13 +199,14 @@ func (a *Accelerator) compressMember(nctx *topology.Context, buf, src []byte, m 
 	return buf, nil
 }
 
-// decompressMember inflates the first gzip member of src through nctx,
-// bounded by budget output bytes, returning the plaintext, the encoded
-// bytes consumed, and metrics. The engine decodes the member exactly
-// once and reports consumed bytes via the CSB's SPBC, so multi-member
-// streams advance without a separate boundary-finding pass.
-func (a *Accelerator) decompressMember(nctx *topology.Context, src []byte, budget int) ([]byte, int, *Metrics, error) {
-	out, m, err := a.doNew(nctx, op{kind: opMember, name: "member-decompress", format: FormatGzip,
-		src: src, maxOutput: max(budget, 1)})
-	return out, m.InBytes, m, err
+// decompressMember inflates the first gzip member of src through nctx
+// into dst[:0] (nil: a buffer of the engine's), bounded by budget output
+// bytes, returning the plaintext and the encoded bytes consumed. The
+// engine decodes the member exactly once and reports consumed bytes via
+// the CSB's SPBC, so multi-member streams advance without a separate
+// boundary-finding pass.
+func (a *Accelerator) decompressMember(nctx *topology.Context, dst, src []byte, budget int, m *Metrics) ([]byte, int, error) {
+	out, err := a.do(nctx, nil, op{kind: opMember, name: "member-decompress", format: FormatGzip,
+		src: src, dst: dst, maxOutput: max(budget, 1)}, m)
+	return out, m.InBytes, err
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"nxzip/internal/checksum"
 )
@@ -57,31 +56,6 @@ func AppendGzipTrailer(dst []byte, crc uint32, isize int) []byte {
 	return append(dst, tail[:]...)
 }
 
-// MemberIndexLen is what the length subfield adds to a member's header:
-// XLEN, then one RFC 1952 subfield — the ID bytes 'N' 'X', SLEN = 4 and
-// the member's whole encoded length, header through trailer, as a
-// little-endian uint32. Every gzip reader skips it; ParseGzipHeader hands
-// it back as the hint a multi-member reader hops by. The ID is private
-// (not registered), chosen clear of the ones RFC 1952 lists and of the
-// subfields met in the wild: BGZF's 'B' 'C', dictzip's 'R' 'A'.
-const MemberIndexLen = 10
-
-// IndexGzipMember stamps the length subfield on the canonical member in
-// buf[MemberIndexLen:] (AppendGzipHeader's header, FLG 0): the header moves
-// to the front of buf with FEXTRA set and the subfield takes the ten bytes
-// it vacates, so the body is framed where the encoder left it. A member
-// too long for the field is stamped 0, which no reader takes for a hint.
-func IndexGzipMember(buf []byte) {
-	copy(buf, buf[MemberIndexLen:][:10])
-	buf[3] |= gzFEXTRA
-	n := uint32(len(buf))
-	if uint64(len(buf)) > math.MaxUint32 {
-		n = 0
-	}
-	copy(buf[10:], []byte{MemberIndexLen - 2, 0, 'N', 'X', 4, 0})
-	binary.LittleEndian.PutUint32(buf[16:], n)
-}
-
 // AppendZlibHeader appends the 2-byte zlib header ZlibWrap emits.
 func AppendZlibHeader(dst []byte) []byte {
 	cmf := byte(0x78)
@@ -104,48 +78,15 @@ func AppendZlibTrailer(dst []byte, adler uint32) []byte {
 // the expected CRC32/ISIZE from the trailer. It tolerates the optional
 // header fields so it can consume streams from other producers.
 func GzipUnwrap(src []byte) (deflated []byte, wantCRC uint32, wantSize uint32, err error) {
-	if len(src) < 18 {
-		return nil, 0, 0, fmt.Errorf("%w: gzip stream too short", ErrBadMagic)
+	hlen, _, err := ParseGzipHeader(src)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if src[0] != 0x1F || src[1] != 0x8B {
-		return nil, 0, 0, fmt.Errorf("%w: not gzip", ErrBadMagic)
-	}
-	if src[2] != 8 {
-		return nil, 0, 0, fmt.Errorf("%w: unknown compression method %d", ErrBadMagic, src[2])
-	}
-	flg := src[3]
-	pos := 10
-	if flg&gzFEXTRA != 0 {
-		if pos+2 > len(src) {
-			return nil, 0, 0, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
-		}
-		xlen := int(binary.LittleEndian.Uint16(src[pos:]))
-		pos += 2 + xlen
-	}
-	for _, bit := range []byte{gzFNAME, gzFCOMMENT} {
-		if flg&bit == 0 {
-			continue
-		}
-		for {
-			if pos >= len(src) {
-				return nil, 0, 0, fmt.Errorf("%w: truncated string field", ErrBadMagic)
-			}
-			if src[pos] == 0 {
-				pos++
-				break
-			}
-			pos++
-		}
-	}
-	if flg&gzFHCRC != 0 {
-		pos += 2
-	}
-	if pos+8 > len(src) {
+	if hlen+8 > len(src) {
 		return nil, 0, 0, fmt.Errorf("%w: truncated gzip stream", ErrBadMagic)
 	}
-	body := src[pos : len(src)-8]
 	tail := src[len(src)-8:]
-	return body, binary.LittleEndian.Uint32(tail[0:4]), binary.LittleEndian.Uint32(tail[4:8]), nil
+	return src[hlen : len(src)-8], binary.LittleEndian.Uint32(tail[0:4]), binary.LittleEndian.Uint32(tail[4:8]), nil
 }
 
 // CompressGzip compresses and gzip-frames in one shot.
@@ -241,54 +182,13 @@ func DecompressZlib(src []byte, opts InflateOptions) (out []byte, adler uint32, 
 	return out, adler, nil
 }
 
-// ParseGzipHeader returns the length of the gzip header at the start of
-// src (including optional fields), without touching the payload.
-func ParseGzipHeader(src []byte) (int, error) {
-	if len(src) < 10 {
-		return 0, fmt.Errorf("%w: gzip header too short", ErrBadMagic)
-	}
-	if src[0] != 0x1F || src[1] != 0x8B || src[2] != 8 {
-		return 0, fmt.Errorf("%w: not gzip", ErrBadMagic)
-	}
-	flg := src[3]
-	pos := 10
-	if flg&gzFEXTRA != 0 {
-		if pos+2 > len(src) {
-			return 0, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
-		}
-		pos += 2 + int(binary.LittleEndian.Uint16(src[pos:]))
-	}
-	for _, bit := range []byte{gzFNAME, gzFCOMMENT} {
-		if flg&bit == 0 {
-			continue
-		}
-		for {
-			if pos >= len(src) {
-				return 0, fmt.Errorf("%w: truncated string field", ErrBadMagic)
-			}
-			if src[pos] == 0 {
-				pos++
-				break
-			}
-			pos++
-		}
-	}
-	if flg&gzFHCRC != 0 {
-		pos += 2
-	}
-	if pos > len(src) {
-		return 0, fmt.Errorf("%w: truncated header", ErrBadMagic)
-	}
-	return pos, nil
-}
-
 // DecompressGzipTail inflates the FIRST gzip member of src in a single
 // pass, verifying its CRC32 and ISIZE, and returns the plaintext, the
 // total bytes consumed (header + DEFLATE stream + trailer) and the verified
 // CRC-32. Bytes beyond the first member are left untouched, so multi-member
 // streams decode by repeated calls — each member is inflated exactly once.
 func DecompressGzipTail(src []byte, opts InflateOptions) (out []byte, consumed int, crc uint32, err error) {
-	hlen, err := ParseGzipHeader(src)
+	hlen, _, err := ParseGzipHeader(src)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -309,31 +209,6 @@ func DecompressGzipTail(src []byte, opts InflateOptions) (out []byte, consumed i
 		return nil, 0, 0, fmt.Errorf("%w: member CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
 	}
 	return body, trailerAt + 8, crc, nil
-}
-
-// SkimGzipMember locates the end of the first gzip member of src without
-// materializing its plaintext: a structure-only walk of the DEFLATE
-// stream. It returns the member's plaintext length and total encoded
-// length (header + stream + trailer), verifying ISIZE (CRC32 requires the
-// bytes, so it is left to the real decode). maxOutput bounds the walk so
-// a decompression bomb is rejected before any output is buffered.
-func SkimGzipMember(src []byte, maxOutput int) (plainLen, consumed int, err error) {
-	hlen, err := ParseGzipHeader(src)
-	if err != nil {
-		return 0, 0, err
-	}
-	n, used, err := SkimTail(src[hlen:], InflateOptions{MaxOutput: maxOutput})
-	if err != nil {
-		return 0, 0, err
-	}
-	trailerAt := hlen + used
-	if trailerAt+8 > len(src) {
-		return 0, 0, fmt.Errorf("%w: truncated gzip trailer", ErrBadMagic)
-	}
-	if wantSize := binary.LittleEndian.Uint32(src[trailerAt+4:]); uint32(n) != wantSize {
-		return 0, 0, fmt.Errorf("%w: member ISIZE %d, got %d", ErrBadLength, wantSize, n)
-	}
-	return n, trailerAt + 8, nil
 }
 
 // DecompressGzipMulti inflates a gzip stream that may consist of multiple

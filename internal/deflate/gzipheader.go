@@ -1,8 +1,10 @@
 package deflate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -74,73 +76,169 @@ func (h GzipHeader) Append(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// ParseGzipHeaderFull decodes the header fields at the start of src,
-// returning the parsed header and its byte length. FHCRC, when present,
-// is verified.
-func ParseGzipHeaderFull(src []byte) (GzipHeader, int, error) {
-	var h GzipHeader
-	if len(src) < 10 {
-		return h, 0, fmt.Errorf("%w: gzip header too short", ErrBadMagic)
+// MemberIndexLen is what the length subfield adds to a member's header:
+// XLEN, then one RFC 1952 subfield — the ID bytes 'N' 'X', SLEN = 4 and
+// the member's whole encoded length, header through trailer, as a
+// little-endian uint32. Every gzip reader skips it; ParseGzipHeader hands
+// it back as the hint a multi-member reader hops by. The ID is private
+// (not registered), chosen clear of the ones RFC 1952 lists and of the
+// subfields met in the wild: BGZF's 'B' 'C', dictzip's 'R' 'A'.
+const MemberIndexLen = 10
+
+// IndexGzipMember stamps the length subfield on the canonical member in
+// buf[MemberIndexLen:] (AppendGzipHeader's header, FLG 0): the header moves
+// to the front of buf with FEXTRA set and the subfield takes the ten bytes
+// it vacates, so the body is framed where the encoder left it. A member
+// too long for the field is stamped 0, which no reader takes for a hint.
+func IndexGzipMember(buf []byte) {
+	copy(buf, buf[MemberIndexLen:][:10])
+	buf[3] |= gzFEXTRA
+	n := uint32(len(buf))
+	if uint64(len(buf)) > math.MaxUint32 {
+		n = 0
 	}
-	if src[0] != 0x1F || src[1] != 0x8B || src[2] != 8 {
-		return h, 0, fmt.Errorf("%w: not gzip", ErrBadMagic)
+	copy(buf[10:], []byte{MemberIndexLen - 2, 0, 'N', 'X', 4, 0})
+	binary.LittleEndian.PutUint32(buf[16:], n)
+}
+
+// gzipFields is where the variable parts of one member header lie: the
+// result of the one walk of RFC 1952 section 2.3 that every parser in this
+// package shares. The slices alias the source.
+type gzipFields struct {
+	extra, name, comment []byte // without XLEN and the terminating NULs
+	hasExtra, hasCRC     bool
+	n                    int // bytes of header
+}
+
+// parseGzipFields walks the member header at the start of src, as strict
+// as compress/gzip: XLEN and both strings must lie inside src, and FHCRC,
+// when present, must be the low 16 bits of the CRC-32 of the header before
+// it. (The one thing stricter there is an implementation limit this parser
+// does not copy: names and comments of 512 bytes and more are refused.)
+func parseGzipFields(src []byte) (f gzipFields, err error) {
+	if len(src) < 10 {
+		return f, fmt.Errorf("%w: gzip header too short", ErrBadMagic)
+	}
+	if src[0] != 0x1F || src[1] != 0x8B {
+		return f, fmt.Errorf("%w: not gzip", ErrBadMagic)
+	}
+	if src[2] != 8 {
+		return f, fmt.Errorf("%w: unknown compression method %d", ErrBadMagic, src[2])
 	}
 	flg := src[3]
-	if mtime := binary.LittleEndian.Uint32(src[4:8]); mtime != 0 {
-		h.ModTime = time.Unix(int64(mtime), 0)
-	}
-	h.OS = src[9]
 	pos := 10
-	if flg&gzFEXTRA != 0 {
+	if f.hasExtra = flg&gzFEXTRA != 0; f.hasExtra {
 		if pos+2 > len(src) {
-			return h, 0, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
+			return f, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
 		}
-		n := int(binary.LittleEndian.Uint16(src[pos:]))
+		xlen := int(binary.LittleEndian.Uint16(src[pos:]))
 		pos += 2
-		if pos+n > len(src) {
-			return h, 0, fmt.Errorf("%w: truncated FEXTRA payload", ErrBadMagic)
+		if pos+xlen > len(src) {
+			return f, fmt.Errorf("%w: truncated FEXTRA payload", ErrBadMagic)
 		}
-		h.Extra = append([]byte{}, src[pos:pos+n]...)
-		pos += n
+		f.extra = src[pos : pos+xlen]
+		pos += xlen
 	}
-	readString := func() (string, error) {
-		end := pos
-		for {
-			if end >= len(src) {
-				return "", fmt.Errorf("%w: truncated string field", ErrBadMagic)
-			}
-			if src[end] == 0 {
-				break
-			}
-			end++
+	for _, bit := range [...]byte{gzFNAME, gzFCOMMENT} {
+		if flg&bit == 0 {
+			continue
 		}
-		s := string(src[pos:end])
-		pos = end + 1
-		return s, nil
-	}
-	var err error
-	if flg&gzFNAME != 0 {
-		if h.Name, err = readString(); err != nil {
-			return h, 0, err
+		n := bytes.IndexByte(src[pos:], 0)
+		if n < 0 {
+			return f, fmt.Errorf("%w: truncated string field", ErrBadMagic)
 		}
-	}
-	if flg&gzFCOMMENT != 0 {
-		if h.Comment, err = readString(); err != nil {
-			return h, 0, err
+		if bit == gzFNAME {
+			f.name = src[pos : pos+n]
+		} else {
+			f.comment = src[pos : pos+n]
 		}
+		pos += n + 1
 	}
-	if flg&gzFHCRC != 0 {
+	if f.hasCRC = flg&gzFHCRC != 0; f.hasCRC {
 		if pos+2 > len(src) {
-			return h, 0, fmt.Errorf("%w: truncated FHCRC", ErrBadMagic)
+			return f, fmt.Errorf("%w: truncated FHCRC", ErrBadMagic)
 		}
 		want := binary.LittleEndian.Uint16(src[pos:])
 		if got := uint16(checksum.Sum32(src[:pos])); got != want {
-			return h, 0, fmt.Errorf("%w: header CRC %04x, want %04x", ErrBadChecksum, got, want)
+			return f, fmt.Errorf("%w: header CRC %04x, want %04x", ErrBadChecksum, got, want)
 		}
-		h.HeaderCRC = true
 		pos += 2
 	}
-	return h, pos, nil
+	f.n = pos
+	return f, nil
+}
+
+// lengthHint is the member length FEXTRA claims, 0 when it claims none:
+// the writers' subfield (IndexGzipMember) or BGZF's 'B' 'C', which holds
+// the length less one in 16 bits. RFC 1952 asks for FEXTRA to be a chain
+// of subfields but no reader enforces it, so a chain that stops making
+// sense — an SLEN that overruns XLEN — just ends the search.
+func lengthHint(extra []byte) int {
+	for len(extra) >= 4 {
+		slen := int(binary.LittleEndian.Uint16(extra[2:]))
+		if 4+slen > len(extra) {
+			break
+		}
+		switch id := string(extra[:2]); {
+		case id == "NX" && slen == 4:
+			return int(binary.LittleEndian.Uint32(extra[4:]))
+		case id == "BC" && slen == 2:
+			return int(binary.LittleEndian.Uint16(extra[4:])) + 1
+		}
+		extra = extra[4+slen:]
+	}
+	return 0
+}
+
+// ParseGzipHeader returns the length of the member header at the start of
+// src, optional fields included, and the member's length hint: the whole
+// encoded length, header through trailer, that a subfield of FEXTRA claims
+// for it, or 0. A hint is a claim and nothing more — HintedGzipMember is
+// how a reader may use one.
+func ParseGzipHeader(src []byte) (hlen, hint int, err error) {
+	f, err := parseGzipFields(src)
+	return f.n, lengthHint(f.extra), err
+}
+
+// HintedGzipMember reports the encoded length n and the plaintext length
+// the first member of src claims for itself — its length hint, and the
+// ISIZE where the hint says the trailer is — when the claim holds up as
+// far as can be told without decoding: the hint lies inside src and leaves
+// room for a header and a trailer, what follows the member is the end of
+// src or another member header, and the plaintext is no more than DEFLATE
+// can pack into n bytes (1032:1). ok is false for a member with no hint as
+// for one whose hint fails: either way only a decode finds its end. ok is
+// still only a claim; a reader that decodes src[:n] on the strength of it
+// must see the decode consume n bytes and produce isize, or fall back.
+func HintedGzipMember(src []byte) (n int, isize int64, ok bool) {
+	hlen, n, err := ParseGzipHeader(src)
+	if err != nil || n < hlen+2+8 || n > len(src) {
+		return 0, 0, false
+	}
+	if n < len(src) {
+		if _, _, err := ParseGzipHeader(src[n:]); err != nil {
+			return 0, 0, false
+		}
+	}
+	isize = int64(binary.LittleEndian.Uint32(src[n-4:]))
+	return n, isize, isize <= 1032*int64(n)
+}
+
+// ParseGzipHeaderFull decodes the header fields at the start of src,
+// returning the parsed header and its byte length.
+func ParseGzipHeaderFull(src []byte) (GzipHeader, int, error) {
+	f, err := parseGzipFields(src)
+	if err != nil {
+		return GzipHeader{}, 0, err
+	}
+	h := GzipHeader{Name: string(f.name), Comment: string(f.comment), OS: src[9], HeaderCRC: f.hasCRC}
+	if mtime := binary.LittleEndian.Uint32(src[4:8]); mtime != 0 {
+		h.ModTime = time.Unix(int64(mtime), 0)
+	}
+	if f.hasExtra {
+		h.Extra = append([]byte{}, f.extra...)
+	}
+	return h, f.n, nil
 }
 
 // GzipWrapHeader frames a raw DEFLATE stream with a full header.

@@ -12,21 +12,14 @@ import (
 	"nxzip/internal/lz77"
 )
 
-// inflatePasses and skimPasses count full decodes and structure-only walks
-// of DEFLATE streams. They exist so tests can assert that a code path
-// performs exactly one inflate pass per gzip member (no decode-twice
-// regressions on the streaming Reader).
-var (
-	inflatePasses atomic.Int64
-	skimPasses    atomic.Int64
-)
+// inflatePasses counts decodes of DEFLATE streams. It exists so tests can
+// assert that a code path performs exactly one inflate pass per gzip member
+// (no decode-twice regressions on the streaming Reader).
+var inflatePasses atomic.Int64
 
-// InflatePasses returns the number of full inflate passes performed by
-// this package since process start.
+// InflatePasses returns the number of inflate passes performed by this
+// package since process start.
 func InflatePasses() int64 { return inflatePasses.Load() }
-
-// SkimPasses returns the number of structure-only skim passes performed.
-func SkimPasses() int64 { return skimPasses.Load() }
 
 // Decompression errors.
 var (
@@ -85,10 +78,9 @@ var fixedLitLen, fixedDist = func() (ll, d huffman.Decoder) {
 // pass to pass, so a steady-state inflate into opts.Dst allocates nothing.
 type inflater struct {
 	r      bitio.Reader
-	out    []byte // output backing, filled up to n; nil when skimming
+	out    []byte // output backing, filled up to n
 	n      int    // plaintext bytes produced so far
 	maxOut int
-	skim   bool // track n only: no output bytes are stored
 
 	litLen, dist, codeLen huffman.Decoder
 	lengths               [NumLitLen + NumDist]uint8
@@ -96,16 +88,20 @@ type inflater struct {
 
 var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 
-// inflateStream runs one pooled pass over src: a full decode into opts.Dst,
-// or a skim that only measures. It returns the plaintext (nil on a skim),
-// its length and the whole bytes of src the stream occupied.
-func inflateStream(src []byte, opts InflateOptions, skim bool) (out []byte, n, consumed int, err error) {
+// Decompress inflates a raw DEFLATE stream.
+func Decompress(src []byte, opts InflateOptions) ([]byte, error) {
+	out, _, err := DecompressTail(src, opts)
+	return out, err
+}
+
+// DecompressTail inflates a raw DEFLATE stream into opts.Dst in one pooled
+// pass and also returns the number of whole bytes of src the stream
+// occupied (it may be followed by a trailer).
+func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, err error) {
+	inflatePasses.Add(1)
 	in := inflaterPool.Get().(*inflater)
 	in.r.Reset(src)
-	in.out, in.n, in.skim = nil, 0, skim
-	if !skim {
-		in.out = opts.Dst[:cap(opts.Dst)]
-	}
+	in.out, in.n = opts.Dst[:cap(opts.Dst)], 0
 	if in.maxOut = opts.MaxOutput; in.maxOut <= 0 {
 		in.maxOut = defaultMaxOutput
 	}
@@ -114,41 +110,12 @@ func inflateStream(src []byte, opts InflateOptions, skim bool) (out []byte, n, c
 	}
 	if err == nil {
 		in.r.AlignByte()
-		n, consumed = in.n, in.r.BitsConsumed()/8
-		if !skim {
-			out = in.out[:n]
-		}
+		out, consumed = in.out[:in.n], in.r.BitsConsumed()/8
 	}
 	in.r.Reset(nil) // drop the src and output references before pooling
 	in.out = nil
 	inflaterPool.Put(in)
-	return out, n, consumed, err
-}
-
-// Decompress inflates a raw DEFLATE stream.
-func Decompress(src []byte, opts InflateOptions) ([]byte, error) {
-	out, _, err := DecompressTail(src, opts)
-	return out, err
-}
-
-// DecompressTail inflates a raw DEFLATE stream and also returns the number
-// of bytes of src consumed (the stream may be followed by a trailer).
-func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, err error) {
-	inflatePasses.Add(1)
-	out, _, consumed, err = inflateStream(src, opts, false)
 	return out, consumed, err
-}
-
-// SkimTail walks a raw DEFLATE stream's block structure without
-// materializing output: the same decode loop with the stores left out,
-// tracking only the plaintext length, and returning that length and the
-// bytes of src consumed. This is the cheap boundary-finding pass parallel
-// multi-member decoding uses — it needs no 32 KiB window and writes no
-// output bytes, so it costs a fraction of a full inflate.
-func SkimTail(src []byte, opts InflateOptions) (outLen, consumed int, err error) {
-	skimPasses.Add(1)
-	_, outLen, consumed, err = inflateStream(src, opts, true)
-	return outLen, consumed, err
 }
 
 // nextBlock decodes one block, header to end-of-block.
@@ -186,13 +153,8 @@ func (in *inflater) stored() error {
 	if in.n+lenv > in.maxOut {
 		return ErrTooLarge
 	}
-	if in.skim {
-		err = in.r.SkipBits(uint(lenv) * 8)
-	} else {
-		in.grow(lenv)
-		err = in.r.ReadBytes(in.out[in.n : in.n+lenv])
-	}
-	if err != nil {
+	in.grow(lenv)
+	if in.r.ReadBytes(in.out[in.n:in.n+lenv]) != nil {
 		return fmt.Errorf("%w: stored payload truncated", ErrCorrupt)
 	}
 	in.n += lenv
@@ -296,10 +258,7 @@ func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
 // (the last bytes of input, the last of the capacity or the budget).
 func (in *inflater) block(litLen, dist *huffman.Decoder) error {
 	for {
-		limit := in.maxOut
-		if !in.skim && len(in.out) < limit {
-			limit = len(in.out)
-		}
+		limit := min(in.maxOut, len(in.out))
 		// Two margins of unread bits: up to 63 of them are already in the
 		// Reader's accumulator, not ahead of its byte position.
 		if in.n+fastOutMargin <= limit && in.r.BitsRemaining() >= 2*8*fastInMargin {
@@ -326,7 +285,7 @@ var widen = [8]int{0, 8, 8, 9, 8, 10, 12, 14}
 // Reader on the way out.
 func (in *inflater) fast(litLen, dist *huffman.Decoder, limit int) (eob bool, err error) {
 	data, pos, bb, nb := in.r.State()
-	out, n, store := in.out, in.n, !in.skim
+	out, n := in.out, in.n
 	llTab, llBits := litLen.Table()
 	dTab, dBits := dist.Table()
 	llMask, dMask := uint64(1)<<llBits-1, uint64(1)<<dBits-1
@@ -346,9 +305,7 @@ loop:
 			for k := 0; ; k++ {
 				bb >>= e.Len()
 				nb -= e.Len()
-				if store {
-					out[n] = byte(e.Sym())
-				}
+				out[n] = byte(e.Sym())
 				n++
 				if e = llTab[bb&llMask]; k == 2 || !e.IsLiteral() {
 					continue loop
@@ -392,21 +349,19 @@ loop:
 			err = errDistance
 			break loop
 		}
-		if store {
-			i, back := 0, d
-			if d < 8 {
-				// Spread the d-byte pattern over one word (shifts of 64 or
-				// more contribute nothing), then carry on from widen[d] back.
-				p := binary.LittleEndian.Uint64(out[n-d:]) & (1<<(8*uint(d)) - 1)
-				p |= p << (8 * uint(d))
-				p |= p << (16 * uint(d))
-				p |= p << (32 * uint(d))
-				binary.LittleEndian.PutUint64(out[n:], p)
-				i, back = 8, widen[d]
-			}
-			for ; i < length; i += 8 {
-				binary.LittleEndian.PutUint64(out[n+i:], binary.LittleEndian.Uint64(out[n+i-back:]))
-			}
+		i, back := 0, d
+		if d < 8 {
+			// Spread the d-byte pattern over one word (shifts of 64 or
+			// more contribute nothing), then carry on from widen[d] back.
+			p := binary.LittleEndian.Uint64(out[n-d:]) & (1<<(8*uint(d)) - 1)
+			p |= p << (8 * uint(d))
+			p |= p << (16 * uint(d))
+			p |= p << (32 * uint(d))
+			binary.LittleEndian.PutUint64(out[n:], p)
+			i, back = 8, widen[d]
+		}
+		for ; i < length; i += 8 {
+			binary.LittleEndian.PutUint64(out[n+i:], binary.LittleEndian.Uint64(out[n+i-back:]))
 		}
 		n += length
 	}
@@ -450,15 +405,13 @@ func (in *inflater) careful(litLen, dist *huffman.Decoder) (eob bool, err error)
 	if in.n+length > in.maxOut {
 		return false, ErrTooLarge
 	}
-	if !in.skim {
-		in.grow(length)
-		out := in.out[in.n : in.n+length]
-		if d == 0 {
-			out[0] = byte(e.Sym())
-		} else {
-			for i, b := range in.out[in.n-d:][:length] { // byte order: the ranges may overlap
-				out[i] = b
-			}
+	in.grow(length)
+	out := in.out[in.n : in.n+length]
+	if d == 0 {
+		out[0] = byte(e.Sym())
+	} else {
+		for i, b := range in.out[in.n-d:][:length] { // byte order: the ranges may overlap
+			out[i] = b
 		}
 	}
 	in.n += length

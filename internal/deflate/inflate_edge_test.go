@@ -132,9 +132,6 @@ func TestEveryPrefixOfAValidStreamIsCorrupt(t *testing.T) {
 			if _, err := Decompress(comp[:cut], InflateOptions{Dst: dst}); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("mode %d: %d of %d bytes: %v", mode, cut, len(comp), err)
 			}
-			if _, _, err := SkimTail(comp[:cut], InflateOptions{}); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("mode %d: skim of %d of %d bytes: %v", mode, cut, len(comp), err)
-			}
 		}
 	}
 }
@@ -161,10 +158,6 @@ func TestFirstMemberConsumedIsExact(t *testing.T) {
 		}
 		if _, want, _, _ := GzipUnwrap(members[i]); crc != want {
 			t.Fatalf("member %d: handed back CRC %08x, trailer says %08x", i, crc, want)
-		}
-		n, skimmed, err := SkimGzipMember(stream, 1<<20)
-		if err != nil || n != len(plains[i]) || skimmed != consumed {
-			t.Fatalf("member %d: skim %d bytes/%d consumed, err %v", i, n, skimmed, err)
 		}
 		stream = stream[consumed:]
 	}
@@ -215,12 +208,5 @@ func TestDecodeAllocsNothingInSteadyState(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Decompress of dynamic blocks into a roomy Dst: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if n, _, err := SkimTail(comp, InflateOptions{}); err != nil || n != len(plain) {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("SkimTail: %v allocs/op, want 0", n)
 	}
 }

@@ -2,6 +2,7 @@ package deflate
 
 import (
 	"fmt"
+	"slices"
 
 	"nxzip/internal/lz77"
 )
@@ -49,15 +50,22 @@ func (s *Session) Produced() int { return s.produced }
 // declares that no more input will arrive. Feed may be called with nil p
 // to drain after setting final.
 func (s *Session) Feed(p []byte, final bool) ([]byte, error) {
+	return s.FeedInto(nil, p, final)
+}
+
+// FeedInto is Feed appending the plaintext to dst, which a caller that
+// has drained the previous call's result hands back as dst[:0]: the
+// result then costs no allocation once it has grown to a call's worth.
+func (s *Session) FeedInto(dst, p []byte, final bool) ([]byte, error) {
 	if s.done {
 		if len(p) != 0 {
 			return nil, fmt.Errorf("deflate: data after final block")
 		}
-		return nil, nil
+		return dst, nil
 	}
 	s.in = append(s.in, p...)
 
-	var out []byte
+	out := dst
 	for {
 		chunk, finalBlock, err := s.tryBlock(final)
 		if err == errNeedMore {
@@ -73,6 +81,11 @@ func (s *Session) Feed(p []byte, final bool) ([]byte, error) {
 		// Commit.
 		s.produced += len(chunk)
 		s.hist += len(chunk)
+		if len(chunk) > cap(out)-len(out) {
+			// Double: a call's worth of blocks arrives one append at a time,
+			// and append's own growth of a large slice is a quarter.
+			out = slices.Grow(out, max(len(chunk), cap(out)))
+		}
 		out = append(out, chunk...)
 		s.bitsUsed = s.bitsUsed/8*8 + s.dec.r.BitsConsumed()
 		if finalBlock {

@@ -59,7 +59,7 @@ func (e *Engine) decompressResume(crb *CRB, csb *CSB, translateCycles int64) {
 		return
 	}
 	st := crb.DecompState
-	out, err := st.session.Feed(crb.Input, !crb.NotFinal)
+	out, err := st.session.FeedInto(crb.Target[:0], crb.Input, !crb.NotFinal)
 	if err != nil {
 		csb.CC = CCDataCorrupt
 		csb.Detail = err.Error()

@@ -27,7 +27,7 @@ func TestWriterMembersAreStampedOneShots(t *testing.T) {
 			cfg.TableMode = mode
 			return Open(cfg)
 		}
-		oneShots, serial, parallel := open(), open(), open()
+		oneShots, serial, parallel := open(), open(), []*Accelerator{open(), open()}
 		var want [][]byte
 		var wantCycles []int64
 		for off := 0; off < len(src); off += chunk {
@@ -85,23 +85,27 @@ func TestWriterMembersAreStampedOneShots(t *testing.T) {
 		}
 		checkMembers("Writer", sink.members, w.Stats)
 
-		var psink memberSink
-		pw := parallel.NewParallelWriterChunk(&psink, chunk, 3)
-		if _, err := pw.Write(src); err != nil {
-			t.Fatal(err)
-		}
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		checkMembers("ParallelWriter", psink.members, pw.Stats)
+		// Which worker's window a chunk goes through decides how warm its
+		// translations are, so only one worker repeats the one-shots' cycles.
 		var total int64
 		for _, c := range wantCycles {
 			total += c
 		}
-		if pw.Stats.DeviceCycles != total {
-			t.Fatalf("mode %v: ParallelWriter took %d device cycles, the one-shots %d", mode, pw.Stats.DeviceCycles, total)
+		for _, workers := range []int{1, 3} {
+			var psink memberSink
+			pw := parallel[workers/2].NewParallelWriterChunk(&psink, chunk, workers)
+			if _, err := pw.Write(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkMembers("ParallelWriter", psink.members, pw.Stats)
+			if workers == 1 && pw.Stats.DeviceCycles != total {
+				t.Fatalf("mode %v: ParallelWriter took %d device cycles, the one-shots %d", mode, pw.Stats.DeviceCycles, total)
+			}
 		}
-		for _, acc := range []*Accelerator{oneShots, serial, parallel} {
+		for _, acc := range append(parallel, oneShots, serial) {
 			acc.Close()
 		}
 	}

@@ -249,22 +249,34 @@ func TestReaderBombAccumulated(t *testing.T) {
 	}
 }
 
-// TestParallelReaderBombNoDeviceWork: the parallel path's skim must
-// reject a bomb before a single decompression request reaches the
-// engines.
+// TestParallelReaderBombNoDeviceWork: a stream whose members carry their
+// lengths and claim more plaintext than MaxOutput is turned away before a
+// single decompression request reaches the engines. (A bomb with no index
+// — TestReaderBomb's — gets the serial loop's guarantee at any worker
+// count: it fails inside its first decode, with at most MaxOutput bytes
+// produced.)
 func TestParallelReaderBombNoDeviceWork(t *testing.T) {
 	acc := Open(P9())
 	defer acc.Close()
-	bomb := accMember(t, acc, make([]byte, 32<<20))
+	var bomb bytes.Buffer
+	w := acc.NewWriterChunk(&bomb, 8<<20)
+	if _, err := w.Write(make([]byte, 32<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	before := acc.Device().Engine(0).Counters().Requests
-	r := acc.NewParallelReader(bytes.NewReader(bomb), 4)
-	r.MaxOutput = 1 << 20
-	if _, err := io.ReadAll(r); err == nil {
-		t.Fatal("bomb accepted")
+	for _, workers := range []int{1, 4} {
+		r := acc.NewParallelReader(bytes.NewReader(bomb.Bytes()), workers)
+		r.MaxOutput = 20 << 20 // the third member's claim crosses it
+		if _, err := io.ReadAll(r); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("workers=%d: indexed bomb: %v", workers, err)
+		}
 	}
 	if after := acc.Device().Engine(0).Counters().Requests; after != before {
-		t.Fatalf("%d decompression requests reached the engine before the skim rejected the bomb", after-before)
+		t.Fatalf("%d decompression requests reached the engine before the index rejected the bomb", after-before)
 	}
 }
 

@@ -226,7 +226,8 @@ func TestMemberGrowLoopMappingsBounded(t *testing.T) {
 	}
 	budget := len(src) + 1024
 	decode := func() {
-		plain, consumed, _, err := acc.decompressMember(acc.nctx, gz, budget)
+		var m Metrics
+		plain, consumed, err := acc.decompressMember(acc.nctx, nil, gz, budget, &m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -417,7 +417,7 @@ func (r *request) settle(csb *nx.CSB, rep *nx.Report, err error) (out []byte, ag
 		r.capOut = min(r.capOut*memberCapGrowth, o.maxOutput)
 		again = true
 	case csb.CC == nx.CCTargetSpace && o.kind == opMember:
-		err = fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", o.maxOutput)
+		err = errExceeds(o.maxOutput)
 	default:
 		err = ccFail(o.name, csb)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"nxzip/internal/deflate"
 )
@@ -147,14 +148,15 @@ func (w *Writer) Close() error {
 // Reader is an io.Reader that inflates a (possibly multi-member) gzip
 // stream through the accelerator model. Like the device, it operates on
 // whole buffers: the underlying stream is read fully on first use. Each
-// member is inflated exactly once — the engine reports how many source
-// bytes one member consumed, so no separate boundary pass is needed —
-// and MaxOutput is enforced inside each member's decode, so a single
-// bombing member fails before its output is ever buffered.
+// member is inflated exactly once. Members that carry their length — the
+// ones Writer and ParallelWriter emit, and BGZF blocks — are located
+// without decoding and inflated straight into place, Workers at a time;
+// for any other member the decode is the boundary finder: the engine
+// reports how many source bytes it consumed, MaxOutput is enforced inside
+// it, and a bombing member fails before its output is ever buffered.
 //
 // A Reader is a single-stream object: use it from one goroutine at a
-// time. Setting Workers > 1 before the first Read decodes the members of
-// a multi-member stream concurrently through per-worker VAS windows.
+// time.
 type Reader struct {
 	acc   *Accelerator
 	src   io.Reader
@@ -162,7 +164,8 @@ type Reader struct {
 	// MaxOutput bounds the total decompressed size (0 = 1 GiB).
 	MaxOutput int
 	// Workers sets the number of concurrent member decodes (0 or 1 =
-	// serial). Must be set before the first Read.
+	// serial), each through its own VAS window. Must be set before the
+	// first Read.
 	Workers int
 
 	// Stats accumulates device accounting.
@@ -187,154 +190,117 @@ func (r *Reader) limit() int {
 	return 1 << 30
 }
 
+func errExceeds(limit int) error {
+	return fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", limit)
+}
+
+// memberSpan is one member located by its length hint.
+type memberSpan struct {
+	off, n        int // encoded byte range within the stream
+	out, plainLen int // where its plaintext goes, and how much its trailer claims
+}
+
+// prime decodes the stream: the members its length hints locate, side by
+// side, then whatever the hints do not cover through the serial member
+// loop — where a decode is its own boundary finder. A hint is a claim
+// (deflate.HintedGzipMember). It decides where work starts, never what is
+// returned: each hinted decode must consume exactly the stamped length
+// and produce exactly the claimed plaintext, engine-verified CRC and
+// ISIZE included, and on any surprise the hinted result is discarded and
+// the whole stream goes to the serial loop, whose bytes or error are the
+// answer for every input. The one thing taken on the hints' word is a
+// refusal: a stream claiming more than the limit is turned away before
+// any device work.
 func (r *Reader) prime() error {
 	if r.plain != nil {
 		return nil
 	}
-	comp, err := io.ReadAll(r.src)
+	comp, err := readAll(r.src)
 	if err != nil {
 		return err
 	}
-	var out []byte
-	if r.Workers > 1 {
-		out, err = r.primeParallel(comp)
-	} else {
-		out, err = r.primeSerial(comp)
+	limit := r.limit()
+	var (
+		spans []memberSpan
+		pos   int
+		total int64
+	)
+	for pos < len(comp) {
+		n, isize, ok := deflate.HintedGzipMember(comp[pos:])
+		if !ok {
+			break
+		}
+		if total+isize > int64(limit) {
+			return errExceeds(limit)
+		}
+		spans = append(spans, memberSpan{off: pos, n: n, out: int(total), plainLen: int(isize)})
+		pos += n
+		total += isize
 	}
-	if err != nil {
-		return err
+	out := make([]byte, total)
+	if !r.decodeSpans(comp, spans, out) {
+		pos, out = 0, nil
+	}
+	for pos < len(comp) {
+		var m Metrics
+		plain, consumed, err := r.acc.decompressMember(r.acc.nctx, nil, comp[pos:], limit-len(out), &m)
+		if err != nil {
+			return err
+		}
+		r.addMetrics(&m)
+		if out = append(out, plain...); len(out) > limit {
+			return errExceeds(limit)
+		}
+		pos += consumed
 	}
 	r.plain = bytes.NewReader(out)
 	return nil
 }
 
-// primeSerial decodes members in order, one engine pass per member,
-// threading the remaining output budget into each decode.
-func (r *Reader) primeSerial(comp []byte) ([]byte, error) {
-	limit := r.limit()
-	var out []byte
-	rest := comp
-	for len(rest) > 0 {
-		plain, consumed, m, err := r.acc.decompressMember(r.acc.nctx, rest, limit-len(out))
-		if err != nil {
-			return nil, err
-		}
-		r.addMetrics(m)
-		out = append(out, plain...)
-		if len(out) > limit {
-			return nil, fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", limit)
-		}
-		rest = rest[consumed:]
-	}
-	return out, nil
-}
-
-// memberSpan is one gzip member located by the skim pass.
-type memberSpan struct {
-	off, n   int // encoded byte range within the stream
-	plainLen int // exact plaintext size, from the skim
-}
-
-// primeParallel is the host-side analogue of the paper's many-requests-
-// in-flight decompression: a cheap structure-only skim locates member
-// boundaries (and rejects bombs before anything is buffered), then the
-// members decode concurrently through per-worker VAS windows and
-// reassemble in order.
-func (r *Reader) primeParallel(comp []byte) ([]byte, error) {
-	limit := r.limit()
+// decodeSpans inflates the located members into their windows of out on
+// max(1, Workers) workers, each through its own VAS window — the host-side
+// analogue of the paper's many-requests-in-flight decompression — and
+// reports whether every member was what its hint and trailer claimed.
+func (r *Reader) decodeSpans(comp []byte, spans []memberSpan, out []byte) bool {
 	var (
-		spans []memberSpan
-		total int
-		pos   int
+		wg        sync.WaitGroup
+		next      atomic.Int64
+		surprised atomic.Bool
+		ms        = make([]Metrics, len(spans))
 	)
-	for pos < len(comp) {
-		budget := limit - total
-		if budget < 1 {
-			budget = 1
-		}
-		plainLen, consumed, err := deflate.SkimGzipMember(comp[pos:], budget)
-		if err != nil {
-			if errors.Is(err, deflate.ErrTooLarge) {
-				return nil, fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", limit)
-			}
-			return nil, err
-		}
-		total += plainLen
-		if total > limit {
-			return nil, fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", limit)
-		}
-		spans = append(spans, memberSpan{off: pos, n: consumed, plainLen: plainLen})
-		pos += consumed
-	}
-	if len(spans) == 0 {
-		return nil, nil
-	}
-
-	workers := r.Workers
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	out := make([]byte, total)
-	offsets := make([]int, len(spans))
-	for i, acc := 1, 0; i < len(spans); i++ {
-		acc += spans[i-1].plainLen
-		offsets[i] = acc
-	}
-
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstEx error
-		next    int
-	)
-	metrics := make([]*Metrics, len(spans))
-	for wk := 0; wk < workers; wk++ {
+	for wk := min(max(r.Workers, 1), len(spans)); wk > 0; wk-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			nctx := r.acc.node.OpenContext(r.acc.nctx.PID())
 			defer nctx.Close()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				failed := firstEx != nil
-				mu.Unlock()
-				if failed || i >= len(spans) {
+			for !surprised.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(spans) {
 					return
 				}
+				// The window is fenced where the member's plaintext should
+				// end; a budget of one byte more lets a longer one show.
 				sp := spans[i]
-				plain, _, m, err := r.acc.decompressMember(nctx, comp[sp.off:sp.off+sp.n], sp.plainLen+1)
-				if err == nil && len(plain) != sp.plainLen {
-					err = fmt.Errorf("nxzip: member %d decoded to %d bytes, skim said %d", i, len(plain), sp.plainLen)
+				plain, consumed, err := r.acc.decompressMember(nctx, out[sp.out:sp.out:sp.out+sp.plainLen],
+					comp[sp.off:sp.off+sp.n], sp.plainLen+1, &ms[i])
+				if err != nil || consumed != sp.n || len(plain) != sp.plainLen {
+					surprised.Store(true)
 				}
-				if err != nil {
-					mu.Lock()
-					if firstEx == nil {
-						firstEx = err
-					}
-					mu.Unlock()
-					return
-				}
-				copy(out[offsets[i]:], plain)
-				metrics[i] = m
 			}
 		}()
 	}
 	wg.Wait()
-	if firstEx != nil {
-		return nil, firstEx
+	if surprised.Load() {
+		return false
 	}
-	for _, m := range metrics {
-		r.addMetrics(m)
+	for i := range ms {
+		r.addMetrics(&ms[i])
 	}
-	return out, nil
+	return true
 }
 
 func (r *Reader) addMetrics(m *Metrics) {
-	if m == nil {
-		return
-	}
 	r.Stats.add(m)
 	r.acc.met.readerMembers.Inc()
 }
@@ -345,4 +311,16 @@ func (r *Reader) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return r.plain.Read(p)
+}
+
+// readAll is io.ReadAll without the regrowth when src can say how much
+// it holds (bytes.Reader, bytes.Buffer, strings.Reader): one allocation,
+// one copy.
+func readAll(src io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if sized, ok := src.(interface{ Len() int }); ok {
+		buf.Grow(sized.Len() + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(src)
+	return buf.Bytes(), err
 }

@@ -70,3 +70,39 @@ func TestParallelWriterAllocsBounded(t *testing.T) {
 		t.Fatalf("round trip: %v", err)
 	}
 }
+
+func TestStreamReaderAllocsBounded(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	acc := Open(P9())
+	defer acc.Close()
+	src := streamParallelInput()
+	var member bytes.Buffer
+	w := acc.NewStreamWriterChunk(&member, 64<<10)
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var plain bytes.Buffer
+	plain.Grow(len(src) + bytes.MinRead)
+	got := allocatedBytes(func() {
+		plain.Reset()
+		if _, err := plain.ReadFrom(acc.NewStreamReader(bytes.NewReader(member.Bytes()), 0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One read buffer, one result buffer grown to a request's worth, the
+	// session's window and pending input. A fresh read buffer per fill and
+	// a result grown from nil per request came to 44.9 MB.
+	const bound = 4 << 20
+	if got > bound {
+		t.Errorf("StreamReader allocated %d bytes for an %d-byte stream, want at most %d", got, len(src), bound)
+	}
+	t.Logf("%d bytes allocated", got)
+	if !bytes.Equal(plain.Bytes(), src) {
+		t.Fatal("round trip mismatch")
+	}
+}

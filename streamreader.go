@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"nxzip/internal/checksum"
 	"nxzip/internal/deflate"
@@ -25,8 +26,8 @@ type StreamReader struct {
 	ctx    *nx.Context // pinned device context (resume state stays put)
 	src    io.Reader
 	state  *nx.DecompState
-	inbuf  []byte
-	outbuf []byte
+	inbuf  []byte // compressed input not yet submitted; one buffer, reused
+	outbuf []byte // the last request's plaintext, and the next one's target
 	outPos int
 	crc    checksum.CRC32
 	isize  uint32
@@ -80,9 +81,11 @@ func (r *StreamReader) Read(p []byte) (int, error) {
 func (r *StreamReader) fill() error {
 	// Top up the input buffer.
 	if !r.srcExhaust {
-		buf := make([]byte, DefaultReadChunk)
-		n, err := io.ReadFull(r.src, buf)
-		r.inbuf = append(r.inbuf, buf[:n]...)
+		if len(r.inbuf) == cap(r.inbuf) {
+			r.inbuf = slices.Grow(r.inbuf, DefaultReadChunk) // a header longer than the buffer
+		}
+		n, err := io.ReadFull(r.src, r.inbuf[len(r.inbuf):cap(r.inbuf)])
+		r.inbuf = r.inbuf[:len(r.inbuf)+n]
 		switch err {
 		case nil:
 		case io.EOF, io.ErrUnexpectedEOF:
@@ -91,15 +94,16 @@ func (r *StreamReader) fill() error {
 			return err
 		}
 	}
+	chunk := r.inbuf
 	if !r.headerDone {
-		hlen, err := deflate.ParseGzipHeader(r.inbuf)
+		hlen, _, err := deflate.ParseGzipHeader(chunk)
 		if err != nil {
 			if !r.srcExhaust {
 				return nil // need more input for the header
 			}
 			return err
 		}
-		r.inbuf = r.inbuf[hlen:]
+		chunk = chunk[hlen:]
 		r.headerDone = true
 	}
 	if r.state.Done() {
@@ -117,12 +121,13 @@ func (r *StreamReader) fill() error {
 	// session the state has advanced and a replay would double-feed the
 	// chunk, so data-plane errors surface directly. With no healthy
 	// device left the session's own software inflater finishes the chunk;
-	// the resume state is the same object either way.
-	chunk := r.inbuf
-	r.inbuf = nil
+	// the resume state is the same object either way. The plaintext is
+	// appended to the drained outbuf, and the session has copied what it
+	// did not consume of the chunk, so both buffers go round again.
 	var m Metrics
 	out, err := r.acc.do(r.acc.nctx, &r.ctx, op{kind: opResume, name: "stream-decompress", format: FormatRaw,
-		src: chunk, state: r.state, notFinal: !r.srcExhaust}, &m)
+		src: chunk, dst: r.outbuf[:0], state: r.state, notFinal: !r.srcExhaust}, &m)
+	r.inbuf = r.inbuf[:0]
 	r.Stats.add(&m) // on failure: the cost of the failed attempts
 	if err != nil {
 		return err

@@ -143,7 +143,7 @@ func TestStreamWriterFeedsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := gz.Bytes()
-	hlen, err := deflate.ParseGzipHeader(raw)
+	hlen, _, err := deflate.ParseGzipHeader(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
