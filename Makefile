@@ -47,17 +47,21 @@ bench:
 ## gate one level down: nx.Context.SubmitInto at 0 allocations, beside
 ## the conformance table that holds every nx entry point to one protocol;
 ## and the inflate core its own below that: dynamic blocks into a roomy
-## Dst, and a skim, at 0 allocations (tables live in the pooled inflater).
+## Dst at 0 allocations (tables live in the pooled inflater).
 ## TestIntoPathAllocFree and TestSubmitIntoAllocFree each run twice, fixed
 ## table and engine-generated DHT: counting, the Huffman build, the header
 ## plan and the codes all live in the engine's encoder scratch. The 842
 ## codec's gate is one allocation a call, its output: Compress (the match
-## tables are on its stack), and Decompress under an exact budget.
+## tables are on its stack), and Decompress under an exact budget. The
+## stream wrappers are gated in bytes per 8 MiB stream of bench/'s
+## stream_parallel shape, beside the Session's own gate: ParallelWriter
+## (p copied once into recycled job buffers) and StreamReader (one read
+## buffer, the result appended to the drained one) at 4 MB each.
 bench-alloc:
 	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
 	$(GO) test -run 'TestOneAllocation' -count=1 ./internal/x842
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
-	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree' -count=1 .
+	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite' -count=1 .
 
 ## bench-json: run the E18 topology sweep (aggregate GB/s vs device
@@ -96,10 +100,17 @@ bench-json:
 ## comes and folded to a two-symbol alphabet that keeps every fifo full,
 ## and Decompress takes them back — which is what x842's FuzzRoundTrip,
 ## still outside this run, was for) and the decoder (equal bytes or an
-## equal error class on arbitrary streams and budgets). Twelve targets
-## in all. Finds panics/OOMs in the bounds-checked decode loops and parser
-## edge cases; go test -fuzz accepts one fuzz target per invocation, hence
-## one run each.
+## equal error class on arbitrary streams and budgets). Thirteenth, the
+## first above the device: Reader at any worker count against the serial
+## member loop it replaced, on arbitrary multi-member streams — hints and
+## trailers forged, truncated, flipped — and budgets (equal bytes or an
+## equal error class, compress/gzip agreeing wherever the loop succeeds).
+## Its seeds are whole multi-member streams and an execution is two reads
+## through the device model, so minimizing one interesting input for the
+## default 60 s would outlast the run: -fuzzminimizetime 2s. Thirteen
+## targets in all. Finds panics/OOMs in the bounds-checked decode loops and
+## parser edge cases; go test -fuzz accepts one fuzz target per invocation,
+## hence one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -113,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeEqualsReference -fuzztime 30s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz FuzzCompressEqualsReference -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzDecompressEqualsReference -fuzztime 30s ./internal/x842
+	$(GO) test -run '^$$' -fuzz FuzzReaderEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot
@@ -124,8 +136,12 @@ fuzz-smoke:
 ## (table generation); the decode one is deflate.inflate.ns_per_byte.
 ## make bench-host WORKLOAD=codec_mix prints the block codecs' rows: its
 ## headlines are x842.compress.ns_per_byte and x842.decompress.ns_per_byte
-## (the 842 kernels) and nxzip.x842.mbps (842 through the root API). See
-## bench/README.md for the paired-run method a claimed gain needs.
+## (the 842 kernels) and nxzip.x842.mbps (842 through the root API).
+## make bench-host WORKLOAD=stream_parallel prints the stream wrappers':
+## its headlines are nxzip.preader.mbps (the parallel Reader, to be read
+## against the one-shot decompress_mbps of bulk_oneshot),
+## nxzip.streamreader.mbps and nxzip.pwriter.mbps. See bench/README.md for
+## the paired-run method a claimed gain needs.
 WORKLOAD ?= bulk_oneshot
 bench-host:
 	$(GO) run ./bench -workload $(WORKLOAD) -trace 0

@@ -147,6 +147,6 @@ func parallelReaderTable() *experiments.Table {
 			fmt.Sprintf("%.2fx", model/base),
 		)
 	}
-	tab.Note("the parallel Reader skims member boundaries on the host, then decodes members on separate engine contexts")
+	tab.Note("the Reader hops member to member by the length each carries in its header, then decodes them on separate engine contexts")
 	return tab
 }

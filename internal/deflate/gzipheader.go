@@ -105,8 +105,9 @@ func IndexGzipMember(buf []byte) {
 // result of the one walk of RFC 1952 section 2.3 that every parser in this
 // package shares. The slices alias the source.
 type gzipFields struct {
-	extra, name, comment []byte // without XLEN and the terminating NULs
-	hasExtra, hasCRC     bool
+	// Without XLEN and the terminating NULs; nil where the flag is clear.
+	extra, name, comment []byte
+	hasCRC               bool
 	n                    int // bytes of header
 }
 
@@ -127,7 +128,7 @@ func parseGzipFields(src []byte) (f gzipFields, err error) {
 	}
 	flg := src[3]
 	pos := 10
-	if f.hasExtra = flg&gzFEXTRA != 0; f.hasExtra {
+	if flg&gzFEXTRA != 0 {
 		if pos+2 > len(src) {
 			return f, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
 		}
@@ -235,7 +236,7 @@ func ParseGzipHeaderFull(src []byte) (GzipHeader, int, error) {
 	if mtime := binary.LittleEndian.Uint32(src[4:8]); mtime != 0 {
 		h.ModTime = time.Unix(int64(mtime), 0)
 	}
-	if f.hasExtra {
+	if f.extra != nil {
 		h.Extra = append([]byte{}, f.extra...)
 	}
 	return h, f.n, nil

@@ -78,8 +78,11 @@ func readerErrClass(err error) string {
 // hints and trailers claim more than MaxOutput is turned away as over the
 // limit before any device work, where the serial loop — which decodes to
 // find out — may meet a different fault first when the claim is forged.
-// Either way the stream is refused.
-func checkReaderEqualsSerial(t *testing.T, acc *Accelerator, stream []byte, workers, maxOutput int) {
+// Either way the stream is refused. wellFormed says the stream came from
+// an encoder, where compress/gzip must inflate whatever the loop does; on
+// a fuzzed one it need not — this inflater takes incomplete Huffman codes
+// the stdlib refuses (DESIGN 5n) — but what it does inflate must agree.
+func checkReaderEqualsSerial(t *testing.T, acc *Accelerator, stream []byte, workers, maxOutput int, wellFormed bool) {
 	t.Helper()
 	oracle := acc.NewReader(nil)
 	oracle.MaxOutput = maxOutput
@@ -112,6 +115,9 @@ func checkReaderEqualsSerial(t *testing.T, acc *Accelerator, stream []byte, work
 	var std []byte
 	if err == nil {
 		std, err = io.ReadAll(zr)
+	}
+	if err != nil && !wellFormed {
+		return
 	}
 	if err != nil || !bytes.Equal(std, want) {
 		t.Fatalf("compress/gzip disagrees with the serial loop: %d bytes, err %v", len(std), err)
@@ -197,11 +203,12 @@ func readerStreams(t testing.TB, acc *Accelerator) []readerStream {
 		}
 		for _, parallel := range []bool{false, true} {
 			var sink memberSink
-			var w io.WriteCloser = acc.NewWriterChunk(&sink, chunk)
+			var w io.WriteCloser
 			name := fmt.Sprintf("Writer/chunk%d", chunk)
 			if parallel {
-				w = acc.NewParallelWriterChunk(&sink, chunk, 3)
-				name = "Parallel" + name
+				w, name = acc.NewParallelWriterChunk(&sink, chunk, 3), "Parallel"+name
+			} else {
+				w = acc.NewWriterChunk(&sink, chunk)
 			}
 			if _, err := w.Write(in); err != nil {
 				t.Fatal(err)
@@ -241,7 +248,7 @@ func readerStreams(t testing.TB, acc *Accelerator) []readerStream {
 	setHint(outer, bytes.Index(outer, inner))
 	streams = append(streams, readerStream{name: "hint at a header inside a stored block", members: [][]byte{outer, stamped[0]}, forged: true})
 
-	old, err := os.ReadFile("testdata/writer_pr18.gz")
+	old, err := os.ReadFile("testdata/writer_e4e5da5.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +331,9 @@ func readerCases(t testing.TB, acc *Accelerator) []readerCase {
 		tamper("hint inside the header", mid, func(m []byte) int { return 12 })
 		tamper("hint past EOF", mid, func(m []byte) int { return len(m) + len(intact) })
 		tamper("hint zero", mid, func(m []byte) int { return 0 })
+		if mid+1 < len(s.members) {
+			tamper("hint spanning two members", mid, func(m []byte) int { return len(m) + len(s.members[mid+1]) })
+		}
 
 		// ISIZE of the middle member (of the last, when there is one entry).
 		end := 0
@@ -373,7 +383,7 @@ func TestReaderEqualsSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				before := deflate.InflatePasses()
-				checkReaderEqualsSerial(t, acc, tc.stream, workers, tc.maxOutput)
+				checkReaderEqualsSerial(t, acc, tc.stream, workers, tc.maxOutput, true)
 				// The oracle made one pass a member; so must the Reader.
 				if passes := deflate.InflatePasses() - before; tc.members > 0 && passes != 2*int64(tc.members) {
 					t.Fatalf("workers=%d: %d inflate passes over %d hinted members and their oracle's %d",
@@ -399,6 +409,6 @@ func FuzzReaderEqualsSerial(f *testing.F) {
 		if limit == 0 {
 			limit = 1 << 20
 		}
-		checkReaderEqualsSerial(t, acc, stream, int(workers%5), limit)
+		checkReaderEqualsSerial(t, acc, stream, int(workers%5), limit, false)
 	})
 }
