@@ -107,10 +107,17 @@ bench-json:
 ## equal error class, compress/gzip agreeing wherever the loop succeeds).
 ## Its seeds are whole multi-member streams and an execution is two reads
 ## through the device model, so minimizing one interesting input for the
-## default 60 s would outlast the run: -fuzzminimizetime 2s. Thirteen
-## targets in all. Finds panics/OOMs in the bounds-checked decode loops and
-## parser edge cases; go test -fuzz accepts one fuzz target per invocation,
-## hence one run each.
+## default 60 s would outlast the run: -fuzzminimizetime 2s. Fourteenth,
+## its counterpart on the way in: StreamWriter against the one-at-a-time
+## submit loop it had (refStreamWriter), on arbitrary data, chunk sizes and
+## Write splits over every device, table mode and engine count of
+## TestStreamWriterEqualsSerial (equal bytes, equal Stats, equal segment
+## count; compress/gzip and StreamReader take the stream back) — ROADMAP
+## item 4's "arbitrary chunk splits through StreamWriter" clause; an
+## execution is two streams through the device model, so it too runs with
+## -fuzzminimizetime 2s. Fourteen targets in all. Finds panics/OOMs in the
+## bounds-checked decode loops and parser edge cases; go test -fuzz accepts
+## one fuzz target per invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -125,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompressEqualsReference -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzDecompressEqualsReference -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzReaderEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz FuzzStreamWriterEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot
