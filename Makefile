@@ -61,8 +61,8 @@ bench-alloc:
 	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
 	$(GO) test -run 'TestOneAllocation' -count=1 ./internal/x842
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
-	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded' -count=1 .
-	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite' -count=1 .
+	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
+	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite|TestStreamWriterFailoverInFlight' -count=1 .
 
 ## bench-json: run the E18 topology sweep (aggregate GB/s vs device
 ## count, claim C6), the E19 chaos sweep (throughput/p99 vs injected

@@ -166,7 +166,7 @@ func TestChaosStreamWriterMigration(t *testing.T) {
 	if _, err := w.Write(src[:8<<10]); err != nil {
 		t.Fatal(err)
 	}
-	pinned := acc.nctx.IndexOf(w.ctx)
+	pinned := acc.nctx.IndexOf(w.ctx.Load())
 	if pinned < 0 {
 		t.Fatal("pinned device not found in pool")
 	}
@@ -183,7 +183,7 @@ func TestChaosStreamWriterMigration(t *testing.T) {
 	if w.Stats.Degraded {
 		t.Fatal("stream degraded to software with a healthy device available")
 	}
-	if now := acc.nctx.IndexOf(w.ctx); now == pinned {
+	if now := acc.nctx.IndexOf(w.ctx.Load()); now == pinned {
 		t.Fatalf("stream still pinned to dead device %d", pinned)
 	}
 	plain, err := SoftwareGunzip(gz.Bytes())

@@ -50,6 +50,12 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	acc := nxzip.Open(nxzip.P9())
 	defer acc.Close()
+	// The stream check runs on a device with a second engine, so the
+	// segments of its one Write are in flight side by side.
+	twoEngines := nxzip.P9()
+	twoEngines.Device.Engines = 2
+	streamAcc := nxzip.Open(twoEngines)
+	defer streamAcc.Close()
 
 	checks := []*tally{
 		{name: "sw-enc/std-dec"},
@@ -136,14 +142,14 @@ func main() {
 
 		run(checks[6], func() bool {
 			var gzb bytes.Buffer
-			w := acc.NewStreamWriterChunk(&gzb, rng.Intn(64<<10)+4096)
+			w := streamAcc.NewStreamWriterChunk(&gzb, rng.Intn(64<<10)+4096)
 			if _, err := w.Write(src); err != nil {
 				return false
 			}
 			if err := w.Close(); err != nil {
 				return false
 			}
-			sr := acc.NewStreamReader(bytes.NewReader(gzb.Bytes()), len(src)+1024)
+			sr := streamAcc.NewStreamReader(bytes.NewReader(gzb.Bytes()), len(src)+1024)
 			got, err := io.ReadAll(sr)
 			if err != nil || !bytes.Equal(got, src) {
 				return false

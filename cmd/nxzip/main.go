@@ -232,8 +232,10 @@ func run(args []string) error {
 				}
 			}
 		} else if *stream && !*decompress {
-			// True streaming: compressed output flows to out as chunks
-			// complete; input is never fully buffered.
+			// One gzip member: compressed output flows to out segment by
+			// segment as the one Write below runs (the input was read whole
+			// above, as for every mode), as many segments in flight as
+			// the device has engines.
 			w := acc.NewStreamWriterChunk(out, *chunk)
 			if _, werr := w.Write(src); werr != nil {
 				return werr

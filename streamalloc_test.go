@@ -71,6 +71,46 @@ func TestParallelWriterAllocsBounded(t *testing.T) {
 	}
 }
 
+func TestStreamWriterAllocsBounded(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := P9()
+	cfg.Device.Engines = 2
+	acc := Open(cfg)
+	defer acc.Close()
+	src := streamParallelInput()
+	var sink bytes.Buffer
+	stream := func() {
+		sink.Reset()
+		w := acc.NewStreamWriterChunk(&sink, 64<<10)
+		if _, err := w.Write(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three jobs and their body buffers, each grown to the largest segment
+	// it met, the first chunk copied into lead, a wave's channel and two
+	// goroutines. A fresh body a segment, doubled on the text and binary
+	// pieces, came to 134 allocations and 7.5 MB.
+	const boundBytes, boundAllocs = 1 << 20, 24
+	if got := allocatedBytes(stream); got > boundBytes {
+		t.Errorf("StreamWriter allocated %d bytes for an %d-byte stream, want at most %d", got, len(src), boundBytes)
+	} else {
+		t.Logf("%d bytes allocated", got)
+	}
+	if got := testing.AllocsPerRun(5, stream); got > boundAllocs {
+		t.Errorf("StreamWriter made %.0f allocations for a stream of %d segments, want at most %d", got, len(src)/(64<<10)+1, boundAllocs)
+	} else {
+		t.Logf("%.0f allocations", got)
+	}
+	if plain, err := io.ReadAll(acc.NewStreamReader(bytes.NewReader(sink.Bytes()), 0)); err != nil || !bytes.Equal(plain, src) {
+		t.Fatalf("round trip: %v", err)
+	}
+}
+
 func TestStreamReaderAllocsBounded(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

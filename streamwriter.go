@@ -3,6 +3,8 @@ package nxzip
 import (
 	"encoding/binary"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"nxzip/internal/checksum"
 	"nxzip/internal/lz77"
@@ -19,22 +21,44 @@ import (
 //
 // A stream's segments share the history window, so on a multi-device
 // node the writer pins to one device at construction (a sticky pick)
-// instead of dispatching per segment.
+// instead of dispatching per segment. But a segment depends only on the
+// plaintext before it, never on another segment's output, so the segments
+// one Write (or one ReadFrom read) holds run side by side — as many at
+// once as the pinned device has engines — and are emitted in stream order
+// before the call returns: same bytes, same device cycles, synchronous
+// errors, and no goroutine outlives the call (DESIGN 5q).
 type StreamWriter struct {
-	acc     *Accelerator
-	ctx     *nx.Context // pinned device context (history stays put)
-	out     io.Writer
-	chunk   int
-	buf     []byte
-	history []byte
+	acc   *Accelerator
+	ctx   atomic.Pointer[nx.Context] // pinned device context; the window rides the CRB, so the pin can move
+	out   io.Writer
+	chunk int
+	// lead is the end of the stream as the next segment needs it: up to a
+	// window of bytes already in emitted segments, then the pending bytes
+	// (fewer than chunk between calls) that are in none yet.
+	lead    []byte
+	pending int
+	jobs    []swJob        // at most 2 x engines - 1, kept from one wave to the next
+	helpers sync.WaitGroup // a wave's goroutines
 	crc     checksum.CRC32
 	isize   uint32
+	err     error
 	started bool
 	closed  bool
-	err     error
 
 	// Stats accumulates device accounting across requests.
 	Stats Metrics
+}
+
+// swJob is one segment on its way through the device.
+type swJob struct {
+	src, window []byte        // the segment; the stream before it, up to lz77.WindowSize
+	final       bool          // the stream ends with it
+	stitch      []byte        // backs a window that opens in lead and ends in the caller's p
+	pin         *nx.Context   // the stream's pin as the segment found it, then as it left it
+	body        []byte        // the encoded segment, in a buffer the job's next use appends over
+	m           Metrics       // its accounting
+	err         error         // and why there is none
+	done        chan struct{} // body, m and err are set
 }
 
 // NewStreamWriter returns a single-member streaming writer with the
@@ -48,27 +72,17 @@ func (a *Accelerator) NewStreamWriterChunk(out io.Writer, chunk int) *StreamWrit
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	return &StreamWriter{acc: a, ctx: a.nctx.PickSticky(), out: out, chunk: chunk}
+	w := &StreamWriter{acc: a, out: out, chunk: chunk}
+	w.ctx.Store(a.nctx.PickSticky())
+	return w
 }
 
 var gzipStreamHeader = []byte{0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255}
 
-func (w *StreamWriter) start() error {
-	if w.started {
-		return nil
-	}
-	if _, err := w.out.Write(gzipStreamHeader); err != nil {
-		w.err = err
-		return err
-	}
-	w.started = true
-	return nil
-}
-
-// Write buffers p and submits full chunks. Per the io.Writer contract it
-// reports how many bytes of p were actually accepted: on a submission
-// failure the count excludes the bytes of p that rode the failed chunk,
-// even though earlier chunks were emitted.
+// Write tops the pending bytes up to a chunk — so segments fall on
+// multiples of chunk however the Writes were cut — and runs it, and the
+// whole chunks after it where they lie in p, as one wave. It reports the
+// bytes of p accepted: on a failure, those in the segments emitted before.
 func (w *StreamWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
@@ -76,96 +90,156 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, ErrWriterClosed
 	}
-	// Bytes already buffered from previous calls; chunks drain these
-	// oldest-first, so they tell us how much of a failed chunk came from
-	// earlier Writes rather than from p.
-	carried := len(w.buf)
-	accepted := 0
+	take := min(w.chunk-w.pending, len(p))
+	w.lead = append(w.lead, p[:take]...)
+	if w.pending += take; w.pending < w.chunk {
+		return len(p), nil
+	}
+	rest := p[take:]
+	if emitted, err := w.wave(rest, 1+len(rest)/w.chunk, false); err != nil {
+		return max(0, take+(emitted-1)*w.chunk), err
+	}
+	// lead moves past the wave, one copy a Write: the window before the
+	// bytes of rest still in no segment, and those bytes.
+	w.pending = len(rest) % w.chunk
+	keep := lz77.WindowSize + w.pending
+	w.lead = append(w.lead[:copy(w.lead, tail(w.lead, keep-len(rest)))], tail(rest, keep)...)
+	return len(p), nil
+}
+
+// ReadFrom implements io.ReaderFrom, so that io.Copy — whose own 32 KiB
+// Writes rarely hold two segments — keeps the device's engines busy too:
+// each read fills a segment per engine and is written as one Write.
+func (w *StreamWriter) ReadFrom(r io.Reader) (int64, error) {
+	var total int64
+	buf := make([]byte, w.ctx.Load().Device().EngineCount()*w.chunk)
 	for {
-		need := w.chunk - len(w.buf)
-		take := len(p) - accepted
-		if take > need {
-			take = need
+		n, rerr := io.ReadFull(r, buf[:len(buf)-w.pending])
+		accepted, err := w.Write(buf[:n])
+		total += int64(accepted)
+		if err != nil || rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+			return total, err
+		} else if rerr != nil {
+			return total, rerr
 		}
-		w.buf = append(w.buf, p[accepted:accepted+take]...)
-		accepted += take
-		if len(w.buf) < w.chunk {
-			return accepted, nil
+	}
+}
+
+// tail is the last n bytes of b: all of b if it has fewer, none if n <= 0.
+func tail(b []byte, n int) []byte { return b[len(b)-min(max(n, 0), len(b)):] }
+
+// cut makes j segment i of a wave — the pending bytes at lead's end, then
+// the whole chunks of rest — with the window before it: bytes where they
+// lie, in lead or in rest, unless the window spans both.
+func (w *StreamWriter) cut(j *swJob, rest []byte, i int) {
+	if i == 0 {
+		at := len(w.lead) - w.pending
+		j.window, j.src = w.lead[:at], w.lead[at:]
+		return
+	}
+	at := (i - 1) * w.chunk
+	j.src = rest[at : at+w.chunk]
+	before, within := tail(w.lead, lz77.WindowSize-at), tail(rest[:at], lz77.WindowSize)
+	if j.window = within; len(within) == 0 {
+		j.window = before
+	} else if len(before) > 0 {
+		j.stitch = append(append(j.stitch[:0], before...), within...)
+		j.window = j.stitch
+	}
+}
+
+// wave runs n segments (see cut) through the pinned device, as many at
+// once as it has engines, and emits them — body, CRC, ISIZE, Stats — in
+// stream order on the caller's goroutine. It returns how many before the
+// first failure, once every goroutine it started has exited; with one
+// engine, or one segment, it starts none and runs each segment itself.
+func (w *StreamWriter) wave(rest []byte, n int, final bool) (emitted int, _ error) {
+	if !w.started {
+		if _, w.err = w.out.Write(gzipStreamHeader); w.err != nil {
+			return 0, w.err
 		}
-		if err := w.submit(w.buf[:w.chunk], false); err != nil {
-			// The failed chunk held min(carried, chunk) old bytes; the
-			// rest were p's — those were consumed but not emitted, so
-			// they don't count as accepted.
-			fromOld := carried
-			if fromOld > w.chunk {
-				fromOld = w.chunk
+		w.started = true
+	}
+	engines := min(w.ctx.Load().Device().EngineCount(), n)
+	// Every engine busy and the segments that finished early waiting
+	// behind the oldest; a job is free again once its segment is emitted.
+	depth := 2*engines - 1
+	if len(w.jobs) < depth {
+		w.jobs = make([]swJob, depth)
+		for i := range w.jobs {
+			w.jobs[i].done = make(chan struct{}, 1)
+		}
+	}
+	var work chan *swJob
+	if engines > 1 {
+		work = make(chan *swJob, engines-1)
+		w.helpers.Add(engines)
+		for i := 0; i < engines; i++ {
+			go func() {
+				defer w.helpers.Done()
+				for j := range work {
+					w.run(j)
+				}
+			}()
+		}
+	}
+	for next := 0; emitted < n; emitted++ {
+		for ; next < n && next-emitted < depth; next++ {
+			j := &w.jobs[next%depth]
+			j.final = final
+			w.cut(j, rest, next)
+			if work != nil {
+				work <- j
+			} else {
+				w.run(j)
 			}
-			return accepted - (w.chunk - fromOld), err
 		}
-		w.buf = append(w.buf[:0], w.buf[w.chunk:]...)
-		carried -= w.chunk
-		if carried < 0 {
-			carried = 0
+		j := &w.jobs[emitted%depth]
+		if <-j.done; j.err == nil {
+			_, j.err = w.out.Write(j.body)
 		}
+		if w.err = j.err; w.err != nil {
+			break
+		}
+		w.crc.Update(j.src)
+		w.isize += uint32(len(j.src))
+		w.Stats.add(&j.m)
+		w.acc.met.streamSegments.Inc()
 	}
+	if work != nil {
+		close(work) // a failed wave's helpers still run what they were handed
+		w.helpers.Wait()
+	}
+	return emitted, w.err
 }
 
-// submit runs one segment as a pipeline request pinned to the stream's
-// device. The history window rides the CRB, so the pin migrates to
-// another healthy device on device-local failure (or off a draining
-// one) and the stream continues byte-identically; with no healthy device
-// left the software segment encoder takes over.
-func (w *StreamWriter) submit(chunk []byte, final bool) error {
-	if err := w.start(); err != nil {
-		return err
-	}
-	var m Metrics
-	body, err := w.acc.do(w.acc.nctx, &w.ctx, op{kind: opSegment, name: "stream-compress", format: FormatRaw,
-		src: chunk, history: w.history, notFinal: !final}, &m)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.out.Write(body); err != nil {
-		w.err = err
-		return err
-	}
-	w.crc.Update(chunk)
-	w.isize += uint32(len(chunk))
-	w.Stats.add(&m)
-	w.acc.met.streamSegments.Inc()
-
-	// Maintain the history window: the last 32 KiB of the logical stream.
-	w.history = appendWindow(w.history, chunk)
-	return nil
-}
-
-func appendWindow(window, chunk []byte) []byte {
-	window = append(window, chunk...)
-	if len(window) > lz77.WindowSize {
-		window = append(window[:0], window[len(window)-lz77.WindowSize:]...)
-	}
-	return window
+// run compresses j as one pipeline request pinned to the stream's device.
+// The history window rides the CRB, so the pin migrates to another
+// healthy device on device-local failure (or off a draining one) and the
+// stream continues byte-identically; with no healthy device left the
+// software segment encoder takes over. Segments in flight each work on a
+// copy of the pin, and one that migrated moves the stream's only if that
+// is still where it started from: the first to leave a device wins.
+func (w *StreamWriter) run(j *swJob) {
+	from := w.ctx.Load()
+	j.pin = from
+	j.body, j.err = w.acc.do(w.acc.nctx, &j.pin, op{kind: opSegment, name: "stream-compress", format: FormatRaw,
+		src: j.src, dst: j.body[:0], history: j.window, notFinal: !j.final}, &j.m)
+	w.ctx.CompareAndSwap(from, j.pin)
+	j.done <- struct{}{}
 }
 
 // Close submits the final segment and writes the gzip trailer.
 func (w *StreamWriter) Close() error {
-	if w.err != nil {
+	if w.err != nil || w.closed {
 		return w.err
 	}
-	if w.closed {
-		return nil
-	}
-	if err := w.submit(w.buf, true); err != nil {
+	if _, err := w.wave(nil, 1, true); err != nil {
 		return err
 	}
-	w.buf = nil
-	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], w.crc.Sum())
-	binary.LittleEndian.PutUint32(trailer[4:8], w.isize)
-	if _, err := w.out.Write(trailer[:]); err != nil {
-		w.err = err
-		return err
+	trailer := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, w.crc.Sum()), w.isize)
+	if _, w.err = w.out.Write(trailer); w.err != nil {
+		return w.err
 	}
 	w.closed = true
 	if w.Stats.InBytes > 0 && w.Stats.OutBytes > 0 {

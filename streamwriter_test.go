@@ -4,13 +4,31 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
+	"testing/iotest"
+	"time"
 
+	"nxzip/internal/admission"
 	"nxzip/internal/corpus"
 	"nxzip/internal/deflate"
+	"nxzip/internal/faultinject"
+	"nxzip/internal/vas"
 )
+
+// openEngines is a P9 whose device has the given number of engines: the
+// segments one Write holds run that many at a time.
+func openEngines(t *testing.T, engines int) *Accelerator {
+	t.Helper()
+	cfg := P9()
+	cfg.Device.Engines = engines
+	acc := Open(cfg)
+	t.Cleanup(acc.Close)
+	return acc
+}
 
 func streamCompress(t *testing.T, acc *Accelerator, src []byte, chunk int) ([]byte, *StreamWriter) {
 	t.Helper()
@@ -66,42 +84,55 @@ func TestStreamWriterSingleMember(t *testing.T) {
 
 func TestStreamWriterHistoryImprovesRatio(t *testing.T) {
 	// Repetitive data with period > chunk size: only history carry can
-	// find the repeats.
-	acc := Open(P9())
-	defer acc.Close()
+	// find the repeats. What a segment finds in its window does not depend
+	// on what else is in flight: two engines, the same ratio.
 	block := corpus.Generate(corpus.Random, 8<<10, 3)
 	src := bytes.Repeat(block, 64) // 512 KiB of 8 KiB-period repeats
+	var ratios []float64
+	for _, engines := range []int{1, 2} {
+		acc := openEngines(t, engines)
+		single, w := streamCompress(t, acc, src, 16<<10)
 
-	single, _ := streamCompress(t, acc, src, 16<<10)
+		var multi bytes.Buffer
+		mw := acc.NewWriterChunk(&multi, 16<<10)
+		mw.Write(src)
+		if err := mw.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	var multi bytes.Buffer
-	mw := acc.NewWriterChunk(&multi, 16<<10)
-	mw.Write(src)
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
+		if len(single) >= multi.Len()/2 {
+			t.Fatalf("%d engines: history stream %d not far below multi-member %d", engines, len(single), multi.Len())
+		}
+		ratios = append(ratios, w.Stats.Ratio)
 	}
-
-	if len(single) >= multi.Len()/2 {
-		t.Fatalf("history stream %d not far below multi-member %d", len(single), multi.Len())
+	if ratios[0] != ratios[1] {
+		t.Fatalf("ratio %v on one engine, %v on two", ratios[0], ratios[1])
 	}
 }
 
 func TestStreamWriterReplayCostAccounted(t *testing.T) {
-	acc := Open(P9())
-	defer acc.Close()
 	src := corpus.Generate(corpus.Text, 1<<20, 5)
-	_, withHist := streamCompress(t, acc, src, 64<<10)
+	var cycles []int64
+	for _, engines := range []int{1, 2} {
+		acc := openEngines(t, engines)
+		_, withHist := streamCompress(t, acc, src, 64<<10)
 
-	var out bytes.Buffer
-	plain := acc.NewWriterChunk(&out, 64<<10)
-	plain.Write(src)
-	plain.Close()
+		var out bytes.Buffer
+		plain := acc.NewWriterChunk(&out, 64<<10)
+		plain.Write(src)
+		plain.Close()
 
-	// History replay burns beats: the single-member stream must cost more
-	// device cycles than the member-per-chunk writer.
-	if withHist.Stats.DeviceCycles <= plain.Stats.DeviceCycles {
-		t.Fatalf("history cycles %d not above plain %d",
-			withHist.Stats.DeviceCycles, plain.Stats.DeviceCycles)
+		// History replay burns beats: the single-member stream must cost more
+		// device cycles than the member-per-chunk writer.
+		if withHist.Stats.DeviceCycles <= plain.Stats.DeviceCycles {
+			t.Fatalf("%d engines: history cycles %d not above plain %d",
+				engines, withHist.Stats.DeviceCycles, plain.Stats.DeviceCycles)
+		}
+		cycles = append(cycles, withHist.Stats.DeviceCycles)
+	}
+	// The replay beats are charged a segment, whatever else is in flight.
+	if cycles[0] != cycles[1] {
+		t.Fatalf("%d device cycles on one engine, %d on two", cycles[0], cycles[1])
 	}
 }
 
@@ -248,4 +279,321 @@ func TestStreamWriterPartialWriteAccounting(t *testing.T) {
 	if err := w3.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hookSink records what reaches it. It runs hook as its n-th Write arrives
+// — the gzip header is the first — on the caller's goroutine, so mid-wave:
+// later segments are in flight behind the body being written. It accepts
+// limit Writes (0: all of them) and answers err from then on.
+type hookSink struct {
+	buf    bytes.Buffer
+	writes int
+	limit  int
+	err    error
+	hook   func(n int)
+}
+
+func (s *hookSink) Write(p []byte) (int, error) {
+	if s.limit > 0 && s.writes >= s.limit {
+		return 0, s.err
+	}
+	s.writes++
+	if s.hook != nil {
+		s.hook(s.writes)
+	}
+	return s.buf.Write(p)
+}
+
+// settleGoroutines fails the test unless the goroutine count is back at
+// base. A wave waits for its helpers, so all there is to poll over is the
+// instant between a helper's last statement and its exit.
+func settleGoroutines(t *testing.T, base int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the stream", when, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestStreamWriterFailoverInFlight: segments in flight each carry a copy
+// of the stream's pin, and the first to leave a failed device moves the
+// stream — once, not back and forth — so a device lost mid-wave costs the
+// stream nothing but the re-dispatches, whatever else is failing around
+// it; the admission gate sees every segment in flight; and no Write leaves
+// a goroutine behind. Run under -race by make bench-alloc.
+func TestStreamWriterFailoverInFlight(t *testing.T) {
+	const chunk, segments = 16 << 10, 24
+	src := streamWriterInput(segments*chunk + chunk/2)
+	shape := func() NodeConfig {
+		cfg := P9Node(2)
+		cfg.TableMode = TableFixed
+		for i := range cfg.Shape.Devices {
+			cfg.Shape.Devices[i].Config.Engines = 2
+		}
+		return cfg
+	}
+	_, clean, _ := openChaosNode(t, shape(), faultinject.Profile{})
+	var want bytes.Buffer
+	w := clean.NewStreamWriterChunk(&want, chunk)
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// checkStream: both readers take the stream back, and it is the
+	// fault-free run's byte for byte unless a segment fell back to the
+	// software matcher — identical devices emit identical segments.
+	checkStream := func(t *testing.T, w *StreamWriter, got []byte) {
+		t.Helper()
+		zr, err := gzip.NewReader(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain, err := io.ReadAll(zr); err != nil || !bytes.Equal(plain, src) {
+			t.Fatalf("compress/gzip: %d bytes of %d, err %v", len(plain), len(src), err)
+		}
+		if plain, err := io.ReadAll(clean.NewStreamReader(bytes.NewReader(got), 0)); err != nil || !bytes.Equal(plain, src) {
+			t.Fatalf("StreamReader: %d bytes of %d, err %v", len(plain), len(src), err)
+		}
+		if !w.Stats.Degraded && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("no segment fell back to software, yet the stream differs from the fault-free run's")
+		}
+		t.Logf("%d re-dispatches, degraded: %v", w.Stats.Redispatches, w.Stats.Degraded)
+	}
+
+	t.Run("pinned device offlined mid-wave", func(t *testing.T) {
+		_, acc, injs := openChaosNode(t, shape(), faultinject.Profile{})
+		base := runtime.NumGoroutine()
+		sink := &hookSink{}
+		w := acc.NewStreamWriterChunk(sink, chunk)
+		first := w.ctx.Load()
+		last, moves := first, 0
+		sink.hook = func(n int) {
+			if n == 4 {
+				injs[acc.nctx.IndexOf(first)].SetOffline(true)
+			}
+			if now := w.ctx.Load(); now != last {
+				last, moves = now, moves+1
+			}
+		}
+		if n, err := w.Write(src); n != len(src) || err != nil {
+			t.Fatalf("Write: %d, %v", n, err)
+		}
+		settleGoroutines(t, base, "after Write")
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if last = w.ctx.Load(); last == first || moves > 1 {
+			t.Fatalf("pin moved %d times and ended on the dead device: %v", moves, last == first)
+		}
+		// The segments that had taken the old pin when it died — no more
+		// than the wave holds — each failed there once; none went back.
+		if r := w.Stats.Redispatches; r < 1 || r > 3 {
+			t.Fatalf("%d re-dispatches, want 1..3", r)
+		}
+		if w.Stats.Degraded {
+			t.Fatal("stream degraded to software with a healthy device available")
+		}
+		checkStream(t, w, sink.buf.Bytes())
+	})
+
+	t.Run("heavy faults and an outage", func(t *testing.T) {
+		heavy, err := faultinject.ParseProfile("heavy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, acc, injs := openChaosNode(t, shape(), heavy)
+		base := runtime.NumGoroutine()
+		sink := &hookSink{}
+		w := acc.NewStreamWriterChunk(sink, chunk)
+		sink.hook = func(n int) {
+			if n == 6 {
+				injs[acc.nctx.IndexOf(w.ctx.Load())].SetOffline(true)
+			}
+		}
+		for rest := src; len(rest) > 0; {
+			n := min(7*chunk+100, len(rest))
+			if got, err := w.Write(rest[:n]); got != n || err != nil {
+				t.Fatalf("Write: %d of %d, %v", got, n, err)
+			}
+			settleGoroutines(t, base, "after Write")
+			rest = rest[n:]
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkStream(t, w, sink.buf.Bytes())
+	})
+
+	t.Run("one admission slot", func(t *testing.T) {
+		node, err := OpenNode(shape())
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := node.View()
+		defer acc.Close()
+		// One slot left and a queue that nothing times out of: the segments
+		// of a wave wait for each other at the gate, none is turned away.
+		// The slot is one of two, the other held by another tenant, and
+		// the stream's tenant is weighted to a quota of both: a tenant
+		// that alone holds every slot of a gate is at its quota, and the
+		// gate sheds a tenant at its quota where it queues one below it —
+		// what a ParallelWriter's second worker is told as well.
+		ctrl := node.EnableAdmission(admission.Config{MaxInflight: 2,
+			MaxWait: time.Minute, QueueTarget: time.Minute, QueueInterval: time.Minute})
+		acc.SetQuotaWeight(3)
+		held, _, err := ctrl.Admit(admission.AdmitRequest{Class: admission.Interactive, Tenant: 999})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer held.Release()
+		sink := &hookSink{}
+		w := acc.NewStreamWriterChunk(sink, chunk)
+		if n, err := w.Write(src); n != len(src) || err != nil {
+			t.Fatalf("Write: %d, %v", n, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := ctrl.StatusNow()
+		if st.Shed != [admission.ClassCount]int64{} || st.Degraded != [admission.ClassCount]int64{} || st.Evicted != 0 {
+			t.Fatalf("gate turned segments away: %+v", st)
+		}
+		if got := st.Admitted[admission.Interactive] - 1; got != segments+1 {
+			t.Fatalf("gate admitted %d requests of a stream of %d segments", got, segments+1)
+		}
+		checkStream(t, w, sink.buf.Bytes())
+	})
+}
+
+// TestStreamWriterPartialWriteWaves extends the partial-write contract to
+// a Write that holds a wave: wherever the wave fails, Write has accepted
+// the bytes of p in the segments emitted before the failure — not the
+// carried bytes that opened the first — nothing of a later segment has
+// reached the sink, the writer is dead, and no goroutine is left.
+func TestStreamWriterPartialWriteWaves(t *testing.T) {
+	const chunk, segments = 8, 12 // more than four engines have in flight
+	src := corpus.Generate(corpus.Text, segments*chunk+3, 17)
+	sinkErr := errors.New("sink wedged")
+	var good bytes.Buffer
+	w := openEngines(t, 1).NewStreamWriterChunk(&good, chunk)
+	w.Write(src)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// run writes src[:carried], then the rest in the Write under test.
+	run := func(t *testing.T, acc *Accelerator, sink *hookSink, carried int) (*StreamWriter, int, error) {
+		t.Helper()
+		w := acc.NewStreamWriterChunk(sink, chunk)
+		if n, err := w.Write(src[:carried]); n != carried || err != nil {
+			t.Fatalf("buffering write: n=%d err=%v", n, err)
+		}
+		base := runtime.NumGoroutine()
+		n, err := w.Write(src[carried:])
+		settleGoroutines(t, base, "after the failed Write")
+		if _, again := w.Write([]byte("more")); again == nil || w.Close() == nil {
+			t.Fatal("the writer outlived its failure")
+		}
+		bodies := sink.writes - 1
+		if want := max(0, bodies*chunk-carried); n != want {
+			t.Fatalf("Write accepted %d bytes with %d segments emitted and %d bytes carried in, want %d", n, bodies, carried, want)
+		}
+		if !bytes.HasPrefix(good.Bytes(), sink.buf.Bytes()) {
+			t.Fatalf("the sink holds something other than the first %d segments", bodies)
+		}
+		return w, bodies, err
+	}
+	for _, engines := range []int{1, 2, 4} {
+		for _, carried := range []int{0, 5} {
+			for k := 0; k < segments; k++ {
+				t.Run(fmt.Sprintf("engines=%d/carried=%d/sink dies at body %d", engines, carried, k+1), func(t *testing.T) {
+					sink := &hookSink{limit: 1 + k, err: sinkErr}
+					_, bodies, err := run(t, openEngines(t, engines), sink, carried)
+					if !errors.Is(err, sinkErr) || bodies != k {
+						t.Fatalf("err = %v after %d bodies, want the sink's after %d", err, bodies, k)
+					}
+				})
+			}
+			// The device goes: the view's send windows close as body k is
+			// written. Segments already pasted complete, the next is refused.
+			for _, k := range []int{1, 2} {
+				t.Run(fmt.Sprintf("engines=%d/carried=%d/device error after body %d", engines, carried, k), func(t *testing.T) {
+					acc := openEngines(t, engines)
+					sink := &hookSink{hook: func(n int) {
+						if n == 1+k {
+							acc.Close()
+						}
+					}}
+					_, bodies, err := run(t, acc, sink, carried)
+					if !errors.Is(err, vas.ErrWindowClosed) || bodies < k || bodies >= segments {
+						t.Fatalf("err = %v after %d bodies, want a closed window after %d or a few more", err, bodies, k)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStreamWriterReadFrom: io.Copy finds ReadFrom, which reads a segment
+// an engine at a time, so a copied stream is the bytes of one Write of it.
+func TestStreamWriterReadFrom(t *testing.T) {
+	const chunk = 4 << 10
+	src := streamWriterInput(9*chunk + chunk/2)
+	var _ io.ReaderFrom = (*StreamWriter)(nil)
+	for _, engines := range []int{1, 2} {
+		acc := openEngines(t, engines)
+		var want bytes.Buffer
+		w := acc.NewStreamWriterChunk(&want, chunk)
+		w.Write(src)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		readers := map[string]func() io.Reader{
+			"plain":         func() io.Reader { return struct{ io.Reader }{bytes.NewReader(src)} },
+			"one byte":      func() io.Reader { return iotest.OneByteReader(bytes.NewReader(src)) },
+			"data with EOF": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(src)) },
+		}
+		for name, open := range readers {
+			var got bytes.Buffer
+			w := acc.NewStreamWriterChunk(&got, chunk)
+			if _, err := w.Write(src[:100]); err != nil { // ReadFrom picks up mid-chunk
+				t.Fatal(err)
+			}
+			r := open()
+			io.CopyN(io.Discard, r, 100)
+			n, err := io.Copy(w, r)
+			if n != int64(len(src)-100) || err != nil {
+				t.Fatalf("%d engines, %s reader: copied %d of %d, err %v", engines, name, n, len(src)-100, err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || w.Stats != statsOf(t, acc, src, chunk) {
+				t.Fatalf("%d engines, %s reader: the copied stream is not the written one", engines, name)
+			}
+		}
+		// A reader's own failure comes back with what was copied before it.
+		var got bytes.Buffer
+		w = acc.NewStreamWriterChunk(&got, chunk)
+		broken := errors.New("source wedged")
+		n, err := io.Copy(w, io.MultiReader(bytes.NewReader(src[:3*chunk+7]), iotest.ErrReader(broken)))
+		if n != 3*chunk+7 || !errors.Is(err, broken) {
+			t.Fatalf("%d engines: copied %d, err %v, want %d and the reader's error", engines, n, err, 3*chunk+7)
+		}
+	}
+}
+
+// statsOf is the Stats of src written in one Write.
+func statsOf(t *testing.T, acc *Accelerator, src []byte, chunk int) Metrics {
+	t.Helper()
+	w := acc.NewStreamWriterChunk(io.Discard, chunk)
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return w.Stats
 }

@@ -16,6 +16,7 @@ import (
 	"nxzip/internal/deflate"
 	"nxzip/internal/nx"
 	"nxzip/internal/telemetry"
+	"nxzip/internal/testutil"
 )
 
 // TestTraceSoakConcurrent hammers one Accelerator from N goroutines with
@@ -94,6 +95,11 @@ func TestTraceSoakConcurrent(t *testing.T) {
 // telemetry existed — installing and removing a tracer must leave the
 // disabled path's allocation count unchanged.
 func TestTraceZeroAllocWhenDisabled(t *testing.T) {
+	if testutil.RaceEnabled {
+		// sync.Pool drops a share of its Puts under the detector, so the
+		// pooled envelope is reallocated now and then: 5 -> 6.
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	acc := Open(P9())
 	defer acc.Close()
 	src := corpus.Generate(corpus.Text, 4<<10, 7)
