@@ -56,7 +56,14 @@ bench:
 ## stream wrappers are gated in bytes per 8 MiB stream of bench/'s
 ## stream_parallel shape, beside the Session's own gate: ParallelWriter
 ## (p copied once into recycled job buffers) and StreamReader (one read
-## buffer, the result appended to the drained one) at 4 MB each.
+## buffer, the result appended to the drained one) at 4 MB each, and
+## StreamWriter on a two-engine device (segments cut where they lie in p,
+## bodies appended into three recycled jobs) at 1 MB and 24 allocations.
+## The -race line also runs the stream's failure paths with segments in
+## flight: TestStreamWriterPartialWrite* (the io.Writer count, sink and
+## device failing mid-wave, no goroutine left) and
+## TestStreamWriterFailoverInFlight (the pin migrating once under two
+## segments that both lost their device, heavy faults, a tight gate).
 bench-alloc:
 	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
 	$(GO) test -run 'TestOneAllocation' -count=1 ./internal/x842
@@ -148,8 +155,10 @@ fuzz-smoke:
 ## make bench-host WORKLOAD=stream_parallel prints the stream wrappers':
 ## its headlines are nxzip.preader.mbps (the parallel Reader, to be read
 ## against the one-shot decompress_mbps of bulk_oneshot),
-## nxzip.streamreader.mbps and nxzip.pwriter.mbps. See bench/README.md for
-## the paired-run method a claimed gain needs.
+## nxzip.streamreader.mbps, nxzip.pwriter.mbps and nxzip.streamwriter.mbps
+## (the history stream on the same two-engine device: to be read against
+## nxzip.pwriter.mbps, which it should be within 15 % of). See
+## bench/README.md for the paired-run method a claimed gain needs.
 WORKLOAD ?= bulk_oneshot
 bench-host:
 	$(GO) run ./bench -workload $(WORKLOAD) -trace 0

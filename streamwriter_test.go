@@ -550,6 +550,7 @@ func TestStreamWriterReadFrom(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
+		wantStats := w.Stats
 		readers := map[string]func() io.Reader{
 			"plain":         func() io.Reader { return struct{ io.Reader }{bytes.NewReader(src)} },
 			"one byte":      func() io.Reader { return iotest.OneByteReader(bytes.NewReader(src)) },
@@ -570,7 +571,7 @@ func TestStreamWriterReadFrom(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) || w.Stats != statsOf(t, acc, src, chunk) {
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || w.Stats != wantStats {
 				t.Fatalf("%d engines, %s reader: the copied stream is not the written one", engines, name)
 			}
 		}
@@ -578,22 +579,9 @@ func TestStreamWriterReadFrom(t *testing.T) {
 		var got bytes.Buffer
 		w = acc.NewStreamWriterChunk(&got, chunk)
 		broken := errors.New("source wedged")
-		n, err := io.Copy(w, io.MultiReader(bytes.NewReader(src[:3*chunk+7]), iotest.ErrReader(broken)))
+		n, err := io.Copy(w, struct{ io.Reader }{io.MultiReader(bytes.NewReader(src[:3*chunk+7]), iotest.ErrReader(broken))})
 		if n != 3*chunk+7 || !errors.Is(err, broken) {
 			t.Fatalf("%d engines: copied %d, err %v, want %d and the reader's error", engines, n, err, 3*chunk+7)
 		}
 	}
-}
-
-// statsOf is the Stats of src written in one Write.
-func statsOf(t *testing.T, acc *Accelerator, src []byte, chunk int) Metrics {
-	t.Helper()
-	w := acc.NewStreamWriterChunk(io.Discard, chunk)
-	if _, err := w.Write(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return w.Stats
 }
