@@ -75,10 +75,7 @@ func TestStreamWriterAllocsBounded(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	cfg := P9()
-	cfg.Device.Engines = 2
-	acc := Open(cfg)
-	defer acc.Close()
+	acc := openEngines(t, 2)
 	src := streamParallelInput()
 	var sink bytes.Buffer
 	stream := func() {

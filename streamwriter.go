@@ -96,7 +96,7 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	rest := p[take:]
-	if emitted, err := w.wave(rest, 1+len(rest)/w.chunk, false); err != nil {
+	if emitted, err := w.wave(rest, false); err != nil {
 		return max(0, take+(emitted-1)*w.chunk), err
 	}
 	// lead moves past the wave, one copy a Write: the window before the
@@ -148,18 +148,19 @@ func (w *StreamWriter) cut(j *swJob, rest []byte, i int) {
 	}
 }
 
-// wave runs n segments (see cut) through the pinned device, as many at
-// once as it has engines, and emits them — body, CRC, ISIZE, Stats — in
-// stream order on the caller's goroutine. It returns how many before the
-// first failure, once every goroutine it started has exited; with one
-// engine, or one segment, it starts none and runs each segment itself.
-func (w *StreamWriter) wave(rest []byte, n int, final bool) (emitted int, _ error) {
+// wave runs the segments cut makes of lead and rest through the pinned
+// device, as many at once as it has engines, and emits them — body, CRC,
+// ISIZE, Stats — in stream order on the caller's goroutine. It returns how
+// many before the first failure, once every goroutine it started has exited;
+// with one engine, or one segment, it starts none and runs each itself.
+func (w *StreamWriter) wave(rest []byte, final bool) (emitted int, _ error) {
 	if !w.started {
 		if _, w.err = w.out.Write(gzipStreamHeader); w.err != nil {
 			return 0, w.err
 		}
 		w.started = true
 	}
+	n := 1 + len(rest)/w.chunk
 	engines := min(w.ctx.Load().Device().EngineCount(), n)
 	// Every engine busy and the segments that finished early waiting
 	// behind the oldest; a job is free again once its segment is emitted.
@@ -234,7 +235,7 @@ func (w *StreamWriter) Close() error {
 	if w.err != nil || w.closed {
 		return w.err
 	}
-	if _, err := w.wave(nil, 1, true); err != nil {
+	if _, err := w.wave(nil, true); err != nil {
 		return err
 	}
 	trailer := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, w.crc.Sum()), w.isize)

@@ -347,16 +347,7 @@ func TestStreamWriterFailoverInFlight(t *testing.T) {
 	// software matcher — identical devices emit identical segments.
 	checkStream := func(t *testing.T, w *StreamWriter, got []byte) {
 		t.Helper()
-		zr, err := gzip.NewReader(bytes.NewReader(got))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain, err := io.ReadAll(zr); err != nil || !bytes.Equal(plain, src) {
-			t.Fatalf("compress/gzip: %d bytes of %d, err %v", len(plain), len(src), err)
-		}
-		if plain, err := io.ReadAll(clean.NewStreamReader(bytes.NewReader(got), 0)); err != nil || !bytes.Equal(plain, src) {
-			t.Fatalf("StreamReader: %d bytes of %d, err %v", len(plain), len(src), err)
-		}
+		checkStreamInflates(t, clean, got, src)
 		if !w.Stats.Degraded && !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("no segment fell back to software, yet the stream differs from the fault-free run's")
 		}
@@ -484,7 +475,7 @@ func TestStreamWriterPartialWriteWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	// run writes src[:carried], then the rest in the Write under test.
-	run := func(t *testing.T, acc *Accelerator, sink *hookSink, carried int) (*StreamWriter, int, error) {
+	run := func(t *testing.T, acc *Accelerator, sink *hookSink, carried int) (int, error) {
 		t.Helper()
 		w := acc.NewStreamWriterChunk(sink, chunk)
 		if n, err := w.Write(src[:carried]); n != carried || err != nil {
@@ -503,14 +494,14 @@ func TestStreamWriterPartialWriteWaves(t *testing.T) {
 		if !bytes.HasPrefix(good.Bytes(), sink.buf.Bytes()) {
 			t.Fatalf("the sink holds something other than the first %d segments", bodies)
 		}
-		return w, bodies, err
+		return bodies, err
 	}
 	for _, engines := range []int{1, 2, 4} {
 		for _, carried := range []int{0, 5} {
 			for k := 0; k < segments; k++ {
 				t.Run(fmt.Sprintf("engines=%d/carried=%d/sink dies at body %d", engines, carried, k+1), func(t *testing.T) {
 					sink := &hookSink{limit: 1 + k, err: sinkErr}
-					_, bodies, err := run(t, openEngines(t, engines), sink, carried)
+					bodies, err := run(t, openEngines(t, engines), sink, carried)
 					if !errors.Is(err, sinkErr) || bodies != k {
 						t.Fatalf("err = %v after %d bodies, want the sink's after %d", err, bodies, k)
 					}
@@ -526,7 +517,7 @@ func TestStreamWriterPartialWriteWaves(t *testing.T) {
 							acc.Close()
 						}
 					}}
-					_, bodies, err := run(t, acc, sink, carried)
+					bodies, err := run(t, acc, sink, carried)
 					if !errors.Is(err, vas.ErrWindowClosed) || bodies < k || bodies >= segments {
 						t.Fatalf("err = %v after %d bodies, want a closed window after %d or a few more", err, bodies, k)
 					}
