@@ -104,6 +104,112 @@ func diffInputs() map[string][]byte {
 	return in
 }
 
+// diffOp is one operation: src tokenized with history in front of it.
+type diffOp struct{ history, src []byte }
+
+// diffRow is a sequence of operations run in order on one long-lived pair
+// per geometry. cfg is the FuzzHWMatcherEqualsReference geometry word its
+// operations are seeded under; the test runs that geometry too.
+type diffRow struct {
+	name   string
+	params []HWParams
+	cfg    uint16
+	ops    []diffOp
+}
+
+// repeatAt is random bytes whose first 24 come back dist bytes later and
+// nowhere else.
+func repeatAt(dist int) []byte {
+	rng := rand.New(rand.NewSource(int64(dist)))
+	src := make([]byte, dist+24+8)
+	rng.Read(src)
+	copy(src[dist:], src[:24])
+	return src
+}
+
+// evictInput puts "abcd" and a long context into one set, then between
+// more "abcd"s with nothing in common after it, then the long context
+// again: whether the last probe still finds the first insert is whether
+// between < Ways.
+func evictInput(between int) []byte {
+	long := []byte("abcd-a context long enough to be worth a match-")
+	src := append([]byte{}, long...)
+	for k := 0; k < between; k++ {
+		src = append(src, 'a', 'b', 'c', 'd', byte(128+k%128), byte(k>>7), '#')
+	}
+	return append(src, long...)
+}
+
+// lazySameSetInput has runs of one byte, 5 to 39 long, each followed by a
+// tail an earlier "aaaa" was followed by. Inside a run hash4(i) ==
+// hash4(i+1): the lazy probe of i+1 reads the set i was inserted into a
+// moment ago, and where the run meets the tail it is the longer match.
+func lazySameSetInput() []byte {
+	rng := rand.New(rand.NewSource(13))
+	tail := []byte("XYZWVUTSRQPONMLK")
+	var src []byte
+	for run := 5; run < 40; run++ {
+		src = append(src, "aaaa"...)
+		src = append(src, tail[:4+run%12]...)
+		src = append(src, byte(rng.Intn(256)), byte(rng.Intn(256)))
+		src = append(src, bytes.Repeat([]byte{'a'}, run)...)
+		src = append(src, tail[:4+run%12]...)
+		src = append(src, byte(rng.Intn(256)))
+	}
+	return src
+}
+
+// diffRows are the cases a set kept as a chain through the window could get
+// wrong where a row of Ways slots could not: the window's last distance and
+// the one past it, a set that takes more inserts than it has ways (eviction
+// is then the walk's step limit), bases that cross several multiples of any
+// power-of-two ring length with a full history replayed each time, and a
+// lazy probe of the set the previous position was just linked into.
+func diffRows() []diffRow {
+	shipped := []HWParams{P9HWParams(), Z15HWParams()}
+	rows := []diffRow{
+		// cfg 215: Ways 16, Banks 64, MaxDist 32 KiB, HashBits 7 — sets
+		// enough that 32 Ki inserts evict next to nothing; 247 is it, lazy.
+		{"dist32768", shipped, 215, []diffOp{{nil, repeatAt(WindowSize)}}},
+		{"dist32769", shipped, 247, []diffOp{{nil, repeatAt(WindowSize + 1)}}},
+		{"lazySameSet", []HWParams{Z15HWParams(), {InputWidth: 4, Banks: 2, Ways: 3, HashBits: 3, Lazy: true}}, 247,
+			[]diffOp{{nil, lazySameSetInput()}, {lazySameSetInput()[:700], lazySameSetInput()[700:]}}},
+	}
+	for w, ways := range []int{1, 3, 4, 16} {
+		row := diffRow{name: fmt.Sprintf("evict%dways", ways), cfg: 212 + uint16(w)}
+		for _, lazy := range []bool{false, true} {
+			row.params = append(row.params, HWParams{InputWidth: 8, Banks: 16, Ways: ways, HashBits: 11, Lazy: lazy})
+		}
+		for _, between := range []int{ways - 1, ways, ways + 1, 3 * ways} {
+			row.ops = append(row.ops, diffOp{nil, evictInput(between)})
+		}
+		rows = append(rows, row)
+	}
+	// One long text walked front to back, every operation behind the 32 KiB
+	// that precede it: each moves the base by 64 KiB + 1 + its length.
+	text := corpus.Generate(corpus.Text, 256<<10, 12)
+	ring := diffRow{name: "ringCrossing", cfg: 214,
+		params: append(shipped, HWParams{InputWidth: 8, Banks: 4, Ways: 3, HashBits: 4})}
+	off := WindowSize
+	for _, n := range []int{1, 5000, 33000, 20000, 9, 40000, 2*WindowSize + 3, 12345} {
+		ring.ops = append(ring.ops, diffOp{text[off-WindowSize : off], text[off : off+n]})
+		off += n
+	}
+	return append(rows, ring)
+}
+
+// fuzzParams decodes FuzzHWMatcherEqualsReference's geometry word.
+func fuzzParams(cfg uint16) HWParams {
+	return HWParams{
+		Ways:       []int{1, 3, 4, 16}[cfg&3],
+		Banks:      2 << ((cfg >> 2 & 7) % 6),
+		Lazy:       cfg>>5&1 == 1,
+		MaxDist:    []int{256, WindowSize}[cfg>>6&1],
+		HashBits:   []int{3, 7}[cfg>>7&1],
+		InputWidth: []int{4, 8, 16, 5}[cfg>>8&3],
+	}
+}
+
 func TestHWMatcherEqualsReference(t *testing.T) {
 	inputs := diffInputs()
 	for _, p := range diffParamGrid() {
@@ -120,6 +226,28 @@ func TestHWMatcherEqualsReference(t *testing.T) {
 					t.Fatalf("%+v input %q split %d: %v", pr.hw.Params(), name, split, err)
 				}
 			}
+		}
+	}
+	for _, row := range diffRows() {
+		for _, p := range append(row.params, fuzzParams(row.cfg)) {
+			pr := newHWPair(p)
+			for i, op := range row.ops {
+				if err := pr.check(op.history, op.src); err != nil {
+					t.Fatalf("%+v row %q operation %d: %v", pr.hw.Params(), row.name, i, err)
+				}
+			}
+		}
+	}
+	// The two window-edge rows are only that if the repeat is found at
+	// distance MaxDist and not found a byte farther.
+	for _, dist := range []int{WindowSize, WindowSize + 1} {
+		tokens, _ := NewHWMatcher(P9HWParams()).Tokenize(nil, repeatAt(dist))
+		found := false
+		for _, tok := range tokens {
+			found = found || tok.IsMatch() && tok.Length() >= 20
+		}
+		if found != (dist == WindowSize) {
+			t.Fatalf("repeat at distance %d: found = %v", dist, found)
 		}
 	}
 }
@@ -146,6 +274,10 @@ func TestHWMatcherEqualsReferenceLarge(t *testing.T) {
 		}
 	}
 }
+
+// wiped is what rebase clears when the numbering restarts: every slice of
+// the matcher that holds base + position.
+func wiped(m *HWMatcher) []uint32 { return m.table }
 
 // TestHWMatcherEpochWrap drives the entry numbering to the end of its 32
 // bits. An operation that ends exactly on the last value runs without a
@@ -190,7 +322,7 @@ func TestHWMatcherEpochWrap(t *testing.T) {
 		if pr.hw.end != gap+second {
 			t.Fatalf("%s: end = %d, want %d: the numbering did not restart", tc.name, pr.hw.end, gap+second)
 		}
-		for _, v := range pr.hw.table {
+		for _, v := range wiped(pr.hw) {
 			if v >= pr.hw.end {
 				t.Fatalf("%s: entry %d survives at or above end %d", tc.name, v, pr.hw.end)
 			}
@@ -211,9 +343,9 @@ func TestHWMatcherMaxInput(t *testing.T) {
 	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 {
 		t.Fatalf("on an empty table: base %d, end %d", base, m.end)
 	}
-	m.table[5] = 77
-	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 || m.table[5] != 0 {
-		t.Fatalf("on a full numbering: base %d, end %d, entry %d: no wipe", base, m.end, m.table[5])
+	wiped(m)[5] = 77
+	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 || wiped(m)[5] != 0 {
+		t.Fatalf("on a full numbering: base %d, end %d, entry %d: no wipe", base, m.end, wiped(m)[5])
 	}
 	defer func() {
 		if recover() == nil {
@@ -228,16 +360,14 @@ func FuzzHWMatcherEqualsReference(f *testing.F) {
 	f.Add([]byte("abcdefgh-0123-abcdefgh"), uint16(0x1ff), uint16(9))
 	f.Add(bytes.Repeat([]byte{0}, 600), uint16(0x2a3), uint16(300))
 	f.Add([]byte("ab"), uint16(7), uint16(1))
+	for _, row := range diffRows() {
+		for _, op := range row.ops {
+			f.Add(append(append([]byte{}, op.history...), op.src...), row.cfg, uint16(len(op.history)))
+		}
+	}
 	pairs := map[HWParams]*hwPair{}
 	f.Fuzz(func(t *testing.T, data []byte, cfg, split uint16) {
-		p := HWParams{
-			Ways:       []int{1, 3, 4, 16}[cfg&3],
-			Banks:      2 << ((cfg >> 2 & 7) % 6),
-			Lazy:       cfg>>5&1 == 1,
-			MaxDist:    []int{256, WindowSize}[cfg>>6&1],
-			HashBits:   []int{3, 7}[cfg>>7&1],
-			InputWidth: []int{4, 8, 16, 5}[cfg>>8&3],
-		}
+		p := fuzzParams(cfg)
 		src := data
 		if cfg>>10&1 == 1 {
 			// Fuzz inputs are short; repeat one so rings wrap and matches
