@@ -62,30 +62,47 @@ type HWStats struct {
 //
 // What is modelled is a banked, set-associative table of FIFO sets, one
 // probe per position, emptied between operations without a wipe (the
-// silicon tags valid bits with an epoch; clearing 8 MB of z15 table would
-// dominate every small request). How the host stores it is its own
+// silicon tags valid bits with an epoch). How the host stores it is its own
 // business as long as every token and every HWStats field comes out the
-// same: each set is one contiguous row of Ways entries (one 64-byte line at
-// Ways = 16) used as a ring, plus one byte naming the slot the next insert
-// overwrites. An entry is base+position, each operation's base lying more
-// than MaxDist past everything the previous one stored — so a leftover
-// reads as farther back than the window reaches, and "stale" and "out of
-// window" are one compare. Positions are inserted in strictly increasing
-// order, so walking a ring newest to oldest visits candidates in ascending
-// distance and the first entry out of the window ends the walk.
+// same, and the host does not keep Banks x sets x Ways slots (8 MiB for the
+// z15 geometry, of which a 32 KiB window can fill 128 KiB: a small request
+// met a table nothing had touched). It keeps each set as a chain through
+// the window: head holds base+position of the set's newest insert, and
+// prev, a ring over the last 2 x WindowSize positions, holds for each
+// inserted position the distance back to the insert before it in the same
+// set — noLink if that one was already out of the window. Positions are
+// inserted in strictly increasing order, so walking a chain from its head
+// visits the set's inserts newest first, in ascending distance; the first
+// Ways of them still in the window are exactly what the FIFO set would
+// hold, and eviction is the walk stopping after Ways steps. Each
+// operation's base lies more than MaxDist past everything the previous one
+// stored, so a head left by an earlier operation reads as farther back
+// than the window reaches: "stale" and "out of window" are one compare. A
+// ring entry is overwritten by the position 2 x WindowSize later, by when
+// its owner is out of every window.
 type HWMatcher struct {
 	p        HWParams
 	sets     int
-	table    []uint32 // [(bank*sets+set)*Ways + way] -> base + position
-	head     []uint8  // [bank*sets + set] -> ring slot the next insert overwrites
+	head     []uint32 // [bank*sets + set] -> base + position of the set's newest insert
+	prev     []uint16 // [(base + position) % ringLen] -> distance to the set's previous insert, noLink if none in the window
 	end      uint32   // one past the largest entry any operation stored
 	bankBeat []int64  // per-bank scratch: beat number the bank last served
 	combined []byte   // TokenizeWithHistory scratch: history followed by src
 }
 
-// MaxInput is the longest source one operation can take. Entries are 32
+// ringLen is 1<<16, so a uint16 conversion of base+position is the ring
+// index and needs no bounds check. A link is at most WindowSize; noLink,
+// where a set's previous insert is out of the window or there is none, is
+// a distance that takes any walk out of the window, so the end of a chain
+// needs no test of its own.
+const (
+	ringLen = 2 * WindowSize
+	noLink  = 1<<16 - 1
+)
+
+// MaxInput is the longest source one operation can take. Heads are 32
 // bits wide; the first sits MaxDist+1 above zero, which is what an empty
-// slot holds, and up to WindowSize bytes of replayed history come before
+// set holds, and up to WindowSize bytes of replayed history come before
 // the source.
 const MaxInput = 1<<32 - 1 - (WindowSize + 1) - WindowSize
 
@@ -115,8 +132,8 @@ func NewHWMatcher(p HWParams) *HWMatcher {
 		panic(fmt.Sprintf("lz77: HWParams.Ways = %d exceeds 255", p.Ways))
 	}
 	m := &HWMatcher{p: p, sets: 1 << p.HashBits}
-	m.head = make([]uint8, p.Banks*m.sets)
-	m.table = make([]uint32, len(m.head)*p.Ways)
+	m.head = make([]uint32, p.Banks*m.sets)
+	m.prev = make([]uint16, ringLen)
 	m.bankBeat = make([]int64, p.Banks)
 	return m
 }
@@ -127,15 +144,16 @@ func (m *HWMatcher) Params() HWParams { return m.p }
 // rebase returns the base of an operation over n bytes (history included):
 // MaxDist+1 past the previous operation's last entry, so nothing that one
 // left is in any window of this one. Only when 32 bits cannot hold base+n is
-// the table wiped and the numbering restarted — once per 4 GiB of input,
-// where the epoch tag this replaces wiped once per 2^16 operations.
+// head wiped and the numbering restarted — once per 4 GiB of input, where
+// the epoch tag this replaces wiped once per 2^16 operations. The ring is
+// only ever read at positions a chain leads to, which this numbering wrote.
 func (m *HWMatcher) rebase(n int) uint32 {
 	if uint64(n) > MaxInput+WindowSize {
 		panic(fmt.Sprintf("lz77: %d-byte operation exceeds MaxInput", n))
 	}
 	gap := uint32(m.p.MaxDist + 1)
 	if uint64(m.end)+uint64(gap)+uint64(n) > 1<<32-1 {
-		clear(m.table)
+		clear(m.head)
 		m.end = 0
 	}
 	base := m.end + gap
@@ -149,25 +167,26 @@ func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
 }
 
 // tokenizeFrom emits tokens for src[start:]; positions before start (the
-// replayed history) are table-inserted only. Table, geometry and counters
-// live in locals for the whole scan (a store through m.table would force
-// every m.* field to be reloaded), insert is written out where it happens,
-// and HWStats is filled in once at the end.
+// replayed history) are inserted only. Chains, geometry and counters live
+// in locals for the whole scan (a store through m.head would force every
+// m.* field to be reloaded), insert is written out where it happens, and
+// HWStats is filled in once at the end.
 func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, HWStats) {
 	n := len(src)
 	if n == 0 {
 		return dst, HWStats{}
 	}
 	var (
-		table, head = m.table, m.head
-		base        = m.rebase(n)
-		ways        = m.p.Ways
-		maxDist     = uint32(m.p.MaxDist)
-		hashBits    = uint(m.p.HashBits) & 31 // masked: the shifts below need no range check
-		bankMask    = uint32(m.p.Banks - 1)
-		setMask     = uint32(m.sets - 1)
-		lazy        = m.p.Lazy
-		w           = m.p.InputWidth
+		head     = m.head
+		prev     = (*[ringLen]uint16)(m.prev)
+		base     = m.rebase(n)
+		ways     = m.p.Ways
+		maxDist  = uint32(m.p.MaxDist)
+		hashBits = uint(m.p.HashBits) & 31 // masked: the shifts below need no range check
+		bankMask = uint32(m.p.Banks - 1)
+		setMask  = uint32(m.sets - 1)
+		lazy     = m.p.Lazy
+		w        = m.p.InputWidth
 		// Positions from hashEnd on are too close to the end to hash:
 		// never probed, never inserted.
 		hashEnd = n - MinMatch
@@ -203,12 +222,13 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		for j, end := from, min(to, hashEnd); j < end; j++ {
 			h := hash4(src, j)
 			idx := int(h&bankMask<<hashBits | h>>4&setMask)
-			hd := int(head[idx])
-			table[idx*ways+hd] = base + uint32(j)
-			if hd++; hd == ways {
-				hd = 0
+			at := base + uint32(j)
+			link := at - head[idx]
+			if link > maxDist {
+				link = noLink
 			}
-			head[idx] = uint8(hd)
+			prev[uint16(at)] = uint16(link)
+			head[idx] = at
 		}
 		from = to
 		if i >= hashEnd {
@@ -227,15 +247,15 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		}
 		bankUsed[bank] = beat
 
-		row := table[idx*ways : idx*ways+ways]
-		hd := int(head[idx])
-		length, dist, c := probe(src, row, hd, i, base, maxDist)
+		at := base + uint32(i)
+		link := at - head[idx]
+		length, dist, c := probe(src, prev, i, at, link, maxDist, ways)
 		candidates += int64(c)
-		row[hd] = base + uint32(i)
-		if hd++; hd == ways {
-			hd = 0
+		if link > maxDist {
+			link = noLink
 		}
-		head[idx] = uint8(hd)
+		prev[uint16(at)] = uint16(link)
+		head[idx] = at
 
 		if lazy && length >= MinMatch && length < 32 && i+1 < hashEnd {
 			// One-deep lazy refinement: probe i+1; if strictly longer,
@@ -243,20 +263,20 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 			// takes no part in the bank-conflict accounting.
 			h := hash4(src, i+1)
 			idx := int(h&bankMask<<hashBits | h>>4&setMask)
-			row := table[idx*ways : idx*ways+ways]
-			hd := int(head[idx])
+			at := at + 1
+			link := at - head[idx]
 			probes++
-			l2, d2, c := probe(src, row, hd, i+1, base, maxDist)
+			l2, d2, c := probe(src, prev, i+1, at, link, maxDist, ways)
 			candidates += int64(c)
 			if l2 > length {
 				dst[k] = Lit(src[i])
 				k++
 				i++
-				row[hd] = base + uint32(i)
-				if hd++; hd == ways {
-					hd = 0
+				if link > maxDist {
+					link = noLink
 				}
-				head[idx] = uint8(hd)
+				prev[uint16(at)] = uint16(link)
+				head[idx] = at
 				length, dist = l2, d2
 			}
 		}
@@ -286,36 +306,28 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 	}
 }
 
-// probe compares the candidates in one set's row against position i and
-// returns the best match — the longest, and among equally long ones the
-// nearest — and how many candidates were in the window. It walks the ring
-// newest to oldest from the slot before head, i.e. in ascending distance:
-// the first entry beyond maxDist ends the walk (what follows is older, a
-// leftover of an earlier operation, or an empty slot) and a later
+// probe compares position i, numbered cur, against the candidates of one
+// set and returns the best match — the longest, and among equally long
+// ones the nearest — and how many candidates were in the window. d is the
+// distance to the set's newest insert; the walk follows the links from
+// there, i.e. in ascending distance, for at most ways steps: the first
+// distance beyond maxDist ends it (what follows is older still, the head was
+// an earlier operation's or empty, or the link was noLink), and a later
 // candidate can only win by being strictly longer.
-func probe(src []byte, row []uint32, head, i int, base, maxDist uint32) (length, dist, candidates int) {
+func probe(src []byte, prev *[ringLen]uint16, i int, cur, d, maxDist uint32, ways int) (length, dist, candidates int) {
 	maxLen := min(len(src)-i, MaxMatch)
-	cur := base + uint32(i)
-	way := head
-	for range row {
-		if way == 0 {
-			way = len(row)
-		}
-		way--
-		d := cur - row[way]
-		if d > maxDist {
-			break
-		}
+	for ; ways > 0 && d <= maxDist; ways-- {
 		// Candidates is a model counter: every in-window way is compared
 		// by the hardware, whether or not the host needs to look.
 		candidates++
+		link := uint32(prev[uint16(cur-d)]) // loaded before the compare it does not depend on
 		c := i - int(d)
-		if length == maxLen || src[c+length] != src[i+length] {
-			continue
+		if length != maxLen && src[c+length] == src[i+length] {
+			if l := matchLen(src, c, i, maxLen); l > length {
+				length, dist = l, int(d)
+			}
 		}
-		if l := matchLen(src, c, i, maxLen); l > length {
-			length, dist = l, int(d)
-		}
+		d += link
 	}
 	if length < MinMatch {
 		return 0, 0, candidates

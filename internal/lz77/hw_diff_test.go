@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nxzip/internal/corpus"
@@ -277,7 +278,7 @@ func TestHWMatcherEqualsReferenceLarge(t *testing.T) {
 
 // wiped is what rebase clears when the numbering restarts: every slice of
 // the matcher that holds base + position.
-func wiped(m *HWMatcher) []uint32 { return m.table }
+func wiped(m *HWMatcher) []uint32 { return m.head }
 
 // TestHWMatcherEpochWrap drives the entry numbering to the end of its 32
 // bits. An operation that ends exactly on the last value runs without a
@@ -353,6 +354,26 @@ func TestHWMatcherMaxInput(t *testing.T) {
 		}
 	}()
 	m.rebase(MaxInput + WindowSize + 1)
+}
+
+// TestHWMatcherFootprint holds what a new matcher allocates to one 32-bit
+// head per set, one 16-bit link per ring position and the per-bank beat
+// scratch — the size of the history, not of sets x ways. Every slice the
+// struct has is counted, whatever it is called.
+func TestHWMatcherFootprint(t *testing.T) {
+	for _, p := range []HWParams{P9HWParams(), Z15HWParams()} {
+		m := reflect.ValueOf(NewHWMatcher(p)).Elem()
+		got := 0
+		for i := 0; i < m.NumField(); i++ {
+			if f := m.Field(i); f.Kind() == reflect.Slice {
+				got += f.Len() * int(f.Type().Elem().Size())
+			}
+		}
+		want := 4*p.Banks<<p.HashBits + 2*2*WindowSize + 8*p.Banks
+		if got > want {
+			t.Errorf("%+v: the matcher's slices hold %d bytes, more than %d", p, got, want)
+		}
+	}
 }
 
 func FuzzHWMatcherEqualsReference(f *testing.F) {
@@ -491,7 +512,10 @@ func BenchmarkHWMatcherTokenize(b *testing.B) {
 				benchSink = len(tokens)
 			})
 		}
-		for _, k := range []corpus.Kind{corpus.Text, corpus.Binary, corpus.Random} {
+		// Every kind bulk_oneshot runs: candidates per probe range from 1.0
+		// on random to 15.8 on dna, and a candidate is a step along a chain.
+		for _, k := range []corpus.Kind{corpus.Text, corpus.HTML, corpus.JSONLogs, corpus.Source,
+			corpus.Columnar, corpus.DNA, corpus.Binary, corpus.Random} {
 			b.Run(mc.name+"/"+k.String(), func(b *testing.B) {
 				src := corpus.Generate(k, 1<<20, 12)
 				m := NewHWMatcher(mc.p)
@@ -506,6 +530,29 @@ func BenchmarkHWMatcherTokenize(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkHWMatcherTokenizeCold is small_into's shape — a z15 node's
+// matchers taken in turn, one 1 KiB operation each — with eight of them, so
+// a matcher has seven others' working sets between two operations of its
+// own and finds whatever does not fit in cache beside them gone.
+func BenchmarkHWMatcherTokenizeCold(b *testing.B) {
+	const size = 1 << 10
+	src := corpus.Generate(corpus.Text, 1<<20, 12)
+	ms := make([]*HWMatcher, 8)
+	for i := range ms {
+		ms[i] = NewHWMatcher(Z15HWParams())
+	}
+	var tokens []Token
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for off := 0; off < len(src); off += size {
+			tokens, _ = ms[off/size%len(ms)].Tokenize(tokens[:0], src[off:off+size])
+		}
+	}
+	benchSink = len(tokens)
 }
 
 func BenchmarkMatchLen(b *testing.B) {
