@@ -398,8 +398,10 @@ func Compress(src []byte, opts Options) ([]byte, error) {
 	w := bitio.NewWriter(make([]byte, 0, len(src)/2+64))
 	bw := NewBlockWriter(w)
 	m := lz77.NewSoftMatcher(lz77.LevelParams(opts.Level))
+	var tokens []lz77.Token // a block's are written out before the next block's are made
 	if err := compressTokens(bw, src, opts, func(chunk []byte) []lz77.Token {
-		return m.Tokenize(nil, chunk)
+		tokens = m.Tokenize(tokens[:0], chunk)
+		return tokens
 	}); err != nil {
 		return nil, err
 	}

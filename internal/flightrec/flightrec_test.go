@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +102,31 @@ func TestSlowPredicateGatedByMinSamples(t *testing.T) {
 	r.Complete(okDigest(1001, p99t/2))
 	if len(r.RetainedRequests()) != before+1 {
 		t.Fatal("fast request wrongly retained")
+	}
+}
+
+// TestP99OfEqualsSortedIndex: selecting the largest n - n*99/100 samples
+// and taking their smallest is the order statistic the full sort read, at
+// every window fill from one sample to past the default 512, on spread-out
+// samples, heavy ties, and rising and falling ramps.
+func TestP99OfEqualsSortedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	top := make([]float64, 0, 8)
+	for n := 1; n <= 700; n++ {
+		wins := [4][]float64{}
+		for i := 0; i < n; i++ {
+			wins[0] = append(wins[0], rng.ExpFloat64()*100)
+			wins[1] = append(wins[1], float64(rng.Intn(3)))
+			wins[2] = append(wins[2], float64(i))
+			wins[3] = append(wins[3], float64(n-i))
+		}
+		for k, win := range wins {
+			sorted := slices.Clone(win)
+			slices.Sort(sorted)
+			if got, want := p99Of(top, win), sorted[n*99/100]; got != want {
+				t.Fatalf("n %d window %d: p99Of = %v, sorted[%d] = %v", n, k, got, n*99/100, want)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,6 @@
 package flightrec
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,7 +150,7 @@ type Recorder struct {
 	totWin    []float64
 	queueWin  []float64
 	winNext   uint64
-	scratch   []float64
+	top       []float64 // p99Of's scratch: the largest samples of a window
 	p99Tot    float64
 	p99Queue  float64
 	sinceCalc int
@@ -177,7 +176,7 @@ func New(opts Options) *Recorder {
 		ret:      make([]retEntry, o.Retained),
 		totWin:   make([]float64, o.Window),
 		queueWin: make([]float64, o.Window),
-		scratch:  make([]float64, o.Window),
+		top:      make([]float64, 0, o.Window-o.Window*99/100),
 	}
 	for i := range r.pend {
 		r.pend[i].spans = make([]*telemetry.Span, 0, pendSpanCap)
@@ -318,14 +317,33 @@ func (r *Recorder) recalcLocked() {
 	if n == 0 {
 		return
 	}
-	r.p99Tot = p99Of(r.scratch[:n], r.totWin[:n])
-	r.p99Queue = p99Of(r.scratch[:n], r.queueWin[:n])
+	r.p99Tot = p99Of(r.top, r.totWin[:n])
+	r.p99Queue = p99Of(r.top, r.queueWin[:n])
 }
 
-func p99Of(scratch, win []float64) float64 {
-	copy(scratch, win)
-	slices.Sort(scratch)
-	return scratch[(len(scratch)*99)/100]
+// p99Of returns what sorting win and reading index n*99/100 would: the
+// smallest of the n - n*99/100 largest samples, which one pass keeps in
+// top[:0], in ascending order.
+func p99Of(top, win []float64) float64 {
+	keep := len(win) - len(win)*99/100
+	top = top[:0]
+	for _, v := range win {
+		i := len(top)
+		if i < keep {
+			top = top[:i+1] // a free slot at the end: v sinks into place from there
+			for ; i > 0 && top[i-1] > v; i-- {
+				top[i] = top[i-1]
+			}
+			top[i] = v
+		} else if v > top[0] {
+			// v pushes the smallest out: it rises into place from slot 0.
+			for i = 1; i < keep && top[i] < v; i++ {
+				top[i-1] = top[i]
+			}
+			top[i-1] = v
+		}
+	}
+	return top[0]
 }
 
 func (r *Recorder) slowLocked(d *telemetry.Digest) bool {

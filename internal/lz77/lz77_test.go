@@ -279,3 +279,20 @@ func BenchmarkHWMatcherP9(b *testing.B) {
 		m.Tokenize(nil, src)
 	}
 }
+
+// TestSoftMatcherTokenizeAllocatesOnce: a call grows dst once, to the
+// worst case of a literal per byte, and a dst handed back in not at all.
+// Twenty runs each, so the handful of objects the runtime allocates for
+// itself around a collection round down to none.
+func TestSoftMatcherTokenizeAllocatesOnce(t *testing.T) {
+	for name, src := range testInputs(t) {
+		m := NewSoftMatcher(LevelParams(6))
+		tokens := m.Tokenize(nil, src) // sizes m.prev
+		if n := testing.AllocsPerRun(20, func() { m.Tokenize(nil, src) }); n > 1 {
+			t.Errorf("%s: Tokenize(nil, src) allocates %v times", name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { tokens = m.Tokenize(tokens[:0], src) }); n != 0 {
+			t.Errorf("%s: Tokenize into its own result allocates %v times", name, n)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package lz77
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // Software matcher: hash-head + prev chains with lazy matching, following
@@ -87,6 +88,9 @@ func (m *SoftMatcher) Tokenize(dst []Token, src []byte) []Token {
 		m.prev = make([]int32, n)
 	}
 	prev := m.prev[:n]
+	// A token covers at least one byte: with room for n of them no append
+	// below grows dst again.
+	dst = slices.Grow(dst, n)
 
 	insert := func(i int) {
 		if i+MinMatch+1 > n {

@@ -439,3 +439,22 @@ func TestOneShotAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecLabelIsTheNeedSetsNameAndAllocFree: the label a digest carries
+// is the required codec set's name for every operation kind and format
+// pair, and asking for it allocates nothing — a transcode's included.
+func TestCodecLabelIsTheNeedSetsNameAndAllocFree(t *testing.T) {
+	formats := []Format{FormatGzip, FormatZlib, FormatRaw, Format842, FormatLZ4}
+	for _, from := range formats {
+		for _, to := range formats {
+			for _, o := range []op{{kind: opCompress, format: from}, {kind: opTranscode, format: from, to: to}} {
+				if got, want := o.codecLabel(), o.need().String(); got != want {
+					t.Fatalf("kind %v %v->%v: label %q, need set %q", o.kind, from, to, got, want)
+				}
+				if n := testing.AllocsPerRun(10, func() { _ = o.codecLabel() }); n != 0 {
+					t.Fatalf("kind %v %v->%v: codecLabel allocates %v times", o.kind, from, to, n)
+				}
+			}
+		}
+	}
+}

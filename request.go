@@ -83,14 +83,25 @@ func (o *op) need() nx.CodecSet {
 	return nx.Codecs(o.format.Codec())
 }
 
-// codecLabel is the digest's Codec. Single-codec ops return a constant
-// (the zero-alloc path); a transcode joins its two.
+// codecLabel is the digest's Codec: a constant for a single-codec op, and
+// for a transcode its two codecs joined, from a table built once
+// (CodecSet.String is three allocations a call).
 func (o *op) codecLabel() string {
 	if o.kind == opTranscode {
-		return o.need().String()
+		return transcodeLabels[o.format.Codec()][o.to.Codec()]
 	}
 	return o.format.Codec().String()
 }
+
+// transcodeLabels[from][to] is nx.Codecs(from, to).String().
+var transcodeLabels = func() (t [nx.CodecCount][nx.CodecCount]string) {
+	for _, from := range nx.AllCodecs() {
+		for _, to := range nx.AllCodecs() {
+			t[from][to] = nx.Codecs(from, to).String()
+		}
+	}
+	return t
+}()
 
 // inflates reports the direction: output/input is the ratio, and the
 // plaintext the checksums cover is the output.
