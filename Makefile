@@ -64,11 +64,20 @@ bench:
 ## device failing mid-wave, no goroutine left) and
 ## TestStreamWriterFailoverInFlight (the pin migrating once under two
 ## segments that both lost their device, heavy faults, a tight gate).
+## The first line is the LZ stage's: TestHWMatcherFootprint (every slice a
+## new HWMatcher holds, summed: a head per set plus a link per position of
+## a 64 Ki ring — the size of the history, not sets x ways; 256 KiB for
+## P9, 640 KiB for z15, which is what a node's resident memory is made of)
+## and TestSoftMatcherTokenizeAllocatesOnce (the software baseline's
+## tokens: one allocation a call, none into a slice handed back). In the
+## root line, TestCodecLabelIsTheNeedSetsNameAndAllocFree holds a
+## transcode's digest label to 0.
 bench-alloc:
+	$(GO) test -run 'TestHWMatcherFootprint|TestSoftMatcherTokenizeAllocatesOnce' -count=1 ./internal/lz77
 	$(GO) test -run 'TestDecodeAllocsNothingInSteadyState|TestSessionFeedAllocsIndependentOfBlockCount' -count=1 ./internal/deflate
 	$(GO) test -run 'TestOneAllocation' -count=1 ./internal/x842
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
-	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
+	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestCodecLabelIsTheNeedSetsNameAndAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite|TestStreamWriterFailoverInFlight' -count=1 .
 
 ## bench-json: run the E18 topology sweep (aggregate GB/s vs device
@@ -95,7 +104,13 @@ bench-json:
 ## (WriteProm output with adversarial tenant labels must always
 ## ParseProm back) — plus the differential target that holds the
 ## host-fast lz77.HWMatcher to its reference implementation (equal
-## tokens and equal HWStats, i.e. the model clock does not move), the
+## tokens and equal HWStats, i.e. the model clock does not move; the
+## matcher keeps a set as a chain through the window where the reference
+## keeps a row of ways, and the target is seeded with the rows of
+## TestHWMatcherEqualsReference where the two could part: a repeat at
+## distance MaxDist and one a byte past it, sets that take more inserts
+## than they have ways, bases crossing multiples of the ring length behind
+## a replayed 32 KiB history, a lazy probe of the set just linked into), the
 ## three DEFLATE decode targets: the inflate core against its reference
 ## (equal bytes, consumed input and error class), lossless re-encoding of
 ## whatever decodes, and Session against the one-shot decode — tenth, the

@@ -168,16 +168,18 @@ func lazySameSetInput() []byte {
 // lazy probe of the set the previous position was just linked into.
 func diffRows() []diffRow {
 	shipped := []HWParams{P9HWParams(), Z15HWParams()}
+	// The fuzz geometry with sets enough that 32 Ki inserts evict next to
+	// nothing: Ways 16, Banks 64, MaxDist 32 KiB, HashBits 7; and it, lazy.
+	const wide, wideLazy = 3 | 5<<2 | 1<<6 | 1<<7, 3 | 5<<2 | 1<<5 | 1<<6 | 1<<7
+	lazyRuns := lazySameSetInput()
 	rows := []diffRow{
-		// cfg 215: Ways 16, Banks 64, MaxDist 32 KiB, HashBits 7 — sets
-		// enough that 32 Ki inserts evict next to nothing; 247 is it, lazy.
-		{"dist32768", shipped, 215, []diffOp{{nil, repeatAt(WindowSize)}}},
-		{"dist32769", shipped, 247, []diffOp{{nil, repeatAt(WindowSize + 1)}}},
-		{"lazySameSet", []HWParams{Z15HWParams(), {InputWidth: 4, Banks: 2, Ways: 3, HashBits: 3, Lazy: true}}, 247,
-			[]diffOp{{nil, lazySameSetInput()}, {lazySameSetInput()[:700], lazySameSetInput()[700:]}}},
+		{"dist32768", shipped, wide, []diffOp{{nil, repeatAt(WindowSize)}}},
+		{"dist32769", shipped, wideLazy, []diffOp{{nil, repeatAt(WindowSize + 1)}}},
+		{"lazySameSet", []HWParams{Z15HWParams(), {InputWidth: 4, Banks: 2, Ways: 3, HashBits: 3, Lazy: true}}, wideLazy,
+			[]diffOp{{nil, lazyRuns}, {lazyRuns[:700], lazyRuns[700:]}}},
 	}
 	for w, ways := range []int{1, 3, 4, 16} {
-		row := diffRow{name: fmt.Sprintf("evict%dways", ways), cfg: 212 + uint16(w)}
+		row := diffRow{name: fmt.Sprintf("evict%dways", ways), cfg: wide&^3 | uint16(w)}
 		for _, lazy := range []bool{false, true} {
 			row.params = append(row.params, HWParams{InputWidth: 8, Banks: 16, Ways: ways, HashBits: 11, Lazy: lazy})
 		}
@@ -189,7 +191,7 @@ func diffRows() []diffRow {
 	// One long text walked front to back, every operation behind the 32 KiB
 	// that precede it: each moves the base by 64 KiB + 1 + its length.
 	text := corpus.Generate(corpus.Text, 256<<10, 12)
-	ring := diffRow{name: "ringCrossing", cfg: 214,
+	ring := diffRow{name: "ringCrossing", cfg: wide&^3 | 2, // 4 ways
 		params: append(shipped, HWParams{InputWidth: 8, Banks: 4, Ways: 3, HashBits: 4})}
 	off := WindowSize
 	for _, n := range []int{1, 5000, 33000, 20000, 9, 40000, 2*WindowSize + 3, 12345} {
@@ -276,10 +278,6 @@ func TestHWMatcherEqualsReferenceLarge(t *testing.T) {
 	}
 }
 
-// wiped is what rebase clears when the numbering restarts: every slice of
-// the matcher that holds base + position.
-func wiped(m *HWMatcher) []uint32 { return m.head }
-
 // TestHWMatcherEpochWrap drives the entry numbering to the end of its 32
 // bits. An operation that ends exactly on the last value runs without a
 // wipe; one that would end a byte past it — its base still fits, its length
@@ -323,7 +321,7 @@ func TestHWMatcherEpochWrap(t *testing.T) {
 		if pr.hw.end != gap+second {
 			t.Fatalf("%s: end = %d, want %d: the numbering did not restart", tc.name, pr.hw.end, gap+second)
 		}
-		for _, v := range wiped(pr.hw) {
+		for _, v := range pr.hw.head {
 			if v >= pr.hw.end {
 				t.Fatalf("%s: entry %d survives at or above end %d", tc.name, v, pr.hw.end)
 			}
@@ -344,9 +342,9 @@ func TestHWMatcherMaxInput(t *testing.T) {
 	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 {
 		t.Fatalf("on an empty table: base %d, end %d", base, m.end)
 	}
-	wiped(m)[5] = 77
-	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 || wiped(m)[5] != 0 {
-		t.Fatalf("on a full numbering: base %d, end %d, entry %d: no wipe", base, m.end, wiped(m)[5])
+	m.head[5] = 77
+	if base := m.rebase(MaxInput + WindowSize); base != WindowSize+1 || m.end != 1<<32-1 || m.head[5] != 0 {
+		t.Fatalf("on a full numbering: base %d, end %d, entry %d: no wipe", base, m.end, m.head[5])
 	}
 	defer func() {
 		if recover() == nil {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"nxzip/internal/testutil"
 )
 
 func TestTokenPacking(t *testing.T) {
@@ -285,6 +287,9 @@ func BenchmarkHWMatcherP9(b *testing.B) {
 // Twenty runs each, so the handful of objects the runtime allocates for
 // itself around a collection round down to none.
 func TestSoftMatcherTokenizeAllocatesOnce(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instruments allocations; gate runs in non-race builds")
+	}
 	for name, src := range testInputs(t) {
 		m := NewSoftMatcher(LevelParams(6))
 		tokens := m.Tokenize(nil, src) // sizes m.prev
