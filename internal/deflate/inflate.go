@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nxzip/internal/bitio"
+	"nxzip/internal/freelist"
 	"nxzip/internal/huffman"
 	"nxzip/internal/lz77"
 )
@@ -34,6 +34,18 @@ var (
 	errLitLenCode = fmt.Errorf("%w: invalid literal/length code", ErrCorrupt)
 	errDistCode   = fmt.Errorf("%w: invalid distance code", ErrCorrupt)
 	errDistance   = fmt.Errorf("%w: distance past start of output", ErrCorrupt)
+
+	// What a decode that ran out of input reports. A Session meets one at
+	// the end of every Feed that stops inside a block, and retries with
+	// more input: they are values, so that costs no allocation.
+	errBlockHeader   = fmt.Errorf("%w: missing block header", ErrCorrupt)
+	errStoredHeader  = fmt.Errorf("%w: stored length", ErrCorrupt)
+	errStoredPayload = fmt.Errorf("%w: stored payload truncated", ErrCorrupt)
+	errDynamicHeader = fmt.Errorf("%w: HLIT/HDIST/HCLEN", ErrCorrupt)
+	errCLLengths     = fmt.Errorf("%w: CL lengths", ErrCorrupt)
+	errRepeatExtra   = fmt.Errorf("%w: repeat extra", ErrCorrupt)
+	errLengthExtra   = fmt.Errorf("%w: length extra", ErrCorrupt)
+	errDistExtra     = fmt.Errorf("%w: dist extra", ErrCorrupt)
 )
 
 // InflateOptions bounds decompression.
@@ -76,6 +88,8 @@ var fixedLitLen, fixedDist = func() (ll, d huffman.Decoder) {
 // cursor, and the dynamic-block tables and code-length scratch, whose
 // storage is reused from block to block and — through inflaterPool — from
 // pass to pass, so a steady-state inflate into opts.Dst allocates nothing.
+// The pool is a free list the collector leaves alone: a pass that follows
+// two collections finds its tables where the last one left them.
 type inflater struct {
 	r      bitio.Reader
 	out    []byte // output backing, filled up to n
@@ -86,7 +100,7 @@ type inflater struct {
 	lengths               [NumLitLen + NumDist]uint8
 }
 
-var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+var inflaterPool = freelist.New(func() *inflater { return new(inflater) })
 
 // Decompress inflates a raw DEFLATE stream.
 func Decompress(src []byte, opts InflateOptions) ([]byte, error) {
@@ -99,7 +113,7 @@ func Decompress(src []byte, opts InflateOptions) ([]byte, error) {
 // occupied (it may be followed by a trailer).
 func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, err error) {
 	inflatePasses.Add(1)
-	in := inflaterPool.Get().(*inflater)
+	in := inflaterPool.Get()
 	in.r.Reset(src)
 	in.out, in.n = opts.Dst[:cap(opts.Dst)], 0
 	if in.maxOut = opts.MaxOutput; in.maxOut <= 0 {
@@ -122,7 +136,7 @@ func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, 
 func (in *inflater) nextBlock() (final bool, err error) {
 	hdr, err := in.r.ReadBits(3)
 	if err != nil {
-		return false, fmt.Errorf("%w: missing block header", ErrCorrupt)
+		return false, errBlockHeader
 	}
 	switch hdr >> 1 {
 	case 0:
@@ -144,7 +158,7 @@ func (in *inflater) stored() error {
 	in.r.AlignByte()
 	v, err := in.r.ReadBits(32)
 	if err != nil {
-		return fmt.Errorf("%w: stored length", ErrCorrupt)
+		return errStoredHeader
 	}
 	if uint16(v) != ^uint16(v>>16) {
 		return errStoredLen
@@ -155,7 +169,7 @@ func (in *inflater) stored() error {
 	}
 	in.grow(lenv)
 	if in.r.ReadBytes(in.out[in.n:in.n+lenv]) != nil {
-		return fmt.Errorf("%w: stored payload truncated", ErrCorrupt)
+		return errStoredPayload
 	}
 	in.n += lenv
 	return nil
@@ -182,7 +196,7 @@ func (in *inflater) grow(k int) {
 func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
 	v, err := r.ReadBits(14)
 	if err != nil {
-		return fmt.Errorf("%w: HLIT/HDIST/HCLEN", ErrCorrupt)
+		return errDynamicHeader
 	}
 	nlit, ndist, ncl := int(v&31)+257, int(v>>5&31)+1, int(v>>10)+4
 	if nlit > NumLitLen {
@@ -195,7 +209,7 @@ func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
 	for i := 0; i < ncl; i++ {
 		v, err := r.ReadBits(3)
 		if err != nil {
-			return fmt.Errorf("%w: CL lengths", ErrCorrupt)
+			return errCLLengths
 		}
 		clLengths[clOrder[i]] = uint8(v)
 	}
@@ -230,7 +244,7 @@ func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
 		}
 		n, err := r.ReadBits(nbits)
 		if err != nil {
-			return fmt.Errorf("%w: repeat extra", ErrCorrupt)
+			return errRepeatExtra
 		}
 		rep := base + int(n)
 		if i+rep > len(lengths) {
@@ -388,7 +402,7 @@ func (in *inflater) careful(litLen, dist *huffman.Decoder) (eob bool, err error)
 		}
 		x, err := in.r.ReadBits(e.Extra())
 		if err != nil {
-			return false, fmt.Errorf("%w: length extra", ErrCorrupt)
+			return false, errLengthExtra
 		}
 		length = e.Base() + int(x)
 		de, err := dist.Lookup(&in.r)
@@ -396,7 +410,7 @@ func (in *inflater) careful(litLen, dist *huffman.Decoder) (eob bool, err error)
 			return false, errDistCode
 		}
 		if x, err = in.r.ReadBits(de.Extra()); err != nil {
-			return false, fmt.Errorf("%w: dist extra", ErrCorrupt)
+			return false, errDistExtra
 		}
 		if d = de.Base() + int(x); d > in.n {
 			return false, errDistance

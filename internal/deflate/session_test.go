@@ -208,6 +208,38 @@ func TestSessionFeedAllocsIndependentOfBlockCount(t *testing.T) {
 	}
 }
 
+// A Feed that stops inside a block is the ordinary case of a stream read
+// in pieces, not an error path: the decode's "ran out of input" is a
+// value the session turns into a retry, and building it costs nothing.
+func TestSessionFeedShortOfABlockAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog; "), 3000)
+	comp, err := Compress(src, Options{Mode: ModeDynamic, BlockSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{1, 40, len(comp) / 3, len(comp) - 1} {
+		s := NewSession(InflateOptions{})
+		out, err := s.Feed(comp[:cut], false) // the whole blocks before the cut, if any
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		got := bytes.Clone(out)
+		if n := testing.AllocsPerRun(20, func() {
+			if out, err = s.FeedInto(out[:0], nil, false); err != nil || len(out) != 0 {
+				t.Fatalf("cut %d: %d bytes, %v", cut, len(out), err)
+			}
+		}); n != 0 {
+			t.Errorf("cut %d: a feed that ends inside the block allocates %v times, want 0", cut, n)
+		}
+		if out, err = s.Feed(comp[cut:], true); err != nil || !bytes.Equal(append(got, out...), src) {
+			t.Fatalf("cut %d: the rest of the stream: %d bytes, %v", cut, len(out), err)
+		}
+	}
+}
+
 func BenchmarkSessionFeed(b *testing.B) {
 	src := corpusInputs(b)["text"]
 	comp, _ := Compress(src, Options{BlockSize: 16 << 10})

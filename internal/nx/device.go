@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nxzip/internal/faultinject"
+	"nxzip/internal/freelist"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nmmu"
 	"nxzip/internal/obs"
@@ -691,14 +692,14 @@ type pendingCRB struct {
 
 // pendingPool recycles envelopes (and their slot backing, done channels
 // and switchboard wrappers) so the steady-state submission path
-// allocates nothing per request.
-var pendingPool = sync.Pool{New: func() any {
+// allocates nothing per request, however often the collector runs.
+var pendingPool = freelist.New(func() *pendingCRB {
 	p := &pendingCRB{slots: make([]slot, 0, 1), done: make(chan struct{}, 1)}
 	p.wrapped.Payload = p
 	return p
-}}
+})
 
-func getPending() *pendingCRB { return pendingPool.Get().(*pendingCRB) }
+func getPending() *pendingCRB { return pendingPool.Get() }
 
 // putPending drops request references before pooling so recycled
 // envelopes pin no caller buffers.

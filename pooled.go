@@ -5,7 +5,7 @@ package nxzip
 // round — but every request minted a CRB, a CSB, a Report, a Metrics, an
 // output buffer, and a pair of fresh VA mappings. At small payloads that
 // garbage, not the engine, sets the request rate. The request pipeline
-// (request.go) pools the request blocks (sync.Pool) and reuses VA spans
+// (request.go) pools the request blocks (a free list) and reuses VA spans
 // through the context arena (Context.AcquireVA/ReleaseVA); the entry
 // points here thread caller-owned destination buffers through CRB.Target
 // so a steady-state request touches the allocator zero times.

@@ -2,6 +2,7 @@ package nxzip
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"nxzip/internal/corpus"
@@ -175,6 +176,67 @@ func intoPathAllocFree(t *testing.T, mode TableMode) {
 	}
 	if !bytes.Equal(pdst, src) {
 		t.Fatal("roundtrip mismatch after alloc gate")
+	}
+}
+
+// TestIntoPathAllocFreeAcrossCollections holds the same zero with two
+// collections before every pair of requests: the request block, the
+// submission envelope and the inflater come from free lists a collection
+// does not empty, so what a request allocates does not follow how often
+// the process collects. (From sync.Pools each pair allocated all three
+// again, with their scratch.)
+func TestIntoPathAllocFreeAcrossCollections(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instruments allocations; gate runs in non-race builds")
+	}
+	acc := Open(Config{Device: P9().Device, TableMode: TableDynamic})
+	defer acc.Close()
+	src := corpus.Generate(corpus.Text, 8<<10, 3)
+	gz, plain := make([]byte, 0, 16<<10), make([]byte, 0, 16<<10)
+	var m Metrics
+	pair := func() {
+		var err error
+		if gz, err = acc.CompressGzipInto(gz[:0], src, &m); err != nil {
+			t.Fatal(err)
+		}
+		if plain, err = acc.DecompressGzipInto(plain[:0], gz, &m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		pair()
+	}
+	collect := func() { runtime.GC(); runtime.GC() }
+	// What two collections allocate on their own is the runtime's.
+	base := testing.AllocsPerRun(20, collect)
+	if n := testing.AllocsPerRun(20, func() { collect(); pair() }); n > base {
+		t.Fatalf("a compress and a decompress after two collections: %.1f allocs, the collections alone %.1f", n, base)
+	}
+	if !bytes.Equal(plain, src) {
+		t.Fatal("roundtrip mismatch after alloc gate")
+	}
+}
+
+// TestRequestFreeDropsHugeScratch: the list keeps a request for the life
+// of the process, so a scratch past maxPooledScratch does not ride back
+// with it, and one under it does.
+func TestRequestFreeDropsHugeScratch(t *testing.T) {
+	for _, tc := range []struct {
+		size int
+		kept bool
+	}{{maxPooledScratch, true}, {maxPooledScratch + 1, false}} {
+		r := requestPool.Get()
+		r.buf = make([]byte, 0, tc.size)
+		r.free()
+		again := requestPool.Get() // newest first: the same block
+		if again != r {
+			t.Fatal("the list did not hand back the request just freed")
+		}
+		if kept := cap(again.buf) == tc.size; kept != tc.kept {
+			t.Errorf("scratch of %d bytes: kept %v, want %v", tc.size, kept, tc.kept)
+		}
+		again.buf = nil
+		again.free()
 	}
 }
 

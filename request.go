@@ -24,17 +24,17 @@ package nxzip
 // against per-request in-flight load.
 //
 // The steady state of the *Into path touches the allocator zero times:
-// the request and its CRB/CSB/Report come from a sync.Pool, the op is a
+// the request and its CRB/CSB/Report come from a free list, the op is a
 // plain value (no closures), VA spans recycle through the context arena
 // and the engine writes into the caller's dst.
 
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"nxzip/internal/admission"
+	"nxzip/internal/freelist"
 	"nxzip/internal/nx"
 	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
@@ -162,13 +162,21 @@ type request struct {
 	buf []byte // scratch target backing; never escapes the pool
 }
 
-var requestPool = sync.Pool{New: func() any { return new(request) }}
+// requestPool is a free list, not a sync.Pool: a collection leaves it as
+// it is, so what a request path allocates does not follow how often the
+// process collects (on a heap of a few tens of MB, several times a second).
+var requestPool = freelist.New(func() *request { return new(request) })
+
+// maxPooledScratch is the largest output scratch a request takes back to
+// the list with it: the list keeps its blocks for the life of the process,
+// so one huge one-shot must not leave its buffer behind.
+const maxPooledScratch = 4 << 20
 
 // newRequest begins an operation: a pooled request carrying a fresh
 // RequestID. nctx is the node context attempts dispatch through (the
 // view's own, or a parallel worker's).
 func (a *Accelerator) newRequest(nctx *topology.Context, pin **nx.Context, o op) *request {
-	r := requestPool.Get().(*request)
+	r := requestPool.Get()
 	r.a, r.nctx, r.pin, r.op = a, nctx, pin, o
 	r.id = nextReq()
 	r.start = time.Now()
@@ -178,10 +186,14 @@ func (a *Accelerator) newRequest(nctx *topology.Context, pin **nx.Context, o op)
 // free returns r to the pool with every caller-visible reference
 // dropped, so a pooled entry can neither pin request data past the call
 // nor alias bytes the caller now owns. buf is pool-owned scratch and is
-// deliberately kept.
+// deliberately kept, up to maxPooledScratch.
 func (r *request) free() {
 	r.ticket.Release()
-	*r = request{buf: r.buf}
+	buf := r.buf
+	if cap(buf) > maxPooledScratch {
+		buf = nil
+	}
+	*r = request{buf: buf}
 	requestPool.Put(r)
 }
 
