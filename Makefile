@@ -53,17 +53,21 @@ bench:
 ## plan and the codes all live in the engine's encoder scratch. The 842
 ## codec's gate is one allocation a call, its output: Compress (the match
 ## tables are on its stack), and Decompress under an exact budget. The
-## stream wrappers are gated in bytes per 8 MiB stream of bench/'s
-## stream_parallel shape, beside the Session's own gate: ParallelWriter
-## (p copied once into recycled job buffers) and StreamReader (one read
-## buffer, the result appended to the drained one) at 4 MB each, and
-## StreamWriter on a two-engine device (segments cut where they lie in p,
-## bodies appended into three recycled jobs) at 1 MB and 24 allocations.
-## The -race line also runs the stream's failure paths with segments in
-## flight: TestStreamWriterPartialWrite* (the io.Writer count, sink and
-## device failing mid-wave, no goroutine left) and
-## TestStreamWriterFailoverInFlight (the pin migrating once under two
-## segments that both lost their device, heavy faults, a tight gate).
+## stream wrappers are gated per 8 MiB stream of bench/'s stream_parallel
+## shape, beside the Session's own gate: ParallelWriter on two workers
+## (chunks cut where they lie in p, members appended into three recycled
+## jobs) at 1.75 MB and 96 allocations, StreamWriter on a two-engine device
+## (segments cut where they lie in p, bodies appended into three recycled
+## jobs) at 1 MB and 24 allocations, and StreamReader (one read buffer, the
+## result appended to the drained one) at 4 MB.
+## The -race line also runs the three writers' failure paths with pieces in
+## flight: TestStreamWriterPartialWrite* (the io.Writer count of Writer,
+## ParallelWriter and StreamWriter with the sink and the windows failing
+## mid-wave, every later call answering the same error, no goroutine left
+## when a call returns), TestParallelWriterSinkFailure (the same of a
+## writer nobody Closes) and TestStreamWriterFailoverInFlight (the pin
+## migrating once under two segments that both lost their device, heavy
+## faults, a tight gate).
 ## The first line is the LZ stage's: TestHWMatcherFootprint (every slice a
 ## new HWMatcher holds, summed: a head per set plus a link per position of
 ## a 64 Ki ring — the size of the history, not sets x ways; 256 KiB for
@@ -86,7 +90,7 @@ bench-alloc:
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
 	$(GO) test -run 'TestListSurvivesCollections|TestListBalancedUseAllocatesNothing' -count=1 ./internal/freelist
 	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestCodecLabelIsTheNeedSetsNameAndAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
-	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite|TestStreamWriterFailoverInFlight' -count=1 .
+	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite|TestParallelWriterSinkFailure|TestStreamWriterFailoverInFlight' -count=1 .
 
 ## bench-json: run the E18 topology sweep (aggregate GB/s vs device
 ## count, claim C6), the E19 chaos sweep (throughput/p99 vs injected
@@ -126,28 +130,37 @@ bench-json:
 ## and bit writer: equal bytes and equal error for every block mode,
 ## table source and shape of dst; the compressed bytes are the model's
 ## TPBC and ratio) — and, eleventh and twelfth, the 842 kernels against
-## the codec they replaced: the encoder (equal bytes, on the input as it
-## comes and folded to a two-symbol alphabet that keeps every fifo full,
-## and Decompress takes them back — which is what x842's FuzzRoundTrip,
-## still outside this run, was for) and the decoder (equal bytes or an
-## equal error class on arbitrary streams and budgets). Thirteenth, the
-## first above the device: Reader at any worker count against the serial
-## member loop it replaced, on arbitrary multi-member streams — hints and
-## trailers forged, truncated, flipped — and budgets (equal bytes or an
-## equal error class, compress/gzip agreeing wherever the loop succeeds).
-## Its seeds are whole multi-member streams and an execution is two reads
-## through the device model, so minimizing one interesting input for the
-## default 60 s would outlast the run: -fuzzminimizetime 2s. Fourteenth,
-## its counterpart on the way in: StreamWriter against the one-at-a-time
-## submit loop it had (refStreamWriter), on arbitrary data, chunk sizes and
-## Write splits over every device, table mode and engine count of
+## their reference codec (ref_test.go): the encoder (equal bytes, on the
+## input as it comes and folded to a two-symbol alphabet that keeps every
+## fifo full, and Decompress takes them back) and the decoder (equal bytes
+## or an equal error class on arbitrary streams and budgets). Thirteenth,
+## the first above the device: Reader at any worker count against the
+## serial member loop (refPrimeSerial), on arbitrary multi-member streams —
+## hints and trailers forged, truncated, flipped — and budgets (equal bytes
+## or an equal error class, every Read after a failure answering that
+## failure, compress/gzip agreeing wherever the loop succeeds). Its seeds
+## are whole multi-member streams and an execution is two reads through
+## the device model, so minimizing one interesting input for the default
+## 60 s would outlast the run: -fuzzminimizetime 2s. Fourteenth, its
+## counterpart on the way in: StreamWriter against the one-segment-at-a-time
+## writer (refStreamWriter), on arbitrary data, chunk sizes and Write splits
+## over every device, table mode and engine count of
 ## TestStreamWriterEqualsSerial (equal bytes, equal Stats, equal segment
 ## count; compress/gzip and StreamReader take the stream back) — ROADMAP
 ## item 4's "arbitrary chunk splits through StreamWriter" clause; an
 ## execution is two streams through the device model, so it too runs with
-## -fuzzminimizetime 2s. Fourteen targets in all. Finds panics/OOMs in the
-## bounds-checked decode loops and parser edge cases; go test -fuzz accepts
-## one fuzz target per invocation, hence one run each.
+## -fuzzminimizetime 2s. Fifteenth, the member writers — Writer, and
+## ParallelWriter at 1, 2, 3 and 8 workers — against the writer of
+## persistent workers and a collector (refParallelWriter) and the stamped
+## one-shots both are made of, on arbitrary data, chunk sizes and Write
+## splits over the nodes and engine counts of
+## TestMemberWritersEqualReference (equal members, equal Stats through one
+## window; compress/gzip and Reader take the stream back) — ROADMAP item
+## 4's "arbitrary chunk splits through Writer" clause; an execution is
+## three streams through the device model: -fuzzminimizetime 2s. Fifteen
+## targets in all. Finds panics/OOMs in the bounds-checked decode loops and
+## parser edge cases; go test -fuzz accepts one fuzz target per invocation,
+## hence one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -163,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecompressEqualsReference -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzReaderEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzStreamWriterEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz FuzzMemberWritersEqualReference -fuzztime 30s -fuzzminimizetime 2s .
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot

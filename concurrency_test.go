@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -207,21 +208,30 @@ func TestParallelWriterEmptyInput(t *testing.T) {
 	}
 }
 
-// TestParallelWriterSinkFailure: a failing sink must surface on Close
-// and leave the writer failed, with no goroutine leaks or deadlocks.
+// TestParallelWriterSinkFailure: a failing sink surfaces on the Write that
+// met it and leaves the writer failed, and no goroutine outlives a call —
+// not a failed Write, and not the last Write of a writer nobody Closes.
 func TestParallelWriterSinkFailure(t *testing.T) {
 	acc := Open(P9())
 	defer acc.Close()
-	w := acc.NewParallelWriterChunk(&failingWriter{n: 100}, 32<<10, 3)
 	src := corpus.Generate(corpus.Random, 1<<20, 9)
+	base := runtime.NumGoroutine()
+	w := acc.NewParallelWriterChunk(&failingWriter{n: 100}, 32<<10, 3)
 	_, werr := w.Write(src)
+	settleGoroutines(t, base, "after the failed Write")
 	cerr := w.Close()
-	if werr == nil && cerr == nil {
-		t.Fatal("sink failure never surfaced")
+	if werr == nil || cerr != werr {
+		t.Fatalf("Write: %v, Close: %v, want the sink's failure from both", werr, cerr)
 	}
 	if _, err := w.Write([]byte("more")); err == nil {
 		t.Fatal("write after close accepted")
 	}
+
+	abandoned := acc.NewParallelWriterChunk(io.Discard, 32<<10, 3)
+	if _, err := abandoned.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, base, "after the last Write of a writer never Closed")
 }
 
 // TestParallelReaderRoundTrip decodes a many-member stream with worker

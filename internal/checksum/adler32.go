@@ -83,18 +83,3 @@ func SumAdler32(p []byte) uint32 {
 	ad.Update(p)
 	return ad.Sum()
 }
-
-// Combine returns the Adler-32 of the concatenation of two messages given
-// their checksums and the length of the second. The accelerator uses this
-// to stitch checksums across resubmitted (page-faulted) requests without
-// rescanning data.
-func Combine(adler1, adler2 uint32, len2 int64) uint32 {
-	rem := uint32(len2 % adlerMod)
-	a1 := adler1 & 0xFFFF
-	b1 := adler1 >> 16 & 0xFFFF
-	a2 := adler2 & 0xFFFF
-	b2 := adler2 >> 16 & 0xFFFF
-	a := (a1 + a2 + adlerMod - 1) % adlerMod
-	b := (b1 + rem*a1%adlerMod + b2 + 2*adlerMod - rem) % adlerMod
-	return b<<16 | a
-}

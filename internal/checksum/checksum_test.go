@@ -166,16 +166,6 @@ func TestAdler32Incremental(t *testing.T) {
 	}
 }
 
-func TestAdlerCombine(t *testing.T) {
-	f := func(p1, p2 []byte) bool {
-		whole := SumAdler32(append(append([]byte{}, p1...), p2...))
-		return Combine(SumAdler32(p1), SumAdler32(p2), int64(len(p2))) == whole
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestZeroValueCRC(t *testing.T) {
 	var c CRC32
 	if c.Sum() != 0 {
@@ -202,28 +192,6 @@ func BenchmarkAdler32(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		SumAdler32(data)
-	}
-}
-
-func TestCombineCRC32(t *testing.T) {
-	f := func(p1, p2 []byte) bool {
-		whole := Sum32(append(append([]byte{}, p1...), p2...))
-		return CombineCRC32(Sum32(p1), Sum32(p2), int64(len(p2))) == whole
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-	// Edge cases.
-	if CombineCRC32(0x12345678, 0, 0) != 0x12345678 {
-		t.Fatal("zero-length combine must be identity")
-	}
-	big := make([]byte, 1<<20)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	half := len(big) / 2
-	if got := CombineCRC32(Sum32(big[:half]), Sum32(big[half:]), int64(half)); got != Sum32(big) {
-		t.Fatalf("large combine %08x != %08x", got, Sum32(big))
 	}
 }
 

@@ -113,74 +113,3 @@ func SumBoth(p []byte) (crc, adler uint32) {
 	ad.Update(p)
 	return c.Sum(), ad.Sum()
 }
-
-// CombineCRC32 returns the CRC-32 of the concatenation of two messages
-// given their individual CRCs and the length of the second (zlib's
-// crc32_combine): what lets a stream checksum be stitched from
-// per-request checksums without rereading data. Nothing in the library
-// does so — only tests call it. StreamWriter, the one candidate, holds
-// each segment's CRC in its Metrics and still runs its own over the
-// plaintext, because a call here costs the same whatever len2 is and
-// only beats CRC-ing the segment itself above 32 KiB chunks (DESIGN 5q
-// has the numbers).
-//
-// The math: CRC is linear over GF(2), so appending len2 zero bytes to
-// message 1 transforms crc1 by a linear operator; that operator is the
-// len2*8-th power of the one-bit-shift matrix, computed here by repeated
-// squaring in O(log len2) 32x32 matrix products.
-func CombineCRC32(crc1, crc2 uint32, len2 int64) uint32 {
-	if len2 <= 0 {
-		return crc1
-	}
-	// odd = shift-by-one-bit operator (including polynomial feedback).
-	var odd, even gf2Matrix
-	odd[0] = IEEEPoly
-	row := uint32(1)
-	for i := 1; i < 32; i++ {
-		odd[i] = row
-		row <<= 1
-	}
-	even.square(&odd)
-	odd.square(&even)
-	// Apply shift-by-8*len2: walk the bits of len2, alternating matrices.
-	n := uint64(len2)
-	for {
-		even.square(&odd)
-		if n&1 != 0 {
-			crc1 = even.times(crc1)
-		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
-		odd.square(&even)
-		if n&1 != 0 {
-			crc1 = odd.times(crc1)
-		}
-		n >>= 1
-		if n == 0 {
-			break
-		}
-	}
-	return crc1 ^ crc2
-}
-
-// gf2Matrix is a 32x32 bit matrix over GF(2), one column per word.
-type gf2Matrix [32]uint32
-
-func (m *gf2Matrix) times(v uint32) uint32 {
-	var sum uint32
-	for i := 0; v != 0; i++ {
-		if v&1 != 0 {
-			sum ^= m[i]
-		}
-		v >>= 1
-	}
-	return sum
-}
-
-func (m *gf2Matrix) square(src *gf2Matrix) {
-	for i := 0; i < 32; i++ {
-		m[i] = src.times(src[i])
-	}
-}

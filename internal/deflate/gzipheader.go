@@ -101,43 +101,38 @@ func IndexGzipMember(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[16:], n)
 }
 
-// gzipFields is where the variable parts of one member header lie: the
-// result of the one walk of RFC 1952 section 2.3 that every parser in this
-// package shares. The slices alias the source.
-type gzipFields struct {
-	// Without XLEN and the terminating NULs; nil where the flag is clear.
-	extra, name, comment []byte
-	hasCRC               bool
-	n                    int // bytes of header
-}
-
-// parseGzipFields walks the member header at the start of src, as strict
-// as compress/gzip: XLEN and both strings must lie inside src, and FHCRC,
-// when present, must be the low 16 bits of the CRC-32 of the header before
-// it. (The one thing stricter there is an implementation limit this parser
-// does not copy: names and comments of 512 bytes and more are refused.)
-func parseGzipFields(src []byte) (f gzipFields, err error) {
+// ParseGzipHeader returns the length of the member header at the start of
+// src, optional fields included, and the member's length hint: the whole
+// encoded length, header through trailer, that a subfield of FEXTRA claims
+// for it, or 0. A hint is a claim and nothing more — HintedGzipMember is
+// how a reader may use one. It is the one walk of RFC 1952 section 2.3 in
+// this package, as strict as compress/gzip: XLEN and both strings must lie
+// inside src, and FHCRC, when present, must be the low 16 bits of the
+// CRC-32 of the header before it. (The one thing stricter there is an
+// implementation limit this parser does not copy: names and comments of
+// 512 bytes and more are refused.)
+func ParseGzipHeader(src []byte) (hlen, hint int, err error) {
 	if len(src) < 10 {
-		return f, fmt.Errorf("%w: gzip header too short", ErrBadMagic)
+		return 0, 0, fmt.Errorf("%w: gzip header too short", ErrBadMagic)
 	}
 	if src[0] != 0x1F || src[1] != 0x8B {
-		return f, fmt.Errorf("%w: not gzip", ErrBadMagic)
+		return 0, 0, fmt.Errorf("%w: not gzip", ErrBadMagic)
 	}
 	if src[2] != 8 {
-		return f, fmt.Errorf("%w: unknown compression method %d", ErrBadMagic, src[2])
+		return 0, 0, fmt.Errorf("%w: unknown compression method %d", ErrBadMagic, src[2])
 	}
 	flg := src[3]
 	pos := 10
 	if flg&gzFEXTRA != 0 {
 		if pos+2 > len(src) {
-			return f, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
+			return 0, 0, fmt.Errorf("%w: truncated FEXTRA", ErrBadMagic)
 		}
 		xlen := int(binary.LittleEndian.Uint16(src[pos:]))
 		pos += 2
 		if pos+xlen > len(src) {
-			return f, fmt.Errorf("%w: truncated FEXTRA payload", ErrBadMagic)
+			return 0, 0, fmt.Errorf("%w: truncated FEXTRA payload", ErrBadMagic)
 		}
-		f.extra = src[pos : pos+xlen]
+		hint = lengthHint(src[pos : pos+xlen])
 		pos += xlen
 	}
 	for _, bit := range [...]byte{gzFNAME, gzFCOMMENT} {
@@ -146,27 +141,21 @@ func parseGzipFields(src []byte) (f gzipFields, err error) {
 		}
 		n := bytes.IndexByte(src[pos:], 0)
 		if n < 0 {
-			return f, fmt.Errorf("%w: truncated string field", ErrBadMagic)
-		}
-		if bit == gzFNAME {
-			f.name = src[pos : pos+n]
-		} else {
-			f.comment = src[pos : pos+n]
+			return 0, 0, fmt.Errorf("%w: truncated string field", ErrBadMagic)
 		}
 		pos += n + 1
 	}
-	if f.hasCRC = flg&gzFHCRC != 0; f.hasCRC {
+	if flg&gzFHCRC != 0 {
 		if pos+2 > len(src) {
-			return f, fmt.Errorf("%w: truncated FHCRC", ErrBadMagic)
+			return 0, 0, fmt.Errorf("%w: truncated FHCRC", ErrBadMagic)
 		}
 		want := binary.LittleEndian.Uint16(src[pos:])
 		if got := uint16(checksum.Sum32(src[:pos])); got != want {
-			return f, fmt.Errorf("%w: header CRC %04x, want %04x", ErrBadChecksum, got, want)
+			return 0, 0, fmt.Errorf("%w: header CRC %04x, want %04x", ErrBadChecksum, got, want)
 		}
 		pos += 2
 	}
-	f.n = pos
-	return f, nil
+	return pos, hint, nil
 }
 
 // lengthHint is the member length FEXTRA claims, 0 when it claims none:
@@ -191,16 +180,6 @@ func lengthHint(extra []byte) int {
 	return 0
 }
 
-// ParseGzipHeader returns the length of the member header at the start of
-// src, optional fields included, and the member's length hint: the whole
-// encoded length, header through trailer, that a subfield of FEXTRA claims
-// for it, or 0. A hint is a claim and nothing more — HintedGzipMember is
-// how a reader may use one.
-func ParseGzipHeader(src []byte) (hlen, hint int, err error) {
-	f, err := parseGzipFields(src)
-	return f.n, lengthHint(f.extra), err
-}
-
 // HintedGzipMember reports the encoded length n and the plaintext length
 // the first member of src claims for itself — its length hint, and the
 // ISIZE where the hint says the trailer is — when the claim holds up as
@@ -223,23 +202,6 @@ func HintedGzipMember(src []byte) (n int, isize int64, ok bool) {
 	}
 	isize = int64(binary.LittleEndian.Uint32(src[n-4:]))
 	return n, isize, isize <= 1032*int64(n)
-}
-
-// ParseGzipHeaderFull decodes the header fields at the start of src,
-// returning the parsed header and its byte length.
-func ParseGzipHeaderFull(src []byte) (GzipHeader, int, error) {
-	f, err := parseGzipFields(src)
-	if err != nil {
-		return GzipHeader{}, 0, err
-	}
-	h := GzipHeader{Name: string(f.name), Comment: string(f.comment), OS: src[9], HeaderCRC: f.hasCRC}
-	if mtime := binary.LittleEndian.Uint32(src[4:8]); mtime != 0 {
-		h.ModTime = time.Unix(int64(mtime), 0)
-	}
-	if f.extra != nil {
-		h.Extra = append([]byte{}, f.extra...)
-	}
-	return h, f.n, nil
 }
 
 // GzipWrapHeader frames a raw DEFLATE stream with a full header.

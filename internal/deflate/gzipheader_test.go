@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -25,18 +26,20 @@ func TestGzipHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := ParseGzipHeaderFull(raw)
+	if n, _, err := ParseGzipHeader(raw); err != nil || n != len(raw) {
+		t.Fatalf("parsed %d of %d bytes, err %v", n, len(raw), err)
+	}
+	// compress/gzip reads the header alone, and checks FHCRC when the flag
+	// says there is one.
+	got, err := gzip.NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(raw) {
-		t.Fatalf("parsed %d of %d bytes", n, len(raw))
-	}
 	if got.Name != h.Name || got.Comment != h.Comment || !bytes.Equal(got.Extra, h.Extra) {
-		t.Fatalf("fields: %+v", got)
+		t.Fatalf("fields: %+v", got.Header)
 	}
-	if !got.ModTime.Equal(h.ModTime) || got.OS != h.OS || !got.HeaderCRC {
-		t.Fatalf("meta: %+v", got)
+	if !got.ModTime.Equal(h.ModTime) || got.OS != h.OS || raw[3]&gzFHCRC == 0 {
+		t.Fatalf("meta: %+v, FLG %08b", got.Header, raw[3])
 	}
 }
 
@@ -84,15 +87,13 @@ func TestGzipHeaderParsesStdlibOutput(t *testing.T) {
 	zw.ModTime = time.Unix(1500000000, 0)
 	zw.Write([]byte("zz"))
 	zw.Close()
-	h, _, err := ParseGzipHeaderFull(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	// The fixed ten bytes, then both strings and their NULs.
+	want := 10 + len(zw.Name) + 1 + len(zw.Comment) + 1
+	if hlen, hint, err := ParseGzipHeader(buf.Bytes()); err != nil || hlen != want || hint != 0 {
+		t.Fatalf("header of %d bytes with hint %d, err %v; want %d and none", hlen, hint, err, want)
 	}
-	if h.Name != "from-stdlib.bin" || h.Comment != "stdlib header" {
-		t.Fatalf("parsed %+v", h)
-	}
-	if h.ModTime.Unix() != 1500000000 {
-		t.Fatalf("mtime %v", h.ModTime)
+	if got, _, err := DecompressGzip(buf.Bytes(), InflateOptions{}); err != nil || string(got) != "zz" {
+		t.Fatalf("body behind the header: %q, err %v", got, err)
 	}
 }
 
@@ -111,14 +112,16 @@ func TestGzipHeaderCRCDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw[10] ^= 0xFF // corrupt the name
-	if _, _, err := ParseGzipHeaderFull(raw); err == nil {
-		t.Fatal("corrupt header accepted despite FHCRC")
+	if _, _, err := ParseGzipHeader(raw); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("corrupt header under FHCRC: %v, want a checksum error", err)
 	}
 }
 
 // TestGzipHeaderParserAgreesWithStdlib holds the one header walk to
-// compress/gzip's: both accept or both reject, and on accept the fields
-// agree. A header CRC that does not match used to be stepped over.
+// compress/gzip's: both accept or both reject, and on accept the walk
+// ends where the header does and compress/gzip reads back the fields the
+// header was built from. A header CRC that does not match used to be
+// stepped over.
 func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 	plain := []byte("header table payload")
 	body, err := Compress(plain, Options{})
@@ -131,7 +134,8 @@ func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 	type row struct {
 		name string
 		hdr  []byte
-		hint int // what ParseGzipHeader must report when the header is sound
+		hint int        // what ParseGzipHeader must report when the header is sound
+		from GzipHeader // what a sound header was built from
 	}
 	var rows []row
 	for flags := 0; flags < 16; flags++ {
@@ -149,7 +153,7 @@ func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, row{name: fmt.Sprintf("flags %04b", flags), hdr: hdr})
+		rows = append(rows, row{name: fmt.Sprintf("flags %04b", flags), hdr: hdr, from: h})
 		if h.HeaderCRC {
 			bad := bytes.Clone(hdr)
 			bad[len(bad)-1] ^= 0x01
@@ -160,11 +164,12 @@ func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 		}
 	}
 	extra := func(name string, x []byte, hint int) {
-		hdr, err := GzipHeader{Extra: x, Name: "after-extra"}.Append(nil)
+		h := GzipHeader{Extra: x, Name: "after-extra"}
+		hdr, err := h.Append(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, row{name: name, hdr: hdr, hint: hint})
+		rows = append(rows, row{name: name, hdr: hdr, hint: hint, from: h})
 	}
 	extra("length subfield", []byte("NX\x04\x00\x39\x30\x00\x00"), 12345)
 	extra("length subfield behind another", []byte("ZZ\x01\x00!NX\x04\x00\x39\x30\x00\x00"), 12345)
@@ -194,10 +199,9 @@ func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 		}
 		zr, stdErr := gzip.NewReader(bytes.NewReader(stream))
 		hlen, hint, err := ParseGzipHeader(stream)
-		full, fullLen, fullErr := ParseGzipHeaderFull(stream)
 		_, _, _, unwrapErr := GzipUnwrap(stream)
-		if (err == nil) != (stdErr == nil) || (fullErr == nil) != (stdErr == nil) {
-			t.Errorf("%s: ParseGzipHeader %v, ParseGzipHeaderFull %v, compress/gzip %v", r.name, err, fullErr, stdErr)
+		if (err == nil) != (stdErr == nil) {
+			t.Errorf("%s: ParseGzipHeader %v, compress/gzip %v", r.name, err, stdErr)
 			continue
 		}
 		if stdErr != nil {
@@ -206,8 +210,8 @@ func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 			}
 			continue
 		}
-		if hlen != len(r.hdr) || fullLen != hlen || hint != r.hint {
-			t.Errorf("%s: header length %d/%d of %d, hint %d want %d", r.name, hlen, fullLen, len(r.hdr), hint, r.hint)
+		if hlen != len(r.hdr) || hint != r.hint {
+			t.Errorf("%s: header length %d of %d, hint %d want %d", r.name, hlen, len(r.hdr), hint, r.hint)
 		}
 		// compress/gzip hands the strings back as UTF-8; the bytes are Latin-1.
 		latin1 := func(s string) string {
@@ -217,8 +221,8 @@ func TestGzipHeaderParserAgreesWithStdlib(t *testing.T) {
 			}
 			return string(b)
 		}
-		if latin1(full.Name) != zr.Name || latin1(full.Comment) != zr.Comment || !bytes.Equal(full.Extra, zr.Extra) {
-			t.Errorf("%s: fields %+v, compress/gzip %+v", r.name, full, zr.Header)
+		if latin1(r.from.Name) != zr.Name || latin1(r.from.Comment) != zr.Comment || !bytes.Equal(r.from.Extra, zr.Extra) {
+			t.Errorf("%s: built from %+v, compress/gzip reads %+v", r.name, r.from, zr.Header)
 		}
 		if got, _, err := DecompressGzip(stream, InflateOptions{}); err != nil || !bytes.Equal(got, plain) {
 			t.Errorf("%s: DecompressGzip: %v", r.name, err)

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -203,49 +204,38 @@ func (h *Histogram) snapshot(name, label string) HistogramSnapshot {
 	return s
 }
 
+// vec is a labeled family of instruments of one kind. With is safe for
+// concurrent use and returns a stable pointer for the label, so hot paths
+// resolve once and then pay only the instrument's own update.
+type vec[T any] struct {
+	m   sync.Map  // label -> *T
+	new func() *T // what With makes of a label it has not seen
+}
+
 // CounterVec is a labeled family of counters (per-engine, per-context,
-// per-priority, per-CC...). With is safe for concurrent use and returns a
-// stable *Counter for the label, so hot paths resolve once and then pay
-// only the atomic add.
-type CounterVec struct {
-	m sync.Map // label -> *Counter
-}
+// per-priority, per-CC...), GaugeVec one of gauges and HistogramVec one of
+// histograms.
+type (
+	CounterVec   = vec[Counter]
+	GaugeVec     = vec[Gauge]
+	HistogramVec = vec[Histogram]
+)
 
-// With returns the counter for label, creating it on first use.
-func (v *CounterVec) With(label string) *Counter {
-	if c, ok := v.m.Load(label); ok {
-		return c.(*Counter)
+// With returns the instrument for label, creating it on first use.
+func (v *vec[T]) With(label string) *T {
+	if x, ok := v.m.Load(label); ok {
+		return x.(*T)
 	}
-	c, _ := v.m.LoadOrStore(label, &Counter{})
-	return c.(*Counter)
+	x, _ := v.m.LoadOrStore(label, v.new())
+	return x.(*T)
 }
 
-// GaugeVec is a labeled family of gauges.
-type GaugeVec struct {
-	m sync.Map // label -> *Gauge
-}
-
-// With returns the gauge for label, creating it on first use.
-func (v *GaugeVec) With(label string) *Gauge {
-	if g, ok := v.m.Load(label); ok {
-		return g.(*Gauge)
-	}
-	g, _ := v.m.LoadOrStore(label, &Gauge{})
-	return g.(*Gauge)
-}
-
-// HistogramVec is a labeled family of histograms.
-type HistogramVec struct {
-	m sync.Map // label -> *Histogram
-}
-
-// With returns the histogram for label, creating it on first use.
-func (v *HistogramVec) With(label string) *Histogram {
-	if h, ok := v.m.Load(label); ok {
-		return h.(*Histogram)
-	}
-	h, _ := v.m.LoadOrStore(label, newHistogram())
-	return h.(*Histogram)
+// each calls f on every series of the family.
+func (v *vec[T]) each(f func(label string, x *T)) {
+	v.m.Range(func(k, x any) bool {
+		f(k.(string), x.(*T))
+		return true
+	})
 }
 
 // retireMatch reports whether a series label belongs to the retired
@@ -260,42 +250,15 @@ func retireMatch(label, prefix string) bool {
 
 // Retire deletes every series whose label matches prefix (see
 // retireMatch), returning how many were removed. Callers holding stale
-// *Counter pointers keep bumping a detached instrument — harmless, it
+// instrument pointers keep bumping a detached instrument — harmless, it
 // just never appears in a snapshot again.
-func (v *CounterVec) Retire(prefix string) int {
+func (v *vec[T]) Retire(prefix string) int {
 	var n int
-	v.m.Range(func(k, _ any) bool {
-		if retireMatch(k.(string), prefix) {
-			v.m.Delete(k)
+	v.each(func(label string, _ *T) {
+		if retireMatch(label, prefix) {
+			v.m.Delete(label)
 			n++
 		}
-		return true
-	})
-	return n
-}
-
-// Retire deletes every series whose label matches prefix.
-func (v *GaugeVec) Retire(prefix string) int {
-	var n int
-	v.m.Range(func(k, _ any) bool {
-		if retireMatch(k.(string), prefix) {
-			v.m.Delete(k)
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// Retire deletes every series whose label matches prefix.
-func (v *HistogramVec) Retire(prefix string) int {
-	var n int
-	v.m.Range(func(k, _ any) bool {
-		if retireMatch(k.(string), prefix) {
-			v.m.Delete(k)
-			n++
-		}
-		return true
 	})
 	return n
 }
@@ -319,16 +282,22 @@ func NewRegistry() *Registry {
 	}
 }
 
-// CounterVec returns the labeled counter family name.
-func (r *Registry) CounterVec(name string) *CounterVec {
+// family returns the family m holds under name, creating it — With making
+// new series of it with mk — on first use.
+func family[T any](r *Registry, m map[string]*vec[T], name string, mk func() *T) *vec[T] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, ok := r.counters[name]
+	v, ok := m[name]
 	if !ok {
-		v = &CounterVec{}
-		r.counters[name] = v
+		v = &vec[T]{new: mk}
+		m[name] = v
 	}
 	return v
+}
+
+// CounterVec returns the labeled counter family name.
+func (r *Registry) CounterVec(name string) *CounterVec {
+	return family(r, r.counters, name, func() *Counter { return new(Counter) })
 }
 
 // Counter returns the unlabeled counter name.
@@ -336,14 +305,7 @@ func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).Wit
 
 // GaugeVec returns the labeled gauge family name.
 func (r *Registry) GaugeVec(name string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	if !ok {
-		v = &GaugeVec{}
-		r.gauges[name] = v
-	}
-	return v
+	return family(r, r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Gauge returns the unlabeled gauge name.
@@ -351,18 +313,19 @@ func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With("") 
 
 // HistogramVec returns the labeled histogram family name.
 func (r *Registry) HistogramVec(name string) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histograms[name]
-	if !ok {
-		v = &HistogramVec{}
-		r.histograms[name] = v
-	}
-	return v
+	return family(r, r.histograms, name, newHistogram)
 }
 
 // Histogram returns the unlabeled histogram name.
 func (r *Registry) Histogram(name string) *Histogram { return r.HistogramVec(name).With("") }
+
+// families copies the registry's three maps out under its lock: series
+// are then read, or retired, without holding it.
+func (r *Registry) families() (map[string]*CounterVec, map[string]*GaugeVec, map[string]*HistogramVec) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.histograms)
+}
 
 // RetireLabelPrefix deletes, across every instrument family, each series
 // whose label is prefix or begins with prefix+"/". It is the series
@@ -374,28 +337,15 @@ func (r *Registry) RetireLabelPrefix(prefix string) int {
 	if prefix == "" {
 		return 0
 	}
-	r.mu.Lock()
-	cvecs := make([]*CounterVec, 0, len(r.counters))
-	for _, v := range r.counters {
-		cvecs = append(cvecs, v)
-	}
-	gvecs := make([]*GaugeVec, 0, len(r.gauges))
-	for _, v := range r.gauges {
-		gvecs = append(gvecs, v)
-	}
-	hvecs := make([]*HistogramVec, 0, len(r.histograms))
-	for _, v := range r.histograms {
-		hvecs = append(hvecs, v)
-	}
-	r.mu.Unlock()
+	counters, gauges, histograms := r.families()
 	var n int
-	for _, v := range cvecs {
+	for _, v := range counters {
 		n += v.Retire(prefix)
 	}
-	for _, v := range gvecs {
+	for _, v := range gauges {
 		n += v.Retire(prefix)
 	}
-	for _, v := range hvecs {
+	for _, v := range histograms {
 		n += v.Retire(prefix)
 	}
 	return n
@@ -455,49 +405,21 @@ type Snapshot struct {
 
 // Snapshot captures every registered instrument.
 func (r *Registry) Snapshot() *Snapshot {
-	r.mu.Lock()
-	cnames := sortedKeys(r.counters)
-	gnames := sortedKeys(r.gauges)
-	hnames := sortedKeys(r.histograms)
-	cvecs := make([]*CounterVec, len(cnames))
-	for i, n := range cnames {
-		cvecs[i] = r.counters[n]
-	}
-	gvecs := make([]*GaugeVec, len(gnames))
-	for i, n := range gnames {
-		gvecs[i] = r.gauges[n]
-	}
-	hvecs := make([]*HistogramVec, len(hnames))
-	for i, n := range hnames {
-		hvecs[i] = r.histograms[n]
-	}
-	r.mu.Unlock()
-
+	counters, gauges, histograms := r.families()
 	s := &Snapshot{}
-	for i, v := range cvecs {
-		name := cnames[i]
-		v.m.Range(func(k, val any) bool {
-			s.Counters = append(s.Counters, CounterSnapshot{
-				Name: name, Label: k.(string), Value: val.(*Counter).Value(),
-			})
-			return true
+	for name, v := range counters {
+		v.each(func(label string, c *Counter) {
+			s.Counters = append(s.Counters, CounterSnapshot{Name: name, Label: label, Value: c.Value()})
 		})
 	}
-	for i, v := range gvecs {
-		name := gnames[i]
-		v.m.Range(func(k, val any) bool {
-			g := val.(*Gauge)
-			s.Gauges = append(s.Gauges, GaugeSnapshot{
-				Name: name, Label: k.(string), Value: g.Value(), Max: g.Max(),
-			})
-			return true
+	for name, v := range gauges {
+		v.each(func(label string, g *Gauge) {
+			s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Label: label, Value: g.Value(), Max: g.Max()})
 		})
 	}
-	for i, v := range hvecs {
-		name := hnames[i]
-		v.m.Range(func(k, val any) bool {
-			s.Histograms = append(s.Histograms, val.(*Histogram).snapshot(name, k.(string)))
-			return true
+	for name, v := range histograms {
+		v.each(func(label string, h *Histogram) {
+			s.Histograms = append(s.Histograms, h.snapshot(name, label))
 		})
 	}
 	s.Sort()
@@ -746,13 +668,4 @@ func instrumentName(name, label string) string {
 		return name
 	}
 	return name + "{" + label + "}"
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

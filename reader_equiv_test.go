@@ -91,6 +91,13 @@ func checkReaderEqualsSerial(t *testing.T, acc *Accelerator, stream []byte, work
 	r := acc.NewReader(bytes.NewReader(stream))
 	r.Workers, r.MaxOutput = workers, maxOutput
 	got, gotErr := io.ReadAll(r)
+	// A Reader that failed stays failed: the source is drained, and a
+	// second look at it would read as a clean end of an empty stream.
+	for i := 0; gotErr != nil && i < 2; i++ {
+		if n, again := r.Read(make([]byte, 1)); n != 0 || again != gotErr {
+			t.Fatalf("workers=%d: Read after the failure: %d, %v; the failure was %v", workers, n, again, gotErr)
+		}
+	}
 
 	gotClass, wantClass := readerErrClass(gotErr), readerErrClass(wantErr)
 	if gotClass != wantClass && !(gotClass == "over the limit" && wantErr != nil) {

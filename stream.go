@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"nxzip/internal/deflate"
+	"nxzip/internal/telemetry"
+	"nxzip/internal/topology"
 )
 
 // DefaultChunkSize is the request size the streaming Writer submits to
@@ -35,13 +35,7 @@ var ErrWriterClosed = errors.New("nxzip: writer closed")
 // time. Multiple Writers on one Accelerator may run concurrently; for
 // concurrent compression of one stream use ParallelWriter.
 type Writer struct {
-	acc    *Accelerator
-	out    io.Writer
-	buf    bytes.Buffer
-	member []byte // the last member's backing, reused for the next
-	chunk  int
-	closed bool
-	err    error
+	memberWriter // Write and Close, at one chunk at a time through the view's own context
 
 	// Accumulated accounting across members.
 	Stats Metrics
@@ -54,92 +48,134 @@ func (a *Accelerator) NewWriter(out io.Writer) *Writer {
 
 // NewWriterChunk returns a Writer with an explicit request size.
 func (a *Accelerator) NewWriterChunk(out io.Writer, chunk int) *Writer {
+	w := &Writer{}
+	w.memberWriter = newMemberWriter(a, out, chunk, &w.Stats, a.met.writerMembers, nil, a.nctx)
+	return w
+}
+
+// memberWriter is the Write and Close of both member writers: each chunk
+// of the stream compressed into one member through one of lanes — the
+// view's own context under Writer, a private context per worker under
+// ParallelWriter — a lane's worth at once, emitted in stream order before
+// the call returns.
+type memberWriter struct {
+	acc   *Accelerator
+	out   io.Writer
+	chunk int
+	lanes []*topology.Context
+	// pending is the bytes in no member yet: it starts on a member
+	// boundary and holds less than a chunk per lane between calls.
+	pending []byte
+	jobs    wave[memberJob]
+	stats   *Metrics           // the exported writer's Stats
+	count   *telemetry.Counter // its members series,
+	depth   *telemetry.Gauge   // and the reorder depth if it has one
+	err     error
+	closed  bool
+}
+
+// memberJob is one chunk on its way to becoming one member.
+type memberJob struct {
+	src []byte  // the chunk, where it lies in pending or in the caller's p
+	gz  []byte  // the member made of it, in a buffer the job's next use appends over
+	m   Metrics // its accounting
+}
+
+func newMemberWriter(a *Accelerator, out io.Writer, chunk int, stats *Metrics, count *telemetry.Counter, depth *telemetry.Gauge, lanes ...*topology.Context) memberWriter {
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	return &Writer{acc: a, out: out, chunk: chunk}
+	return memberWriter{acc: a, out: out, chunk: chunk, stats: stats, count: count, depth: depth, lanes: lanes}
 }
 
-// Write buffers p and submits full chunks to the engine. Per the
-// io.Writer contract it reports how many bytes of p were actually
-// accepted: on a submission failure the count excludes the bytes of p
-// that rode the failed chunk, even though earlier chunks were emitted.
-func (w *Writer) Write(p []byte) (int, error) {
+// Write compresses the whole chunks it completes — a Writer's one at a
+// time, a ParallelWriter's once there is one for every worker, side by
+// side — and writes their members to the sink before it returns: pending
+// bytes topped up to whole chunks, then the whole chunks after them where
+// they lie in p (members fall on multiples of the chunk size however the
+// Writes were cut, so the bytes need not move). Anything shorter is
+// buffered, so small Writes fill every worker too. Per the io.Writer
+// contract it reports how many bytes of p were actually accepted: a
+// failure of the device or the sink is returned by the Write that cut the
+// failing member, and the count excludes the bytes of p that rode it and
+// anything after, even though earlier members were emitted.
+func (w *memberWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	if w.closed {
 		return 0, ErrWriterClosed
 	}
-	// Bytes already buffered from previous calls; chunks drain these
-	// oldest-first, so they tell us how much of a failed chunk came from
-	// earlier Writes rather than from p.
-	carried := w.buf.Len()
-	accepted := 0
-	for {
-		need := w.chunk - w.buf.Len()
-		take := len(p) - accepted
-		if take > need {
-			take = need
+	carried := len(w.pending)
+	if carried+len(p) < len(w.lanes)*w.chunk {
+		w.pending = append(w.pending, p...)
+		return len(p), nil
+	}
+	take := (w.chunk - carried%w.chunk) % w.chunk
+	w.pending = append(w.pending, p[:take]...)
+	rest := p[take:]
+	if emitted, err := w.run((len(w.pending)+len(rest))/w.chunk, rest); err != nil {
+		// Members drain pending first: the bytes carried in are not p's.
+		return max(0, emitted*w.chunk-carried), err
+	}
+	w.pending = append(w.pending[:0], rest[len(rest)/w.chunk*w.chunk:]...)
+	return len(p), nil
+}
+
+// run emits the first n chunks of pending followed by rest as one wave,
+// and returns how many reached the sink before the first failure.
+func (w *memberWriter) run(n int, rest []byte) (emitted int, _ error) {
+	// waiting is the jobs cut and not yet emitted, which is what the
+	// reorder depth reads while the wave runs; a failed wave leaves some.
+	waiting := 0
+	reorder := func(d int) {
+		if waiting += d; w.depth != nil {
+			w.depth.Add(int64(d))
 		}
-		w.buf.Write(p[accepted : accepted+take])
-		accepted += take
-		if w.buf.Len() < w.chunk {
-			return accepted, nil
-		}
-		if err := w.submit(w.buf.Next(w.chunk)); err != nil {
-			// The failed chunk held min(carried, chunk) old bytes; the
-			// rest were p's — those were consumed but not emitted, so
-			// they don't count as accepted.
-			fromOld := carried
-			if fromOld > w.chunk {
-				fromOld = w.chunk
+	}
+	emitted, w.err = w.jobs.run(n, len(w.lanes),
+		func(j *memberJob, i int) {
+			src, at := w.pending, i*w.chunk
+			if at >= len(src) {
+				src, at = rest, at-len(src)
 			}
-			return accepted - (w.chunk - fromOld), err
-		}
-		carried -= w.chunk
-		if carried < 0 {
-			carried = 0
-		}
-	}
+			j.src = src[at:min(at+w.chunk, len(src))]
+			reorder(1)
+		},
+		func(lane int, j *memberJob) (err error) {
+			j.gz, err = w.acc.compressMember(w.lanes[lane], j.gz, j.src, &j.m)
+			return err
+		},
+		func(j *memberJob) error {
+			reorder(-1)
+			w.stats.add(&j.m)
+			w.count.Inc()
+			_, err := w.out.Write(j.gz)
+			return err
+		})
+	reorder(-waiting)
+	return emitted, w.err
 }
 
-func (w *Writer) submit(chunk []byte) error {
-	var m Metrics
-	gz, err := w.acc.compressMember(w.acc.nctx, w.member, chunk, &m)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	w.member = gz
-	w.Stats.add(&m)
-	w.acc.met.writerMembers.Inc()
-	if _, err := w.out.Write(gz); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// Close flushes the remaining buffered data as a final member. A Writer
+// Close compresses the remaining buffered data — whole chunks and the short
+// one that ends the stream — and writes its members to the sink. A writer
 // that received no data still emits one empty member so the output is a
-// valid gzip stream. Close is idempotent: repeated calls return nil.
-// Only a real submission or sink failure makes Close (and subsequent
-// Writes) return an error.
-func (w *Writer) Close() error {
-	if w.err != nil {
+// valid gzip stream. Close is idempotent: repeated calls return nil. Only
+// a real submission or sink failure makes Close (and subsequent Writes)
+// return an error.
+func (w *memberWriter) Close() error {
+	if w.err != nil || w.closed {
 		return w.err
 	}
-	if w.closed {
-		return nil
+	n := (len(w.pending) + w.chunk - 1) / w.chunk
+	if n == 0 && w.stats.InBytes == 0 {
+		n = 1
 	}
-	if w.buf.Len() > 0 || w.Stats.InBytes == 0 {
-		if err := w.submit(w.buf.Next(w.buf.Len())); err != nil {
-			return err
-		}
+	if _, err := w.run(n, nil); err != nil {
+		return err
 	}
-	if w.Stats.InBytes > 0 && w.Stats.OutBytes > 0 {
-		w.Stats.Ratio = float64(w.Stats.InBytes) / float64(w.Stats.OutBytes)
+	if w.stats.InBytes > 0 && w.stats.OutBytes > 0 {
+		w.stats.Ratio = float64(w.stats.InBytes) / float64(w.stats.OutBytes)
 	}
 	w.closed = true
 	return nil
@@ -160,7 +196,8 @@ func (w *Writer) Close() error {
 type Reader struct {
 	acc   *Accelerator
 	src   io.Reader
-	plain *bytes.Reader
+	plain *bytes.Reader // the decoded stream, once the first Read has primed it
+	err   error         // why it could not: every Read's answer from then on
 	// MaxOutput bounds the total decompressed size (0 = 1 GiB).
 	MaxOutput int
 	// Workers sets the number of concurrent member decodes (0 or 1 =
@@ -196,8 +233,9 @@ func errExceeds(limit int) error {
 
 // memberSpan is one member located by its length hint.
 type memberSpan struct {
-	off, n        int // encoded byte range within the stream
-	out, plainLen int // where its plaintext goes, and how much its trailer claims
+	off, n        int     // encoded byte range within the stream
+	out, plainLen int     // where its plaintext goes, and how much its trailer claims
+	m             Metrics // what decoding it there cost
 }
 
 // prime decodes the stream: the members its length hints locate, side by
@@ -212,9 +250,6 @@ type memberSpan struct {
 // refusal: a stream claiming more than the limit is turned away before
 // any device work.
 func (r *Reader) prime() error {
-	if r.plain != nil {
-		return nil
-	}
 	comp, err := readAll(r.src)
 	if err != nil {
 		return err
@@ -258,45 +293,39 @@ func (r *Reader) prime() error {
 }
 
 // decodeSpans inflates the located members into their windows of out on
-// max(1, Workers) workers, each through its own VAS window — the host-side
+// max(1, Workers) lanes, each through its own VAS window — the host-side
 // analogue of the paper's many-requests-in-flight decompression — and
 // reports whether every member was what its hint and trailer claimed.
+// Nothing of a stream that surprised is accounted: the serial loop will.
 func (r *Reader) decodeSpans(comp []byte, spans []memberSpan, out []byte) bool {
-	var (
-		wg        sync.WaitGroup
-		next      atomic.Int64
-		surprised atomic.Bool
-		ms        = make([]Metrics, len(spans))
-	)
-	for wk := min(max(r.Workers, 1), len(spans)); wk > 0; wk-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nctx := r.acc.node.OpenContext(r.acc.nctx.PID())
-			defer nctx.Close()
-			for !surprised.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				// The window is fenced where the member's plaintext should
-				// end; a budget of one byte more lets a longer one show.
-				sp := spans[i]
-				plain, consumed, err := r.acc.decompressMember(nctx, out[sp.out:sp.out:sp.out+sp.plainLen],
-					comp[sp.off:sp.off+sp.n], sp.plainLen+1, &ms[i])
-				if err != nil || consumed != sp.n || len(plain) != sp.plainLen {
-					surprised.Store(true)
-				}
-			}
-		}()
+	lanes := make([]*topology.Context, min(max(r.Workers, 1), len(spans)))
+	for i := range lanes {
+		lanes[i] = r.acc.node.OpenContext(r.acc.nctx.PID())
+		defer lanes[i].Close()
 	}
-	wg.Wait()
-	if surprised.Load() {
+	var jobs wave[memberSpan]
+	var sum Metrics
+	decoded, _ := jobs.run(len(spans), len(lanes),
+		func(j *memberSpan, i int) { *j = spans[i] },
+		func(lane int, j *memberSpan) error {
+			// The window is fenced where the member's plaintext should
+			// end; a budget of one byte more lets a longer one show.
+			plain, consumed, err := r.acc.decompressMember(lanes[lane], out[j.out:j.out:j.out+j.plainLen],
+				comp[j.off:j.off+j.n], j.plainLen+1, &j.m)
+			if err == nil && (consumed != j.n || len(plain) != j.plainLen) {
+				err = deflate.ErrBadLength // of the member or of its plaintext: not what was claimed
+			}
+			return err
+		},
+		func(j *memberSpan) error {
+			sum.add(&j.m)
+			return nil
+		})
+	if decoded < len(spans) {
 		return false
 	}
-	for i := range ms {
-		r.addMetrics(&ms[i])
-	}
+	r.Stats.add(&sum)
+	r.acc.met.readerMembers.Add(int64(decoded))
 	return true
 }
 
@@ -307,8 +336,11 @@ func (r *Reader) addMetrics(m *Metrics) {
 
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {
-	if err := r.prime(); err != nil {
-		return 0, err
+	if r.plain == nil && r.err == nil {
+		r.err = r.prime()
+	}
+	if r.err != nil {
+		return 0, r.err
 	}
 	return r.plain.Read(p)
 }

@@ -3,7 +3,6 @@ package nxzip
 import (
 	"encoding/binary"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"nxzip/internal/checksum"
@@ -37,8 +36,7 @@ type StreamWriter struct {
 	// (fewer than chunk between calls) that are in none yet.
 	lead    []byte
 	pending int
-	jobs    []swJob        // at most 2 x engines - 1, kept from one wave to the next
-	helpers sync.WaitGroup // a wave's goroutines
+	jobs    wave[segmentJob]
 	crc     checksum.CRC32
 	isize   uint32
 	err     error
@@ -49,16 +47,14 @@ type StreamWriter struct {
 	Stats Metrics
 }
 
-// swJob is one segment on its way through the device.
-type swJob struct {
-	src, window []byte        // the segment; the stream before it, up to lz77.WindowSize
-	final       bool          // the stream ends with it
-	stitch      []byte        // backs a window that opens in lead and ends in the caller's p
-	pin         *nx.Context   // the stream's pin as the segment found it, then as it left it
-	body        []byte        // the encoded segment, in a buffer the job's next use appends over
-	m           Metrics       // its accounting
-	err         error         // and why there is none
-	done        chan struct{} // body, m and err are set
+// segmentJob is one segment on its way through the device.
+type segmentJob struct {
+	src, window []byte      // the segment; the stream before it, up to lz77.WindowSize
+	final       bool        // the stream ends with it
+	stitch      []byte      // backs a window that opens in lead and ends in the caller's p
+	pin         *nx.Context // the stream's pin as the segment found it, then as it left it
+	body        []byte      // the encoded segment, in a buffer the job's next use appends over
+	m           Metrics     // its accounting
 }
 
 // NewStreamWriter returns a single-member streaming writer with the
@@ -131,7 +127,8 @@ func tail(b []byte, n int) []byte { return b[len(b)-min(max(n, 0), len(b)):] }
 // cut makes j segment i of a wave — the pending bytes at lead's end, then
 // the whole chunks of rest — with the window before it: bytes where they
 // lie, in lead or in rest, unless the window spans both.
-func (w *StreamWriter) cut(j *swJob, rest []byte, i int) {
+func (w *StreamWriter) cut(j *segmentJob, rest []byte, i int, final bool) {
+	j.final = final
 	if i == 0 {
 		at := len(w.lead) - w.pending
 		j.window, j.src = w.lead[:at], w.lead[at:]
@@ -151,8 +148,7 @@ func (w *StreamWriter) cut(j *swJob, rest []byte, i int) {
 // wave runs the segments cut makes of lead and rest through the pinned
 // device, as many at once as it has engines, and emits them — body, CRC,
 // ISIZE, Stats — in stream order on the caller's goroutine. It returns how
-// many before the first failure, once every goroutine it started has exited;
-// with one engine, or one segment, it starts none and runs each itself.
+// many before the first failure.
 func (w *StreamWriter) wave(rest []byte, final bool) (emitted int, _ error) {
 	if !w.started {
 		if _, w.err = w.out.Write(gzipStreamHeader); w.err != nil {
@@ -160,57 +156,19 @@ func (w *StreamWriter) wave(rest []byte, final bool) (emitted int, _ error) {
 		}
 		w.started = true
 	}
-	n := 1 + len(rest)/w.chunk
-	engines := min(w.ctx.Load().Device().EngineCount(), n)
-	// Every engine busy and the segments that finished early waiting
-	// behind the oldest; a job is free again once its segment is emitted.
-	depth := 2*engines - 1
-	if len(w.jobs) < depth {
-		w.jobs = make([]swJob, depth)
-		for i := range w.jobs {
-			w.jobs[i].done = make(chan struct{}, 1)
-		}
-	}
-	var work chan *swJob
-	if engines > 1 {
-		work = make(chan *swJob, engines-1)
-		w.helpers.Add(engines)
-		for i := 0; i < engines; i++ {
-			go func() {
-				defer w.helpers.Done()
-				for j := range work {
-					w.run(j)
-				}
-			}()
-		}
-	}
-	for next := 0; emitted < n; emitted++ {
-		for ; next < n && next-emitted < depth; next++ {
-			j := &w.jobs[next%depth]
-			j.final = final
-			w.cut(j, rest, next)
-			if work != nil {
-				work <- j
-			} else {
-				w.run(j)
+	emitted, w.err = w.jobs.run(1+len(rest)/w.chunk, w.ctx.Load().Device().EngineCount(),
+		func(j *segmentJob, i int) { w.cut(j, rest, i, final) },
+		w.run,
+		func(j *segmentJob) error {
+			if _, err := w.out.Write(j.body); err != nil {
+				return err
 			}
-		}
-		j := &w.jobs[emitted%depth]
-		if <-j.done; j.err == nil {
-			_, j.err = w.out.Write(j.body)
-		}
-		if w.err = j.err; w.err != nil {
-			break
-		}
-		w.crc.Update(j.src)
-		w.isize += uint32(len(j.src))
-		w.Stats.add(&j.m)
-		w.acc.met.streamSegments.Inc()
-	}
-	if work != nil {
-		close(work) // a failed wave's helpers still run what they were handed
-		w.helpers.Wait()
-	}
+			w.crc.Update(j.src)
+			w.isize += uint32(len(j.src))
+			w.Stats.add(&j.m)
+			w.acc.met.streamSegments.Inc()
+			return nil
+		})
 	return emitted, w.err
 }
 
@@ -221,13 +179,13 @@ func (w *StreamWriter) wave(rest []byte, final bool) (emitted int, _ error) {
 // software segment encoder takes over. Segments in flight each work on a
 // copy of the pin, and one that migrated moves the stream's only if that
 // is still where it started from: the first to leave a device wins.
-func (w *StreamWriter) run(j *swJob) {
+func (w *StreamWriter) run(_ int, j *segmentJob) (err error) {
 	from := w.ctx.Load()
 	j.pin = from
-	j.body, j.err = w.acc.do(w.acc.nctx, &j.pin, op{kind: opSegment, name: "stream-compress", format: FormatRaw,
+	j.body, err = w.acc.do(w.acc.nctx, &j.pin, op{kind: opSegment, name: "stream-compress", format: FormatRaw,
 		src: j.src, dst: j.body[:0], history: j.window, notFinal: !j.final}, &j.m)
 	w.ctx.CompareAndSwap(from, j.pin)
-	j.done <- struct{}{}
+	return err
 }
 
 // Close submits the final segment and writes the gzip trailer.

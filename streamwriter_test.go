@@ -283,8 +283,8 @@ func TestStreamWriterPartialWriteAccounting(t *testing.T) {
 
 // hookSink records what reaches it. It runs hook as its n-th Write arrives
 // — the gzip header is the first — on the caller's goroutine, so mid-wave:
-// later segments are in flight behind the body being written. It accepts
-// limit Writes (0: all of them) and answers err from then on.
+// later segments are in flight behind the body being written. With err
+// set it accepts limit Writes and answers err from then on.
 type hookSink struct {
 	buf    bytes.Buffer
 	writes int
@@ -294,7 +294,7 @@ type hookSink struct {
 }
 
 func (s *hookSink) Write(p []byte) (int, error) {
-	if s.limit > 0 && s.writes >= s.limit {
+	if s.err != nil && s.writes >= s.limit {
 		return 0, s.err
 	}
 	s.writes++
@@ -459,66 +459,107 @@ func TestStreamWriterFailoverInFlight(t *testing.T) {
 	})
 }
 
+// waveWriter is one of the three stream writers as the failure rows drive
+// it: lanes is what bounds its pieces in flight (the device's engines under
+// a StreamWriter, the workers of a ParallelWriter, one for a Writer), header
+// how many sink Writes come before the first piece, and closeWindows takes
+// the windows its pieces are pasted through away mid-stream.
+type waveWriter struct {
+	name         string
+	lanes        int
+	header       int
+	open         func(acc *Accelerator, out io.Writer) io.WriteCloser
+	closeWindows func(acc *Accelerator, w io.WriteCloser)
+}
+
+func waveWriters() []waveWriter {
+	view := func(acc *Accelerator, _ io.WriteCloser) { acc.Close() }
+	writers := []waveWriter{{name: "Writer", lanes: 1, closeWindows: view,
+		open: func(acc *Accelerator, out io.Writer) io.WriteCloser { return acc.NewWriterChunk(out, 8) }}}
+	for _, lanes := range []int{1, 2, 4} {
+		writers = append(writers,
+			waveWriter{name: fmt.Sprintf("StreamWriter/engines=%d", lanes), lanes: lanes, header: 1, closeWindows: view,
+				open: func(acc *Accelerator, out io.Writer) io.WriteCloser { return acc.NewStreamWriterChunk(out, 8) }},
+			waveWriter{name: fmt.Sprintf("ParallelWriter/workers=%d", lanes), lanes: lanes,
+				open: func(acc *Accelerator, out io.Writer) io.WriteCloser {
+					return acc.NewParallelWriterChunk(out, 8, lanes)
+				},
+				// The workers' windows are the writer's own, not the view's.
+				closeWindows: func(_ *Accelerator, w io.WriteCloser) {
+					for _, nctx := range w.(*ParallelWriter).lanes {
+						nctx.Close()
+					}
+				}})
+	}
+	return writers
+}
+
 // TestStreamWriterPartialWriteWaves extends the partial-write contract to
-// a Write that holds a wave: wherever the wave fails, Write has accepted
-// the bytes of p in the segments emitted before the failure — not the
-// carried bytes that opened the first — nothing of a later segment has
-// reached the sink, the writer is dead, and no goroutine is left.
+// a Write that holds a wave, for all three writers: wherever the wave
+// fails, Write has accepted the bytes of p in the pieces — segments or
+// members — emitted before the failure, not the carried bytes that opened
+// the first; nothing of a later piece has reached the sink; the writer is
+// dead, every later call answering the same error; and no goroutine is
+// left when the Write returns.
 func TestStreamWriterPartialWriteWaves(t *testing.T) {
-	const chunk, segments = 8, 12 // more than four engines have in flight
-	src := corpus.Generate(corpus.Text, segments*chunk+3, 17)
+	const chunk, pieces = 8, 12 // more than four lanes have in flight
+	src := corpus.Generate(corpus.Text, pieces*chunk+3, 17)
 	sinkErr := errors.New("sink wedged")
-	var good bytes.Buffer
-	w := openEngines(t, 1).NewStreamWriterChunk(&good, chunk)
-	w.Write(src)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// run writes src[:carried], then the rest in the Write under test.
-	run := func(t *testing.T, acc *Accelerator, sink *hookSink, carried int) (int, error) {
-		t.Helper()
-		w := acc.NewStreamWriterChunk(sink, chunk)
-		if n, err := w.Write(src[:carried]); n != carried || err != nil {
-			t.Fatalf("buffering write: n=%d err=%v", n, err)
+	for _, ww := range waveWriters() {
+		var good bytes.Buffer
+		w := ww.open(openEngines(t, 1), &good)
+		w.Write(src)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
-		base := runtime.NumGoroutine()
-		n, err := w.Write(src[carried:])
-		settleGoroutines(t, base, "after the failed Write")
-		if _, again := w.Write([]byte("more")); again == nil || w.Close() == nil {
-			t.Fatal("the writer outlived its failure")
+		// run writes src[:carried], then the rest in the Write under test;
+		// closeAt, if not zero, is the body whose arrival closes the windows.
+		run := func(t *testing.T, sink *hookSink, carried, closeAt int) (int, error) {
+			t.Helper()
+			acc := openEngines(t, ww.lanes)
+			w := ww.open(acc, sink)
+			sink.hook = func(n int) {
+				if closeAt > 0 && n == ww.header+closeAt {
+					ww.closeWindows(acc, w)
+				}
+			}
+			if n, err := w.Write(src[:carried]); n != carried || err != nil {
+				t.Fatalf("buffering write: n=%d err=%v", n, err)
+			}
+			base := runtime.NumGoroutine()
+			n, err := w.Write(src[carried:])
+			settleGoroutines(t, base, "after the failed Write")
+			if _, again := w.Write([]byte("more")); again != err {
+				t.Fatalf("the Write after the failure: %v, the failure was %v", again, err)
+			}
+			if again := w.Close(); again != err || err == nil {
+				t.Fatalf("Close after the failure: %v, the failure was %v", again, err)
+			}
+			settleGoroutines(t, base, "after Close")
+			bodies := sink.writes - ww.header
+			if want := max(0, bodies*chunk-carried); n != want {
+				t.Fatalf("Write accepted %d bytes with %d pieces emitted and %d bytes carried in, want %d", n, bodies, carried, want)
+			}
+			if !bytes.HasPrefix(good.Bytes(), sink.buf.Bytes()) {
+				t.Fatalf("the sink holds something other than the first %d pieces", bodies)
+			}
+			return bodies, err
 		}
-		bodies := sink.writes - 1
-		if want := max(0, bodies*chunk-carried); n != want {
-			t.Fatalf("Write accepted %d bytes with %d segments emitted and %d bytes carried in, want %d", n, bodies, carried, want)
-		}
-		if !bytes.HasPrefix(good.Bytes(), sink.buf.Bytes()) {
-			t.Fatalf("the sink holds something other than the first %d segments", bodies)
-		}
-		return bodies, err
-	}
-	for _, engines := range []int{1, 2, 4} {
 		for _, carried := range []int{0, 5} {
-			for k := 0; k < segments; k++ {
-				t.Run(fmt.Sprintf("engines=%d/carried=%d/sink dies at body %d", engines, carried, k+1), func(t *testing.T) {
-					sink := &hookSink{limit: 1 + k, err: sinkErr}
-					bodies, err := run(t, openEngines(t, engines), sink, carried)
+			for k := 0; k < pieces; k++ {
+				t.Run(fmt.Sprintf("%s/carried=%d/sink dies at body %d", ww.name, carried, k+1), func(t *testing.T) {
+					bodies, err := run(t, &hookSink{limit: ww.header + k, err: sinkErr}, carried, 0)
 					if !errors.Is(err, sinkErr) || bodies != k {
 						t.Fatalf("err = %v after %d bodies, want the sink's after %d", err, bodies, k)
 					}
 				})
 			}
-			// The device goes: the view's send windows close as body k is
-			// written. Segments already pasted complete, the next is refused.
+			// The device goes: the windows close as body k is written.
+			// Pieces already pasted complete, the next is refused.
 			for _, k := range []int{1, 2} {
-				t.Run(fmt.Sprintf("engines=%d/carried=%d/device error after body %d", engines, carried, k), func(t *testing.T) {
-					acc := openEngines(t, engines)
-					sink := &hookSink{hook: func(n int) {
-						if n == 1+k {
-							acc.Close()
-						}
-					}}
-					bodies, err := run(t, acc, sink, carried)
-					if !errors.Is(err, vas.ErrWindowClosed) || bodies < k || bodies >= segments {
+				t.Run(fmt.Sprintf("%s/carried=%d/device error after body %d", ww.name, carried, k), func(t *testing.T) {
+					bodies, err := run(t, &hookSink{}, carried, k)
+					if !errors.Is(err, vas.ErrWindowClosed) || bodies < k || bodies >= pieces {
 						t.Fatalf("err = %v after %d bodies, want a closed window after %d or a few more", err, bodies, k)
 					}
 				})
