@@ -208,8 +208,8 @@ func (h *Histogram) snapshot(name, label string) HistogramSnapshot {
 // concurrent use and returns a stable pointer for the label, so hot paths
 // resolve once and then pay only the instrument's own update.
 type vec[T any] struct {
-	m   sync.Map  // label -> *T
-	new func() *T // what With makes of a label it has not seen
+	m     sync.Map  // label -> *T
+	fresh func() *T // what With makes of a label it has not seen
 }
 
 // CounterVec is a labeled family of counters (per-engine, per-context,
@@ -226,7 +226,7 @@ func (v *vec[T]) With(label string) *T {
 	if x, ok := v.m.Load(label); ok {
 		return x.(*T)
 	}
-	x, _ := v.m.LoadOrStore(label, v.new())
+	x, _ := v.m.LoadOrStore(label, v.fresh())
 	return x.(*T)
 }
 
@@ -289,7 +289,7 @@ func family[T any](r *Registry, m map[string]*vec[T], name string, mk func() *T)
 	defer r.mu.Unlock()
 	v, ok := m[name]
 	if !ok {
-		v = &vec[T]{new: mk}
+		v = &vec[T]{fresh: mk}
 		m[name] = v
 	}
 	return v

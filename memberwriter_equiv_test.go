@@ -376,8 +376,6 @@ func checkMemberWritersEqualReference(t *testing.T, tw memberWriterTwins, worker
 	}
 }
 
-func (s *memberSink) bytes() []byte { return bytes.Join(s.members, nil) }
-
 func TestMemberWritersEqualReference(t *testing.T) {
 	input := streamWriterInput(1 << 20)
 	views, chunks := len(memberWriterViews), memberWriterChunks

@@ -189,6 +189,8 @@ func (s *memberSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+func (s *memberSink) bytes() []byte { return bytes.Join(s.members, nil) }
+
 // readerStream is a stream as the list of its members (a foreign stream
 // whose boundaries the table does not need is one entry).
 type readerStream struct {

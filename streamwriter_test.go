@@ -478,7 +478,8 @@ func waveWriters() []waveWriter {
 		open: func(acc *Accelerator, out io.Writer) io.WriteCloser { return acc.NewWriterChunk(out, 8) }}}
 	for _, lanes := range []int{1, 2, 4} {
 		writers = append(writers,
-			waveWriter{name: fmt.Sprintf("StreamWriter/engines=%d", lanes), lanes: lanes, header: 1, closeWindows: view,
+			// A StreamWriter, under the name its rows had before the others'.
+			waveWriter{name: fmt.Sprintf("engines=%d", lanes), lanes: lanes, header: 1, closeWindows: view,
 				open: func(acc *Accelerator, out io.Writer) io.WriteCloser { return acc.NewStreamWriterChunk(out, 8) }},
 			waveWriter{name: fmt.Sprintf("ParallelWriter/workers=%d", lanes), lanes: lanes,
 				open: func(acc *Accelerator, out io.Writer) io.WriteCloser {
