@@ -157,10 +157,16 @@ bench-json:
 ## TestMemberWritersEqualReference (equal members, equal Stats through one
 ## window; compress/gzip and Reader take the stream back) — ROADMAP item
 ## 4's "arbitrary chunk splits through Writer" clause; an execution is
-## three streams through the device model: -fuzzminimizetime 2s. Fifteen
-## targets in all. Finds panics/OOMs in the bounds-checked decode loops and
-## parser edge cases; go test -fuzz accepts one fuzz target per invocation,
-## hence one run each.
+## three streams through the device model: -fuzzminimizetime 2s. Sixteenth,
+## the one-shot decodes under any budget — gzip, zlib, raw, 842 and lz4 on
+## either accelerator, each run on a view of its own: whenever the output
+## fits, the bytes, the CRC and the device cycles are the exact-budget
+## run's, and when it does not the answer is target-space, never different
+## bytes (ROADMAP item 4's one-shot clause; seeded from the sizes and
+## budgets of internal/nx's TestTranslateFollowsOutput; an execution opens
+## three views: -fuzzminimizetime 2s). Sixteen targets in all. Finds
+## panics/OOMs in the bounds-checked decode loops and parser edge cases; go
+## test -fuzz accepts one fuzz target per invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -177,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReaderEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzStreamWriterEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzMemberWritersEqualReference -fuzztime 30s -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz FuzzBudgetDoesNotChangeTheAnswer -fuzztime 30s -fuzzminimizetime 2s .
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot

@@ -218,7 +218,7 @@ func A8ERATSize() *Table {
 		Title:  "ablation: ERAT entries vs translation cycles (32 requests, reused buffers)",
 		Header: []string{"erat entries", "total translate", "hit rate"},
 	}
-	const size = 256 << 10 // 4 source pages + 9 target pages
+	const size = 256 << 10 // 4 source pages + the 2 target pages the output reaches, of a 9-page budget
 	src := corpus.Generate(corpus.Text, size, Seed)
 	for _, entries := range []int{2, 8, 32, 128} {
 		cfg := nx.P9Device()
@@ -250,7 +250,7 @@ func A8ERATSize() *Table {
 			fmt.Sprintf("%d", total),
 			fmt.Sprintf("%.0f%%", hitRate))
 	}
-	t.Note("13 pages in flight: an ERAT below the working set walks every page of every request")
+	t.Note("6 pages in flight (4 read, 2 written; the other 7 of the target budget are never touched): an ERAT below the working set walks every page of every request")
 	return t
 }
 

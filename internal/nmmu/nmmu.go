@@ -98,8 +98,7 @@ type MMU struct {
 
 	mu     sync.Mutex
 	spaces map[PID]*space
-	erat   map[eratKey]uint64 // (pid, vpn) -> pa
-	eratQ  []eratKey          // FIFO replacement order
+	erat   erat
 	nextPA uint64
 	stats  Stats
 	met    *metrics
@@ -111,9 +110,67 @@ type space struct {
 	pages map[uint64]*pageState // vpn -> state
 }
 
-type eratKey struct {
-	pid PID
+// erat is the translation cache: a ring of ERATEntries slots holding the
+// cached translations oldest first, so the set and its FIFO replacement
+// order are one structure — an entry that leaves the set leaves the order
+// with it. A lookup scans the slots; at a few dozen entries that is
+// cheaper than hashing a key, and it is what the silicon's CAM does.
+type erat struct {
+	slots []eratSlot
+	head  int // index of the oldest entry
+	n     int // entries held: slots[head], slots[head+1], ... wrapping
+}
+
+type eratSlot struct {
 	vpn uint64
+	pid PID
+	pa  uint64
+}
+
+// at maps an age (0 = oldest) to its slot index.
+func (e *erat) at(age int) int {
+	i := e.head + age
+	if i >= len(e.slots) {
+		i -= len(e.slots)
+	}
+	return i
+}
+
+// find returns the age of the entry for (pid, vpn), or -1.
+func (e *erat) find(pid PID, vpn uint64) int {
+	for age := 0; age < e.n; age++ {
+		if s := &e.slots[e.at(age)]; s.vpn == vpn && s.pid == pid {
+			return age
+		}
+	}
+	return -1
+}
+
+// insert caches a translation, replacing the oldest entry when full.
+func (e *erat) insert(pid PID, vpn, pa uint64) {
+	if len(e.slots) == 0 {
+		return
+	}
+	if e.n == len(e.slots) {
+		e.slots[e.head] = eratSlot{vpn, pid, pa}
+		e.head = e.at(1)
+		return
+	}
+	e.slots[e.at(e.n)] = eratSlot{vpn, pid, pa}
+	e.n++
+}
+
+// remove drops the entry for (pid, vpn), if cached, closing the gap so the
+// younger entries keep their order.
+func (e *erat) remove(pid PID, vpn uint64) {
+	age := e.find(pid, vpn)
+	if age < 0 {
+		return
+	}
+	for ; age < e.n-1; age++ {
+		e.slots[e.at(age)] = e.slots[e.at(age+1)]
+	}
+	e.n--
 }
 
 // New builds an MMU.
@@ -124,7 +181,7 @@ func New(cfg Config) *MMU {
 	return &MMU{
 		cfg:    cfg,
 		spaces: make(map[PID]*space),
-		erat:   make(map[eratKey]uint64),
+		erat:   erat{slots: make([]eratSlot, max(cfg.ERATEntries, 0))},
 	}
 }
 
@@ -223,7 +280,7 @@ func (m *MMU) Evict(pid PID, va uint64) {
 	if st, ok := sp.pages[vpn]; ok {
 		st.present = false
 	}
-	delete(m.erat, eratKey{pid, vpn})
+	m.erat.remove(pid, vpn)
 }
 
 // Translate resolves one virtual address, charging ERAT/walk cycles to the
@@ -232,58 +289,16 @@ func (m *MMU) Evict(pid PID, va uint64) {
 func (m *MMU) Translate(pid PID, va uint64) (pa uint64, cycles int64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	pa, cycles, _, err = m.translateLocked(pid, va)
-	return pa, cycles, err
-}
-
-func (m *MMU) translateLocked(pid PID, va uint64) (pa uint64, cycles int64, hit bool, err error) {
-	sp, ok := m.spaces[pid]
-	if !ok {
-		return 0, 0, false, ErrNoSpace
-	}
 	ps := uint64(m.cfg.PageSize)
-	vpn := va / ps
-	if m.inj.Load().Decide(faultinject.TransFault) {
-		// Injected fault: report the page not translatable even when it
-		// is resident. The OS touch-and-resubmit protocol runs exactly as
-		// for a real fault; the submit-side round cap bounds the storm.
-		m.stats.Faults++
-		m.stats.InjectedFaults++
-		if m.met != nil {
-			m.met.faults.Inc()
+	rs, pa, err := m.translatePages(pid, va/ps, va/ps)
+	if err != nil {
+		var f *Fault
+		if errors.As(err, &f) {
+			f.VA = va // the address asked for, not its page's
 		}
-		cycles = m.cfg.WalkCycles + m.cfg.FaultTripCycles
-		m.stats.Cycles += cycles
-		delete(m.erat, eratKey{pid, vpn})
-		return 0, cycles, false, &Fault{PID: pid, VA: va}
+		return 0, rs.Cycles, err
 	}
-	key := eratKey{pid, vpn}
-	if pa, ok := m.erat[key]; ok {
-		m.stats.Hits++
-		m.stats.Cycles += m.cfg.ERATHitCycles
-		if m.met != nil {
-			m.met.hits.Inc()
-		}
-		return pa + va%ps, m.cfg.ERATHitCycles, true, nil
-	}
-	m.stats.Misses++
-	if m.met != nil {
-		m.met.misses.Inc()
-	}
-	cycles = m.cfg.WalkCycles
-	st, ok := sp.pages[vpn]
-	if !ok || !st.present {
-		m.stats.Faults++
-		if m.met != nil {
-			m.met.faults.Inc()
-		}
-		cycles += m.cfg.FaultTripCycles
-		m.stats.Cycles += cycles
-		return 0, cycles, false, &Fault{PID: pid, VA: va}
-	}
-	m.insertERAT(key, st.pa)
-	m.stats.Cycles += cycles
-	return st.pa + va%ps, cycles, false, nil
+	return pa + va%ps, rs.Cycles, nil
 }
 
 // TranslateRange resolves every page in [va, va+length), returning the
@@ -304,32 +319,72 @@ func (m *MMU) TranslateRangeStats(pid PID, va uint64, length int) (rs RangeStats
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ps := uint64(m.cfg.PageSize)
-	for p := va / ps; p <= (va+uint64(length)-1)/ps; p++ {
-		_, c, hit, err := m.translateLocked(pid, p*ps)
-		rs.Cycles += c
-		if hit {
+	rs, _, err = m.translatePages(pid, va/ps, (va+uint64(length)-1)/ps)
+	return rs, err
+}
+
+// translatePages resolves the pages first..last of one space in order and
+// stops at the first that faults, reporting that page's address. One
+// injector draw per page, before its lookup, so a seed's fault sequence is
+// a function of the pages translated. pa is the last page's frame. The
+// space, the injector and the telemetry counters are resolved once for
+// the range. Called with m.mu held.
+func (m *MMU) translatePages(pid PID, first, last uint64) (rs RangeStats, pa uint64, err error) {
+	sp, ok := m.spaces[pid]
+	if !ok {
+		return rs, 0, ErrNoSpace
+	}
+	inj := m.inj.Load()
+	walked := int64(0) // ERAT misses; an injected fault is none, it never looked
+	faulted := false
+	vpn := first
+	for ; vpn <= last && !faulted; vpn++ {
+		if inj.Decide(faultinject.TransFault) {
+			// Injected fault: report the page not translatable even when it
+			// is resident. The OS touch-and-resubmit protocol runs exactly as
+			// for a real fault; the submit-side round cap bounds the storm.
+			m.stats.InjectedFaults++
+			m.erat.remove(pid, vpn)
+			rs.Misses++
+			faulted = true
+		} else if age := m.erat.find(pid, vpn); age >= 0 {
+			pa = m.erat.slots[m.erat.at(age)].pa
 			rs.Hits++
 		} else {
 			rs.Misses++
-		}
-		if err != nil {
-			return rs, err
+			walked++
+			if st, ok := sp.pages[vpn]; ok && st.present {
+				pa = st.pa
+				m.erat.insert(pid, vpn, pa)
+			} else {
+				faulted = true
+			}
 		}
 	}
-	return rs, nil
-}
-
-func (m *MMU) insertERAT(key eratKey, pa uint64) {
-	if len(m.erat) >= m.cfg.ERATEntries {
-		// FIFO eviction; shift in place so the queue reuses its backing
-		// array instead of advancing it and reallocating on every append.
-		old := m.eratQ[0]
-		copy(m.eratQ, m.eratQ[1:])
-		m.eratQ = m.eratQ[:len(m.eratQ)-1]
-		delete(m.erat, old)
+	rs.Cycles = rs.Hits*m.cfg.ERATHitCycles + rs.Misses*m.cfg.WalkCycles
+	m.stats.Hits += rs.Hits
+	m.stats.Misses += walked
+	if faulted {
+		rs.Cycles += m.cfg.FaultTripCycles
+		m.stats.Faults++
 	}
-	m.erat[key] = pa
-	m.eratQ = append(m.eratQ, key)
+	m.stats.Cycles += rs.Cycles
+	if met := m.met; met != nil {
+		// Each counter is a cache line of its own: touch the ones that move.
+		if rs.Hits > 0 {
+			met.hits.Add(rs.Hits)
+		}
+		if walked > 0 {
+			met.misses.Add(walked)
+		}
+		if faulted {
+			met.faults.Inc()
+		}
+	}
+	if faulted {
+		return rs, 0, &Fault{PID: pid, VA: (vpn - 1) * uint64(m.cfg.PageSize)}
+	}
+	return rs, pa, nil
 }
 
 // Unmap removes the translations for [va, va+length) and drops their
@@ -348,7 +403,7 @@ func (m *MMU) Unmap(pid PID, va uint64, length int) {
 	ps := uint64(m.cfg.PageSize)
 	for vpn := va / ps; vpn <= (va+uint64(length)-1)/ps; vpn++ {
 		delete(sp.pages, vpn)
-		delete(m.erat, eratKey{pid, vpn})
+		m.erat.remove(pid, vpn)
 	}
 }
 
@@ -369,8 +424,7 @@ func (m *MMU) MappedPages(pid PID) int {
 func (m *MMU) InvalidateERAT() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.erat = make(map[eratKey]uint64)
-	m.eratQ = nil
+	m.erat.head, m.erat.n = 0, 0
 }
 
 // Stats returns a snapshot of translation counters.

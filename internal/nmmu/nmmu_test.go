@@ -2,7 +2,10 @@ package nmmu
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
+
+	"nxzip/internal/faultinject"
 )
 
 func newTestMMU() *MMU {
@@ -185,5 +188,174 @@ func TestDistinctSpacesDistinctPAs(t *testing.T) {
 	}
 	if pa1 == pa2 {
 		t.Fatal("two spaces share a physical page")
+	}
+}
+
+// refERAT is the translation cache as a plain FIFO set: what the ring in
+// MMU.erat must behave as under any call sequence.
+type refERAT struct {
+	entries int
+	keys    [][2]uint64 // (pid, vpn), oldest first
+}
+
+func (r *refERAT) index(k [2]uint64) int {
+	for i, have := range r.keys {
+		if have == k {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refERAT) insert(k [2]uint64) {
+	if len(r.keys) == r.entries {
+		r.keys = r.keys[1:]
+	}
+	r.keys = append(r.keys, k)
+}
+
+func (r *refERAT) remove(k [2]uint64) {
+	if i := r.index(k); i >= 0 {
+		r.keys = append(r.keys[:i:i], r.keys[i+1:]...)
+	}
+}
+
+// TestERATNeverExceedsCapacity drives random Map/Touch/Evict/Unmap/
+// Translate/TranslateRange/InvalidateERAT calls, some under an injector
+// that faults every page, against refERAT and a map of present pages: each
+// translation's hits, misses, cycles and fault address are the
+// reference's, and the ring holds exactly the reference's entries — never
+// more than ERATEntries. The first steps are the sequence that used to
+// leave a ghost in the replacement queue: fill the cache, evict one page,
+// translate two new ones.
+func TestERATNeverExceedsCapacity(t *testing.T) {
+	const (
+		ps     = 4096
+		npages = 24 // per space; three times the cache at its largest
+	)
+	for _, entries := range []int{1, 4, 8} {
+		for seed := int64(1); seed <= 20; seed++ {
+			cfg := DefaultConfig()
+			cfg.PageSize, cfg.ERATEntries = ps, entries
+			m := New(cfg)
+			ref := refERAT{entries: entries}
+			present := map[[2]uint64]bool{} // mapped pages -> resident
+			for pid := PID(1); pid <= 2; pid++ {
+				m.CreateSpace(pid)
+			}
+			always := faultinject.New(seed, faultinject.Profile{TransFault: 1})
+			rng := rand.New(rand.NewSource(seed))
+
+			// translate predicts one range call and checks it.
+			translate := func(pid PID, vpn uint64, n int, injected bool) {
+				var want RangeStats
+				var wantFault *uint64
+				for p := vpn; p < vpn+uint64(n) && wantFault == nil; p++ {
+					k := [2]uint64{uint64(pid), p}
+					switch {
+					case injected:
+						ref.remove(k)
+						want.Misses++
+						wantFault = &p
+					case ref.index(k) >= 0:
+						want.Hits++
+					default:
+						want.Misses++
+						if present[k] {
+							ref.insert(k)
+						} else {
+							wantFault = &p
+						}
+					}
+				}
+				want.Cycles = want.Hits*cfg.ERATHitCycles + want.Misses*cfg.WalkCycles
+				if wantFault != nil {
+					want.Cycles += cfg.FaultTripCycles
+				}
+				if injected {
+					m.SetInjector(always)
+					defer m.SetInjector(nil)
+				}
+				got, err := m.TranslateRangeStats(pid, vpn*ps+uint64(rng.Intn(ps)), (n-1)*ps+1)
+				var f *Fault
+				if got != want || errors.As(err, &f) != (wantFault != nil) || (f != nil && f.VA != *wantFault*ps) {
+					t.Fatalf("entries=%d seed=%d: translate pid %d vpn %d+%d injected=%v: got %+v %v, want %+v fault %v",
+						entries, seed, pid, vpn, n, injected, got, err, want, wantFault)
+				}
+			}
+			step := func(op int) {
+				pid := PID(1 + rng.Intn(2))
+				vpn := uint64(rng.Intn(npages))
+				n := 1 + rng.Intn(4)
+				k := [2]uint64{uint64(pid), vpn}
+				switch op {
+				case 0, 1, 2, 3:
+					translate(pid, vpn, n, false)
+				case 4:
+					translate(pid, vpn, n, true)
+				case 5:
+					resident := rng.Intn(2) == 0
+					if err := m.Map(pid, vpn*ps, n*ps, resident); err != nil {
+						t.Fatal(err)
+					}
+					for p := vpn; p < vpn+uint64(n); p++ {
+						if _, mapped := present[[2]uint64{uint64(pid), p}]; !mapped || resident {
+							present[[2]uint64{uint64(pid), p}] = resident
+						}
+					}
+				case 6:
+					if _, mapped := present[k]; mapped {
+						if err := m.Touch(pid, vpn*ps); err != nil {
+							t.Fatal(err)
+						}
+						present[k] = true
+					}
+				case 7:
+					m.Evict(pid, vpn*ps+7)
+					if _, mapped := present[k]; mapped {
+						present[k] = false
+					}
+					ref.remove(k)
+				case 8:
+					m.Unmap(pid, vpn*ps, n*ps)
+					for p := vpn; p < vpn+uint64(n); p++ {
+						delete(present, [2]uint64{uint64(pid), p})
+						ref.remove([2]uint64{uint64(pid), p})
+					}
+				case 9:
+					if rng.Intn(8) == 0 {
+						m.InvalidateERAT()
+						ref.keys = nil
+					}
+				}
+				if m.erat.n > entries || m.erat.n != len(ref.keys) {
+					t.Fatalf("entries=%d seed=%d: ring holds %d, reference %d", entries, seed, m.erat.n, len(ref.keys))
+				}
+				for age, k := range ref.keys {
+					if s := m.erat.slots[m.erat.at(age)]; s.pid != PID(k[0]) || s.vpn != k[1] {
+						t.Fatalf("entries=%d seed=%d: age %d is (%d,%d), reference (%d,%d)", entries, seed, age, s.pid, s.vpn, k[0], k[1])
+					}
+				}
+			}
+
+			// The ghost: a full cache, one page stolen, two new pages in.
+			if err := m.Map(1, 0, (entries+2)*ps, true); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < entries+2; p++ {
+				present[[2]uint64{1, uint64(p)}] = true
+			}
+			translate(1, 0, entries, false)
+			m.Evict(1, 0)
+			present[[2]uint64{1, 0}] = false
+			ref.remove([2]uint64{1, 0})
+			translate(1, uint64(entries), 2, false)
+			if m.erat.n != entries {
+				t.Fatalf("entries=%d: %d cached after fill, evict, two inserts", entries, m.erat.n)
+			}
+			for i := 0; i < 2000; i++ {
+				step(rng.Intn(10))
+			}
+		}
 	}
 }

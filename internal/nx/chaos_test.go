@@ -1,10 +1,12 @@
 package nx
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
+	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 )
 
@@ -256,5 +258,64 @@ func TestResumeRequestsExemptFromInjectedCC(t *testing.T) {
 	}
 	if string(csb.Output) != string(plain) {
 		t.Fatalf("resume output mismatch: %q", csb.Output)
+	}
+}
+
+// TestResumeStepHeldAcrossTargetFault: a resume request advances its
+// session before the engine knows how far the output reaches, so a fault on
+// a reached target page arrives with the step already taken. The step is
+// held in the state and the restart delivers it — through the engine again,
+// or through SoftFeed when the fault rounds ran out — never a second feed.
+func TestResumeStepHeldAcrossTargetFault(t *testing.T) {
+	plain := corpus.Generate(corpus.Text, 192<<10, 61)
+	cctx := NewDevice(P9Device()).OpenContext(1)
+	raw, _, err := cctx.Compress(plain, FCCompressDHT, WrapRaw, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 32 << 10 // compressed; two pages of plaintext a step
+	for _, rounds := range []int{0, 2} {
+		cfg := P9Device()
+		cfg.Submit.MaxFaultRounds = rounds // 0: the default, enough for every page
+		dev := NewDevice(cfg)
+		ctx := dev.OpenContext(1)
+		st := NewDecompState(0)
+		var got []byte
+		faults, storms := 0, 0
+		for off := 0; off < len(raw); off += chunk {
+			in := raw[off:min(off+chunk, len(raw))]
+			final := off+chunk >= len(raw)
+			// A demand-paged target per step: its first page faults before
+			// the operation, every later one it reaches after.
+			dstVA, err := ctx.MapBuffer(1<<20, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			csb, rep, err := ctx.Submit(&CRB{Func: FCDecompress, Wrap: WrapRaw, Input: in,
+				DecompState: st, NotFinal: !final, TargetVA: dstVA, TargetCap: 1 << 20})
+			switch {
+			case errors.Is(err, ErrFaultStorm):
+				storms++
+				out, err := st.SoftFeed(in, final)
+				if err != nil {
+					t.Fatalf("rounds=%d offset %d: software path after the storm: %v", rounds, off, err)
+				}
+				got = append(got, out...)
+			case err != nil || csb.CC != CCSuccess:
+				t.Fatalf("rounds=%d offset %d: %v %v %s", rounds, off, err, csb.CC, csb.Detail)
+			default:
+				faults += rep.Retries
+				got = append(got, csb.Output...)
+			}
+		}
+		if !bytes.Equal(got, plain) || st.Produced() != int64(len(plain)) || !st.Done() {
+			t.Fatalf("rounds=%d: %d bytes decoded (%d counted, done=%v), want %d", rounds, len(got), st.Produced(), st.Done(), len(plain))
+		}
+		if rounds == 0 && faults < 2*(len(raw)/chunk) {
+			t.Fatalf("%d fault rounds: no step faulted past its first target page", faults)
+		}
+		if rounds != 0 && storms == 0 {
+			t.Fatal("no step ran out of fault rounds")
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package nx
 
-import (
-	"fmt"
-
-	"nxzip/internal/nmmu"
-)
+import "fmt"
 
 // DDE is a Data Descriptor Element: how a CRB names a memory operand.
 // A direct DDE describes one contiguous virtual range; an indirect DDE
@@ -53,30 +49,6 @@ func (d DDE) flatten() ([]DDE, error) {
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// translateDDE walks every page of every extent, accumulating translation
-// cycles and the ERAT hit/miss split, and returns the first fault
-// encountered.
-func translateDDE(mmu *nmmu.MMU, pid nmmu.PID, d DDE) (nmmu.RangeStats, error) {
-	extents, err := d.flatten()
-	if err != nil {
-		return nmmu.RangeStats{}, err
-	}
-	var rs nmmu.RangeStats
-	for _, e := range extents {
-		if e.VA == 0 || e.Len == 0 {
-			continue
-		}
-		s, err := mmu.TranslateRangeStats(pid, e.VA, e.Len)
-		rs.Cycles += s.Cycles
-		rs.Hits += s.Hits
-		rs.Misses += s.Misses
-		if err != nil {
-			return rs, err
-		}
-	}
-	return rs, nil
 }
 
 // GatherDDE assembles the logical source buffer for a scatter/gather

@@ -13,6 +13,13 @@ type DecompState struct {
 	session *deflate.Session
 	// produced counts total plaintext emitted across requests.
 	produced int64
+	// held is a step the session has taken and the engine could not
+	// deliver: a target page it reached faulted, so the attempt completed
+	// as that fault with its output discarded. The session cannot step
+	// back; the restart — the same CRB again, or the software path fed the
+	// same input — delivers the held step instead of feeding twice.
+	held    []byte
+	holding bool
 }
 
 // NewDecompState creates resume state for a raw DEFLATE stream bounded by
@@ -41,38 +48,61 @@ func (d *DecompState) Tail() []byte { return d.session.Tail() }
 // is this object either way. This is the degraded path the failover
 // layer uses when no healthy device remains.
 func (d *DecompState) SoftFeed(input []byte, final bool) ([]byte, error) {
-	out, err := d.session.Feed(input, final)
-	if err != nil {
-		return nil, err
+	out, held := d.takeHeld()
+	if !held {
+		var err error
+		if out, err = d.session.Feed(input, final); err != nil {
+			return nil, err
+		}
 	}
 	d.produced += int64(len(out))
 	return out, nil
 }
 
+// takeHeld hands over the undelivered step, if there is one.
+func (d *DecompState) takeHeld() (out []byte, held bool) {
+	out, held = d.held, d.holding
+	d.held, d.holding = nil, false
+	return out, held
+}
+
 // decompressResume feeds one request's input into the carried session.
 // Wrap must be WrapRaw: framing belongs to the stream owner, exactly as
 // with compression segments.
-func (e *Engine) decompressResume(crb *CRB, csb *CSB, translateCycles int64) {
+func (e *Engine) decompressResume(crb *CRB, csb *CSB, x *xlate) {
 	if crb.Wrap != WrapRaw {
 		csb.CC = CCInvalidCRB
 		csb.Detail = "resumable decompression requires raw wrap"
 		return
 	}
 	st := crb.DecompState
-	out, err := st.session.FeedInto(crb.Target[:0], crb.Input, !crb.NotFinal)
-	if err != nil {
-		csb.CC = CCDataCorrupt
-		csb.Detail = err.Error()
-		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
-		return
+	out, held := st.takeHeld()
+	if !held {
+		var err error
+		if out, err = st.session.FeedInto(crb.Target[:0], crb.Input, !crb.NotFinal); err != nil {
+			// Nothing past the target's first page was reached.
+			csb.CC = CCDataCorrupt
+			csb.Detail = err.Error()
+			csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, x.cycles)
+			return
+		}
 	}
 	// The compressed-to-plaintext ratio of one chunk is unbounded, so the
 	// heuristic 2x default cap does not apply here; only an explicit
 	// TargetCap bounds a single resume step (the session's MaxOutput
 	// bounds the whole stream regardless).
-	if crb.TargetCap > 0 && len(out) > crb.TargetCap {
+	reached, overflow := len(out), crb.TargetCap > 0 && len(out) > crb.TargetCap
+	if overflow {
+		reached = crb.TargetCap
+	}
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
+		st.held, st.holding = out, true
+		return
+	}
+	csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
+	if overflow {
 		csb.CC = CCTargetSpace
-		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
 		return
 	}
 	st.produced += int64(len(out))
@@ -80,5 +110,4 @@ func (e *Engine) decompressResume(crb *CRB, csb *CSB, translateCycles int64) {
 	csb.Output = out
 	csb.SPBC = len(crb.Input)
 	csb.TPBC = len(out)
-	csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
 }

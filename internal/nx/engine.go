@@ -132,66 +132,47 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 		return
 	}
 
-	// Address translation first: the engine touches the source range, then
-	// the target range. A fault suspends the job; software resolves it and
-	// resubmits, and the engine restarts the request (P9 semantics).
-	var translateCycles int64
-	if e.mmu != nil {
-		operands := []struct {
-			dde *DDE
-			va  uint64
-			n   int
-		}{
-			{crb.SourceDDE, crb.SourceVA, len(crb.Input)},
-			{crb.TargetDDE, crb.TargetVA, targetCap(crb)},
-		}
-		for _, op := range operands {
-			var (
-				rs  nmmu.RangeStats
-				err error
-			)
-			switch {
-			case op.dde != nil:
-				rs, err = translateDDE(e.mmu, pid, *op.dde)
-			case op.va != 0:
-				rs, err = e.mmu.TranslateRangeStats(pid, op.va, op.n)
-			default:
-				continue
-			}
-			translateCycles += rs.Cycles
-			csb.ERATHits += rs.Hits
-			csb.ERATMisses += rs.Misses
-			if fault := asFault(err); fault != nil {
-				e.faultCSB(csb, fault, translateCycles)
-				return
-			} else if err != nil {
-				csb.CC = CCInvalidCRB
-				csb.Detail = err.Error()
-				return
-			}
-		}
+	// Address translation follows the data. The source is read whole, so
+	// its range is translated before the operation, and a source fault
+	// costs no data work; so is the target's first page, which every
+	// outcome writes and where a demand-paged target faults first. The
+	// rest of the target is translated as far as the operation reached it
+	// (Engine.reach): TargetCap is a limit, not work. A fault suspends the
+	// job; software resolves it and resubmits, and the engine restarts the
+	// request (P9 semantics).
+	x := xlate{mmu: e.mmu, pid: pid}
+	err := x.operand(csb, crb.SourceDDE, crb.SourceVA, len(crb.Input), false)
+	if err == nil {
+		err = x.operand(csb, crb.TargetDDE, crb.TargetVA, 1, false)
+	}
+	if err != nil {
+		e.untranslated(csb, err, x.cycles)
+		return
 	}
 
 	switch crb.Func {
 	case FCCompressFHT, FCCompressDHT, FCCompressCannedDHT:
-		e.compress(pid, crb, csb, translateCycles)
+		e.compress(crb, csb, &x)
 	case FCDecompress:
 		if crb.DecompState != nil {
-			e.decompressResume(crb, csb, translateCycles)
+			e.decompressResume(crb, csb, &x)
 		} else {
-			e.decompress(pid, crb, csb, translateCycles)
+			e.decompress(crb, csb, &x)
 		}
 	case FC842Compress, FCLZ4Compress:
-		e.blockCompress(crb, csb, translateCycles, crb.Func.Codec())
+		e.blockCompress(crb, csb, &x, crb.Func.Codec())
 	case FC842Decompress, FCLZ4Decompress:
-		e.blockDecompress(crb, csb, translateCycles, crb.Func.Codec())
+		e.blockDecompress(crb, csb, &x, crb.Func.Codec())
 	case FCTranscode:
-		e.transcode(pid, crb, csb, translateCycles)
+		e.transcode(crb, csb, &x)
 	case FCMove:
-		e.move(crb, csb, translateCycles)
+		e.move(crb, csb, &x)
 	default:
 		csb.CC = CCInvalidCRB
 		csb.Detail = "unknown function code"
+	}
+	if csb.CC == CCTranslationFault {
+		return // a reached target page faulted: accounted, nothing delivered
 	}
 
 	e.injectCC(crb, csb)
@@ -255,6 +236,15 @@ func targetCap(crb *CRB) int {
 	return 2*len(crb.Input) + 1024
 }
 
+// filled is how much of the target an operation that produced n bytes
+// wrote: all of them, or — overflow — the whole budget.
+func filled(crb *CRB, n int) (reached int, overflow bool) {
+	if tc := targetCap(crb); n > tc {
+		return tc, true
+	}
+	return n, false
+}
+
 func asFault(err error) *nmmu.Fault {
 	if err == nil {
 		// Early out before declaring the target: errors.As forces its
@@ -269,11 +259,87 @@ func asFault(err error) *nmmu.Fault {
 	return nil
 }
 
-func (e *Engine) faultCSB(csb *CSB, f *nmmu.Fault, translateCycles int64) {
-	csb.CC = CCTranslationFault
-	csb.FaultVA = f.VA
-	// A faulted attempt still consumed setup plus the translation work up
-	// to the fault.
+// xlate is one request's translation account: whose address space, and
+// the NMMU cycles charged so far. The zero value translates nothing (bare
+// engines, and a transcode's inner encode pass).
+type xlate struct {
+	mmu    *nmmu.MMU
+	pid    nmmu.PID
+	cycles int64
+}
+
+// operand translates the pages under the first n bytes of one operand — a
+// flat VA, or the extents of a DDE in order — charging the account and the
+// CSB's ERAT split. rest skips the operand's first page: it was translated
+// before the operation. A zero VA is pre-pinned and costs nothing.
+func (x *xlate) operand(csb *CSB, dde *DDE, va uint64, n int, rest bool) error {
+	if x.mmu == nil {
+		return nil
+	}
+	if dde == nil {
+		return x.extent(csb, va, n, rest)
+	}
+	extents, err := dde.flatten()
+	if err != nil {
+		return err
+	}
+	for _, e := range extents {
+		if e.VA == 0 || e.Len == 0 {
+			continue
+		}
+		take := min(e.Len, n)
+		if err := x.extent(csb, e.VA, take, rest); err != nil {
+			return err
+		}
+		n, rest = n-take, false
+	}
+	return nil
+}
+
+// extent translates the pages under [va, va+n), all but the first when
+// rest is set.
+func (x *xlate) extent(csb *CSB, va uint64, n int, rest bool) error {
+	if va == 0 {
+		return nil
+	}
+	if rest {
+		ps := x.mmu.Config().PageSize
+		skip := ps - int(va%uint64(ps))
+		va, n = va+uint64(skip), n-skip
+	}
+	rs, err := x.mmu.TranslateRangeStats(x.pid, va, n)
+	x.cycles += rs.Cycles
+	csb.ERATHits += rs.Hits
+	csb.ERATMisses += rs.Misses
+	return err
+}
+
+// reach translates the target as far as the operation got — n bytes: TPBC
+// on success, the whole budget when it ran out, nothing past the first
+// page when the data stopped it — and returns the request's translation
+// cycles for the pipeline formula. When a reached page faults it completes
+// csb as that fault and reports false: the output is discarded and the
+// attempt costs what a fault before the operation costs.
+func (e *Engine) reach(x *xlate, crb *CRB, csb *CSB, n int) (int64, bool) {
+	if err := x.operand(csb, crb.TargetDDE, crb.TargetVA, max(1, n), true); err != nil {
+		e.untranslated(csb, err, x.cycles)
+		return 0, false
+	}
+	return x.cycles, true
+}
+
+// untranslated completes a request whose operand did not translate. A
+// fault still consumed setup plus the translation work up to it, and is
+// the only thing the CSB reports besides the ERAT split; any other error
+// is a malformed descriptor.
+func (e *Engine) untranslated(csb *CSB, err error, translateCycles int64) {
+	f := asFault(err)
+	if f == nil {
+		csb.CC = CCInvalidCRB
+		csb.Detail = err.Error()
+		return
+	}
+	*csb = CSB{CC: CCTranslationFault, FaultVA: f.VA, ERATHits: csb.ERATHits, ERATMisses: csb.ERATMisses}
 	csb.Cycles = pipeline.Breakdown{
 		Setup:     e.cfg.Pipeline.SetupCycles,
 		Translate: translateCycles,
@@ -287,7 +353,7 @@ func (e *Engine) faultCSB(csb *CSB, f *nmmu.Fault, translateCycles int64) {
 
 // compress runs the DEFLATE compression path: hardware LZ, table
 // selection per function code, inline checksum, framing.
-func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int64) {
+func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 	input := crb.Input
 	if crb.NotFinal && crb.Wrap != WrapRaw {
 		csb.CC = CCInvalidCRB
@@ -359,25 +425,26 @@ func (e *Engine) compress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int6
 	case WrapZlib:
 		out = deflate.AppendZlibTrailer(out, adler)
 	}
-	if len(out) > targetCap(crb) {
-		csb.CC = CCTargetSpace
-		csb.SPBC = 0
-		csb.TPBC = 0
-		// The engine discovered the overflow while draining output: charge
-		// a full pass.
-		csb.Cycles = e.cfg.Pipeline.Compress(len(input), len(out), lzStats.Cycles, translateCycles, crb.Func == FCCompressDHT)
+	// The engine discovers an overflow while draining output, with the
+	// target full: a full pass either way.
+	reached, overflow := filled(crb, len(out))
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
 		return
 	}
-
+	// Only the generate-DHT function code pays table-build latency; canned
+	// tables arrive with the CRB.
+	csb.Cycles = e.cfg.Pipeline.Compress(len(input), len(out), lzStats.Cycles, translateCycles, crb.Func == FCCompressDHT)
+	if overflow {
+		csb.CC = CCTargetSpace
+		return
+	}
 	csb.CC = CCSuccess
 	csb.Output = out
 	csb.SPBC = len(input)
 	csb.TPBC = len(out)
 	csb.CRC32 = crc
 	csb.Adler32 = adler
-	// Only the generate-DHT function code pays table-build latency; canned
-	// tables arrive with the CRB.
-	csb.Cycles = e.cfg.Pipeline.Compress(len(input), len(out), lzStats.Cycles, translateCycles, crb.Func == FCCompressDHT)
 }
 
 // sampleDHT builds the single-pass dynamic table: frequencies are counted
@@ -403,7 +470,7 @@ func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
 	return e.enc.SampleDHT(tokens[:end])
 }
 
-func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int64) {
+func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
 	var (
 		out      []byte
 		err      error
@@ -426,15 +493,17 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 		out, err = deflate.Decompress(crb.Input, opts)
 	}
 	if err != nil {
-		csb.CC = decodeCC(err)
-		csb.Detail = err.Error()
-		// Detection cost: the engine read the input before tripping.
-		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
+		e.decodeFailed(x, crb, csb, err, decodeLimit(crb))
 		return
 	}
-	if len(out) > targetCap(crb) {
+	reached, overflow := filled(crb, len(out))
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
+		return
+	}
+	csb.Cycles = e.cfg.Pipeline.Decompress(consumed, len(out), translateCycles)
+	if overflow {
 		csb.CC = CCTargetSpace
-		csb.Cycles = e.cfg.Pipeline.Decompress(consumed, len(out), translateCycles)
 		return
 	}
 	csb.CC = CCSuccess
@@ -448,14 +517,31 @@ func (e *Engine) decompress(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles in
 		adler = checksum.SumAdler32(out)
 	}
 	csb.CRC32, csb.Adler32 = crc, adler
-	csb.Cycles = e.cfg.Pipeline.Decompress(consumed, len(out), translateCycles)
+}
+
+// decodeFailed completes a request whose decode stopped on err. Detection
+// cost: the engine read the input before tripping. A tripped budget had
+// filled the target — limit bytes of it — when it tripped; corrupt data is
+// charged nothing past the target's first page.
+func (e *Engine) decodeFailed(x *xlate, crb *CRB, csb *CSB, err error, limit int) {
+	cc := decodeCC(err)
+	if cc != CCTargetSpace {
+		limit = 0
+	}
+	translateCycles, ok := e.reach(x, crb, csb, limit)
+	if !ok {
+		return
+	}
+	csb.CC = cc
+	csb.Detail = err.Error()
+	csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
 }
 
 // blockCompress runs any byte-aligned block codec (842, LZ4) through one
 // generalized path: codec table lookup, compress, inline CRC over the
 // input, and the per-codec cycle model — the ingest-lane multiplier
 // scales how many input bytes the match pipeline consumes per cycle.
-func (e *Engine) blockCompress(crb *CRB, csb *CSB, translateCycles int64, codec Codec) {
+func (e *Engine) blockCompress(crb *CRB, csb *CSB, x *xlate, codec Codec) {
 	bt := blockCodecs[codec]
 	if bt.compress == nil {
 		csb.CC = CCInvalidCRB
@@ -468,11 +554,15 @@ func (e *Engine) blockCompress(crb *CRB, csb *CSB, translateCycles int64, codec 
 		return
 	}
 	out := bt.compress(crb.Input)
+	reached, overflow := filled(crb, len(out))
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
+		return
+	}
 	ingest := int64(len(crb.Input)/(e.cfg.LZ.InputWidth*bt.ingestLanes) + 1)
-	cycles := e.cfg.Pipeline.Compress(len(crb.Input), len(out), ingest, translateCycles, false)
-	if len(out) > targetCap(crb) {
+	csb.Cycles = e.cfg.Pipeline.Compress(len(crb.Input), len(out), ingest, translateCycles, false)
+	if overflow {
 		csb.CC = CCTargetSpace
-		csb.Cycles = cycles
 		return
 	}
 	csb.CC = CCSuccess
@@ -480,11 +570,10 @@ func (e *Engine) blockCompress(crb *CRB, csb *CSB, translateCycles int64, codec 
 	csb.SPBC = len(crb.Input)
 	csb.TPBC = len(out)
 	csb.CRC32 = checksum.Sum32(crb.Input)
-	csb.Cycles = cycles
 }
 
 // blockDecompress is the matching generalized decompress path.
-func (e *Engine) blockDecompress(crb *CRB, csb *CSB, translateCycles int64, codec Codec) {
+func (e *Engine) blockDecompress(crb *CRB, csb *CSB, x *xlate, codec Codec) {
 	bt := blockCodecs[codec]
 	if bt.decompress == nil {
 		csb.CC = CCInvalidCRB
@@ -493,14 +582,17 @@ func (e *Engine) blockDecompress(crb *CRB, csb *CSB, translateCycles int64, code
 	}
 	out, err := bt.decompress(crb.Input, decodeLimit(crb))
 	if err != nil {
-		csb.CC = decodeCC(err)
-		csb.Detail = err.Error()
-		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
+		e.decodeFailed(x, crb, csb, err, decodeLimit(crb))
 		return
 	}
-	if len(out) > targetCap(crb) {
+	reached, overflow := filled(crb, len(out))
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
+		return
+	}
+	csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
+	if overflow {
 		csb.CC = CCTargetSpace
-		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
 		return
 	}
 	csb.CC = CCSuccess
@@ -508,7 +600,6 @@ func (e *Engine) blockDecompress(crb *CRB, csb *CSB, translateCycles int64, code
 	csb.SPBC = len(crb.Input)
 	csb.TPBC = len(out)
 	csb.CRC32 = checksum.Sum32(out)
-	csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
 }
 
 // transcode decodes CRB.SourceCodec input and re-encodes the plaintext
@@ -518,7 +609,7 @@ func (e *Engine) blockDecompress(crb *CRB, csb *CSB, translateCycles int64, code
 // DMA-in and decode cycles fold into the encode pass's breakdown. The
 // intermediate plaintext never crosses the bus, so there is no DMA-out
 // charge for stage one.
-func (e *Engine) transcode(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int64) {
+func (e *Engine) transcode(crb *CRB, csb *CSB, x *xlate) {
 	if crb.SourceCodec == crb.TargetCodec {
 		csb.CC = CCInvalidCRB
 		csb.Detail = "transcode with identical source and target codec " + crb.SourceCodec.String()
@@ -546,16 +637,16 @@ func (e *Engine) transcode(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int
 		plain, err = blockCodecs[crb.SourceCodec].decompress(crb.Input, limit)
 	}
 	if err != nil {
-		csb.CC = decodeCC(err)
-		csb.Detail = err.Error()
-		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
+		// The intermediate plaintext is the engine's own: a budget tripped
+		// here has written nothing to the target.
+		e.decodeFailed(x, crb, csb, err, 0)
 		return
 	}
-	dec := e.cfg.Pipeline.Decompress(len(crb.Input), len(plain), translateCycles)
 
 	// Re-encode through the regular compress paths so wrap, checksum and
-	// target-space handling are not duplicated; translate was already
-	// charged on the decode pass.
+	// target-space handling are not duplicated; translation — the source's
+	// and, once the encode pass says how far it got, the target's — is
+	// charged on the decode pass, so the inner request translates nothing.
 	inner := CRB{
 		Func:      compressFunc(crb.TargetCodec),
 		Wrap:      crb.Wrap,
@@ -564,10 +655,19 @@ func (e *Engine) transcode(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int
 		Target:    crb.Target,
 	}
 	if crb.TargetCodec == CodecDeflate {
-		e.compress(pid, &inner, csb, 0)
+		e.compress(&inner, csb, &xlate{})
 	} else {
-		e.blockCompress(&inner, csb, 0, crb.TargetCodec)
+		e.blockCompress(&inner, csb, &xlate{}, crb.TargetCodec)
 	}
+	reached := csb.TPBC
+	if csb.CC == CCTargetSpace {
+		reached = targetCap(&inner)
+	}
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
+		return
+	}
+	dec := e.cfg.Pipeline.Decompress(len(crb.Input), len(plain), translateCycles)
 	csb.Cycles.Translate += dec.Translate
 	csb.Cycles.DMAIn += dec.DMAIn
 	csb.Cycles.Decode += dec.Decode
@@ -582,8 +682,13 @@ func (e *Engine) transcode(pid nmmu.PID, crb *CRB, csb *CSB, translateCycles int
 // move is the checksum/copy offload: data streams through the DMA path
 // untouched while the checksum units run. Useful on its own (CRC offload)
 // and as the engine's data-movement baseline.
-func (e *Engine) move(crb *CRB, csb *CSB, translateCycles int64) {
-	if len(crb.Input) > targetCap(crb) {
+func (e *Engine) move(crb *CRB, csb *CSB, x *xlate) {
+	reached, overflow := filled(crb, len(crb.Input))
+	translateCycles, ok := e.reach(x, crb, csb, reached)
+	if !ok {
+		return
+	}
+	if overflow {
 		csb.CC = CCTargetSpace
 		csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), 0, translateCycles)
 		return

@@ -25,7 +25,10 @@ import (
 // TPBC, both checksums and the cycles, which depend only on the bytes
 // consumed and produced. After those, per device and corpus kind at 64 KiB:
 // canned-DHT compression, the lz4 and 842 block codecs and transcode
-// (codecGoldenEntries). Regenerate with
+// (codecGoldenEntries), and requests through mapped operands whose target
+// budget is 4 and 256 times what they write (budgetGoldenEntries): the
+// budget is a limit, and the cycles are those of the pages written.
+// Regenerate with
 //
 //	go test ./internal/nx -run TestModelGolden -update
 //
@@ -53,7 +56,7 @@ type goldenEntry struct {
 
 func modelGoldenEntries(t *testing.T) []goldenEntry {
 	t.Helper()
-	var out []goldenEntry
+	var out, budgeted []goldenEntry
 	for _, mc := range []struct {
 		name string
 		cfg  DeviceConfig
@@ -88,8 +91,9 @@ func modelGoldenEntries(t *testing.T) []goldenEntry {
 			}
 		}
 		out = append(out, codecGoldenEntries(t, ctx, mc.name)...)
+		budgeted = append(budgeted, budgetGoldenEntries(t, ctx, mc.name)...)
 	}
-	return out
+	return append(out, budgeted...)
 }
 
 // goldenCannedDHT is a caller-supplied table as the NX library ships them:
@@ -152,6 +156,54 @@ func codecGoldenEntries(t *testing.T, ctx *Context, dev string) []goldenEntry {
 			run(name+bc.tag+"-decompress", &CRB{Func: bc.dec, Input: blk, TargetCap: len(plain)})
 			run(name+"transcode-gzip-to-"+bc.tag, &CRB{Func: FCTranscode, Wrap: WrapGzip, SourceCodec: CodecDeflate, TargetCodec: bc.codec, Input: gz, TargetCap: 2 * len(plain)})
 			run(name+"transcode-"+bc.tag+"-to-zlib", &CRB{Func: FCTranscode, Wrap: WrapZlib, SourceCodec: bc.codec, TargetCodec: CodecDeflate, Input: blk, TargetCap: 2 * len(plain)})
+		}
+	}
+	return out
+}
+
+// budgetGoldenEntries are the rows with translation in them: both operands
+// mapped, the target 4 and 256 times the output (the second is the root
+// library's bomb budget for a decode), a compression and its decompression
+// per corpus kind.
+func budgetGoldenEntries(t *testing.T, ctx *Context, dev string) []goldenEntry {
+	t.Helper()
+	var out []goldenEntry
+	run := func(name string, crb CRB, outLen, times int) []byte {
+		var err error
+		if crb.SourceVA, err = ctx.MapBuffer(len(crb.Input), true); err != nil {
+			t.Fatal(err)
+		}
+		crb.TargetCap = times * outLen
+		if crb.TargetVA, err = ctx.MapBuffer(crb.TargetCap, true); err != nil {
+			t.Fatal(err)
+		}
+		csb, rep, err := ctx.Submit(&crb)
+		if err != nil || csb.CC != CCSuccess || csb.TPBC != outLen {
+			t.Fatalf("%s: err=%v CC=%s %s, %d bytes", name, err, csb.CC, csb.Detail, csb.TPBC)
+		}
+		sum := sha256.Sum256(csb.Output)
+		out = append(out, goldenEntry{
+			Name:         name,
+			SHA256:       hex.EncodeToString(sum[:]),
+			DeviceCycles: rep.TotalCycles,
+			LZ:           csb.LZ,
+			SPBC:         csb.SPBC,
+			TPBC:         csb.TPBC,
+			CRC32:        csb.CRC32,
+			Adler32:      csb.Adler32,
+		})
+		return csb.Output
+	}
+	for _, kind := range corpus.Kinds() {
+		plain := corpus.Generate(kind, 64<<10, goldenSeed)
+		probe, _, err := ctx.Submit(&CRB{Func: FCCompressDHT, Wrap: WrapGzip, Input: plain})
+		if err != nil || probe.CC != CCSuccess {
+			t.Fatalf("%s/%s: err=%v CC=%s", dev, kind, err, probe.CC)
+		}
+		for _, times := range []int{4, 256} {
+			name := fmt.Sprintf("%s/%s/%d/budget-x%d/", dev, kind, len(plain), times)
+			gz := run(name+"compress-dht/gzip", CRB{Func: FCCompressDHT, Wrap: WrapGzip, Input: plain}, probe.TPBC, times)
+			run(name+"decompress-gzip", CRB{Func: FCDecompress, Wrap: WrapGzip, Input: gz}, len(plain), times)
 		}
 	}
 	return out

@@ -191,9 +191,15 @@ func TestTranslateFollowsOutput(t *testing.T) {
 						}
 						row := runXlateRow(t, mc.cfg, op.crb(), input, bc.budget, scattered)
 						csb := row.csb
-						// Today the engine walks the whole target operand
-						// before it runs, whatever the operation then writes.
-						lookups := row.srcPages + row.targetPages(bc.budget)
+						// The law: one lookup for every source page and for
+						// every target page the operation reached — what it
+						// wrote, or the whole budget when that ran out —
+						// and for no page it did not.
+						reached := max(1, csb.TPBC)
+						if bc.name == "short" {
+							reached = bc.budget
+						}
+						lookups := row.srcPages + row.targetPages(reached)
 						if n := csb.ERATHits + csb.ERATMisses; n != lookups || csb.Cycles.Translate != lookups*walk {
 							t.Errorf("%s %s: %d ERAT lookups and %d translate cycles, want %d lookups of %d cycles",
 								group, name, n, csb.Cycles.Translate, lookups, walk)

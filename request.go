@@ -419,10 +419,11 @@ func (r *request) build(i int) error {
 // its target span before the next size up is acquired. again asks for a
 // resubmit: an opMember whose target filled before its budget did grows
 // the buffer, the loop the production NX library runs on CC=13. Mapping
-// (and translating) a worst-case expansion buffer up front would cost
-// more pages than the member itself; this way the common member costs
-// one small mapping and a bomb is rejected after at most one buffer's
-// worth of decode per size step.
+// a worst-case expansion buffer up front would cost more pages than the
+// member itself (the engine translates only those the output reaches,
+// but software still has to back them all); this way the common member
+// costs one small mapping and a bomb is rejected after at most one
+// buffer's worth of decode per size step.
 func (r *request) settle(csb *nx.CSB, rep *nx.Report, err error) (out []byte, again bool, _ error) {
 	o := &r.op
 	earlier := r.m
