@@ -98,10 +98,15 @@ type MMU struct {
 
 	mu     sync.Mutex
 	spaces map[PID]*space
-	erat   erat
-	nextPA uint64
-	stats  Stats
-	met    *metrics
+	// last is the space translatePages resolved last, so a run of requests
+	// from one address space pays no map lookup on the hit path. Spaces
+	// are never removed, so it cannot go stale.
+	lastPID PID
+	last    *space
+	erat    erat
+	nextPA  uint64
+	stats   Stats
+	met     *metrics
 
 	inj atomic.Pointer[faultinject.Injector]
 }
@@ -330,9 +335,12 @@ func (m *MMU) TranslateRangeStats(pid PID, va uint64, length int) (rs RangeStats
 // space, the injector and the telemetry counters are resolved once for
 // the range. Called with m.mu held.
 func (m *MMU) translatePages(pid PID, first, last uint64) (rs RangeStats, pa uint64, err error) {
-	sp, ok := m.spaces[pid]
-	if !ok {
-		return rs, 0, ErrNoSpace
+	sp := m.last
+	if sp == nil || m.lastPID != pid {
+		if sp = m.spaces[pid]; sp == nil {
+			return rs, 0, ErrNoSpace
+		}
+		m.lastPID, m.last = pid, sp
 	}
 	inj := m.inj.Load()
 	walked := int64(0) // ERAT misses; an injected fault is none, it never looked
