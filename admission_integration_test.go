@@ -489,13 +489,7 @@ func TestDrainChaosKillMidRace(t *testing.T) {
 	if !node.Draining(0) {
 		t.Fatal("drain bit lost during the race")
 	}
-	for i := 0; i < node.Devices(); i++ {
-		s := node.Device(i).Switchboard().Stats()
-		if s.Dequeues != s.Completes {
-			t.Fatalf("device %d: %d dequeues vs %d completes — in-flight work dropped",
-				i, s.Dequeues, s.Completes)
-		}
-	}
+	settled(t, node) // no in-flight work dropped
 	// Revive and undrain: the device must be reusable (probe readmission
 	// may take a round, so allow redispatches — only byte-exactness and
 	// completion accounting are pinned here).

@@ -195,12 +195,7 @@ func TestCompressBatchConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for i := 0; i < node.Devices(); i++ {
-		s := node.Device(i).Switchboard().Stats()
-		if s.Dequeues != s.Completes {
-			t.Fatalf("device %d: %d dequeues vs %d completes", i, s.Dequeues, s.Completes)
-		}
-	}
+	settled(t, node)
 }
 
 // TestCompressBatchChainedCycles pins the batch timeline model: chained

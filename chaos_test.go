@@ -7,6 +7,7 @@ import (
 
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
+	"nxzip/internal/testutil"
 )
 
 // openChaosNode builds a node of the given shape with per-device
@@ -22,6 +23,17 @@ func openChaosNode(t *testing.T, shape NodeConfig, p faultinject.Profile) (*Node
 	acc := node.View()
 	t.Cleanup(acc.Close)
 	return node, acc, injs
+}
+
+// settled holds every device of the node to the conservation laws of
+// testutil.Settled, once the test's traffic has returned.
+func settled(t *testing.T, node *Node) {
+	t.Helper()
+	devs := make([]testutil.Device, node.Devices())
+	for i := range devs {
+		devs[i] = node.Device(i)
+	}
+	testutil.Settled(t, devs...)
 }
 
 // TestChaosFallbackAllOffline: with every device offlined, every public
@@ -317,13 +329,7 @@ func TestChaosParallelSoakRace(t *testing.T) {
 	// No lost or double-completed requests: every request an engine
 	// dequeued was completed exactly once (hangs included — the hang path
 	// still releases the FIFO entry).
-	for i := 0; i < node.Devices(); i++ {
-		s := node.Device(i).Switchboard().Stats()
-		if s.Dequeues != s.Completes {
-			t.Fatalf("device %d: %d dequeues vs %d completes — requests lost or double-completed",
-				i, s.Dequeues, s.Completes)
-		}
-	}
+	settled(t, node)
 	var injected int64
 	for _, inj := range injs {
 		injected += inj.TotalInjected()

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"nxzip/internal/corpus"
+	"nxzip/internal/testutil"
 )
 
 // TestConcurrentAcceleratorRoundTrips drives one Accelerator (with two
@@ -319,6 +320,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
+	testutil.Settled(t, acc.Device())
 }
 
 // TestWriterCloseIdempotent: double Close returns nil (the defer-heavy

@@ -408,6 +408,19 @@ func (s *Switchboard) CreditsAvailable() int {
 	return total
 }
 
+// CreditsOut sums, over every window ever opened, the credits that are not
+// home. At rest that is what the injector leaked (Stats.CreditLeaks): a
+// paste takes one, its completion returns it.
+func (s *Switchboard) CreditsOut() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := 0
+	for _, w := range s.windows {
+		out += s.cfg.CreditsPerSend - w.credits
+	}
+	return out
+}
+
 // Stats returns a snapshot of counters.
 func (s *Switchboard) Stats() Stats {
 	s.mu.Lock()

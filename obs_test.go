@@ -315,12 +315,7 @@ func TestObsChaosConsistencyRace(t *testing.T) {
 	}
 
 	// Quiesced: no lost or double-completed requests anywhere.
-	for i := 0; i < node.Devices(); i++ {
-		s := node.Device(i).Switchboard().Stats()
-		if s.Dequeues != s.Completes {
-			t.Fatalf("device %d: %d dequeues vs %d completes", i, s.Dequeues, s.Completes)
-		}
-	}
+	settled(t, node)
 	// Bus accounting closes: published events were either delivered to the
 	// (drained) tail ring and subscriber or counted as drops.
 	if bus.Published() < bus.Dropped() {

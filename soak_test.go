@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nxzip/internal/corpus"
+	"nxzip/internal/testutil"
 )
 
 // TestSoakLargeStream pushes 64 MiB through the full streaming path in
@@ -56,6 +57,7 @@ func TestSoakLargeStream(t *testing.T) {
 	if seed != total>>20 {
 		t.Fatalf("verified %d chunks, want %d", seed, total>>20)
 	}
+	testutil.Settled(t, acc.Device())
 }
 
 // failingWriter errors after n bytes.
