@@ -57,8 +57,11 @@ type HWStats struct {
 	Literals      int64 // literal tokens emitted
 }
 
-// HWMatcher is the hardware LZ77 model. It is NOT safe for concurrent use;
-// the device model serializes requests per engine, matching the silicon.
+// HWMatcher is the hardware LZ77 model. It is NOT safe for concurrent use:
+// the device model lends one to a request for the length of its LZ pass
+// (nx's work areas), and what an operation computes does not depend on what
+// the matcher ran before — no entry of an earlier operation is in any
+// window of a later one.
 //
 // What is modelled is a banked, set-associative table of FIFO sets, one
 // probe per position, emptied between operations without a wipe (the
@@ -110,6 +113,20 @@ const MaxInput = 1<<32 - 1 - (WindowSize + 1) - WindowSize
 // power of two (the bank index is a mask of the hash; anything else would
 // alias banks and corrupt the conflict model) and Ways at most 255.
 func NewHWMatcher(p HWParams) *HWMatcher {
+	m := new(HWMatcher)
+	m.Reset(p)
+	return m
+}
+
+// Reset makes m the matcher NewHWMatcher(p) returns, in the memory it
+// already has where that is enough: a matcher lent from one engine to the
+// next takes the geometry of the engine in hand, and the zero HWMatcher is
+// built by its first Reset. Nothing is wiped. Every entry of head, under
+// any geometry, is at most end, and the next operation's base lies more
+// than the new MaxDist past end, so what another geometry left reads as out
+// of window like what an earlier operation left; head[len:cap] keeps such
+// entries too, which is why rebase wipes the capacity.
+func (m *HWMatcher) Reset(p HWParams) {
 	if p.InputWidth <= 0 {
 		p.InputWidth = 16
 	}
@@ -125,17 +142,25 @@ func NewHWMatcher(p HWParams) *HWMatcher {
 	if p.MaxDist <= 0 || p.MaxDist > WindowSize {
 		p.MaxDist = WindowSize
 	}
+	if p == m.p {
+		return
+	}
 	if p.Banks&(p.Banks-1) != 0 {
 		panic(fmt.Sprintf("lz77: HWParams.Banks = %d is not a power of two", p.Banks))
 	}
 	if p.Ways > 255 {
 		panic(fmt.Sprintf("lz77: HWParams.Ways = %d exceeds 255", p.Ways))
 	}
-	m := &HWMatcher{p: p, sets: 1 << p.HashBits}
-	m.head = make([]uint32, p.Banks*m.sets)
-	m.prev = make([]uint16, ringLen)
-	m.bankBeat = make([]int64, p.Banks)
-	return m
+	m.p, m.sets = p, 1<<p.HashBits
+	if n := p.Banks * m.sets; n <= cap(m.head) {
+		m.head = m.head[:n]
+	} else {
+		m.head = make([]uint32, n) // zero is what an empty set holds
+	}
+	if m.prev == nil {
+		m.prev = make([]uint16, ringLen)
+	}
+	m.bankBeat = slices.Grow(m.bankBeat[:0], p.Banks)[:p.Banks]
 }
 
 // Params returns the configuration.
@@ -144,16 +169,17 @@ func (m *HWMatcher) Params() HWParams { return m.p }
 // rebase returns the base of an operation over n bytes (history included):
 // MaxDist+1 past the previous operation's last entry, so nothing that one
 // left is in any window of this one. Only when 32 bits cannot hold base+n is
-// head wiped and the numbering restarted — once per 4 GiB of input, where
-// the epoch tag this replaces wiped once per 2^16 operations. The ring is
-// only ever read at positions a chain leads to, which this numbering wrote.
+// head wiped — to its capacity: Reset may have left entries past its length
+// — and the numbering restarted, once per 4 GiB of input, where the epoch
+// tag this replaces wiped once per 2^16 operations. The ring is only ever
+// read at positions a chain leads to, which this numbering wrote.
 func (m *HWMatcher) rebase(n int) uint32 {
 	if uint64(n) > MaxInput+WindowSize {
 		panic(fmt.Sprintf("lz77: %d-byte operation exceeds MaxInput", n))
 	}
 	gap := uint32(m.p.MaxDist + 1)
 	if uint64(m.end)+uint64(gap)+uint64(n) > 1<<32-1 {
-		clear(m.head)
+		clear(m.head[:cap(m.head)])
 		m.end = 0
 	}
 	base := m.end + gap

@@ -333,6 +333,75 @@ func TestHWMatcherEpochWrap(t *testing.T) {
 	}
 }
 
+// TestHWMatcherLentAcrossGeometries: one matcher, built by its first Reset
+// and re-shaped before every operation, against a reference per geometry —
+// what an engine's work area does when the free list hands it to a device
+// of the other kind. Whatever a geometry left in head, within the current
+// length or past it, reads as out of window to the next; and a wipe under a
+// small geometry also clears what a larger one left past the length, which
+// would otherwise read as current once the numbering climbed back to it.
+func TestHWMatcherLentAcrossGeometries(t *testing.T) {
+	geoms := []HWParams{
+		Z15HWParams(), P9HWParams(),
+		{InputWidth: 4, Banks: 2, Ways: 3, HashBits: 3, Lazy: true, MaxDist: 256},
+		{InputWidth: 5, Banks: 64, Ways: 1, HashBits: 7},
+		{InputWidth: 8, Banks: 128, Ways: 16, HashBits: 11, Lazy: true}, // larger than any before it: head is reallocated
+	}
+	lent := new(HWMatcher)
+	pairs := make([]*hwPair, len(geoms))
+	for i, p := range geoms {
+		lent.Reset(p)
+		pairs[i] = &hwPair{hw: lent, ref: newRefHWMatcher(lent.Params())}
+	}
+	inputs := diffInputs()
+	text := corpus.Generate(corpus.Text, 80<<10, 12)
+	inputs["window"] = text
+	k, before := 0, lent.Params()
+	for round := 0; round < 3; round++ {
+		for name, src := range inputs {
+			for _, split := range []int{0, len(src) / 2} {
+				pr := pairs[k%len(pairs)]
+				k += 1 + round // a different geometry follows each one every round
+				lent.Reset(pr.ref.p)
+				if err := pr.check(src[:split], src[split:]); err != nil {
+					t.Fatalf("%+v after %+v, input %q split %d: %v", lent.Params(), before, name, split, err)
+				}
+				before = lent.Params()
+			}
+		}
+	}
+	if want := 4 * 128 << 11; 4*cap(lent.head) != want {
+		t.Fatalf("head holds %d bytes, want the largest geometry's %d", 4*cap(lent.head), want)
+	}
+
+	// A wipe under the smallest geometry, then the numbering rewound to
+	// where the z15 operation before it stored its entries.
+	small, z15 := pairs[2], pairs[0]
+	lent.Reset(z15.ref.p)
+	lent.end = 1<<32 - 1 - uint32(WindowSize+1+len(text)) - 300 // the next operation's 257 + 100 do not fit
+	z15Base := lent.end + uint32(WindowSize+1)
+	if err := z15.check(nil, text); err != nil {
+		t.Fatal(err)
+	}
+	lent.Reset(small.ref.p)
+	if err := small.check(nil, text[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if lent.end != 256+1+100 {
+		t.Fatalf("end = %d: the numbering did not restart", lent.end)
+	}
+	for i, v := range lent.head[:cap(lent.head)] {
+		if v >= lent.end {
+			t.Fatalf("entry %d (length %d) holds %d, at or above end %d", i, len(lent.head), v, lent.end)
+		}
+	}
+	lent.Reset(z15.ref.p)
+	lent.end = z15Base - uint32(WindowSize+1)
+	if err := z15.check(text[:40], inputs["binary"]); err != nil {
+		t.Fatalf("back at the z15 operation's base: %v", err)
+	}
+}
+
 // TestHWMatcherMaxInput checks the input limit's arithmetic on the base
 // alone, without a 4 GiB buffer: the longest source behind the longest
 // history ends exactly on the last 32-bit value on an empty table, forces
@@ -385,6 +454,7 @@ func FuzzHWMatcherEqualsReference(f *testing.F) {
 		}
 	}
 	pairs := map[HWParams]*hwPair{}
+	lent := new(HWMatcher) // re-shaped for every execution, as an engine's work area is
 	f.Fuzz(func(t *testing.T, data []byte, cfg, split uint16) {
 		p := fuzzParams(cfg)
 		src := data
@@ -404,6 +474,10 @@ func FuzzHWMatcherEqualsReference(f *testing.F) {
 		}
 		if err := pr.check(src[:at], src[at:]); err != nil {
 			t.Fatalf("%+v split %d: %v", p, at, err)
+		}
+		lent.Reset(p)
+		if err := (&hwPair{hw: lent, ref: pr.ref}).check(src[:at], src[at:]); err != nil {
+			t.Fatalf("%+v split %d, on the matcher the last geometry used: %v", p, at, err)
 		}
 	})
 }

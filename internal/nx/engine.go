@@ -9,6 +9,7 @@ import (
 	"nxzip/internal/checksum"
 	"nxzip/internal/deflate"
 	"nxzip/internal/faultinject"
+	"nxzip/internal/freelist"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nmmu"
 	"nxzip/internal/pipeline"
@@ -36,22 +37,19 @@ func Z15Engine() EngineConfig {
 	return EngineConfig{Pipeline: pipeline.Z15(), LZ: lz77.Z15HWParams()}
 }
 
-// Engine executes CRBs one at a time, like the silicon: requests from all
-// windows serialize at the engine. Safe for concurrent Process calls (they
-// queue on an internal mutex).
+// Engine is a configuration and a ledger. A request is a function of its
+// CRB and the configuration, and the model clock never reads host time, so
+// concurrent Process calls compute side by side on host memory of their
+// own (workArea) and meet only at mu, to add their completions to the
+// ledger: which requests an engine is charged for is the caller's deal,
+// when the host ran them is nobody's.
 type Engine struct {
 	cfg EngineConfig
 	mmu *nmmu.MMU
 	inj atomic.Pointer[faultinject.Injector]
 
-	mu      sync.Mutex
-	matcher *lz77.HWMatcher
-	// Request-path scratch, reused across requests under mu — the
-	// engine's fixed internal SRAM rather than per-request allocations.
-	tokBuf []lz77.Token
-	enc    deflate.StreamEncoder
-
-	// accumulated counters
+	// The ledger, under mu.
+	mu          sync.Mutex
 	requests    int64
 	busyCycles  int64
 	inBytes     int64
@@ -64,8 +62,26 @@ type Engine struct {
 // NewEngine builds an engine bound to an MMU (nil disables translation,
 // for bare functional use).
 func NewEngine(cfg EngineConfig, mmu *nmmu.MMU) *Engine {
-	return &Engine{cfg: cfg, mmu: mmu, matcher: lz77.NewHWMatcher(cfg.LZ)}
+	return &Engine{cfg: cfg, mmu: mmu}
 }
+
+// workArea is the host memory one compress computes in — the LZ stage's
+// table, the token buffer, the encoder's tables — the model's stand-in for
+// SRAM that on silicon is the engine's. It is lent for the length of one
+// compress, to whichever engine: the matcher takes the geometry of the
+// engine in hand (HWMatcher.Reset re-slices its table; a geometry per list
+// would keep Limit areas for every geometry an ablation sweeps), and
+// neither tokens nor tables outlive the call. The list keeps at most
+// freelist.Limit areas, each a matcher and the largest token buffer it has
+// held; the newest returned is the first lent, so a submitter tends to get
+// back the area still in its cache.
+type workArea struct {
+	matcher lz77.HWMatcher
+	tokBuf  []lz77.Token
+	enc     deflate.StreamEncoder
+}
+
+var workAreas = freelist.New(func() *workArea { return new(workArea) })
 
 // Config returns the engine configuration.
 func (e *Engine) Config() EngineConfig { return e.cfg }
@@ -117,11 +133,39 @@ func (e *Engine) Process(pid nmmu.PID, crb *CRB) *CSB {
 // status block (reset first), so pooled submitters allocate nothing per
 // request. With CRB.Target set the output lands in caller memory too.
 func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
+	csb.reset()
+	if !e.execute(pid, crb, csb) {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.requests++
+	e.busyCycles += csb.Cycles.Total
+	e.inBytes += int64(csb.SPBC)
+	e.outBytes += int64(csb.TPBC)
+	b := &e.stageCycles
+	b.Setup += csb.Cycles.Setup
+	b.Translate += csb.Cycles.Translate
+	b.DMAIn += csb.Cycles.DMAIn
+	b.LZ += csb.Cycles.LZ
+	b.DHTGen += csb.Cycles.DHTGen
+	b.Encode += csb.Cycles.Encode
+	b.Decode += csb.Cycles.Decode
+	b.DMAOut += csb.Cycles.DMAOut
+	b.Complete += csb.Cycles.Complete
+	b.Total += csb.Cycles.Total
+	if csb.CC >= 0 && csb.CC < ccCount {
+		e.ccCounts[csb.CC]++
+	}
+	if csb.LZ != (lz77.HWStats{}) {
+		e.lastLZ = csb.LZ
+	}
+}
 
-	csb.reset()
-
+// execute runs the request into csb with no lock held. It reports whether
+// the request entered the pipeline: one refused at CRB parse costs nothing
+// and is not on the ledger.
+func (e *Engine) execute(pid nmmu.PID, crb *CRB, csb *CSB) bool {
 	// Capability gate before any work: a function code outside the
 	// engine's advertised codec set is NACKed at CRB parse, exactly as
 	// hardware rejects an unimplemented function code. No cycles charged
@@ -129,7 +173,7 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 	if need := crb.RequiredCodecs(); !e.cfg.Codecs.Supports(need) {
 		csb.CC = CCInvalidCRB
 		csb.Detail = "codec not supported: " + need.String() + " (engine serves " + e.cfg.Codecs.String() + ")"
-		return
+		return false
 	}
 
 	// Address translation follows the data. The source is read whole, so
@@ -146,8 +190,7 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 		err = x.operand(csb, crb.TargetDDE, crb.TargetVA, 1, false)
 	}
 	if err != nil {
-		e.untranslated(csb, err, x.cycles)
-		return
+		return e.untranslated(csb, err, x.cycles)
 	}
 
 	switch crb.Func {
@@ -172,7 +215,7 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 		csb.Detail = "unknown function code"
 	}
 	if csb.CC == CCTranslationFault {
-		return // a reached target page faulted: accounted, nothing delivered
+		return true // a reached target page faulted: accounted, nothing delivered
 	}
 
 	e.injectCC(crb, csb)
@@ -203,30 +246,7 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 			csb.Cycles.Total -= delta
 		}
 	}
-	e.requests++
-	e.busyCycles += csb.Cycles.Total
-	e.inBytes += int64(csb.SPBC)
-	e.outBytes += int64(csb.TPBC)
-	e.accumStages(csb)
-}
-
-// accumStages folds one request's breakdown and completion code into the
-// lifetime per-stage accounting. Called with e.mu held.
-func (e *Engine) accumStages(csb *CSB) {
-	b := &e.stageCycles
-	b.Setup += csb.Cycles.Setup
-	b.Translate += csb.Cycles.Translate
-	b.DMAIn += csb.Cycles.DMAIn
-	b.LZ += csb.Cycles.LZ
-	b.DHTGen += csb.Cycles.DHTGen
-	b.Encode += csb.Cycles.Encode
-	b.Decode += csb.Cycles.Decode
-	b.DMAOut += csb.Cycles.DMAOut
-	b.Complete += csb.Cycles.Complete
-	b.Total += csb.Cycles.Total
-	if csb.CC >= 0 && csb.CC < ccCount {
-		e.ccCounts[csb.CC]++
-	}
+	return true
 }
 
 func targetCap(crb *CRB) int {
@@ -331,13 +351,13 @@ func (e *Engine) reach(x *xlate, crb *CRB, csb *CSB, n int) (int64, bool) {
 // untranslated completes a request whose operand did not translate. A
 // fault still consumed setup plus the translation work up to it, and is
 // the only thing the CSB reports besides the ERAT split; any other error
-// is a malformed descriptor.
-func (e *Engine) untranslated(csb *CSB, err error, translateCycles int64) {
+// is a malformed descriptor, refused at parse (false).
+func (e *Engine) untranslated(csb *CSB, err error, translateCycles int64) bool {
 	f := asFault(err)
 	if f == nil {
 		csb.CC = CCInvalidCRB
 		csb.Detail = err.Error()
-		return
+		return false
 	}
 	*csb = CSB{CC: CCTranslationFault, FaultVA: f.VA, ERATHits: csb.ERATHits, ERATMisses: csb.ERATMisses}
 	csb.Cycles = pipeline.Breakdown{
@@ -346,9 +366,7 @@ func (e *Engine) untranslated(csb *CSB, err error, translateCycles int64) {
 		Complete:  e.cfg.Pipeline.CompleteCycles,
 	}
 	csb.Cycles.Total = csb.Cycles.Setup + csb.Cycles.Translate + csb.Cycles.Complete
-	e.requests++
-	e.busyCycles += csb.Cycles.Total
-	e.accumStages(csb)
+	return true
 }
 
 // compress runs the DEFLATE compression path: hardware LZ, table
@@ -365,17 +383,19 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 		csb.Detail = fmt.Sprintf("source of %d bytes exceeds the LZ stage's %d", len(input), lz77.MaxInput)
 		return
 	}
+	w := workAreas.Get()
+	defer workAreas.Put(w)
+	w.matcher.Reset(e.cfg.LZ)
 	var (
 		tokens  []lz77.Token
 		lzStats lz77.HWStats
 	)
 	if len(crb.History) > 0 {
-		tokens, lzStats = e.matcher.TokenizeWithHistory(e.tokBuf[:0], crb.History, input)
+		tokens, lzStats = w.matcher.TokenizeWithHistory(w.tokBuf[:0], crb.History, input)
 	} else {
-		tokens, lzStats = e.matcher.Tokenize(e.tokBuf[:0], input)
+		tokens, lzStats = w.matcher.Tokenize(w.tokBuf[:0], input)
 	}
-	e.tokBuf = tokens // keep any growth for the next request
-	e.lastLZ = lzStats
+	w.tokBuf = tokens // keep any growth for the next request
 	csb.LZ = lzStats
 
 	var (
@@ -387,7 +407,7 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 		mode = deflate.ModeFixed
 	case FCCompressDHT:
 		mode = deflate.ModeDynamic
-		dht = e.sampleDHT(tokens)
+		dht = e.sampleDHT(&w.enc, tokens)
 	case FCCompressCannedDHT:
 		mode = deflate.ModeDynamic
 		dht = crb.DHT
@@ -412,7 +432,7 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 	case WrapZlib:
 		out = deflate.AppendZlibHeader(out)
 	}
-	out, err := e.enc.EncodeStream(out, tokens, input, mode, dht, !crb.NotFinal)
+	out, err := w.enc.EncodeStream(out, tokens, input, mode, dht, !crb.NotFinal)
 	if err != nil {
 		csb.CC = CCInvalidCRB
 		csb.Detail = err.Error()
@@ -452,7 +472,7 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 // symbol receives a +1 floor so the table is complete (the hardware
 // requires a decodable-by-construction table because data after the sample
 // may use any symbol). It lives in the encoder's scratch until the next one.
-func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
+func (e *Engine) sampleDHT(enc *deflate.StreamEncoder, tokens []lz77.Token) *deflate.DHT {
 	sampleBytes := e.cfg.Pipeline.DHTSampleBytes
 	covered := 0
 	end := 0
@@ -467,7 +487,7 @@ func (e *Engine) sampleDHT(tokens []lz77.Token) *deflate.DHT {
 		}
 		end = i + 1
 	}
-	return e.enc.SampleDHT(tokens[:end])
+	return enc.SampleDHT(tokens[:end])
 }
 
 func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
@@ -726,13 +746,14 @@ type Counters struct {
 	StageCycles pipeline.Breakdown
 	// CCCounts is the number of completions per CC code, indexed by CC.
 	CCCounts [ccCount]int64
-	LastLZ   lz77.HWStats
+	// LastLZ is CSB.LZ of the last completion added that ran the LZ stage.
+	LastLZ lz77.HWStats
 }
 
 // Counters returns a snapshot of lifetime counters.
 func (e *Engine) Counters() Counters {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.mu.Unlock() // the ledger only: no request computes under it
 	return Counters{
 		Requests:    e.requests,
 		BusyCycles:  e.busyCycles,

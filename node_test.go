@@ -2,6 +2,7 @@ package nxzip
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -247,4 +248,61 @@ func TestMergedSnapshotLabels(t *testing.T) {
 	if !foundPrefixed {
 		t.Fatal("no drawer-prefixed nx.requests row in merged snapshot")
 	}
+}
+
+// TestStatusDoesNotWaitForARequest: what an operator reads — the status
+// table behind /snapshot and nxtop, a device's metrics snapshot, an
+// engine's counters — returns while a request is still in the engine, and
+// shows it as in flight: dispatched, dequeued, its source translated, not
+// yet on the ledger. The engine's lock covers the ledger, not the
+// computation. There is no timing threshold: when a read waits for the
+// request, the request is on the ledger by the time the read returns.
+func TestStatusDoesNotWaitForARequest(t *testing.T) {
+	node, err := OpenNode(P9Node(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := node.View()
+	defer acc.Close()
+	dev := node.Device(0)
+	src := corpus.Generate(corpus.Text, 16<<20, 3)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := acc.CompressGzip(src)
+		done <- err
+	}()
+	// Translating the source is the first thing the engine does with a
+	// request, and the last before the kernel runs.
+	for dev.MMU().Stats().Misses == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("the request returned (%v) without translating a page", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+
+	if c := dev.Engine(0).Counters(); c.Requests != 0 {
+		t.Errorf("Engine.Counters returned after the request: %+v", c)
+	}
+	if ds := node.DeviceStatuses()[0]; ds.BusyCycles != 0 || ds.Load == 0 {
+		t.Errorf("DeviceStatuses returned after the request: load %d, %d busy cycles", ds.Load, ds.BusyCycles)
+	}
+	snap := dev.MetricsSnapshot()
+	if n, deq := snap.Counter("nx.engine.requests", "0"), dev.Switchboard().Stats().Dequeues; n != 0 || deq != 1 {
+		t.Errorf("MetricsSnapshot returned after the request: %d on engine 0's ledger, %d dequeued", n, deq)
+	}
+	select {
+	case <-done:
+		t.Fatal("the request finished before the reads did: nothing was in flight to wait for")
+	default:
+	}
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if c := dev.Engine(0).Counters(); c.Requests != 1 || c.InBytes != int64(len(src)) {
+		t.Fatalf("ledger after the request: %+v", c)
+	}
+	settled(t, node)
 }
