@@ -50,7 +50,8 @@ bench:
 ## Dst at 0 allocations (tables live in the pooled inflater).
 ## TestIntoPathAllocFree and TestSubmitIntoAllocFree each run twice, fixed
 ## table and engine-generated DHT: counting, the Huffman build, the header
-## plan and the codes all live in the engine's encoder scratch. The 842
+## plan and the codes all live in the encoder scratch of the work area a
+## compress borrows (internal/nx's free list, built on first use). The 842
 ## codec's gate is one allocation a call, its output: Compress (the match
 ## tables are on its stack), and Decompress under an exact budget. The
 ## stream wrappers are gated per 8 MiB stream of bench/'s stream_parallel
@@ -71,7 +72,8 @@ bench:
 ## The first line is the LZ stage's: TestHWMatcherFootprint (every slice a
 ## new HWMatcher holds, summed: a head per set plus a link per position of
 ## a 64 Ki ring — the size of the history, not sets x ways; 256 KiB for
-## P9, 640 KiB for z15, which is what a node's resident memory is made of)
+## P9, 640 KiB for z15; a process holds one per compress in flight at
+## once, not one per engine)
 ## and TestSoftMatcherTokenizeAllocatesOnce (the software baseline's
 ## tokens: one allocation a call, none into a slice handed back). In the
 ## root line, TestCodecLabelIsTheNeedSetsNameAndAllocFree holds a
@@ -164,9 +166,24 @@ bench-json:
 ## run's, and when it does not the answer is target-space, never different
 ## bytes (ROADMAP item 4's one-shot clause; seeded from the sizes and
 ## budgets of internal/nx's TestTranslateFollowsOutput; an execution opens
-## three views: -fuzzminimizetime 2s). Sixteen targets in all. Finds
-## panics/OOMs in the bounds-checked decode loops and parser edge cases; go
-## test -fuzz accepts one fuzz target per invocation, hence one run each.
+## three views: -fuzzminimizetime 2s). Seventeenth, its encode side: any
+## bytes through either accelerator under every table mode and framing,
+## from two goroutines sharing one view — compress/flate inflates each
+## output to the input and the two outputs are equal, whichever work area
+## each was computed in and whichever geometry used it last (the views
+## outlive an execution, so one accelerator's follows the other's).
+## Seventeen targets in all. The three that used to stand outside the
+## recipe are inside a neighbour: FuzzBlockDecode round-trips its input
+## through the lz4 encoder as well (FuzzRoundTrip's law), FuzzDecompress
+## hands every input to the gzip framing as well as to the inflate core
+## (FuzzGzipUnwrap's), and the 842 FuzzRoundTrip's law is the last step of
+## FuzzCompressEqualsReference; the three keep running their seeds under go
+## test. FuzzHWMatcherEqualsReference runs every input a second time on one
+## matcher re-shaped from the previous execution's geometry
+## (HWMatcher.Reset: what a work area does between a P9 and a z15 engine).
+## Finds panics/OOMs in the bounds-checked decode loops and parser edge
+## cases; go test -fuzz accepts one fuzz target per invocation, hence one
+## run each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
@@ -184,6 +201,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamWriterEqualsSerial -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzMemberWritersEqualReference -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzBudgetDoesNotChangeTheAnswer -fuzztime 30s -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz FuzzCompressInflatesWithFlate -fuzztime 30s -fuzzminimizetime 2s .
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot

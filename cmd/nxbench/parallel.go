@@ -12,8 +12,9 @@ package main
 //     number of requests kept in flight (claims C2/C3/C6, experiment E6).
 //
 // The device is configured with Engines = workers so the multi-window
-// submission pattern has engines to land on; a single engine serializes
-// every request exactly as the silicon does.
+// submission pattern has engines to land on; a single engine is charged
+// every request, so its busy cycles are the burst's makespan on the model
+// clock however many goroutines ran them on the host.
 
 import (
 	"bytes"

@@ -41,8 +41,8 @@ func Z15Engine() EngineConfig {
 // CRB and the configuration, and the model clock never reads host time, so
 // concurrent Process calls compute side by side on host memory of their
 // own (workArea) and meet only at mu, to add their completions to the
-// ledger: which requests an engine is charged for is the caller's deal,
-// when the host ran them is nobody's.
+// ledger. Which requests an engine is charged for is the submitter's deal
+// (Context.run); in what order the host ran them leaves no trace.
 type Engine struct {
 	cfg EngineConfig
 	mmu *nmmu.MMU
@@ -69,7 +69,7 @@ func NewEngine(cfg EngineConfig, mmu *nmmu.MMU) *Engine {
 // table, the token buffer, the encoder's tables — the model's stand-in for
 // SRAM that on silicon is the engine's. It is lent for the length of one
 // compress, to whichever engine: the matcher takes the geometry of the
-// engine in hand (HWMatcher.Reset re-slices its table; a geometry per list
+// engine in hand (HWMatcher.Reset re-slices its table; a list per geometry
 // would keep Limit areas for every geometry an ablation sweeps), and
 // neither tokens nor tables outlive the call. The list keeps at most
 // freelist.Limit areas, each a matcher and the largest token buffer it has
@@ -143,23 +143,27 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 	e.busyCycles += csb.Cycles.Total
 	e.inBytes += int64(csb.SPBC)
 	e.outBytes += int64(csb.TPBC)
-	b := &e.stageCycles
-	b.Setup += csb.Cycles.Setup
-	b.Translate += csb.Cycles.Translate
-	b.DMAIn += csb.Cycles.DMAIn
-	b.LZ += csb.Cycles.LZ
-	b.DHTGen += csb.Cycles.DHTGen
-	b.Encode += csb.Cycles.Encode
-	b.Decode += csb.Cycles.Decode
-	b.DMAOut += csb.Cycles.DMAOut
-	b.Complete += csb.Cycles.Complete
-	b.Total += csb.Cycles.Total
+	addStages(&e.stageCycles, csb.Cycles)
 	if csb.CC >= 0 && csb.CC < ccCount {
 		e.ccCounts[csb.CC]++
 	}
 	if csb.LZ != (lz77.HWStats{}) {
 		e.lastLZ = csb.LZ
 	}
+}
+
+// addStages adds one breakdown to a sum of them, stage by stage.
+func addStages(sum *pipeline.Breakdown, b pipeline.Breakdown) {
+	sum.Setup += b.Setup
+	sum.Translate += b.Translate
+	sum.DMAIn += b.DMAIn
+	sum.LZ += b.LZ
+	sum.DHTGen += b.DHTGen
+	sum.Encode += b.Encode
+	sum.Decode += b.Decode
+	sum.DMAOut += b.DMAOut
+	sum.Complete += b.Complete
+	sum.Total += b.Total
 }
 
 // execute runs the request into csb with no lock held. It reports whether
@@ -215,7 +219,7 @@ func (e *Engine) execute(pid nmmu.PID, crb *CRB, csb *CSB) bool {
 		csb.Detail = "unknown function code"
 	}
 	if csb.CC == CCTranslationFault {
-		return true // a reached target page faulted: accounted, nothing delivered
+		return true // a reached target page faulted: on the ledger, nothing delivered
 	}
 
 	e.injectCC(crb, csb)

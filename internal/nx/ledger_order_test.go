@@ -6,9 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nxzip/internal/corpus"
 	"nxzip/internal/deflate"
+	"nxzip/internal/nmmu"
 	"nxzip/internal/testutil"
 )
 
@@ -128,12 +130,8 @@ func runLedgerMix(t *testing.T, f *ledgerFixtures, cfg DeviceConfig, goroutines 
 		}
 	}
 	wg.Add(goroutines)
-	if goroutines == 1 {
-		drive()
-	} else {
-		for g := 0; g < goroutines; g++ {
-			go drive()
-		}
+	for g := 0; g < goroutines; g++ {
+		go drive()
 	}
 	wg.Wait()
 	if t.Failed() {
@@ -155,17 +153,7 @@ func ledgerSum(dev *Device) (sum Counters) {
 		for cc := range c.CCCounts {
 			sum.CCCounts[cc] += c.CCCounts[cc]
 		}
-		s, b := &sum.StageCycles, c.StageCycles
-		s.Setup += b.Setup
-		s.Translate += b.Translate
-		s.DMAIn += b.DMAIn
-		s.LZ += b.LZ
-		s.DHTGen += b.DHTGen
-		s.Encode += b.Encode
-		s.Decode += b.Decode
-		s.DMAOut += b.DMAOut
-		s.Complete += b.Complete
-		s.Total += b.Total
+		addStages(&sum.StageCycles, c.StageCycles)
 	}
 	return sum
 }
@@ -275,4 +263,53 @@ func TestEngineLedgerCountsAFaultPastTheFirstPage(t *testing.T) {
 	}
 	ctx.Close()
 	testutil.Settled(t, dev)
+}
+
+// BenchmarkSharedEngineClients: b.N small compressions (1-4 KiB JSON log
+// records, the fixed table, caller-owned blocks and target) from one client
+// of a one-engine z15 device, then from each of two. scaling is the two
+// clients' combined rate over the one client's: 2 when neither waits for
+// the other, 1 when the engine runs one host computation at a time.
+func BenchmarkSharedEngineClients(b *testing.B) {
+	dev := NewDevice(Z15Device())
+	var records [][]byte
+	for i := 0; i < 16; i++ {
+		records = append(records, corpus.Generate(corpus.JSONLogs, 1<<10+i*(3<<10)/15, int64(i)))
+	}
+	client := func(id int) func() {
+		ctx := dev.OpenContext(nmmu.PID(id))
+		var (
+			csb    CSB
+			rep    Report
+			target = make([]byte, 0, 16<<10)
+		)
+		return func() {
+			for i := 0; i < b.N; i++ {
+				crb := CRB{Func: FCCompressFHT, Wrap: WrapGzip, Input: records[i%len(records)], Target: target}
+				if err := ctx.SubmitInto(&crb, &csb, &rep); err != nil || csb.CC != CCSuccess {
+					b.Errorf("client %d: %v, %s", id, err, csb.CC)
+					return
+				}
+			}
+		}
+	}
+	a, c := client(1), client(2)
+	a() // build and warm what is built on first use
+	b.ResetTimer()
+	start := time.Now()
+	a()
+	one := time.Since(start)
+
+	var wg sync.WaitGroup
+	start = time.Now()
+	for _, run := range []func(){a, c} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	two := time.Since(start)
+	b.ReportMetric(2*one.Seconds()/two.Seconds(), "scaling")
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// FuzzRoundTrip holds its seeds to the round trip under go test; make
+// fuzz-smoke explores the law through FuzzCompressEqualsReference, whose
+// checkCompress takes back, under an exact budget, everything it encodes.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("12345678"))

@@ -135,10 +135,10 @@ func (m *Metrics) Throughput() float64 {
 // multi-device pool, so every method here transparently routes requests
 // through the node's dispatch policy. Compression and decompression
 // methods are safe for concurrent use from any number of goroutines:
-// requests queue at each device's shared receive FIFO and serialize per
-// engine exactly as they do on the silicon (configure
-// Config.Device.Engines for devices with more than one engine behind the
-// queue). TrainTable is setup-time configuration — call it before
+// requests queue at each device's shared receive FIFO and are charged to
+// its engines by turn (configure Config.Device.Engines for devices with
+// more than one engine behind the queue); on the host they compute side by
+// side and share nothing but the engines' counters. TrainTable is setup-time configuration — call it before
 // concurrent use begins. Writer/Reader/StreamWriter/StreamReader values
 // are single-stream objects (one goroutine each), while any number of
 // them may run concurrently on one Accelerator; ParallelWriter and
