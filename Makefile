@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-json bench-host fuzz-smoke nxbench parallel trace-demo obs-demo flightrec-demo drain-demo tenants-demo
+.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-host fuzz-smoke nxbench parallel trace-demo
 
 ## check: the tier-1 gate — build, vet, gofmt, the full test suite under
-## the race detector, the fault-injection chaos suite, the zero-alloc
-## hot-path gate, the parser/decoder fuzz smoke, and the observability +
-## flight-recorder + graceful-drain + tenant-accounting self-checks. CI
-## and pre-merge runs use this target.
-check: build vet fmt-check race chaos bench-alloc fuzz-smoke obs-demo flightrec-demo drain-demo tenants-demo
+## the race detector (which holds the model-clock experiment tables to
+## internal/experiments/testdata/model_tables.golden, and the
+## observability, flight-recorder, graceful-drain and tenant-accounting
+## surfaces to their end-to-end tests over a live node), the
+## fault-injection chaos suite, the zero-alloc hot-path gate and the
+## parser/decoder fuzz smoke. CI and pre-merge runs use this target.
+check: build vet fmt-check race chaos bench-alloc fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -33,7 +35,8 @@ race:
 chaos:
 	$(GO) test -race -run 'Submission|Chaos|Inject|FaultStorm|EngineHang|Offline|Deadline|Cancel|CreditLeak|Backoff|Resume|Drain|Overload|Admission|Tenant|Burn' . ./internal/nx ./internal/faultinject ./internal/topology ./internal/admission ./internal/obs
 
-## bench: regenerate the paper's tables/figures as Go benchmarks.
+## bench: time every experiment table (BenchmarkExperiments, one
+## sub-benchmark per registry ID) and the device and stream paths.
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
@@ -93,23 +96,6 @@ bench-alloc:
 	$(GO) test -run 'TestListSurvivesCollections|TestListBalancedUseAllocatesNothing' -count=1 ./internal/freelist
 	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestCodecLabelIsTheNeedSetsNameAndAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite|TestParallelWriterSinkFailure|TestStreamWriterFailoverInFlight' -count=1 .
-
-## bench-json: run the E18 topology sweep (aggregate GB/s vs device
-## count, claim C6), the E19 chaos sweep (throughput/p99 vs injected
-## fault rate), the E20 observability-overhead measurement, the E21
-## batched small-request sweep, the E22 flight-recorder overhead
-## measurement, the E23 codec shoot-out, the E24 overload-protection
-## sweep and the E25 tenant-interference run (burn-rate paging on the
-## offender's label), exporting the raw points to BENCH_*.json.
-bench-json:
-	$(GO) run ./cmd/nxbench -json BENCH_topology.json
-	$(GO) run ./cmd/nxbench -chaos sweep -json BENCH_chaos.json
-	$(GO) run ./cmd/nxbench -obs-overhead -json BENCH_obs.json
-	$(GO) run ./cmd/nxbench -smallreq -json BENCH_smallreq.json
-	$(GO) run ./cmd/nxbench -flightrec-overhead -json BENCH_flightrec.json
-	$(GO) run ./cmd/nxbench -codecs -json BENCH_codecs.json
-	$(GO) run ./cmd/nxbench -overload -json BENCH_overload.json
-	$(GO) run ./cmd/nxbench -tenants -json BENCH_tenants.json
 
 ## fuzz-smoke: 30 s of coverage-guided fuzzing over each attack surface
 ## fed by untrusted or operator input — the block decoders (LZ4 block
@@ -226,38 +212,9 @@ bench-host:
 	$(GO) run ./bench -workload $(WORKLOAD) -trace 0
 	$(GO) run ./bench -workload $(WORKLOAD) -trace 1
 
-## obs-demo: observability self-check — run a workload behind an
-## ephemeral exposition server, scrape /metrics, verify the Prometheus
-## text parses and key series round-trip the snapshot, and that
-## /healthz answers 200 on the healthy node.
-obs-demo:
-	$(GO) run ./cmd/nxbench -obs-demo
-
-## flightrec-demo: flight-recorder self-check — recorder attached, clean
-## traffic digested, a forced device outage survived through failover,
-## a postmortem bundle written and fetched back over /debug/postmortems,
-## and the failed request's digest + per-attempt spans + events verified
-## to chain under one RequestID.
-flightrec-demo:
-	$(GO) run ./cmd/nxbench -flightrec-demo
-
-## drain-demo: graceful-drain self-check — live traffic across two
-## devices, one drained mid-flight: the drain must quiesce with zero
-## dropped in-flight requests (dequeues == completes everywhere), the
-## survivor stays byte-exact, the drain shows on the event bus, and
-## Undrain restores the device to service.
-drain-demo:
-	$(GO) run ./cmd/nxbench -drain-demo
-
-## tenants-demo: tenant accounting-plane self-check — two prioritised
-## tenants behind an ephemeral server: /tenants carries both rows with
-## quota standing, /metrics exposes the labeled latency families, every
-## exemplar RequestID resolves to a flight-recorder digest, and the
-## burn-rate evaluation stays quiet on the healthy node.
-tenants-demo:
-	$(GO) run ./cmd/nxbench -tenants-demo
-
-## nxbench: render every experiment table (E1–E25 + ablations).
+## nxbench: render every experiment table of the registry (E1–E25,
+## A1–A11, H0), each title naming its clock; one table is
+## go run ./cmd/nxbench -only <ID>.
 nxbench:
 	$(GO) run ./cmd/nxbench
 

@@ -379,6 +379,57 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatal("undrained device never returned to service")
 	}
 
+	// Under live traffic: four round-tripping workers keep both devices
+	// busy while device 0 drains. The drain drops no in-flight request
+	// (every device's dequeues equal its completes), the drained device
+	// takes no new paste, and the drain reaches the event bus.
+	bus := node.EnableEvents()
+	var workers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				gz, _, err := acc.CompressGzip(src)
+				if err != nil {
+					t.Errorf("worker %d during live drain: %v", w, err)
+					return
+				}
+				if plain, err := SoftwareGunzip(gz); err != nil || !bytes.Equal(plain, src) {
+					t.Errorf("worker %d: roundtrip during live drain: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	time.Sleep(20 * time.Millisecond)
+	drainErr := node.DrainTimeout(0, 10*time.Second)
+	pastesAtDrain := node.Device(0).Switchboard().Stats().Pastes
+	time.Sleep(20 * time.Millisecond) // traffic continues on the survivor
+	close(done)
+	workers.Wait()
+	if drainErr != nil {
+		t.Fatalf("drain under traffic: %v", drainErr)
+	}
+	if got := node.Device(0).Switchboard().Stats().Pastes; got != pastesAtDrain {
+		t.Fatalf("drained device took %d new pastes", got-pastesAtDrain)
+	}
+	settled(t, node)
+	drainEvent := false
+	for _, ev := range bus.Tail(64) {
+		drainEvent = drainEvent || ev.Type == obs.EventDrain
+	}
+	if !drainEvent {
+		t.Fatal("no drain event on the bus")
+	}
+	node.Undrain(0)
+
 	// Out-of-range indices are rejected gracefully.
 	if err := node.Drain(99); err == nil {
 		t.Fatal("Drain(99) succeeded on a 2-device node")

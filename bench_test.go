@@ -1,18 +1,14 @@
 package nxzip_test
 
-// bench_test.go holds one testing.B benchmark per reproduced table/figure
-// (E1–E17 in DESIGN.md) plus the design-choice ablations (A1–A11). Each
-// benchmark executes the corresponding experiment harness end to end and
-// publishes its headline quantity with b.ReportMetric, so
-// `go test -bench=.` regenerates the paper's results and their key
-// numbers in one run.
+// bench_test.go times every experiment of internal/experiments' registry
+// (BenchmarkExperiments, one sub-benchmark per table ID; the model-clock
+// tables' cells are pinned by that package's golden file, not here) and
+// the raw device and stream paths the experiments are built on.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,141 +17,14 @@ import (
 	"nxzip/internal/experiments"
 )
 
-// headline extracts the numeric prefix of a table cell.
-func headline(tab *experiments.Table, row, col int) float64 {
-	s := tab.Rows[row][col]
-	s = strings.TrimSuffix(s, "x")
-	s = strings.TrimSuffix(s, "%")
-	f := strings.Fields(s)
-	v, _ := strconv.ParseFloat(f[0], 64)
-	return v
-}
-
-func BenchmarkE1_CompressionRatio(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E1CompressionRatio()
-	}
-	b.ReportMetric(headline(tab, 0, 2), "text-dht-ratio")
-	b.ReportMetric(headline(tab, 0, 5), "text-zlib6-ratio")
-}
-
-func BenchmarkE2_ThroughputVsSize(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E2ThroughputVsSize()
-	}
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 1), "p9-comp-GB/s")
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 3), "z15-comp-GB/s")
-}
-
-func BenchmarkE3_SpeedupSingleCore(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E3SpeedupSingleCore()
-	}
-	b.ReportMetric(headline(tab, 2, 3), "speedup-vs-zlib9")
-}
-
-func BenchmarkE4_SpeedupWholeChip(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E4SpeedupWholeChip()
-	}
-	b.ReportMetric(headline(tab, 1, 3), "speedup-vs-chip")
-}
-
-func BenchmarkE5_Z15Doubling(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E5Z15Doubling()
-	}
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 3), "z15-over-p9")
-}
-
-func BenchmarkE6_SystemScaling(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E6SystemScaling()
-	}
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 1), "20chip-GB/s")
-}
-
-func BenchmarkE7_SparkTPCDS(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E7SparkTPCDS()
-	}
-	b.ReportMetric(headline(tab, 1, 4), "end-to-end-%")
-}
-
-func BenchmarkE8_LatencyBreakdown(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E8LatencyBreakdown()
-	}
-	b.ReportMetric(headline(tab, 0, 6), "4KiB-total-us")
-}
-
-func BenchmarkE9_MultiTenant(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E9MultiTenant()
-	}
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 3), "64tenant-p99-us")
-}
-
-func BenchmarkE10_AreaPower(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E10AreaPower()
-	}
-	b.ReportMetric(headline(tab, 0, 2), "p9-area-%")
-}
-
-func BenchmarkE11_DHTStrategies(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E11DHTStrategies()
-	}
-	b.ReportMetric(headline(tab, 0, 2), "text-dht-ratio")
-}
-
-func BenchmarkE12_PageFaults(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E12PageFaults()
-	}
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 4), "allfault-slowdown")
-}
-
-func BenchmarkAblationBanks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A1Banks()
-	}
-}
-
-func BenchmarkAblationWays(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A2Ways()
-	}
-}
-
-func BenchmarkAblationLazy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A3Lazy()
-	}
-}
-
-func BenchmarkAblationWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A4Window()
-	}
-}
-
-func BenchmarkAblationWidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A5Width()
+// BenchmarkExperiments runs each registry entry end to end.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run()
+			}
+		})
 	}
 }
 
@@ -305,99 +174,5 @@ func BenchmarkSoftwareGzipLevel6(b *testing.B) {
 		if _, err := nxzip.SoftwareGzip(src, 6); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkE13_StreamComposition(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E13StreamComposition()
-	}
-	b.ReportMetric(headline(tab, 0, 2), "8KiB-history-ratio")
-	b.ReportMetric(headline(tab, 0, 1), "8KiB-member-ratio")
-}
-
-func BenchmarkAblationSpecDecode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A6SpecDecode()
-	}
-}
-
-func BenchmarkE14_MemoryExpansion(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E14MemoryExpansion()
-	}
-	b.ReportMetric(headline(tab, 0, 1), "text-expansion-x")
-}
-
-func BenchmarkE15_SubmissionInterfaces(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E15SubmissionInterfaces()
-	}
-	b.ReportMetric(headline(tab, 0, 3), "4KiB-sync-benefit-%")
-}
-
-func BenchmarkAblationSampleSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A7SampleSize()
-	}
-}
-
-func BenchmarkAblationERAT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A8ERATSize()
-	}
-}
-
-func BenchmarkAblationTableConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A9TableConstruction()
-	}
-}
-
-func BenchmarkE16_QoS(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E16QoS()
-	}
-	b.ReportMetric(headline(tab, 1, 2), "priority-urgent-p99-us")
-}
-
-func BenchmarkE17_SmallRequests(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E17SmallRequests()
-	}
-	b.ReportMetric(headline(tab, 0, 1), "512B-dht-ratio")
-}
-
-func BenchmarkE18_TopologyScaling(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E18TopologyScaling()
-	}
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 2), "20dev-GB/s")
-	b.ReportMetric(headline(tab, len(tab.Rows)-1, 5), "20dev-efficiency")
-}
-
-func BenchmarkE21_SmallRequestBatching(b *testing.B) {
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.E21SmallRequestBatching()
-	}
-	b.ReportMetric(headline(tab, 2, 4), "4KiB-batch-speedup")
-}
-
-func BenchmarkAblationExpansionBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A10ExpansionBound()
-	}
-}
-
-func BenchmarkAblationParseOptimality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.A11ParseOptimality()
 	}
 }

@@ -1,303 +1,99 @@
-// Command nxbench regenerates every table and figure of the reproduction
-// (experiments E1–E25 per DESIGN.md) plus the design-choice ablations,
-// printing them as formatted text tables.
+// Command nxbench renders the reproduction's experiment tables — E1–E25
+// per DESIGN.md plus the A1–A11 design-choice ablations and the H0 host
+// reference — from internal/experiments' registry, each title naming the
+// clock its numbers are measured on.
 //
 // Usage:
 //
-//	nxbench                  # all experiments
-//	nxbench -only E7         # one experiment
+//	nxbench                  # every experiment in the registry
+//	nxbench -only E7         # one experiment by ID (E1..E25, A1..A11, H0)
 //	nxbench -ablations       # the A1–A11 design sweeps
-//	nxbench -host            # also measure this host's software codec
 //	nxbench -parallel        # serial vs parallel Writer/Reader scaling
+//	nxbench -devices 8 -dispatch ll     # one E18 topology point
+//	nxbench -chaos fault-storm          # one chaos profile vs the clean baseline
+//	nxbench -serve :8090 -serve-dur 30s # workload behind the obs HTTP server (add -chaos mild)
 //	nxbench -trace out.json  # Chrome trace of a ParallelWriter workload
 //	nxbench -metrics         # metrics snapshot of the same workload
-//	nxbench -json BENCH_topology.json   # E18 sweep, points as JSON
-//	nxbench -devices 8 -dispatch ll     # one topology point
-//	nxbench -chaos sweep -json BENCH_chaos.json   # E19 fault-rate sweep
-//	nxbench -smallreq -json BENCH_smallreq.json   # E21 batched small-request sweep
-//	nxbench -codecs -json BENCH_codecs.json       # E23 codec shoot-out
-//	nxbench -chaos fault-storm                    # one named chaos profile
-//	nxbench -serve :8090 -serve-dur 30s           # workload behind the obs HTTP server
-//	nxbench -obs-demo                             # scrape-and-parse self check
-//	nxbench -obs-overhead -json BENCH_obs.json    # E20 observability overhead
-//	nxbench -flightrec-demo                       # flight recorder end-to-end self check
-//	nxbench -flightrec-overhead -json BENCH_flightrec.json   # E22 recorder overhead
-//	nxbench -overload -json BENCH_overload.json   # E24 overload-protection sweep
-//	nxbench -drain-demo                           # graceful-drain end-to-end self check
-//	nxbench -tenants -json BENCH_tenants.json     # E25 tenant-interference experiment
-//	nxbench -tenants-demo                         # tenant accounting plane self check
+//
+// E19's fault-rate sweep is -only E19; -chaos runs one named profile.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"nxzip/internal/experiments"
+	"nxzip/internal/faultinject"
 	"nxzip/internal/topology"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment id (E1..E25, A1..A11)")
+	only := flag.String("only", "", "run a single experiment id (E1..E25, A1..A11, H0)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablation sweeps")
-	host := flag.Bool("host", false, "also measure the host software baseline")
 	parallel := flag.Bool("parallel", false, "measure serial vs parallel Writer/Reader throughput scaling")
 	tracePath := flag.String("trace", "", "run the trace workload and write Chrome trace_event JSON to this file")
 	metrics := flag.Bool("metrics", false, "run the trace workload and print the device metrics snapshot")
-	jsonPath := flag.String("json", "", "write the sweep's raw points to this file as JSON (E18 topology, or E19 with -chaos)")
-	devices := flag.Int("devices", 0, "measure a single topology point with this many z15 devices")
+	devices := flag.Int("devices", 0, "measure a single E18 topology point with this many z15 devices")
 	dispatch := flag.String("dispatch", "", "dispatch policy for the topology sweep: round-robin, least-loaded, affinity")
-	smallreq := flag.Bool("smallreq", false, "run the E21 batched small-request sweep (export points with -json)")
-	codecs := flag.Bool("codecs", false, "run the E23 codec shoot-out (export points with -json)")
-	chaos := flag.String("chaos", "", "run the E19 chaos harness: \"sweep\", a named profile (mild, heavy, fault-storm, ...) or \"class=rate,...\"")
+	chaos := flag.String("chaos", "", "measure one chaos profile (mild, heavy, fault-storm, ... or \"class=rate,...\") against the clean baseline; with -serve, inject it into the served node")
 	serve := flag.String("serve", "", "run a workload behind the observability HTTP server on this address (e.g. :8090); combine with -chaos and -serve-dur")
 	serveDur := flag.Duration("serve-dur", 0, "how long -serve runs the workload (0 = until interrupted)")
-	obsDemoFlag := flag.Bool("obs-demo", false, "self-check: serve, scrape /metrics, verify Prometheus parse + counter round-trip + /healthz")
-	obsOverhead := flag.Bool("obs-overhead", false, "run the E20 observability-overhead experiment (export points with -json)")
-	flightDemoFlag := flag.Bool("flightrec-demo", false, "self-check: recorder attached, forced device outage, postmortem bundle verified over /debug/postmortems")
-	flightOverhead := flag.Bool("flightrec-overhead", false, "run the E22 flight-recorder-overhead experiment (export points with -json)")
-	overload := flag.Bool("overload", false, "run the E24 overload-protection sweep (export points with -json)")
-	drainDemoFlag := flag.Bool("drain-demo", false, "self-check: graceful drain under live traffic — zero dropped in-flight, byte-exact results, clean undrain")
-	tenants := flag.Bool("tenants", false, "run the E25 tenant-interference experiment (export result with -json)")
-	tenantsDemoFlag := flag.Bool("tenants-demo", false, "self-check: labeled tenant rows over /tenants, exemplars resolved against the flight recorder")
 	flag.Parse()
 
-	if *serve != "" || *obsDemoFlag || *obsOverhead || *flightDemoFlag || *flightOverhead || *overload || *drainDemoFlag || *tenants || *tenantsDemoFlag {
-		var err error
-		switch {
-		case *obsDemoFlag:
-			err = obsDemo()
-		case *obsOverhead:
-			err = obsOverheadRun(*jsonPath)
-		case *flightDemoFlag:
-			err = flightrecDemo()
-		case *flightOverhead:
-			err = flightOverheadRun(*jsonPath)
-		case *overload:
-			err = overloadRun(*jsonPath)
-		case *drainDemoFlag:
-			err = drainDemo()
-		case *tenants:
-			err = tenantsRun(*jsonPath)
-		case *tenantsDemoFlag:
-			err = tenantsDemo()
-		default:
-			err = obsServe(*serve, *serveDur, *chaos)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tracePath != "" || *metrics {
-		if err := traceDemo(*tracePath, *metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *smallreq {
-		if err := smallreqRun(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *codecs {
-		if err := codecsRun(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaos != "" {
-		if err := chaosRun(*chaos, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" || *devices > 0 || *dispatch != "" {
-		if err := topologyRun(*jsonPath, *devices, *dispatch); err != nil {
-			fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var tables []*experiments.Table
+	var (
+		tables []*experiments.Table
+		err    error
+	)
 	switch {
+	case *serve != "":
+		err = obsServe(*serve, *serveDur, *chaos)
+	case *tracePath != "" || *metrics:
+		err = traceDemo(*tracePath, *metrics)
+	case *chaos != "":
+		var p faultinject.Profile
+		if p, err = faultinject.ParseProfile(*chaos); err == nil {
+			t := experiments.ChaosProfile(*chaos, p)
+			t.Clock = experiments.Host
+			tables = append(tables, t)
+		}
+	case *devices > 0 || *dispatch != "":
+		var policy topology.Policy
+		if policy, err = topology.ParsePolicy(*dispatch); err == nil {
+			counts := experiments.TopologyDeviceCounts
+			if *devices > 0 {
+				counts = []int{*devices}
+			}
+			t := experiments.TopologyScalingCustom(counts, policy)
+			t.Clock = experiments.Model
+			tables = append(tables, t)
+		}
 	case *only != "":
-		tables = runOne(strings.ToUpper(*only))
-		if tables == nil {
+		e, ok := experiments.Lookup(strings.ToUpper(*only))
+		if !ok {
 			fmt.Fprintf(os.Stderr, "nxbench: unknown experiment %q\n", *only)
 			os.Exit(2)
 		}
+		tables = append(tables, e.Run())
 	case *parallel:
 		tables = parallelTables()
-	case *ablations:
-		tables = experiments.Ablations()
 	default:
-		tables = experiments.All()
-		tables = append(tables, experiments.Ablations()...)
+		for _, e := range experiments.Registry {
+			if !*ablations || e.Ablation() {
+				tables = append(tables, e.Run())
+			}
+		}
 	}
-	if *host {
-		tables = append(tables, experiments.EHostReference())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nxbench: %v\n", err)
+		os.Exit(1)
 	}
-
+	if len(tables) == 0 {
+		return
+	}
 	fmt.Println("nxzip experiment harness — reproduction of ISCA 2020 \"Data compression accelerator on IBM POWER9 and z15 processors\"")
 	for _, t := range tables {
 		t.Render(os.Stdout)
 	}
-}
-
-func runOne(id string) []*experiments.Table {
-	switch id {
-	case "E1":
-		return []*experiments.Table{experiments.E1CompressionRatio()}
-	case "E2":
-		return []*experiments.Table{experiments.E2ThroughputVsSize()}
-	case "E3":
-		return []*experiments.Table{experiments.E3SpeedupSingleCore()}
-	case "E4":
-		return []*experiments.Table{experiments.E4SpeedupWholeChip()}
-	case "E5":
-		return []*experiments.Table{experiments.E5Z15Doubling()}
-	case "E6":
-		return []*experiments.Table{experiments.E6SystemScaling()}
-	case "E7":
-		return []*experiments.Table{experiments.E7SparkTPCDS()}
-	case "E8":
-		return []*experiments.Table{experiments.E8LatencyBreakdown()}
-	case "E9":
-		return []*experiments.Table{experiments.E9MultiTenant()}
-	case "E10":
-		return []*experiments.Table{experiments.E10AreaPower()}
-	case "E11":
-		return []*experiments.Table{experiments.E11DHTStrategies()}
-	case "E12":
-		return []*experiments.Table{experiments.E12PageFaults()}
-	case "E13":
-		return []*experiments.Table{experiments.E13StreamComposition()}
-	case "E14":
-		return []*experiments.Table{experiments.E14MemoryExpansion()}
-	case "E15":
-		return []*experiments.Table{experiments.E15SubmissionInterfaces()}
-	case "E16":
-		return []*experiments.Table{experiments.E16QoS()}
-	case "E17":
-		return []*experiments.Table{experiments.E17SmallRequests()}
-	case "E18":
-		return []*experiments.Table{experiments.E18TopologyScaling()}
-	case "E19":
-		return []*experiments.Table{experiments.E19ChaosDegradation()}
-	case "E20":
-		return []*experiments.Table{experiments.E20ObservabilityOverhead()}
-	case "E21":
-		return []*experiments.Table{experiments.E21SmallRequestBatching()}
-	case "E22":
-		return []*experiments.Table{experiments.E22FlightRecorderOverhead()}
-	case "E23":
-		return []*experiments.Table{experiments.E23CodecShootout()}
-	case "E24":
-		return []*experiments.Table{experiments.E24OverloadProtection()}
-	case "E25":
-		return []*experiments.Table{experiments.E25TenantInterference()}
-	case "A1":
-		return []*experiments.Table{experiments.A1Banks()}
-	case "A2":
-		return []*experiments.Table{experiments.A2Ways()}
-	case "A3":
-		return []*experiments.Table{experiments.A3Lazy()}
-	case "A4":
-		return []*experiments.Table{experiments.A4Window()}
-	case "A5":
-		return []*experiments.Table{experiments.A5Width()}
-	case "A6":
-		return []*experiments.Table{experiments.A6SpecDecode()}
-	case "A7":
-		return []*experiments.Table{experiments.A7SampleSize()}
-	case "A8":
-		return []*experiments.Table{experiments.A8ERATSize()}
-	case "A9":
-		return []*experiments.Table{experiments.A9TableConstruction()}
-	case "A10":
-		return []*experiments.Table{experiments.A10ExpansionBound()}
-	case "A11":
-		return []*experiments.Table{experiments.A11ParseOptimality()}
-	case "H0":
-		return []*experiments.Table{experiments.EHostReference()}
-	}
-	return nil
-}
-
-// smallreqRun drives the E21 batched small-request sweep and optionally
-// exports the raw points as JSON (BENCH_smallreq.json in make bench-json).
-func smallreqRun(jsonPath string) error {
-	t, points := experiments.SmallRequestBatching()
-	t.Render(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-}
-
-// codecsRun drives the E23 codec shoot-out and optionally exports the
-// raw points as JSON (BENCH_codecs.json in make bench-json).
-func codecsRun(jsonPath string) error {
-	t, points := experiments.CodecShootout()
-	t.Render(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-}
-
-// overloadRun drives the E24 overload-protection sweep and optionally
-// exports the raw points as JSON (BENCH_overload.json in make bench-json).
-func overloadRun(jsonPath string) error {
-	t, points := experiments.OverloadProtection()
-	t.Render(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
-}
-
-// topologyRun drives the E18 topology sweep (or one explicit point) and
-// optionally exports the raw points as JSON.
-func topologyRun(jsonPath string, devices int, dispatch string) error {
-	policy, err := topology.ParsePolicy(dispatch)
-	if err != nil {
-		return err
-	}
-	counts := []int{1, 4, 8, 12, 16, 20}
-	if devices > 0 {
-		counts = []int{devices}
-	}
-	t, points := experiments.TopologyScalingCustom(counts, policy)
-	t.Render(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(data, '\n'), 0o644)
 }

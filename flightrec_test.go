@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -231,12 +231,22 @@ func TestFlightRecorderEndToEndChaos(t *testing.T) {
 		t.Fatalf("trigger reason %q, want slo unhealthy", reason)
 	}
 
-	// Parse the newest bundle and verify the RequestID chain.
-	f, err := os.Open(bundles[len(bundles)-1])
+	// The SLO bundle is written at the flip, which can precede the digest
+	// of the request whose failed attempt flipped it; the RequestID chain
+	// is read from a bundle taken once the outage's traffic has returned,
+	// fetched back over the node's /debug/postmortems.
+	path, err := rec.TriggerPostmortem("after the outage")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	bundle, err := http.Get("http://" + srv.Addr() + "/debug/postmortems/" + filepath.Base(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bundle.Body.Close()
+	if bundle.StatusCode != http.StatusOK {
+		t.Fatalf("bundle fetch over /debug/postmortems: status %d", bundle.StatusCode)
+	}
 	type hopSpan struct {
 		Req uint64 `json:"req"`
 		Hop int    `json:"hop"`
@@ -245,7 +255,7 @@ func TestFlightRecorderEndToEndChaos(t *testing.T) {
 	redispatched := map[uint64]bool{}
 	spans := map[uint64][]hopSpan{}
 	eventTypes := map[uint64]map[string]bool{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(bundle.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for sc.Scan() {
 		var ln struct {

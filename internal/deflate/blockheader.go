@@ -8,8 +8,9 @@ import (
 )
 
 // BlockHeader is the parsed header of one DEFLATE block, exposed for the
-// speculative-decode study (internal/specdec), which needs the symbol
-// decoders and the payload bit position to analyze lane synchronization.
+// speculative-decode study behind ablation A6 (internal/experiments),
+// which needs the symbol decoders and the payload bit position to analyze
+// lane synchronization.
 type BlockHeader struct {
 	Final  bool
 	Type   int // 0 stored, 1 fixed, 2 dynamic

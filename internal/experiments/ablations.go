@@ -8,7 +8,6 @@ import (
 	"nxzip/internal/huffman"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nx"
-	"nxzip/internal/specdec"
 	"nxzip/internal/stats"
 )
 
@@ -134,11 +133,6 @@ func A5Width() *Table {
 	return t
 }
 
-// Ablations runs every design-choice sweep.
-func Ablations() []*Table {
-	return []*Table{A1Banks(), A2Ways(), A3Lazy(), A4Window(), A5Width(), A6SpecDecode(), A7SampleSize(), A8ERATSize(), A9TableConstruction(), A10ExpansionBound(), A11ParseOptimality()}
-}
-
 // A6SpecDecode measures Huffman self-synchronization on real blocks and
 // derives the lane-count scaling of a speculative parallel decoder — the
 // microarchitectural basis for the decompressor's multi-byte-per-cycle
@@ -157,7 +151,7 @@ func A6SpecDecode() *Table {
 		if err != nil {
 			panic(err)
 		}
-		an, err := specdec.Analyze(stream, 0)
+		an, err := analyzeSync(stream, 0)
 		if err != nil {
 			panic(err)
 		}

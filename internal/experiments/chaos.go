@@ -15,18 +15,14 @@ import (
 // class fired uniformly at the given per-decision probability.
 var ChaosRates = []float64{0, 0.001, 0.01, 0.05, 0.10, 0.25}
 
-// ChaosPoint is one measured fault rate of the E19 sweep — the JSON
-// shape `nxbench -json` emits alongside the topology points.
-type ChaosPoint struct {
-	Profile      string  `json:"profile,omitempty"` // set for named-profile runs
-	Rate         float64 `json:"rate"`
-	GBs          float64 `json:"gbs"`    // end-to-end wall-clock rate, recovery included
-	P99Ms        float64 `json:"p99_ms"` // 99th-percentile per-request wall latency
-	Relative     float64 `json:"relative"`
-	Redispatches int64   `json:"redispatches"`
-	Fallbacks    int64   `json:"fallbacks"`
-	Quarantines  int64   `json:"quarantines"`
-	Injected     int64   `json:"injected"`
+// chaosPoint is one measured row of E19.
+type chaosPoint struct {
+	Rate         float64 // end-to-end wall-clock bytes/s, recovery included
+	P99Ms        float64 // 99th-percentile per-request wall latency
+	Redispatches int64
+	Fallbacks    int64
+	Quarantines  int64
+	Injected     int64
 }
 
 // chaosRequests x chaosChunkSize is the work each sweep point pushes
@@ -37,19 +33,15 @@ const (
 	chaosChunkSize = 256 << 10
 )
 
-// measureChaos drives one fault rate through the full recovery stack: a
-// z15 drawer (4 zEDC units) with a deterministic injector installed on
-// every device, requests routed by the dispatcher with health-scoreboard
-// failover and software fallback live. Rates are wall-clock because
-// that is what recovery costs — backoff sleeps, wasted attempts and
-// software-path compute all land on the caller.
-func measureChaos(rate float64, p faultinject.Profile) (ChaosPoint, error) {
-	// A z15 drawer (4 zEDC units), each with a trimmed recovery budget:
-	// the default policy is sized for production patience (up to 2048
-	// millisecond-scale backoff waits), which under sustained injection
-	// turns one sweep point into minutes of sleeping. Capping the budget
-	// makes a wedged device give up in microseconds and hand the request
-	// to failover — the behavior under test — without changing semantics.
+// DrawerNode opens the z15 drawer (4 zEDC units) E19, E20 and E22
+// measure on and nxbench -serve serves, each device with a trimmed
+// recovery budget: the default policy is sized for production patience
+// (up to 2048 millisecond-scale backoff waits), which under sustained
+// injection turns one sweep point into minutes of sleeping. Capping the
+// budget makes a wedged device give up in microseconds and hand the
+// request to failover — the behavior under test — without changing
+// semantics.
+func DrawerNode() *nxzip.Node {
 	devs := make([]nx.DeviceConfig, 4)
 	for i := range devs {
 		devs[i] = nx.Z15Device()
@@ -61,10 +53,22 @@ func measureChaos(rate float64, p faultinject.Profile) (ChaosPoint, error) {
 			BackoffMax:       8 * time.Microsecond,
 		}
 	}
-	node, err := nxzip.OpenNode(nxzip.CustomNode("z15-chaos", devs...))
+	node, err := nxzip.OpenNode(nxzip.CustomNode("z15-drawer", devs...))
 	if err != nil {
-		return ChaosPoint{}, err
+		panic(err) // a fixed, valid shape
 	}
+	return node
+}
+
+// measureChaos drives one fault rate through the full recovery stack: a
+// DrawerNode with a deterministic injector installed on every device,
+// requests routed by the dispatcher with health-scoreboard failover and
+// software fallback live. Rates are wall-clock because that is what
+// recovery costs — backoff sleeps, wasted attempts and software-path
+// compute all land on the caller. The workload is deterministic, so any
+// error is a harness bug.
+func measureChaos(rate float64, p faultinject.Profile) chaosPoint {
+	node := DrawerNode()
 	injs := node.InstallInjectors(Seed, p)
 	acc := node.View()
 	defer acc.Close()
@@ -76,7 +80,7 @@ func measureChaos(rate float64, p faultinject.Profile) (ChaosPoint, error) {
 		chunk := src[i*chaosChunkSize : (i+1)*chaosChunkSize]
 		t0 := time.Now()
 		if _, _, err := acc.CompressGzip(chunk); err != nil {
-			return ChaosPoint{}, fmt.Errorf("E19 rate %g request %d: %w", rate, i, err)
+			panic(fmt.Sprintf("E19 rate %g request %d: %v", rate, i, err))
 		}
 		lat.Add(float64(time.Since(t0).Microseconds()) / 1e3)
 	}
@@ -87,57 +91,43 @@ func measureChaos(rate float64, p faultinject.Profile) (ChaosPoint, error) {
 		injected += inj.TotalInjected()
 	}
 	snap := node.Metrics()
-	return ChaosPoint{
-		Rate:         rate,
-		GBs:          float64(chaosRequests*chaosChunkSize) / wall.Seconds() / 1e9,
+	return chaosPoint{
+		Rate:         float64(chaosRequests*chaosChunkSize) / wall.Seconds(),
 		P99Ms:        lat.Percentile(99),
 		Redispatches: snap.Counter("nxzip.redispatches", ""),
 		Fallbacks:    snap.Counter("nxzip.fallbacks", ""),
 		Quarantines:  snap.Counter("topology.quarantines", ""),
 		Injected:     injected,
-	}, nil
+	}
 }
 
-// ChaosSweep runs the default fault-rate sweep.
-func ChaosSweep() (*Table, []ChaosPoint) {
-	return ChaosSweepCustom(ChaosRates)
-}
-
-// ChaosSweepCustom sweeps explicit fault rates, returning both the
-// rendered table and the raw points (for -json export). The claim under
-// test is graceful degradation: throughput falls and tail latency grows
-// roughly in proportion to the injected rate, every request still
-// completes correctly, and at no rate does the node collapse — the
-// worst case is the software-fallback floor, not an error.
-func ChaosSweepCustom(rates []float64) (*Table, []ChaosPoint) {
+// E19ChaosDegradation sweeps ChaosRates. The claim under test is
+// graceful degradation: throughput falls and tail latency grows roughly in
+// proportion to the injected rate, every request still completes
+// correctly, and at no rate does the node collapse — the worst case is
+// the software-fallback floor, not an error.
+func E19ChaosDegradation() *Table {
 	t := &Table{
 		ID:     "E19",
 		Title:  "throughput and p99 latency vs injected fault rate (graceful degradation)",
 		Header: []string{"fault-rate", "rate", "relative", "p99-latency", "redispatch", "fallback", "quarantine", "injected"},
 	}
-	var (
-		points []ChaosPoint
-		base   float64
-	)
-	for _, r := range rates {
-		p, err := measureChaos(r, faultinject.Uniform(r))
-		if err != nil {
-			panic(err) // deterministic workload; any error is a harness bug
-		}
+	var base float64
+	for _, r := range ChaosRates {
+		p := measureChaos(r, faultinject.Uniform(r))
 		if base == 0 {
-			base = p.GBs
+			base = p.Rate
 		}
-		p.Relative = p.GBs / base
-		points = append(points, p)
-		chaosRow(t, fmt.Sprintf("%g", p.Rate), p)
+		chaosRow(t, fmt.Sprintf("%g", r), p, base)
 	}
 	chaosNotes(t)
-	return t, points
+	return t
 }
 
-// chaosRow appends one measured point under the shared E19 header.
-func chaosRow(t *Table, label string, p ChaosPoint) {
-	t.AddRow(label, gbs(p.GBs*1e9), f2(p.Relative),
+// chaosRow appends one measured point under the shared E19 header, its
+// rate relative to base.
+func chaosRow(t *Table, label string, p chaosPoint, base float64) {
+	t.AddRow(label, gbs(p.Rate), f2(p.Rate/base),
 		fmt.Sprintf("%.2f ms", p.P99Ms), fmt.Sprintf("%d", p.Redispatches),
 		fmt.Sprintf("%d", p.Fallbacks), fmt.Sprintf("%d", p.Quarantines),
 		fmt.Sprintf("%d", p.Injected))
@@ -153,34 +143,15 @@ func chaosNotes(t *Table) {
 // ChaosProfile measures one named injection profile (the `-chaos mild`
 // CLI path) against the clean baseline, so the row's relative column is
 // meaningful on its own.
-func ChaosProfile(name string, p faultinject.Profile) (*Table, []ChaosPoint) {
+func ChaosProfile(name string, p faultinject.Profile) *Table {
 	t := &Table{
 		ID:     "E19",
 		Title:  fmt.Sprintf("chaos profile %q vs clean baseline", name),
 		Header: []string{"profile", "rate", "relative", "p99-latency", "redispatch", "fallback", "quarantine", "injected"},
 	}
-	clean, err := measureChaos(0, faultinject.Profile{})
-	if err != nil {
-		panic(err)
-	}
-	clean.Profile = "off"
-	clean.Relative = 1
-	pt, err := measureChaos(0, p)
-	if err != nil {
-		panic(err)
-	}
-	pt.Profile = name
-	if clean.GBs > 0 {
-		pt.Relative = pt.GBs / clean.GBs
-	}
-	chaosRow(t, "off", clean)
-	chaosRow(t, name, pt)
+	clean := measureChaos(0, faultinject.Profile{})
+	chaosRow(t, "off", clean, clean.Rate)
+	chaosRow(t, name, measureChaos(0, p), clean.Rate)
 	chaosNotes(t)
-	return t, []ChaosPoint{clean, pt}
-}
-
-// E19ChaosDegradation is the table-only entry point All uses.
-func E19ChaosDegradation() *Table {
-	t, _ := ChaosSweep()
 	return t
 }

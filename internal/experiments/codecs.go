@@ -18,34 +18,15 @@ import (
 	"nxzip/internal/corpus"
 )
 
-// CodecPoint is one codec's aggregate over the corpus mix — the JSON
-// shape `nxbench -codecs` exports.
-type CodecPoint struct {
-	Codec         string  `json:"codec"`
-	InBytes       int     `json:"in_bytes"`
-	OutBytes      int     `json:"out_bytes"`
-	Ratio         float64 `json:"ratio"`
-	CompressGBs   float64 `json:"compress_gbs"`
-	DecompressGBs float64 `json:"decompress_gbs"`
-	CyclesPerByte float64 `json:"cycles_per_byte"`
-}
-
 // codecShootoutFormats pairs each codec family with the wire format the
 // sweep drives it through.
 var codecShootoutFormats = []nxzip.Format{nxzip.FormatGzip, nxzip.Format842, nxzip.FormatLZ4}
 
-// E23CodecShootout renders the shoot-out as a table.
+// E23CodecShootout runs the sweep on one P9 device (the zero capability
+// set: every codec). Every codec sees the identical corpus mix — the nine
+// ratio kinds at 1 MiB each — through the format-routed API, so the
+// numbers compare engines, not data.
 func E23CodecShootout() *Table {
-	t, _ := CodecShootout()
-	return t
-}
-
-// CodecShootout runs the sweep on one P9 device (the zero capability
-// set: every codec) and returns the table plus the raw points for -json
-// export. Every codec sees the identical corpus mix — the nine ratio
-// kinds at 1 MiB each — through the format-routed API, so the numbers
-// compare engines, not data.
-func CodecShootout() (*Table, []CodecPoint) {
 	t := &Table{
 		ID:     "E23",
 		Title:  "codec shoot-out: one API, three engines (P9, 1 MiB x 9 kinds)",
@@ -60,7 +41,6 @@ func CodecShootout() (*Table, []CodecPoint) {
 		srcs[i] = corpus.Generate(k, size, Seed)
 	}
 
-	var points []CodecPoint
 	for _, f := range codecShootoutFormats {
 		var (
 			in, out    int
@@ -87,28 +67,11 @@ func CodecShootout() (*Table, []CodecPoint) {
 			}
 			decTime += dm.DeviceTime
 		}
-		p := CodecPoint{
-			Codec:    f.Codec().String(),
-			InBytes:  in,
-			OutBytes: out,
-			Ratio:    ratioOf(in, out),
-		}
-		if compTime > 0 {
-			p.CompressGBs = float64(in) / compTime.Seconds() / 1e9
-		}
-		if decTime > 0 {
-			p.DecompressGBs = float64(in) / decTime.Seconds() / 1e9
-		}
-		if in > 0 {
-			p.CyclesPerByte = float64(compCycles) / float64(in)
-		}
-		points = append(points, p)
-		t.AddRow(p.Codec, f2(p.Ratio),
-			fmt.Sprintf("%.2f GB/s", p.CompressGBs),
-			fmt.Sprintf("%.2f GB/s", p.DecompressGBs),
-			f2(p.CyclesPerByte))
+		t.AddRow(f.Codec().String(), f2(ratioOf(in, out)),
+			gbs(float64(in)/compTime.Seconds()), gbs(float64(in)/decTime.Seconds()),
+			f2(float64(compCycles)/float64(in)))
 	}
 	t.Note("identical corpus per codec: the nine E1 kinds at 1 MiB; rates from the modeled device timeline")
 	t.Note("deflate = full LZ/Huffman pipeline (DHT); lz4 = two byte-aligned match lanes, no entropy stage; 842 = fixed templates")
-	return t, points
+	return t
 }

@@ -485,37 +485,6 @@ func EHostReference() *Table {
 	return t
 }
 
-// All runs every experiment in order.
-func All() []*Table {
-	return []*Table{
-		E1CompressionRatio(),
-		E2ThroughputVsSize(),
-		E3SpeedupSingleCore(),
-		E4SpeedupWholeChip(),
-		E5Z15Doubling(),
-		E6SystemScaling(),
-		E7SparkTPCDS(),
-		E8LatencyBreakdown(),
-		E9MultiTenant(),
-		E10AreaPower(),
-		E11DHTStrategies(),
-		E12PageFaults(),
-		E13StreamComposition(),
-		E14MemoryExpansion(),
-		E15SubmissionInterfaces(),
-		E16QoS(),
-		E17SmallRequests(),
-		E18TopologyScaling(),
-		E19ChaosDegradation(),
-		E20ObservabilityOverhead(),
-		E21SmallRequestBatching(),
-		E22FlightRecorderOverhead(),
-		E23CodecShootout(),
-		E24OverloadProtection(),
-		E25TenantInterference(),
-	}
-}
-
 // E13StreamComposition reproduces the library-level trade-off of
 // composing one long stream out of buffer-sized requests: independent
 // gzip members (no history, no replay cost) versus a single member with

@@ -27,7 +27,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestE1Shape(t *testing.T) {
-	tab := pinned(t, E1CompressionRatio())
+	tab := pinned(t, "E1")
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -59,7 +59,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	tab := pinned(t, E2ThroughputVsSize())
+	tab := pinned(t, "E2")
 	n := len(tab.Rows)
 	// Throughput must rise monotonically with size (latency → line rate)
 	// and the largest size must approach the P9 8 GB/s line rate.
@@ -79,7 +79,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Claim388x(t *testing.T) {
-	tab := pinned(t, E3SpeedupSingleCore())
+	tab := pinned(t, "E3")
 	best := cell(t, tab, 2, 3) // level 9 speedup
 	if best < 330 || best > 450 {
 		t.Fatalf("level-9 speedup %v outside the 388x regime", best)
@@ -87,7 +87,7 @@ func TestE3Claim388x(t *testing.T) {
 }
 
 func TestE4Claim13x(t *testing.T) {
-	tab := pinned(t, E4SpeedupWholeChip())
+	tab := pinned(t, "E4")
 	sp := cell(t, tab, 1, 3)
 	if sp < 10 || sp > 16 {
 		t.Fatalf("whole-chip speedup %v outside the 13x regime", sp)
@@ -95,7 +95,7 @@ func TestE4Claim13x(t *testing.T) {
 }
 
 func TestE5ClaimDoubling(t *testing.T) {
-	tab := pinned(t, E5Z15Doubling())
+	tab := pinned(t, "E5")
 	last := cell(t, tab, len(tab.Rows)-1, 3)
 	if last < 1.7 || last > 2.3 {
 		t.Fatalf("z15/p9 at large size %v, want ~2", last)
@@ -103,7 +103,7 @@ func TestE5ClaimDoubling(t *testing.T) {
 }
 
 func TestE6Claim280(t *testing.T) {
-	tab := pinned(t, E6SystemScaling())
+	tab := pinned(t, "E6")
 	last := tab.Rows[len(tab.Rows)-1]
 	if last[0] != "20" {
 		t.Fatalf("last row chips = %s", last[0])
@@ -119,7 +119,7 @@ func TestE6Claim280(t *testing.T) {
 }
 
 func TestE7Claim23Percent(t *testing.T) {
-	tab := pinned(t, E7SparkTPCDS())
+	tab := pinned(t, "E7")
 	sp := cell(t, tab, 1, 4)
 	if sp < 15 || sp > 32 {
 		t.Fatalf("Spark speedup %v%% outside the 23%% regime", sp)
@@ -127,7 +127,7 @@ func TestE7Claim23Percent(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	tab := pinned(t, E8LatencyBreakdown())
+	tab := pinned(t, "E8")
 	// Total latency rises with size; small-request total is dominated by
 	// fixed overheads (setup+dht+complete ≈ 7.5us).
 	first := cell(t, tab, 0, 6)
@@ -141,7 +141,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tab := pinned(t, E9MultiTenant())
+	tab := pinned(t, "E9")
 	// Aggregate throughput saturates; P99 grows with tenants; FIFO stays
 	// fair (within 2x worst/best tenant).
 	p99First := cell(t, tab, 0, 3)
@@ -157,7 +157,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE10Claims(t *testing.T) {
-	tab := pinned(t, E10AreaPower())
+	tab := pinned(t, "E10")
 	// P9 accel chip fraction < 0.5%.
 	if frac := cell(t, tab, 0, 2); frac >= 0.5 {
 		t.Fatalf("P9 area fraction %v%%", frac)
@@ -171,7 +171,7 @@ func TestE10Claims(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	tab := pinned(t, E11DHTStrategies())
+	tab := pinned(t, "E11")
 	for i, row := range tab.Rows {
 		fht := cell(t, tab, i, 1)
 		dht := cell(t, tab, i, 2)
@@ -192,7 +192,7 @@ func TestE11Shape(t *testing.T) {
 }
 
 func TestE12Shape(t *testing.T) {
-	tab := pinned(t, E12PageFaults())
+	tab := pinned(t, "E12")
 	// Retries grow with non-resident fraction and effective rate falls.
 	prevRate := 1e18
 	for i := range tab.Rows {
@@ -215,7 +215,7 @@ func TestE12Shape(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
-	a1 := pinned(t, A1Banks())
+	a1 := pinned(t, "A1")
 	// More banks -> fewer conflicts (monotone non-increasing).
 	prev := int64(1 << 62)
 	for i := range a1.Rows {
@@ -225,33 +225,33 @@ func TestAblationShapes(t *testing.T) {
 		}
 		prev = c
 	}
-	a2 := pinned(t, A2Ways())
+	a2 := pinned(t, "A2")
 	if cell(t, a2, 0, 1) > cell(t, a2, len(a2.Rows)-1, 1) {
 		t.Fatalf("A2: ratio fell with more ways")
 	}
-	a3 := pinned(t, A3Lazy())
+	a3 := pinned(t, "A3")
 	if cell(t, a3, 1, 1) < cell(t, a3, 0, 1) {
 		t.Fatalf("A3: lazy did not improve ratio (%v vs %v)",
 			cell(t, a3, 1, 1), cell(t, a3, 0, 1))
 	}
-	a4 := pinned(t, A4Window())
+	a4 := pinned(t, "A4")
 	if cell(t, a4, 0, 1) > cell(t, a4, len(a4.Rows)-1, 1) {
 		t.Fatalf("A4: ratio fell with larger window")
 	}
-	a5 := pinned(t, A5Width())
+	a5 := pinned(t, "A5")
 	if rel := cell(t, a5, len(a5.Rows)-1, 3); rel < 4 {
 		t.Fatalf("A5: 32B width only %vx of 4B", rel)
 	}
 }
 
 func TestTableRender(t *testing.T) {
-	tab := &Table{ID: "T", Title: "title", Header: []string{"a", "bb"}}
+	tab := &Table{ID: "T", Title: "title", Clock: Host, Header: []string{"a", "bb"}}
 	tab.AddRow("1", "2")
 	tab.Note("hello %d", 42)
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	out := buf.String()
-	for _, want := range []string{"T — title", "a", "bb", "hello 42"} {
+	for _, want := range []string{"T — title [host clock]\n", "a", "bb", "hello 42"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
@@ -259,7 +259,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestE13Shape(t *testing.T) {
-	tab := pinned(t, E13StreamComposition())
+	tab := pinned(t, "E13")
 	for i := range tab.Rows {
 		member := cell(t, tab, i, 1)
 		history := cell(t, tab, i, 2)
@@ -280,7 +280,7 @@ func TestE13Shape(t *testing.T) {
 }
 
 func TestE14Shape(t *testing.T) {
-	tab := pinned(t, E14MemoryExpansion())
+	tab := pinned(t, "E14")
 	byName := map[string][]string{}
 	for _, row := range tab.Rows {
 		byName[row[0]] = row
@@ -300,7 +300,7 @@ func TestE14Shape(t *testing.T) {
 }
 
 func TestE15Shape(t *testing.T) {
-	tab := pinned(t, E15SubmissionInterfaces())
+	tab := pinned(t, "E15")
 	// Sync benefit must shrink with request size.
 	prev := 1e18
 	for i := range tab.Rows {
@@ -317,7 +317,7 @@ func TestE15Shape(t *testing.T) {
 }
 
 func TestA6Shape(t *testing.T) {
-	tab := pinned(t, A6SpecDecode())
+	tab := pinned(t, "A6")
 	for i, row := range tab.Rows {
 		sync := cell(t, tab, i, 1)
 		if sync < 90 {
@@ -332,7 +332,7 @@ func TestA6Shape(t *testing.T) {
 }
 
 func TestA7Shape(t *testing.T) {
-	tab := pinned(t, A7SampleSize())
+	tab := pinned(t, "A7")
 	// Ratio must be non-decreasing with sample size on both columns.
 	for col := 1; col <= 2; col++ {
 		prev := 0.0
@@ -351,7 +351,7 @@ func TestA7Shape(t *testing.T) {
 }
 
 func TestA8Shape(t *testing.T) {
-	tab := pinned(t, A8ERATSize())
+	tab := pinned(t, "A8")
 	// Translate cycles non-increasing; large ERAT hit rate near 100%.
 	prev := int64(1 << 62)
 	for i := range tab.Rows {
@@ -370,7 +370,7 @@ func TestA8Shape(t *testing.T) {
 }
 
 func TestE16Shape(t *testing.T) {
-	tab := pinned(t, E16QoS())
+	tab := pinned(t, "E16")
 	fifoUrgent := cell(t, tab, 0, 2)
 	priUrgent := cell(t, tab, 1, 2)
 	if priUrgent >= fifoUrgent/2 {
@@ -385,7 +385,7 @@ func TestE16Shape(t *testing.T) {
 }
 
 func TestE17Shape(t *testing.T) {
-	tab := pinned(t, E17SmallRequests())
+	tab := pinned(t, "E17")
 	// FHT beats DHT at the smallest size; DHT wins at the largest.
 	if cell(t, tab, 0, 2) <= cell(t, tab, 0, 1) {
 		t.Fatal("FHT should beat DHT at 512 B (header overhead)")
@@ -407,30 +407,30 @@ func TestE17Shape(t *testing.T) {
 
 func TestE18Shape(t *testing.T) {
 	// A trimmed sweep keeps the test cheap; nxbench runs the full one.
-	tab, points := TopologyScalingCustom([]int{1, 4}, topology.RoundRobin())
-	pinned(t, tab)
-	if len(points) != 2 || len(tab.Rows) != 2 {
-		t.Fatalf("points = %d, rows = %d", len(points), len(tab.Rows))
+	tab := TopologyScalingCustom([]int{1, 4}, topology.RoundRobin())
+	tab.Clock = Model
+	golden(t, tab)
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	one, four := points[0], points[1]
-	if four.Drawers != 1 {
-		t.Fatalf("4 devices = %d drawers", four.Drawers)
+	if drawers := tab.Rows[1][1]; drawers != "1" {
+		t.Fatalf("4 devices = %s drawers", drawers)
 	}
 	// z15 per-unit regime: roughly double the P9 ~8 GB/s line rate.
-	if one.GBs < 10 || one.GBs > 18 {
-		t.Fatalf("single z15 unit %v GB/s outside the doubled-P9 regime", one.GBs)
+	if one := cell(t, tab, 0, 2); one < 10 || one > 18 {
+		t.Fatalf("single z15 unit %v GB/s outside the doubled-P9 regime", one)
 	}
 	// Near-linear scaling through the dispatch layer (acceptance: >= 0.8).
-	if four.Efficiency < 0.8 {
-		t.Fatalf("4-device efficiency %v below 0.8", four.Efficiency)
+	if eff := cell(t, tab, 1, 5); eff < 0.8 {
+		t.Fatalf("4-device efficiency %v below 0.8", eff)
 	}
-	if four.Scaling < 3.2 || four.Scaling > 4.05 {
-		t.Fatalf("4-device scaling %vx implausible", four.Scaling)
+	if sc := cell(t, tab, 1, 4); sc < 3.2 || sc > 4.05 {
+		t.Fatalf("4-device scaling %vx implausible", sc)
 	}
 }
 
 func TestA10Shape(t *testing.T) {
-	tab := pinned(t, A10ExpansionBound())
+	tab := pinned(t, "A10")
 	for i, row := range tab.Rows {
 		exp := cell(t, tab, i, 3)
 		if exp < -0.5 {
@@ -454,7 +454,7 @@ func TestA10Shape(t *testing.T) {
 }
 
 func TestA11Shape(t *testing.T) {
-	tab := pinned(t, A11ParseOptimality())
+	tab := pinned(t, "A11")
 	for i, row := range tab.Rows {
 		hw := cell(t, tab, i, 1)
 		sw := cell(t, tab, i, 2)
@@ -469,7 +469,7 @@ func TestA11Shape(t *testing.T) {
 }
 
 func TestE23Shape(t *testing.T) {
-	tab := pinned(t, E23CodecShootout())
+	tab := pinned(t, "E23")
 	row := map[string]int{}
 	for i, r := range tab.Rows {
 		row[r[0]] = i
@@ -484,7 +484,7 @@ func TestE23Shape(t *testing.T) {
 }
 
 func TestA9Shape(t *testing.T) {
-	tab := pinned(t, A9TableConstruction())
+	tab := pinned(t, "A9")
 	for i, row := range tab.Rows {
 		// Package-merge is optimal, and the repair heuristic loses almost
 		// nothing to it under DEFLATE's 15-bit limit.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -52,22 +51,30 @@ func readGolden(t *testing.T) (ids []string, sections map[string]string) {
 	return ids, sections
 }
 
-// pinned checks tab's rendering against its golden section (or rewrites
-// that section under -update) and hands tab back for the bands.
-func pinned(t *testing.T, tab *Table) *Table {
+// pinned computes registry entry id once, checks it against the golden
+// file and hands it back for the bands.
+func pinned(t *testing.T, id string) *Table {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("no experiment %s", id)
+	}
+	return golden(t, e.Run())
+}
+
+// golden checks tab's rendering against its golden section, or rewrites
+// that section under -update, keeping the sections in registry order.
+func golden(t *testing.T, tab *Table) *Table {
 	t.Helper()
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	got := buf.String()
-	ids, sections := readGolden(t)
+	_, sections := readGolden(t)
 	if *updateGolden {
-		if _, ok := sections[tab.ID]; !ok {
-			ids = append(ids, tab.ID)
-		}
 		sections[tab.ID] = got
 		var out strings.Builder
-		for _, id := range ids {
-			out.WriteString(sections[id])
+		for _, e := range Registry {
+			out.WriteString(sections[e.ID])
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -89,16 +96,19 @@ func pinned(t *testing.T, tab *Table) *Table {
 }
 
 // TestGoldenCoversModelTables: the golden file holds exactly the
-// model-clock tables, so a table cannot leave the pin unnoticed.
+// registry's model-clock tables, in registry order, so a table cannot
+// leave the pin unnoticed.
 func TestGoldenCoversModelTables(t *testing.T) {
 	if *updateGolden {
 		t.Skip("the file is being rewritten")
 	}
 	ids, _ := readGolden(t)
-	want := []string{"A1", "A10", "A11", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
-		"E1", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E2", "E23",
-		"E3", "E4", "E5", "E6", "E7", "E8", "E9"}
-	sort.Strings(ids)
+	var want []string
+	for _, e := range Registry {
+		if e.Clock == Model {
+			want = append(want, e.ID)
+		}
+	}
 	if strings.Join(ids, " ") != strings.Join(want, " ") {
 		t.Fatalf("golden sections %v, want %v", ids, want)
 	}

@@ -24,42 +24,10 @@ import (
 // sheds and p99 latency. The property under test: at 2x offered load the
 // interactive class still completes everything it offers.
 
-// OverloadPoint is one (offered multiplier, class) cell of the overload
-// sweep — the JSON shape `nxbench -overload` emits.
-type OverloadPoint struct {
-	// Multiplier is offered load as a fraction of calibrated capacity.
-	Multiplier float64 `json:"multiplier"`
-	// OfferedRPS is the open-loop arrival rate of the whole mix.
-	OfferedRPS float64 `json:"offered_rps"`
-	Class      string  `json:"class"`
-	Arrivals   int     `json:"arrivals"`
-	// Completed counts requests that returned data (Degraded is the
-	// software-fallback subset, the brownout re-route).
-	Completed int `json:"completed"`
-	Degraded  int `json:"degraded"`
-	// Shed counts typed ErrOverloaded rejections; Errors counts anything
-	// else (must stay zero — overload never corrupts or fails work).
-	Shed       int     `json:"shed"`
-	Errors     int     `json:"errors"`
-	GoodputRPS float64 `json:"goodput_rps"`
-	P99Ms      float64 `json:"p99_ms"`
-	// Level is the highest brownout-ladder rung observed during the point.
-	Level string `json:"level"`
-}
-
-const (
-	// overloadPayload is the request size: 4 KiB, the small-request regime
-	// where per-request protocol cost matters and overload bites first.
-	overloadPayload = 4 << 10
-	// overloadArrivals is the open-loop arrival count per sweep point —
-	// fixed, so higher multipliers compress the same work into less wall
-	// time instead of growing the experiment.
-	overloadArrivals = 3000
-	// overloadCalWorkers/overloadCalReqs shape the closed-loop
-	// calibration run that measures node capacity.
-	overloadCalWorkers = 16
-	overloadCalReqs    = 1024
-)
+// overloadArrivals is the open-loop arrival count per sweep point —
+// fixed, so higher multipliers compress the same work into less wall time
+// instead of growing the experiment.
+const overloadArrivals = 3000
 
 // overloadMults is the offered-load sweep, in units of calibrated
 // capacity. Ascending order so early points see a cold pressure EWMA.
@@ -81,36 +49,16 @@ func overloadClassOf(i int) admission.Class {
 // levelRank orders ladder names for the max-level sampler.
 var levelRank = map[string]int{"normal": 0, "shed-background": 1, "shed-batch": 2, "saturated": 3}
 
-// E24OverloadProtection renders the sweep as a table.
+// E24OverloadProtection runs the sweep on a gatedNode. The sweep points
+// are short, so queued work always outlives the burst that queued it.
 func E24OverloadProtection() *Table {
-	t, _ := OverloadProtection()
-	return t
-}
-
-// OverloadProtection runs the sweep on a one-unit POWER9 node with
-// admission enabled and returns both the table and the raw points for
-// -json export. The queue policy is deliberately generous (deep queue,
-// 1s MaxWait) so the interactive class absorbs the burst by waiting
-// rather than timing out — the sweep points are short, so queued work
-// always outlives the burst that queued it.
-func OverloadProtection() (*Table, []OverloadPoint) {
 	t := &Table{
 		ID:    "E24",
 		Title: "overload protection: 20/40/40 class mix at 0.5x-4x offered capacity (1 NX unit, FHT)",
 		Header: []string{"offered", "class", "arrivals", "completed", "degraded",
 			"shed", "errors", "goodput req/s", "p99 ms", "peak level"},
 	}
-	cfg := nxzip.P9Node(1)
-	cfg.TableMode = nxzip.TableFixed
-	node, err := nxzip.OpenNode(cfg)
-	if err != nil {
-		panic(err)
-	}
-	ctrl := node.EnableAdmission(admission.Config{
-		QueueLimit:  8192,
-		QueueTarget: 50 * time.Millisecond,
-		MaxWait:     time.Second,
-	})
+	node, ctrl := gatedNode()
 
 	var views [admission.ClassCount]*nxzip.Accelerator
 	for cl := admission.Class(0); cl < admission.ClassCount; cl++ {
@@ -120,32 +68,8 @@ func OverloadProtection() (*Table, []OverloadPoint) {
 		defer v.Close()
 	}
 
-	payloads := make([][]byte, 64)
-	for i := range payloads {
-		payloads[i] = corpus.Generate(corpus.JSONLogs, overloadPayload, Seed+int64(i))
-	}
-
-	// Closed-loop calibration: a fixed worker pool measures the request
-	// rate the node sustains when callers wait for completions, gate
-	// included. This is the capacity the sweep's multipliers scale.
-	var wg sync.WaitGroup
-	per := overloadCalReqs / overloadCalWorkers
-	calStart := time.Now()
-	for w := 0; w < overloadCalWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var m nxzip.Metrics
-			for k := 0; k < per; k++ {
-				p := payloads[(w*per+k)%len(payloads)]
-				if _, err := views[admission.Interactive].CompressGzipInto(nil, p, &m); err != nil {
-					panic(fmt.Sprintf("E24 calibration: %v", err))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	capacity := float64(overloadCalWorkers*per) / time.Since(calStart).Seconds()
+	payloads := smallPayloads()
+	capacity := calibrate("E24", views[admission.Interactive], payloads)
 
 	type outcome struct {
 		class    admission.Class
@@ -153,7 +77,7 @@ func OverloadProtection() (*Table, []OverloadPoint) {
 		degraded bool
 		err      error
 	}
-	var points []OverloadPoint
+	var wg sync.WaitGroup
 	for _, mult := range overloadMults {
 		rate := mult * capacity
 		interval := time.Duration(float64(time.Second) / rate)
@@ -227,28 +151,78 @@ func OverloadProtection() (*Table, []OverloadPoint) {
 			}
 		}
 		for cl := admission.Class(0); cl < admission.ClassCount; cl++ {
-			goodput := float64(completed[cl]) / elapsed
-			p99 := lat[cl].Percentile(99)
-			points = append(points, OverloadPoint{
-				Multiplier: mult, OfferedRPS: rate, Class: cl.String(),
-				Arrivals: arrivals[cl], Completed: completed[cl],
-				Degraded: degraded[cl], Shed: shed[cl], Errors: errCount[cl],
-				GoodputRPS: goodput, P99Ms: p99, Level: level,
-			})
 			t.AddRow(fmt.Sprintf("%.1fx", mult), cl.String(),
 				fmt.Sprintf("%d", arrivals[cl]),
 				fmt.Sprintf("%d", completed[cl]),
 				fmt.Sprintf("%d", degraded[cl]),
 				fmt.Sprintf("%d", shed[cl]),
 				fmt.Sprintf("%d", errCount[cl]),
-				fmt.Sprintf("%.0f", goodput),
-				fmt.Sprintf("%.2f", p99),
+				fmt.Sprintf("%.0f", float64(completed[cl])/elapsed),
+				fmt.Sprintf("%.2f", lat[cl].Percentile(99)),
 				level)
 		}
 	}
 	t.Note("closed-loop calibrated capacity: %.0f req/s (%d workers, %s payloads); offered load is open-loop at the multiplier",
-		capacity, overloadCalWorkers, stats.Bytes(overloadPayload))
+		capacity, calWorkers, stats.Bytes(smallPayload))
 	t.Note("ladder: background denied first, batch degrades to software under brownout, interactive queues (bounded, CoDel-policed)")
 	t.Note("errors must stay zero in every cell — overload protection sheds work, it never corrupts or fails it")
-	return t, points
+	return t
+}
+
+// smallPayload is E24's and E25's request size: 4 KiB, the small-request
+// regime where per-request protocol cost matters and overload bites first.
+const smallPayload = 4 << 10
+
+// smallPayloads returns the 64 distinct 4 KiB JSON-log requests E24 and
+// E25 cycle through.
+func smallPayloads() [][]byte {
+	payloads := make([][]byte, 64)
+	for i := range payloads {
+		payloads[i] = corpus.Generate(corpus.JSONLogs, smallPayload, Seed+int64(i))
+	}
+	return payloads
+}
+
+// gatedNode opens the one-unit POWER9 node (fixed tables) E24 and E25
+// overload, behind an admission gate whose queue policy is deliberately
+// generous (deep queue, 1 s MaxWait) so the interactive class absorbs a
+// burst by waiting rather than timing out.
+func gatedNode() (*nxzip.Node, *admission.Controller) {
+	cfg := nxzip.P9Node(1)
+	cfg.TableMode = nxzip.TableFixed
+	node, err := nxzip.OpenNode(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return node, node.EnableAdmission(admission.Config{
+		QueueLimit:  8192,
+		QueueTarget: 50 * time.Millisecond,
+		MaxWait:     time.Second,
+	})
+}
+
+// calWorkers x calRequests shape the closed-loop calibration run.
+const calWorkers, calRequests = 16, 1024
+
+// calibrate measures the request rate view sustains closed-loop — a
+// fixed worker pool, each waiting for its completions, gate included:
+// the capacity E24's and E25's offered loads are multiples of.
+func calibrate(id string, view *nxzip.Accelerator, payloads [][]byte) float64 {
+	var wg sync.WaitGroup
+	per := calRequests / calWorkers
+	start := time.Now()
+	for w := 0; w < calWorkers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var m nxzip.Metrics
+			for k := 0; k < per; k++ {
+				if _, err := view.CompressGzipInto(nil, payloads[(w*per+k)%len(payloads)], &m); err != nil {
+					panic(fmt.Sprintf("%s calibration: %v", id, err))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return float64(calWorkers*per) / time.Since(start).Seconds()
 }

@@ -20,35 +20,16 @@ import (
 // measured software baseline, locating the batching win and the
 // software crossover.
 
-// SmallReqPoint is one measured payload size of the small-request sweep
-// — the JSON shape `nxbench -smallreq` emits. Accelerator rates come
-// from the device timeline (the same modeled clock as E8/E15); the
-// software rate is measured on this host, the same mixed convention as
-// the E3/E4 speedup tables.
-type SmallReqPoint struct {
-	Size         int     `json:"size"`
-	Requests     int     `json:"requests"`
-	UnbatchedRPS float64 `json:"unbatched_rps"`
-	BatchedRPS   float64 `json:"batched_rps"`
-	SoftwareRPS  float64 `json:"software_rps"`
-	Speedup      float64 `json:"speedup"` // batched over unbatched
-}
-
 // smallreqCount is the number of requests timed per payload size.
 const smallreqCount = 256
 
-// E21SmallRequestBatching renders the sweep as a table.
+// E21SmallRequestBatching runs the sweep on a one-drawer z15 node (four
+// zEDC units) running fixed Huffman tables — E17's conclusion for small
+// requests, where the dynamic-table header and generation latency never
+// pay for themselves. Accelerator rates come from the device timeline
+// (the same modeled clock as E8/E15); the software rate is measured on
+// this host, the same mixed convention as the E3/E4 speedup tables.
 func E21SmallRequestBatching() *Table {
-	t, _ := SmallRequestBatching()
-	return t
-}
-
-// SmallRequestBatching runs the sweep on a one-drawer z15 node (four
-// zEDC units) and returns both the table and the raw points for -json
-// export. The node runs fixed Huffman tables — E17's conclusion for
-// small requests, where the dynamic-table header and generation latency
-// never pay for themselves.
-func SmallRequestBatching() (*Table, []SmallReqPoint) {
 	t := &Table{
 		ID:     "E21",
 		Title:  "batched small requests: one paste per device per batch (4 zEDC units, FHT)",
@@ -64,7 +45,6 @@ func SmallRequestBatching() (*Table, []SmallReqPoint) {
 	defer acc.Close()
 	devices := node.Devices()
 
-	var points []SmallReqPoint
 	for _, size := range []int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
 		payloads := make([][]byte, smallreqCount)
 		for i := range payloads {
@@ -118,22 +98,13 @@ func SmallRequestBatching() (*Table, []SmallReqPoint) {
 		}
 		software := float64(smallreqCount) / time.Since(start).Seconds()
 
-		speedup := 0.0
-		if unbatched > 0 {
-			speedup = batched / unbatched
-		}
-		points = append(points, SmallReqPoint{
-			Size: size, Requests: smallreqCount,
-			UnbatchedRPS: unbatched, BatchedRPS: batched, SoftwareRPS: software,
-			Speedup: speedup,
-		})
 		t.AddRow(stats.Bytes(int64(size)),
 			fmt.Sprintf("%.0f", unbatched),
 			fmt.Sprintf("%.0f", batched),
 			fmt.Sprintf("%.0f", software),
-			fmt.Sprintf("%.2fx", speedup))
+			fmt.Sprintf("%.2fx", batched/unbatched))
 	}
 	t.Note("unbatched pays paste-to-dispatch setup + completion per request; batched pays it once per device envelope")
 	t.Note("accelerator req/s from the modeled device timeline (batch = busiest device); software req/s measured on this host")
-	return t, points
+	return t
 }

@@ -1,4 +1,6 @@
-package specdec
+package experiments
+
+// specdec_test.go covers the speculative-decode analysis behind A6.
 
 import (
 	"testing"
@@ -22,7 +24,7 @@ func blockFor(tb testing.TB, k corpus.Kind, size int) []byte {
 }
 
 func TestAnalyzeTextSelfSynchronizes(t *testing.T) {
-	an, err := Analyze(blockFor(t, corpus.Text, 64<<10), 0)
+	an, err := analyzeSync(blockFor(t, corpus.Text, 64<<10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +39,12 @@ func TestAnalyzeTextSelfSynchronizes(t *testing.T) {
 	if an.MeanSyncBits <= 0 || an.MeanSyncBits > 400 {
 		t.Fatalf("mean sync %.1f bits implausible", an.MeanSyncBits)
 	}
-	t.Logf("text: sync %.1f%%, mean %.1f bits / %.1f symbols, max %d bits",
-		an.SyncRate*100, an.MeanSyncBits, an.MeanSyncSyms, an.MaxSyncBits)
+	t.Logf("text: sync %.1f%%, mean %.1f bits", an.SyncRate*100, an.MeanSyncBits)
 }
 
 func TestAnalyzeAcrossCorpora(t *testing.T) {
 	for _, k := range []corpus.Kind{corpus.JSONLogs, corpus.DNA, corpus.Binary} {
-		an, err := Analyze(blockFor(t, k, 32<<10), 0)
+		an, err := analyzeSync(blockFor(t, k, 32<<10), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -62,7 +63,7 @@ func TestAnalyzeFixedTableBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := Analyze(out, 0)
+	an, err := analyzeSync(out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +78,13 @@ func TestAnalyzeRejectsStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(out, 0); err == nil {
+	if _, err := analyzeSync(out, 0); err == nil {
 		t.Fatal("stored block accepted")
 	}
 }
 
 func TestSpeedupModel(t *testing.T) {
-	an, err := Analyze(blockFor(t, corpus.Text, 64<<10), 0)
+	an, err := analyzeSync(blockFor(t, corpus.Text, 64<<10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSpeedupModel(t *testing.T) {
 }
 
 func TestSpeedupDegenerate(t *testing.T) {
-	a := &Analysis{}
+	a := &syncAnalysis{}
 	if a.Speedup(4, 1000) != 1 {
 		t.Fatal("no-trials speedup must be 1")
 	}

@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction's experiment harness:
-// one function per paper table/figure (E1–E17, per DESIGN.md) plus the
-// design-choice ablations. Each returns a Table that cmd/nxbench renders
-// and bench_test.go exercises.
+// one function per paper table/figure (E1–E25, per DESIGN.md) plus the
+// design-choice ablations (A1–A11), listed once in Registry, which
+// cmd/nxbench renders and bench_test.go exercises.
 package experiments
 
 import (
@@ -10,11 +10,12 @@ import (
 	"strings"
 )
 
-// Table is one experiment's output: an id, headline, column headers, and
-// formatted rows.
+// Table is one experiment's output: an id, headline, the clock its
+// numbers are measured on, column headers, and formatted rows.
 type Table struct {
 	ID     string
 	Title  string
+	Clock  Clock
 	Header []string
 	Rows   [][]string
 	Notes  []string
@@ -30,7 +31,11 @@ func (t *Table) Note(format string, args ...interface{}) {
 
 // Render pretty-prints the table.
 func (t *Table) Render(w io.Writer) {
-	fmt.Fprintf(w, "\n%s — %s\n", t.ID, t.Title)
+	fmt.Fprintf(w, "\n%s — %s", t.ID, t.Title)
+	if t.Clock != "" {
+		fmt.Fprintf(w, " [%s]", t.Clock)
+	}
+	fmt.Fprintln(w)
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"nxzip"
 	"nxzip/internal/admission"
-	"nxzip/internal/corpus"
 	"nxzip/internal/obs"
 	"nxzip/internal/stats"
 )
@@ -24,65 +22,10 @@ import (
 // tenant-scoped, actionable — while the global /healthz verdict is
 // still healthy, because the node-wide lifetime ratios move much more
 // slowly than a windowed per-label burn. The experiment also measures
-// the accounting plane's overhead with a closed-loop A/B (labeled
-// bumps on vs DisableTenantAccounting).
-
-// TenantPoint is one (phase, tenant) cell — the JSON shape
-// `nxbench -tenants` emits inside TenantResult.
-type TenantPoint struct {
-	Phase string `json:"phase"` // "baseline" | "interference"
-	// Tenant is the accounting-plane series label ("t3").
-	Tenant string `json:"tenant"`
-	Role   string `json:"role"` // "well-behaved" | "abusive"
-	// OfferedRPS is the tenant's arrival rate: the pacing target for
-	// open-loop loads, the achieved rate for the closed-loop flood.
-	OfferedRPS float64 `json:"offered_rps"`
-	Arrivals   int     `json:"arrivals"`
-	Completed  int     `json:"completed"`
-	// Shed counts typed ErrOverloaded rejections; Errors anything else
-	// (must stay zero).
-	Shed      int     `json:"shed"`
-	Errors    int     `json:"errors"`
-	ShedRatio float64 `json:"shed_ratio"`
-	P99Ms     float64 `json:"p99_ms"`
-	// Burn marks the tenant a firing burn alert named as top offender.
-	Burn bool `json:"burn"`
-}
-
-// TenantSummary is the experiment's headline verdicts.
-type TenantSummary struct {
-	// CapacityRPS is the closed-loop calibrated node capacity.
-	CapacityRPS float64 `json:"capacity_rps"`
-	// BurnFired reports whether any burn-rate alert fired during the
-	// interference phase.
-	BurnFired bool `json:"burn_fired"`
-	// Offender is the tenant label the first firing alert carried.
-	Offender string `json:"offender"`
-	// OffenderIsAbuser verifies the attribution: the named label is the
-	// abusive tenant's.
-	OffenderIsAbuser bool `json:"offender_is_abuser"`
-	// BurnAtMs is when the first alert fired, ms after interference
-	// start.
-	BurnAtMs float64 `json:"burn_at_ms"`
-	// HealthzAtBurn reports whether GET /healthz still answered 200 at
-	// the moment the alert fired — the tenant-scoped page beat the
-	// global verdict.
-	HealthzAtBurn bool `json:"healthz_at_burn"`
-	// OverheadPct is the closed-loop cost of the accounting plane:
-	// (accounting on − off) / off, percent. Negative values are timing
-	// noise.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// TenantResult is the `nxbench -tenants -json` document.
-type TenantResult struct {
-	Summary TenantSummary `json:"summary"`
-	Points  []TenantPoint `json:"points"`
-}
+// the accounting plane's overhead with pairedOverhead (labeled bumps on
+// vs DisableTenantAccounting).
 
 const (
-	// tenantPayload matches E24's small-request regime.
-	tenantPayload = 4 << 10
 	// tenantWells is how many well-behaved tenants share the node.
 	tenantWells = 3
 	// tenantBaselineDur is the baseline phase length. It is deliberately
@@ -93,9 +36,6 @@ const (
 	tenantBaselineDur = 8 * time.Second
 	// tenantInterfereDur bounds the interference phase.
 	tenantInterfereDur = 3500 * time.Millisecond
-	// tenantCalWorkers/tenantCalReqs shape the capacity calibration.
-	tenantCalWorkers = 16
-	tenantCalReqs    = 1024
 	// tenantWellFrac / tenantAbuseBaseline are per-tenant offered load as
 	// a fraction of capacity: wells stay at 0.1x each through both
 	// phases; the abuser offers 0.2x at baseline.
@@ -133,12 +73,6 @@ func tenantBurnConfig() obs.BurnConfig {
 		QueueViolationBudget: 0.20,
 		MinRequests:          50,
 	}
-}
-
-// E25TenantInterference renders the experiment as a table.
-func E25TenantInterference() *Table {
-	t, _ := TenantInterference()
-	return t
 }
 
 // tenantLoad is one tenant's load source for one phase: open-loop
@@ -230,26 +164,15 @@ func runPhase(loads []tenantLoad, payloads [][]byte, dur time.Duration) []*tenan
 	return tallies
 }
 
-// TenantInterference runs the experiment on a one-unit POWER9 node and
-// returns both the table and the raw result for -json export.
-func TenantInterference() (*Table, *TenantResult) {
+// E25TenantInterference runs the experiment on a gatedNode.
+func E25TenantInterference() *Table {
 	t := &Table{
 		ID:    "E25",
 		Title: "tenant interference: burn-rate paging on the offender's label before the global SLO flips (1 NX unit, FHT)",
 		Header: []string{"phase", "tenant", "role", "offered req/s", "arrivals",
 			"completed", "shed", "shed%", "p99 ms", "burn"},
 	}
-	cfg := nxzip.P9Node(1)
-	cfg.TableMode = nxzip.TableFixed
-	node, err := nxzip.OpenNode(cfg)
-	if err != nil {
-		panic(err)
-	}
-	node.EnableAdmission(admission.Config{
-		QueueLimit:  8192,
-		QueueTarget: 50 * time.Millisecond,
-		MaxWait:     time.Second,
-	})
+	node, _ := gatedNode()
 	srv, err := node.ServeObsConfig("127.0.0.1:0", nxzip.ObsConfig{
 		SampleInterval: 100 * time.Millisecond,
 		Burn:           tenantBurnConfig(),
@@ -276,30 +199,8 @@ func TenantInterference() (*Table, *TenantResult) {
 	defer abuser.Close()
 	abuserLabel := nxzip.TenantLabel(abuser.TenantID())
 
-	payloads := make([][]byte, 64)
-	for i := range payloads {
-		payloads[i] = corpus.Generate(corpus.JSONLogs, tenantPayload, Seed+int64(i))
-	}
-
-	// Closed-loop calibration on a well-behaved view (gate included).
-	var wg sync.WaitGroup
-	per := tenantCalReqs / tenantCalWorkers
-	calStart := time.Now()
-	for w := 0; w < tenantCalWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var m nxzip.Metrics
-			for k := 0; k < per; k++ {
-				p := payloads[(w*per+k)%len(payloads)]
-				if _, err := wells[0].CompressGzipInto(nil, p, &m); err != nil {
-					panic(fmt.Sprintf("E25 calibration: %v", err))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	capacity := float64(tenantCalWorkers*per) / time.Since(calStart).Seconds()
+	payloads := smallPayloads()
+	capacity := calibrate("E25", wells[0], payloads)
 
 	loads := make([]tenantLoad, 0, tenantWells+1)
 	for _, v := range wells {
@@ -308,10 +209,17 @@ func TenantInterference() (*Table, *TenantResult) {
 	loads = append(loads, tenantLoad{view: abuser, role: "abusive", rps: tenantAbuseBaseline * capacity})
 	abuserIdx := len(loads) - 1
 
-	var result TenantResult
-	result.Summary.CapacityRPS = capacity
-	addPoints := func(phase string, loads []tenantLoad, tallies []*tenantTally, dur time.Duration) {
+	// The first tenant-attributed page of the storm, as the bus watcher
+	// saw it.
+	var burn struct {
+		fired, healthy bool
+		offender       string
+		atMs           float64
+	}
+	errs := 0 // non-shed failures: must stay zero
+	addRows := func(phase string, loads []tenantLoad, tallies []*tenantTally, dur time.Duration) {
 		for li, tl := range tallies {
+			errs += tl.err
 			label := nxzip.TenantLabel(loads[li].view.TenantID())
 			ratio := 0.0
 			if tot := tl.completed + tl.shed; tot > 0 {
@@ -323,20 +231,24 @@ func TenantInterference() (*Table, *TenantResult) {
 				// achieved.
 				offered = float64(tl.arrivals) / dur.Seconds()
 			}
-			result.Points = append(result.Points, TenantPoint{
-				Phase: phase, Tenant: label, Role: loads[li].role,
-				OfferedRPS: offered, Arrivals: tl.arrivals,
-				Completed: tl.completed, Shed: tl.shed, Errors: tl.err,
-				ShedRatio: ratio, P99Ms: tl.lat.Percentile(99),
-				Burn: phase == "interference" && result.Summary.BurnFired && label == result.Summary.Offender,
-			})
+			page := "-"
+			if phase == "interference" && burn.fired && label == burn.offender {
+				page = "PAGE"
+			}
+			t.AddRow(phase, label, loads[li].role,
+				fmt.Sprintf("%.0f", offered),
+				fmt.Sprintf("%d", tl.arrivals),
+				fmt.Sprintf("%d", tl.completed),
+				fmt.Sprintf("%d", tl.shed),
+				fmt.Sprintf("%.1f", 100*ratio),
+				fmt.Sprintf("%.2f", tl.lat.Percentile(99)),
+				page)
 		}
 	}
 
 	// Phase 1 — baseline: everyone inside fair share. This also banks
 	// the admitted-count history the lifetime SLO averages over.
-	baseTallies := runPhase(loads, payloads, tenantBaselineDur)
-	addPoints("baseline", loads, baseTallies, tenantBaselineDur)
+	addRows("baseline", loads, runPhase(loads, payloads, tenantBaselineDur), tenantBaselineDur)
 
 	// Phase 2 — interference: the abuser switches to a closed-loop
 	// flood. A bus watcher catches the first firing EventBurnRate and
@@ -354,16 +266,13 @@ func TenantInterference() (*Table, *TenantResult) {
 				continue
 			}
 			resp, err := http.Get(base + "/healthz")
-			healthy := err == nil && resp.StatusCode == http.StatusOK
+			burn.healthy = err == nil && resp.StatusCode == http.StatusOK
 			if resp != nil {
 				resp.Body.Close()
 			}
-			result.Summary.BurnFired = true
-			result.Summary.BurnAtMs = float64(time.Since(stormStart)) / float64(time.Millisecond)
-			if e.Tenant != 0 {
-				result.Summary.Offender = nxzip.TenantLabel(e.Tenant)
-			}
-			result.Summary.HealthzAtBurn = healthy
+			burn.fired = true
+			burn.atMs = float64(time.Since(stormStart)) / float64(time.Millisecond)
+			burn.offender = nxzip.TenantLabel(e.Tenant)
 			return
 		}
 	}()
@@ -373,95 +282,59 @@ func TenantInterference() (*Table, *TenantResult) {
 	stormTallies := runPhase(storm, payloads, tenantInterfereDur)
 	sub.Close()
 	<-watcherDone
-	result.Summary.OffenderIsAbuser = result.Summary.Offender == abuserLabel
-	addPoints("interference", storm, stormTallies, tenantInterfereDur)
-
+	addRows("interference", storm, stormTallies, tenantInterfereDur)
 	srv.Close()
 
-	// Overhead A/B: identical closed-loop work with the accounting plane
-	// on vs off, best-of-3 each, interleaved to share thermal context.
-	result.Summary.OverheadPct = tenantAccountingOverhead(payloads)
-
-	for _, p := range result.Points {
-		burn := "-"
-		if p.Burn {
-			burn = "PAGE"
-		}
-		t.AddRow(p.Phase, p.Tenant, p.Role,
-			fmt.Sprintf("%.0f", p.OfferedRPS),
-			fmt.Sprintf("%d", p.Arrivals),
-			fmt.Sprintf("%d", p.Completed),
-			fmt.Sprintf("%d", p.Shed),
-			fmt.Sprintf("%.1f", 100*p.ShedRatio),
-			fmt.Sprintf("%.2f", p.P99Ms),
-			burn)
-	}
-	s := result.Summary
 	abuserOffered := float64(stormTallies[abuserIdx].arrivals) / tenantInterfereDur.Seconds()
 	t.Note("calibrated capacity %.0f req/s; storm: abuser floods closed-loop from %d workers (%.0f arrivals/s, %.1fx capacity)",
-		s.CapacityRPS, tenantAbuseWorkers, abuserOffered, abuserOffered/s.CapacityRPS)
-	if s.BurnFired {
+		capacity, tenantAbuseWorkers, abuserOffered, abuserOffered/capacity)
+	if burn.fired {
 		verdict := "UNHEALTHY"
-		if s.HealthzAtBurn {
+		if burn.healthy {
 			verdict = "still healthy"
 		}
 		t.Note("burn-rate alert fired %.0f ms into the storm naming %s (abuser: %v); global /healthz was %s at that moment",
-			s.BurnAtMs, s.Offender, s.OffenderIsAbuser, verdict)
+			burn.atMs, burn.offender, burn.offender == abuserLabel, verdict)
 	} else {
 		t.Note("no burn-rate alert fired during the storm — investigate")
 	}
-	t.Note("tenant accounting plane overhead (median of 5 paired on/off reps): %+.2f%% — sign varies run to run; the effect sits below this box's ±4%% timing noise floor", s.OverheadPct)
-	return t, &result
+	t.Note("non-shed errors across both phases: %d (must be 0)", errs)
+	t.Note("tenant accounting plane overhead (median of %d paired on/off ratios): %+.2f%% — sign varies run to run; the effect sits below this box's ±4%% timing noise floor",
+		overheadReps, tenantAccountingOverhead(payloads))
+	return t
 }
 
-// tenantAccountingOverhead measures the closed-loop cost of the labeled
-// bump path: the same work on two fresh nodes, accounting on vs
-// DisableTenantAccounting. Each rep runs the pair back-to-back and
-// takes the on/off ratio — pairing cancels slow machine drift (thermal,
-// cache pressure from neighbours) that dwarfs the effect itself — and
-// the reported figure is the median rep, with an untimed warmup round
-// per node (handle resolution, table population, allocator steady
-// state) so the timed window sees only the per-request path.
+// tenantAccountingOverhead is the closed-loop cost of the labeled bump
+// path, in percent: 8 workers of 4 KiB compresses on a node with the
+// accounting plane on against one with DisableTenantAccounting.
 func tenantAccountingOverhead(payloads [][]byte) float64 {
-	const workers, perW, warmup = 8, 768, 32
-	run := func(disable bool) time.Duration {
+	const workers = 8
+	open := func(on bool) (*nxzip.Node, func()) {
 		cfg := nxzip.P9Node(1)
 		cfg.TableMode = nxzip.TableFixed
-		cfg.DisableTenantAccounting = disable
+		cfg.DisableTenantAccounting = !on
 		node, err := nxzip.OpenNode(cfg)
 		if err != nil {
 			panic(err)
 		}
-
-		v := node.View()
-		defer v.Close()
-		round := func(per int) {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var m nxzip.Metrics
-					for k := 0; k < per; k++ {
-						if _, err := v.CompressGzipInto(nil, payloads[(w*per+k)%len(payloads)], &m); err != nil {
-							panic(fmt.Sprintf("E25 overhead: %v", err))
-						}
+		return node, func() {}
+	}
+	work := func(acc *nxzip.Accelerator, per int) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var m nxzip.Metrics
+				for k := 0; k < per; k++ {
+					if _, err := acc.CompressGzipInto(nil, payloads[(w*per+k)%len(payloads)], &m); err != nil {
+						panic(fmt.Sprintf("E25 overhead: %v", err))
 					}
-				}(w)
-			}
-			wg.Wait()
+				}
+			}(w)
 		}
-		round(warmup)
-		start := time.Now()
-		round(perW)
-		return time.Since(start)
+		wg.Wait()
 	}
-	ratios := make([]float64, 0, 5)
-	for rep := 0; rep < cap(ratios); rep++ {
-		on := run(false)
-		off := run(true)
-		ratios = append(ratios, float64(on)/float64(off))
-	}
-	sort.Float64s(ratios)
-	return 100 * (ratios[len(ratios)/2] - 1)
+	ratio, _, _ := pairedOverhead(open, work, 32, 768)
+	return 100 * (ratio - 1)
 }

@@ -14,17 +14,6 @@ import (
 // from the paper's text, not measured on hardware.
 const TopologyTargetGBs = 280.0
 
-// TopologyPoint is one measured configuration of the topology sweep —
-// the JSON shape `nxbench -json` emits.
-type TopologyPoint struct {
-	Devices      int     `json:"devices"`
-	Drawers      int     `json:"drawers,omitempty"` // set when devices is a whole drawer count
-	GBs          float64 `json:"gbs"`
-	PerDeviceGBs float64 `json:"per_device_gbs"`
-	Scaling      float64 `json:"scaling"`    // rate / single-device rate
-	Efficiency   float64 `json:"efficiency"` // scaling / devices
-}
-
 // topologyChunksPerDevice x topologyChunkSize is the work each device
 // receives in the sweep; 1 MiB requests sit on the flat part of the
 // throughput-vs-size curve (E2), so the sweep measures scaling, not
@@ -86,59 +75,42 @@ func measureTopology(devices int, policy topology.Policy) (totalBytes int, makes
 	return chunks * topologyChunkSize, makespan
 }
 
-// TopologyScaling runs the default sweep: a single z15 unit, then whole
-// CPC drawers up to the maximal five (4, 8, 12, 16, 20 zEDC units),
-// dispatched round-robin.
-func TopologyScaling() (*Table, []TopologyPoint) {
-	return TopologyScalingCustom([]int{1, 4, 8, 12, 16, 20}, topology.RoundRobin())
+// TopologyDeviceCounts is E18's sweep: a single z15 unit, then whole CPC
+// drawers up to the maximal five (4, 8, 12, 16, 20 zEDC units).
+var TopologyDeviceCounts = []int{1, 4, 8, 12, 16, 20}
+
+// E18TopologyScaling runs the default sweep, dispatched round-robin.
+func E18TopologyScaling() *Table {
+	return TopologyScalingCustom(TopologyDeviceCounts, topology.RoundRobin())
 }
 
 // TopologyScalingCustom sweeps explicit device counts under an explicit
-// dispatch policy, returning both the rendered table and the raw points
-// (for -json export).
-func TopologyScalingCustom(deviceCounts []int, policy topology.Policy) (*Table, []TopologyPoint) {
+// dispatch policy.
+func TopologyScalingCustom(deviceCounts []int, policy topology.Policy) *Table {
 	t := &Table{
 		ID:     "E18",
 		Title:  "aggregate rate vs device count through the dispatch layer (claim C6: 280 GB/s)",
 		Header: []string{"devices", "drawers", "aggregate", "per-device", "scaling", "efficiency"},
 	}
-	var (
-		points []TopologyPoint
-		base   float64
-	)
+	var base float64
 	for _, n := range deviceCounts {
 		bytes, makespan := measureTopology(n, policy)
 		rate := float64(bytes) / makespan
 		if base == 0 {
 			base = rate / float64(n)
 		}
-		p := TopologyPoint{
-			Devices:      n,
-			GBs:          rate / 1e9,
-			PerDeviceGBs: rate / float64(n) / 1e9,
-			Scaling:      rate / base,
-			Efficiency:   rate / base / float64(n),
-		}
-		drawerCell := "-"
+		drawers := "-"
 		if n%z15DrawerChips == 0 {
-			p.Drawers = n / z15DrawerChips
-			drawerCell = fmt.Sprintf("%d", p.Drawers)
+			drawers = fmt.Sprintf("%d", n/z15DrawerChips)
 		}
-		points = append(points, p)
-		t.AddRow(fmt.Sprintf("%d", n), drawerCell, gbs(rate), gbs(rate/float64(n)),
-			f2(p.Scaling)+"x", f2(p.Efficiency))
+		t.AddRow(fmt.Sprintf("%d", n), drawers, gbs(rate), gbs(rate/float64(n)),
+			f2(rate/base)+"x", f2(rate/base/float64(n)))
 	}
 	t.Note("policy: %s; makespan = busiest device's engine-busy time; chunks are distinct 1 MiB corpus slices", policy.Name())
 	t.Note("paper claim C6 (reconstructed): maximal z15 (5 drawers, 20 zEDC units) approaches %.0f GB/s aggregate", TopologyTargetGBs)
-	return t, points
+	return t
 }
 
 // z15DrawerChips mirrors the topology package's CP-chips-per-drawer
 // constant for drawer labeling in the table.
 const z15DrawerChips = 4
-
-// E18TopologyScaling is the table-only entry point All uses.
-func E18TopologyScaling() *Table {
-	t, _ := TopologyScaling()
-	return t
-}

@@ -12,7 +12,7 @@ import (
 
 // prom.go renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4) and parses it back — the round-trip
-// the obs-demo target and the acceptance tests check.
+// the acceptance tests check, over a live node among them.
 //
 // Mapping: instrument names keep their registry spelling with
 // non-metric characters folded to '_' ("nx.requests" → "nx_requests");
@@ -205,8 +205,8 @@ func promScan(line string) (lastSpace, comment int) {
 // keyed by its series text exactly as WriteProm renders it (name plus
 // sorted-as-written label set). It understands the subset WriteProm
 // emits — including the OpenMetrics exemplar suffixes on bucket lines,
-// which are stripped — enough for the round-trip checks and the
-// obs-demo parse gate — and rejects malformed sample lines.
+// which are stripped — enough for the round-trip checks — and rejects
+// malformed sample lines.
 func ParseProm(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)

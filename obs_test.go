@@ -196,6 +196,25 @@ func TestObsSnapshotEndpointOverLiveNode(t *testing.T) {
 	if doc.Totals.Requests < 4 || doc.Totals.InBytes < 4*64<<10 {
 		t.Fatalf("totals too small for the workload: %+v", doc.Totals)
 	}
+
+	// /metrics over the same node parses as Prometheus text, and its key
+	// counters equal the snapshot's.
+	mresp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	series, err := obs.ParseProm(mresp.Body)
+	if err != nil {
+		t.Fatalf("/metrics not parseable: %v", err)
+	}
+	snap := node.Metrics()
+	for _, name := range []string{"nx.requests", "nx.in_bytes", "nx.out_bytes", "vas.pastes"} {
+		got, want := series[obs.PromSeries(name, "")], float64(snap.Counter(name, ""))
+		if got != want || got <= 0 {
+			t.Fatalf("%s: /metrics %v, snapshot %v", name, got, want)
+		}
+	}
 }
 
 // TestObsChaosConsistencyRace is the -race consistency soak: a

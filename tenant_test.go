@@ -1,9 +1,12 @@
 package nxzip
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 
 	"nxzip/internal/admission"
 	"nxzip/internal/corpus"
+	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 )
 
@@ -181,4 +185,88 @@ func TestTenantScrapeChurnRace(t *testing.T) {
 	}()
 
 	wg.Wait()
+}
+
+// TestTenantExemplarsResolveToDigests: two prioritised tenants' traffic
+// shows as /tenants rows carrying their quota weights, and every
+// RequestID /metrics attaches to a bucket as an exemplar resolves to a
+// digest in the flight recorder's ring.
+func TestTenantExemplarsResolveToDigests(t *testing.T) {
+	cfg := P9Node(1)
+	cfg.TableMode = TableFixed
+	node, err := OpenNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.EnableAdmission(admission.Config{})
+	rec := node.EnableFlightRecorder("")
+	srv, err := node.ServeObsConfig("127.0.0.1:0", ObsConfig{SampleInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	weights := map[string]int{}
+	var views []*Accelerator
+	for i, class := range []admission.Class{admission.Interactive, admission.Batch} {
+		v := node.View()
+		defer v.Close()
+		v.SetPriority(class)
+		v.SetQuotaWeight(2 - i)
+		weights[TenantLabel(v.TenantID())] = 2 - i
+		views = append(views, v)
+	}
+	src := corpus.Generate(corpus.JSONLogs, 32<<10, 13)
+	for i := 0; i < 32; i++ {
+		if _, _, err := views[i%2].CompressGzip(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		var doc obs.TenantsDoc
+		if err := json.Unmarshal(get("/tenants"), &doc); err != nil {
+			t.Fatalf("/tenants: %v", err)
+		}
+		found := 0
+		for _, row := range doc.Tenants {
+			if w, ok := weights[row.Tenant]; ok && row.Weight == w {
+				found++
+			}
+		}
+		if found == len(weights) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/tenants rows %+v lack %v", doc.Tenants, weights)
+		}
+	}
+
+	held := map[string]bool{}
+	for _, d := range rec.Digests(0) {
+		held[strconv.FormatUint(d.Req, 10)] = true
+	}
+	exemplars := regexp.MustCompile(`# \{req_id="(\d+)"\}`).FindAllStringSubmatch(string(get("/metrics")), -1)
+	if len(exemplars) == 0 {
+		t.Fatal("/metrics carries no exemplars")
+	}
+	for _, m := range exemplars {
+		if !held[m[1]] {
+			t.Fatalf("exemplar req_id %s resolves to no flight-recorder digest", m[1])
+		}
+	}
 }
