@@ -14,26 +14,31 @@ import (
 
 // FuzzCompressInflatesWithFlate: any bytes through either accelerator,
 // under every table mode and framing, from two goroutines sharing one
-// view. compress/flate (under compress/gzip and compress/zlib for the
-// framed ones) inflates each output to the input, and the two outputs are
-// equal: a compression is a function of its bytes, whichever work area it
-// was computed in, whatever the neighbour was doing and whichever geometry
-// used that area last — the views live as long as the target, so an
-// execution on one accelerator follows one on the other. ROADMAP item 4's
-// one-shot clause, encode side.
+// view or on two views of it (two work-area keys). compress/flate (under
+// compress/gzip and compress/zlib for the framed ones) inflates each
+// output to the input, and the two outputs are equal: a compression is a
+// function of its bytes, whichever work area it was computed in and whose
+// key that area was filed under, whatever the neighbour was doing and
+// whichever geometry used that area last — the views live as long as the
+// target, so an execution on one accelerator follows one on the other.
+// ROADMAP item 4's one-shot clause, encode side.
 func FuzzCompressInflatesWithFlate(f *testing.F) {
 	modes := []TableMode{TableFixed, TableDynamic, TableCanned}
 	formats := []Format{FormatGzip, FormatZlib, FormatRaw}
-	var views [2][3]*Accelerator
+	var views [2][3][2]*Accelerator // device, table mode, view of one node
 	for d, cfg := range []Config{P9(), Z15()} {
 		for m, mode := range modes {
 			cfg.TableMode = mode
 			a := Open(cfg)
-			f.Cleanup(a.Close)
-			if err := a.TrainTable(corpus.Generate(corpus.Text, 32<<10, 12)); err != nil {
-				f.Fatal(err)
+			twin := a.root.View()
+			twin.cfg = cfg
+			for _, v := range []*Accelerator{a, twin} {
+				f.Cleanup(v.Close)
+				if err := v.TrainTable(corpus.Generate(corpus.Text, 32<<10, 12)); err != nil {
+					f.Fatal(err)
+				}
 			}
-			views[d][m] = a
+			views[d][m] = [2]*Accelerator{a, twin}
 		}
 	}
 	inflate := func(format Format, comp []byte) ([]byte, error) {
@@ -54,11 +59,11 @@ func FuzzCompressInflatesWithFlate(f *testing.F) {
 	}
 	for i, kind := range []corpus.Kind{corpus.JSONLogs, corpus.Text, corpus.Binary, corpus.Random, corpus.Zeros} {
 		for _, size := range []int{1, 300, 4 << 10, 70 << 10} {
-			f.Add(corpus.Generate(kind, size, 12), uint8(i+size), size%3 == 0)
+			f.Add(corpus.Generate(kind, size, 12), uint8(i+size), size%3 == 0, size%2 == 0)
 		}
 	}
-	f.Add([]byte{}, uint8(0), true)
-	f.Fuzz(func(t *testing.T, data []byte, which uint8, z15 bool) {
+	f.Add([]byte{}, uint8(0), true, true)
+	f.Fuzz(func(t *testing.T, data []byte, which uint8, z15, twoViews bool) {
 		if len(data) > 1<<20 {
 			return
 		}
@@ -67,8 +72,11 @@ func FuzzCompressInflatesWithFlate(f *testing.F) {
 			d = 1
 		}
 		mode, format := int(which)%len(modes), formats[int(which)/len(modes)%len(formats)]
-		a := views[d][mode]
-		name := fmt.Sprintf("%s/%v/%s %d bytes", a.cfg.Device.Engine.Pipeline.Name, modes[mode], format, len(data))
+		on := views[d][mode]
+		if !twoViews {
+			on[1] = on[0]
+		}
+		name := fmt.Sprintf("%s/%v/%s %d bytes (two views: %v)", on[0].cfg.Device.Engine.Pipeline.Name, modes[mode], format, len(data), twoViews)
 
 		var (
 			comp [2][]byte
@@ -77,7 +85,7 @@ func FuzzCompressInflatesWithFlate(f *testing.F) {
 		)
 		for g := range comp {
 			go func() {
-				comp[g], _, errs[g] = a.compress(format, data)
+				comp[g], _, errs[g] = on[g].compress(format, data)
 				done <- g
 			}()
 		}

@@ -219,7 +219,7 @@ func TestParallelWriterSinkFailure(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := acc.NewParallelWriterChunk(&failingWriter{n: 100}, 32<<10, 3)
 	_, werr := w.Write(src)
-	settleGoroutines(t, base, "after the failed Write")
+	testutil.GoroutinesBack(t, base, "after the failed Write")
 	cerr := w.Close()
 	if werr == nil || cerr != werr {
 		t.Fatalf("Write: %v, Close: %v, want the sink's failure from both", werr, cerr)
@@ -232,7 +232,7 @@ func TestParallelWriterSinkFailure(t *testing.T) {
 	if _, err := abandoned.Write(src); err != nil {
 		t.Fatal(err)
 	}
-	settleGoroutines(t, base, "after the last Write of a writer never Closed")
+	testutil.GoroutinesBack(t, base, "after the last Write of a writer never Closed")
 }
 
 // TestParallelReaderRoundTrip decodes a many-member stream with worker

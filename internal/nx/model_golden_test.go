@@ -27,7 +27,8 @@ import (
 // canned-DHT compression, the lz4 and 842 block codecs and transcode
 // (codecGoldenEntries), and requests through mapped operands whose target
 // budget is 4 and 256 times what they write (budgetGoldenEntries): the
-// budget is a limit, and the cycles are those of the pages written.
+// budget is a limit, and the cycles are those of the pages written. Last,
+// per device, one batch envelope (batchGoldenEntries): the chained costs.
 // Regenerate with
 //
 //	go test ./internal/nx -run TestModelGolden -update
@@ -56,7 +57,7 @@ type goldenEntry struct {
 
 func modelGoldenEntries(t *testing.T) []goldenEntry {
 	t.Helper()
-	var out, budgeted []goldenEntry
+	var out, budgeted, batched []goldenEntry
 	for _, mc := range []struct {
 		name string
 		cfg  DeviceConfig
@@ -92,8 +93,9 @@ func modelGoldenEntries(t *testing.T) []goldenEntry {
 		}
 		out = append(out, codecGoldenEntries(t, ctx, mc.name)...)
 		budgeted = append(budgeted, budgetGoldenEntries(t, ctx, mc.name)...)
+		batched = append(batched, batchGoldenEntries(t, ctx, mc.name)...)
 	}
-	return append(out, budgeted...)
+	return append(append(out, budgeted...), batched...)
 }
 
 // goldenCannedDHT is a caller-supplied table as the NX library ships them:
@@ -205,6 +207,40 @@ func budgetGoldenEntries(t *testing.T, ctx *Context, dev string) []goldenEntry {
 			gz := run(name+"compress-dht/gzip", CRB{Func: FCCompressDHT, Wrap: WrapGzip, Input: plain}, probe.TPBC, times)
 			run(name+"decompress-gzip", CRB{Func: FCDecompress, Wrap: WrapGzip, Input: gz}, len(plain), times)
 		}
+	}
+	return out
+}
+
+// batchGoldenEntries are one envelope of three requests per device, so the
+// chained costs are in the file: the first entry pays the full setup and
+// the rest the chain's, and every entry but the last stores its CSB at the
+// chained completion's cost.
+func batchGoldenEntries(t *testing.T, ctx *Context, dev string) []goldenEntry {
+	t.Helper()
+	var entries []BatchEntry
+	for _, kind := range []corpus.Kind{corpus.JSONLogs, corpus.Text, corpus.Binary} {
+		entries = append(entries, BatchEntry{CRB: CRB{Func: FCCompressFHT, Wrap: WrapGzip, Input: corpus.Generate(kind, 4<<10, goldenSeed)}})
+	}
+	if err := ctx.SubmitBatch(entries); err != nil {
+		t.Fatalf("%s batch: %v", dev, err)
+	}
+	var out []goldenEntry
+	for i, e := range entries {
+		name := fmt.Sprintf("%s/batch/%d-of-%d/%s", dev, i+1, len(entries), e.CRB.Func)
+		if e.Err != nil || e.CSB.CC != CCSuccess {
+			t.Fatalf("%s: err=%v CC=%s %s", name, e.Err, e.CSB.CC, e.CSB.Detail)
+		}
+		sum := sha256.Sum256(e.CSB.Output)
+		out = append(out, goldenEntry{
+			Name:         name,
+			SHA256:       hex.EncodeToString(sum[:]),
+			DeviceCycles: e.Rep.TotalCycles,
+			LZ:           e.CSB.LZ,
+			SPBC:         e.CSB.SPBC,
+			TPBC:         e.CSB.TPBC,
+			CRC32:        e.CSB.CRC32,
+			Adler32:      e.CSB.Adler32,
+		})
 	}
 	return out
 }

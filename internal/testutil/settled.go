@@ -65,14 +65,33 @@ func Settled(t testing.TB, devs ...Device) {
 		}
 	}
 	var left []string
-	for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
-		if left = strays(); len(left) == 0 || time.Now().After(deadline) {
-			break
-		}
-	}
+	poll(func() bool { left = strays(); return len(left) == 0 })
 	for _, g := range left {
 		t.Errorf("goroutine left behind:\n%s", g)
 	}
+}
+
+// GoroutinesBack fails the test unless the goroutine count is back at
+// base, the count a test took before it started what it checks. It is the
+// count-only form of Settled's goroutine look, for a test that owns every
+// goroutine in the process: what there is to wait for is the instant
+// between a helper's last statement and its exit.
+func GoroutinesBack(t testing.TB, base int, when string) {
+	t.Helper()
+	if !poll(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Fatalf("%s: %d goroutines, %d before", when, runtime.NumGoroutine(), base)
+	}
+}
+
+// poll reports whether done holds within two seconds, yielding between
+// looks.
+func poll(done func() bool) bool {
+	for deadline := time.Now().Add(2 * time.Second); !done(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // strays lists the goroutines a library function started: created by a

@@ -16,6 +16,7 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/deflate"
 	"nxzip/internal/faultinject"
+	"nxzip/internal/testutil"
 	"nxzip/internal/vas"
 )
 
@@ -304,18 +305,6 @@ func (s *hookSink) Write(p []byte) (int, error) {
 	return s.buf.Write(p)
 }
 
-// settleGoroutines fails the test unless the goroutine count is back at
-// base. A wave waits for its helpers, so all there is to poll over is the
-// instant between a helper's last statement and its exit.
-func settleGoroutines(t *testing.T, base int, when string) {
-	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines, %d before the stream", when, runtime.NumGoroutine(), base)
-		}
-	}
-}
-
 // TestStreamWriterFailoverInFlight: segments in flight each carry a copy
 // of the stream's pin, and the first to leave a failed device moves the
 // stream — once, not back and forth — so a device lost mid-wave costs the
@@ -372,7 +361,7 @@ func TestStreamWriterFailoverInFlight(t *testing.T) {
 		if n, err := w.Write(src); n != len(src) || err != nil {
 			t.Fatalf("Write: %d, %v", n, err)
 		}
-		settleGoroutines(t, base, "after Write")
+		testutil.GoroutinesBack(t, base, "after Write")
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +398,7 @@ func TestStreamWriterFailoverInFlight(t *testing.T) {
 			if got, err := w.Write(rest[:n]); got != n || err != nil {
 				t.Fatalf("Write: %d of %d, %v", got, n, err)
 			}
-			settleGoroutines(t, base, "after Write")
+			testutil.GoroutinesBack(t, base, "after Write")
 			rest = rest[n:]
 		}
 		if err := w.Close(); err != nil {
@@ -529,14 +518,14 @@ func TestStreamWriterPartialWriteWaves(t *testing.T) {
 			}
 			base := runtime.NumGoroutine()
 			n, err := w.Write(src[carried:])
-			settleGoroutines(t, base, "after the failed Write")
+			testutil.GoroutinesBack(t, base, "after the failed Write")
 			if _, again := w.Write([]byte("more")); again != err {
 				t.Fatalf("the Write after the failure: %v, the failure was %v", again, err)
 			}
 			if again := w.Close(); again != err || err == nil {
 				t.Fatalf("Close after the failure: %v, the failure was %v", again, err)
 			}
-			settleGoroutines(t, base, "after Close")
+			testutil.GoroutinesBack(t, base, "after Close")
 			bodies := sink.writes - ww.header
 			if want := max(0, bodies*chunk-carried); n != want {
 				t.Fatalf("Write accepted %d bytes with %d pieces emitted and %d bytes carried in, want %d", n, bodies, carried, want)
