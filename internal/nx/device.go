@@ -409,6 +409,11 @@ type Context struct {
 	// admission quotas and tenant-labeled latency series. 0 for raw
 	// single-device contexts opened outside a node view.
 	tenant uint64
+	// area is the key the compresses this context drains borrow their work
+	// areas under (engine.go, workArea): the view's identity, so a view's
+	// contexts on every device share one, or, outside a view, a key of the
+	// context's own.
+	area uint64
 	// prio points at the admission-class name the owning view currently
 	// carries ("interactive", "batch", "background"); nil when the view
 	// never set one. A pointer to a static name keeps the span-start
@@ -430,6 +435,10 @@ type Context struct {
 // 1<<c pages, so 32 classes cover far beyond any modelled buffer.
 const arenaClasses = 32
 
+// areaKeys numbers the contexts opened outside a view. The top bit keeps
+// their keys apart from view identities, which count up from 1.
+var areaKeys atomic.Uint64
+
 // ctxVASpan is the size of each context's private VA region. Contexts of
 // the same address space allocate from disjoint regions so concurrent
 // contexts never alias pages.
@@ -442,6 +451,7 @@ func (d *Device) OpenContext(pid nmmu.PID) *Context {
 		dev:    d,
 		pid:    pid,
 		window: d.sb.OpenSendWindow(pid),
+		area:   1<<63 | areaKeys.Add(1),
 		// Leave a null guard region at the bottom of the region.
 		nextVA: d.ctxSeq.Add(1)*ctxVASpan + 1<<20,
 	}
@@ -466,9 +476,10 @@ func (c *Context) PID() nmmu.PID { return c.pid }
 func (c *Context) Window() int { return c.window }
 
 // SetTenant stamps the node-level view identity this context submits
-// under. Setup-time configuration: call before concurrent submission
+// under; the work areas of the compresses it drains are filed under it
+// too. Setup-time configuration: call before concurrent submission
 // begins (the topology layer sets it at context open).
-func (c *Context) SetTenant(id uint64) { c.tenant = id }
+func (c *Context) SetTenant(id uint64) { c.tenant, c.area = id, id }
 
 // Tenant returns the context's view identity (0 when unset).
 func (c *Context) Tenant() uint64 { return c.tenant }
@@ -1068,7 +1079,7 @@ func (c *Context) run(p *pendingCRB, start time.Time, queueWait time.Duration) {
 		}
 		ran++
 		idx := int(d.nextEng.Add(1)-1) % len(d.engines)
-		d.engines[idx].ProcessInto(p.wrapped.PID, s.crb, s.csb)
+		d.engines[idx].processInto(p.wrapped.PID, s.crb, s.csb, c.area)
 		csb := s.csb
 		csb.QueueWait = queueWait
 		m.requests.Inc()

@@ -73,8 +73,11 @@ func NewEngine(cfg EngineConfig, mmu *nmmu.MMU) *Engine {
 // would keep Limit areas for every geometry an ablation sweeps), and
 // neither tokens nor tables outlive the call. The list keeps at most
 // freelist.Limit areas, each a matcher and the largest token buffer it has
-// held; the newest returned is the first lent, so a submitter tends to get
-// back the area still in its cache.
+// held. An area goes back filed under the key of the context that drained
+// the request (xlate.area), and that key's next compress gets it back —
+// the area its core last wrote, not whichever a neighbour returned last;
+// a key with nothing filed takes the newest area, so none is built while
+// one lies idle.
 type workArea struct {
 	matcher lz77.HWMatcher
 	tokBuf  []lz77.Token
@@ -133,8 +136,14 @@ func (e *Engine) Process(pid nmmu.PID, crb *CRB) *CSB {
 // status block (reset first), so pooled submitters allocate nothing per
 // request. With CRB.Target set the output lands in caller memory too.
 func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
+	e.processInto(pid, crb, csb, 0)
+}
+
+// processInto is ProcessInto borrowing a compress's work area under the
+// given key (Context.run passes the draining context's).
+func (e *Engine) processInto(pid nmmu.PID, crb *CRB, csb *CSB, area uint64) {
 	csb.reset()
-	if !e.execute(pid, crb, csb) {
+	if !e.execute(pid, crb, csb, area) {
 		return
 	}
 	e.mu.Lock()
@@ -169,7 +178,7 @@ func addStages(sum *pipeline.Breakdown, b pipeline.Breakdown) {
 // execute runs the request into csb with no lock held. It reports whether
 // the request entered the pipeline: one refused at CRB parse costs nothing
 // and is not on the ledger.
-func (e *Engine) execute(pid nmmu.PID, crb *CRB, csb *CSB) bool {
+func (e *Engine) execute(pid nmmu.PID, crb *CRB, csb *CSB, area uint64) bool {
 	// Capability gate before any work: a function code outside the
 	// engine's advertised codec set is NACKed at CRB parse, exactly as
 	// hardware rejects an unimplemented function code. No cycles charged
@@ -188,7 +197,7 @@ func (e *Engine) execute(pid nmmu.PID, crb *CRB, csb *CSB) bool {
 	// (Engine.reach): TargetCap is a limit, not work. A fault suspends the
 	// job; software resolves it and resubmits, and the engine restarts the
 	// request (P9 semantics).
-	x := xlate{mmu: e.mmu, pid: pid}
+	x := xlate{mmu: e.mmu, pid: pid, area: area}
 	err := x.operand(csb, crb.SourceDDE, crb.SourceVA, len(crb.Input), false)
 	if err == nil {
 		err = x.operand(csb, crb.TargetDDE, crb.TargetVA, 1, false)
@@ -284,12 +293,14 @@ func asFault(err error) *nmmu.Fault {
 }
 
 // xlate is one request's translation account: whose address space, and
-// the NMMU cycles charged so far. The zero value translates nothing (bare
-// engines, and a transcode's inner encode pass).
+// the NMMU cycles charged so far. With no MMU it translates nothing (bare
+// engines, and a transcode's inner encode pass). It also carries the key a
+// compress files its work area under.
 type xlate struct {
 	mmu    *nmmu.MMU
 	pid    nmmu.PID
 	cycles int64
+	area   uint64
 }
 
 // operand translates the pages under the first n bytes of one operand — a
@@ -387,8 +398,8 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 		csb.Detail = fmt.Sprintf("source of %d bytes exceeds the LZ stage's %d", len(input), lz77.MaxInput)
 		return
 	}
-	w := workAreas.Get()
-	defer workAreas.Put(w)
+	w := workAreas.GetFor(x.area)
+	defer workAreas.PutFor(x.area, w)
 	w.matcher.Reset(e.cfg.LZ)
 	var (
 		tokens  []lz77.Token
@@ -679,7 +690,7 @@ func (e *Engine) transcode(crb *CRB, csb *CSB, x *xlate) {
 		Target:    crb.Target,
 	}
 	if crb.TargetCodec == CodecDeflate {
-		e.compress(&inner, csb, &xlate{})
+		e.compress(&inner, csb, &xlate{area: x.area})
 	} else {
 		e.blockCompress(&inner, csb, &xlate{}, crb.TargetCodec)
 	}

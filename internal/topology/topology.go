@@ -114,7 +114,6 @@ type Node struct {
 	devs     []*nx.Device
 	policy   Policy
 	inflight []atomic.Int64
-	ctxSeq   atomic.Uint64
 
 	// caps caches each device's advertised codec set (zero = all), so
 	// capability filtering on the pick path is one mask test with no
@@ -337,12 +336,17 @@ type Context struct {
 	closed atomic.Bool
 }
 
+// viewIDs numbers the views of every node in the process, so that two
+// nodes' views never share an identity — nor, through it, the key their
+// compresses' work areas are filed under (nx.Context.SetTenant).
+var viewIDs atomic.Uint64
+
 // OpenContext registers pid on every device and opens one send window
 // per device.
 func (n *Node) OpenContext(pid nmmu.PID) *Context {
 	c := &Context{
 		node: n,
-		id:   n.ctxSeq.Add(1),
+		id:   viewIDs.Add(1),
 		pid:  pid,
 		ctxs: make([]*nx.Context, len(n.devs)),
 	}
@@ -368,7 +372,7 @@ func (c *Context) SetPriorityName(name string) {
 // PID returns the context's address-space id.
 func (c *Context) PID() nmmu.PID { return c.pid }
 
-// ID returns the context's node-unique identity (the tenant key of the
+// ID returns the context's process-unique identity (the tenant key of the
 // admission gate's per-view quotas).
 func (c *Context) ID() uint64 { return c.id }
 
