@@ -406,6 +406,7 @@ func TestOneShotAllocBound(t *testing.T) {
 	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})
 	defer acc.Close()
 	src := corpus.Generate(corpus.Text, 8<<10, 3)
+	large := corpus.Generate(corpus.Text, 1<<20, 3)
 	gz, _, err := acc.CompressGzip(src)
 	if err != nil {
 		t.Fatal(err)
@@ -421,6 +422,7 @@ func TestOneShotAllocBound(t *testing.T) {
 		op    func() error
 	}{
 		{"CompressGzip", 2, func() error { _, _, err := acc.CompressGzip(src); return err }},
+		{"CompressGzip/1MiB", 2, func() error { _, _, err := acc.CompressGzip(large); return err }},
 		{"DecompressGzip", 2, func() error { _, _, err := acc.DecompressGzip(gz); return err }},
 		{"CompressLZ4", blockParentLZ4 - 3, func() error { _, _, err := acc.CompressLZ4(src); return err }},
 		{"Compress842", blockParent842 - 3, func() error { _, _, err := acc.Compress842(src); return err }},
