@@ -19,8 +19,14 @@ import "fmt"
 // it in the logical stream. Emitted match distances may reach into the
 // history. The returned stats include the history replay beats.
 func (m *HWMatcher) TokenizeWithHistory(dst []Token, history, src []byte) ([]Token, HWStats) {
+	return m.tokenizeHistory(dst, history, src, nil)
+}
+
+// tokenizeHistory is TokenizeWithHistory as one side of a split operation,
+// sd.at a position in src.
+func (m *HWMatcher) tokenizeHistory(dst []Token, history, src []byte, sd *side) ([]Token, HWStats) {
 	if len(history) == 0 {
-		return m.Tokenize(dst, src)
+		return m.tokenizeFrom(dst, src, 0, sd)
 	}
 	if len(history) > m.p.MaxDist {
 		history = history[len(history)-m.p.MaxDist:]
@@ -28,8 +34,11 @@ func (m *HWMatcher) TokenizeWithHistory(dst []Token, history, src []byte) ([]Tok
 	// The matcher is single-user, so the history+src image lives in a
 	// scratch buffer it owns rather than a fresh allocation per segment.
 	m.combined = append(append(m.combined[:0], history...), src...)
+	if sd != nil {
+		sd.at += len(history)
+	}
 
-	dst, st := m.tokenizeFrom(dst, m.combined, len(history))
+	dst, st := m.tokenizeFrom(dst, m.combined, len(history), sd)
 	// History replay cost: the engine ingests the history at line rate to
 	// rebuild its tables before new data can be matched.
 	replay := int64((len(history) + m.p.InputWidth - 1) / m.p.InputWidth)

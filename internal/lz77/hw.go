@@ -91,6 +91,11 @@ type HWMatcher struct {
 	end      uint32   // one past the largest entry any operation stored
 	bankBeat []int64  // per-bank scratch: beat number the bank last served
 	combined []byte   // TokenizeWithHistory scratch: history followed by src
+
+	// The tail side of a split operation (split.go), kept for its head.
+	marks      []mark  // loop starts on beat boundaries within SeamSpan past the seam
+	tailTokens []Token // every token from the seam on
+	tailStats  HWStats // the counters of the whole tail
 }
 
 // ringLen is 1<<16, so a uint16 conversion of base+position is the ring
@@ -189,15 +194,16 @@ func (m *HWMatcher) rebase(n int) uint32 {
 
 // Tokenize produces tokens for src and the cycle statistics of doing so.
 func (m *HWMatcher) Tokenize(dst []Token, src []byte) ([]Token, HWStats) {
-	return m.tokenizeFrom(dst, src, 0)
+	return m.tokenizeFrom(dst, src, 0, nil)
 }
 
 // tokenizeFrom emits tokens for src[start:]; positions before start (the
 // replayed history) are inserted only. Chains, geometry and counters live
 // in locals for the whole scan (a store through m.head would force every
 // m.* field to be reloaded), insert is written out where it happens, and
-// HWStats is filled in once at the end.
-func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, HWStats) {
+// HWStats is filled in once at the end. sd is one side of a split
+// operation, nil off the split path: the loop then never reaches its watch.
+func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int, sd *side) ([]Token, HWStats) {
 	n := len(src)
 	if n == 0 {
 		return dst, HWStats{}
@@ -244,6 +250,12 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 	// inserts up to InputWidth positions per cycle as they stream through).
 	from, to := 0, start
 	i := start
+	// The next loop start a split operation looks at (side.meet); it is
+	// negative once the head has met the tail.
+	watch := n
+	if sd != nil {
+		watch = sd.at
+	}
 	for {
 		for j, end := from, min(to, hashEnd); j < end; j++ {
 			h := hash4(src, j)
@@ -259,6 +271,11 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		from = to
 		if i >= hashEnd {
 			break
+		}
+		if i >= watch {
+			if watch = sd.meet(m, i, k-k0, probes, candidates, conflicts, matches); watch < 0 {
+				break
+			}
 		}
 		if i >= beatEnd {
 			beat = int64((i - start) / w)
@@ -319,9 +336,20 @@ func (m *HWMatcher) tokenizeFrom(dst []Token, src []byte, start int) ([]Token, H
 		k++
 		i++
 	}
-	for ; i < n; i++ { // tail too short to match
-		dst[k] = Lit(src[i])
-		k++
+	if watch < 0 {
+		// The head met the tail at a mark: the rest of the parse, and of
+		// every counter, is the tail's from there.
+		t, mk := sd.tail, sd.tail.marks[sd.next]
+		k += copy(dst[k:], t.tailTokens[mk.tokens:])
+		probes += t.tailStats.Probes - mk.probes
+		candidates += t.tailStats.Candidates - mk.candidates
+		conflicts += t.tailStats.BankConflicts - mk.conflicts
+		matches += t.tailStats.Matches - mk.matches
+	} else {
+		for ; i < n; i++ { // tail too short to match
+			dst[k] = Lit(src[i])
+			k++
+		}
 	}
 
 	beats := int64((n - start + w - 1) / w)
