@@ -59,7 +59,11 @@ bench:
 ## compress into a caller target at two Ps, where its LZ stage splits: the
 ## tail's goroutine starts on a method value stored in its area, and the
 ## process's count is read around windows of compresses because
-## AllocsPerRun runs at one P; the least of five windows must be 0. The 842
+## AllocsPerRun runs at one P; the least of five windows must be 0.
+## TestDecompressFollowerAllocFree, in the root line, is the same zero for a
+## 1 MiB DecompressGzipInto at two Ps, where the checksum follower's
+## goroutine sums the output beside the inflate (started, like the tail, on
+## a method value stored when it is built). The 842
 ## codec's gate is one allocation a call, its output: Compress (the match
 ## tables are on its stack), and Decompress under an exact budget. The
 ## stream wrappers are gated per 8 MiB stream of bench/'s stream_parallel
@@ -99,7 +103,7 @@ bench-alloc:
 	$(GO) test -run 'TestOneAllocation' -count=1 ./internal/x842
 	$(GO) test -run 'TestSubmitIntoAllocFree|TestSplitCompressAllocFree|TestSubmissionConformance' -count=1 ./internal/nx
 	$(GO) test -run 'TestListSurvivesCollections|TestListBalancedUseAllocatesNothing' -count=1 ./internal/freelist
-	$(GO) test -run 'TestIntoPathAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestCodecLabelIsTheNeedSetsNameAndAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
+	$(GO) test -run 'TestIntoPathAllocFree|TestDecompressFollowerAllocFree|TestOneShotAllocBound|TestOneShotMappingsStable|TestMemberGrowLoopMappingsBounded|TestFlightRecorderAllocFree|TestCodecLabelIsTheNeedSetsNameAndAllocFree|TestParallelWriterAllocsBounded|TestStreamReaderAllocsBounded|TestStreamWriterAllocsBounded' -count=1 .
 	$(GO) test -race -run 'TestCompressBatch|TestCompressGzipInto|TestCompressZlibInto|TestPooledFallback|TestStreamWriterPartialWrite|TestParallelWriterSinkFailure|TestStreamWriterFailoverInFlight' -count=1 .
 
 ## fuzz-smoke: 30 s of coverage-guided fuzzing over each attack surface
@@ -166,7 +170,12 @@ bench-alloc:
 ## Eighteenth, the LZ stage split at a seam (internal/lz77's
 ## TokenizeTail/TokenizeHead) against one pass and the reference matcher:
 ## any input, geometry word, history cut and seam, equal tokens and equal
-## HWStats. Eighteen targets in all. The three that used to stand outside the
+## HWStats. Nineteenth, the checksum follower (internal/deflate's
+## FuzzFollowerEqualsInline): any stream in any framing, budget and Dst
+## decodes to the same bytes, CRC-32, Adler-32, consumed input and error
+## with no follower, with one whose goroutine never starts and with one
+## whose goroutine sums each published stripe beside the decode. Nineteen
+## targets in all. The three that used to stand outside the
 ## recipe are inside a neighbour: FuzzBlockDecode round-trips its input
 ## through the lz4 encoder as well (FuzzRoundTrip's law), FuzzDecompress
 ## hands every input to the gzip framing as well as to the inflate core
@@ -197,6 +206,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBudgetDoesNotChangeTheAnswer -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzCompressInflatesWithFlate -fuzztime 30s -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz FuzzSplitEqualsSerial -fuzztime 30s ./internal/lz77
+	$(GO) test -run '^$$' -fuzz FuzzFollowerEqualsInline -fuzztime 30s ./internal/deflate
 
 ## bench-host: the host clock of the kernel paths, end to end and then
 ## layer by layer — one of bench/'s workloads (WORKLOAD, bulk_oneshot

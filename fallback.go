@@ -58,10 +58,9 @@ func softMetrics(plain []byte, in, out int, start time.Time, inflated bool) Metr
 		InBytes:    in,
 		OutBytes:   out,
 		DeviceTime: time.Since(start),
-		CRC32:      checksum.Sum32(plain),
-		Adler32:    checksum.SumAdler32(plain),
 		Degraded:   true,
 	}
+	m.CRC32, m.Adler32 = checksum.SumBoth(plain)
 	switch {
 	case in == 0 || out == 0:
 	case inflated:

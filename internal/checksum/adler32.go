@@ -16,8 +16,8 @@ const (
 	oddWeights  = 7<<48 | 5<<32 | 3<<16 | 1
 )
 
-// Adler32 is an incremental Adler-32 accumulator. The zero value is NOT
-// ready to use (Adler-32 starts at 1); use NewAdler32 or call Reset.
+// Adler32 is an incremental Adler-32 accumulator. The zero value is ready
+// to use and corresponds to an empty message (value 1), as after Reset.
 type Adler32 struct {
 	a, b uint32
 	live bool

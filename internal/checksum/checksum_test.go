@@ -1,6 +1,7 @@
 package checksum
 
 import (
+	"bytes"
 	"hash/adler32"
 	"hash/crc32"
 	"math/rand"
@@ -209,5 +210,41 @@ func TestSumBothMatchesStdlib(t *testing.T) {
 		if want := adler32.Checksum(buf[:n]); adler != want {
 			t.Errorf("n=%d: adler %08x, want %08x", n, adler, want)
 		}
+	}
+}
+
+// TestFollowerMatchesSumBoth: whatever prefixes of a message are published
+// — none, one, many, some repeated, some in a copy of the backing — a
+// follower whose goroutine starts and one whose goroutine never does both
+// Finish with SumBoth's sums, Finish again with the same, and after
+// Release sum the next message afresh.
+func TestFollowerMatchesSumBoth(t *testing.T) {
+	msg := make([]byte, 300<<10)
+	rand.New(rand.NewSource(8)).Read(msg)
+	wantCRC, wantAdler := SumBoth(msg)
+	for _, start := range []bool{false, true} {
+		f := NewFollower(func() bool { return start })
+		for _, cuts := range [][]int{nil, {len(msg)}, {1, 7, 8 << 10, 8<<10 + 1, 100 << 10, 100 << 10, 299 << 10}, {64 << 10, 128 << 10}} {
+			backing := msg
+			for i, n := range cuts {
+				if i == 2 {
+					backing = bytes.Clone(msg) // as the inflater's grow: the same bytes, moved
+				}
+				f.Publish(backing[:n])
+			}
+			for range 2 {
+				if crc, adler := f.Finish(msg); crc != wantCRC || adler != wantAdler {
+					t.Fatalf("start %v, publishes %v: %08x/%08x, SumBoth %08x/%08x", start, cuts, crc, adler, wantCRC, wantAdler)
+				}
+			}
+			if followed := f.Release(); followed != (start && len(cuts) > 0) {
+				t.Fatalf("start %v, publishes %v: followed %v", start, cuts, followed)
+			}
+		}
+		f.Publish(msg[:5])
+		if crc, adler := f.Finish(msg[:9]); crc != Sum32(msg[:9]) || adler != SumAdler32(msg[:9]) {
+			t.Fatalf("start %v: a second message after Release sums %08x/%08x", start, crc, adler)
+		}
+		f.Release()
 	}
 }

@@ -104,6 +104,12 @@ const bothStripe = 8 << 10
 func SumBoth(p []byte) (crc, adler uint32) {
 	var c CRC32
 	var ad Adler32
+	both(&c, &ad, p)
+	return c.Sum(), ad.Sum()
+}
+
+// both absorbs p into c and ad a stripe at a time.
+func both(c *CRC32, ad *Adler32, p []byte) {
 	for len(p) > bothStripe {
 		c.Update(p[:bothStripe])
 		ad.Update(p[:bothStripe])
@@ -111,5 +117,4 @@ func SumBoth(p []byte) (crc, adler uint32) {
 	}
 	c.Update(p)
 	ad.Update(p)
-	return c.Sum(), ad.Sum()
 }

@@ -100,7 +100,8 @@ func CompressGzip(src []byte, opts Options) ([]byte, error) {
 
 // DecompressGzip unwraps and inflates a gzip stream, verifying CRC32 and
 // ISIZE. It returns the CRC-32 it verified — the plaintext's — so a caller
-// that reports the checksum need not compute it again.
+// that reports the checksum need not compute it again; with
+// opts.Follower, the follower holds the Adler-32 as well.
 func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, err error) {
 	body, wantCRC, wantSize, err := GzipUnwrap(src)
 	if err != nil {
@@ -113,10 +114,30 @@ func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, er
 	if uint32(len(out)) != wantSize {
 		return nil, 0, fmt.Errorf("%w: ISIZE %d, got %d bytes", ErrBadLength, wantSize, len(out))
 	}
-	if crc = checksum.Sum32(out); crc != wantCRC {
+	if crc = trailerCRC(out, opts.Follower); crc != wantCRC {
 		return nil, 0, fmt.Errorf("%w: CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
 	}
 	return out, crc, nil
+}
+
+// trailerCRC is the CRC-32 of a decode's output, which its gzip trailer is
+// checked against: the follower's, when one rode the decode, or else
+// computed here.
+func trailerCRC(out []byte, f *checksum.Follower) uint32 {
+	if f == nil {
+		return checksum.Sum32(out)
+	}
+	crc, _ := f.Finish(out)
+	return crc
+}
+
+// trailerAdler is trailerCRC's Adler-32, for a zlib trailer.
+func trailerAdler(out []byte, f *checksum.Follower) uint32 {
+	if f == nil {
+		return checksum.SumAdler32(out)
+	}
+	_, adler := f.Finish(out)
+	return adler
 }
 
 // ZlibWrap frames a raw DEFLATE stream as zlib (RFC 1950) with the default
@@ -176,7 +197,7 @@ func DecompressZlib(src []byte, opts InflateOptions) (out []byte, adler uint32, 
 	if err != nil {
 		return nil, 0, err
 	}
-	if adler = checksum.SumAdler32(out); adler != want {
+	if adler = trailerAdler(out, opts.Follower); adler != want {
 		return nil, 0, fmt.Errorf("%w: adler %08x, want %08x", ErrBadChecksum, adler, want)
 	}
 	return out, adler, nil
@@ -205,7 +226,7 @@ func DecompressGzipTail(src []byte, opts InflateOptions) (out []byte, consumed i
 	if uint32(len(body)) != wantSize {
 		return nil, 0, 0, fmt.Errorf("%w: member ISIZE %d, got %d", ErrBadLength, wantSize, len(body))
 	}
-	if crc = checksum.Sum32(body); crc != wantCRC {
+	if crc = trailerCRC(body, opts.Follower); crc != wantCRC {
 		return nil, 0, 0, fmt.Errorf("%w: member CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
 	}
 	return body, trailerAt + 8, crc, nil

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"nxzip/internal/bitio"
+	"nxzip/internal/checksum"
 	"nxzip/internal/freelist"
 	"nxzip/internal/huffman"
 	"nxzip/internal/lz77"
@@ -62,6 +63,10 @@ type InflateOptions struct {
 	// returned length are scratch; nothing past cap(Dst) or MaxOutput is
 	// ever written — fence a window of a shared buffer with either.
 	Dst []byte
+	// Follower, when non-nil, is handed the output as it becomes final, a
+	// stripe at a time, and the framed decodes check their trailer
+	// against its sums; the caller Releases it once the decode returns.
+	Follower *checksum.Follower
 }
 
 const (
@@ -73,6 +78,10 @@ const (
 	// match, copied in 8-byte words that may overshoot by 7.
 	fastInMargin  = 8
 	fastOutMargin = lz77.MaxMatch + 8
+
+	// followStripe is how much output a decode with a Follower produces
+	// between publishes: the fast loop stops at each multiple of it.
+	followStripe = 64 << 10
 )
 
 // The RFC 1951 static tables, shared by every pass (read-only once built).
@@ -95,6 +104,9 @@ type inflater struct {
 	out    []byte // output backing, filled up to n
 	n      int    // plaintext bytes produced so far
 	maxOut int
+
+	fol   *checksum.Follower // nil but in a DecompressTail given one
+	pubAt int                // fol's next publish: once n reaches it
 
 	litLen, dist, codeLen huffman.Decoder
 	lengths               [NumLitLen + NumDist]uint8
@@ -119,6 +131,7 @@ func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, 
 	if in.maxOut = opts.MaxOutput; in.maxOut <= 0 {
 		in.maxOut = defaultMaxOutput
 	}
+	in.fol, in.pubAt = opts.Follower, followStripe
 	for final := false; !final && err == nil; {
 		final, err = in.nextBlock()
 	}
@@ -126,8 +139,8 @@ func DecompressTail(src []byte, opts InflateOptions) (out []byte, consumed int, 
 		in.r.AlignByte()
 		out, consumed = in.out[:in.n], in.r.BitsConsumed()/8
 	}
-	in.r.Reset(nil) // drop the src and output references before pooling
-	in.out = nil
+	in.r.Reset(nil) // drop the src, output and follower references before pooling
+	in.out, in.fol = nil, nil
 	inflaterPool.Put(in)
 	return out, consumed, err
 }
@@ -140,7 +153,9 @@ func (in *inflater) nextBlock() (final bool, err error) {
 	}
 	switch hdr >> 1 {
 	case 0:
-		err = in.stored()
+		if err = in.stored(); err == nil && in.fol != nil {
+			in.publish()
+		}
 	case 1:
 		err = in.block(&fixedLitLen, &fixedDist)
 	case 2:
@@ -273,16 +288,32 @@ func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
 func (in *inflater) block(litLen, dist *huffman.Decoder) error {
 	for {
 		limit := min(in.maxOut, len(in.out))
+		fastLimit := limit - fastOutMargin
+		if in.fol != nil {
+			in.publish()
+			fastLimit = min(fastLimit, in.pubAt)
+		}
 		// Two margins of unread bits: up to 63 of them are already in the
 		// Reader's accumulator, not ahead of its byte position.
 		if in.n+fastOutMargin <= limit && in.r.BitsRemaining() >= 2*8*fastInMargin {
-			if eob, err := in.fast(litLen, dist, limit-fastOutMargin); eob || err != nil {
+			if eob, err := in.fast(litLen, dist, fastLimit); eob || err != nil {
 				return err
 			}
 		}
 		if eob, err := in.careful(litLen, dist); eob || err != nil {
 			return err
 		}
+	}
+}
+
+// publish hands the follower the output so far once it has reached the
+// next stripe. Every byte below n is final: the decode writes only at n
+// and past it, and grow copies the bytes below n unchanged, so what the
+// follower reads in an older backing stays valid.
+func (in *inflater) publish() {
+	if in.n >= in.pubAt {
+		in.fol.Publish(in.out[:in.n])
+		in.pubAt = in.n - in.n%followStripe + followStripe
 	}
 }
 

@@ -128,15 +128,16 @@ var workAreas = freelist.New(newWorkArea)
 const splitMin = 512 << 10
 
 // running counts the goroutines computing a request in an engine of this
-// process: every caller between parse and completion, and the tail of
-// every split compress.
+// process: every caller between parse and completion, the tail of every
+// split compress and the checksum follower of every decompress that has
+// one running.
 var running atomic.Int32
 
-// idleP counts a tail into running when the goroutines already there leave
-// one of GOMAXPROCS Ps free, and reports whether it did. A caller that runs
-// a compress per core — a ParallelWriter, say — thus runs serial once its
-// workers are busy: a tail would take a core from another request instead
-// of an idle one.
+// idleP counts a tail or a follower into running when the goroutines
+// already there leave one of GOMAXPROCS Ps free, and reports whether it
+// did. A caller that runs a request per core — a ParallelWriter or a
+// ParallelReader, say — thus runs serial once its workers are busy: a
+// helper would take a core from another request instead of an idle one.
 func idleP() bool {
 	procs := int32(runtime.GOMAXPROCS(0))
 	for {
@@ -148,6 +149,20 @@ func idleP() bool {
 			return true
 		}
 	}
+}
+
+// followers lends the checksum followers decompresses sum beside
+// (checksum.Follower), filed under the same keys as work areas. A
+// follower's goroutine starts only onto an idle P.
+var followers = freelist.New(func() *checksum.Follower { return checksum.NewFollower(idleP) })
+
+// fileFollower takes f back once its goroutine, if one ran, has signalled,
+// counts that goroutine out of running and files f under key.
+func fileFollower(key uint64, f *checksum.Follower) {
+	if f.Release() {
+		running.Add(-1)
+	}
+	followers.PutFor(key, f)
 }
 
 // Config returns the engine configuration.
@@ -596,25 +611,29 @@ func (e *Engine) sampleDHT(enc *deflate.StreamEncoder, tokens []lz77.Token) *def
 	return enc.SampleDHT(tokens[:end])
 }
 
+// decompress inflates with both checksums taken beside the decode: a
+// follower, borrowed under the context's key, sums each stripe of output
+// as it becomes final, on an idle P when there is one, and a framing
+// helper checks its trailer against the follower's sum. Whatever the
+// outcome, the follower is filed back only once its goroutine is done.
 func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
 	var (
 		out      []byte
 		err      error
 		consumed = len(crb.Input)
-		// A framing helper verifies its trailer checksum over the plaintext
-		// and hands it back; only the other one is left to compute below.
-		crc, adler uint32
 	)
+	f := followers.GetFor(x.area)
+	defer fileFollower(x.area, f)
 	// Dst threads the caller-owned target buffer into the inflate loop so
 	// a pooled decompression allocates nothing when the output fits.
-	opts := deflate.InflateOptions{MaxOutput: decodeLimit(crb), Dst: crb.Target}
+	opts := deflate.InflateOptions{MaxOutput: decodeLimit(crb), Dst: crb.Target, Follower: f}
 	switch {
 	case crb.Wrap == WrapGzip && crb.FirstMemberOnly:
-		out, consumed, crc, err = deflate.DecompressGzipTail(crb.Input, opts)
+		out, consumed, _, err = deflate.DecompressGzipTail(crb.Input, opts)
 	case crb.Wrap == WrapGzip:
-		out, crc, err = deflate.DecompressGzip(crb.Input, opts)
+		out, _, err = deflate.DecompressGzip(crb.Input, opts)
 	case crb.Wrap == WrapZlib:
-		out, adler, err = deflate.DecompressZlib(crb.Input, opts)
+		out, _, err = deflate.DecompressZlib(crb.Input, opts)
 	default:
 		out, err = deflate.Decompress(crb.Input, opts)
 	}
@@ -636,13 +655,7 @@ func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
 	csb.Output = out
 	csb.SPBC = consumed
 	csb.TPBC = len(out)
-	if crb.Wrap != WrapGzip {
-		crc = checksum.Sum32(out)
-	}
-	if crb.Wrap != WrapZlib {
-		adler = checksum.SumAdler32(out)
-	}
-	csb.CRC32, csb.Adler32 = crc, adler
+	csb.CRC32, csb.Adler32 = f.Finish(out)
 }
 
 // decodeFailed completes a request whose decode stopped on err. Detection

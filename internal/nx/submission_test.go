@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -478,11 +477,8 @@ func submitIntoAllocFree(t *testing.T, fc FuncCode) {
 // TestSplitCompressAllocFree is TestSubmitIntoAllocFree's zero for a 1 MiB
 // generate-DHT compress into a caller target, whose LZ stage runs split
 // across two goroutines. testing.AllocsPerRun runs at one P, where no
-// compress splits, so the count is the process's, read around a window of
-// compresses at two Ps. Anything else that allocates in a window — a
-// goroutine of an earlier test winding down, the runtime's own work — counts
-// too, so the gate takes the least of a few windows: an allocation the
-// compress makes shows up in every one.
+// compress splits, so the count is the process's, the least of a few
+// windows of compresses at two Ps (testutil.WindowMallocs).
 func TestSplitCompressAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
@@ -502,38 +498,13 @@ func TestSplitCompressAllocFree(t *testing.T) {
 			t.Fatalf("err=%v cc=%v", err, csb.CC)
 		}
 	}
-	// Each tail goroutine starts on the caller's P and exits on the other.
-	// The runtime (Go 1.24) files an exited goroutine's descriptor on its
-	// P's free list, spilling to a global one, and a go statement allocates
-	// a descriptor when neither list of its P has one: until they hold some
-	// to spare, a tail costs one. A burst of goroutines fills them — a
-	// workaround tied to that runtime detail, not a property of the split.
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 256; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); <-release }()
-	}
-	close(release)
-	wg.Wait()
+	testutil.SpareGoroutineDescriptors()
 	for i := 0; i < 4; i++ { // warm the pools and both work areas
 		op()
 	}
 	testutil.GoroutinesBack(t, base, "before counting")
 	const windows, runs = 5, 10
-	var counts []uint64
-	for range windows {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			op()
-		}
-		runtime.ReadMemStats(&after)
-		n := after.Mallocs - before.Mallocs
-		if n == 0 {
-			return
-		}
-		counts = append(counts, n)
+	if counts := testutil.WindowMallocs(op, windows, runs); counts != nil {
+		t.Fatalf("allocations in each of %d windows of %d split compresses: %v, want a window of 0", windows, runs, counts)
 	}
-	t.Fatalf("allocations in each of %d windows of %d split compresses: %v, want a window of 0", windows, runs, counts)
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nxzip/internal/checksum"
 	"nxzip/internal/corpus"
 	"nxzip/internal/freelist"
 	"nxzip/internal/testutil"
@@ -184,5 +185,54 @@ func TestSplitTakesAnIdleP(t *testing.T) {
 	}
 	if n := running.Load(); n != 0 {
 		t.Errorf("%d requests or tails still counted as running", n)
+	}
+}
+
+// TestFollowerTakesAnIdleP: a decompress's checksum follower starts its
+// goroutine only when the requests and helpers running leave a P idle for
+// it, the split's gate (idleP); otherwise its sums are taken inline. The
+// gate is asked once per decompress, at the first publish, and either way
+// the completion is the same. Every follower is counted out when it is
+// done.
+func TestFollowerTakesAnIdleP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	saved := followers
+	t.Cleanup(func() { followers = saved })
+	var started atomic.Int64
+	followers = freelist.New(func() *checksum.Follower {
+		return checksum.NewFollower(func() bool {
+			ok := idleP()
+			if ok {
+				started.Add(1)
+			}
+			return ok
+		})
+	})
+	plain := corpus.Generate(corpus.Text, 1<<20, 48)
+	ctx := NewDevice(P9Device()).OpenContext(1)
+	defer ctx.Close()
+	comp, _, err := ctx.Submit(&CRB{Func: FCCompressFHT, Wrap: WrapGzip, Input: plain})
+	if err != nil || comp.CC != CCSuccess {
+		t.Fatalf("compress: %v, %v", err, comp.CC)
+	}
+	for _, c := range []struct {
+		procs, others int32
+		starts        int64
+	}{{1, 0, 0}, {2, 0, 1}, {2, 1, 0}, {4, 0, 1}, {4, 2, 1}, {4, 3, 0}} {
+		runtime.GOMAXPROCS(int(c.procs))
+		started.Store(0)
+		running.Add(c.others) // requests of other callers, in flight throughout
+		csb, _, err := ctx.Submit(&CRB{Func: FCDecompress, Wrap: WrapGzip, Input: comp.Output, TargetCap: len(plain), MaxOutput: len(plain)})
+		running.Add(-c.others)
+		if err != nil || csb.CC != CCSuccess || !bytes.Equal(csb.Output, plain) ||
+			csb.CRC32 != checksum.Sum32(plain) || csb.Adler32 != checksum.SumAdler32(plain) {
+			t.Fatalf("GOMAXPROCS %d, %d others: %v, %v", c.procs, c.others, err, csb.CC)
+		}
+		if n := started.Load(); n != c.starts {
+			t.Errorf("GOMAXPROCS %d, %d other requests running: %d followers started, want %d", c.procs, c.others, n, c.starts)
+		}
+	}
+	if n := running.Load(); n != 0 {
+		t.Errorf("%d requests or helpers still counted as running", n)
 	}
 }

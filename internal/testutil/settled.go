@@ -64,11 +64,18 @@ func Settled(t testing.TB, devs ...Device) {
 			}
 		}
 	}
-	var left []string
-	poll(func() bool { left = strays(); return len(left) == 0 })
-	for _, g := range left {
+	for _, g := range LeftBehind() {
 		t.Errorf("goroutine left behind:\n%s", g)
 	}
+}
+
+// LeftBehind lists the goroutines a library function started that are
+// still alive two seconds on — the stacks of what Settled reports. It takes
+// no testing.TB, so a TestMain can ask it after m.Run.
+func LeftBehind() []string {
+	var left []string
+	poll(func() bool { left = strays(); return len(left) == 0 })
+	return left
 }
 
 // GoroutinesBack fails the test unless the goroutine count is back at

@@ -217,6 +217,46 @@ func TestIntoPathAllocFreeAcrossCollections(t *testing.T) {
 	}
 }
 
+// TestDecompressFollowerAllocFree is TestIntoPathAllocFree's zero for a
+// 1 MiB DecompressGzipInto at two Ps, where one request leaves a P idle
+// and the engine's checksum follower sums the output on it, its goroutine
+// started on a method value stored in the follower. testing.AllocsPerRun
+// runs at one P, where the follower stays inline, so the count is the
+// process's, the least of a few windows (testutil.WindowMallocs).
+func TestDecompressFollowerAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instruments allocations; gate runs in non-race builds")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	acc := Open(Config{Device: P9().Device, TableMode: TableFixed})
+	defer acc.Close()
+	base := runtime.NumGoroutine()
+	src := corpus.Generate(corpus.Text, 1<<20, 3)
+	var m Metrics
+	gz, err := acc.CompressGzipInto(nil, src, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make([]byte, 0, len(src))
+	op := func() {
+		if plain, err = acc.DecompressGzipInto(plain[:0], gz, &m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.SpareGoroutineDescriptors()
+	for i := 0; i < 4; i++ { // warm the pools and the follower
+		op()
+	}
+	if !bytes.Equal(plain, src) {
+		t.Fatal("roundtrip mismatch")
+	}
+	testutil.GoroutinesBack(t, base, "before counting")
+	const windows, runs = 5, 10
+	if counts := testutil.WindowMallocs(op, windows, runs); counts != nil {
+		t.Fatalf("allocations in each of %d windows of %d decompresses: %v, want a window of 0", windows, runs, counts)
+	}
+}
+
 // TestRequestFreeDropsHugeScratch: the list keeps a request for the life
 // of the process, so a scratch past maxPooledScratch does not ride back
 // with it, and one under it does.
