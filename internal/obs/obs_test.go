@@ -501,6 +501,15 @@ func startTestServer(t *testing.T, bus *Bus, healthy, total int, snap func() *te
 	return srv
 }
 
+// pinQuotaTable is the admission gate's tenant table the pinned
+// documents join: tenant 5 active and one registered tenant idle.
+func pinQuotaTable() []TenantQuota {
+	return []TenantQuota{
+		{ID: 5, Weight: 2, Inflight: 1, Share: 1, Active: true},
+		{ID: 9, Weight: 1},
+	}
+}
+
 func TestServerMetricsEndpoint(t *testing.T) {
 	srv := startTestServer(t, nil, 4, 4, nil)
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
