@@ -293,15 +293,6 @@ func (d *Device) SetEventBus(bus *obs.Bus, label string) {
 // complete normally, like a drawer being fenced.
 func (d *Device) Offline() bool { return d.inj.Load().Offline() }
 
-// engineStageNames orders a breakdown's per-stage sums for labeling.
-var engineStageNames = []string{
-	"setup", "translate", "dht-gen", "dma-in", "lz", "encode", "decode", "dma-out", "complete",
-}
-
-func breakdownByStage(b pipeline.Breakdown) []int64 {
-	return []int64{b.Setup, b.Translate, b.DHTGen, b.DMAIn, b.LZ, b.Encode, b.Decode, b.DMAOut, b.Complete}
-}
-
 // MetricsSnapshot captures every instrument: the registry (vas.*,
 // nmmu.*, nx.* and anything callers registered) plus the per-engine
 // counters harvested under each engine's lock — requests, bytes, CC
@@ -324,11 +315,12 @@ func (d *Device) MetricsSnapshot() *telemetry.Snapshot {
 			telemetry.CounterSnapshot{Name: "nx.engine.in_bytes", Label: label, Value: ct.InBytes},
 			telemetry.CounterSnapshot{Name: "nx.engine.out_bytes", Label: label, Value: ct.OutBytes},
 		)
-		stages := breakdownByStage(ct.StageCycles)
-		for si, name := range engineStageNames {
-			snap.Counters = append(snap.Counters, telemetry.CounterSnapshot{
-				Name: "nx.engine.stage_cycles", Label: label + "/" + name, Value: stages[si],
-			})
+		for st, f := range stageFields(&ct.StageCycles) {
+			if f != nil {
+				snap.Counters = append(snap.Counters, telemetry.CounterSnapshot{
+					Name: "nx.engine.stage_cycles", Label: label + "/" + telemetry.Stage(st).String(), Value: *f,
+				})
+			}
 		}
 		for cc := CC(0); cc < ccCount; cc++ {
 			if n := ct.CCCounts[cc]; n > 0 {
@@ -1103,7 +1095,8 @@ func (c *Context) run(p *pendingCRB, start time.Time, queueWait time.Duration) {
 			sp.InBytes = csb.SPBC
 			sp.OutBytes = csb.TPBC
 			sp.CC = csb.CC.String()
-			sp.RecordPipeline(start, end, pipelineStages(csb.Cycles))
+			var stages [telemetry.StageComplete + 1]telemetry.PipelineStage
+			sp.RecordPipeline(start, end, pipelineStages(stages[:0], csb.Cycles))
 			start = end
 		}
 	}
@@ -1139,20 +1132,29 @@ func (c *Context) touch(p *pendingCRB, s *slot) bool {
 	return true
 }
 
-// pipelineStages flattens a modelled breakdown into span stages (only
-// called on the traced path).
-func pipelineStages(b pipeline.Breakdown) []telemetry.PipelineStage {
-	return []telemetry.PipelineStage{
-		{Stage: telemetry.StageSetup, Cycles: b.Setup},
-		{Stage: telemetry.StageTranslate, Cycles: b.Translate},
-		{Stage: telemetry.StageDHTGen, Cycles: b.DHTGen},
-		{Stage: telemetry.StageDMAIn, Cycles: b.DMAIn},
-		{Stage: telemetry.StageLZ, Cycles: b.LZ},
-		{Stage: telemetry.StageEncode, Cycles: b.Encode},
-		{Stage: telemetry.StageDecode, Cycles: b.Decode},
-		{Stage: telemetry.StageDMAOut, Cycles: b.DMAOut},
-		{Stage: telemetry.StageComplete, Cycles: b.Complete},
+// stageFields is the engine's one stage table. Keyed by
+// telemetry.Stage, it holds the field of b that carries each modelled
+// stage's cycles, nil for the stages the model does not charge (submit,
+// fifo). A span records its pipeline in key order, the stage_cycles
+// counters are labeled with the keys' names, and addStages sums along it.
+func stageFields(b *pipeline.Breakdown) [telemetry.StageComplete + 1]*int64 {
+	return [...]*int64{
+		telemetry.StageSetup: &b.Setup, telemetry.StageTranslate: &b.Translate,
+		telemetry.StageDHTGen: &b.DHTGen, telemetry.StageDMAIn: &b.DMAIn, telemetry.StageLZ: &b.LZ,
+		telemetry.StageEncode: &b.Encode, telemetry.StageDecode: &b.Decode,
+		telemetry.StageDMAOut: &b.DMAOut, telemetry.StageComplete: &b.Complete,
 	}
+}
+
+// pipelineStages appends a modelled breakdown to dst as span stages
+// (only called on the traced path).
+func pipelineStages(dst []telemetry.PipelineStage, b pipeline.Breakdown) []telemetry.PipelineStage {
+	for st, f := range stageFields(&b) {
+		if f != nil {
+			dst = append(dst, telemetry.PipelineStage{Stage: telemetry.Stage(st), Cycles: *f})
+		}
+	}
+	return dst
 }
 
 // Compress runs a full user-level compression: map buffers, submit,

@@ -242,15 +242,12 @@ func (e *Engine) processInto(pid nmmu.PID, crb *CRB, csb *CSB, area uint64) {
 
 // addStages adds one breakdown to a sum of them, stage by stage.
 func addStages(sum *pipeline.Breakdown, b pipeline.Breakdown) {
-	sum.Setup += b.Setup
-	sum.Translate += b.Translate
-	sum.DMAIn += b.DMAIn
-	sum.LZ += b.LZ
-	sum.DHTGen += b.DHTGen
-	sum.Encode += b.Encode
-	sum.Decode += b.Decode
-	sum.DMAOut += b.DMAOut
-	sum.Complete += b.Complete
+	to, from := stageFields(sum), stageFields(&b)
+	for st, f := range to {
+		if f != nil {
+			*f += *from[st]
+		}
+	}
 	sum.Total += b.Total
 }
 
