@@ -111,25 +111,6 @@ func (n *Node) AdmissionStatus() *obs.AdmissionStatus {
 	return doc
 }
 
-// TenantQuotas converts the gate's per-tenant quota table into the obs
-// document shape (nil before EnableAdmission — /tenants rows then come
-// from the accounting-plane windows alone).
-func (n *Node) TenantQuotas() []obs.TenantQuota {
-	ctrl := n.adm.Load()
-	if ctrl == nil {
-		return nil
-	}
-	ts := ctrl.TenantsNow()
-	out := make([]obs.TenantQuota, len(ts))
-	for i, t := range ts {
-		out[i] = obs.TenantQuota{
-			ID: t.ID, Weight: t.Weight, Inflight: t.Inflight,
-			Share: t.Share, Active: t.Active,
-		}
-	}
-	return out
-}
-
 // DefaultDrainTimeout bounds how long Drain waits for in-flight work.
 const DefaultDrainTimeout = 10 * time.Second
 

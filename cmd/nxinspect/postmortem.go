@@ -190,7 +190,7 @@ func runPostmortem(source string, req, tenant uint64) error {
 
 	fmt.Printf("postmortem: %s\n", name)
 	if tenant != 0 {
-		fmt.Printf("tenant:     t%d (rows filtered)\n", tenant)
+		fmt.Printf("tenant:     %s (rows filtered)\n", telemetry.TenantLabel(tenant))
 	}
 	if meta != nil {
 		fmt.Printf("triggered:  %s  (#%d, %d requests digested)\n",
@@ -265,7 +265,7 @@ func runPostmortem(source string, req, tenant uint64) error {
 				codec = "-"
 			}
 			fmt.Printf("%-8d %-16s %-12s %-14s %-7s %-11s %10.0f %10.0f %8s %4d %-8s\n",
-				d.Req, d.Op, codec, d.Device, tenantCol(d.Tenant), prioCol(d.Priority),
+				d.Req, d.Op, codec, d.Device, telemetry.TenantColumn(d.Tenant), prioCol(d.Priority),
 				d.TotalUS, d.QueueUS,
 				stats.Bytes(int64(d.InBytes)), d.Attempts, d.Outcome.String())
 		}
@@ -285,15 +285,8 @@ func runPostmortem(source string, req, tenant uint64) error {
 	return nil
 }
 
-// tenantCol / prioCol render the digest identity columns ("-" when the
-// request predates tenant stamping or came from a raw context).
-func tenantCol(id uint64) string {
-	if id == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("t%d", id)
-}
-
+// prioCol renders the digest's priority column ("-" when the request
+// predates priority stamping or came from a raw context).
 func prioCol(p string) string {
 	if p == "" {
 		return "-"
@@ -312,7 +305,7 @@ func printRequest(req uint64, digests []*telemetry.Digest, spans []*pmSpan, even
 		}
 		found = true
 		fmt.Printf("  digest: op=%s codec=%s device=%s tenant=%s prio=%s total=%.0fµs queue=%.0fµs in=%s out=%s cycles=%d attempts=%d outcome=%s\n",
-			d.Op, d.Codec, d.Device, tenantCol(d.Tenant), prioCol(d.Priority), d.TotalUS, d.QueueUS,
+			d.Op, d.Codec, d.Device, telemetry.TenantColumn(d.Tenant), prioCol(d.Priority), d.TotalUS, d.QueueUS,
 			stats.Bytes(int64(d.InBytes)), stats.Bytes(int64(d.OutBytes)),
 			d.EngineCycles, d.Attempts, d.Outcome.String())
 	}

@@ -33,6 +33,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"nxzip/internal/telemetry"
 )
 
 // Class is a request's priority class. Lower values are more
@@ -99,8 +101,8 @@ type OverloadError struct {
 
 func (e *OverloadError) Error() string {
 	if e.Tenant != 0 {
-		return fmt.Sprintf("admission: node overloaded: %s request shed (%s, tenant t%d), retry after %v",
-			e.Class, e.Reason, e.Tenant, e.RetryAfter)
+		return fmt.Sprintf("admission: node overloaded: %s request shed (%s, tenant %s), retry after %v",
+			e.Class, e.Reason, telemetry.TenantLabel(e.Tenant), e.RetryAfter)
 	}
 	return fmt.Sprintf("admission: node overloaded: %s request shed (%s), retry after %v",
 		e.Class, e.Reason, e.RetryAfter)

@@ -78,7 +78,7 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 	// Snapshot everything into memory first. Retained spans must be
 	// serialized under the recorder lock — eviction recycles them.
 	var lines []pmLine
-	lines = append(lines, pmLine{Kind: "meta", Time: now, Reason: reason, Ordinal: ordinal, Seq: r.ring.Seq()})
+	lines = append(lines, pmLine{Kind: "meta", Time: now, Reason: reason, Ordinal: ordinal, Seq: r.Seq()})
 
 	r.mu.Lock()
 	srcs := r.srcs
@@ -95,7 +95,7 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 			lines = append(lines, pmLine{Kind: "device", Device: &d})
 		}
 	}
-	for _, d := range r.ring.Snapshot(0) {
+	for _, d := range r.Digests(0) {
 		d := d
 		lines = append(lines, pmLine{Kind: "digest", Digest: &d})
 	}
@@ -104,17 +104,8 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 	// while held.
 	var spanRaw []json.RawMessage
 	r.mu.Lock()
-	held := int(r.retNext)
-	if held > len(r.ret) {
-		held = len(r.ret)
-	}
-	for i := 0; i < held; i++ {
-		idx := (r.retNext - uint64(held) + uint64(i)) % uint64(len(r.ret))
-		e := &r.ret[idx]
-		if !e.used {
-			continue
-		}
-		for _, s := range e.spans {
+	for _, e := range r.ret.Last(0) {
+		for _, s := range e.spans[:e.n] {
 			if raw, err := json.Marshal(s); err == nil {
 				spanRaw = append(spanRaw, raw)
 			}

@@ -26,6 +26,7 @@
 package flightrec
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,10 +110,12 @@ type Retained struct {
 	Spans  []*telemetry.Span
 }
 
+// retEntry is one slot of the retained ring: a request's digest and
+// the spans it parked, spans[:n].
 type retEntry struct {
-	used  bool
 	d     telemetry.Digest
-	spans []*telemetry.Span // preallocated, cap pendSpanCap
+	spans [pendSpanCap]*telemetry.Span
+	n     int
 }
 
 // Sources are the node-state closures a postmortem bundle snapshots.
@@ -136,20 +139,19 @@ type Sources struct {
 // it with NewPooledTracer(rec) (or rec.Tracer()) so consumed spans
 // recycle. All methods are safe for concurrent use.
 type Recorder struct {
-	opt  Options
-	ring *telemetry.DigestRing
+	opt Options
 
 	tracer atomic.Pointer[telemetry.Tracer]
 
 	mu      sync.Mutex
+	digests telemetry.Ring[telemetry.Digest]
 	pend    []pendSlot
-	ret     []retEntry
-	retNext uint64 // total retentions ever; ret[(retNext-1) % len] newest
+	ret     telemetry.Ring[retEntry]
 
 	// Rolling latency windows in microseconds, plus the amortized p99s.
-	totWin    []float64
-	queueWin  []float64
-	winNext   uint64
+	totWin    telemetry.Ring[float64]
+	queueWin  telemetry.Ring[float64]
+	win       []float64 // recalcLocked's scratch: one window's samples
 	top       []float64 // p99Of's scratch: the largest samples of a window
 	p99Tot    float64
 	p99Queue  float64
@@ -171,18 +173,16 @@ func New(opts Options) *Recorder {
 	o := opts.withDefaults()
 	r := &Recorder{
 		opt:      o,
-		ring:     telemetry.NewDigestRing(o.DigestRing),
+		digests:  telemetry.NewRing[telemetry.Digest](o.DigestRing),
 		pend:     make([]pendSlot, o.Pending),
-		ret:      make([]retEntry, o.Retained),
-		totWin:   make([]float64, o.Window),
-		queueWin: make([]float64, o.Window),
+		ret:      telemetry.NewRing[retEntry](o.Retained),
+		totWin:   telemetry.NewRing[float64](o.Window),
+		queueWin: telemetry.NewRing[float64](o.Window),
+		win:      make([]float64, 0, o.Window),
 		top:      make([]float64, 0, o.Window-o.Window*99/100),
 	}
 	for i := range r.pend {
 		r.pend[i].spans = make([]*telemetry.Span, 0, pendSpanCap)
-	}
-	for i := range r.ret {
-		r.ret[i].spans = make([]*telemetry.Span, 0, pendSpanCap)
 	}
 	return r
 }
@@ -259,12 +259,12 @@ func (r *Recorder) Complete(d *telemetry.Digest) uint64 {
 	if r.closed.Load() {
 		return 0
 	}
-	seq := r.ring.Record(d)
 	r.mu.Lock()
-	i := r.winNext % uint64(len(r.totWin))
-	r.totWin[i] = d.TotalUS
-	r.queueWin[i] = d.QueueUS
-	r.winNext++
+	seq := r.digests.Total() + 1
+	d.Seq = seq
+	r.digests.Put(*d)
+	r.totWin.Put(d.TotalUS)
+	r.queueWin.Put(d.QueueUS)
 	r.sinceCalc++
 	if r.sinceCalc >= recalcEvery {
 		r.sinceCalc = 0
@@ -296,29 +296,20 @@ func (r *Recorder) recycleLocked(s *telemetry.Span) { r.recycle(s) }
 // retainLocked moves the request into the retained ring, evicting (and
 // recycling) the oldest retained request when full.
 func (r *Recorder) retainLocked(d *telemetry.Digest, spans []*telemetry.Span) {
-	e := &r.ret[r.retNext%uint64(len(r.ret))]
-	r.retNext++
-	if e.used {
-		for _, old := range e.spans {
-			r.recycleLocked(old)
-		}
+	e := r.ret.Next()
+	for _, old := range e.spans[:e.n] {
+		r.recycleLocked(old)
 	}
-	e.used = true
 	e.d = *d
-	e.spans = append(e.spans[:0], spans...)
+	e.n = copy(e.spans[:], spans)
 }
 
 // recalcLocked recomputes the rolling p99s from the latency windows.
 func (r *Recorder) recalcLocked() {
-	n := int(r.winNext)
-	if n > len(r.totWin) {
-		n = len(r.totWin)
-	}
-	if n == 0 {
-		return
-	}
-	r.p99Tot = p99Of(r.top, r.totWin[:n])
-	r.p99Queue = p99Of(r.top, r.queueWin[:n])
+	r.win = r.totWin.AppendLast(r.win[:0], 0)
+	r.p99Tot = p99Of(r.top, r.win)
+	r.win = r.queueWin.AppendLast(r.win[:0], 0)
+	r.p99Queue = p99Of(r.top, r.win)
 }
 
 // p99Of returns what sorting win and reading index n*99/100 would: the
@@ -347,7 +338,7 @@ func p99Of(top, win []float64) float64 {
 }
 
 func (r *Recorder) slowLocked(d *telemetry.Digest) bool {
-	if r.winNext < uint64(r.opt.MinSamples) {
+	if r.totWin.Total() < uint64(r.opt.MinSamples) {
 		return false
 	}
 	return d.TotalUS > r.opt.SlowFactor*r.p99Tot ||
@@ -355,13 +346,35 @@ func (r *Recorder) slowLocked(d *telemetry.Digest) bool {
 }
 
 // Digests returns up to n recent digests, oldest first (n<=0: all held).
-func (r *Recorder) Digests(n int) []telemetry.Digest { return r.ring.Snapshot(n) }
+func (r *Recorder) Digests(n int) []telemetry.Digest {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.digests.Last(n)
+}
 
-// Slowest returns up to n held digests by descending total latency.
-func (r *Recorder) Slowest(n int) []telemetry.Digest { return r.ring.Slowest(n) }
+// Slowest returns up to n held digests ordered by TotalUS descending,
+// the newest first among equals: the "slowest recent requests" feed for
+// dashboards.
+func (r *Recorder) Slowest(n int) []telemetry.Digest {
+	all := r.Digests(0)
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].TotalUS != all[j].TotalUS {
+			return all[i].TotalUS > all[j].TotalUS
+		}
+		return all[i].Seq > all[j].Seq
+	})
+	if n > 0 && n < len(all) {
+		all = all[:n]
+	}
+	return all
+}
 
 // Seq returns the total number of requests digested.
-func (r *Recorder) Seq() uint64 { return r.ring.Seq() }
+func (r *Recorder) Seq() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.digests.Total()
+}
 
 // P99s returns the recorder's rolling p99 of total latency and queue
 // wait, in microseconds (zero until MinSamples requests complete and
@@ -379,18 +392,10 @@ func (r *Recorder) P99s() (totalUS, queueUS float64) {
 func (r *Recorder) RetainedRequests() []Retained {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	held := int(r.retNext)
-	if held > len(r.ret) {
-		held = len(r.ret)
-	}
-	out := make([]Retained, 0, held)
-	for i := 0; i < held; i++ {
-		idx := (r.retNext - uint64(held) + uint64(i)) % uint64(len(r.ret))
-		e := &r.ret[idx]
-		if !e.used {
-			continue
-		}
-		out = append(out, Retained{Digest: e.d, Spans: append([]*telemetry.Span(nil), e.spans...)})
+	held := r.ret.Last(0)
+	out := make([]Retained, len(held))
+	for i, e := range held {
+		out[i] = Retained{Digest: e.d, Spans: append([]*telemetry.Span(nil), e.spans[:e.n]...)}
 	}
 	return out
 }
@@ -398,23 +403,20 @@ func (r *Recorder) RetainedRequests() []Retained {
 // Status digests the recorder for dashboards and /snapshot.
 func (r *Recorder) Status() *obs.FlightStatus {
 	r.mu.Lock()
-	retained := int(r.retNext)
-	if retained > len(r.ret) {
-		retained = len(r.ret)
-	}
+	retained := r.ret.Held()
 	p99t, p99q := r.p99Tot, r.p99Queue
 	r.mu.Unlock()
 	r.pmMu.Lock()
 	lastAt, lastReason := r.lastAt, r.lastReason
 	r.pmMu.Unlock()
 	return &obs.FlightStatus{
-		Requests:    r.ring.Seq(),
+		Requests:    r.Seq(),
 		Retained:    retained,
 		P99TotalUS:  p99t,
 		P99QueueUS:  p99q,
 		Postmortems: r.pmCount.Load(),
 		LastTrigger: lastAt,
 		LastReason:  lastReason,
-		Slowest:     r.ring.Slowest(5),
+		Slowest:     r.Slowest(5),
 	}
 }

@@ -204,11 +204,11 @@ func TestTenantWindowsFromDelta(t *testing.T) {
 		return b
 	}
 	d := &telemetry.Snapshot{Histograms: []telemetry.HistogramSnapshot{
-		{Name: tenantLatencyMetric, Label: "t5/interactive/ok", Count: 10},
-		{Name: tenantLatencyMetric, Label: "t5/interactive/shed", Count: 5},
-		{Name: tenantLatencyMetric, Label: "t5/batch/ok", Count: 3},
-		{Name: tenantQueueWaitMetric, Label: "t5", Count: 13, Buckets: buckets(13, 8), P50: 40, P99: 900},
-		{Name: tenantLatencyMetric, Label: "tover/batch/ok", Count: 2},
+		{Name: telemetry.TenantLatencyMetric, Label: "t5/interactive/ok", Count: 10},
+		{Name: telemetry.TenantLatencyMetric, Label: "t5/interactive/shed", Count: 5},
+		{Name: telemetry.TenantLatencyMetric, Label: "t5/batch/ok", Count: 3},
+		{Name: telemetry.TenantQueueWaitMetric, Label: "t5", Count: 13, Buckets: buckets(13, 8), P50: 40, P99: 900},
+		{Name: telemetry.TenantLatencyMetric, Label: "tover/batch/ok", Count: 2},
 		{Name: "nx.queue_wait_us", Label: "", Count: 99}, // not a tenant row
 	}}
 	rows := tenantWindows(d, 2.0)
@@ -239,6 +239,9 @@ func TestTenantWindowsFromDelta(t *testing.T) {
 	}
 }
 
+// TestTenantOfLabelShapes runs the tenant-plane row shapes through the
+// shared parser: the tenant segment of a queue-wait or latency row, ""
+// for anything else, and the outcome a latency row carries.
 func TestTenantOfLabelShapes(t *testing.T) {
 	cases := map[string]string{
 		"t5":                  "t5",
@@ -253,8 +256,23 @@ func TestTenantOfLabelShapes(t *testing.T) {
 		"t12/background/shed": "t12",
 	}
 	for in, want := range cases {
-		if got := tenantOf(in); got != want {
-			t.Errorf("tenantOf(%q) = %q, want %q", in, got, want)
+		if got, _, _ := telemetry.ParseTenantRow(in); got != want {
+			t.Errorf("ParseTenantRow(%q) tenant = %q, want %q", in, got, want)
 		}
+	}
+	outcomes := map[string]telemetry.Outcome{
+		"t5":                  telemetry.OutcomeCount,
+		"t5/interactive/ok":   telemetry.OutcomeOK,
+		"tover/batch/shed":    telemetry.OutcomeShed,
+		"t12/background/shed": telemetry.OutcomeShed,
+		"t7/batch/degraded":   telemetry.OutcomeDegraded,
+	}
+	for in, want := range outcomes {
+		if _, got, ok := telemetry.ParseTenantRow(in); !ok || got != want {
+			t.Errorf("ParseTenantRow(%q) outcome = %v (ok %v), want %v", in, got, ok, want)
+		}
+	}
+	if _, _, ok := telemetry.ParseTenantRow("t5/batch/bogus"); ok {
+		t.Error(`ParseTenantRow("t5/batch/bogus") accepted an unknown outcome`)
 	}
 }

@@ -7,11 +7,13 @@
 // exposition server (/metrics Prometheus text, /snapshot JSON, /events
 // JSONL stream, /healthz) that cmd/nxtop and load balancers poll.
 //
-// The package depends only on internal/telemetry and internal/stats, so
-// every layer of the stack (vas, nx, topology, the root package) can
-// publish events without an import cycle. All publish paths are
-// nil-receiver safe: with no bus attached an emission site costs one
-// nil check, the same contract telemetry and faultinject already keep.
+// The package depends only on internal/telemetry, internal/stats and
+// internal/admission (whose tenant table /tenants joins; admission
+// itself imports only telemetry), so every layer of the stack (vas, nx,
+// topology, the root package) can publish events without an import
+// cycle. All publish paths are nil-receiver safe: with no bus attached
+// an emission site costs one nil check, the same contract telemetry and
+// faultinject already keep.
 package obs
 
 import (
@@ -20,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nxzip/internal/telemetry"
 )
 
 // EventType classifies a control-plane event.
@@ -91,8 +95,7 @@ const tailLen = 256
 type Bus struct {
 	mu   sync.Mutex
 	subs []*Subscription
-	tail []Event // ring of the most recent events
-	next int     // ring write position once len(tail) == tailLen
+	tail telemetry.Ring[Event] // the most recent events
 	seq  atomic.Uint64
 
 	published atomic.Int64
@@ -100,7 +103,7 @@ type Bus struct {
 }
 
 // NewBus builds an empty bus.
-func NewBus() *Bus { return &Bus{} }
+func NewBus() *Bus { return &Bus{tail: telemetry.NewRing[Event](tailLen)} }
 
 // Publish stamps the event (sequence number, and time if unset) and
 // delivers it to every subscriber that has channel capacity. Safe for
@@ -115,12 +118,7 @@ func (b *Bus) Publish(e Event) {
 	}
 	b.published.Add(1)
 	b.mu.Lock()
-	if len(b.tail) < tailLen {
-		b.tail = append(b.tail, e)
-	} else {
-		b.tail[b.next] = e
-		b.next = (b.next + 1) % tailLen
-	}
+	b.tail.Put(e)
 	for _, s := range b.subs {
 		select {
 		case s.ch <- e:
@@ -158,22 +156,7 @@ func (b *Bus) Tail(n int) []Event {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Event, 0, n)
-	if len(b.tail) < tailLen {
-		start := len(b.tail) - n
-		if start < 0 {
-			start = 0
-		}
-		out = append(out, b.tail[start:]...)
-		return out
-	}
-	if n > tailLen {
-		n = tailLen
-	}
-	for i := tailLen - n; i < tailLen; i++ {
-		out = append(out, b.tail[(b.next+i)%tailLen])
-	}
-	return out
+	return b.tail.Last(n)
 }
 
 // Subscribe registers a bounded subscriber channel (buffer clamps to at

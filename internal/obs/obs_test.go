@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nxzip/internal/admission"
 	"nxzip/internal/telemetry"
 )
 
@@ -503,8 +505,8 @@ func startTestServer(t *testing.T, bus *Bus, healthy, total int, snap func() *te
 
 // pinQuotaTable is the admission gate's tenant table the pinned
 // documents join: tenant 5 active and one registered tenant idle.
-func pinQuotaTable() []TenantQuota {
-	return []TenantQuota{
+func pinQuotaTable() []admission.TenantStatus {
+	return []admission.TenantStatus{
 		{ID: 5, Weight: 2, Inflight: 1, Share: 1, Active: true},
 		{ID: 9, Weight: 1},
 	}
@@ -602,6 +604,54 @@ func TestServerHealthzFlips(t *testing.T) {
 	mu.Unlock()
 	if code, _ := get(); code != http.StatusOK {
 		t.Fatalf("recovered: code %d", code)
+	}
+}
+
+// TestServerCloseWaitsForCallbacks: a rule that flips on every 1 ms
+// tick makes every evaluation a transition, and the callback sleeps, so
+// Close nearly always lands inside one. When Close returns, no callback
+// may still run, and none may start afterwards (in the bundle directory
+// a postmortem trigger writes into, for instance).
+func TestServerCloseWaitsForCallbacks(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		var flip, running, started atomic.Int64
+		var closed atomic.Bool
+		var late atomic.Int64
+		srv := NewServer(Options{
+			Addr:     "127.0.0.1:0",
+			Snapshot: func() *telemetry.Snapshot { return &telemetry.Snapshot{} },
+			Rules: []Rule{{Name: "flip", Expr: "alternates", Check: func(Inputs) (bool, float64, string) {
+				return flip.Add(1)%2 == 0, 0, ""
+			}}},
+			SampleInterval: time.Millisecond,
+			OnTransition: func(bool, HealthReport) {
+				if closed.Load() {
+					late.Add(1)
+				}
+				running.Add(1)
+				started.Add(1)
+				time.Sleep(3 * time.Millisecond)
+				running.Add(-1)
+			},
+		})
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); started.Load() < 3; {
+			if time.Now().After(deadline) {
+				t.Fatal("the flipping rule fired no transitions")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		srv.Close()
+		closed.Store(true)
+		if n := running.Load(); n != 0 {
+			t.Fatalf("round %d: %d callbacks still running when Close returned", round, n)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := late.Load(); n != 0 {
+			t.Fatalf("round %d: %d callbacks started after Close returned", round, n)
+		}
 	}
 }
 

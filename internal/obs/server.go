@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nxzip/internal/admission"
 	"nxzip/internal/telemetry"
 )
 
@@ -53,7 +54,7 @@ type Options struct {
 	// Tenants returns the admission gate's per-tenant quota table for
 	// /tenants and /snapshot (nil → rows come from the accounting-plane
 	// windows alone).
-	Tenants func() []TenantQuota
+	Tenants func() []admission.TenantStatus
 	// Burn parameterises the multi-window burn-rate evaluator (zero →
 	// DefaultBurnConfig). Evaluated on every watcher tick; state changes
 	// publish EventBurnRate on Bus.
@@ -83,6 +84,12 @@ type Server struct {
 	healthState atomic.Int32
 	stopWatch   chan struct{}
 	stopOnce    sync.Once
+	// wg counts the Serve and health-watcher goroutines Close waits for.
+	wg sync.WaitGroup
+	// cbMu is held across each OnTransition call; Close sets closed
+	// under it, so no callback runs or starts once Close returns.
+	cbMu   sync.Mutex
+	closed bool
 
 	// burnMu guards the edge-trigger state and the latest evaluation of
 	// the burn-rate alerts.
@@ -130,8 +137,15 @@ func (s *Server) Start() error {
 	s.mu.Unlock()
 	s.sampler.Tick() // establish the delta baseline
 	s.sampler.Start(s.opt.SampleInterval)
-	go s.srv.Serve(ln)
-	go s.watchHealth()
+	s.wg.Add(2)
+	go func() {
+		defer s.wg.Done()
+		s.srv.Serve(ln)
+	}()
+	go func() {
+		defer s.wg.Done()
+		s.watchHealth()
+	}()
 	return nil
 }
 
@@ -178,7 +192,7 @@ func (s *Server) noteBurn(alerts []BurnAlert) {
 	s.burnMu.Unlock()
 	for _, a := range edges {
 		e := Event{Type: EventBurnRate, Detail: a.Detail()}
-		if id, ok := parseTenantID(a.Tenant); ok {
+		if id, ok := telemetry.ParseTenantLabel(a.Tenant); ok {
 			e.Tenant = id
 		}
 		s.opt.Bus.Publish(e)
@@ -199,7 +213,7 @@ func (s *Server) BurnAlerts() []BurnAlert {
 // /snapshot from the last window, the quota closure, and the latest
 // burn alerts.
 func (s *Server) tenantRows() ([]TenantDoc, Window, []BurnAlert) {
-	var quotas []TenantQuota
+	var quotas []admission.TenantStatus
 	if s.opt.Tenants != nil {
 		quotas = s.opt.Tenants()
 	}
@@ -216,10 +230,12 @@ func (s *Server) noteHealth(rep HealthReport) {
 	if !rep.Healthy {
 		cur = 2
 	}
-	if s.healthState.Swap(cur) == cur {
+	if s.healthState.Swap(cur) == cur || s.opt.OnTransition == nil {
 		return
 	}
-	if s.opt.OnTransition != nil {
+	s.cbMu.Lock()
+	defer s.cbMu.Unlock()
+	if !s.closed {
 		s.opt.OnTransition(rep.Healthy, rep)
 	}
 }
@@ -238,11 +254,18 @@ func (s *Server) Addr() string {
 // embedding its windows in reports).
 func (s *Server) Sampler() *Sampler { return s.sampler }
 
-// Close stops the sampler, the health watcher, and the listener.
+// Close stops the sampler, the health watcher, and the listener, and
+// returns once their goroutines have exited and no OnTransition call
+// is running; none starts afterwards.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stopWatch) })
 	s.sampler.Stop()
-	return s.srv.Close()
+	err := s.srv.Close()
+	s.wg.Wait()
+	s.cbMu.Lock()
+	s.closed = true
+	s.cbMu.Unlock()
+	return err
 }
 
 // inputs assembles the SLO evaluation inputs from the closures.

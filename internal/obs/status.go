@@ -3,9 +3,11 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
+	"nxzip/internal/admission"
 	"nxzip/internal/stats"
 	"nxzip/internal/telemetry"
 )
@@ -62,9 +64,8 @@ type AdmissionClassStatus struct {
 }
 
 // AdmissionStatus digests the admission gate for /snapshot and nxtop's
-// overload panel. Produced by the root package (obs only defines the
-// shape, keeping the dependency pointing one way, exactly as with
-// FlightStatus).
+// overload panel. Produced by the root package from the gate's status;
+// the tenant table, by contrast, is read as admission.TenantStatus.
 type AdmissionStatus struct {
 	// Level is the brownout ladder rung: "normal", "shed-background",
 	// "shed-batch", "saturated".
@@ -76,17 +77,6 @@ type AdmissionStatus struct {
 	Queued      int                    `json:"queued"`
 	Evicted     int64                  `json:"evicted"` // CoDel + timeout queue evictions
 	Classes     []AdmissionClassStatus `json:"classes,omitempty"`
-}
-
-// TenantQuota is one tenant's standing at the admission gate: weight,
-// fair share and inflight occupancy. Produced by the root package from
-// the admission controller (obs only defines the shape).
-type TenantQuota struct {
-	ID       uint64  `json:"id"`
-	Weight   int     `json:"weight"`
-	Inflight int     `json:"inflight"`
-	Share    float64 `json:"share"`
-	Active   bool    `json:"active"`
 }
 
 // TenantDoc is one tenant's row in the /tenants document and nxtop's
@@ -125,30 +115,13 @@ type TenantsDoc struct {
 	Burn []BurnAlert `json:"burn,omitempty"`
 }
 
-// parseTenantID recovers the numeric view identity from a tenant label
-// ("t5" → 5). The overflow label and malformed labels return (0,
-// false).
-func parseTenantID(label string) (uint64, bool) {
-	if len(label) < 2 || label[0] != 't' {
-		return 0, false
-	}
-	var id uint64
-	for i := 1; i < len(label); i++ {
-		if label[i] < '0' || label[i] > '9' {
-			return 0, false
-		}
-		id = id*10 + uint64(label[i]-'0')
-	}
-	return id, true
-}
-
 // BuildTenants joins one window's per-tenant breakdown with the
 // admission gate's quota table and the current burn alerts into the
 // /tenants rows. Tenants known only to the gate (registered but idle
 // this window) still get a row, so quota standing is never hidden by a
 // quiet interval.
-func BuildTenants(w Window, quotas []TenantQuota, burn []BurnAlert) []TenantDoc {
-	byID := make(map[uint64]*TenantQuota, len(quotas))
+func BuildTenants(w Window, quotas []admission.TenantStatus, burn []BurnAlert) []TenantDoc {
+	byID := make(map[uint64]*admission.TenantStatus, len(quotas))
 	for i := range quotas {
 		byID[quotas[i].ID] = &quotas[i]
 	}
@@ -160,7 +133,7 @@ func BuildTenants(w Window, quotas []TenantQuota, burn []BurnAlert) []TenantDoc 
 			Requests: tw.Requests, Shed: tw.Shed, ShedRatio: tw.ShedRatio,
 			QueueP50: tw.QueueP50, QueueP99: tw.QueueP99,
 		}
-		if id, ok := parseTenantID(tw.Tenant); ok {
+		if id, ok := telemetry.ParseTenantLabel(tw.Tenant); ok {
 			d.ID = id
 			seen[id] = true
 			if q := byID[id]; q != nil {
@@ -175,7 +148,7 @@ func BuildTenants(w Window, quotas []TenantQuota, burn []BurnAlert) []TenantDoc 
 			continue
 		}
 		out = append(out, TenantDoc{
-			Tenant: fmt.Sprintf("t%d", q.ID), ID: q.ID,
+			Tenant: telemetry.TenantLabel(q.ID), ID: q.ID,
 			Weight: q.Weight, Inflight: q.Inflight, Share: q.Share,
 		})
 	}
@@ -185,16 +158,7 @@ func BuildTenants(w Window, quotas []TenantQuota, burn []BurnAlert) []TenantDoc 
 			continue
 		}
 		for i := range out {
-			if out[i].Tenant != a.Tenant {
-				continue
-			}
-			dup := false
-			for _, s := range out[i].Burning {
-				if s == a.SLO {
-					dup = true
-				}
-			}
-			if !dup {
+			if out[i].Tenant == a.Tenant && !slices.Contains(out[i].Burning, a.SLO) {
 				out[i].Burning = append(out[i].Burning, a.SLO)
 			}
 		}
@@ -379,16 +343,12 @@ func RenderText(w io.Writer, prev, cur *StatusDoc) {
 			fmt.Fprintf(w, "%-8s %-16s %-14s %-7s %-11s %10s %10s %8s %4s %-8s\n",
 				"req", "op", "device", "tenant", "prio", "total-µs", "queue-µs", "in", "att", "outcome")
 			for _, d := range f.Slowest {
-				tenant := "-"
-				if d.Tenant != 0 {
-					tenant = fmt.Sprintf("t%d", d.Tenant)
-				}
 				prio := d.Priority
 				if prio == "" {
 					prio = "-"
 				}
 				fmt.Fprintf(w, "%-8d %-16s %-14s %-7s %-11s %10.0f %10.0f %8s %4d %-8s\n",
-					d.Req, d.Op, d.Device, tenant, prio, d.TotalUS, d.QueueUS,
+					d.Req, d.Op, d.Device, telemetry.TenantColumn(d.Tenant), prio, d.TotalUS, d.QueueUS,
 					stats.Bytes(int64(d.InBytes)), d.Attempts, d.Outcome.String())
 			}
 		}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -85,14 +84,6 @@ const defaultRingCap = 120
 // MaxHistogramP99 objective in DefaultRules.
 const QueueBudgetUS = 100_000
 
-// Metric names of the root package's tenant accounting plane. Spelled
-// here (rather than imported) because obs sits below the root package;
-// the root-level acceptance tests pin both spellings.
-const (
-	tenantLatencyMetric   = "nxzip.tenant.latency_us"
-	tenantQueueWaitMetric = "nxzip.tenant.queue_wait_us"
-)
-
 // queueBudgetIdx locates QueueBudgetUS in the fixed bucket ladder once.
 var queueBudgetIdx = sort.SearchFloat64s(telemetry.BucketBounds(), QueueBudgetUS)
 
@@ -105,77 +96,29 @@ func overBudget(h telemetry.HistogramSnapshot) int64 {
 	return h.Count - h.Buckets[queueBudgetIdx]
 }
 
-// tenantOf extracts the tenant segment of a tenant-plane row label:
-// latency rows are "t<id>/<class>/<outcome>", queue-wait rows are bare
-// "t<id>". Returns "" for labels that are not tenant rows (defensive —
-// the two metric families only ever carry these shapes).
-func tenantOf(label string) string {
-	t := label
-	if i := strings.IndexByte(label, '/'); i >= 0 {
-		if strings.Count(label, "/") != 2 {
-			return ""
-		}
-		t = label[:i]
-	}
-	if t == "" {
-		return ""
-	}
-	if t[0] != 't' {
-		return ""
-	}
-	for i := 1; i < len(t); i++ {
-		if t[i] < '0' || t[i] > '9' {
-			// The overflow label ("tover") is a valid tenant bucket too.
-			if t[i] < 'a' || t[i] > 'z' {
-				return ""
-			}
-		}
-	}
-	return t
-}
-
-// outcomeOf returns the outcome segment of a latency-row label, "" when
-// absent.
-func outcomeOf(label string) string {
-	if i := strings.LastIndexByte(label, '/'); i >= 0 {
-		return label[i+1:]
-	}
-	return ""
-}
-
 // tenantWindows derives the per-tenant breakdown of one window from the
 // delta's tenant-plane rows. dur is the window length in seconds.
 func tenantWindows(d *telemetry.Snapshot, dur float64) []TenantWindow {
 	byTenant := make(map[string]*TenantWindow)
-	get := func(label string) *TenantWindow {
-		t := tenantOf(label)
-		if t == "" {
-			return nil
+	for _, h := range d.Histograms {
+		if h.Name != telemetry.TenantLatencyMetric && h.Name != telemetry.TenantQueueWaitMetric {
+			continue
+		}
+		t, o, ok := telemetry.ParseTenantRow(h.Label)
+		if !ok {
+			continue
 		}
 		tw := byTenant[t]
 		if tw == nil {
 			tw = &TenantWindow{Tenant: t}
 			byTenant[t] = tw
 		}
-		return tw
-	}
-	for _, h := range d.Histograms {
-		switch h.Name {
-		case tenantLatencyMetric:
-			tw := get(h.Label)
-			if tw == nil {
-				continue
-			}
-			if outcomeOf(h.Label) == "shed" {
-				tw.Shed += h.Count
-			} else {
-				tw.Requests += h.Count
-			}
-		case tenantQueueWaitMetric:
-			tw := get(h.Label)
-			if tw == nil {
-				continue
-			}
+		switch {
+		case h.Name == telemetry.TenantLatencyMetric && o == telemetry.OutcomeShed:
+			tw.Shed += h.Count
+		case h.Name == telemetry.TenantLatencyMetric:
+			tw.Requests += h.Count
+		default:
 			tw.QueueObs += h.Count
 			tw.QueueOver += overBudget(h)
 			// The delta keeps the current snapshot's ring percentiles —
@@ -209,8 +152,7 @@ type Sampler struct {
 	mu    sync.Mutex
 	prev  *telemetry.Snapshot
 	prevT time.Time
-	ring  []Window
-	cap   int
+	ring  telemetry.Ring[Window]
 
 	stop chan struct{}
 	done chan struct{}
@@ -223,7 +165,7 @@ func NewSampler(snap func() *telemetry.Snapshot, ringCap int) *Sampler {
 	if ringCap <= 0 {
 		ringCap = defaultRingCap
 	}
-	return &Sampler{snap: snap, cap: ringCap}
+	return &Sampler{snap: snap, ring: telemetry.NewRing[Window](ringCap)}
 }
 
 // Tick takes one sample: snapshot, delta against the previous sample,
@@ -251,12 +193,8 @@ func (s *Sampler) Tick() Window {
 	}
 	dur := w.End.Sub(w.Start).Seconds()
 	if dur > 0 {
-		bytes := w.InBytes
-		if w.OutBytes > bytes {
-			bytes = w.OutBytes
-		}
 		w.ReqPerSec = float64(w.Requests) / dur
-		w.GBs = float64(bytes) / dur / 1e9
+		w.GBs = float64(max(w.InBytes, w.OutBytes)) / dur / 1e9
 	}
 	if h, ok := d.Histogram("nx.queue_wait_us", ""); ok {
 		w.MeanQueueUS = h.Mean
@@ -266,11 +204,7 @@ func (s *Sampler) Tick() Window {
 	}
 	w.Tenants = tenantWindows(d, dur)
 	s.prev, s.prevT = cur, now
-	if len(s.ring) >= s.cap {
-		copy(s.ring, s.ring[1:])
-		s.ring = s.ring[:len(s.ring)-1]
-	}
-	s.ring = append(s.ring, w)
+	s.ring.Put(w)
 	return w
 }
 
@@ -278,19 +212,17 @@ func (s *Sampler) Tick() Window {
 func (s *Sampler) Windows() []Window {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Window, len(s.ring))
-	copy(out, s.ring)
-	return out
+	return s.ring.Last(0)
 }
 
 // Last returns the most recent window (zero Window when none yet).
 func (s *Sampler) Last() Window {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.ring) == 0 {
+	if s.ring.Held() == 0 {
 		return Window{}
 	}
-	return s.ring[len(s.ring)-1]
+	return s.ring.Last(1)[0]
 }
 
 // Start launches the interval goroutine (no-op if already running).

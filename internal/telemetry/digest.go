@@ -1,13 +1,8 @@
 package telemetry
 
-import (
-	"sort"
-	"sync"
-)
-
 // digest.go is the flight recorder's cheap half: a fixed-size digest per
 // request — identity, size, cost, outcome — recorded for EVERY request
-// into a bounded ring. Where a Span is the full story of one request
+// into a bounded Ring. Where a Span is the full story of one request
 // (and is only retained for interesting requests), the digest ring is
 // the always-on index: constant size, no pointers into request data,
 // one mutexed struct copy per request.
@@ -44,7 +39,8 @@ func (o Outcome) String() string {
 // labels), so recording a digest copies no request data and performs no
 // allocation.
 type Digest struct {
-	// Seq is the ring's monotone record number, stamped by Record.
+	// Seq is the digest ring's monotone record number, stamped when the
+	// flight recorder completes the request.
 	Seq uint64 `json:"seq"`
 	// Req is the root-minted RequestID shared with the request's spans,
 	// events and errors.
@@ -80,77 +76,4 @@ type Digest struct {
 	// failover re-dispatch (the software fallback does not count).
 	Attempts int     `json:"attempts"`
 	Outcome  Outcome `json:"outcome"`
-}
-
-// DigestRing is a bounded, concurrency-safe ring of request digests.
-// Record is allocation-free (a locked struct copy); Snapshot and
-// Slowest allocate and are meant for scrape-time readers.
-type DigestRing struct {
-	mu   sync.Mutex
-	buf  []Digest
-	next uint64 // total records ever; buf[(next-1) % len] is the newest
-}
-
-// NewDigestRing builds a ring holding the last size digests (minimum 1).
-func NewDigestRing(size int) *DigestRing {
-	if size < 1 {
-		size = 1
-	}
-	return &DigestRing{buf: make([]Digest, size)}
-}
-
-// Record stamps d.Seq with the next monotone sequence number and stores
-// a copy in the ring, returning the stamped sequence.
-func (r *DigestRing) Record(d *Digest) uint64 {
-	r.mu.Lock()
-	seq := r.next + 1
-	r.next = seq
-	d.Seq = seq
-	r.buf[(seq-1)%uint64(len(r.buf))] = *d
-	r.mu.Unlock()
-	return seq
-}
-
-// Seq returns the total number of digests ever recorded (the newest
-// record's Seq).
-func (r *DigestRing) Seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// Snapshot returns up to n of the most recent digests, oldest first.
-// n <= 0 means everything the ring holds.
-func (r *DigestRing) Snapshot(n int) []Digest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	held := int(r.next)
-	if held > len(r.buf) {
-		held = len(r.buf)
-	}
-	if n <= 0 || n > held {
-		n = held
-	}
-	out := make([]Digest, n)
-	for i := 0; i < n; i++ {
-		seq := r.next - uint64(n) + uint64(i) + 1
-		out[i] = r.buf[(seq-1)%uint64(len(r.buf))]
-	}
-	return out
-}
-
-// Slowest returns up to n held digests ordered by TotalUS descending —
-// the "slowest recent requests" feed for dashboards.
-func (r *DigestRing) Slowest(n int) []Digest {
-	all := r.Snapshot(0)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].TotalUS != all[j].TotalUS {
-			return all[i].TotalUS > all[j].TotalUS
-		}
-		return all[i].Seq > all[j].Seq
-	})
-	if n > 0 && n < len(all) {
-		all = all[:n]
-	}
-	return all
 }

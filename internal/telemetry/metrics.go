@@ -118,15 +118,14 @@ type Exemplar struct {
 type Histogram struct {
 	mu     sync.Mutex
 	sum    stats.Summary
-	ring   []float64
-	n      int64 // total observations (ring writes wrap at histogramWindow)
+	ring   Ring[float64]
 	counts []int64
 	ex     []Exemplar // len(bucketBounds)+1 slots, nil until first ObserveExemplar
 }
 
 func newHistogram() *Histogram {
 	return &Histogram{
-		ring:   make([]float64, 0, histogramWindow),
+		ring:   NewRing[float64](histogramWindow),
 		counts: make([]int64, len(bucketBounds)),
 	}
 }
@@ -155,12 +154,7 @@ func (h *Histogram) ObserveExemplar(v float64, req uint64) {
 // observation landed in (len(bucketBounds) for +Inf).
 func (h *Histogram) observeLocked(v float64) int {
 	h.sum.Add(v)
-	if len(h.ring) < cap(h.ring) {
-		h.ring = append(h.ring, v)
-	} else {
-		h.ring[h.n%histogramWindow] = v
-	}
-	h.n++
+	h.ring.Put(v)
 	i := sort.SearchFloat64s(bucketBounds, v)
 	if i < len(h.counts) {
 		h.counts[i]++
@@ -192,9 +186,9 @@ func (h *Histogram) snapshot(name, label string) HistogramSnapshot {
 	if h.ex != nil {
 		s.Exemplars = append([]Exemplar(nil), h.ex...)
 	}
-	if len(h.ring) > 0 {
+	if h.ring.Held() > 0 {
 		var ps stats.Samples
-		for _, v := range h.ring {
+		for _, v := range h.ring.Last(0) {
 			ps.Add(v)
 		}
 		s.P50 = ps.Percentile(50)

@@ -70,41 +70,7 @@ func (c *CollectSink) Reset() {
 	c.mu.Unlock()
 }
 
-// TextSink writes one human-readable line per span (plus one indented
-// line per stage) as spans finish.
-type TextSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	closed bool
-}
-
-// NewTextSink builds a text sink over w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
-
-// Emit formats the span.
-func (t *TextSink) Emit(s *Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	fmt.Fprintf(t.w, "span %d %s pid=%d win=%d eng=%d cc=%s in=%d out=%d cycles=%d retries=%d host=%v\n",
-		s.ID, s.Op, s.PID, s.Window, s.Engine, s.CC, s.InBytes, s.OutBytes,
-		s.DeviceCycles, s.Retries, s.End.Sub(s.Start))
-	for _, r := range s.Stages {
-		fmt.Fprintf(t.w, "  %-10s host=%-12v cycles=%d\n", r.Stage, r.End.Sub(r.Start), r.Cycles)
-	}
-}
-
-// Close marks the sink closed.
-func (t *TextSink) Close() error {
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
-	return nil
-}
-
-// spanJSON is the export shape of a span (JSONSink).
+// spanJSON is the export shape of a span: one postmortem span line.
 type spanJSON struct {
 	ID           uint64      `json:"id"`
 	Req          uint64      `json:"req,omitempty"`
@@ -155,38 +121,9 @@ func spanToJSON(s *Span) spanJSON {
 	return j
 }
 
-// MarshalJSON exports the span in the JSONSink line shape, so external
-// serializers (the flight recorder's postmortem bundles) emit spans
-// identically to the trace sinks.
+// MarshalJSON exports the span in its one JSON shape, the span line of
+// the flight recorder's postmortem bundles.
 func (s *Span) MarshalJSON() ([]byte, error) { return json.Marshal(spanToJSON(s)) }
-
-// JSONSink writes one JSON object per line per span (JSON Lines).
-type JSONSink struct {
-	mu     sync.Mutex
-	enc    *json.Encoder
-	closed bool
-}
-
-// NewJSONSink builds a JSON-lines sink over w.
-func NewJSONSink(w io.Writer) *JSONSink { return &JSONSink{enc: json.NewEncoder(w)} }
-
-// Emit encodes the span as one JSON line.
-func (j *JSONSink) Emit(s *Span) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	_ = j.enc.Encode(spanToJSON(s))
-}
-
-// Close marks the sink closed.
-func (j *JSONSink) Close() error {
-	j.mu.Lock()
-	j.closed = true
-	j.mu.Unlock()
-	return nil
-}
 
 // chromeEvent is one Chrome trace_event entry ("X" complete events plus
 // "M" metadata). https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU

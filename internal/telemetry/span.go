@@ -180,21 +180,6 @@ func (s *Span) CyclesFor(st Stage) int64 {
 	return sum
 }
 
-// FinalAttemptCyclesFor sums the modelled cycles recorded for one stage
-// in the final (successful) attempt only.
-func (s *Span) FinalAttemptCyclesFor(st Stage) int64 {
-	if s == nil {
-		return 0
-	}
-	var sum int64
-	for _, r := range s.Stages {
-		if r.Stage == st && r.Attempt == s.Retries {
-			sum += r.Cycles
-		}
-	}
-	return sum
-}
-
 // Monotonic reports whether the span's stage records are chronologically
 // ordered: each record's End is not before its Start, and record starts
 // never go backwards. The soak tests assert this for every span of a

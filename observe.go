@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"nxzip/internal/admission"
 	"nxzip/internal/obs"
 )
 
@@ -109,7 +110,7 @@ func (n *Node) ServeObsConfig(addr string, cfg ObsConfig) (*obs.Server, error) {
 		SampleInterval: cfg.SampleInterval,
 		RingCap:        cfg.RingCap,
 		Burn:           cfg.Burn,
-		Tenants:        n.TenantQuotas,
+		Tenants:        func() []admission.TenantStatus { return n.adm.Load().TenantsNow() },
 		Health:         func() (healthy, total int) { return n.HealthyDevices(), n.Devices() },
 		Bus:            bus,
 		Flight: func() *obs.FlightStatus {

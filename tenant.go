@@ -25,22 +25,25 @@ package nxzip
 // exposition does not grow without bound under view churn.
 
 import (
-	"strconv"
 	"time"
 
 	"nxzip/internal/admission"
 	"nxzip/internal/telemetry"
 )
 
-// Tenant-plane metric family names.
+// The tenant vocabulary is internal/telemetry's; these are its public
+// names.
 const (
 	// TenantLatencyMetric is the per-tenant request-latency histogram
 	// family, labeled "t<id>/<class>/<outcome>" (µs, total wall-clock at
 	// the root API).
-	TenantLatencyMetric = "nxzip.tenant.latency_us"
+	TenantLatencyMetric = telemetry.TenantLatencyMetric
 	// TenantQueueWaitMetric is the per-tenant receive-FIFO residency
 	// histogram family, labeled "t<id>" (µs).
-	TenantQueueWaitMetric = "nxzip.tenant.queue_wait_us"
+	TenantQueueWaitMetric = telemetry.TenantQueueWaitMetric
+	// TenantOverflowLabel is the shared label views past tenantLabelCap
+	// account under.
+	TenantOverflowLabel = telemetry.TenantOverflowLabel
 )
 
 // tenantLabelCap bounds how many distinct tenant labels the plane ever
@@ -49,10 +52,6 @@ const (
 // registry becomes the memory leak it was meant to find.
 const tenantLabelCap = 128
 
-// TenantOverflowLabel is the shared label views past tenantLabelCap
-// account under.
-const TenantOverflowLabel = "tover"
-
 // tenantRetireAfter is how long after a view's Close its labeled series
 // survive before the retirement sweep deletes them — aligned with the
 // admission gate's idle-tenant eviction so both planes forget a tenant
@@ -60,28 +59,12 @@ const TenantOverflowLabel = "tover"
 var tenantRetireAfter = 10 * time.Second
 
 // TenantLabel renders a tenant ID as its series-label prefix ("t42").
-func TenantLabel(id uint64) string {
-	return "t" + strconv.FormatUint(id, 10)
-}
+func TenantLabel(id uint64) string { return telemetry.TenantLabel(id) }
 
 // TenantID returns the view's tenant identity — the admission gate's
 // quota key and the numeric part of its accounting-plane series labels
 // (TenantLabel(id)).
 func (a *Accelerator) TenantID() uint64 { return a.nctx.ID() }
-
-// ParseTenantLabel inverts TenantLabel: the tenant ID of a "t<id>"
-// label, or (0, false) for anything else (including the overflow
-// label).
-func ParseTenantLabel(label string) (uint64, bool) {
-	if len(label) < 2 || label[0] != 't' {
-		return 0, false
-	}
-	id, err := strconv.ParseUint(label[1:], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return id, true
-}
 
 // tenantPlane is one view's pre-resolved handle matrix into the tenant
 // metric families. Nil when the node disables tenant accounting.
@@ -127,7 +110,7 @@ func (n *Node) tenantPlaneFor(id uint64) *tenantPlane {
 	tp := &tenantPlane{qwait: reg.HistogramVec(TenantQueueWaitMetric).With(label)}
 	for cls := admission.Class(0); cls < admission.ClassCount; cls++ {
 		for o := telemetry.Outcome(0); o < telemetry.OutcomeCount; o++ {
-			tp.lat[cls][o] = latVec.With(label + "/" + cls.String() + "/" + o.String())
+			tp.lat[cls][o] = latVec.With(telemetry.TenantLatencyLabel(label, cls.String(), o))
 		}
 	}
 	return tp
