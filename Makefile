@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-host fuzz-smoke nxbench parallel trace-demo
+.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-host fuzz-smoke nxbench parallel trace-demo loc
 
 ## check: the tier-1 gate — build, vet, gofmt, the full test suite under
 ## the race detector (which holds the model-clock experiment tables to
@@ -246,3 +246,26 @@ parallel:
 ## trace-demo.json in chrome://tracing or ui.perfetto.dev.
 trace-demo:
 	$(GO) run ./examples/quickstart -trace trace-demo.json -metrics
+
+## loc: the non-test line counts ROADMAP.md's table quotes (lines of the
+## .go files that are not _test.go), printed as that table: the root
+## package, internal/nx, the observing code (internal/telemetry,
+## internal/obs, internal/flightrec and the root glue: observe.go,
+## flightrec.go, tenant.go, admit.go) with its total, and the
+## measurement code (internal/experiments, cmd/nxbench, bench/, which
+## this only reads).
+loc:
+	@lines() { for f in "$$@"; do case $$f in *_test.go) ;; *) cat "$$f" ;; esac; done | wc -l | tr -d ' '; }; \
+	tel=$$(lines internal/telemetry/*.go); obs=$$(lines internal/obs/*.go); \
+	rec=$$(lines internal/flightrec/*.go); glue=$$(lines observe.go flightrec.go tenant.go admit.go); \
+	echo '| code | lines |'; echo '|---|---|'; \
+	echo "| root package | $$(lines *.go) |"; \
+	echo "| \`internal/nx\` | $$(lines internal/nx/*.go) |"; \
+	echo "| \`internal/telemetry\` | $$tel |"; \
+	echo "| \`internal/obs\` | $$obs |"; \
+	echo "| \`internal/flightrec\` | $$rec |"; \
+	echo "| root observing glue | $$glue |"; \
+	echo "| observing code, total | $$((tel + obs + rec + glue)) |"; \
+	echo "| \`internal/experiments\` | $$(lines internal/experiments/*.go) |"; \
+	echo "| \`cmd/nxbench\` | $$(lines cmd/nxbench/*.go) |"; \
+	echo "| \`bench/\` | $$(lines bench/*.go) |"

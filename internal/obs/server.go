@@ -84,12 +84,9 @@ type Server struct {
 	healthState atomic.Int32
 	stopWatch   chan struct{}
 	stopOnce    sync.Once
-	// wg counts the Serve and health-watcher goroutines Close waits for.
+	// wg counts what Close waits for: the Serve and health-watcher
+	// goroutines, and every OnTransition call in progress.
 	wg sync.WaitGroup
-	// cbMu is held across each OnTransition call; Close sets closed
-	// under it, so no callback runs or starts once Close returns.
-	cbMu   sync.Mutex
-	closed bool
 
 	// burnMu guards the edge-trigger state and the latest evaluation of
 	// the burn-rate alerts.
@@ -97,8 +94,11 @@ type Server struct {
 	burnFiring map[string]bool
 	burnLast   []BurnAlert
 
-	mu sync.Mutex
-	ln net.Listener
+	// mu guards ln, and closed: once Close sets it, no OnTransition
+	// call starts.
+	mu     sync.Mutex
+	ln     net.Listener
+	closed bool
 }
 
 // NewServer builds a server from opts without binding the listener.
@@ -233,11 +233,15 @@ func (s *Server) noteHealth(rep HealthReport) {
 	if s.healthState.Swap(cur) == cur || s.opt.OnTransition == nil {
 		return
 	}
-	s.cbMu.Lock()
-	defer s.cbMu.Unlock()
-	if !s.closed {
-		s.opt.OnTransition(rep.Healthy, rep)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
 	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	defer s.wg.Done()
+	s.opt.OnTransition(rep.Healthy, rep)
 }
 
 // Addr returns the bound listen address ("" before Start).
@@ -258,13 +262,13 @@ func (s *Server) Sampler() *Sampler { return s.sampler }
 // returns once their goroutines have exited and no OnTransition call
 // is running; none starts afterwards.
 func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stopWatch) })
 	s.sampler.Stop()
 	err := s.srv.Close()
 	s.wg.Wait()
-	s.cbMu.Lock()
-	s.closed = true
-	s.cbMu.Unlock()
 	return err
 }
 

@@ -64,8 +64,8 @@ type AdmissionClassStatus struct {
 }
 
 // AdmissionStatus digests the admission gate for /snapshot and nxtop's
-// overload panel. Produced by the root package from the gate's status;
-// the tenant table, by contrast, is read as admission.TenantStatus.
+// overload panel. Produced by the root package from the gate's status
+// and kept a type of its own, because /snapshot's shape is pinned.
 type AdmissionStatus struct {
 	// Level is the brownout ladder rung: "normal", "shed-background",
 	// "shed-batch", "saturated".
