@@ -8,7 +8,8 @@ package telemetry
 // by NewRing, so Put and Next never allocate.
 type Ring[T any] struct {
 	buf   []T
-	total uint64 // values ever put; buf[(total-1) % len(buf)] is the newest
+	next  int    // where the next value goes; the newest is just before it
+	total uint64 // values ever put
 }
 
 // NewRing returns a ring that keeps the last size values (at least 1).
@@ -21,12 +22,13 @@ func NewRing[T any](size int) Ring[T] {
 // the ring has wrapped the slot is zero; after, it still holds the value
 // it is about to replace, so an owner can reclaim what that value holds.
 func (r *Ring[T]) Next() *T {
+	slot := &r.buf[r.next]
+	if r.next++; r.next == len(r.buf) {
+		r.next = 0
+	}
 	r.total++
-	return r.slot(r.total - 1)
+	return slot
 }
-
-// slot returns where the i-th value ever put (from 0) lives.
-func (r *Ring[T]) slot(i uint64) *T { return &r.buf[i%uint64(len(r.buf))] }
 
 // Put stores v as the newest value, evicting the oldest once full.
 func (r *Ring[T]) Put(v T) { *r.Next() = v }
@@ -47,10 +49,13 @@ func (r *Ring[T]) Last(n int) []T { return r.AppendLast(make([]T, 0, r.count(n))
 // AppendLast is Last appending to dst, for owners that read the ring on
 // a path that must not allocate.
 func (r *Ring[T]) AppendLast(dst []T, n int) []T {
-	for i := r.total - uint64(r.count(n)); i < r.total; i++ {
-		dst = append(dst, *r.slot(i))
+	n = r.count(n)
+	start := r.next - n
+	if start < 0 { // the values wrap: the older ones end the buffer
+		dst = append(dst, r.buf[len(r.buf)+start:]...)
+		start, n = 0, r.next
 	}
-	return dst
+	return append(dst, r.buf[start:start+n]...)
 }
 
 // count is how many values Last(n) returns.
