@@ -219,9 +219,9 @@ func TestDocumentKeySetsPinned(t *testing.T) {
 }
 
 // TestPromExpositionPinned pins WriteProm over a fixed registry with
-// tenant and overflow rows, byte for byte. Forty rounds put 2 400
-// observations into t5's shed row, so its percentiles come from a
-// reservoir that has wrapped.
+// tenant and overflow rows, byte for byte: forty rounds of traffic, and
+// 5 000 observations into t9's queue-wait row, so its percentiles come
+// from a reservoir that has wrapped.
 func TestPromExpositionPinned(t *testing.T) {
 	traffic := newPinTraffic()
 	for i := 0; i < 40; i++ {
