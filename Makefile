@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-host fuzz-smoke nxbench parallel trace-demo loc
+.PHONY: check build vet fmt-check deps test race chaos bench bench-alloc bench-host bench-model fuzz-smoke nxbench parallel trace-demo loc
 
 ## check: the tier-1 gate — build, vet, gofmt, the full test suite under
 ## the race detector (which holds the model-clock experiment tables to
 ## internal/experiments/testdata/model_tables.golden, and the
 ## observability, flight-recorder, graceful-drain and tenant-accounting
 ## surfaces to their end-to-end tests over a live node), the
-## fault-injection chaos suite, the zero-alloc hot-path gate and the
+## fault-injection chaos suite, the zero-alloc hot-path gate, the model
+## clock of bench/'s four workloads against BENCH_perf.json and the
 ## parser/decoder fuzz smoke. CI and pre-merge runs use this target.
-check: build vet fmt-check race chaos bench-alloc fuzz-smoke
+check: build vet fmt-check deps race chaos bench-alloc bench-model fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +20,15 @@ vet:
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+## deps: the import direction of the observing code. The device layer
+## and what it reports to (nx, topology, flightrec, admission) publish
+## through internal/telemetry; none of them may pull in internal/obs,
+## the exposition server that sits on top.
+deps:
+	@out="$$($(GO) list -deps ./internal/nx ./internal/topology ./internal/flightrec ./internal/admission | grep -x nxzip/internal/obs)"; \
+	if [ -n "$$out" ]; then echo "internal/obs is imported under the device layer:"; \
+	$(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/nx ./internal/topology ./internal/flightrec ./internal/admission | grep internal/obs; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -230,6 +240,21 @@ WORKLOAD ?= bulk_oneshot
 bench-host:
 	$(GO) run ./bench -workload $(WORKLOAD) -trace 0
 	$(GO) run ./bench -workload $(WORKLOAD) -trace 1
+
+## bench-model: the model clock of bench/'s four workloads, held to
+## BENCH_perf.json. Each workload runs untraced for half a second at
+## seed 1 with -result; cmd/benchdiff then fails on any model_digest or
+## untraced clock=model row that differs from the committed run (host
+## rows are printed with their ratio and never fail). BENCH_perf.json is
+## one go run ./bench -out BENCH_perf.json -seconds 20, refreshed only
+## in a change meant to move the model.
+bench-model:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/bench" ./bench && \
+	for w in bulk_oneshot small_into stream_parallel codec_mix; do \
+		"$$tmp/bench" -workload $$w -seed 1 -seconds 0.5 -trace 0 -result "$$tmp/$$w.json" > /dev/null || exit 1; \
+	done && \
+	$(GO) run ./cmd/benchdiff BENCH_perf.json "$$tmp"/bulk_oneshot.json "$$tmp"/small_into.json "$$tmp"/stream_parallel.json "$$tmp"/codec_mix.json
 
 ## nxbench: render every experiment table of the registry (E1–E25,
 ## A1–A11, H0), each title naming its clock; one table is

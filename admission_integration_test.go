@@ -17,7 +17,7 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/nx"
-	"nxzip/internal/obs"
+	"nxzip/internal/telemetry"
 )
 
 // TestBatchDeadlineCancel: per-request Deadline/Cancel gates are honored
@@ -189,7 +189,7 @@ func TestAdmissionRootWiring(t *testing.T) {
 	// The shed is visible on the bus and in the counters.
 	sawShed := false
 	for _, e := range node.Bus().Tail(64) {
-		if e.Type == obs.EventShed {
+		if e.Type == telemetry.EventShed {
 			sawShed = true
 		}
 	}
@@ -423,7 +423,7 @@ func TestDrainGraceful(t *testing.T) {
 	settled(t, node)
 	drainEvent := false
 	for _, ev := range bus.Tail(64) {
-		drainEvent = drainEvent || ev.Type == obs.EventDrain
+		drainEvent = drainEvent || ev.Type == telemetry.EventDrain
 	}
 	if !drainEvent {
 		t.Fatal("no drain event on the bus")

@@ -54,7 +54,7 @@ func (n *Node) admissionProbe() admission.Load {
 // root-level request (one-shot, format-routed, batch, parallel workers)
 // presents at the gate before dispatch. A zero cfg takes the shipped
 // policy with MaxInflight derived from topology capacity (devices ×
-// FIFO depth / 4). Shed decisions publish obs.EventShed (events are
+// FIFO depth / 4). Shed decisions publish telemetry.EventShed (events are
 // enabled implicitly) and digest as OutcomeShed when the flight
 // recorder is attached. Idempotent — repeated (and concurrent) calls
 // return the first controller; exactly one is ever constructed per
@@ -70,12 +70,8 @@ func (n *Node) EnableAdmission(cfg admission.Config) *admission.Controller {
 			cfg.MaxInflight += fifoDepthOf(n.cfg.Shape.Devices[i].Config) / inflightFIFOFraction
 		}
 	}
-	bus := n.EnableEvents()
 	ctrl := admission.NewController(cfg, n.admissionProbe, n.topo.Registry())
-	ctrl.SetShedHook(func(s admission.ShedInfo) {
-		bus.Publish(obs.Event{Type: obs.EventShed, Tenant: s.Tenant,
-			Detail: fmt.Sprintf("%s request shed (%s), retry after %v", s.Class, s.Reason, s.RetryAfter)})
-	})
+	ctrl.SetBus(n.EnableEvents())
 	n.adm.Store(ctrl)
 	return ctrl
 }

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"nxzip/internal/obs"
 	"nxzip/internal/stats"
 	"nxzip/internal/telemetry"
 )
@@ -52,17 +51,17 @@ type pmSpan struct {
 
 // pmBundleLine is one JSONL line of a bundle.
 type pmBundleLine struct {
-	Kind    string            `json:"kind"`
-	Time    time.Time         `json:"time"`
-	Reason  string            `json:"reason"`
-	Ordinal int64             `json:"ordinal"`
-	Seq     uint64            `json:"seq"`
-	Config  json.RawMessage   `json:"config"`
-	Health  json.RawMessage   `json:"health"`
-	Device  *obs.DeviceStatus `json:"device"`
-	Digest  *telemetry.Digest `json:"digest"`
-	Span    *pmSpan           `json:"span"`
-	Event   *obs.Event        `json:"event"`
+	Kind    string                  `json:"kind"`
+	Time    time.Time               `json:"time"`
+	Reason  string                  `json:"reason"`
+	Ordinal int64                   `json:"ordinal"`
+	Seq     uint64                  `json:"seq"`
+	Config  json.RawMessage         `json:"config"`
+	Health  json.RawMessage         `json:"health"`
+	Device  *telemetry.DeviceStatus `json:"device"`
+	Digest  *telemetry.Digest       `json:"digest"`
+	Span    *pmSpan                 `json:"span"`
+	Event   *telemetry.Event        `json:"event"`
 }
 
 // openBundle resolves source — a bundle file, a directory of bundles
@@ -125,10 +124,10 @@ func runPostmortem(source string, req, tenant uint64) error {
 		meta    *pmBundleLine
 		config  json.RawMessage
 		health  json.RawMessage
-		devices []*obs.DeviceStatus
+		devices []*telemetry.DeviceStatus
 		digests []*telemetry.Digest
 		spans   []*pmSpan
-		events  []*obs.Event
+		events  []*telemetry.Event
 	)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -296,7 +295,7 @@ func prioCol(p string) string {
 
 // printRequest renders one request's chained history: its digest, each
 // dispatch attempt's span (ordered by hop), and its events.
-func printRequest(req uint64, digests []*telemetry.Digest, spans []*pmSpan, events []*obs.Event) {
+func printRequest(req uint64, digests []*telemetry.Digest, spans []*pmSpan, events []*telemetry.Event) {
 	fmt.Printf("\nrequest %d:\n", req)
 	found := false
 	for _, d := range digests {

@@ -35,7 +35,6 @@ import (
 	"nxzip"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/nx"
-	"nxzip/internal/obs"
 	"nxzip/internal/stats"
 	"nxzip/internal/telemetry"
 )
@@ -121,7 +120,7 @@ func run(args []string) error {
 	var node *nxzip.Node
 	var traceFile *os.File
 	var eventsFile *os.File
-	var eventLog *obs.EventLog
+	var eventLog *telemetry.EventLog
 	open := func(cfg nxzip.Config) (*nxzip.Accelerator, error) {
 		// -chaos needs the node path even for one device: injectors install
 		// through the node, and so do failover and software fallback.
@@ -159,7 +158,7 @@ func run(args []string) error {
 				return nil, ferr
 			}
 			eventsFile = f
-			eventLog = obs.NewEventLog(acc.EnableEvents(), f, 256)
+			eventLog = telemetry.NewEventLog(acc.EnableEvents(), f, 256)
 		}
 		return acc, nil
 	}

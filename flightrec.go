@@ -47,7 +47,7 @@ type flightHealth struct {
 // requests (errored, degraded, re-dispatched, slow vs the rolling p99)
 // retain their full spans, and postmortem bundles land in dir when
 // triggered (dir "" keeps the recorder memory-only). The recorder's
-// pooled tracer is installed node-wide, so StartTrace and
+// tracer is installed node-wide, so StartTrace and
 // EnableFlightRecorder are mutually exclusive — last installer wins.
 // Idempotent: repeated calls return the same recorder.
 func (n *Node) EnableFlightRecorder(dir string) *flightrec.Recorder {
@@ -55,7 +55,7 @@ func (n *Node) EnableFlightRecorder(dir string) *flightrec.Recorder {
 		return rec
 	}
 	bus := n.EnableEvents()
-	rec := flightrec.New(flightrec.Options{Dir: dir})
+	rec := flightrec.New(dir)
 	rec.SetSources(flightrec.Sources{
 		Snapshot: n.Metrics,
 		Devices:  n.DeviceStatuses,

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nxzip/internal/telemetry"
 )
 
 // admitN admits n requests of class cl and returns their tickets,
@@ -466,22 +468,21 @@ func TestUnregisterTenant(t *testing.T) {
 	c.UnregisterTenant(99) // unknown: no-op
 }
 
-func TestShedHookFires(t *testing.T) {
+func TestShedPublishesEvent(t *testing.T) {
 	c := NewController(Config{MaxInflight: 1}, nil, nil)
-	var mu sync.Mutex
-	var calls []string
-	c.SetShedHook(func(s ShedInfo) {
-		mu.Lock()
-		calls = append(calls, fmt.Sprintf("%v/%s/%v", s.Class, s.Reason, s.RetryAfter > 0))
-		mu.Unlock()
-	})
+	bus := telemetry.NewBus()
+	c.SetBus(bus)
 	tk := admitN(t, c, Interactive, 1, 1)[0]
 	defer tk.Release()
-	c.Admit(AdmitRequest{Class: Background})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 1 || calls[0] != "background/brownout/true" {
-		t.Fatalf("hook calls = %v", calls)
+	_, _, err := c.Admit(AdmitRequest{Class: Background, Tenant: 7})
+	var oe *OverloadError
+	if !errors.As(err, &oe) {
+		t.Fatalf("Admit = %v, want a shed", err)
+	}
+	events := bus.Tail(10)
+	want := fmt.Sprintf("background request shed (brownout), retry after %v", oe.RetryAfter)
+	if len(events) != 1 || events[0].Type != telemetry.EventShed || events[0].Tenant != 7 || events[0].Detail != want {
+		t.Fatalf("events = %+v, want one shed of tenant 7: %q", events, want)
 	}
 }
 

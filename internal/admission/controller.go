@@ -3,6 +3,7 @@ package admission
 import (
 	"container/list"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -18,9 +19,9 @@ var ErrCanceled = errors.New("admission: request canceled while queued")
 
 // ErrWouldWait reports a NoWait admission attempt that found no free
 // slot: the gate would have parked the request in the pending queue.
-// It is not a shed — nothing is counted and no hook fires — the caller
-// is expected to make progress (dispatch and release tickets it already
-// holds) and present the request again.
+// It is not a shed — nothing is counted and no event is published —
+// the caller is expected to make progress (dispatch and release tickets
+// it already holds) and present the request again.
 var ErrWouldWait = errors.New("admission: would wait for a slot")
 
 // Load is one sample of the dispatch tier's congestion, produced by the
@@ -143,7 +144,7 @@ type Controller struct {
 	dropCount  int
 	dropNext   time.Time
 
-	shedHook func(ShedInfo)
+	bus *telemetry.Bus // EventShed, one per shed decision (nil: none)
 
 	admitted [ClassCount]*telemetry.Counter // admission.admitted{class}
 	shed     [ClassCount]*telemetry.Counter // admission.shed{class}
@@ -193,22 +194,11 @@ func NewController(cfg Config, probe func() Load, reg *telemetry.Registry) *Cont
 	return c
 }
 
-// ShedInfo describes one shed decision for the hook: the refused class
-// and tenant, the ladder rung that refused it, and the retry-after
-// hint the caller was given.
-type ShedInfo struct {
-	Class      Class
-	Tenant     uint64
-	Reason     string
-	RetryAfter time.Duration
-}
-
-// SetShedHook installs a callback invoked (outside the controller lock)
-// for every shed decision — the root publishes obs.EventShed through
-// it. Call before traffic.
-func (c *Controller) SetShedHook(fn func(ShedInfo)) {
+// SetBus makes every shed decision publish EventShed on bus. Call
+// before traffic.
+func (c *Controller) SetBus(bus *telemetry.Bus) {
 	c.mu.Lock()
-	c.shedHook = fn
+	c.bus = bus
 	c.mu.Unlock()
 }
 
@@ -344,18 +334,14 @@ func (c *Controller) retryAfterLocked() time.Duration {
 	return d
 }
 
-// rejectLocked mints the shed error, counts it, and returns the hook to
-// run after unlock.
-func (c *Controller) rejectLocked(class Class, tenant uint64, reason string) (error, func()) {
+// rejectLocked mints the shed error, counts it, and publishes it on the
+// bus (Publish never blocks and takes only the bus's own lock).
+func (c *Controller) rejectLocked(class Class, tenant uint64, reason string) error {
 	retry := c.retryAfterLocked()
 	c.shed[class].Inc()
-	err := &OverloadError{Class: class, Tenant: tenant, Reason: reason, RetryAfter: retry}
-	hook := c.shedHook
-	if hook == nil {
-		return err, nil
-	}
-	info := ShedInfo{Class: class, Tenant: tenant, Reason: reason, RetryAfter: retry}
-	return err, func() { hook(info) }
+	c.bus.Publish(telemetry.Event{Type: telemetry.EventShed, Tenant: tenant,
+		Detail: fmt.Sprintf("%s request shed (%s), retry after %v", class, reason, retry)})
+	return &OverloadError{Class: class, Tenant: tenant, Reason: reason, RetryAfter: retry}
 }
 
 // Admit presents one request at the gate. Outcomes:
@@ -389,11 +375,8 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 	// rung; batch re-routes to software at the second; interactive rides
 	// through to the slot check and, past saturation, the pending queue.
 	if level >= LevelShedBackground && class == Background {
-		err, hook := c.rejectLocked(class, req.Tenant, "brownout")
+		err := c.rejectLocked(class, req.Tenant, "brownout")
 		c.mu.Unlock()
-		if hook != nil {
-			hook()
-		}
 		return nil, 0, err
 	}
 	if level >= LevelShedBatch && class == Batch {
@@ -421,11 +404,8 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 		if aw := c.activeWeightLocked(now); aw > 0 {
 			quota := int(math.Ceil(float64(t.weight) / float64(aw) * float64(c.cfg.MaxInflight)))
 			if t.inflight >= quota {
-				err, hook := c.rejectLocked(class, req.Tenant, "quota")
+				err := c.rejectLocked(class, req.Tenant, "quota")
 				c.mu.Unlock()
-				if hook != nil {
-					hook()
-				}
 				return nil, 0, err
 			}
 		}
@@ -446,11 +426,8 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 	// NoWait caller was already answered — only blocking interactive
 	// work reaches here. Park it in the bounded pending queue.
 	if c.queued >= c.cfg.QueueLimit {
-		err, hook := c.rejectLocked(class, req.Tenant, "queue-full")
+		err := c.rejectLocked(class, req.Tenant, "queue-full")
 		c.mu.Unlock()
-		if hook != nil {
-			hook()
-		}
 		return nil, 0, err
 	}
 	w := &waiter{class: class, tenant: req.Tenant, enq: now, grant: make(chan error, 1)}
@@ -518,11 +495,8 @@ func (c *Controller) abandon(w *waiter, reason string, cause error) (*Ticket, De
 		return nil, 0, cause
 	}
 	c.evicted.Inc()
-	err, hook := c.rejectLocked(w.class, w.tenant, reason)
+	err := c.rejectLocked(w.class, w.tenant, reason)
 	c.mu.Unlock()
-	if hook != nil {
-		hook()
-	}
 	return nil, 0, err
 }
 
@@ -531,25 +505,21 @@ func (c *Controller) abandon(w *waiter, reason string, cause error) (*Ticket, De
 // the CoDel law on the way.
 func (c *Controller) release(tenant uint64) {
 	now := c.now()
-	var hooks []func()
 	c.mu.Lock()
 	if t, ok := c.tenants[tenant]; ok && t.inflight > 0 {
 		t.inflight--
 	}
-	if !c.grantLocked(now, &hooks) {
+	if !c.grantLocked(now) {
 		c.inflight--
 		c.inflG.Set(int64(c.inflight))
 	}
 	c.mu.Unlock()
-	for _, h := range hooks {
-		h()
-	}
 }
 
 // grantLocked hands the freed slot to a waiter, returning false when
 // the queue is empty (the slot goes back to the pool). Heads whose
 // sojourn violates the CoDel law are evicted and the scan continues.
-func (c *Controller) grantLocked(now time.Time, hooks *[]func()) bool {
+func (c *Controller) grantLocked(now time.Time) bool {
 	for {
 		var w *waiter
 		for cl := Class(0); cl < ClassCount; cl++ {
@@ -573,11 +543,7 @@ func (c *Controller) grantLocked(now time.Time, hooks *[]func()) bool {
 		sojourn := now.Sub(w.enq)
 		if c.codelDropLocked(sojourn, now) {
 			c.evicted.Inc()
-			err, hook := c.rejectLocked(w.class, w.tenant, "codel-evict")
-			if hook != nil {
-				*hooks = append(*hooks, hook)
-			}
-			w.grant <- err
+			w.grant <- c.rejectLocked(w.class, w.tenant, "codel-evict")
 			continue
 		}
 		c.waitHist.Observe(float64(sojourn.Microseconds()))

@@ -12,6 +12,7 @@ import (
 	"nxzip/internal/admission"
 	"nxzip/internal/obs"
 	"nxzip/internal/stats"
+	"nxzip/internal/telemetry"
 )
 
 // E25 measures what the tenant accounting plane buys during noisy-
@@ -262,7 +263,7 @@ func E25TenantInterference() *Table {
 		for e := range sub.C() {
 			// Only a tenant-attributed page counts: the property under
 			// test is offender-labeled alerting, not just alerting.
-			if e.Type != obs.EventBurnRate || !strings.Contains(e.Detail, "firing") || e.Tenant == 0 {
+			if e.Type != telemetry.EventBurnRate || !strings.Contains(e.Detail, "firing") || e.Tenant == 0 {
 				continue
 			}
 			resp, err := http.Get(base + "/healthz")

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 )
 
@@ -29,7 +28,7 @@ func okDigest(req uint64, totalUS float64) *telemetry.Digest {
 }
 
 func TestRetentionPredicates(t *testing.T) {
-	r := New(Options{})
+	r := New("")
 	emitSpan := func(req uint64) {
 		s := r.Tracer().Start("compress", 1, 0)
 		s.ReqID = req
@@ -79,15 +78,15 @@ func TestRetentionPredicates(t *testing.T) {
 }
 
 func TestSlowPredicateGatedByMinSamples(t *testing.T) {
-	r := New(Options{MinSamples: 16, Window: 64})
-	// Before MinSamples, even a wild outlier is not "slow".
+	r := New("")
+	// Before minSamples, even a wild outlier is not "slow".
 	d := okDigest(1, 1e6)
 	r.Complete(d)
 	if len(r.RetainedRequests()) != 0 {
-		t.Fatal("outlier retained before MinSamples")
+		t.Fatal("outlier retained before minSamples")
 	}
-	// Feed a uniform baseline past MinSamples and the first recalc.
-	for i := uint64(2); i <= 70; i++ {
+	// Feed a uniform baseline past minSamples and the recalc there.
+	for i := uint64(2); i <= minSamples+6; i++ {
 		r.Complete(okDigest(i, 100))
 	}
 	p99t, _ := r.P99s()
@@ -97,7 +96,7 @@ func TestSlowPredicateGatedByMinSamples(t *testing.T) {
 	before := len(r.RetainedRequests())
 	r.Complete(okDigest(1000, 50*p99t))
 	if len(r.RetainedRequests()) != before+1 {
-		t.Fatal("slow outlier not retained after MinSamples")
+		t.Fatal("slow outlier not retained after minSamples")
 	}
 	r.Complete(okDigest(1001, p99t/2))
 	if len(r.RetainedRequests()) != before+1 {
@@ -136,8 +135,8 @@ func TestP99OfEqualsSortedIndex(t *testing.T) {
 // its input stream.
 func TestSamplerDeterminism(t *testing.T) {
 	run := func() ([]uint64, float64, float64) {
-		r := New(Options{MinSamples: 32, Window: 128})
-		for i := uint64(1); i <= 400; i++ {
+		r := New("")
+		for i := uint64(1); i <= 3*latencyWindow; i++ {
 			d := okDigest(i, float64(50+(i*37)%200)) // deterministic sawtooth
 			if i%97 == 0 {
 				d.Attempts = 2
@@ -173,8 +172,8 @@ func TestSamplerDeterminism(t *testing.T) {
 // checks the ring's sequence numbers come out strictly increasing and
 // dense — the -race soak for the digest path.
 func TestDigestRingMonotonicity(t *testing.T) {
-	r := New(Options{DigestRing: 256})
-	const workers, perWorker = 8, 500
+	r := New("")
+	const workers, perWorker = 8, digestCap / 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -190,8 +189,8 @@ func TestDigestRingMonotonicity(t *testing.T) {
 		t.Fatalf("Seq = %d, want %d", r.Seq(), workers*perWorker)
 	}
 	held := r.Digests(0)
-	if len(held) != 256 {
-		t.Fatalf("ring holds %d, want 256", len(held))
+	if len(held) != digestCap {
+		t.Fatalf("ring holds %d, want %d", len(held), digestCap)
 	}
 	for i := 1; i < len(held); i++ {
 		if held[i].Seq != held[i-1].Seq+1 {
@@ -206,19 +205,20 @@ func TestDigestRingMonotonicity(t *testing.T) {
 // TestPendingCollision puts two live requests in the same pending slot:
 // the newer claims it; the evicted one still retains digest-only.
 func TestPendingCollision(t *testing.T) {
-	r := New(Options{Pending: 4})
+	r := New("")
 	tr := r.Tracer()
 	emit := func(req uint64) {
 		s := tr.Start("compress", 1, 0)
 		s.ReqID = req
 		tr.Finish(s)
 	}
+	const later = 3 + pendingSlots
 	emit(3)
-	emit(7) // 7 % 4 == 3 % 4: evicts request 3's span
+	emit(later) // the same slot as 3: evicts request 3's span
 	d := okDigest(3, 100)
 	d.Outcome = telemetry.OutcomeError
 	r.Complete(d)
-	d = okDigest(7, 100)
+	d = okDigest(later, 100)
 	d.Outcome = telemetry.OutcomeError
 	r.Complete(d)
 
@@ -230,18 +230,18 @@ func TestPendingCollision(t *testing.T) {
 		t.Errorf("evicted request 3 kept %d spans, want digest-only", len(ret[0].Spans))
 	}
 	if len(ret[1].Spans) != 1 {
-		t.Errorf("request 7 kept %d spans, want 1", len(ret[1].Spans))
+		t.Errorf("request %d kept %d spans, want 1", later, len(ret[1].Spans))
 	}
 }
 
 func testSources(reg *telemetry.Registry) Sources {
 	return Sources{
 		Snapshot: func() *telemetry.Snapshot { return reg.Snapshot() },
-		Devices: func() []obs.DeviceStatus {
-			return []obs.DeviceStatus{{Label: "dev0", Healthy: false}, {Label: "dev1", Healthy: true}}
+		Devices: func() []telemetry.DeviceStatus {
+			return []telemetry.DeviceStatus{{Label: "dev0", Healthy: false}, {Label: "dev1", Healthy: true}}
 		},
-		Events: func(n int) []obs.Event {
-			return []obs.Event{{Type: obs.EventFailover, Device: "dev0", Req: 9, Detail: "test"}}
+		Events: func(n int) []telemetry.Event {
+			return []telemetry.Event{{Type: telemetry.EventFailover, Device: "dev0", Req: 9, Detail: "test"}}
 		},
 		Config: func() any { return map[string]int{"devices": 2} },
 		Health: func() any { return map[string]bool{"healthy": false} },
@@ -253,7 +253,7 @@ func testSources(reg *telemetry.Registry) Sources {
 // span made it in with its ReqID intact.
 func TestPostmortemBundleCompleteness(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Options{Dir: dir})
+	r := New(dir)
 	reg := telemetry.NewRegistry()
 	reg.Counter("nx.requests").Add(5)
 	r.SetSources(testSources(reg))
@@ -327,13 +327,13 @@ func TestPostmortemBundleCompleteness(t *testing.T) {
 	}
 }
 
-// TestPostmortemDirBounded triggers more bundles than MaxBundles and
+// TestPostmortemDirBounded triggers more bundles than maxBundles and
 // checks the oldest are pruned.
 func TestPostmortemDirBounded(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Options{Dir: dir, MaxBundles: 2})
+	r := New(dir)
 	var last string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxBundles+3; i++ {
 		p, err := r.TriggerPostmortem(fmt.Sprintf("t%d", i))
 		if err != nil {
 			t.Fatal(err)
@@ -342,8 +342,8 @@ func TestPostmortemDirBounded(t *testing.T) {
 		time.Sleep(time.Millisecond) // distinct UnixNano names
 	}
 	got := r.Bundles()
-	if len(got) != 2 {
-		t.Fatalf("dir holds %d bundles, want 2: %v", len(got), got)
+	if len(got) != maxBundles {
+		t.Fatalf("dir holds %d bundles, want %d: %v", len(got), maxBundles, got)
 	}
 	if got[len(got)-1] != last {
 		t.Fatalf("newest bundle pruned: kept %v, last written %s", got, last)
@@ -351,7 +351,7 @@ func TestPostmortemDirBounded(t *testing.T) {
 }
 
 func TestTriggerWithoutDir(t *testing.T) {
-	r := New(Options{})
+	r := New("")
 	path, err := r.TriggerPostmortem("memory only")
 	if err != nil || path != "" {
 		t.Fatalf("TriggerPostmortem() = (%q, %v), want (\"\", nil)", path, err)
@@ -365,7 +365,7 @@ func TestTriggerWithoutDir(t *testing.T) {
 // including traversal rejection.
 func TestHandler(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Options{Dir: dir})
+	r := New(dir)
 	r.Complete(okDigest(1, 100))
 	if _, err := r.TriggerPostmortem("handler test"); err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestHandler(t *testing.T) {
 // TestCloseStopsIntake verifies a closed recorder drops work instead of
 // corrupting state.
 func TestCloseStopsIntake(t *testing.T) {
-	r := New(Options{})
+	r := New("")
 	r.Complete(okDigest(1, 100))
 	r.Close()
 	if seq := r.Complete(okDigest(2, 100)); seq != 0 {
@@ -443,5 +443,19 @@ func TestCloseStopsIntake(t *testing.T) {
 	}
 	if r.Seq() != 1 {
 		t.Fatalf("Seq moved after Close: %d", r.Seq())
+	}
+}
+
+// TestEmitAfterCloseRecycles: a closed recorder parks nothing, so a span
+// it is handed goes straight back to its tracer, which zeroes it.
+func TestEmitAfterCloseRecycles(t *testing.T) {
+	r := New("")
+	tr := r.Tracer()
+	r.Close()
+	s := tr.Start("compress", 1, 0)
+	s.ReqID, s.InBytes = 5, 4096
+	tr.Finish(s)
+	if s.ReqID != 0 || s.Op != "" || s.InBytes != 0 {
+		t.Fatalf("span emitted after Close was not recycled: req %d op %q in %d", s.ReqID, s.Op, s.InBytes)
 	}
 }

@@ -34,10 +34,9 @@ func lastReqs(puts, n, capacity int) []uint64 {
 // Every request errs, so every one is retained, and odd ones park a
 // span first.
 func TestRingsOrderAcrossWrap(t *testing.T) {
-	const digestCap, retainedCap = 6, 4
 	for _, capacity := range []int{digestCap, retainedCap} {
 		for _, puts := range []int{capacity - 1, capacity, capacity + 1, 2*capacity + 3} {
-			r := New(Options{DigestRing: digestCap, Retained: retainedCap})
+			r := New("")
 			tr := r.Tracer()
 			for i := 1; i <= puts; i++ {
 				if i%2 == 1 {
@@ -93,7 +92,7 @@ func TestRingsOrderAcrossWrap(t *testing.T) {
 			}
 		}
 	}
-	if got := New(Options{}).RetainedRequests(); got == nil || len(got) != 0 {
+	if got := New("").RetainedRequests(); got == nil || len(got) != 0 {
 		t.Fatalf("RetainedRequests of a fresh recorder = %#v, want an empty non-nil slice", got)
 	}
 }
@@ -103,12 +102,12 @@ func TestRingsOrderAcrossWrap(t *testing.T) {
 // and anyone grepping a bundle key on both.
 func TestPostmortemShapePinned(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Options{Dir: dir, Retained: 2})
+	r := New(dir)
 	reg := telemetry.NewRegistry()
 	reg.Counter("nx.requests").Add(5)
 	r.SetSources(testSources(reg))
 	tr := r.Tracer()
-	for req := uint64(1); req <= 3; req++ {
+	for req := uint64(1); req <= retainedCap+1; req++ {
 		s := tr.Start("compress-dht", 7, 1)
 		s.ReqID, s.Hop, s.Tenant, s.Priority = req, 1, 5, "batch"
 		s.CC, s.InBytes, s.OutBytes, s.DeviceCycles = "ok", 4096, 1024, 900
@@ -169,8 +168,8 @@ func TestPostmortemShapePinned(t *testing.T) {
 	if !reflect.DeepEqual(kinds, wantKinds) {
 		t.Fatalf("line kinds %v, want %v", kinds, wantKinds)
 	}
-	if spans != 2 {
-		t.Fatalf("%d span lines, want the 2 the retained ring holds", spans)
+	if spans != retainedCap {
+		t.Fatalf("%d span lines, want the %d the retained ring holds", spans, retainedCap)
 	}
 	var keys []string
 	for k := range spanKeys {

@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 )
 
@@ -51,17 +50,17 @@ type pmLine struct {
 	Seq     uint64    `json:"seq,omitempty"`
 
 	// payload sections (one non-nil per line)
-	Config   any                 `json:"config,omitempty"`
-	Health   any                 `json:"health,omitempty"`
-	Device   *obs.DeviceStatus   `json:"device,omitempty"`
-	Digest   *telemetry.Digest   `json:"digest,omitempty"`
-	Span     *telemetry.Span     `json:"span,omitempty"`
-	Event    *obs.Event          `json:"event,omitempty"`
-	Snapshot *telemetry.Snapshot `json:"snapshot,omitempty"`
+	Config   any                     `json:"config,omitempty"`
+	Health   any                     `json:"health,omitempty"`
+	Device   *telemetry.DeviceStatus `json:"device,omitempty"`
+	Digest   *telemetry.Digest       `json:"digest,omitempty"`
+	Span     *telemetry.Span         `json:"span,omitempty"`
+	Event    *telemetry.Event        `json:"event,omitempty"`
+	Snapshot *telemetry.Snapshot     `json:"snapshot,omitempty"`
 }
 
 // TriggerPostmortem captures the recorder's state into a bundle. The
-// returned path is "" when no Dir is configured (the trigger still
+// returned path is "" when the recorder has no dir (the trigger still
 // counts and timestamps). Concurrent triggers serialize; each produces
 // its own bundle.
 func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
@@ -71,7 +70,7 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 	r.lastAt, r.lastReason = now, reason
 	r.pmMu.Unlock()
 
-	if r.opt.Dir == "" {
+	if r.dir == "" {
 		return "", nil
 	}
 
@@ -122,12 +121,12 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 		lines = append(lines, pmLine{Kind: "snapshot", Snapshot: srcs.Snapshot()})
 	}
 
-	if err := os.MkdirAll(r.opt.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(r.dir, 0o755); err != nil {
 		return "", err
 	}
 	name := fmt.Sprintf("%s%020d.jsonl", bundlePrefix, now.UnixNano())
-	path := filepath.Join(r.opt.Dir, name)
-	tmp, err := os.CreateTemp(r.opt.Dir, ".pm-*.tmp")
+	path := filepath.Join(r.dir, name)
+	tmp, err := os.CreateTemp(r.dir, ".pm-*.tmp")
 	if err != nil {
 		return "", err
 	}
@@ -171,18 +170,18 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 	return path, nil
 }
 
-// pruneBundles deletes the oldest bundles beyond MaxBundles.
+// pruneBundles deletes the oldest bundles beyond maxBundles.
 func (r *Recorder) pruneBundles() {
 	names := r.bundleNames()
-	for len(names) > r.opt.MaxBundles {
-		os.Remove(filepath.Join(r.opt.Dir, names[0]))
+	for len(names) > maxBundles {
+		os.Remove(filepath.Join(r.dir, names[0]))
 		names = names[1:]
 	}
 }
 
 // bundleNames lists bundle file names, oldest first.
 func (r *Recorder) bundleNames() []string {
-	ents, err := os.ReadDir(r.opt.Dir)
+	ents, err := os.ReadDir(r.dir)
 	if err != nil {
 		return nil
 	}
@@ -201,7 +200,7 @@ func (r *Recorder) Bundles() []string {
 	names := r.bundleNames()
 	out := make([]string, len(names))
 	for i, n := range names {
-		out[i] = filepath.Join(r.opt.Dir, n)
+		out[i] = filepath.Join(r.dir, n)
 	}
 	return out
 }
@@ -242,7 +241,7 @@ func (r *Recorder) Handler() http.Handler {
 			out.LastTrigger, out.LastReason = r.LastTrigger()
 			for _, n := range names {
 				e := entry{Name: n}
-				if fi, err := os.Stat(filepath.Join(r.opt.Dir, n)); err == nil {
+				if fi, err := os.Stat(filepath.Join(r.dir, n)); err == nil {
 					e.Size = fi.Size()
 				}
 				out.Bundles = append(out.Bundles, e)
@@ -257,7 +256,7 @@ func (r *Recorder) Handler() http.Handler {
 			http.Error(w, "no such bundle", http.StatusNotFound)
 			return
 		}
-		f, err := os.Open(filepath.Join(r.opt.Dir, name))
+		f, err := os.Open(filepath.Join(r.dir, name))
 		if err != nil {
 			http.Error(w, "no such bundle", http.StatusNotFound)
 			return

@@ -11,7 +11,7 @@
 //     interesting requests: errored, degraded (software fallback),
 //     re-dispatched (failover), or slow relative to the rolling p99 of
 //     queue-wait or total latency. Everything else is recycled back to
-//     the pooled tracer, so the steady-state request path stays
+//     the tracer's span pool, so the steady-state request path stays
 //     allocation-free with the recorder attached.
 //
 // The recorder is a telemetry.Sink: Finish(span) parks the span in a
@@ -31,63 +31,29 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 )
 
-// Options sizes the recorder. Every bound has a default chosen so the
-// whole recorder is a few hundred KiB; all state is allocated up front.
-type Options struct {
-	// DigestRing is how many per-request digests the ring holds
-	// (<=0 → 4096).
-	DigestRing int
-	// Retained bounds the full spans kept by the tail sampler
-	// (<=0 → 64 requests; each request may hold several spans).
-	Retained int
-	// Pending sizes the table of in-flight requests awaiting their
-	// retention decision (<=0 → 512 slots).
-	Pending int
-	// SlowFactor scales the rolling p99 for the slow-request predicate:
-	// a request is slow when total latency or queue wait exceeds
-	// SlowFactor × the respective p99 (<=0 → 1.0).
-	SlowFactor float64
-	// MinSamples gates the slow predicate until the latency window has
-	// seen this many requests (<=0 → 128).
-	MinSamples int
-	// Window is the rolling latency window length (<=0 → 512).
-	Window int
-	// Dir is where postmortem bundles land ("" disables disk bundles;
-	// TriggerPostmortem still counts and reports).
-	Dir string
-	// MaxBundles bounds the postmortem directory; the oldest bundle is
-	// deleted to admit a new one (<=0 → 8).
-	MaxBundles int
-}
-
-func (o Options) withDefaults() Options {
-	if o.DigestRing <= 0 {
-		o.DigestRing = 4096
-	}
-	if o.Retained <= 0 {
-		o.Retained = 64
-	}
-	if o.Pending <= 0 {
-		o.Pending = 512
-	}
-	if o.SlowFactor <= 0 {
-		o.SlowFactor = 1.0
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 128
-	}
-	if o.Window <= 0 {
-		o.Window = 512
-	}
-	if o.MaxBundles <= 0 {
-		o.MaxBundles = 8
-	}
-	return o
-}
+// The recorder's bounds, chosen so the whole recorder is a few hundred
+// KiB; all state is allocated up front.
+const (
+	// digestCap is how many per-request digests the ring holds.
+	digestCap = 4096
+	// retainedCap bounds the requests whose full spans the tail sampler
+	// keeps (each request may hold several spans).
+	retainedCap = 64
+	// pendingSlots sizes the table of in-flight requests awaiting their
+	// retention decision.
+	pendingSlots = 512
+	// minSamples gates the slow predicate until the latency window has
+	// seen this many requests.
+	minSamples = 128
+	// latencyWindow is the rolling latency window length.
+	latencyWindow = 512
+	// maxBundles bounds the postmortem directory; the oldest bundle is
+	// deleted to admit a new one.
+	maxBundles = 8
+)
 
 // pendSpanCap bounds the spans parked per in-flight request: the
 // original dispatch plus failover hops and a fault resubmit all fit; a
@@ -125,9 +91,9 @@ type Sources struct {
 	// Snapshot returns the node's merged metrics snapshot.
 	Snapshot func() *telemetry.Snapshot
 	// Devices returns the per-device status table.
-	Devices func() []obs.DeviceStatus
+	Devices func() []telemetry.DeviceStatus
 	// Events returns up to n recent bus events, oldest first.
-	Events func(n int) []obs.Event
+	Events func(n int) []telemetry.Event
 	// Config returns the node configuration (any JSON-encodable value).
 	Config func() any
 	// Health returns the SLO report that triggered (or would trigger)
@@ -136,10 +102,12 @@ type Sources struct {
 }
 
 // Recorder is the flight recorder. It implements telemetry.Sink; wire
-// it with NewPooledTracer(rec) (or rec.Tracer()) so consumed spans
-// recycle. All methods are safe for concurrent use.
+// it with rec.Tracer() so consumed spans recycle. All methods are safe
+// for concurrent use.
 type Recorder struct {
-	opt Options
+	// dir is where postmortem bundles land ("" disables disk bundles;
+	// TriggerPostmortem still counts and reports).
+	dir string
 
 	tracer atomic.Pointer[telemetry.Tracer]
 
@@ -168,18 +136,18 @@ type Recorder struct {
 	lastReason string
 }
 
-// New builds a recorder with all state preallocated.
-func New(opts Options) *Recorder {
-	o := opts.withDefaults()
+// New builds a recorder with all state preallocated. Postmortem bundles
+// land in dir ("" keeps the recorder memory-only).
+func New(dir string) *Recorder {
 	r := &Recorder{
-		opt:      o,
-		digests:  telemetry.NewRing[telemetry.Digest](o.DigestRing),
-		pend:     make([]pendSlot, o.Pending),
-		ret:      telemetry.NewRing[retEntry](o.Retained),
-		totWin:   telemetry.NewRing[float64](o.Window),
-		queueWin: telemetry.NewRing[float64](o.Window),
-		win:      make([]float64, 0, o.Window),
-		top:      make([]float64, 0, o.Window-o.Window*99/100),
+		dir:      dir,
+		digests:  telemetry.NewRing[telemetry.Digest](digestCap),
+		pend:     make([]pendSlot, pendingSlots),
+		ret:      telemetry.NewRing[retEntry](retainedCap),
+		totWin:   telemetry.NewRing[float64](latencyWindow),
+		queueWin: telemetry.NewRing[float64](latencyWindow),
+		win:      make([]float64, 0, latencyWindow),
+		top:      make([]float64, 0, latencyWindow-latencyWindow*99/100),
 	}
 	for i := range r.pend {
 		r.pend[i].spans = make([]*telemetry.Span, 0, pendSpanCap)
@@ -194,13 +162,13 @@ func (r *Recorder) SetSources(s Sources) {
 	r.mu.Unlock()
 }
 
-// Tracer returns the recorder's pooled tracer, creating it on first
-// call. Spans it hands out flow back through Emit and recycle.
+// Tracer returns the recorder's tracer, creating it on first call.
+// Spans it hands out flow back through Emit and recycle.
 func (r *Recorder) Tracer() *telemetry.Tracer {
 	if t := r.tracer.Load(); t != nil {
 		return t
 	}
-	t := telemetry.NewPooledTracer(r)
+	t := telemetry.NewTracer(r)
 	if r.tracer.CompareAndSwap(nil, t) {
 		return t
 	}
@@ -208,13 +176,14 @@ func (r *Recorder) Tracer() *telemetry.Tracer {
 }
 
 // Emit parks a finished span until its request's Complete call decides
-// retention. Spans without a RequestID cannot be correlated and recycle
-// immediately. Implements telemetry.Sink.
+// retention. Spans without a RequestID cannot be correlated, and a
+// closed recorder decides nothing, so both recycle immediately.
+// Implements telemetry.Sink.
 func (r *Recorder) Emit(s *telemetry.Span) {
-	if s == nil || r.closed.Load() {
+	if s == nil {
 		return
 	}
-	if s.ReqID == 0 {
+	if s.ReqID == 0 || r.closed.Load() {
 		r.recycle(s)
 		return
 	}
@@ -246,6 +215,8 @@ func (r *Recorder) Close() error {
 	return nil
 }
 
+// recycle hands s back to the tracer. It may run under r.mu: Recycle
+// takes no recorder lock.
 func (r *Recorder) recycle(s *telemetry.Span) {
 	r.tracer.Load().Recycle(s) // nil-safe: no tracer yet → drop to GC
 }
@@ -277,7 +248,7 @@ func (r *Recorder) Complete(d *telemetry.Digest) uint64 {
 			r.retainLocked(d, slot.spans)
 		} else {
 			for _, s := range slot.spans {
-				r.recycleLocked(s)
+				r.recycle(s)
 			}
 		}
 		slot.req = 0
@@ -289,16 +260,12 @@ func (r *Recorder) Complete(d *telemetry.Digest) uint64 {
 	return seq
 }
 
-// recycleLocked recycles under r.mu (Recycle takes no recorder locks,
-// so there is no inversion).
-func (r *Recorder) recycleLocked(s *telemetry.Span) { r.recycle(s) }
-
 // retainLocked moves the request into the retained ring, evicting (and
 // recycling) the oldest retained request when full.
 func (r *Recorder) retainLocked(d *telemetry.Digest, spans []*telemetry.Span) {
 	e := r.ret.Next()
 	for _, old := range e.spans[:e.n] {
-		r.recycleLocked(old)
+		r.recycle(old)
 	}
 	e.d = *d
 	e.n = copy(e.spans[:], spans)
@@ -338,11 +305,10 @@ func p99Of(top, win []float64) float64 {
 }
 
 func (r *Recorder) slowLocked(d *telemetry.Digest) bool {
-	if r.totWin.Total() < uint64(r.opt.MinSamples) {
+	if r.totWin.Total() < minSamples {
 		return false
 	}
-	return d.TotalUS > r.opt.SlowFactor*r.p99Tot ||
-		d.QueueUS > r.opt.SlowFactor*r.p99Queue
+	return d.TotalUS > r.p99Tot || d.QueueUS > r.p99Queue
 }
 
 // Digests returns up to n recent digests, oldest first (n<=0: all held).
@@ -377,7 +343,7 @@ func (r *Recorder) Seq() uint64 {
 }
 
 // P99s returns the recorder's rolling p99 of total latency and queue
-// wait, in microseconds (zero until MinSamples requests complete and
+// wait, in microseconds (zero until minSamples requests complete and
 // the first recalculation runs).
 func (r *Recorder) P99s() (totalUS, queueUS float64) {
 	r.mu.Lock()
@@ -400,8 +366,27 @@ func (r *Recorder) RetainedRequests() []Retained {
 	return out
 }
 
+// Status digests the recorder for /snapshot and nxtop: how much history
+// is in memory, the rolling tail thresholds, the postmortem trail, and
+// the slowest recent requests.
+type Status struct {
+	// Requests is the total number of requests digested.
+	Requests uint64 `json:"requests"`
+	// Retained is how many requests currently hold full spans.
+	Retained int `json:"retained"`
+	// P99TotalUS / P99QueueUS are the recorder's rolling p99s (µs).
+	P99TotalUS  float64 `json:"p99_total_us"`
+	P99QueueUS  float64 `json:"p99_queue_us"`
+	Postmortems int64   `json:"postmortems"`
+	// LastTrigger/LastReason describe the most recent postmortem.
+	LastTrigger time.Time `json:"last_trigger,omitempty"`
+	LastReason  string    `json:"last_reason,omitempty"`
+	// Slowest is the "slowest recent requests" feed, worst first.
+	Slowest []telemetry.Digest `json:"slowest,omitempty"`
+}
+
 // Status digests the recorder for dashboards and /snapshot.
-func (r *Recorder) Status() *obs.FlightStatus {
+func (r *Recorder) Status() *Status {
 	r.mu.Lock()
 	retained := r.ret.Held()
 	p99t, p99q := r.p99Tot, r.p99Queue
@@ -409,7 +394,7 @@ func (r *Recorder) Status() *obs.FlightStatus {
 	r.pmMu.Lock()
 	lastAt, lastReason := r.lastAt, r.lastReason
 	r.pmMu.Unlock()
-	return &obs.FlightStatus{
+	return &Status{
 		Requests:    r.Seq(),
 		Retained:    retained,
 		P99TotalUS:  p99t,

@@ -12,7 +12,6 @@ import (
 	"nxzip/internal/freelist"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nmmu"
-	"nxzip/internal/obs"
 	"nxzip/internal/pipeline"
 	"nxzip/internal/telemetry"
 	"nxzip/internal/vas"
@@ -128,7 +127,7 @@ type Device struct {
 // label, so device-local transitions (engine hangs, credit leaks)
 // publish under the right name.
 type eventHook struct {
-	bus   *obs.Bus
+	bus   *telemetry.Bus
 	label string
 }
 
@@ -275,7 +274,7 @@ func (d *Device) Injector() *faultinject.Injector { return d.inj.Load() }
 // published events. Device-local transitions — engine hangs and
 // switchboard credit leaks — publish through it. Passing a nil bus
 // detaches, restoring the zero-cost path (one atomic load + nil check).
-func (d *Device) SetEventBus(bus *obs.Bus, label string) {
+func (d *Device) SetEventBus(bus *telemetry.Bus, label string) {
 	if bus == nil {
 		d.events.Store(nil)
 		d.sb.SetCreditLeakHook(nil)
@@ -283,7 +282,7 @@ func (d *Device) SetEventBus(bus *obs.Bus, label string) {
 	}
 	d.events.Store(&eventHook{bus: bus, label: label})
 	d.sb.SetCreditLeakHook(func() {
-		bus.Publish(obs.Event{Type: obs.EventCreditLeak, Device: label, Detail: "completion swallowed send-window credit"})
+		bus.Publish(telemetry.Event{Type: telemetry.EventCreditLeak, Device: label, Detail: "completion swallowed send-window credit"})
 	})
 }
 
@@ -1029,7 +1028,7 @@ func (c *Context) drainOne() bool {
 		// deterministic and fast.
 		d.met.engineHangs.Inc()
 		if h := d.events.Load(); h != nil {
-			h.bus.Publish(obs.Event{Type: obs.EventEngineHang, Device: h.label, Req: p.slots[0].crb.ReqID,
+			h.bus.Publish(telemetry.Event{Type: telemetry.EventEngineHang, Device: h.label, Req: p.slots[0].crb.ReqID,
 				Detail: "request dropped without CSB write; watchdog reclaimed credit"})
 		}
 	} else {

@@ -30,9 +30,10 @@ const (
 	BurnQueue BurnSLO = "queue-wait"
 )
 
-// BurnConfig parameterises the evaluator. Zero values take the shipped
-// SRE-workbook defaults; tests and the E25 experiment compress the
-// windows to seconds.
+// BurnConfig parameterises the evaluator. The zero BurnConfig means
+// DefaultBurnConfig, the shipped SRE-workbook policy; any other is used
+// as given (tests and the E25 experiment compress the windows to
+// seconds).
 type BurnConfig struct {
 	// Fast (paging) window pair and threshold.
 	FastShort time.Duration // default 5m
@@ -62,39 +63,6 @@ func DefaultBurnConfig() BurnConfig {
 		QueueViolationBudget: 0.05,
 		MinRequests:          10,
 	}
-}
-
-// withDefaults fills zero fields from the shipped policy.
-func (c BurnConfig) withDefaults() BurnConfig {
-	d := DefaultBurnConfig()
-	if c.FastShort <= 0 {
-		c.FastShort = d.FastShort
-	}
-	if c.FastLong <= 0 {
-		c.FastLong = d.FastLong
-	}
-	if c.FastRate <= 0 {
-		c.FastRate = d.FastRate
-	}
-	if c.SlowShort <= 0 {
-		c.SlowShort = d.SlowShort
-	}
-	if c.SlowLong <= 0 {
-		c.SlowLong = d.SlowLong
-	}
-	if c.SlowRate <= 0 {
-		c.SlowRate = d.SlowRate
-	}
-	if c.ShedBudget <= 0 {
-		c.ShedBudget = d.ShedBudget
-	}
-	if c.QueueViolationBudget <= 0 {
-		c.QueueViolationBudget = d.QueueViolationBudget
-	}
-	if c.MinRequests <= 0 {
-		c.MinRequests = d.MinRequests
-	}
-	return c
 }
 
 // BurnAlert is the evaluation of one (SLO, speed) pair.
@@ -230,7 +198,9 @@ func topOffender(acc *burnAccum, slo BurnSLO) string {
 // result is deterministic and stateless; edge-triggering lives in the
 // server, which compares successive evaluations.
 func EvaluateBurn(windows []Window, cfg BurnConfig, now time.Time) []BurnAlert {
-	cfg = cfg.withDefaults()
+	if cfg == (BurnConfig{}) {
+		cfg = DefaultBurnConfig()
+	}
 	type pair struct {
 		speed       string
 		short, long time.Duration

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -166,16 +167,23 @@ func TestBurnQueueWaitSLO(t *testing.T) {
 	}
 }
 
+// TestBurnConfigDefaults: the zero config evaluates as the shipped
+// policy; any other is used as given, its zero fields included.
 func TestBurnConfigDefaults(t *testing.T) {
-	got := BurnConfig{}.withDefaults()
-	want := DefaultBurnConfig()
-	if got != want {
-		t.Fatalf("withDefaults() = %+v, want %+v", got, want)
+	now := time.Now()
+	windows := burnWindows(now, 20, Window{Requests: 50, Shed: 50, QueueObs: 50, QueueOver: 5})
+	got := EvaluateBurn(windows, BurnConfig{}, now)
+	want := EvaluateBurn(windows, DefaultBurnConfig(), now)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero config:\n got %+v\nwant %+v", got, want)
 	}
-	// A partially-set config keeps its explicit fields.
-	cfg := BurnConfig{FastRate: 2}.withDefaults()
-	if cfg.FastRate != 2 || cfg.SlowRate != want.SlowRate {
-		t.Fatalf("partial defaults: %+v", cfg)
+	// A partially-set config keeps its explicit fields and fills none.
+	partial := EvaluateBurn(windows, BurnConfig{FastRate: 2}, now)
+	if a := alertFor(t, partial, BurnShed, "fast"); a.Rate != 2 || a.Short != 0 {
+		t.Fatalf("partial fast pair: %+v", a)
+	}
+	if a := alertFor(t, partial, BurnShed, "slow"); a.Rate != 0 || a.Long != 0 {
+		t.Fatalf("partial slow pair: %+v", a)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,16 +15,22 @@ import (
 
 	"nxzip/internal/admission"
 	"nxzip/internal/telemetry"
+	"nxzip/internal/testutil"
 )
 
 // --- event bus ---
 
+// The bus is telemetry's; its tests stay beside the server that streams
+// it, with its pin in pin_test.go. busTail is how many recent events it
+// keeps.
+const busTail = 256
+
 func TestBusPublishSubscribe(t *testing.T) {
-	b := NewBus()
+	b := telemetry.NewBus()
 	sub := b.Subscribe(8)
 	defer sub.Close()
 	for i := 0; i < 5; i++ {
-		b.Publish(Event{Type: EventQuarantine, Device: fmt.Sprintf("chip%d", i)})
+		b.Publish(telemetry.Event{Type: telemetry.EventQuarantine, Device: fmt.Sprintf("chip%d", i)})
 	}
 	for i := 0; i < 5; i++ {
 		select {
@@ -50,11 +57,11 @@ func TestBusPublishSubscribe(t *testing.T) {
 }
 
 func TestBusDropsWhenSubscriberFull(t *testing.T) {
-	b := NewBus()
+	b := telemetry.NewBus()
 	sub := b.Subscribe(2)
 	defer sub.Close()
 	for i := 0; i < 10; i++ {
-		b.Publish(Event{Type: EventProbe})
+		b.Publish(telemetry.Event{Type: telemetry.EventProbe})
 	}
 	if got := sub.Dropped(); got != 8 {
 		t.Fatalf("subscription Dropped = %d, want 8", got)
@@ -69,10 +76,10 @@ func TestBusDropsWhenSubscriberFull(t *testing.T) {
 }
 
 func TestBusTailWraps(t *testing.T) {
-	b := NewBus()
-	total := tailLen + 50
+	b := telemetry.NewBus()
+	total := busTail + 50
 	for i := 0; i < total; i++ {
-		b.Publish(Event{Type: EventFailover, Detail: fmt.Sprintf("e%d", i)})
+		b.Publish(telemetry.Event{Type: telemetry.EventFailover, Detail: fmt.Sprintf("e%d", i)})
 	}
 	tail := b.Tail(10)
 	if len(tail) != 10 {
@@ -84,14 +91,14 @@ func TestBusTailWraps(t *testing.T) {
 			t.Fatalf("tail[%d].Seq = %d, want %d", i, e.Seq, wantSeq)
 		}
 	}
-	if got := b.Tail(2 * tailLen); len(got) != tailLen {
-		t.Fatalf("oversized Tail returned %d, want %d", len(got), tailLen)
+	if got := b.Tail(2 * busTail); len(got) != busTail {
+		t.Fatalf("oversized Tail returned %d, want %d", len(got), busTail)
 	}
 }
 
 func TestBusNilSafe(t *testing.T) {
-	var b *Bus
-	b.Publish(Event{Type: EventFallback}) // must not panic
+	var b *telemetry.Bus
+	b.Publish(telemetry.Event{Type: telemetry.EventFallback}) // must not panic
 	if b.Published() != 0 || b.Dropped() != 0 || b.Tail(5) != nil {
 		t.Fatal("nil bus accessors not zero")
 	}
@@ -101,14 +108,14 @@ func TestBusNilSafe(t *testing.T) {
 }
 
 func TestBusConcurrentPublishSubscribeClose(t *testing.T) {
-	b := NewBus()
+	b := telemetry.NewBus()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b.Publish(Event{Type: EventEngineHang})
+				b.Publish(telemetry.Event{Type: telemetry.EventEngineHang})
 			}
 		}()
 	}
@@ -152,11 +159,11 @@ func (b *lockedBuffer) String() string {
 }
 
 func TestEventLogWritesJSONL(t *testing.T) {
-	b := NewBus()
+	b := telemetry.NewBus()
 	var buf lockedBuffer
-	log := NewEventLog(b, &buf, 64)
-	b.Publish(Event{Type: EventQuarantine, Device: "chip1", Detail: "three strikes"})
-	b.Publish(Event{Type: EventReadmit, Device: "chip1"})
+	log := telemetry.NewEventLog(b, &buf, 64)
+	b.Publish(telemetry.Event{Type: telemetry.EventQuarantine, Device: "chip1", Detail: "three strikes"})
+	b.Publish(telemetry.Event{Type: telemetry.EventReadmit, Device: "chip1"})
 	// Drain: wait for the log goroutine to consume both before closing.
 	deadline := time.Now().Add(time.Second)
 	for strings.Count(buf.String(), "\n") < 2 && time.Now().Before(deadline) {
@@ -173,11 +180,11 @@ func TestEventLogWritesJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines: %q", len(lines), buf.String())
 	}
-	var e Event
+	var e telemetry.Event
 	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
 		t.Fatalf("line 0 not JSON: %v", err)
 	}
-	if e.Type != EventQuarantine || e.Device != "chip1" {
+	if e.Type != telemetry.EventQuarantine || e.Device != "chip1" {
 		t.Fatalf("decoded %+v", e)
 	}
 }
@@ -402,7 +409,7 @@ func TestSamplerWindows(t *testing.T) {
 		s.Sort()
 		return s
 	}
-	s := NewSampler(snap, 4)
+	s := NewSampler(snap)
 	s.Tick() // baseline
 	mu.Lock()
 	requests, inBytes = 10, 1<<20
@@ -415,30 +422,61 @@ func TestSamplerWindows(t *testing.T) {
 	if w.ReqPerSec <= 0 || w.GBs <= 0 {
 		t.Fatalf("window rates not derived: %+v", w)
 	}
-	// Ring bounds: capacity 4, ticks beyond it evict the oldest.
-	for i := 0; i < 10; i++ {
+	// Ring bounds: ticks beyond ringCap evict the oldest.
+	for i := 0; i < ringCap+6; i++ {
 		s.Tick()
 	}
-	if got := len(s.Windows()); got != 4 {
-		t.Fatalf("ring length %d, want 4", got)
+	if got := len(s.Windows()); got != ringCap {
+		t.Fatalf("ring length %d, want %d", got, ringCap)
 	}
 	if last := s.Last(); last.Requests != 0 {
 		t.Fatalf("idle window carried requests: %+v", last)
 	}
 }
 
-func TestSamplerStartStop(t *testing.T) {
-	s := NewSampler(func() *telemetry.Snapshot { return &telemetry.Snapshot{} }, 8)
-	s.Start(time.Millisecond)
-	deadline := time.Now().Add(time.Second)
-	for len(s.Windows()) < 2 && time.Now().Before(deadline) {
+// TestServerWatcherTicksWindows: with no poller, the server's watcher
+// takes a window every interval and judges burn against it, and Close
+// leaves no goroutine behind.
+func TestServerWatcherTicksWindows(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := NewServer(Options{
+		Addr:           "127.0.0.1:0",
+		Snapshot:       func() *telemetry.Snapshot { return &telemetry.Snapshot{} },
+		SampleInterval: time.Millisecond,
+	})
+	if srv.BurnAlerts() != nil {
+		t.Fatal("burn alerts before the first tick")
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// One watcher goroutine takes a window and then judges burn, tick by
+	// tick: the third window (Start takes the first) is taken after the
+	// first tick's burn evaluation.
+	for deadline := time.Now().Add(time.Second); len(srv.sampler.Windows()) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d windows a second after Start", len(srv.sampler.Windows()))
+		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Stop()
-	if len(s.Windows()) < 2 {
-		t.Fatal("interval goroutine never ticked")
+	var doc StatusDoc
+	resp, err := http.Get("http://" + srv.Addr() + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.Stop() // idempotent
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Windows) < 2 {
+		t.Fatalf("/snapshot shows %d windows, want at least 2", len(doc.Windows))
+	}
+	if got := len(srv.BurnAlerts()); got != 4 {
+		t.Fatalf("%d burn alerts after the first tick, want all four SLO/speed pairs", got)
+	}
+	srv.Close()
+	testutil.GoroutinesBack(t, base, "after Close")
 }
 
 // --- delta (telemetry) as consumed by obs ---
@@ -481,7 +519,7 @@ func TestSnapshotDelta(t *testing.T) {
 
 // --- server endpoints ---
 
-func startTestServer(t *testing.T, bus *Bus, healthy, total int, snap func() *telemetry.Snapshot) *Server {
+func startTestServer(t *testing.T, bus *telemetry.Bus, healthy, total int, snap func() *telemetry.Snapshot) *Server {
 	t.Helper()
 	if snap == nil {
 		snap = testSnapshot
@@ -490,8 +528,8 @@ func startTestServer(t *testing.T, bus *Bus, healthy, total int, snap func() *te
 		Addr:     "127.0.0.1:0",
 		Name:     "test-node",
 		Snapshot: snap,
-		Devices: func() []DeviceStatus {
-			return []DeviceStatus{{Label: "chip0", Healthy: true, BusyCycles: 50, TotalCycles: 100, Util: 0.5}}
+		Devices: func() []telemetry.DeviceStatus {
+			return []telemetry.DeviceStatus{{Label: "chip0", Healthy: true, BusyCycles: 50, TotalCycles: 100, Util: 0.5}}
 		},
 		Health: func() (int, int) { return healthy, total },
 		Bus:    bus,
@@ -532,8 +570,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 func TestServerSnapshotEndpoint(t *testing.T) {
-	bus := NewBus()
-	bus.Publish(Event{Type: EventQuarantine, Device: "chip0"})
+	bus := telemetry.NewBus()
+	bus.Publish(telemetry.Event{Type: telemetry.EventQuarantine, Device: "chip0"})
 	srv := startTestServer(t, bus, 4, 4, nil)
 	resp, err := http.Get("http://" + srv.Addr() + "/snapshot")
 	if err != nil {
@@ -550,7 +588,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	if len(doc.Devices) != 1 || doc.Devices[0].Label != "chip0" {
 		t.Fatalf("devices: %+v", doc.Devices)
 	}
-	if len(doc.Events) != 1 || doc.Events[0].Type != EventQuarantine {
+	if len(doc.Events) != 1 || doc.Events[0].Type != telemetry.EventQuarantine {
 		t.Fatalf("events: %+v", doc.Events)
 	}
 	if doc.Totals.Requests != 100 {
@@ -607,8 +645,9 @@ func TestServerHealthzFlips(t *testing.T) {
 	}
 }
 
-// TestServerCloseWaitsForCallbacks: a rule that flips on every 1 ms
-// tick makes every evaluation a transition, and the callback sleeps, so
+// TestServerCloseWaitsForCallbacks: a device count that flips between
+// 1/1 and 0/1 healthy on every 1 ms tick makes every evaluation a
+// transition, and the callback sleeps, so
 // Close nearly always lands inside one. When Close returns, no callback
 // may still run, and none may start afterwards (in the bundle directory
 // a postmortem trigger writes into, for instance).
@@ -620,9 +659,9 @@ func TestServerCloseWaitsForCallbacks(t *testing.T) {
 		srv := NewServer(Options{
 			Addr:     "127.0.0.1:0",
 			Snapshot: func() *telemetry.Snapshot { return &telemetry.Snapshot{} },
-			Rules: []Rule{{Name: "flip", Expr: "alternates", Check: func(Inputs) (bool, float64, string) {
-				return flip.Add(1)%2 == 0, 0, ""
-			}}},
+			Health: func() (int, int) {
+				return int(flip.Add(1) % 2), 1
+			},
 			SampleInterval: time.Millisecond,
 			OnTransition: func(bool, HealthReport) {
 				if closed.Load() {
@@ -639,7 +678,7 @@ func TestServerCloseWaitsForCallbacks(t *testing.T) {
 		}
 		for deadline := time.Now().Add(5 * time.Second); started.Load() < 3; {
 			if time.Now().After(deadline) {
-				t.Fatal("the flipping rule fired no transitions")
+				t.Fatal("the flipping health fired no transitions")
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -656,7 +695,7 @@ func TestServerCloseWaitsForCallbacks(t *testing.T) {
 }
 
 func TestServerEventsStream(t *testing.T) {
-	bus := NewBus()
+	bus := telemetry.NewBus()
 	srv := startTestServer(t, bus, 4, 4, nil)
 	resp, err := http.Get("http://" + srv.Addr() + "/events")
 	if err != nil {
@@ -666,14 +705,14 @@ func TestServerEventsStream(t *testing.T) {
 	go func() {
 		// Give the handler a moment to subscribe before publishing.
 		time.Sleep(20 * time.Millisecond)
-		bus.Publish(Event{Type: EventFailover, Device: "chip2", Detail: "re-dispatching"})
+		bus.Publish(telemetry.Event{Type: telemetry.EventFailover, Device: "chip2", Detail: "re-dispatching"})
 	}()
 	dec := json.NewDecoder(resp.Body)
-	var e Event
+	var e telemetry.Event
 	if err := dec.Decode(&e); err != nil {
 		t.Fatalf("stream decode: %v", err)
 	}
-	if e.Type != EventFailover || e.Device != "chip2" {
+	if e.Type != telemetry.EventFailover || e.Device != "chip2" {
 		t.Fatalf("streamed %+v", e)
 	}
 }
@@ -697,15 +736,15 @@ func TestRenderTextSmoke(t *testing.T) {
 	cur := &StatusDoc{
 		Name: "render-node", Time: time.Unix(1000, 0), Healthy: false,
 		Health: HealthReport{Rules: []RuleResult{{Name: "healthy-devices", Expr: "x >= 0.5", OK: false, Detail: "1/4 healthy"}}},
-		Devices: []DeviceStatus{
+		Devices: []telemetry.DeviceStatus{
 			{Label: "chip0", Healthy: true, BusyCycles: 75, TotalCycles: 100, Util: 0.75},
 			{Label: "chip1", Healthy: false, Quarantines: 2},
 		},
 		Totals:  Totals{Requests: 42, InBytes: 1 << 20},
 		Windows: []Window{{ReqPerSec: 10, GBs: 0.5, QueueP99: 120}, {ReqPerSec: 12, GBs: 0.6, QueueP99: 130}},
-		Events:  []Event{{Seq: 1, Type: EventQuarantine, Device: "chip1", Detail: "three strikes"}},
+		Events:  []telemetry.Event{{Seq: 1, Type: telemetry.EventQuarantine, Device: "chip1", Detail: "three strikes"}},
 	}
-	prev := &StatusDoc{Devices: []DeviceStatus{{Label: "chip0", BusyCycles: 25, TotalCycles: 50}}}
+	prev := &StatusDoc{Devices: []telemetry.DeviceStatus{{Label: "chip0", BusyCycles: 25, TotalCycles: 50}}}
 	var buf bytes.Buffer
 	RenderText(&buf, prev, cur)
 	out := buf.String()

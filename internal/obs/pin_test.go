@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"nxzip/internal/flightrec"
 	"nxzip/internal/telemetry"
 )
 
@@ -141,8 +142,8 @@ func getDoc(t *testing.T, srv *Server, path string) map[string]any {
 }
 
 // pinFlight is a flight section with every field set.
-func pinFlight() *FlightStatus {
-	return &FlightStatus{
+func pinFlight() *flightrec.Status {
+	return &flightrec.Status{
 		Requests: 4096, Retained: 3, P99TotalUS: 900, P99QueueUS: 300, Postmortems: 2,
 		LastTrigger: time.Unix(1_700_000_000, 0).UTC(), LastReason: "slo unhealthy: shed-ratio",
 		Slowest: []telemetry.Digest{{
@@ -161,19 +162,27 @@ func pinAdmission() *AdmissionStatus {
 	}
 }
 
+// pinBurn is the shipped burn policy with both budgets at 1 %, so the
+// pin traffic burns them within a few windows.
+func pinBurn() BurnConfig {
+	cfg := DefaultBurnConfig()
+	cfg.ShedBudget, cfg.QueueViolationBudget = 0.01, 0.01
+	return cfg
+}
+
 // TestDocumentKeySetsPinned pins the key sets of /snapshot, /tenants
 // and /healthz once the sampler has windows with traffic and the burn
 // evaluator fires with tenant 5 as the top offender.
 func TestDocumentKeySetsPinned(t *testing.T) {
 	traffic := newPinTraffic()
-	bus := NewBus()
-	bus.Publish(Event{Type: EventShed, Req: 7, Tenant: 5, Device: "chip0", Detail: "batch request shed"})
+	bus := telemetry.NewBus()
+	bus.Publish(telemetry.Event{Type: telemetry.EventShed, Req: 7, Tenant: 5, Device: "chip0", Detail: "batch request shed"})
 	srv := NewServer(Options{
 		Addr:     "127.0.0.1:0",
 		Name:     "pin-node",
 		Snapshot: traffic.snapshot,
-		Devices: func() []DeviceStatus {
-			return []DeviceStatus{{Label: "chip0", Healthy: true, Draining: true, Dispatched: 3, Load: 1,
+		Devices: func() []telemetry.DeviceStatus {
+			return []telemetry.DeviceStatus{{Label: "chip0", Healthy: true, Draining: true, Dispatched: 3, Load: 1,
 				Occupancy: 2, Credits: 5, Requests: 10, InBytes: 100, OutBytes: 50,
 				BusyCycles: 50, TotalCycles: 100, Quarantines: 1, Util: 0.5}}
 		},
@@ -183,7 +192,7 @@ func TestDocumentKeySetsPinned(t *testing.T) {
 		Flight:         pinFlight,
 		Admission:      pinAdmission,
 		Tenants:        pinQuotaTable,
-		Burn:           BurnConfig{ShedBudget: 0.01, QueueViolationBudget: 0.01},
+		Burn:           pinBurn(),
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -250,7 +259,7 @@ func TestRenderTextPinned(t *testing.T) {
 	cur := &StatusDoc{
 		Name: "pin-node", Time: at, Healthy: false,
 		Health: HealthReport{Rules: []RuleResult{{Name: "shed-ratio", Expr: "shed <= 0.25", OK: false, Detail: "0.83"}}},
-		Devices: []DeviceStatus{
+		Devices: []telemetry.DeviceStatus{
 			{Label: "chip0", Healthy: true, Draining: true, BusyCycles: 75, TotalCycles: 100, Util: 0.75},
 			{Label: "chip1", Healthy: false, Quarantines: 2},
 		},
@@ -267,9 +276,9 @@ func TestRenderTextPinned(t *testing.T) {
 			{End: at, ReqPerSec: 10, GBs: 0.5, QueueP99: 120},
 			{End: at.Add(time.Second), ReqPerSec: 12, GBs: 0.6, QueueP99: 130, Fallbacks: 1},
 		},
-		Events: []Event{
-			{Seq: 1, Time: at, Type: EventQuarantine, Device: "chip1", Detail: "three strikes"},
-			{Seq: 2, Time: at, Type: EventShed, Req: 9, Tenant: 5, Detail: "batch request shed"},
+		Events: []telemetry.Event{
+			{Seq: 1, Time: at, Type: telemetry.EventQuarantine, Device: "chip1", Detail: "three strikes"},
+			{Seq: 2, Time: at, Type: telemetry.EventShed, Req: 9, Tenant: 5, Detail: "batch request shed"},
 		},
 		EventsDropped: 4,
 	}
@@ -284,9 +293,9 @@ func TestRenderTextPinned(t *testing.T) {
 func TestBusTailOrderAcrossWrap(t *testing.T) {
 	const capacity = 256
 	for _, puts := range []int{capacity - 1, capacity, capacity + 1, 2*capacity + 3} {
-		b := NewBus()
+		b := telemetry.NewBus()
 		for i := 1; i <= puts; i++ {
-			b.Publish(Event{Type: EventProbe, Detail: fmt.Sprint(i)})
+			b.Publish(telemetry.Event{Type: telemetry.EventProbe, Detail: fmt.Sprint(i)})
 		}
 		for _, n := range []int{1, 7, capacity - 1, capacity, capacity + 5} {
 			got := b.Tail(n)
@@ -305,7 +314,7 @@ func TestBusTailOrderAcrossWrap(t *testing.T) {
 // TestSamplerWindowsOrderAcrossWrap pins Windows' order, oldest first,
 // after cap-1, cap, cap+1 and 2*cap+3 ticks: tick i sees i requests.
 func TestSamplerWindowsOrderAcrossWrap(t *testing.T) {
-	const capacity = 5
+	const capacity = ringCap
 	for _, ticks := range []int{capacity - 1, capacity, capacity + 1, 2*capacity + 3} {
 		var total int64
 		i := 0
@@ -313,7 +322,7 @@ func TestSamplerWindowsOrderAcrossWrap(t *testing.T) {
 			i++
 			total += int64(i)
 			return &telemetry.Snapshot{Counters: []telemetry.CounterSnapshot{{Name: "nx.requests", Value: total}}}
-		}, capacity)
+		})
 		for k := 0; k < ticks; k++ {
 			s.Tick()
 		}
@@ -328,7 +337,7 @@ func TestSamplerWindowsOrderAcrossWrap(t *testing.T) {
 			t.Fatalf("ticks=%d Last().Requests = %d", ticks, last.Requests)
 		}
 	}
-	if w := NewSampler(func() *telemetry.Snapshot { return &telemetry.Snapshot{} }, 3).Windows(); w == nil || len(w) != 0 {
+	if w := NewSampler(func() *telemetry.Snapshot { return &telemetry.Snapshot{} }).Windows(); w == nil || len(w) != 0 {
 		t.Fatalf("Windows before any tick = %#v, want an empty non-nil slice", w)
 	}
 }

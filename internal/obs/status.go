@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nxzip/internal/admission"
+	"nxzip/internal/flightrec"
 	"nxzip/internal/stats"
 	"nxzip/internal/telemetry"
 )
@@ -16,29 +17,6 @@ import (
 // rendering cmd/nxtop draws from it. Keeping the renderer here (instead
 // of in the command) lets the package tests cover it and keeps nxtop a
 // thin poll loop.
-
-// DeviceStatus is one device's operational state at snapshot time.
-// Cycle counters are cumulative; consumers diff consecutive polls for
-// instantaneous utilization (Util carries the lifetime ratio as a
-// fallback for the first frame).
-type DeviceStatus struct {
-	Label   string `json:"label"`
-	Healthy bool   `json:"healthy"`
-	// Draining marks a device under graceful drain: admission stopped by
-	// operator decision (not the breaker), waiting for in-flight work.
-	Draining    bool    `json:"draining,omitempty"`
-	Dispatched  int64   `json:"dispatched"`
-	Load        int64   `json:"load"`      // in-flight picks + FIFO occupancy
-	Occupancy   int     `json:"occupancy"` // receive-FIFO depth now
-	Credits     int     `json:"credits"`   // send-window credits available across open windows
-	Requests    int64   `json:"requests"`
-	InBytes     int64   `json:"in_bytes"`
-	OutBytes    int64   `json:"out_bytes"`
-	BusyCycles  int64   `json:"busy_cycles"`
-	TotalCycles int64   `json:"total_cycles"` // modelled cycles since device creation
-	Quarantines int64   `json:"quarantines"`
-	Util        float64 `json:"util"` // lifetime busy/total
-}
 
 // Totals are the node-wide aggregates nxtop's header line shows.
 type Totals struct {
@@ -166,45 +144,24 @@ func BuildTenants(w Window, quotas []admission.TenantStatus, burn []BurnAlert) [
 	return out
 }
 
-// FlightStatus digests the flight recorder for /snapshot and nxtop:
-// how much history is in memory, the rolling tail thresholds, the
-// postmortem trail, and the slowest recent requests. Produced by
-// internal/flightrec (obs only defines the shape, keeping the
-// dependency pointing one way).
-type FlightStatus struct {
-	// Requests is the total number of requests digested.
-	Requests uint64 `json:"requests"`
-	// Retained is how many requests currently hold full spans.
-	Retained int `json:"retained"`
-	// P99TotalUS / P99QueueUS are the recorder's rolling p99s (µs).
-	P99TotalUS  float64 `json:"p99_total_us"`
-	P99QueueUS  float64 `json:"p99_queue_us"`
-	Postmortems int64   `json:"postmortems"`
-	// LastTrigger/LastReason describe the most recent postmortem.
-	LastTrigger time.Time `json:"last_trigger,omitempty"`
-	LastReason  string    `json:"last_reason,omitempty"`
-	// Slowest is the "slowest recent requests" feed, worst first.
-	Slowest []telemetry.Digest `json:"slowest,omitempty"`
-}
-
 // StatusDoc is the /snapshot JSON document: identity, SLO verdict,
 // per-device state, node totals, the sampler's recent windows, the
 // recent event tail, and the full merged metrics snapshot.
 type StatusDoc struct {
-	Name          string              `json:"name"`
-	Time          time.Time           `json:"time"`
-	Healthy       bool                `json:"healthy"`
-	Health        HealthReport        `json:"health"`
-	Devices       []DeviceStatus      `json:"devices"`
-	Totals        Totals              `json:"totals"`
-	Admission     *AdmissionStatus    `json:"admission,omitempty"`
-	Flight        *FlightStatus       `json:"flight,omitempty"`
-	Tenants       []TenantDoc         `json:"tenants,omitempty"`
-	Burn          []BurnAlert         `json:"burn,omitempty"`
-	Windows       []Window            `json:"windows,omitempty"`
-	Events        []Event             `json:"events,omitempty"`
-	EventsDropped int64               `json:"events_dropped"`
-	Metrics       *telemetry.Snapshot `json:"metrics,omitempty"`
+	Name          string                   `json:"name"`
+	Time          time.Time                `json:"time"`
+	Healthy       bool                     `json:"healthy"`
+	Health        HealthReport             `json:"health"`
+	Devices       []telemetry.DeviceStatus `json:"devices"`
+	Totals        Totals                   `json:"totals"`
+	Admission     *AdmissionStatus         `json:"admission,omitempty"`
+	Flight        *flightrec.Status        `json:"flight,omitempty"`
+	Tenants       []TenantDoc              `json:"tenants,omitempty"`
+	Burn          []BurnAlert              `json:"burn,omitempty"`
+	Windows       []Window                 `json:"windows,omitempty"`
+	Events        []telemetry.Event        `json:"events,omitempty"`
+	EventsDropped int64                    `json:"events_dropped"`
+	Metrics       *telemetry.Snapshot      `json:"metrics,omitempty"`
 }
 
 // TotalsFromSnapshot digests the node-wide counters a header line needs.
@@ -227,7 +184,7 @@ func TotalsFromSnapshot(snap *telemetry.Snapshot) Totals {
 
 // utilOf returns busy/total from cycle deltas between prev and cur
 // (lifetime ratio when prev is absent or stale).
-func utilOf(prev *DeviceStatus, cur DeviceStatus) float64 {
+func utilOf(prev *telemetry.DeviceStatus, cur telemetry.DeviceStatus) float64 {
 	if prev != nil && cur.TotalCycles > prev.TotalCycles && cur.BusyCycles >= prev.BusyCycles {
 		return float64(cur.BusyCycles-prev.BusyCycles) / float64(cur.TotalCycles-prev.TotalCycles)
 	}
@@ -309,9 +266,9 @@ func RenderText(w io.Writer, prev, cur *StatusDoc) {
 		}
 	}
 
-	var prevDevs map[string]*DeviceStatus
+	var prevDevs map[string]*telemetry.DeviceStatus
 	if prev != nil {
-		prevDevs = make(map[string]*DeviceStatus, len(prev.Devices))
+		prevDevs = make(map[string]*telemetry.DeviceStatus, len(prev.Devices))
 		for i := range prev.Devices {
 			prevDevs[prev.Devices[i].Label] = &prev.Devices[i]
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // window.go turns the registry's lifetime aggregates into rates over
-// time: a Sampler polls the merged node snapshot on an interval, diffs
+// time: a Sampler takes the merged node snapshot on each tick, diffs
 // consecutive snapshots (telemetry.Snapshot.Delta) and keeps a bounded
 // ring of per-window samples, so throughput, request rate and queue-
 // wait percentiles become time series a dashboard can plot.
@@ -73,9 +73,9 @@ type TenantWindow struct {
 	QueueObs  int64 `json:"queue_obs,omitempty"`
 }
 
-// defaultRingCap bounds the window ring: at the server's default
-// 1-second interval this keeps the most recent two minutes.
-const defaultRingCap = 120
+// ringCap bounds the window ring: at the server's default 1-second
+// interval this keeps the most recent two minutes.
+const ringCap = 120
 
 // QueueBudgetUS is the queue-wait SLO threshold: a request whose queue
 // wait exceeds this many microseconds counts against the latency error
@@ -143,9 +143,9 @@ func tenantWindows(d *telemetry.Snapshot, dur float64) []TenantWindow {
 	return out
 }
 
-// Sampler computes Windows from a snapshot source. Drive it manually
-// with Tick (tests, one-shot tools) or start the interval goroutine
-// with Start/Stop. Safe for concurrent use.
+// Sampler computes Windows from a snapshot source, one per Tick: the
+// server's watcher ticks it, tests and one-shot tools call Tick
+// themselves. Safe for concurrent use.
 type Sampler struct {
 	snap func() *telemetry.Snapshot
 
@@ -153,18 +153,12 @@ type Sampler struct {
 	prev  *telemetry.Snapshot
 	prevT time.Time
 	ring  telemetry.Ring[Window]
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewSampler builds a sampler over snap keeping up to ringCap windows
-// (<=0 takes the default). The first Tick establishes the baseline
-// snapshot and yields a window covering activity since then.
-func NewSampler(snap func() *telemetry.Snapshot, ringCap int) *Sampler {
-	if ringCap <= 0 {
-		ringCap = defaultRingCap
-	}
+// NewSampler builds a sampler over snap keeping the last ringCap
+// windows. The first Tick establishes the baseline snapshot and yields
+// a window covering activity since then.
+func NewSampler(snap func() *telemetry.Snapshot) *Sampler {
 	return &Sampler{snap: snap, ring: telemetry.NewRing[Window](ringCap)}
 }
 
@@ -223,45 +217,4 @@ func (s *Sampler) Last() Window {
 		return Window{}
 	}
 	return s.ring.Last(1)[0]
-}
-
-// Start launches the interval goroutine (no-op if already running).
-func (s *Sampler) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	s.stop, s.done = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.Tick()
-			}
-		}
-	}()
-}
-
-// Stop halts the interval goroutine and waits for it to exit.
-func (s *Sampler) Stop() {
-	s.mu.Lock()
-	stop, done := s.stop, s.done
-	s.stop, s.done = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

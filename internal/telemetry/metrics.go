@@ -4,7 +4,12 @@
 // ride a CRB through its whole lifecycle — paste and credit wait, receive
 // FIFO residency, translation (ERAT hits/misses and fault/resubmit
 // rounds), the engine pipeline stages, and CSB completion — in both
-// modelled device cycles and host wall-clock.
+// modelled device cycles and host wall-clock — and everything else a
+// request or a device reports: per-request digests, the typed
+// control-plane events and the bus that fans them out, and a device's
+// operational status. Every layer of the stack imports it; it imports
+// nothing of the stack but internal/stats, so the exposition server
+// (internal/obs) sits above the device layer, never under it.
 //
 // The contract the request hot path depends on: with no tracer installed
 // every instrument is a plain atomic update on a pre-resolved pointer —
@@ -13,7 +18,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
@@ -648,13 +652,6 @@ func (s *Snapshot) Format(w io.Writer) {
 		fmt.Fprintf(w, "%-36s n=%d mean=%.2f min=%.2f max=%.2f p50=%.2f p95=%.2f p99=%.2f\n",
 			instrumentName(h.Name, h.Label), h.Count, h.Mean, h.Min, h.Max, h.P50, h.P95, h.P99)
 	}
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 func instrumentName(name, label string) string {

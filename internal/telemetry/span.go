@@ -209,32 +209,27 @@ const spanStageCap = 12
 type Tracer struct {
 	sink Sink
 	seq  atomic.Uint64
-	// pool, when non-nil, recycles spans: Start draws from it and the
-	// sink's owner returns consumed spans with Recycle, so an always-on
-	// recorder keeps the steady-state request path allocation-free.
-	pool *sync.Pool
+	// pool recycles spans: Start draws from it and the sink's owner
+	// returns consumed spans with Recycle, so an always-on recorder keeps
+	// the steady-state request path allocation-free.
+	pool sync.Pool
 }
 
-// NewTracer builds a tracer emitting to sink.
+// NewTracer builds a tracer emitting to sink. Start reuses spans
+// previously returned with Recycle (preserving their Stages backing), so
+// a sink that calls Recycle once it is done with each span — the flight
+// recorder does — makes tracing allocation-free in the steady state; a
+// sink that keeps its spans simply never recycles them.
 func NewTracer(sink Sink) *Tracer {
-	return &Tracer{sink: sink}
+	t := &Tracer{sink: sink}
+	t.pool.New = func() any { return &Span{Stages: make([]StageRecord, 0, spanStageCap)} }
+	return t
 }
 
-// NewPooledTracer builds a tracer whose spans recycle through a
-// sync.Pool: Start reuses spans previously returned with Recycle
-// (preserving their Stages backing), so a sink that calls Recycle once
-// it is done with each span — the flight recorder does — makes tracing
-// allocation-free in the steady state.
-func NewPooledTracer(sink Sink) *Tracer {
-	return &Tracer{sink: sink, pool: &sync.Pool{New: func() any {
-		return &Span{Stages: make([]StageRecord, 0, spanStageCap)}
-	}}}
-}
-
-// Recycle returns a consumed span to the tracer's pool (no-op for
-// unpooled tracers). The caller must not touch s afterwards.
+// Recycle returns a consumed span to the tracer's pool. The caller must
+// not touch s afterwards.
 func (t *Tracer) Recycle(s *Span) {
-	if t == nil || t.pool == nil || s == nil {
+	if t == nil || s == nil {
 		return
 	}
 	*s = Span{Stages: s.Stages[:0]}
@@ -246,23 +241,13 @@ func (t *Tracer) Start(op string, pid, window int) *Span {
 	if t == nil {
 		return nil
 	}
-	if t.pool != nil {
-		s := t.pool.Get().(*Span)
-		s.ID = t.seq.Add(1)
-		s.Op = op
-		s.PID = pid
-		s.Window = window
-		s.Start = time.Now()
-		return s
-	}
-	return &Span{
-		ID:     t.seq.Add(1),
-		Op:     op,
-		PID:    pid,
-		Window: window,
-		Start:  time.Now(),
-		Stages: make([]StageRecord, 0, spanStageCap),
-	}
+	s := t.pool.Get().(*Span)
+	s.ID = t.seq.Add(1)
+	s.Op = op
+	s.PID = pid
+	s.Window = window
+	s.Start = time.Now()
+	return s
 }
 
 // Finish stamps the span's end time and emits it to the sink. Nil-safe.

@@ -257,12 +257,12 @@ func TestSnapshotFormatAndJSON(t *testing.T) {
 	if text.Len() == 0 {
 		t.Fatal("empty text format")
 	}
-	var jb bytes.Buffer
-	if err := snap.WriteJSON(&jb); err != nil {
+	jb, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var round Snapshot
-	if err := json.Unmarshal(jb.Bytes(), &round); err != nil {
+	if err := json.Unmarshal(jb, &round); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v", err)
 	}
 	if round.Counter("a.count", "") != 3 {

@@ -103,8 +103,8 @@ func poll(done func() bool) bool {
 
 // strays lists the goroutines a library function started: created by a
 // function of this module outside its test files. internal/obs is exempt —
-// a bus, sampler or server runs until its owner closes it, which a test
-// does after this look.
+// a server runs until its owner closes it, which a test does after this
+// look.
 func strays() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"nxzip/internal/obs"
+	"nxzip/internal/telemetry"
 )
 
 // Graceful drain: a draining device stops receiving new work — admit
@@ -39,7 +39,7 @@ func (n *Node) StartDrain(i int) bool {
 	if wasAccepting {
 		n.acceptingGauge.Add(-1)
 	}
-	n.bus.Load().Publish(obs.Event{Type: obs.EventDrain, Device: n.shape.Devices[i].Label,
+	n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventDrain, Device: n.shape.Devices[i].Label,
 		Detail: "drain started: admission stopped, waiting for in-flight requests"})
 	return true
 }
@@ -58,7 +58,7 @@ func (n *Node) Undrain(i int) {
 	if accepting {
 		n.acceptingGauge.Add(1)
 	}
-	n.bus.Load().Publish(obs.Event{Type: obs.EventDrain, Device: n.shape.Devices[i].Label,
+	n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventDrain, Device: n.shape.Devices[i].Label,
 		Detail: "undrained: admission resumed"})
 }
 
@@ -103,13 +103,13 @@ func (n *Node) Quiesce(i int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for n.Load(i) > 0 {
 		if time.Now().After(deadline) {
-			n.bus.Load().Publish(obs.Event{Type: obs.EventDrain, Device: n.shape.Devices[i].Label,
+			n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventDrain, Device: n.shape.Devices[i].Label,
 				Detail: fmt.Sprintf("drain timed out after %v with load %d still in flight", timeout, n.Load(i))})
 			return ErrDrainTimeout
 		}
 		time.Sleep(quiescePoll)
 	}
-	n.bus.Load().Publish(obs.Event{Type: obs.EventDrain, Device: n.shape.Devices[i].Label,
+	n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventDrain, Device: n.shape.Devices[i].Label,
 		Detail: "drain complete: device quiesced with zero in-flight requests"})
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 
 	"nxzip/internal/faultinject"
 	"nxzip/internal/nx"
-	"nxzip/internal/obs"
+	"nxzip/internal/telemetry"
 )
 
 // ErrNoHealthyDevice is returned by the Avail picks when every device of the
@@ -103,7 +103,7 @@ func (n *Node) admit(i int) bool {
 	if time.Since(h.lastProbe) >= n.hp.ProbeInterval {
 		h.lastProbe = time.Now()
 		n.probes[i].Inc()
-		n.bus.Load().Publish(obs.Event{Type: obs.EventProbe, Device: n.shape.Devices[i].Label,
+		n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventProbe, Device: n.shape.Devices[i].Label,
 			Detail: "live request admitted to quarantined device as probe"})
 		return true
 	}
@@ -138,7 +138,7 @@ func (n *Node) ReportResultReq(i int, err error, req uint64) {
 				if !h.draining {
 					n.acceptingGauge.Add(1)
 				}
-				n.bus.Load().Publish(obs.Event{Type: obs.EventReadmit, Device: n.shape.Devices[i].Label,
+				n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventReadmit, Device: n.shape.Devices[i].Label,
 					Req:    req,
 					Detail: fmt.Sprintf("readmitted after %d successful probes", n.hp.ProbeSuccesses)})
 			}
@@ -157,7 +157,7 @@ func (n *Node) ReportResultReq(i int, err error, req uint64) {
 			if !h.draining {
 				n.acceptingGauge.Add(-1)
 			}
-			n.bus.Load().Publish(obs.Event{Type: obs.EventQuarantine, Device: n.shape.Devices[i].Label,
+			n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventQuarantine, Device: n.shape.Devices[i].Label,
 				Req:    req,
 				Detail: fmt.Sprintf("after %d consecutive failures: %v", h.consecFails, err)})
 		} else if h.quarantined {

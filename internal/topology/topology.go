@@ -26,7 +26,6 @@ import (
 
 	"nxzip/internal/nmmu"
 	"nxzip/internal/nx"
-	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 	"nxzip/internal/vas"
 )
@@ -143,7 +142,7 @@ type Node struct {
 	// bus, when attached, receives the scoreboard's state transitions
 	// (quarantine, readmission, probe admissions). Publish is nil-safe, so
 	// the hot path pays one atomic load when no bus is attached.
-	bus atomic.Pointer[obs.Bus]
+	bus atomic.Pointer[telemetry.Bus]
 }
 
 // New instantiates a node: every device of the shape is built, each with
@@ -258,7 +257,7 @@ func (n *Node) VASStats() vas.Stats {
 // SetEventBus attaches an event bus to the node and to every device
 // (engine hangs and credit leaks publish under each device's label).
 // Passing nil detaches everywhere.
-func (n *Node) SetEventBus(bus *obs.Bus) {
+func (n *Node) SetEventBus(bus *telemetry.Bus) {
 	n.bus.Store(bus)
 	for i, d := range n.devs {
 		if bus == nil {
@@ -270,7 +269,7 @@ func (n *Node) SetEventBus(bus *obs.Bus) {
 }
 
 // Bus returns the attached event bus, or nil when none is attached.
-func (n *Node) Bus() *obs.Bus { return n.bus.Load() }
+func (n *Node) Bus() *telemetry.Bus { return n.bus.Load() }
 
 // StartTrace installs one shared tracer across every device: spans from
 // all devices interleave in one sink with one id sequence, exactly like
@@ -280,8 +279,8 @@ func (n *Node) StartTrace(sink telemetry.Sink) {
 }
 
 // InstallTracer installs an existing tracer across every device — the
-// flight recorder uses this to attach its pooled tracer (whose spans
-// recycle through the recorder) instead of a fresh unpooled one.
+// flight recorder uses this to attach its own tracer, whose spans it
+// recycles, instead of a fresh one.
 func (n *Node) InstallTracer(t *telemetry.Tracer) {
 	for _, d := range n.devs {
 		d.InstallTracer(t)

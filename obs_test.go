@@ -10,6 +10,7 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/obs"
+	"nxzip/internal/telemetry"
 )
 
 // obs_test.go covers the observability layer end to end at the public
@@ -39,8 +40,8 @@ func TestObsEventsQuarantineLifecycle(t *testing.T) {
 	injs[0].SetOffline(false)
 	waitHealthy(t, node)
 
-	want := []obs.EventType{obs.EventQuarantine, obs.EventFailover, obs.EventReadmit}
-	missing := func(seen map[obs.EventType]obs.Event) bool {
+	want := []telemetry.EventType{telemetry.EventQuarantine, telemetry.EventFailover, telemetry.EventReadmit}
+	missing := func(seen map[telemetry.EventType]telemetry.Event) bool {
 		for _, typ := range want {
 			if _, ok := seen[typ]; !ok {
 				return true
@@ -48,7 +49,7 @@ func TestObsEventsQuarantineLifecycle(t *testing.T) {
 		}
 		return false
 	}
-	seen := map[obs.EventType]obs.Event{}
+	seen := map[telemetry.EventType]telemetry.Event{}
 	deadline := time.After(2 * time.Second)
 	for missing(seen) {
 		select {
@@ -62,7 +63,7 @@ func TestObsEventsQuarantineLifecycle(t *testing.T) {
 	}
 	for _, typ := range want {
 		e := seen[typ]
-		if typ != obs.EventFailover && e.Device != node.Label(0) {
+		if typ != telemetry.EventFailover && e.Device != node.Label(0) {
 			t.Fatalf("%s event device = %q, want %q", typ, e.Device, node.Label(0))
 		}
 	}
@@ -75,8 +76,8 @@ func TestObsEventsQuarantineLifecycle(t *testing.T) {
 	}
 }
 
-func keysOf(m map[obs.EventType]obs.Event) []obs.EventType {
-	out := make([]obs.EventType, 0, len(m))
+func keysOf(m map[telemetry.EventType]telemetry.Event) []telemetry.EventType {
+	out := make([]telemetry.EventType, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}

@@ -15,42 +15,44 @@ import (
 	"time"
 
 	"nxzip/internal/admission"
+	"nxzip/internal/flightrec"
 	"nxzip/internal/obs"
+	"nxzip/internal/telemetry"
 )
 
 // EnableEvents attaches an event bus to the node: quarantine and
 // readmission transitions, probe admissions, failover re-dispatches,
 // software fallbacks, credit leaks and engine hangs publish to it as
 // typed records. Idempotent — repeated calls return the same bus.
-func (n *Node) EnableEvents() *obs.Bus {
+func (n *Node) EnableEvents() *telemetry.Bus {
 	if bus := n.topo.Bus(); bus != nil {
 		return bus
 	}
-	bus := obs.NewBus()
+	bus := telemetry.NewBus()
 	n.topo.SetEventBus(bus)
 	return bus
 }
 
 // Bus returns the node's event bus, or nil before EnableEvents.
-func (n *Node) Bus() *obs.Bus { return n.topo.Bus() }
+func (n *Node) Bus() *telemetry.Bus { return n.topo.Bus() }
 
 // EnableEvents attaches an event bus to the accelerator's underlying
 // node (a view shares the node's bus). Idempotent.
-func (a *Accelerator) EnableEvents() *obs.Bus { return a.root.EnableEvents() }
+func (a *Accelerator) EnableEvents() *telemetry.Bus { return a.root.EnableEvents() }
 
 // DeviceStatuses builds the per-device operational table the /snapshot
 // endpoint and nxtop show: health, dispatch and load, FIFO occupancy,
 // send-window credits, request/byte totals, and cycle counters for
 // utilization.
-func (n *Node) DeviceStatuses() []obs.DeviceStatus {
+func (n *Node) DeviceStatuses() []telemetry.DeviceStatus {
 	nodeSnap := n.topo.Registry().Snapshot()
-	out := make([]obs.DeviceStatus, n.topo.Size())
+	out := make([]telemetry.DeviceStatus, n.topo.Size())
 	for i := range out {
 		d := n.topo.Device(i)
 		label := n.topo.Label(i)
 		reg := d.Registry()
 		busy, total := d.BusyCycles(), d.UptimeCycles()
-		ds := obs.DeviceStatus{
+		ds := telemetry.DeviceStatus{
 			Label:       label,
 			Healthy:     !n.topo.Quarantined(i),
 			Draining:    n.topo.Draining(i),
@@ -74,17 +76,15 @@ func (n *Node) DeviceStatuses() []obs.DeviceStatus {
 }
 
 // ObsConfig tunes ServeObsConfig beyond the listen address. The zero
-// value matches ServeObs: 1-second sampling, default ring, the shipped
-// SRE-workbook burn-rate policy.
+// value matches ServeObs: 1-second sampling, the shipped SRE-workbook
+// burn-rate policy.
 type ObsConfig struct {
 	// Burn parameterises the multi-window burn-rate evaluator (zero →
-	// obs.DefaultBurnConfig). Tests and experiments compress the windows
-	// to seconds.
+	// obs.DefaultBurnConfig; any other is used as given). Tests and
+	// experiments compress the windows to seconds.
 	Burn obs.BurnConfig
 	// SampleInterval is the window sampler period (<=0 → 1s).
 	SampleInterval time.Duration
-	// RingCap bounds the window ring (<=0 → default 120).
-	RingCap int
 }
 
 // ServeObs starts the observability HTTP server on addr (":8090", or
@@ -108,12 +108,11 @@ func (n *Node) ServeObsConfig(addr string, cfg ObsConfig) (*obs.Server, error) {
 		Snapshot:       n.Metrics,
 		Devices:        n.DeviceStatuses,
 		SampleInterval: cfg.SampleInterval,
-		RingCap:        cfg.RingCap,
 		Burn:           cfg.Burn,
 		Tenants:        func() []admission.TenantStatus { return n.adm.Load().TenantsNow() },
 		Health:         func() (healthy, total int) { return n.HealthyDevices(), n.Devices() },
 		Bus:            bus,
-		Flight: func() *obs.FlightStatus {
+		Flight: func() *flightrec.Status {
 			if rec := n.rec.Load(); rec != nil {
 				return rec.Status()
 			}

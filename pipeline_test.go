@@ -17,7 +17,6 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/lz4"
-	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 	"nxzip/internal/testutil"
 )
@@ -352,9 +351,9 @@ func TestLifecycleConformance(t *testing.T) {
 				var failovers, fallbacks int
 				for _, e := range bus.Tail(256) {
 					switch e.Type {
-					case obs.EventFailover:
+					case telemetry.EventFailover:
 						failovers++
-					case obs.EventFallback:
+					case telemetry.EventFallback:
 						fallbacks++
 					default:
 						continue

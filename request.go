@@ -36,7 +36,6 @@ import (
 	"nxzip/internal/admission"
 	"nxzip/internal/freelist"
 	"nxzip/internal/nx"
-	"nxzip/internal/obs"
 	"nxzip/internal/telemetry"
 	"nxzip/internal/topology"
 )
@@ -475,7 +474,7 @@ func (r *request) absorb(err error) bool {
 	}
 	r.redispatches++
 	if bus := r.a.node.Bus(); bus != nil {
-		bus.Publish(obs.Event{Type: obs.EventFailover, Device: r.a.node.Label(r.dev), Req: r.id,
+		bus.Publish(telemetry.Event{Type: telemetry.EventFailover, Device: r.a.node.Label(r.dev), Req: r.id,
 			Detail: fmt.Sprintf("re-dispatching after: %v", err)})
 	}
 	return true
@@ -500,7 +499,7 @@ func (r *request) fallback() ([]byte, error) {
 		if r.brownout {
 			detail = "software path by brownout: admission degraded the request under overload"
 		}
-		bus.Publish(obs.Event{Type: obs.EventFallback, Req: r.id, Detail: detail})
+		bus.Publish(telemetry.Event{Type: telemetry.EventFallback, Req: r.id, Detail: detail})
 	}
 	if r.op.dst != nil {
 		out = append(r.op.dst[:0], out...)
