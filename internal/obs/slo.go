@@ -11,13 +11,12 @@ import (
 // load balancers and tests can gate on one status code instead of
 // scraping and thresholding metrics themselves.
 
-// Inputs is what one evaluation sees: the merged node snapshot, the
-// health scoreboard's device counts, and the sampler's recent windows.
+// Inputs is what one evaluation sees: the merged node snapshot and the
+// health scoreboard's device counts.
 type Inputs struct {
 	Snap           *telemetry.Snapshot
 	HealthyDevices int
 	Devices        int
-	Windows        []Window
 }
 
 // Rule is one SLO check. Check returns whether the rule holds, the
