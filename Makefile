@@ -118,8 +118,8 @@ bench-alloc:
 
 ## fuzz-smoke: 30 s of coverage-guided fuzzing over each attack surface
 ## fed by untrusted or operator input — the block decoders (LZ4 block
-## decode, 842 decode), the CLI-facing parsers (format names, the
-## admission -key=value policy) and the Prometheus exposition round-trip
+## decode, 842 decode), the CLI-facing format-name parser (the -format
+## flag) and the Prometheus exposition round-trip
 ## (WriteProm output with adversarial tenant labels must always
 ## ParseProm back) — plus the differential target that holds the
 ## host-fast lz77.HWMatcher to its reference implementation (equal
@@ -132,15 +132,15 @@ bench-alloc:
 ## a replayed 32 KiB history, a lazy probe of the set just linked into), the
 ## three DEFLATE decode targets: the inflate core against its reference
 ## (equal bytes, consumed input and error class), lossless re-encoding of
-## whatever decodes, and Session against the one-shot decode — tenth, the
+## whatever decodes, and Session against the one-shot decode — ninth, the
 ## encoder against its reference (table construction, header, emit loop
 ## and bit writer: equal bytes and equal error for every block mode,
 ## table source and shape of dst; the compressed bytes are the model's
-## TPBC and ratio) — and, eleventh and twelfth, the 842 kernels against
+## TPBC and ratio) — and, tenth and eleventh, the 842 kernels against
 ## their reference codec (ref_test.go): the encoder (equal bytes, on the
 ## input as it comes and folded to a two-symbol alphabet that keeps every
 ## fifo full, and Decompress takes them back) and the decoder (equal bytes
-## or an equal error class on arbitrary streams and budgets). Thirteenth,
+## or an equal error class on arbitrary streams and budgets). Twelfth,
 ## the first above the device: Reader at any worker count against the
 ## serial member loop (refPrimeSerial), on arbitrary multi-member streams —
 ## hints and trailers forged, truncated, flipped — and budgets (equal bytes
@@ -148,7 +148,7 @@ bench-alloc:
 ## failure, compress/gzip agreeing wherever the loop succeeds). Its seeds
 ## are whole multi-member streams and an execution is two reads through
 ## the device model, so minimizing one interesting input for the default
-## 60 s would outlast the run: -fuzzminimizetime 2s. Fourteenth, its
+## 60 s would outlast the run: -fuzzminimizetime 2s. Thirteenth, its
 ## counterpart on the way in: StreamWriter against the one-segment-at-a-time
 ## writer (refStreamWriter), on arbitrary data, chunk sizes and Write splits
 ## over every device, table mode and engine count of
@@ -156,7 +156,7 @@ bench-alloc:
 ## count; compress/gzip and StreamReader take the stream back) — ROADMAP
 ## item 4's "arbitrary chunk splits through StreamWriter" clause; an
 ## execution is two streams through the device model, so it too runs with
-## -fuzzminimizetime 2s. Fifteenth, the member writers — Writer, and
+## -fuzzminimizetime 2s. Fourteenth, the member writers — Writer, and
 ## ParallelWriter at 1, 2, 3 and 8 workers — against the writer of
 ## persistent workers and a collector (refParallelWriter) and the stamped
 ## one-shots both are made of, on arbitrary data, chunk sizes and Write
@@ -164,27 +164,27 @@ bench-alloc:
 ## TestMemberWritersEqualReference (equal members, equal Stats through one
 ## window; compress/gzip and Reader take the stream back) — ROADMAP item
 ## 4's "arbitrary chunk splits through Writer" clause; an execution is
-## three streams through the device model: -fuzzminimizetime 2s. Sixteenth,
+## three streams through the device model: -fuzzminimizetime 2s. Fifteenth,
 ## the one-shot decodes under any budget — gzip, zlib, raw, 842 and lz4 on
 ## either accelerator, each run on a view of its own: whenever the output
 ## fits, the bytes, the CRC and the device cycles are the exact-budget
 ## run's, and when it does not the answer is target-space, never different
 ## bytes (ROADMAP item 4's one-shot clause; seeded from the sizes and
 ## budgets of internal/nx's TestTranslateFollowsOutput; an execution opens
-## three views: -fuzzminimizetime 2s). Seventeenth, its encode side: any
+## three views: -fuzzminimizetime 2s). Sixteenth, its encode side: any
 ## bytes through either accelerator under every table mode and framing,
 ## from two goroutines sharing one view — compress/flate inflates each
 ## output to the input and the two outputs are equal, whichever work area
 ## each was computed in and whichever geometry used it last (the views
 ## outlive an execution, so one accelerator's follows the other's).
-## Eighteenth, the LZ stage split at a seam (internal/lz77's
+## Seventeenth, the LZ stage split at a seam (internal/lz77's
 ## TokenizeTail/TokenizeHead) against one pass and the reference matcher:
 ## any input, geometry word, history cut and seam, equal tokens and equal
-## HWStats. Nineteenth, the checksum follower (internal/deflate's
+## HWStats. Eighteenth, the checksum follower (internal/deflate's
 ## FuzzFollowerEqualsInline): any stream in any framing, budget and Dst
 ## decodes to the same bytes, CRC-32, Adler-32, consumed input and error
 ## with no follower, with one whose goroutine never starts and with one
-## whose goroutine sums each published stripe beside the decode. Nineteen
+## whose goroutine sums each published stripe beside the decode. Eighteen
 ## targets in all. The three that used to stand outside the
 ## recipe are inside a neighbour: FuzzBlockDecode round-trips its input
 ## through the lz4 encoder as well (FuzzRoundTrip's law), FuzzDecompress
@@ -201,7 +201,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzParseFormat -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 30s ./internal/admission
 	$(GO) test -run '^$$' -fuzz FuzzPromRoundTrip -fuzztime 30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzHWMatcherEqualsReference -fuzztime 30s ./internal/lz77
 	$(GO) test -run '^$$' -fuzz FuzzInflateEqualsReference -fuzztime 30s ./internal/deflate
@@ -274,7 +273,8 @@ trace-demo:
 
 ## loc: the non-test line counts ROADMAP.md's table quotes (lines of the
 ## .go files that are not _test.go), printed as that table: the root
-## package, internal/nx, the observing code (internal/telemetry,
+## package, internal/nx, internal/topology, internal/admission, the
+## observing code (internal/telemetry,
 ## internal/obs, internal/flightrec and the root glue: observe.go,
 ## flightrec.go, tenant.go, admit.go) with its total, and the
 ## measurement code (internal/experiments, cmd/nxbench, bench/, which
@@ -286,6 +286,8 @@ loc:
 	echo '| code | lines |'; echo '|---|---|'; \
 	echo "| root package | $$(lines *.go) |"; \
 	echo "| \`internal/nx\` | $$(lines internal/nx/*.go) |"; \
+	echo "| \`internal/topology\` | $$(lines internal/topology/*.go) |"; \
+	echo "| \`internal/admission\` | $$(lines internal/admission/*.go) |"; \
 	echo "| \`internal/telemetry\` | $$tel |"; \
 	echo "| \`internal/obs\` | $$obs |"; \
 	echo "| \`internal/flightrec\` | $$rec |"; \

@@ -162,9 +162,6 @@ func (a *Accelerator) Priority() admission.Class {
 // at normal load weights are ignored (the gate is work-conserving).
 // No-op before EnableAdmission.
 func (a *Accelerator) SetQuotaWeight(weight int) {
-	if a.root == nil {
-		return
-	}
 	if ctrl := a.root.adm.Load(); ctrl != nil {
 		ctrl.RegisterTenant(a.nctx.ID(), weight)
 	}
@@ -172,9 +169,4 @@ func (a *Accelerator) SetQuotaWeight(weight int) {
 
 // admissionCtrl is the hot-path accessor: one atomic load, nil when
 // admission is not enabled.
-func (a *Accelerator) admissionCtrl() *admission.Controller {
-	if a.root == nil {
-		return nil
-	}
-	return a.root.adm.Load()
-}
+func (a *Accelerator) admissionCtrl() *admission.Controller { return a.root.adm.Load() }

@@ -243,7 +243,20 @@ func TestTranscodeDegradesToSoftware(t *testing.T) {
 func TestNodeFormatAPI(t *testing.T) {
 	node := mixedNode(t, "")
 	src := corpus.Generate(corpus.Text, 24<<10, 16)
+	// A sound stream over its budget is the device's target-space answer in
+	// every format — not corruption, which would send it round the other
+	// devices and through the software decoder first — and, with no device
+	// to run it, the software path's.
+	oneByteShort := func(f Format, enc []byte, path string) {
+		t.Helper()
+		_, _, err := node.DecompressFormat(f, enc, len(src)-1)
+		if !errors.Is(err, nx.ErrTargetSpace) || !strings.Contains(err.Error(), "exceeds") || strings.Contains(err.Error(), "corrupt") ||
+			!strings.Contains(err.Error(), oneShotNames[f.Codec()][1]+":") {
+			t.Fatalf("DecompressFormat(%s) one byte short on the %s path: %v", f, path, err)
+		}
+	}
 
+	encoded := make(map[Format][]byte)
 	for _, f := range []Format{FormatGzip, FormatZlib, FormatRaw, Format842, FormatLZ4} {
 		enc, m, err := node.CompressFormat(f, src)
 		if err != nil {
@@ -256,13 +269,8 @@ func TestNodeFormatAPI(t *testing.T) {
 		if err != nil || !bytes.Equal(plain, src) {
 			t.Fatalf("DecompressFormat(%s): err=%v equal=%v", f, err, bytes.Equal(plain, src))
 		}
-		// A sound stream over its budget is the device's target-space
-		// answer in every format — not corruption, which would send it
-		// round the other devices and through the software decoder first.
-		_, _, err = node.DecompressFormat(f, enc, len(src)-1)
-		if !errors.Is(err, nx.ErrTargetSpace) || !strings.Contains(err.Error(), "exceeds") || strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("DecompressFormat(%s) one byte short: %v", f, err)
-		}
+		oneByteShort(f, enc, "device")
+		encoded[f] = enc
 	}
 
 	gz, _, err := node.Transcode(Format842, FormatGzip, must842(t, node, src))
@@ -275,6 +283,13 @@ func TestNodeFormatAPI(t *testing.T) {
 	}
 	if node.CapableDevices(nx.Codecs(nx.CodecLZ4)) != 1 {
 		t.Fatalf("CapableDevices(lz4) = %d, want 1", node.CapableDevices(nx.Codecs(nx.CodecLZ4)))
+	}
+
+	for _, inj := range node.InstallInjectors(16, faultinject.Profile{}) {
+		inj.SetOffline(true)
+	}
+	for f, enc := range encoded {
+		oneByteShort(f, enc, "software")
 	}
 }
 

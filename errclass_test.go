@@ -110,8 +110,8 @@ func TestErrorClassificationHealth(t *testing.T) {
 		if err2 != nil {
 			t.Fatal(err2)
 		}
-		for i := 0; i < 3; i++ { // DefaultHealthPolicy.FailureThreshold
-			node.topo.ReportResult(0, err)
+		for i := 0; i < 3; i++ { // the scoreboard's failure threshold
+			node.topo.ReportResultReq(0, err, 0)
 		}
 		if !node.Quarantined(0) {
 			t.Errorf("%v: three strikes did not quarantine", err)
@@ -123,7 +123,7 @@ func TestErrorClassificationHealth(t *testing.T) {
 	}
 	for _, aerr := range acquits {
 		for i := 0; i < 10; i++ {
-			node.topo.ReportResult(0, aerr)
+			node.topo.ReportResultReq(0, aerr, 0)
 		}
 	}
 	if node.Quarantined(0) {

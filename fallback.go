@@ -16,11 +16,9 @@ import (
 
 	"nxzip/internal/checksum"
 	"nxzip/internal/deflate"
-	"nxzip/internal/lz4"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nx"
 	"nxzip/internal/topology"
-	"nxzip/internal/x842"
 )
 
 // softLevel is the zlib-equivalent compression level of the software
@@ -90,19 +88,23 @@ func (a *Accelerator) soft(o *op, m *Metrics) ([]byte, error) {
 		out, err = deflate.CompressZlibDict(o.src, o.history, deflate.Options{Level: softLevel})
 	case opSegment:
 		out, err = softSegment(o.history, o.src, !o.notFinal)
-	case opDecompress:
-		out, err = softDecode(o.format, o.src, o.maxOutput)
-	case opMember:
-		out, in, _, err = deflate.DecompressGzipTail(o.src, deflate.InflateOptions{MaxOutput: o.maxOutput})
+	case opDecompress, opMember:
+		out, in, err = o.format.Codec().Decode(o.src, o.format.wrap(), o.kind == opMember, o.maxOutput)
 	case opResume:
 		out, err = o.state.SoftFeed(o.src, !o.notFinal)
 	case opTranscode:
-		if plain, err = softDecode(o.format, o.src, 0); err == nil {
+		if plain, _, err = o.format.Codec().Decode(o.src, o.format.wrap(), false, 0); err == nil {
 			out, err = softEncode(o.to, plain)
 		}
 	}
-	if errors.Is(err, deflate.ErrTooLarge) {
-		err = errExceeds(o.maxOutput)
+	// A tripped budget answers as the device does: a one-shot decode with
+	// the target-space completion, a member or stream with its limit.
+	if err != nil && nx.DecodeCC(err) == nx.CCTargetSpace {
+		if o.kind == opDecompress {
+			err = ccFail(o.name, &nx.CSB{CC: nx.CCTargetSpace, Detail: err.Error()})
+		} else {
+			err = errExceeds(o.maxOutput)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -114,7 +116,8 @@ func (a *Accelerator) soft(o *op, m *Metrics) ([]byte, error) {
 	return out, nil
 }
 
-// softEncode compresses src into format f at the fallback's level.
+// softEncode compresses src into format f at the fallback's level; the
+// block formats run their codec's encoder.
 func softEncode(f Format, src []byte) ([]byte, error) {
 	opts := deflate.Options{Level: softLevel}
 	switch f {
@@ -124,35 +127,8 @@ func softEncode(f Format, src []byte) ([]byte, error) {
 		return deflate.CompressZlib(src, opts)
 	case FormatRaw:
 		return deflate.Compress(src, opts)
-	case Format842:
-		if len(src) > x842.MaxInput {
-			return nil, fmt.Errorf("nxzip: source of %d bytes exceeds the 842 encoder's %d", len(src), x842.MaxInput)
-		}
-		return x842.Compress(src), nil
-	case FormatLZ4:
-		return lz4.Compress(src), nil
 	}
-	return nil, fmt.Errorf("nxzip: no software compressor for format %v", f)
-}
-
-// softDecode decompresses a format-f stream, bounded by maxOutput.
-func softDecode(f Format, src []byte, maxOutput int) (out []byte, err error) {
-	opts := deflate.InflateOptions{MaxOutput: maxOutput}
-	switch f {
-	case FormatGzip:
-		out, _, err = deflate.DecompressGzip(src, opts)
-		return out, err
-	case FormatZlib:
-		out, _, err = deflate.DecompressZlib(src, opts)
-		return out, err
-	case FormatRaw:
-		return deflate.Decompress(src, opts)
-	case Format842:
-		return x842.Decompress(src, maxOutput)
-	case FormatLZ4:
-		return lz4.Decompress(src, maxOutput)
-	}
-	return nil, fmt.Errorf("nxzip: no software decompressor for format %v", f)
+	return f.Codec().Encode(src)
 }
 
 // softSegment compresses one raw stream segment in software, carrying

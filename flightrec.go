@@ -103,12 +103,7 @@ func (a *Accelerator) FlightRecorder() *flightrec.Recorder { return a.root.rec.L
 
 // recorder is the hot-path accessor: one atomic load, nil when the
 // recorder is not enabled.
-func (a *Accelerator) recorder() *flightrec.Recorder {
-	if a.root == nil {
-		return nil
-	}
-	return a.root.rec.Load()
-}
+func (a *Accelerator) recorder() *flightrec.Recorder { return a.root.rec.Load() }
 
 // completeDigest finishes one root-level request: it bumps the view's
 // tenant accounting plane (always on — see tenant.go) and records a

@@ -29,9 +29,6 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"time"
 
 	"nxzip/internal/telemetry"
@@ -64,19 +61,6 @@ func (c Class) String() string {
 		return classNames[c]
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
-}
-
-// ParseClass maps a class name to its Class — the -priority flag parser.
-func ParseClass(s string) (Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "interactive", "int", "i":
-		return Interactive, nil
-	case "batch", "b":
-		return Batch, nil
-	case "background", "bg", "best-effort":
-		return Background, nil
-	}
-	return 0, fmt.Errorf("admission: unknown priority class %q (want interactive, batch or background)", s)
 }
 
 // ErrOverloaded is the typed rejection every shed decision wraps:
@@ -229,74 +213,4 @@ func (c Config) withDefaults() Config {
 		c.PressurePeriod = def.PressurePeriod
 	}
 	return c
-}
-
-// ParseConfig parses a comma-separated "key=value" overload policy —
-// the -admission flag parser. Keys: inflight (int), queue (int),
-// target/interval/maxwait (durations), bg/batch (pressure fractions),
-// alpha (EWMA weight). Empty input returns the zero Config (defaults).
-func ParseConfig(s string) (Config, error) {
-	var cfg Config
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return cfg, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return cfg, fmt.Errorf("admission: config %q: want key=value", part)
-		}
-		k = strings.ToLower(strings.TrimSpace(k))
-		v = strings.TrimSpace(v)
-		switch k {
-		case "inflight", "maxinflight":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return cfg, fmt.Errorf("admission: config %s=%q: want a non-negative integer", k, v)
-			}
-			cfg.MaxInflight = n
-		case "queue", "queuelimit":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return cfg, fmt.Errorf("admission: config %s=%q: want a non-negative integer", k, v)
-			}
-			cfg.QueueLimit = n
-		case "target", "interval", "maxwait":
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				return cfg, fmt.Errorf("admission: config %s=%q: want a non-negative duration", k, v)
-			}
-			switch k {
-			case "target":
-				cfg.QueueTarget = d
-			case "interval":
-				cfg.QueueInterval = d
-			case "maxwait":
-				cfg.MaxWait = d
-			}
-		case "bg", "shedbackground", "batch", "shedbatch", "alpha":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-				return cfg, fmt.Errorf("admission: config %s=%q: want a non-negative number", k, v)
-			}
-			switch k {
-			case "bg", "shedbackground":
-				cfg.ShedBackground = f
-			case "batch", "shedbatch":
-				cfg.ShedBatch = f
-			case "alpha":
-				if f > 1 {
-					return cfg, fmt.Errorf("admission: config alpha=%q: want (0, 1]", v)
-				}
-				cfg.PressureAlpha = f
-			}
-		default:
-			return cfg, fmt.Errorf("admission: unknown config key %q (want inflight, queue, target, interval, maxwait, bg, batch or alpha)", k)
-		}
-	}
-	return cfg, nil
 }

@@ -486,43 +486,6 @@ func TestShedPublishesEvent(t *testing.T) {
 	}
 }
 
-func TestParseClass(t *testing.T) {
-	for in, want := range map[string]Class{
-		"interactive": Interactive, "INT": Interactive, "i": Interactive,
-		"batch": Batch, "b": Batch,
-		"background": Background, "bg": Background, "best-effort": Background,
-	} {
-		got, err := ParseClass(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseClass(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseClass("turbo"); err == nil {
-		t.Fatal("ParseClass(turbo) succeeded")
-	}
-}
-
-func TestParseConfig(t *testing.T) {
-	cfg, err := ParseConfig(" inflight=32, queue=10, target=2ms, interval=50ms, maxwait=100ms, bg=0.5, batch=0.7, alpha=0.9 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{MaxInflight: 32, QueueLimit: 10, QueueTarget: 2 * time.Millisecond,
-		QueueInterval: 50 * time.Millisecond, MaxWait: 100 * time.Millisecond,
-		ShedBackground: 0.5, ShedBatch: 0.7, PressureAlpha: 0.9}
-	if cfg != want {
-		t.Fatalf("got %+v, want %+v", cfg, want)
-	}
-	if cfg, err := ParseConfig(""); err != nil || cfg != (Config{}) {
-		t.Fatalf("empty config: %+v, %v", cfg, err)
-	}
-	for _, bad := range []string{"inflight", "inflight=-1", "target=xyz", "alpha=2", "bg=NaN", "zap=1"} {
-		if _, err := ParseConfig(bad); err == nil {
-			t.Fatalf("ParseConfig(%q) succeeded", bad)
-		}
-	}
-}
-
 func TestWithDefaultsOrdersThresholds(t *testing.T) {
 	// ShedBatch below ShedBackground is clamped up, not left inverted.
 	cfg := Config{ShedBackground: 0.9, ShedBatch: 0.5}.withDefaults()

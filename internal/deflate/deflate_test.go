@@ -136,15 +136,18 @@ func TestHWTokenizerThroughBlockWriter(t *testing.T) {
 	// The accelerator path: hardware matcher tokens through the same block
 	// writer, decodable by stdlib.
 	hw := lz77.NewHWMatcher(lz77.P9HWParams())
+	opts := Options{Mode: ModeDynamic}
+	opts.fill()
 	for name, src := range corpusInputs(t) {
-		comp, err := CompressWithTokenizer(src, Options{Mode: ModeDynamic}, func(chunk []byte) []lz77.Token {
+		w := bitio.NewWriter(nil)
+		err := compressTokens(NewBlockWriter(w), src, opts, func(chunk []byte) []lz77.Token {
 			toks, _ := hw.Tokenize(nil, chunk)
 			return toks
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := stdlibInflate(t, comp); !bytes.Equal(got, src) {
+		if got := stdlibInflate(t, w.Bytes()); !bytes.Equal(got, src) {
 			t.Fatalf("%s: mismatch", name)
 		}
 	}

@@ -408,18 +408,6 @@ func Compress(src []byte, opts Options) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// CompressWithTokenizer runs the block pipeline with a caller-supplied
-// tokenizer (the accelerator model passes the hardware matcher here).
-func CompressWithTokenizer(src []byte, opts Options, tokenize func([]byte) []lz77.Token) ([]byte, error) {
-	opts.fill()
-	w := bitio.NewWriter(make([]byte, 0, len(src)/2+64))
-	bw := NewBlockWriter(w)
-	if err := compressTokens(bw, src, opts, tokenize); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
-
 func compressTokens(bw *BlockWriter, src []byte, opts Options, tokenize func([]byte) []lz77.Token) error {
 	if len(src) == 0 {
 		return bw.WriteBlock(nil, nil, true, opts.Mode, opts.DHT)

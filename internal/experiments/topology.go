@@ -59,9 +59,12 @@ func measureTopology(devices int, policy topology.Policy) (totalBytes int, makes
 	src := corpus.Generate(corpus.Text, chunks*topologyChunkSize, Seed)
 	for i := 0; i < chunks; i++ {
 		chunk := src[i*topologyChunkSize : (i+1)*topologyChunkSize]
-		ctx, done := nctx.Pick()
-		_, _, err := ctx.Compress(chunk, nx.FCCompressDHT, nx.WrapGzip, true)
-		done(err)
+		i, err := nctx.PickIndexAvail()
+		if err == nil {
+			nctx.AcquireIndex(i)
+			_, _, err = nctx.At(i).Compress(chunk, nx.FCCompressDHT, nx.WrapGzip, true)
+			nctx.ReleaseIndex(i, err)
+		}
 		if err != nil {
 			panic(fmt.Sprintf("E18 %d devices: %v", devices, err))
 		}

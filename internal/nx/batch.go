@@ -47,7 +47,7 @@ func (c *Context) SubmitBatch(entries []BatchEntry) error {
 	defer putPending(p)
 	for i := range entries {
 		en := &entries[i]
-		p.slots = append(p.slots, slot{crb: &en.CRB, csb: &en.CSB, rep: &en.Rep, err: en.Err, deadline: en.CRB.Deadline})
+		p.slots = append(p.slots, slot{crb: &en.CRB, csb: &en.CSB, rep: &en.Rep, err: en.Err})
 	}
 	err := c.submit(p)
 	for i := range entries {

@@ -2,11 +2,12 @@ package nx
 
 // codec.go is the codec-plural seam: a first-class Codec identity for
 // every request, a CodecSet capability mask engines advertise, and the
-// per-codec function-code table that replaces the ad-hoc FC842* special
-// cases. The topology layer routes requests to capable devices by the
-// CRB's required codec set; the engine rejects requests outside its
-// advertised set with CCInvalidCRB, exactly as hardware NACKs a function
-// code it does not implement.
+// codec table — the one place a codec is described: its function codes,
+// encoder, decoder and how a failed decode is classified. The topology
+// layer routes requests to capable devices by the CRB's required codec
+// set; the engine rejects requests outside its advertised set with
+// CCInvalidCRB, exactly as hardware NACKs a function code it does not
+// implement.
 
 import (
 	"errors"
@@ -15,6 +16,7 @@ import (
 
 	"nxzip/internal/deflate"
 	"nxzip/internal/lz4"
+	"nxzip/internal/lz77"
 	"nxzip/internal/x842"
 )
 
@@ -39,28 +41,10 @@ const (
 const CodecCount = int(codecCount)
 
 func (c Codec) String() string {
-	switch c {
-	case CodecDeflate:
-		return "deflate"
-	case Codec842:
-		return "842"
-	case CodecLZ4:
-		return "lz4"
+	if c >= 0 && c < codecCount {
+		return codecs[c].name
 	}
 	return fmt.Sprintf("Codec(%d)", int(c))
-}
-
-// ParseCodec maps a codec name to its Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "deflate", "gzip", "zlib", "raw":
-		return CodecDeflate, nil
-	case "842":
-		return Codec842, nil
-	case "lz4":
-		return CodecLZ4, nil
-	}
-	return 0, fmt.Errorf("unknown codec %q (want deflate, 842 or lz4)", s)
 }
 
 // AllCodecs lists every codec, for iteration.
@@ -114,60 +98,123 @@ func (s CodecSet) String() string {
 	return strings.Join(names, "+")
 }
 
-// funcCodecs is the per-codec function-code table: which codec each
-// function code belongs to, and whether it is a compress or decompress
-// op. FCMove and FCTranscode are special: move needs no codec, and
-// transcode derives its requirement from the CRB's source/target codecs.
-var funcCodecs = map[FuncCode]Codec{
-	FCCompressFHT:       CodecDeflate,
-	FCCompressDHT:       CodecDeflate,
-	FCCompressCannedDHT: CodecDeflate,
-	FCDecompress:        CodecDeflate,
-	FC842Compress:       Codec842,
-	FC842Decompress:     Codec842,
-	FCLZ4Compress:       CodecLZ4,
-	FCLZ4Decompress:     CodecLZ4,
+// codec is everything the package knows of one codec family. The engine's
+// data path, both passes of a transcode and the root package's software
+// path all read this table, so adding a codec is a row here plus a pure-Go
+// codec package.
+type codec struct {
+	name string
+	// The function codes that compress (DHT mode for DEFLATE: transcode
+	// is a ratio play, so it pays for the sampled table) and decompress.
+	compressFC, decompressFC FuncCode
+	// encode is the block encoder, nil for DEFLATE, whose encoder is the
+	// engine's LZ/Huffman pipeline (Engine.compress). maxInput is the
+	// longest source the encoder takes, 0 for any.
+	encode   func(src []byte) []byte
+	maxInput uint64
+	// decode decodes a whole stream in wrap or, with first, only the first
+	// member of a gzip stream, bounded by opts.MaxOutput (0: the codec's
+	// default). consumed is the source bytes the stream took.
+	decode func(src []byte, wrap Wrap, first bool, opts deflate.InflateOptions) (out []byte, consumed int, err error)
+	// tooLarge is what decode wraps when the output budget trips (DecodeCC).
+	tooLarge error
+	// ingestLanes multiplies how many input bytes a block codec's match
+	// pipeline consumes per cycle: LZ4's byte-aligned tokens take twice the
+	// DEFLATE input width (Chen et al.); 842's templates run at line rate.
+	ingestLanes int
+}
+
+var codecs = [codecCount]codec{
+	CodecDeflate: {name: "deflate", compressFC: FCCompressDHT, decompressFC: FCDecompress,
+		maxInput: lz77.MaxInput, tooLarge: deflate.ErrTooLarge,
+		decode: func(src []byte, wrap Wrap, first bool, opts deflate.InflateOptions) (out []byte, consumed int, err error) {
+			switch {
+			case wrap == WrapGzip && first:
+				out, consumed, _, err = deflate.DecompressGzipTail(src, opts)
+				return out, consumed, err
+			case wrap == WrapGzip:
+				out, _, err = deflate.DecompressGzip(src, opts)
+			case wrap == WrapZlib:
+				out, _, err = deflate.DecompressZlib(src, opts)
+			default:
+				out, err = deflate.Decompress(src, opts)
+			}
+			return out, len(src), err
+		}},
+	Codec842: {name: "842", compressFC: FC842Compress, decompressFC: FC842Decompress,
+		encode: x842.Compress, maxInput: x842.MaxInput, decode: blockDecoder(x842.Decompress), tooLarge: x842.ErrTooLarge, ingestLanes: 1},
+	CodecLZ4: {name: "lz4", compressFC: FCLZ4Compress, decompressFC: FCLZ4Decompress,
+		encode: lz4.Compress, decode: blockDecoder(lz4.Decompress), tooLarge: lz4.ErrTooLarge, ingestLanes: 2},
+}
+
+// blockDecoder is a block codec's decoder in the table's shape: a block
+// has no framing and no members, and takes all of its source.
+func blockDecoder(decode func(src []byte, maxOutput int) ([]byte, error)) func([]byte, Wrap, bool, deflate.InflateOptions) ([]byte, int, error) {
+	return func(src []byte, _ Wrap, _ bool, opts deflate.InflateOptions) ([]byte, int, error) {
+		out, err := decode(src, opts.MaxOutput)
+		return out, len(src), err
+	}
 }
 
 // Codec returns the codec a function code belongs to. FCMove and
 // FCTranscode report CodecDeflate as a neutral default; use
 // CRB.RequiredCodecs for routing.
 func (f FuncCode) Codec() Codec {
-	if c, ok := funcCodecs[f]; ok {
-		return c
+	for c := range codecs {
+		if f == codecs[c].compressFC || f == codecs[c].decompressFC {
+			return Codec(c)
+		}
 	}
 	return CodecDeflate
 }
 
-// compressFunc maps a codec to its compress function code (DHT mode for
-// DEFLATE: transcode is a ratio play, so it pays for the sampled table).
-func compressFunc(c Codec) FuncCode {
-	switch c {
-	case Codec842:
-		return FC842Compress
-	case CodecLZ4:
-		return FCLZ4Compress
-	}
-	return FCCompressDHT
-}
-
-// decompressFunc maps a codec to its decompress function code.
-func decompressFunc(c Codec) FuncCode {
-	switch c {
-	case Codec842:
-		return FC842Decompress
-	case CodecLZ4:
-		return FCLZ4Decompress
-	}
-	return FCDecompress
-}
-
 // CompressFunc returns the function code that compresses with this
 // codec (DHT mode for DEFLATE).
-func (c Codec) CompressFunc() FuncCode { return compressFunc(c) }
+func (c Codec) CompressFunc() FuncCode { return codecs[c].compressFC }
 
 // DecompressFunc returns the function code that decompresses this codec.
-func (c Codec) DecompressFunc() FuncCode { return decompressFunc(c) }
+func (c Codec) DecompressFunc() FuncCode { return codecs[c].decompressFC }
+
+// overLimit describes a source too long for the codec's encoder; it is
+// empty for one the encoder takes.
+func (c Codec) overLimit(n int) string {
+	if limit := codecs[c].maxInput; limit > 0 && uint64(n) > limit {
+		return fmt.Sprintf("source of %d bytes exceeds the %s encoder's %d", n, c, limit)
+	}
+	return ""
+}
+
+// Encode runs the codec's block encoder on the host, refusing a source
+// past its limit as the engine does. DEFLATE has no block encoder.
+func (c Codec) Encode(src []byte) ([]byte, error) {
+	if codecs[c].encode == nil {
+		return nil, fmt.Errorf("nx: no block encoder for codec %s", c)
+	}
+	if detail := c.overLimit(len(src)); detail != "" {
+		return nil, errors.New("nx: " + detail)
+	}
+	return codecs[c].encode(src), nil
+}
+
+// Decode runs the codec's decoder on the host — the engine's, minus the
+// device: a whole stream in wrap or, with first, the first member of a
+// gzip stream, bounded by maxOutput (0: the codec's default). consumed is
+// the source bytes the stream took.
+func (c Codec) Decode(src []byte, wrap Wrap, first bool, maxOutput int) (out []byte, consumed int, err error) {
+	return codecs[c].decode(src, wrap, first, deflate.InflateOptions{MaxOutput: maxOutput})
+}
+
+// DecodeCC classifies a failed decode. A tripped output budget is target
+// space, not corruption — the stream may be sound, and software enlarges
+// the buffer (or rejects the bomb) and resubmits.
+func DecodeCC(err error) CC {
+	for c := range codecs {
+		if errors.Is(err, codecs[c].tooLarge) {
+			return CCTargetSpace
+		}
+	}
+	return CCDataCorrupt
+}
 
 // RequiredCodecs returns the capability set a device must advertise to
 // serve this request. FCMove needs none (every engine moves bytes);
@@ -182,26 +229,6 @@ func (crb *CRB) RequiredCodecs() CodecSet {
 	return Codecs(crb.Func.Codec())
 }
 
-// blockCodec describes a byte-aligned block codec (842, LZ4) behind the
-// generic engine dispatch: compress (and the longest source it takes, 0
-// for any), bounded decompress, and the ingest-lane multiplier for the
-// per-codec cycle model. LZ4's byte-aligned tokens let the match pipeline
-// consume twice the DEFLATE input width per cycle (Chen et al.); 842's
-// template scheme runs at line rate (multiplier 1).
-type blockCodec struct {
-	compress    func(src []byte) []byte
-	maxInput    int
-	decompress  func(src []byte, maxOutput int) ([]byte, error)
-	ingestLanes int
-}
-
-// blockCodecs is indexed by Codec; CodecDeflate stays nil — DEFLATE runs
-// the full LZ/Huffman pipeline, not the block path.
-var blockCodecs = [codecCount]blockCodec{
-	Codec842: {compress: x842.Compress, maxInput: x842.MaxInput, decompress: x842.Decompress, ingestLanes: 1},
-	CodecLZ4: {compress: lz4.Compress, decompress: lz4.Decompress, ingestLanes: 2},
-}
-
 // decodeLimit is the most a decode may produce: what the target buffer
 // holds or the caller's explicit budget, whichever is smaller. The decoders
 // stop there, so the engine never materializes bytes it has nowhere to
@@ -211,14 +238,4 @@ func decodeLimit(crb *CRB) int {
 		return tc
 	}
 	return crb.MaxOutput
-}
-
-// decodeCC classifies a failed decode. A tripped output budget is target
-// space, not corruption — the stream may be sound, and software enlarges
-// the buffer (or rejects the bomb) and resubmits.
-func decodeCC(err error) CC {
-	if errors.Is(err, deflate.ErrTooLarge) || errors.Is(err, x842.ErrTooLarge) || errors.Is(err, lz4.ErrTooLarge) {
-		return CCTargetSpace
-	}
-	return CCDataCorrupt
 }

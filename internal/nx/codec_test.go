@@ -37,20 +37,6 @@ func TestCodecSetSemantics(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for name, want := range map[string]Codec{
-		"deflate": CodecDeflate, "GZIP": CodecDeflate, "842": Codec842, "lz4": CodecLZ4,
-	} {
-		got, err := ParseCodec(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseCodec(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseCodec("brotli"); err == nil {
-		t.Fatal("ParseCodec accepted unknown codec")
-	}
-}
-
 func TestRequiredCodecs(t *testing.T) {
 	cases := []struct {
 		crb  CRB
@@ -241,7 +227,7 @@ func TestDecodeBudget(t *testing.T) {
 	// Transcode's decode pass answers the same way, whichever codec it reads.
 	for _, src := range []Codec{CodecLZ4, Codec842} {
 		csb, _, err := ctx.Submit(&CRB{Func: FCTranscode, Wrap: WrapGzip, SourceCodec: src, TargetCodec: CodecDeflate,
-			Input: blockCodecs[src].compress(plain), MaxOutput: len(plain) - 1})
+			Input: codecs[src].encode(plain), MaxOutput: len(plain) - 1})
 		if err != nil || csb.CC != CCTargetSpace {
 			t.Errorf("transcode from %s over its budget: cc=%v err=%v %q", src, csb.CC, err, csb.Detail)
 		}
@@ -253,12 +239,12 @@ func TestDecodeBudget(t *testing.T) {
 // on its arithmetic in x842; here a small stand-in shows the engine
 // enforces whatever the table says.
 func TestBlockCompressInputLimit(t *testing.T) {
-	if blockCodecs[Codec842].maxInput != x842.MaxInput {
-		t.Fatalf("842's limit is %d, the encoder's is %d", blockCodecs[Codec842].maxInput, x842.MaxInput)
+	if codecs[Codec842].maxInput != x842.MaxInput {
+		t.Fatalf("842's limit is %d, the encoder's is %d", codecs[Codec842].maxInput, x842.MaxInput)
 	}
-	saved := blockCodecs[Codec842]
-	defer func() { blockCodecs[Codec842] = saved }()
-	blockCodecs[Codec842].maxInput = 1000
+	saved := codecs[Codec842]
+	defer func() { codecs[Codec842] = saved }()
+	codecs[Codec842].maxInput = 1000
 
 	ctx := NewDevice(P9Device()).OpenContext(100)
 	csb, _, err := ctx.Submit(&CRB{Func: FC842Compress, Input: make([]byte, 1000)})

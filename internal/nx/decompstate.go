@@ -28,11 +28,6 @@ func NewDecompState(maxOutput int) *DecompState {
 	return &DecompState{session: deflate.NewSession(deflate.InflateOptions{MaxOutput: maxOutput})}
 }
 
-// NewDecompStateWithDict seeds the window with a preset dictionary.
-func NewDecompStateWithDict(maxOutput int, dict []byte) *DecompState {
-	return &DecompState{session: deflate.NewSessionWithWindow(deflate.InflateOptions{MaxOutput: maxOutput}, dict)}
-}
-
 // Done reports whether the stream's final block has been decoded.
 func (d *DecompState) Done() bool { return d.session.Done() }
 

@@ -55,9 +55,6 @@ type SubmitPolicy struct {
 	// replacing the old busy yield loop.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Timeout, when non-zero, is the default per-request deadline applied
-	// to CRBs that carry none of their own.
-	Timeout time.Duration
 }
 
 // DefaultSubmitPolicy returns the shipped recovery budget.
@@ -639,13 +636,10 @@ type slot struct {
 	// err is the slot's terminal submission-protocol failure (a tripped
 	// gate, a fault storm, a failed touch). Data-plane completions are
 	// CSB.CC. Failed slots never reach an engine again.
-	err  error
-	span *telemetry.Span
-	// deadline is CRB.Deadline, or for a lone CRB that carries none the
-	// device's SubmitPolicy.Timeout from submission.
-	deadline time.Time
-	retries  int   // fault-and-resubmit rounds so far
-	wasted   int64 // cycles burned by the faulted rounds
+	err     error
+	span    *telemetry.Span
+	retries int   // fault-and-resubmit rounds so far
+	wasted  int64 // cycles burned by the faulted rounds
 }
 
 // pendingCRB is the submission envelope and the switchboard payload: the
@@ -801,10 +795,6 @@ func (c *Context) SubmitInto(crb *CRB, csb *CSB, rep *Report) error {
 // submitOne drives a lone request — SubmitInto, SyncCall, or a batch's
 // fault straggler carrying its first round in s — as an envelope of one.
 func (c *Context) submitOne(s slot, sync bool) error {
-	s.deadline = s.crb.Deadline
-	if t := c.dev.cfg.Submit.Timeout; s.deadline.IsZero() && t > 0 {
-		s.deadline = time.Now().Add(t)
-	}
 	p := getPending()
 	defer putPending(p)
 	p.slots = append(p.slots, s)
@@ -917,7 +907,7 @@ func (c *Context) gate(p *pendingCRB) (live int, err error) {
 			default:
 			}
 		}
-		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		if !s.crb.Deadline.IsZero() && time.Now().After(s.crb.Deadline) {
 			d.met.deadlineFails.Inc()
 			p.fail(s, "deadline", fmt.Errorf("%w (after %d fault rounds, %d backoff waits)", ErrDeadlineExceeded, s.retries, p.waits))
 			continue

@@ -2,7 +2,6 @@ package nx
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -202,18 +201,11 @@ func (e *Engine) injectCC(crb *CRB, csb *CSB) {
 	csb.TPBC = 0
 }
 
-// Process executes one request for the given address space and returns the
-// completion status block. It never returns a Go error for data-plane
-// problems — those are CSB completion codes, exactly as on hardware.
-func (e *Engine) Process(pid nmmu.PID, crb *CRB) *CSB {
-	csb := &CSB{}
-	e.ProcessInto(pid, crb, csb)
-	return csb
-}
-
-// ProcessInto is Process writing the completion into a caller-owned
-// status block (reset first), so pooled submitters allocate nothing per
-// request. With CRB.Target set the output lands in caller memory too.
+// ProcessInto executes one request for the given address space, writing
+// the completion into a caller-owned status block (reset first), so pooled
+// submitters allocate nothing per request. It never returns a Go error for
+// data-plane problems — those are CSB completion codes, exactly as on
+// hardware. With CRB.Target set the output lands in caller memory too.
 func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 	e.processInto(pid, crb, csb, 0)
 }
@@ -284,60 +276,68 @@ func (e *Engine) execute(pid nmmu.PID, crb *CRB, csb *CSB, area uint64) bool {
 
 	running.Add(1)
 	defer running.Add(-1)
+	e.run(crb, csb, &x)
+	if csb.CC == CCTranslationFault {
+		return true // a reached target page faulted: on the ledger, nothing delivered
+	}
+	e.injectCC(crb, csb)
+	e.discount(crb, &csb.Cycles)
+	return true
+}
+
+// run dispatches the request to its function code's operation.
+func (e *Engine) run(crb *CRB, csb *CSB, x *xlate) {
 	switch crb.Func {
 	case FCCompressFHT, FCCompressDHT, FCCompressCannedDHT:
-		e.compress(crb, csb, &x)
+		e.compress(crb, csb, x)
 	case FCDecompress:
 		if crb.DecompState != nil {
-			e.decompressResume(crb, csb, &x)
+			e.decompressResume(crb, csb, x)
 		} else {
-			e.decompress(crb, csb, &x)
+			e.decompress(crb, csb, x)
 		}
 	case FC842Compress, FCLZ4Compress:
-		e.blockCompress(crb, csb, &x, crb.Func.Codec())
+		e.blockCompress(crb, csb, x)
 	case FC842Decompress, FCLZ4Decompress:
-		e.blockDecompress(crb, csb, &x, crb.Func.Codec())
+		e.blockDecompress(crb, csb, x)
 	case FCTranscode:
-		e.transcode(crb, csb, &x)
+		e.transcode(crb, csb, x)
 	case FCMove:
-		e.move(crb, csb, &x)
+		e.move(crb, csb, x)
 	default:
 		csb.CC = CCInvalidCRB
 		csb.Detail = "unknown function code"
 	}
-	if csb.CC == CCTranslationFault {
-		return true // a reached target page faulted: on the ledger, nothing delivered
-	}
+}
 
-	e.injectCC(crb, csb)
+// discount charges the setup and completion the submission path saved. A
+// synchronous instruction replaces the queued dispatch, and a request
+// chained behind the previous envelope entry is a descriptor advance, not
+// a fresh paste round trip; when a later entry carries the envelope's
+// interrupt/credit return, this one only stores its CSB. A request charged
+// no setup (or no completion) has nothing to discount.
+func (e *Engine) discount(crb *CRB, b *pipeline.Breakdown) {
+	p := &e.cfg.Pipeline
+	setup, complete := p.SetupCycles, p.CompleteCycles
+	switch {
+	case crb.SyncSubmit && p.SyncSetupCycles > 0:
+		setup = p.SyncSetupCycles
+	case crb.Chained && p.ChainSetupCycles > 0:
+		setup = p.ChainSetupCycles
+	}
+	if crb.ChainedComplete && p.ChainCompleteCycles > 0 {
+		complete = p.ChainCompleteCycles
+	}
+	cut(&b.Setup, &b.Total, p.SetupCycles, setup)
+	cut(&b.Complete, &b.Total, p.CompleteCycles, complete)
+}
 
-	if crb.SyncSubmit && e.cfg.Pipeline.SyncSetupCycles > 0 {
-		// Synchronous-instruction dispatch replaces the queued setup cost.
-		delta := e.cfg.Pipeline.SetupCycles - e.cfg.Pipeline.SyncSetupCycles
-		if delta > 0 && csb.Cycles.Setup >= e.cfg.Pipeline.SetupCycles {
-			csb.Cycles.Setup -= delta
-			csb.Cycles.Total -= delta
-		}
+// cut lowers a serial stage charged in full to what was paid for it.
+func cut(stage, total *int64, full, paid int64) {
+	if delta := full - paid; delta > 0 && *stage >= full {
+		*stage -= delta
+		*total -= delta
 	}
-	if crb.Chained && e.cfg.Pipeline.ChainSetupCycles > 0 {
-		// Chained behind the previous envelope entry: descriptor advance,
-		// not a fresh paste round trip.
-		delta := e.cfg.Pipeline.SetupCycles - e.cfg.Pipeline.ChainSetupCycles
-		if delta > 0 && csb.Cycles.Setup >= e.cfg.Pipeline.SetupCycles {
-			csb.Cycles.Setup -= delta
-			csb.Cycles.Total -= delta
-		}
-	}
-	if crb.ChainedComplete && e.cfg.Pipeline.ChainCompleteCycles > 0 {
-		// A later entry carries the envelope's interrupt/credit return;
-		// this one only stores its CSB.
-		delta := e.cfg.Pipeline.CompleteCycles - e.cfg.Pipeline.ChainCompleteCycles
-		if delta > 0 && csb.Cycles.Complete >= e.cfg.Pipeline.CompleteCycles {
-			csb.Cycles.Complete -= delta
-			csb.Cycles.Total -= delta
-		}
-	}
-	return true
 }
 
 func targetCap(crb *CRB) int {
@@ -471,9 +471,9 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 		csb.Detail = "stream segments must use raw wrap"
 		return
 	}
-	if uint64(len(input)) > lz77.MaxInput {
+	if detail := CodecDeflate.overLimit(len(input)); detail != "" {
 		csb.CC = CCInvalidCRB
-		csb.Detail = fmt.Sprintf("source of %d bytes exceeds the LZ stage's %d", len(input), lz77.MaxInput)
+		csb.Detail = detail
 		return
 	}
 	w := workAreas.GetFor(x.area)
@@ -539,25 +539,36 @@ func (e *Engine) compress(crb *CRB, csb *CSB, x *xlate) {
 		out = deflate.AppendZlibTrailer(out, adler)
 	}
 	// The engine discovers an overflow while draining output, with the
-	// target full: a full pass either way.
+	// target full: a full pass either way. Only the generate-DHT function
+	// code pays table-build latency; canned tables arrive with the CRB.
+	if e.complete(x, crb, csb, len(input), out, func(translate int64) pipeline.Breakdown {
+		return e.cfg.Pipeline.Compress(len(input), len(out), lzStats.Cycles, translate, crb.Func == FCCompressDHT)
+	}) {
+		csb.CRC32, csb.Adler32 = crc, adler
+	}
+}
+
+// complete ends a data-path request that read in source bytes and produced
+// out: the target is translated as far as out reached — the whole budget
+// when it did not fit — and cost, given those translation cycles, is the
+// request's breakdown. The request then completes as target space or, when
+// complete reports true, as success; the caller stores the checksums.
+func (e *Engine) complete(x *xlate, crb *CRB, csb *CSB, in int, out []byte, cost func(translate int64) pipeline.Breakdown) bool {
 	reached, overflow := filled(crb, len(out))
 	translateCycles, ok := e.reach(x, crb, csb, reached)
 	if !ok {
-		return
+		return false
 	}
-	// Only the generate-DHT function code pays table-build latency; canned
-	// tables arrive with the CRB.
-	csb.Cycles = e.cfg.Pipeline.Compress(len(input), len(out), lzStats.Cycles, translateCycles, crb.Func == FCCompressDHT)
+	csb.Cycles = cost(translateCycles)
 	if overflow {
 		csb.CC = CCTargetSpace
-		return
+		return false
 	}
 	csb.CC = CCSuccess
 	csb.Output = out
-	csb.SPBC = len(input)
+	csb.SPBC = in
 	csb.TPBC = len(out)
-	csb.CRC32 = crc
-	csb.Adler32 = adler
+	return true
 }
 
 // tokenizeSplit is the LZ stage of a compress as a split operation: a
@@ -614,45 +625,22 @@ func (e *Engine) sampleDHT(enc *deflate.StreamEncoder, tokens []lz77.Token) *def
 // helper checks its trailer against the follower's sum. Whatever the
 // outcome, the follower is filed back only once its goroutine is done.
 func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
-	var (
-		out      []byte
-		err      error
-		consumed = len(crb.Input)
-	)
 	f := followers.GetFor(x.area)
 	defer fileFollower(x.area, f)
 	// Dst threads the caller-owned target buffer into the inflate loop so
 	// a pooled decompression allocates nothing when the output fits.
-	opts := deflate.InflateOptions{MaxOutput: decodeLimit(crb), Dst: crb.Target, Follower: f}
-	switch {
-	case crb.Wrap == WrapGzip && crb.FirstMemberOnly:
-		out, consumed, _, err = deflate.DecompressGzipTail(crb.Input, opts)
-	case crb.Wrap == WrapGzip:
-		out, _, err = deflate.DecompressGzip(crb.Input, opts)
-	case crb.Wrap == WrapZlib:
-		out, _, err = deflate.DecompressZlib(crb.Input, opts)
-	default:
-		out, err = deflate.Decompress(crb.Input, opts)
-	}
+	limit := decodeLimit(crb)
+	out, consumed, err := codecs[CodecDeflate].decode(crb.Input, crb.Wrap, crb.FirstMemberOnly,
+		deflate.InflateOptions{MaxOutput: limit, Dst: crb.Target, Follower: f})
 	if err != nil {
-		e.decodeFailed(x, crb, csb, err, decodeLimit(crb))
+		e.decodeFailed(x, crb, csb, err, limit)
 		return
 	}
-	reached, overflow := filled(crb, len(out))
-	translateCycles, ok := e.reach(x, crb, csb, reached)
-	if !ok {
-		return
+	if e.complete(x, crb, csb, consumed, out, func(translate int64) pipeline.Breakdown {
+		return e.cfg.Pipeline.Decompress(consumed, len(out), translate)
+	}) {
+		csb.CRC32, csb.Adler32 = f.Finish(out)
 	}
-	csb.Cycles = e.cfg.Pipeline.Decompress(consumed, len(out), translateCycles)
-	if overflow {
-		csb.CC = CCTargetSpace
-		return
-	}
-	csb.CC = CCSuccess
-	csb.Output = out
-	csb.SPBC = consumed
-	csb.TPBC = len(out)
-	csb.CRC32, csb.Adler32 = f.Finish(out)
 }
 
 // decodeFailed completes a request whose decode stopped on err. Detection
@@ -660,7 +648,7 @@ func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
 // filled the target — limit bytes of it — when it tripped; corrupt data is
 // charged nothing past the target's first page.
 func (e *Engine) decodeFailed(x *xlate, crb *CRB, csb *CSB, err error, limit int) {
-	cc := decodeCC(err)
+	cc := DecodeCC(err)
 	if cc != CCTargetSpace {
 		limit = 0
 	}
@@ -677,65 +665,35 @@ func (e *Engine) decodeFailed(x *xlate, crb *CRB, csb *CSB, err error, limit int
 // generalized path: codec table lookup, compress, inline CRC over the
 // input, and the per-codec cycle model — the ingest-lane multiplier
 // scales how many input bytes the match pipeline consumes per cycle.
-func (e *Engine) blockCompress(crb *CRB, csb *CSB, x *xlate, codec Codec) {
-	bt := blockCodecs[codec]
-	if bt.compress == nil {
+func (e *Engine) blockCompress(crb *CRB, csb *CSB, x *xlate) {
+	c := crb.Func.Codec()
+	if detail := c.overLimit(len(crb.Input)); detail != "" {
 		csb.CC = CCInvalidCRB
-		csb.Detail = "no block compressor for codec " + codec.String()
+		csb.Detail = detail
 		return
 	}
-	if bt.maxInput > 0 && len(crb.Input) > bt.maxInput {
-		csb.CC = CCInvalidCRB
-		csb.Detail = fmt.Sprintf("source of %d bytes exceeds the %s encoder's %d", len(crb.Input), codec, bt.maxInput)
-		return
+	out := codecs[c].encode(crb.Input)
+	ingest := int64(len(crb.Input)/(e.cfg.LZ.InputWidth*codecs[c].ingestLanes) + 1)
+	if e.complete(x, crb, csb, len(crb.Input), out, func(translate int64) pipeline.Breakdown {
+		return e.cfg.Pipeline.Compress(len(crb.Input), len(out), ingest, translate, false)
+	}) {
+		csb.CRC32 = checksum.Sum32(crb.Input)
 	}
-	out := bt.compress(crb.Input)
-	reached, overflow := filled(crb, len(out))
-	translateCycles, ok := e.reach(x, crb, csb, reached)
-	if !ok {
-		return
-	}
-	ingest := int64(len(crb.Input)/(e.cfg.LZ.InputWidth*bt.ingestLanes) + 1)
-	csb.Cycles = e.cfg.Pipeline.Compress(len(crb.Input), len(out), ingest, translateCycles, false)
-	if overflow {
-		csb.CC = CCTargetSpace
-		return
-	}
-	csb.CC = CCSuccess
-	csb.Output = out
-	csb.SPBC = len(crb.Input)
-	csb.TPBC = len(out)
-	csb.CRC32 = checksum.Sum32(crb.Input)
 }
 
 // blockDecompress is the matching generalized decompress path.
-func (e *Engine) blockDecompress(crb *CRB, csb *CSB, x *xlate, codec Codec) {
-	bt := blockCodecs[codec]
-	if bt.decompress == nil {
-		csb.CC = CCInvalidCRB
-		csb.Detail = "no block decompressor for codec " + codec.String()
-		return
-	}
-	out, err := bt.decompress(crb.Input, decodeLimit(crb))
+func (e *Engine) blockDecompress(crb *CRB, csb *CSB, x *xlate) {
+	limit := decodeLimit(crb)
+	out, consumed, err := codecs[crb.Func.Codec()].decode(crb.Input, crb.Wrap, false, deflate.InflateOptions{MaxOutput: limit})
 	if err != nil {
-		e.decodeFailed(x, crb, csb, err, decodeLimit(crb))
+		e.decodeFailed(x, crb, csb, err, limit)
 		return
 	}
-	reached, overflow := filled(crb, len(out))
-	translateCycles, ok := e.reach(x, crb, csb, reached)
-	if !ok {
-		return
+	if e.complete(x, crb, csb, consumed, out, func(translate int64) pipeline.Breakdown {
+		return e.cfg.Pipeline.Decompress(consumed, len(out), translate)
+	}) {
+		csb.CRC32 = checksum.Sum32(out)
 	}
-	csb.Cycles = e.cfg.Pipeline.Decompress(len(crb.Input), len(out), translateCycles)
-	if overflow {
-		csb.CC = CCTargetSpace
-		return
-	}
-	csb.CC = CCSuccess
-	csb.Output = out
-	csb.SPBC = len(crb.Input)
-	csb.TPBC = len(out)
-	csb.CRC32 = checksum.Sum32(out)
 }
 
 // transcode decodes CRB.SourceCodec input and re-encodes the plaintext
@@ -755,23 +713,7 @@ func (e *Engine) transcode(crb *CRB, csb *CSB, x *xlate) {
 	if limit <= 0 {
 		limit = 1 << 30
 	}
-	var (
-		plain []byte
-		err   error
-	)
-	if crb.SourceCodec == CodecDeflate {
-		opts := deflate.InflateOptions{MaxOutput: limit}
-		switch crb.Wrap {
-		case WrapGzip:
-			plain, _, err = deflate.DecompressGzip(crb.Input, opts)
-		case WrapZlib:
-			plain, _, err = deflate.DecompressZlib(crb.Input, opts)
-		default:
-			plain, err = deflate.Decompress(crb.Input, opts)
-		}
-	} else {
-		plain, err = blockCodecs[crb.SourceCodec].decompress(crb.Input, limit)
-	}
+	plain, _, err := codecs[crb.SourceCodec].decode(crb.Input, crb.Wrap, false, deflate.InflateOptions{MaxOutput: limit})
 	if err != nil {
 		// The intermediate plaintext is the engine's own: a budget tripped
 		// here has written nothing to the target.
@@ -784,17 +726,13 @@ func (e *Engine) transcode(crb *CRB, csb *CSB, x *xlate) {
 	// and, once the encode pass says how far it got, the target's — is
 	// charged on the decode pass, so the inner request translates nothing.
 	inner := CRB{
-		Func:      compressFunc(crb.TargetCodec),
+		Func:      crb.TargetCodec.CompressFunc(),
 		Wrap:      crb.Wrap,
 		Input:     plain,
 		TargetCap: crb.TargetCap,
 		Target:    crb.Target,
 	}
-	if crb.TargetCodec == CodecDeflate {
-		e.compress(&inner, csb, &xlate{area: x.area})
-	} else {
-		e.blockCompress(&inner, csb, &xlate{}, crb.TargetCodec)
-	}
+	e.run(&inner, csb, &xlate{area: x.area})
 	reached := csb.TPBC
 	if csb.CC == CCTargetSpace {
 		reached = targetCap(&inner)

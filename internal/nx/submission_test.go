@@ -244,7 +244,8 @@ func TestSubmissionConformance(t *testing.T) {
 			refDev := NewDevice(cfg)
 			refCtx := refDev.OpenContext(1)
 			refCRB := mapped(t, refCtx, p, false)[p.probe]
-			first := refDev.Engine(0).Process(refCtx.PID(), &refCRB)
+			var first CSB
+			refDev.Engine(0).ProcessInto(refCtx.PID(), &refCRB, &first)
 			if first.CC != CCTranslationFault {
 				t.Fatalf("reference first round: cc=%v", first.CC)
 			}

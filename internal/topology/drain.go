@@ -79,18 +79,6 @@ func (n *Node) Accepting(i int) bool {
 	return !h.draining && !h.quarantined
 }
 
-// AcceptingCount returns the number of devices eligible for new work —
-// the capacity denominator of the admission gate's pressure signal.
-func (n *Node) AcceptingCount() int {
-	count := 0
-	for i := range n.health {
-		if n.Accepting(i) {
-			count++
-		}
-	}
-	return count
-}
-
 // quiescePoll is how often Quiesce re-checks a draining device's load.
 const quiescePoll = 200 * time.Microsecond
 

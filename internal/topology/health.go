@@ -23,49 +23,26 @@ var ErrNoHealthyDevice = errors.New("topology: no healthy device available")
 // immediately.
 var ErrNoCapableDevice = errors.New("topology: no device supports the requested codec")
 
-// HealthPolicy configures the per-device health scoreboard: when a
-// device is quarantined and how it earns its way back.
-type HealthPolicy struct {
-	// FailureThreshold is the number of consecutive device-local failures
+// The health scoreboard's policy: when a device is quarantined and how it
+// earns its way back.
+const (
+	// failureThreshold is the number of consecutive device-local failures
 	// (hangs, CRC flakes, fault storms, busy/deadline exhaustion) that
 	// quarantines a device. ErrDeviceOffline quarantines immediately.
-	FailureThreshold int
-	// ProbeInterval is the minimum wait between probe admissions of a
+	failureThreshold = 3
+	// probeInterval is the minimum wait between probe admissions of a
 	// quarantined device: once it elapses, the next pick routes a single
 	// live request to the device as a probe (circuit-breaker half-open).
-	ProbeInterval time.Duration
-	// ProbeSuccesses is the number of consecutive successful probes
+	probeInterval = 5 * time.Millisecond
+	// probeSuccesses is the number of consecutive successful probes
 	// required to readmit a quarantined device.
-	ProbeSuccesses int
-}
-
-// DefaultHealthPolicy returns the shipped scoreboard configuration.
-func DefaultHealthPolicy() HealthPolicy {
-	return HealthPolicy{
-		FailureThreshold: 3,
-		ProbeInterval:    5 * time.Millisecond,
-		ProbeSuccesses:   1,
-	}
-}
-
-func (p HealthPolicy) withDefaults() HealthPolicy {
-	def := DefaultHealthPolicy()
-	if p.FailureThreshold <= 0 {
-		p.FailureThreshold = def.FailureThreshold
-	}
-	if p.ProbeInterval <= 0 {
-		p.ProbeInterval = def.ProbeInterval
-	}
-	if p.ProbeSuccesses <= 0 {
-		p.ProbeSuccesses = def.ProbeSuccesses
-	}
-	return p
-}
+	probeSuccesses = 1
+)
 
 // devHealth is one device's scoreboard entry — a small circuit breaker:
-// healthy (closed) until FailureThreshold consecutive failures, then
-// quarantined (open) with probe admissions every ProbeInterval
-// (half-open) until ProbeSuccesses consecutive successes readmit it.
+// healthy (closed) until failureThreshold consecutive failures, then
+// quarantined (open) with probe admissions every probeInterval
+// (half-open) until probeSuccesses consecutive successes readmit it.
 type devHealth struct {
 	mu          sync.Mutex
 	quarantined bool
@@ -100,7 +77,7 @@ func (n *Node) admit(i int) bool {
 	if !h.quarantined {
 		return true
 	}
-	if time.Since(h.lastProbe) >= n.hp.ProbeInterval {
+	if time.Since(h.lastProbe) >= probeInterval {
 		h.lastProbe = time.Now()
 		n.probes[i].Inc()
 		n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventProbe, Device: n.shape.Devices[i].Label,
@@ -110,14 +87,12 @@ func (n *Node) admit(i int) bool {
 	return false
 }
 
-// ReportResult feeds one submission outcome for device i into the
+// ReportResultReq feeds one submission outcome for device i into the
 // scoreboard. A nil error is a success; device-local failures count
-// toward quarantine and ErrDeviceOffline quarantines immediately.
-func (n *Node) ReportResult(i int, err error) { n.ReportResultReq(i, err, 0) }
-
-// ReportResultReq is ReportResult carrying the root RequestID of the
-// submission, stamped onto any quarantine/readmission event this
-// outcome provokes so the incident links back to the request.
+// toward quarantine and ErrDeviceOffline quarantines immediately. req is
+// the root RequestID of the submission, stamped onto any
+// quarantine/readmission event this outcome provokes so the incident
+// links back to the request.
 func (n *Node) ReportResultReq(i int, err error, req uint64) {
 	if i < 0 || i >= len(n.health) {
 		return
@@ -130,7 +105,7 @@ func (n *Node) ReportResultReq(i int, err error, req uint64) {
 		h.consecFails = 0
 		if h.quarantined {
 			h.probeOK++
-			if h.probeOK >= n.hp.ProbeSuccesses {
+			if h.probeOK >= probeSuccesses {
 				h.quarantined = false
 				h.probeOK = 0
 				n.readmissions[i].Inc()
@@ -140,16 +115,16 @@ func (n *Node) ReportResultReq(i int, err error, req uint64) {
 				}
 				n.bus.Load().Publish(telemetry.Event{Type: telemetry.EventReadmit, Device: n.shape.Devices[i].Label,
 					Req:    req,
-					Detail: fmt.Sprintf("readmitted after %d successful probes", n.hp.ProbeSuccesses)})
+					Detail: fmt.Sprintf("readmitted after %d successful probes", probeSuccesses)})
 			}
 		}
 	case countsAgainstHealth(err):
 		h.consecFails++
 		h.probeOK = 0
-		if errors.Is(err, nx.ErrDeviceOffline) && h.consecFails < n.hp.FailureThreshold {
-			h.consecFails = n.hp.FailureThreshold
+		if errors.Is(err, nx.ErrDeviceOffline) && h.consecFails < failureThreshold {
+			h.consecFails = failureThreshold
 		}
-		if !h.quarantined && h.consecFails >= n.hp.FailureThreshold {
+		if !h.quarantined && h.consecFails >= failureThreshold {
 			h.quarantined = true
 			h.lastProbe = time.Now()
 			n.quarantines[i].Inc()
@@ -185,13 +160,6 @@ func (n *Node) HealthyCount() int {
 	}
 	return count
 }
-
-// SetHealthPolicy replaces the scoreboard configuration. Call before
-// traffic; fields are read without locking afterwards.
-func (n *Node) SetHealthPolicy(hp HealthPolicy) { n.hp = hp.withDefaults() }
-
-// HealthPolicy returns the active scoreboard configuration.
-func (n *Node) HealthPolicy() HealthPolicy { return n.hp }
 
 // InstallInjectors builds one fault injector per device — seeds derived
 // deterministically from seed so runs replay — installs them across

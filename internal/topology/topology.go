@@ -127,7 +127,6 @@ type Node struct {
 
 	// Health scoreboard (health.go): one circuit breaker per device plus
 	// the instruments that make quarantine activity visible in snapshots.
-	hp           HealthPolicy
 	health       []devHealth
 	quarantines  []*telemetry.Counter // topology.quarantines{<device label>}
 	readmissions []*telemetry.Counter // topology.readmissions{<device label>}
@@ -160,7 +159,6 @@ func New(shape Shape, policy Policy) *Node {
 		policy:   policy,
 		inflight: make([]atomic.Int64, len(shape.Devices)),
 		reg:      telemetry.NewRegistry(),
-		hp:       DefaultHealthPolicy(),
 		health:   make([]devHealth, len(shape.Devices)),
 	}
 	vec := n.reg.CounterVec("topology.dispatch")
@@ -386,14 +384,10 @@ func (c *Context) Primary() *nx.Context { return c.ctxs[0] }
 func (c *Context) At(i int) *nx.Context { return c.ctxs[i] }
 
 // deflateNeed is the capability requirement of the classic
-// single-format entry points (Pick, PickIndexAvail, PickSticky): they
-// all submit DEFLATE work, so on a mixed-capability
-// node they must route past devices that only serve other codecs.
+// single-format entry points (PickIndexAvail, PickSticky): they all
+// submit DEFLATE work, so on a mixed-capability node they must route past
+// devices that only serve other codecs.
 var deflateNeed = nx.Codecs(nx.CodecDeflate)
-
-// pickIndex resolves the policy's choice for DEFLATE work — see
-// pickIndexFor.
-func (c *Context) pickIndex() (int, bool) { return c.pickIndexFor(deflateNeed) }
 
 // pickIndexFor resolves the policy's choice through the capability mask
 // and the health scoreboard: the picked device must advertise every
@@ -419,26 +413,14 @@ func (c *Context) pickIndexFor(need nx.CodecSet) (int, bool) {
 	return i, false
 }
 
-// acquire counts device i in-flight and returns its context plus the
-// release closure. The release takes the submission's outcome and feeds
-// the health scoreboard; it is idempotent.
-func (c *Context) acquire(i int) (*nx.Context, func(error)) {
-	c.AcquireIndex(i)
-	var once sync.Once
-	return c.ctxs[i], func(err error) {
-		once.Do(func() { c.ReleaseIndex(i, err) })
-	}
-}
-
-// PickIndexAvail is Pick by index for failover-aware callers: it routes
-// one request through the policy and health scoreboard and returns the
-// chosen device index, or ErrNoHealthyDevice when nothing is admissible
-// (all quarantined, no probe due) instead of a doomed device, so the
-// caller can take the software path immediately. Paired with
-// AcquireIndex/ReleaseIndex it is the allocation-free dispatch path —
-// no context pointer, no release closure — used by the pooled one-shot
-// and batch submitters (the index also keys At and Device for buffer
-// mapping on the right MMU).
+// PickIndexAvail routes one request: the node policy selects a device,
+// filtered through the health scoreboard, and PickIndexAvail returns its
+// index — or ErrNoHealthyDevice when nothing is admissible (all
+// quarantined, no probe due), so the caller can take the software path
+// immediately. Device selection must happen before buffers are mapped —
+// a VA mapped on one device's MMU means nothing to another — so the index
+// also keys At and Device. Paired with AcquireIndex/ReleaseIndex it is
+// the one dispatch path, and it allocates nothing.
 func (c *Context) PickIndexAvail() (int, error) {
 	return c.PickIndexCodec(deflateNeed)
 }
@@ -468,8 +450,9 @@ func (c *Context) AcquireIndex(i int) {
 }
 
 // ReleaseIndex ends a dispatch acquired with AcquireIndex, feeding the
-// outcome into the health scoreboard. Unlike Pick's release closure it
-// is not idempotent: call it exactly once per acquire.
+// outcome into the health scoreboard: nil for success, the submission's
+// error to count a failure toward quarantine. Call it exactly once per
+// acquire.
 func (c *Context) ReleaseIndex(i int, err error) {
 	c.ReleaseIndexReq(i, err, 0)
 }
@@ -482,20 +465,6 @@ func (c *Context) ReleaseIndexReq(i int, err error, req uint64) {
 	c.node.ReportResultReq(i, err, req)
 }
 
-// Pick routes one request: the node policy selects a device (filtered
-// through the health scoreboard), and Pick returns that device's context
-// plus a release function the caller runs with the submission's outcome —
-// release(nil) for success, release(err) to feed failures into the
-// quarantine logic. Device selection must happen before buffers are
-// mapped — a VA mapped on one device's MMU means nothing to another —
-// which is why submission helpers take the picked context. When every
-// device is quarantined Pick still returns the policy's choice (callers
-// that would rather fall back to software use PickIndexAvail).
-func (c *Context) Pick() (*nx.Context, func(error)) {
-	i, _ := c.pickIndex()
-	return c.acquire(i)
-}
-
 // PickSticky routes a whole stream: the policy assigns a device once (at
 // stream construction — segments share history or resume state, so they
 // stay put) and only the pick itself is counted against the device's
@@ -503,7 +472,7 @@ func (c *Context) Pick() (*nx.Context, func(error)) {
 // (Node.ReportResultReq, by IndexOf the pinned context) and migrate with
 // PickStickyAvoid on failure.
 func (c *Context) PickSticky() *nx.Context {
-	i, _ := c.pickIndex()
+	i, _ := c.pickIndexFor(deflateNeed)
 	c.node.dispatch[i].Inc()
 	return c.ctxs[i]
 }

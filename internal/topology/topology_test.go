@@ -37,7 +37,7 @@ func TestShapes(t *testing.T) {
 	}
 }
 
-// TestRoundRobinBalanceRace drives many goroutines through Pick and
+// TestRoundRobinBalanceRace drives many goroutines through the pick and
 // checks no request is lost and the distribution is exactly balanced.
 // Run under -race this is the dispatcher's concurrency regression test.
 func TestRoundRobinBalanceRace(t *testing.T) {
@@ -56,11 +56,13 @@ func TestRoundRobinBalanceRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				ctx, done := nctx.Pick()
-				if ctx == nil {
-					t.Error("Pick returned nil context")
+				d, err := nctx.PickIndexAvail()
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				done(nil)
+				nctx.AcquireIndex(d)
+				nctx.ReleaseIndex(d, nil)
 			}
 		}()
 	}
@@ -99,8 +101,13 @@ func TestLeastLoadedRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				_, done := nctx.Pick()
-				done(nil)
+				d, err := nctx.PickIndexAvail()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				nctx.AcquireIndex(d)
+				nctx.ReleaseIndex(d, nil)
 			}
 		}()
 	}
@@ -168,9 +175,14 @@ func TestDispatchThroughDevicesRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				ctx, done := nctx.Pick()
-				_, _, err := ctx.Compress(src, nx.FCCompressDHT, nx.WrapGzip, true)
-				done(nil)
+				d, err := nctx.PickIndexAvail()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				nctx.AcquireIndex(d)
+				_, _, err = nctx.At(d).Compress(src, nx.FCCompressDHT, nx.WrapGzip, true)
+				nctx.ReleaseIndex(d, nil)
 				if err != nil {
 					t.Errorf("compress: %v", err)
 				}
@@ -210,11 +222,15 @@ func TestSingleDeviceSnapshotCompat(t *testing.T) {
 	n := New(Single(nx.P9Device()), nil)
 	nctx := n.OpenContext(1)
 	defer nctx.Close()
-	ctx, done := nctx.Pick()
-	if _, _, err := ctx.Compress([]byte("hello hello hello"), nx.FCCompressFHT, nx.WrapGzip, true); err != nil {
+	d, err := nctx.PickIndexAvail()
+	if err != nil {
 		t.Fatal(err)
 	}
-	done(nil)
+	nctx.AcquireIndex(d)
+	if _, _, err := nctx.At(d).Compress([]byte("hello hello hello"), nx.FCCompressFHT, nx.WrapGzip, true); err != nil {
+		t.Fatal(err)
+	}
+	nctx.ReleaseIndex(d, nil)
 	snap := n.MetricsSnapshot()
 	if got := snap.Counter("nx.requests", ""); got != 1 {
 		t.Fatalf("nx.requests = %d under plain label, want 1", got)

@@ -234,12 +234,7 @@ func Open(cfg Config) *Accelerator {
 // nxzip.writer.members counts gzip members, and so on. On a
 // multi-device node the snapshot carries per-device rows under
 // device-prefixed labels plus aggregate rows under the original names.
-func (a *Accelerator) Metrics() *telemetry.Snapshot {
-	if a.root != nil {
-		return a.root.Metrics()
-	}
-	return a.node.MetricsSnapshot()
-}
+func (a *Accelerator) Metrics() *telemetry.Snapshot { return a.root.Metrics() }
 
 // StartTrace enables request-lifecycle tracing: every request from now
 // until StopTrace carries a trace span (paste attempts, credit waits,
@@ -268,9 +263,7 @@ func (a *Accelerator) Close() {
 		// Queue the view's labeled series for retirement once the grace
 		// period lapses (tenant.go), so view churn does not grow the
 		// exposition without bound.
-		if a.root != nil {
-			a.root.noteTenantClosed(a.nctx.ID())
-		}
+		a.root.noteTenantClosed(a.nctx.ID())
 		a.nctx.Close()
 	}
 }
