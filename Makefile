@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check deps test race chaos bench bench-alloc bench-host bench-model fuzz-smoke nxbench parallel trace-demo loc
+.PHONY: check build vet fmt-check deps test race chaos bench bench-alloc bench-host bench-model bench-diff fuzz-smoke nxbench parallel trace-demo loc
 
 ## check: the tier-1 gate — build, vet, gofmt, the full test suite under
 ## the race detector (which holds the model-clock experiment tables to
@@ -242,18 +242,33 @@ bench-host:
 
 ## bench-model: the model clock of bench/'s four workloads, held to
 ## BENCH_perf.json. Each workload runs untraced for half a second at
-## seed 1 with -result; cmd/benchdiff then fails on any model_digest or
-## untraced clock=model row that differs from the committed run (host
-## rows are printed with their ratio and never fail). BENCH_perf.json is
-## one go run ./bench -out BENCH_perf.json -seconds 20, refreshed only
-## in a change meant to move the model.
+## seed 1 with -result; cmd/benchdiff -model-only then fails on any
+## model_digest or untraced clock=model row that differs from the
+## committed run (host rows are printed with their ratio and never fail:
+## a half-second run still carries warm-up, bulk_oneshot's allocs_per_op
+## reads 7-8 % above the 20 s run's). BENCH_perf.json is one
+## go run ./bench -out BENCH_perf.json -seconds 20, refreshed only in a
+## change meant to move the model.
 bench-model:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/bench" ./bench && \
 	for w in bulk_oneshot small_into stream_parallel codec_mix; do \
 		"$$tmp/bench" -workload $$w -seed 1 -seconds 0.5 -trace 0 -result "$$tmp/$$w.json" > /dev/null || exit 1; \
 	done && \
-	$(GO) run ./cmd/benchdiff BENCH_perf.json "$$tmp"/bulk_oneshot.json "$$tmp"/small_into.json "$$tmp"/stream_parallel.json "$$tmp"/codec_mix.json
+	$(GO) run ./cmd/benchdiff -model-only BENCH_perf.json "$$tmp"/bulk_oneshot.json "$$tmp"/small_into.json "$$tmp"/stream_parallel.json "$$tmp"/codec_mix.json
+
+## bench-diff: the host clock too — a fresh go run ./bench -out at
+## BENCH_perf.json's length (-seconds 20, seed 1, all four workloads
+## untraced and traced, ~4 min), every row against the committed run.
+## Beyond bench-model's checks, cmd/benchdiff fails an end-to-end host row
+## worse, in its better direction, than max(its bound, 2 x the larger
+## noise) and a higher fail_ratio; the traced ledger rows print and never
+## fail. Out of make check: the length of the run, and the host clock of a
+## shared box.
+bench-diff:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./bench -out "$$tmp/perf.json" -seconds 20 > /dev/null && \
+	$(GO) run ./cmd/benchdiff BENCH_perf.json "$$tmp/perf.json"
 
 ## nxbench: render every experiment table of the registry (E1–E25,
 ## A1–A11, H0), each title naming its clock; one table is

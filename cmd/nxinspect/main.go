@@ -60,69 +60,44 @@ func run() error {
 		return err
 	}
 
-	raw, framing, err := unframe(src)
+	size := stats.Bytes(int64(len(src)))
+	if _, _, err := deflate.ParseGzipHeader(src); err == nil {
+		fmt.Printf("framing: gzip, %s compressed\n", size)
+		return inspectMembers(src, *maxOut)
+	}
+	raw, framing := src, "raw deflate"
+	if body, _, err := deflate.ZlibUnwrap(src); err == nil {
+		raw, framing = body, "zlib"
+	}
+	fmt.Printf("framing: %s, %s compressed\n", framing, size)
+	infos, err := deflate.InspectStream(raw, *maxOut)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("framing: %s, %s compressed\n", framing, stats.Bytes(int64(len(src))))
+	printMember(0, infos)
+	return nil
+}
 
+// inspectMembers prints every member of a gzip stream. A member ends
+// where its decode says — DecompressGzipTail's consumed count, trailer
+// checked — and the walk ends at the first bytes that are not a member
+// header.
+func inspectMembers(src []byte, maxOut int) error {
 	for member := 0; ; member++ {
-		infos, err := deflate.InspectStream(raw, *maxOut)
+		hlen, _, err := deflate.ParseGzipHeader(src)
+		if err != nil {
+			return nil
+		}
+		_, consumed, _, err := deflate.DecompressGzipTail(src, deflate.InflateOptions{MaxOutput: maxOut})
+		if err != nil {
+			return err
+		}
+		infos, err := deflate.InspectStream(src[hlen:consumed], maxOut)
 		if err != nil {
 			return err
 		}
 		printMember(member, infos)
-		if framing != "gzip" {
-			return nil
-		}
-		rest, err := nextGzipMember(src, member+1)
-		if err != nil || rest == nil {
-			return nil
-		}
-		raw = rest
-	}
-}
-
-// unframe strips gzip/zlib framing when present, returning the first
-// member's payload for gzip (the caller iterates further members).
-func unframe(src []byte) ([]byte, string, error) {
-	if len(src) >= 2 && src[0] == 0x1F && src[1] == 0x8B {
-		first, err := nextGzipMember(src, 0)
-		if err != nil {
-			return nil, "", err
-		}
-		if first == nil {
-			return nil, "", fmt.Errorf("no gzip member found")
-		}
-		return first, "gzip", nil
-	}
-	if body, _, err := deflate.ZlibUnwrap(src); err == nil {
-		return body, "zlib", nil
-	}
-	return src, "raw deflate", nil
-}
-
-// nextGzipMember returns the payload of member index n, or nil when the
-// stream has fewer members.
-func nextGzipMember(src []byte, n int) ([]byte, error) {
-	rest := src
-	for i := 0; ; i++ {
-		hlen, _, err := deflate.ParseGzipHeader(rest)
-		if err != nil {
-			return nil, nil // no more members
-		}
-		_, consumed, err := deflate.DecompressTail(rest[hlen:], deflate.InflateOptions{})
-		if err != nil {
-			return nil, err
-		}
-		if i == n {
-			return rest[hlen : hlen+consumed], nil
-		}
-		end := hlen + consumed + 8
-		if end >= len(rest) {
-			return nil, nil
-		}
-		rest = rest[end:]
+		src = src[consumed:]
 	}
 }
 
@@ -137,11 +112,4 @@ func printMember(member int, infos []deflate.BlockInfo) {
 			b.Index, b.TypeName(), b.Final, b.HeaderBits, b.DataBits,
 			b.Literals, b.Matches, b.MatchBytes, ratio)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

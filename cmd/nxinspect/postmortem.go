@@ -9,60 +9,20 @@ package main
 // attempt's span, and the events that carry its ID.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"nxzip/internal/flightrec"
 	"nxzip/internal/stats"
 	"nxzip/internal/telemetry"
 )
-
-// pmSpan mirrors the telemetry span's JSON line shape (the subset the
-// report prints).
-type pmSpan struct {
-	ID           uint64 `json:"id"`
-	Req          uint64 `json:"req"`
-	Hop          int    `json:"hop"`
-	Tenant       uint64 `json:"tenant"`
-	Priority     string `json:"priority"`
-	Op           string `json:"op"`
-	Engine       int    `json:"engine"`
-	HostNs       int64  `json:"host_ns"`
-	InBytes      int    `json:"in_bytes"`
-	OutBytes     int    `json:"out_bytes"`
-	CC           string `json:"cc"`
-	Retries      int    `json:"retries"`
-	DeviceCycles int64  `json:"device_cycles"`
-	Stages       []struct {
-		Stage   string `json:"stage"`
-		DurNs   int64  `json:"dur_ns"`
-		Cycles  int64  `json:"cycles"`
-		Attempt int    `json:"attempt"`
-	} `json:"stages"`
-}
-
-// pmBundleLine is one JSONL line of a bundle.
-type pmBundleLine struct {
-	Kind    string                  `json:"kind"`
-	Time    time.Time               `json:"time"`
-	Reason  string                  `json:"reason"`
-	Ordinal int64                   `json:"ordinal"`
-	Seq     uint64                  `json:"seq"`
-	Config  json.RawMessage         `json:"config"`
-	Health  json.RawMessage         `json:"health"`
-	Device  *telemetry.DeviceStatus `json:"device"`
-	Digest  *telemetry.Digest       `json:"digest"`
-	Span    *pmSpan                 `json:"span"`
-	Event   *telemetry.Event        `json:"event"`
-}
 
 // openBundle resolves source — a bundle file, a directory of bundles
 // (newest picked), "-" for stdin, or an http(s) URL — into a reader.
@@ -87,21 +47,11 @@ func openBundle(source string) (io.ReadCloser, string, error) {
 	}
 	path := source
 	if fi.IsDir() {
-		ents, err := os.ReadDir(source)
-		if err != nil {
-			return nil, "", err
-		}
-		var names []string
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasPrefix(e.Name(), "postmortem-") && strings.HasSuffix(e.Name(), ".jsonl") {
-				names = append(names, e.Name())
-			}
-		}
-		if len(names) == 0 {
+		paths := flightrec.BundlePaths(source)
+		if len(paths) == 0 {
 			return nil, "", fmt.Errorf("no postmortem bundles in %s", source)
 		}
-		sort.Strings(names)
-		path = filepath.Join(source, names[len(names)-1]) // newest
+		path = paths[len(paths)-1] // newest
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -120,87 +70,34 @@ func runPostmortem(source string, req, tenant uint64) error {
 	}
 	defer in.Close()
 
-	var (
-		meta    *pmBundleLine
-		config  json.RawMessage
-		health  json.RawMessage
-		devices []*telemetry.DeviceStatus
-		digests []*telemetry.Digest
-		spans   []*pmSpan
-		events  []*telemetry.Event
-	)
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if len(strings.TrimSpace(sc.Text())) == 0 {
-			continue
-		}
-		var ln pmBundleLine
-		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			return fmt.Errorf("%s: line %d: %w", name, lineNo, err)
-		}
-		switch ln.Kind {
-		case "meta":
-			l := ln
-			meta = &l
-		case "config":
-			config = ln.Config
-		case "health":
-			health = ln.Health
-		case "device":
-			devices = append(devices, ln.Device)
-		case "digest":
-			digests = append(digests, ln.Digest)
-		case "span":
-			spans = append(spans, ln.Span)
-		case "event":
-			events = append(events, ln.Event)
-		}
+	b, err := flightrec.ReadBundle(in)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-
+	digests, spans, events := b.Digests, b.Spans, b.Events
 	if tenant != 0 {
-		dg := digests[:0]
-		for _, d := range digests {
-			if d.Tenant == tenant {
-				dg = append(dg, d)
-			}
-		}
-		digests = dg
-		sp := spans[:0]
-		for _, s := range spans {
-			if s.Tenant == tenant {
-				sp = append(sp, s)
-			}
-		}
-		spans = sp
-		ev := events[:0]
-		for _, e := range events {
-			if e.Tenant == tenant {
-				ev = append(ev, e)
-			}
-		}
-		events = ev
+		digests = slices.DeleteFunc(digests, func(d telemetry.Digest) bool { return d.Tenant != tenant })
+		spans = slices.DeleteFunc(spans, func(s telemetry.SpanRecord) bool { return s.Tenant != tenant })
+		events = slices.DeleteFunc(events, func(e telemetry.Event) bool { return e.Tenant != tenant })
 	}
 
 	fmt.Printf("postmortem: %s\n", name)
 	if tenant != 0 {
 		fmt.Printf("tenant:     %s (rows filtered)\n", telemetry.TenantLabel(tenant))
 	}
-	if meta != nil {
+	if !b.Time.IsZero() {
 		fmt.Printf("triggered:  %s  (#%d, %d requests digested)\n",
-			meta.Time.Format(time.RFC3339), meta.Ordinal, meta.Seq)
-		fmt.Printf("reason:     %s\n", meta.Reason)
+			b.Time.Format(time.RFC3339), b.Ordinal, b.Seq)
+		fmt.Printf("reason:     %s\n", b.Reason)
 	}
-	if len(config) > 0 {
-		fmt.Printf("config:     %s\n", compactJSON(config))
+	// Neither section holds a value encoding/json can refuse.
+	if b.Config != nil {
+		config, _ := json.Marshal(b.Config)
+		fmt.Printf("config:     %s\n", config)
 	}
-	if len(health) > 0 {
-		fmt.Printf("health:     %s\n", compactJSON(health))
+	if b.Health != nil {
+		health, _ := json.Marshal(b.Health)
+		fmt.Printf("health:     %s\n", health)
 	}
 
 	if req != 0 {
@@ -208,9 +105,9 @@ func runPostmortem(source string, req, tenant uint64) error {
 		return nil
 	}
 
-	if len(devices) > 0 {
+	if len(b.Devices) > 0 {
 		fmt.Printf("\n%-14s %-5s %10s %10s %6s %5s\n", "device", "state", "dispatched", "requests", "util%", "quar")
-		for _, d := range devices {
+		for _, d := range b.Devices {
 			st := "ok"
 			if !d.Healthy {
 				st = "QUAR"
@@ -235,7 +132,7 @@ func runPostmortem(source string, req, tenant uint64) error {
 		}
 	}
 	fmt.Printf("\ndigests: %d held (%d ok, %d degraded, %d error, %d shed)\n", len(digests), ok, degraded, errored, shed)
-	interesting := make([]*telemetry.Digest, 0, len(digests))
+	interesting := make([]telemetry.Digest, 0, len(digests))
 	for _, d := range digests {
 		if d.Outcome != telemetry.OutcomeOK || d.Attempts > 1 {
 			interesting = append(interesting, d)
@@ -245,7 +142,7 @@ func runPostmortem(source string, req, tenant uint64) error {
 	header := "interesting (non-ok or re-dispatched)"
 	if len(show) == 0 {
 		// All clean: show the slowest few instead.
-		sorted := append([]*telemetry.Digest(nil), digests...)
+		sorted := append([]telemetry.Digest(nil), digests...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].TotalUS > sorted[j].TotalUS })
 		if len(sorted) > 10 {
 			sorted = sorted[:10]
@@ -295,7 +192,7 @@ func prioCol(p string) string {
 
 // printRequest renders one request's chained history: its digest, each
 // dispatch attempt's span (ordered by hop), and its events.
-func printRequest(req uint64, digests []*telemetry.Digest, spans []*pmSpan, events []*telemetry.Event) {
+func printRequest(req uint64, digests []telemetry.Digest, spans []telemetry.SpanRecord, events []telemetry.Event) {
 	fmt.Printf("\nrequest %d:\n", req)
 	found := false
 	for _, d := range digests {
@@ -311,7 +208,7 @@ func printRequest(req uint64, digests []*telemetry.Digest, spans []*pmSpan, even
 	if !found {
 		fmt.Println("  (no digest held — request predates the ring window)")
 	}
-	var mine []*pmSpan
+	var mine []telemetry.SpanRecord
 	for _, s := range spans {
 		if s.Req == req {
 			mine = append(mine, s)
@@ -336,12 +233,4 @@ func printRequest(req uint64, digests []*telemetry.Digest, spans []*pmSpan, even
 		}
 		fmt.Printf("  event %s %-11s %-14s %s\n", e.Time.Format("15:04:05.000"), e.Type, e.Device, e.Detail)
 	}
-}
-
-func compactJSON(raw json.RawMessage) string {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return string(raw)
-	}
-	return buf.String()
 }

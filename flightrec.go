@@ -27,21 +27,6 @@ var reqSeq atomic.Uint64
 // nextReq returns a fresh nonzero RequestID.
 func nextReq() uint64 { return reqSeq.Add(1) }
 
-// flightConfig is the node-configuration section of a postmortem bundle.
-type flightConfig struct {
-	Name      string   `json:"name"`
-	Devices   int      `json:"devices"`
-	Dispatch  string   `json:"dispatch,omitempty"`
-	TableMode int      `json:"table_mode"`
-	Labels    []string `json:"labels"`
-}
-
-// flightHealth is the health section of a postmortem bundle.
-type flightHealth struct {
-	HealthyDevices int `json:"healthy_devices"`
-	TotalDevices   int `json:"total_devices"`
-}
-
 // EnableFlightRecorder attaches a flight recorder to the node: every
 // request from every view digests into a bounded ring, interesting
 // requests (errored, degraded, re-dispatched, slow vs the rolling p99)
@@ -60,12 +45,12 @@ func (n *Node) EnableFlightRecorder(dir string) *flightrec.Recorder {
 		Snapshot: n.Metrics,
 		Devices:  n.DeviceStatuses,
 		Events:   bus.Tail,
-		Config: func() any {
+		Config: func() *flightrec.Config {
 			labels := make([]string, n.topo.Size())
 			for i := range labels {
 				labels[i] = n.topo.Label(i)
 			}
-			return flightConfig{
+			return &flightrec.Config{
 				Name:      n.cfg.Shape.Name,
 				Devices:   n.topo.Size(),
 				Dispatch:  n.cfg.Dispatch,
@@ -73,8 +58,8 @@ func (n *Node) EnableFlightRecorder(dir string) *flightrec.Recorder {
 				Labels:    labels,
 			}
 		},
-		Health: func() any {
-			return flightHealth{HealthyDevices: n.HealthyDevices(), TotalDevices: n.Devices()}
+		Health: func() *flightrec.Health {
+			return &flightrec.Health{HealthyDevices: n.HealthyDevices(), TotalDevices: n.Devices()}
 		},
 	})
 	if !n.rec.CompareAndSwap(nil, rec) {

@@ -141,10 +141,6 @@ func (n *Node) Transcode(from, to Format, src []byte) ([]byte, *Metrics, error) 
 	return n.defaultView().Transcode(from, to, src)
 }
 
-// DeviceCodecs reports the codec capability set device i advertises
-// (zero-value set = every codec).
-func (n *Node) DeviceCodecs(i int) nx.CodecSet { return n.Device(i).Codecs() }
-
 // CapableDevices returns the number of devices advertising every codec
 // in need, regardless of health.
 func (n *Node) CapableDevices(need nx.CodecSet) int { return n.topo.CapableCount(need) }

@@ -17,21 +17,9 @@ import (
 
 // ZlibWrapDict frames a raw DEFLATE stream as zlib with FDICT set.
 func ZlibWrapDict(deflated, plain, dict []byte) []byte {
-	out := make([]byte, 0, len(deflated)+10)
-	cmf := byte(0x78)
-	flg := byte(0x80 | 0x20) // FLEVEL=2, FDICT=1
-	rem := (uint16(cmf)<<8 | uint16(flg)) % 31
-	if rem != 0 {
-		flg += byte(31 - rem)
-	}
-	out = append(out, cmf, flg)
-	var dictID [4]byte
-	binary.BigEndian.PutUint32(dictID[:], checksum.SumAdler32(dict))
-	out = append(out, dictID[:]...)
-	out = append(out, deflated...)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], checksum.SumAdler32(plain))
-	return append(out, tail[:]...)
+	out := appendZlibHeader(make([]byte, 0, len(deflated)+10), true)
+	out = binary.BigEndian.AppendUint32(out, checksum.SumAdler32(dict))
+	return AppendZlibTrailer(append(out, deflated...), checksum.SumAdler32(plain))
 }
 
 // ZlibUnwrapDict parses a zlib stream that may carry FDICT, returning the
@@ -45,11 +33,11 @@ func ZlibUnwrapDict(src []byte) (deflated []byte, wantAdler, dictID uint32, hasD
 	if cmf&0x0F != 8 {
 		return nil, 0, 0, false, fmt.Errorf("%w: zlib CM %d", ErrBadMagic, cmf&0x0F)
 	}
-	if (uint16(cmf)<<8|uint16(flg))%31 != 0 {
+	if fcheck(cmf, flg) != 0 {
 		return nil, 0, 0, false, fmt.Errorf("%w: zlib FCHECK", ErrBadMagic)
 	}
 	pos := 2
-	if flg&0x20 != 0 {
+	if flg&zlibFDICT != 0 {
 		if len(src) < 10 {
 			return nil, 0, 0, false, fmt.Errorf("%w: truncated DICTID", ErrBadMagic)
 		}

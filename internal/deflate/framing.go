@@ -24,25 +24,21 @@ const (
 	gzFCOMMENT = 1 << 4
 )
 
-// GzipWrap frames a raw DEFLATE stream as gzip: 10-byte header plus
-// CRC32/ISIZE trailer computed over the original plaintext. The
+// GzipWrap frames a raw DEFLATE stream as gzip: the canonical header plus
+// the CRC32/ISIZE trailer computed over the original plaintext. The
 // accelerator's "wrap" function codes perform exactly this framing inline.
 func GzipWrap(deflated []byte, plain []byte) []byte {
-	out := make([]byte, 0, len(deflated)+18)
-	// magic, CM=8 (deflate), FLG=0, MTIME=0, XFL=0, OS=255 (unknown)
-	out = append(out, 0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255)
-	out = append(out, deflated...)
-	var tail [8]byte
-	binary.LittleEndian.PutUint32(tail[0:4], checksum.Sum32(plain))
-	binary.LittleEndian.PutUint32(tail[4:8], uint32(len(plain)))
-	return append(out, tail[:]...)
+	out := AppendGzipHeader(make([]byte, 0, len(deflated)+18))
+	return AppendGzipTrailer(append(out, deflated...), checksum.Sum32(plain), len(plain))
 }
 
-// AppendGzipHeader appends the canonical 10-byte gzip header (the one
-// GzipWrap emits) to dst. Together with AppendGzipTrailer it lets an
-// encoder frame in place — header, then DEFLATE body, then trailer — so
-// wrapping costs no extra copy or allocation, exactly as the hardware's
-// wrap function codes frame inline on the output DMA path.
+// AppendGzipHeader appends the canonical 10-byte gzip header — magic,
+// CM=8 (deflate), FLG=0, MTIME=0, XFL=0, OS=255 (unknown) — to dst. Every
+// header this package writes starts from it. Together with
+// AppendGzipTrailer it lets an encoder frame in place — header, then
+// DEFLATE body, then trailer — so wrapping costs no extra copy or
+// allocation, exactly as the hardware's wrap function codes frame inline
+// on the output DMA path.
 func AppendGzipHeader(dst []byte) []byte {
 	return append(dst, 0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255)
 }
@@ -50,28 +46,66 @@ func AppendGzipHeader(dst []byte) []byte {
 // AppendGzipTrailer appends the CRC32/ISIZE gzip trailer for a plaintext
 // with the given checksum and length.
 func AppendGzipTrailer(dst []byte, crc uint32, isize int) []byte {
-	var tail [8]byte
-	binary.LittleEndian.PutUint32(tail[0:4], crc)
-	binary.LittleEndian.PutUint32(tail[4:8], uint32(isize))
-	return append(dst, tail[:]...)
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, crc), uint32(isize))
+}
+
+// gzipTrailer reads the CRC-32 and ISIZE of the trailer at the start of
+// tail: the one place a gzip trailer is parsed.
+func gzipTrailer(tail []byte) (crc, isize uint32, err error) {
+	if len(tail) < 8 {
+		return 0, 0, fmt.Errorf("%w: truncated gzip trailer", ErrBadMagic)
+	}
+	return binary.LittleEndian.Uint32(tail), binary.LittleEndian.Uint32(tail[4:]), nil
+}
+
+// CheckGzipTrailer checks the trailer at the start of tail against a
+// plaintext of n bytes whose CRC-32 is crc. A tail too short to hold a
+// trailer is ErrBadMagic, a wrong ISIZE ErrBadLength and a wrong CRC-32
+// ErrBadChecksum, in that order of precedence; every gzip decode checks
+// its trailer here.
+func CheckGzipTrailer(tail []byte, crc uint32, n int) error {
+	wantCRC, wantSize, err := gzipTrailer(tail)
+	switch {
+	case err != nil:
+		return err
+	case uint32(n) != wantSize:
+		return fmt.Errorf("%w: ISIZE %d, got %d bytes", ErrBadLength, wantSize, n)
+	case crc != wantCRC:
+		return fmt.Errorf("%w: CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
+	}
+	return nil
+}
+
+// zlibCMF is the CMF byte of every zlib header this package writes: CM=8
+// (deflate), CINFO=7 (32K window).
+const zlibCMF = 0x78
+
+// zlibFDICT is the FLG bit that announces a preset dictionary.
+const zlibFDICT = 0x20
+
+// fcheck is what RFC 1950's FCHECK bits exist to zero: CMF<<8|FLG modulo
+// 31. A writer adds 31 less it to FLG; a reader refuses a header where it
+// is not 0.
+func fcheck(cmf, flg byte) byte {
+	return byte((uint16(cmf)<<8 | uint16(flg)) % 31)
+}
+
+// appendZlibHeader appends a zlib header with FLEVEL=2 (default), FDICT
+// as asked, and FCHECK set.
+func appendZlibHeader(dst []byte, fdict bool) []byte {
+	flg := byte(0x80)
+	if fdict {
+		flg |= zlibFDICT
+	}
+	return append(dst, zlibCMF, flg+(31-fcheck(zlibCMF, flg))%31)
 }
 
 // AppendZlibHeader appends the 2-byte zlib header ZlibWrap emits.
-func AppendZlibHeader(dst []byte) []byte {
-	cmf := byte(0x78)
-	flg := byte(0x80)
-	rem := (uint16(cmf)<<8 | uint16(flg)) % 31
-	if rem != 0 {
-		flg += byte(31 - rem)
-	}
-	return append(dst, cmf, flg)
-}
+func AppendZlibHeader(dst []byte) []byte { return appendZlibHeader(dst, false) }
 
 // AppendZlibTrailer appends the big-endian Adler-32 zlib trailer.
 func AppendZlibTrailer(dst []byte, adler uint32) []byte {
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], adler)
-	return append(dst, tail[:]...)
+	return binary.BigEndian.AppendUint32(dst, adler)
 }
 
 // GzipUnwrap parses a gzip stream, returning the raw DEFLATE payload and
@@ -85,8 +119,8 @@ func GzipUnwrap(src []byte) (deflated []byte, wantCRC uint32, wantSize uint32, e
 	if hlen+8 > len(src) {
 		return nil, 0, 0, fmt.Errorf("%w: truncated gzip stream", ErrBadMagic)
 	}
-	tail := src[len(src)-8:]
-	return src[hlen : len(src)-8], binary.LittleEndian.Uint32(tail[0:4]), binary.LittleEndian.Uint32(tail[4:8]), nil
+	wantCRC, wantSize, err = gzipTrailer(src[len(src)-8:])
+	return src[hlen : len(src)-8], wantCRC, wantSize, err
 }
 
 // CompressGzip compresses and gzip-frames in one shot.
@@ -103,7 +137,7 @@ func CompressGzip(src []byte, opts Options) ([]byte, error) {
 // that reports the checksum need not compute it again; with
 // opts.Follower, the follower holds the Adler-32 as well.
 func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, err error) {
-	body, wantCRC, wantSize, err := GzipUnwrap(src)
+	body, _, _, err := GzipUnwrap(src)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -111,11 +145,9 @@ func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, er
 	if err != nil {
 		return nil, 0, err
 	}
-	if uint32(len(out)) != wantSize {
-		return nil, 0, fmt.Errorf("%w: ISIZE %d, got %d bytes", ErrBadLength, wantSize, len(out))
-	}
-	if crc = trailerCRC(out, opts.Follower); crc != wantCRC {
-		return nil, 0, fmt.Errorf("%w: CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
+	crc = trailerCRC(out, opts.Follower)
+	if err := CheckGzipTrailer(src[len(src)-8:], crc, len(out)); err != nil {
+		return nil, 0, err
 	}
 	return out, crc, nil
 }
@@ -143,38 +175,22 @@ func trailerAdler(out []byte, f *checksum.Follower) uint32 {
 // ZlibWrap frames a raw DEFLATE stream as zlib (RFC 1950) with the default
 // 32K window and an Adler-32 trailer over the plaintext.
 func ZlibWrap(deflated []byte, plain []byte) []byte {
-	out := make([]byte, 0, len(deflated)+6)
-	cmf := byte(0x78) // CM=8, CINFO=7 (32K window)
-	flg := byte(0x80) // FLEVEL=2 (default), FDICT=0
-	// FCHECK makes (cmf<<8 | flg) a multiple of 31.
-	rem := (uint16(cmf)<<8 | uint16(flg)) % 31
-	if rem != 0 {
-		flg += byte(31 - rem)
-	}
-	out = append(out, cmf, flg)
-	out = append(out, deflated...)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], checksum.SumAdler32(plain))
-	return append(out, tail[:]...)
+	out := AppendZlibHeader(make([]byte, 0, len(deflated)+6))
+	return AppendZlibTrailer(append(out, deflated...), checksum.SumAdler32(plain))
 }
 
 // ZlibUnwrap parses a zlib stream, returning the raw DEFLATE payload and
-// the expected Adler-32.
+// the expected Adler-32. It is ZlibUnwrapDict refusing a stream that
+// needs a preset dictionary.
 func ZlibUnwrap(src []byte) (deflated []byte, wantAdler uint32, err error) {
-	if len(src) < 6 {
-		return nil, 0, fmt.Errorf("%w: zlib stream too short", ErrBadMagic)
+	deflated, wantAdler, _, hasDict, err := ZlibUnwrapDict(src)
+	if err == nil && hasDict {
+		err = fmt.Errorf("%w: preset dictionary unsupported", ErrBadMagic)
 	}
-	cmf, flg := src[0], src[1]
-	if cmf&0x0F != 8 {
-		return nil, 0, fmt.Errorf("%w: zlib CM %d", ErrBadMagic, cmf&0x0F)
+	if err != nil {
+		return nil, 0, err
 	}
-	if (uint16(cmf)<<8|uint16(flg))%31 != 0 {
-		return nil, 0, fmt.Errorf("%w: zlib FCHECK", ErrBadMagic)
-	}
-	if flg&0x20 != 0 {
-		return nil, 0, fmt.Errorf("%w: preset dictionary unsupported", ErrBadMagic)
-	}
-	return src[2 : len(src)-4], binary.BigEndian.Uint32(src[len(src)-4:]), nil
+	return deflated, wantAdler, nil
 }
 
 // CompressZlib compresses and zlib-frames in one shot.
@@ -217,19 +233,11 @@ func DecompressGzipTail(src []byte, opts InflateOptions) (out []byte, consumed i
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	trailerAt := hlen + used
-	if trailerAt+8 > len(src) {
-		return nil, 0, 0, fmt.Errorf("%w: truncated gzip trailer", ErrBadMagic)
+	crc = trailerCRC(body, opts.Follower)
+	if err := CheckGzipTrailer(src[hlen+used:], crc, len(body)); err != nil {
+		return nil, 0, 0, err
 	}
-	wantCRC := binary.LittleEndian.Uint32(src[trailerAt:])
-	wantSize := binary.LittleEndian.Uint32(src[trailerAt+4:])
-	if uint32(len(body)) != wantSize {
-		return nil, 0, 0, fmt.Errorf("%w: member ISIZE %d, got %d", ErrBadLength, wantSize, len(body))
-	}
-	if crc = trailerCRC(body, opts.Follower); crc != wantCRC {
-		return nil, 0, 0, fmt.Errorf("%w: member CRC32 %08x, want %08x", ErrBadChecksum, crc, wantCRC)
-	}
-	return body, trailerAt + 8, crc, nil
+	return body, hlen + used + 8, crc, nil
 }
 
 // DecompressGzipMulti inflates a gzip stream that may consist of multiple

@@ -54,9 +54,10 @@ func (h GzipHeader) Append(dst []byte) ([]byte, error) {
 	if os == 0 {
 		os = 255
 	}
-	dst = append(dst, 0x1F, 0x8B, 8, flg)
-	dst = binary.LittleEndian.AppendUint32(dst, mtime)
-	dst = append(dst, 0, os)
+	dst = AppendGzipHeader(dst)
+	dst[start+3] = flg
+	binary.LittleEndian.PutUint32(dst[start+4:], mtime)
+	dst[start+9] = os
 	if len(h.Extra) > 0 {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Extra)))
 		dst = append(dst, h.Extra...)
@@ -200,8 +201,8 @@ func HintedGzipMember(src []byte) (n int, isize int64, ok bool) {
 			return 0, 0, false
 		}
 	}
-	isize = int64(binary.LittleEndian.Uint32(src[n-4:]))
-	return n, isize, isize <= 1032*int64(n)
+	_, size, _ := gzipTrailer(src[n-8:])
+	return n, int64(size), int64(size) <= 1032*int64(n)
 }
 
 // GzipWrapHeader frames a raw DEFLATE stream with a full header.
@@ -210,9 +211,5 @@ func GzipWrapHeader(deflated, plain []byte, h GzipHeader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, deflated...)
-	var tail [8]byte
-	binary.LittleEndian.PutUint32(tail[0:4], checksum.Sum32(plain))
-	binary.LittleEndian.PutUint32(tail[4:8], uint32(len(plain)))
-	return append(out, tail[:]...), nil
+	return AppendGzipTrailer(append(out, deflated...), checksum.Sum32(plain), len(plain)), nil
 }

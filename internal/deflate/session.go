@@ -141,12 +141,6 @@ func (s *Session) compact() {
 	s.bitsUsed -= drop * 8
 }
 
-// TailBits reports how many unconsumed bits remain buffered (useful for
-// locating a trailer after Done).
-func (s *Session) TailBits() int {
-	return len(s.in)*8 - s.bitsUsed
-}
-
 // Tail returns the unconsumed bytes after the final block, byte-aligned
 // (the gzip trailer, when the caller framed the stream).
 func (s *Session) Tail() []byte {

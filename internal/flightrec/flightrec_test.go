@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -243,8 +244,8 @@ func testSources(reg *telemetry.Registry) Sources {
 		Events: func(n int) []telemetry.Event {
 			return []telemetry.Event{{Type: telemetry.EventFailover, Device: "dev0", Req: 9, Detail: "test"}}
 		},
-		Config: func() any { return map[string]int{"devices": 2} },
-		Health: func() any { return map[string]bool{"healthy": false} },
+		Config: func() *Config { return &Config{Name: "P9", Devices: 2, TableMode: 1, Labels: []string{"dev0", "dev1"}} },
+		Health: func() *Health { return &Health{HealthyDevices: 1, TotalDevices: 2} },
 	}
 }
 
@@ -324,6 +325,86 @@ func TestPostmortemBundleCompleteness(t *testing.T) {
 	}
 	if _, reason := r.LastTrigger(); reason != "test trigger" {
 		t.Errorf("LastTrigger reason = %q", reason)
+	}
+}
+
+// TestBundleRoundTrip writes a bundle with TriggerPostmortem and reads it
+// back with ReadBundle: every section equals what went in.
+func TestBundleRoundTrip(t *testing.T) {
+	r := New(t.TempDir())
+	reg := telemetry.NewRegistry()
+	reg.Counter("nx.requests").Add(5)
+	srcs := testSources(reg)
+	at := time.Date(2026, 3, 4, 5, 6, 7, 8, time.UTC)
+	events := []telemetry.Event{
+		{Seq: 1, Time: at, Type: telemetry.EventFailover, Req: 9, Tenant: 3, Device: "dev0", Detail: "test"},
+		{Seq: 2, Time: at.Add(time.Millisecond), Type: telemetry.EventShed, Tenant: 4},
+	}
+	srcs.Events = func(int) []telemetry.Event { return events }
+	r.SetSources(srcs)
+	tr := r.Tracer()
+	for req := uint64(1); req <= 3; req++ {
+		s := tr.Start("compress-dht", 7, 1)
+		s.ReqID, s.Hop, s.Tenant, s.Priority, s.CC = req, int(req), 5, "batch", "ok"
+		now := time.Now()
+		s.RecordStage(telemetry.StageSubmit, now, now.Add(time.Microsecond), 0)
+		s.RecordPipeline(now, now.Add(time.Millisecond), []telemetry.PipelineStage{
+			{Stage: telemetry.StageSetup, Cycles: 10}, {Stage: telemetry.StageLZ, Cycles: 800},
+		})
+		tr.Finish(s)
+		d := okDigest(req, 100)
+		d.Outcome = telemetry.OutcomeDegraded
+		r.Complete(d)
+	}
+	path, err := r.TriggerPostmortem("round trip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := ReadBundle(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if at, reason := r.LastTrigger(); !b.Time.Equal(at) || b.Reason != reason || b.Ordinal != 1 || b.Seq != 3 {
+		t.Errorf("meta: %v %q #%d seq %d, want %v %q #1 seq 3", b.Time, b.Reason, b.Ordinal, b.Seq, at, reason)
+	}
+	if !reflect.DeepEqual(b.Config, srcs.Config()) || !reflect.DeepEqual(b.Health, srcs.Health()) {
+		t.Errorf("config %+v health %+v, want %+v %+v", b.Config, b.Health, srcs.Config(), srcs.Health())
+	}
+	if !reflect.DeepEqual(b.Devices, srcs.Devices()) {
+		t.Errorf("devices %+v, want %+v", b.Devices, srcs.Devices())
+	}
+	if !reflect.DeepEqual(b.Digests, r.Digests(0)) {
+		t.Errorf("digests %+v, want %+v", b.Digests, r.Digests(0))
+	}
+	var spans []telemetry.SpanRecord
+	for _, rr := range r.RetainedRequests() {
+		for _, s := range rr.Spans {
+			spans = append(spans, s.Record())
+		}
+	}
+	if len(spans) != 3 || !reflect.DeepEqual(b.Spans, spans) {
+		t.Errorf("spans %+v, want %+v", b.Spans, spans)
+	}
+	for i, s := range b.Spans {
+		var stages []string
+		for _, st := range s.Stages {
+			stages = append(stages, fmt.Sprintf("%s/%d", st.Stage, st.Cycles))
+		}
+		if s.Req != uint64(i+1) || s.Hop != i+1 || strings.Join(stages, " ") != "submit/0 setup/10 lz/800" {
+			t.Errorf("span %d: req %d hop %d stages %v", i, s.Req, s.Hop, stages)
+		}
+	}
+	if !reflect.DeepEqual(b.Events, events) {
+		t.Errorf("events %+v, want %+v", b.Events, events)
+	}
+	if b.Snapshot == nil || b.Snapshot.Counter("nx.requests", "") != 5 {
+		t.Errorf("snapshot %+v", b.Snapshot)
 	}
 }
 

@@ -97,9 +97,10 @@ func TestRingsOrderAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestPostmortemShapePinned pins a bundle's line kinds, in order, and
-// the keys of its span lines: the postmortem reader (cmd/nxinspect)
-// and anyone grepping a bundle key on both.
+// TestPostmortemShapePinned pins a bundle's line kinds, in order, the keys
+// of its span lines, and that only the meta line carries a time: the
+// postmortem reader (ReadBundle, which cmd/nxinspect renders) and anyone
+// grepping a bundle key on all three.
 func TestPostmortemShapePinned(t *testing.T) {
 	dir := t.TempDir()
 	r := New(dir)
@@ -143,6 +144,9 @@ func TestPostmortemShapePinned(t *testing.T) {
 		kind := ln["kind"].(string)
 		if len(kinds) == 0 || kinds[len(kinds)-1] != kind {
 			kinds = append(kinds, kind)
+		}
+		if _, timed := ln["time"]; timed != (kind == "meta") {
+			t.Fatalf("a %s line has a time key: %v", kind, timed)
 		}
 		if kind != "span" {
 			continue

@@ -11,24 +11,27 @@ package flightrec
 //
 //	meta      trigger time, reason, bundle ordinal, digest seq
 //	config    the node configuration
-//	health    the SLO report at trigger time
+//	health    the healthy and total device counts at trigger time
 //	device    one line per device status
 //	digest    one line per recent request digest (oldest first)
 //	span      one line per retained span (full lifecycle stages)
 //	event     one line per event-bus tail entry
 //	snapshot  the merged metrics snapshot
 //
-// Everything is snapshotted under the recorder lock into memory first,
-// then encoded and written with no locks held, so a trigger never
+// TriggerPostmortem writes one and ReadBundle reads one back into a
+// Bundle. Everything is snapshotted under the recorder lock into memory
+// first, then encoded and written with no locks held, so a trigger never
 // stalls the request path on disk I/O.
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,23 +43,71 @@ import (
 // Lexicographic order over the fixed-width timestamp is age order.
 const bundlePrefix = "postmortem-"
 
-type pmLine struct {
-	Kind string `json:"kind"`
+// Bundle is a postmortem bundle read back, section by section.
+type Bundle struct {
+	meta
+	Config   *Config
+	Health   *Health
+	Devices  []telemetry.DeviceStatus
+	Digests  []telemetry.Digest
+	Spans    []telemetry.SpanRecord
+	Events   []telemetry.Event
+	Snapshot *telemetry.Snapshot
+}
 
-	// meta
-	Time    time.Time `json:"time,omitempty"`
+// meta is a bundle's first line: when and why the trigger fired, the
+// bundle's ordinal and how many requests had been digested.
+type meta struct {
+	Time    time.Time `json:"time,omitzero"`
 	Reason  string    `json:"reason,omitempty"`
 	Ordinal int64     `json:"ordinal,omitempty"`
 	Seq     uint64    `json:"seq,omitempty"`
+}
 
-	// payload sections (one non-nil per line)
-	Config   any                     `json:"config,omitempty"`
-	Health   any                     `json:"health,omitempty"`
-	Device   *telemetry.DeviceStatus `json:"device,omitempty"`
-	Digest   *telemetry.Digest       `json:"digest,omitempty"`
-	Span     *telemetry.Span         `json:"span,omitempty"`
-	Event    *telemetry.Event        `json:"event,omitempty"`
-	Snapshot *telemetry.Snapshot     `json:"snapshot,omitempty"`
+// line is one line of a bundle: its kind and the one section it carries.
+type line struct {
+	Kind string `json:"kind"`
+	meta
+	Config   *Config                `json:"config,omitempty"`
+	Health   *Health                `json:"health,omitempty"`
+	Device   telemetry.DeviceStatus `json:"device,omitzero"`
+	Digest   telemetry.Digest       `json:"digest,omitzero"`
+	Span     telemetry.SpanRecord   `json:"span,omitzero"`
+	Event    telemetry.Event        `json:"event,omitzero"`
+	Snapshot *telemetry.Snapshot    `json:"snapshot,omitempty"`
+}
+
+// ReadBundle reads a bundle back; a line of a kind it does not know is
+// skipped.
+func ReadBundle(r io.Reader) (*Bundle, error) {
+	var b Bundle
+	dec := json.NewDecoder(r)
+	for n := 1; ; n++ {
+		var l line
+		if err := dec.Decode(&l); err == io.EOF {
+			return &b, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("line %d: %w", n, err)
+		}
+		switch l.Kind {
+		case "meta":
+			b.meta = l.meta
+		case "config":
+			b.Config = l.Config
+		case "health":
+			b.Health = l.Health
+		case "device":
+			b.Devices = append(b.Devices, l.Device)
+		case "digest":
+			b.Digests = append(b.Digests, l.Digest)
+		case "span":
+			b.Spans = append(b.Spans, l.Span)
+		case "event":
+			b.Events = append(b.Events, l.Event)
+		case "snapshot":
+			b.Snapshot = l.Snapshot
+		}
+	}
 }
 
 // TriggerPostmortem captures the recorder's state into a bundle. The
@@ -74,136 +125,88 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 		return "", nil
 	}
 
-	// Snapshot everything into memory first. Retained spans must be
-	// serialized under the recorder lock — eviction recycles them.
-	var lines []pmLine
-	lines = append(lines, pmLine{Kind: "meta", Time: now, Reason: reason, Ordinal: ordinal, Seq: r.Seq()})
-
+	lines := []line{{Kind: "meta", meta: meta{now, reason, ordinal, r.Seq()}}}
 	r.mu.Lock()
 	srcs := r.srcs
 	r.mu.Unlock()
 	if srcs.Config != nil {
-		lines = append(lines, pmLine{Kind: "config", Config: srcs.Config()})
+		lines = append(lines, line{Kind: "config", Config: srcs.Config()})
 	}
 	if srcs.Health != nil {
-		lines = append(lines, pmLine{Kind: "health", Health: srcs.Health()})
+		lines = append(lines, line{Kind: "health", Health: srcs.Health()})
 	}
 	if srcs.Devices != nil {
 		for _, d := range srcs.Devices() {
-			d := d
-			lines = append(lines, pmLine{Kind: "device", Device: &d})
+			lines = append(lines, line{Kind: "device", Device: d})
 		}
 	}
 	for _, d := range r.Digests(0) {
-		d := d
-		lines = append(lines, pmLine{Kind: "digest", Digest: &d})
+		lines = append(lines, line{Kind: "digest", Digest: d})
 	}
-	// Serialize retained spans to JSON inside the lock, park the raw
-	// bytes, and emit them after: the span pointers are only stable
-	// while held.
-	var spanRaw []json.RawMessage
+	// Retained spans are copied out under the recorder lock: eviction
+	// recycles them.
 	r.mu.Lock()
 	for _, e := range r.ret.Last(0) {
 		for _, s := range e.spans[:e.n] {
-			if raw, err := json.Marshal(s); err == nil {
-				spanRaw = append(spanRaw, raw)
-			}
+			lines = append(lines, line{Kind: "span", Span: s.Record()})
 		}
 	}
 	r.mu.Unlock()
 	if srcs.Events != nil {
 		for _, e := range srcs.Events(256) {
-			e := e
-			lines = append(lines, pmLine{Kind: "event", Event: &e})
+			lines = append(lines, line{Kind: "event", Event: e})
 		}
 	}
 	if srcs.Snapshot != nil {
-		lines = append(lines, pmLine{Kind: "snapshot", Snapshot: srcs.Snapshot()})
+		lines = append(lines, line{Kind: "snapshot", Snapshot: srcs.Snapshot()})
 	}
 
 	if err := os.MkdirAll(r.dir, 0o755); err != nil {
 		return "", err
 	}
-	name := fmt.Sprintf("%s%020d.jsonl", bundlePrefix, now.UnixNano())
-	path := filepath.Join(r.dir, name)
-	tmp, err := os.CreateTemp(r.dir, ".pm-*.tmp")
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, l := range lines {
+		if err := enc.Encode(l); err != nil {
+			return "", err
+		}
+	}
+	// Written aside and renamed into place, so a half-written bundle is
+	// never listed.
+	path := filepath.Join(r.dir, fmt.Sprintf("%s%020d.jsonl", bundlePrefix, now.UnixNano()))
+	tmp := path + ".tmp"
+	defer os.Remove(tmp)
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		return "", err
 	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	werr := func() error {
-		for _, ln := range lines {
-			if ln.Kind == "event" || ln.Kind == "snapshot" {
-				continue // events and snapshot go after spans, below
-			}
-			if err := enc.Encode(ln); err != nil {
-				return err
-			}
-		}
-		for _, raw := range spanRaw {
-			if _, err := fmt.Fprintf(w, `{"kind":"span","span":%s}`+"\n", raw); err != nil {
-				return err
-			}
-		}
-		for _, ln := range lines {
-			if ln.Kind != "event" && ln.Kind != "snapshot" {
-				continue
-			}
-			if err := enc.Encode(ln); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	}()
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return "", werr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		return "", err
 	}
-	r.pruneBundles()
+	paths := BundlePaths(r.dir)
+	for _, old := range paths[:max(0, len(paths)-maxBundles)] {
+		os.Remove(old)
+	}
 	return path, nil
 }
 
-// pruneBundles deletes the oldest bundles beyond maxBundles.
-func (r *Recorder) pruneBundles() {
-	names := r.bundleNames()
-	for len(names) > maxBundles {
-		os.Remove(filepath.Join(r.dir, names[0]))
-		names = names[1:]
-	}
-}
-
-// bundleNames lists bundle file names, oldest first.
-func (r *Recorder) bundleNames() []string {
-	ents, err := os.ReadDir(r.dir)
+// BundlePaths lists the postmortem bundles in dir, oldest first.
+func BundlePaths(dir string) []string {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	var names []string
+	var paths []string
 	for _, e := range ents {
 		if !e.IsDir() && strings.HasPrefix(e.Name(), bundlePrefix) && strings.HasSuffix(e.Name(), ".jsonl") {
-			names = append(names, e.Name())
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(paths)
+	return paths
 }
 
-// Bundles lists postmortem bundle paths, oldest first.
-func (r *Recorder) Bundles() []string {
-	names := r.bundleNames()
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(r.dir, n)
-	}
-	return out
-}
+// Bundles lists the recorder's postmortem bundle paths, oldest first.
+func (r *Recorder) Bundles() []string { return BundlePaths(r.dir) }
 
 // PostmortemCount returns how many times the trigger fired.
 func (r *Recorder) PostmortemCount() int64 { return r.pmCount.Load() }
@@ -223,11 +226,8 @@ func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		name := strings.Trim(strings.TrimPrefix(req.URL.Path, "/debug/postmortems"), "/")
 		if name == "" {
-			names := r.bundleNames()
-			// Newest first: operators want the latest incident on top.
-			for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-				names[i], names[j] = names[j], names[i]
-			}
+			paths := r.Bundles()
+			slices.Reverse(paths) // newest first: operators want the latest incident on top
 			type entry struct {
 				Name string `json:"name"`
 				Size int64  `json:"size"`
@@ -239,9 +239,9 @@ func (r *Recorder) Handler() http.Handler {
 				Bundles     []entry   `json:"bundles"`
 			}{Count: r.pmCount.Load(), Bundles: []entry{}}
 			out.LastTrigger, out.LastReason = r.LastTrigger()
-			for _, n := range names {
-				e := entry{Name: n}
-				if fi, err := os.Stat(filepath.Join(r.dir, n)); err == nil {
+			for _, p := range paths {
+				e := entry{Name: filepath.Base(p)}
+				if fi, err := os.Stat(p); err == nil {
 					e.Size = fi.Size()
 				}
 				out.Bundles = append(out.Bundles, e)
@@ -252,7 +252,7 @@ func (r *Recorder) Handler() http.Handler {
 			enc.Encode(out)
 			return
 		}
-		if strings.Contains(name, "/") || !strings.HasPrefix(name, bundlePrefix) {
+		if strings.Contains(name, "/") || !strings.HasPrefix(name, bundlePrefix) || !strings.HasSuffix(name, ".jsonl") {
 			http.Error(w, "no such bundle", http.StatusNotFound)
 			return
 		}

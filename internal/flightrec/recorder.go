@@ -94,11 +94,25 @@ type Sources struct {
 	Devices func() []telemetry.DeviceStatus
 	// Events returns up to n recent bus events, oldest first.
 	Events func(n int) []telemetry.Event
-	// Config returns the node configuration (any JSON-encodable value).
-	Config func() any
-	// Health returns the SLO report that triggered (or would trigger)
-	// the postmortem.
-	Health func() any
+	// Config returns the node configuration.
+	Config func() *Config
+	// Health returns the node's healthy and total device counts.
+	Health func() *Health
+}
+
+// Config is the node-configuration section of a postmortem bundle.
+type Config struct {
+	Name      string   `json:"name"`
+	Devices   int      `json:"devices"`
+	Dispatch  string   `json:"dispatch,omitempty"`
+	TableMode int      `json:"table_mode"`
+	Labels    []string `json:"labels"`
+}
+
+// Health is the health section of a postmortem bundle.
+type Health struct {
+	HealthyDevices int `json:"healthy_devices"`
+	TotalDevices   int `json:"total_devices"`
 }
 
 // Recorder is the flight recorder. It implements telemetry.Sink; wire

@@ -70,8 +70,10 @@ func (c *CollectSink) Reset() {
 	c.mu.Unlock()
 }
 
-// spanJSON is the export shape of a span: one postmortem span line.
-type spanJSON struct {
+// SpanRecord is the export shape of a span: the span of a postmortem
+// bundle's span line, which internal/flightrec writes and reads back.
+// Times are in nanoseconds; a stage's offset is from the span's start.
+type SpanRecord struct {
 	ID           uint64      `json:"id"`
 	Req          uint64      `json:"req,omitempty"`
 	Hop          int         `json:"hop,omitempty"`
@@ -91,10 +93,11 @@ type spanJSON struct {
 	ERATHits     int64       `json:"erat_hits"`
 	ERATMisses   int64       `json:"erat_misses"`
 	DeviceCycles int64       `json:"device_cycles"`
-	Stages       []stageJSON `json:"stages"`
+	Stages       []SpanStage `json:"stages"`
 }
 
-type stageJSON struct {
+// SpanStage is one stage of a SpanRecord; Stage is the Stage's name.
+type SpanStage struct {
 	Stage   string `json:"stage"`
 	OffNs   int64  `json:"off_ns"` // start offset from span start
 	DurNs   int64  `json:"dur_ns"`
@@ -102,8 +105,10 @@ type stageJSON struct {
 	Attempt int    `json:"attempt"`
 }
 
-func spanToJSON(s *Span) spanJSON {
-	j := spanJSON{
+// Record is the span's SpanRecord. It copies what it takes, so the record
+// outlives the span's recycling.
+func (s *Span) Record() SpanRecord {
+	j := SpanRecord{
 		ID: s.ID, Req: s.ReqID, Hop: s.Hop,
 		Tenant: s.Tenant, Priority: s.Priority,
 		Op: s.Op, PID: s.PID, Window: s.Window, Engine: s.Engine,
@@ -113,17 +118,13 @@ func spanToJSON(s *Span) spanJSON {
 		ERATHits: s.ERATHits, ERATMisses: s.ERATMisses, DeviceCycles: s.DeviceCycles,
 	}
 	for _, r := range s.Stages {
-		j.Stages = append(j.Stages, stageJSON{
+		j.Stages = append(j.Stages, SpanStage{
 			Stage: r.Stage.String(), OffNs: r.Start.Sub(s.Start).Nanoseconds(),
 			DurNs: r.End.Sub(r.Start).Nanoseconds(), Cycles: r.Cycles, Attempt: r.Attempt,
 		})
 	}
 	return j
 }
-
-// MarshalJSON exports the span in its one JSON shape, the span line of
-// the flight recorder's postmortem bundles.
-func (s *Span) MarshalJSON() ([]byte, error) { return json.Marshal(spanToJSON(s)) }
 
 // chromeEvent is one Chrome trace_event entry ("X" complete events plus
 // "M" metadata). https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU

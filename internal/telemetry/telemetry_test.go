@@ -230,10 +230,10 @@ func TestChromeSinkEmitsValidTraceEventJSON(t *testing.T) {
 	sink.Emit(mkSpan(99))
 }
 
-// TestSpanMarshalJSON: a span marshals to the one JSON line shape the
-// postmortem bundles carry.
+// TestSpanMarshalJSON: a span's record marshals to the one JSON line shape
+// the postmortem bundles carry.
 func TestSpanMarshalJSON(t *testing.T) {
-	raw, err := json.Marshal(mkSpan(7))
+	raw, err := json.Marshal(mkSpan(7).Record())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,10 +173,6 @@ func (n *Node) StartTrace(sink telemetry.Sink) { n.topo.StartTrace(sink) }
 // exactly once.
 func (n *Node) StopTrace() error { return n.topo.StopTrace() }
 
-// Topology exposes the underlying pool for direct internal use
-// (experiments drive dispatch through it).
-func (n *Node) Topology() *topology.Node { return n.topo }
-
 // InstallInjectors builds one deterministic fault injector per device
 // (seeds derived from seed, so chaos runs replay), installs them across
 // every device layer, and returns them so a chaos harness can flip

@@ -1,9 +1,7 @@
 package nxzip
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"slices"
 
@@ -30,7 +28,6 @@ type StreamReader struct {
 	outbuf []byte // the last request's plaintext, and the next one's target
 	outPos int
 	crc    checksum.CRC32
-	isize  uint32
 
 	headerDone  bool
 	srcExhaust  bool
@@ -135,7 +132,6 @@ func (r *StreamReader) fill() error {
 	r.outbuf = out
 	r.outPos = 0
 	r.crc.Update(out)
-	r.isize += uint32(len(out))
 
 	if r.state.Done() {
 		if err := r.finishTrailer(); err != nil {
@@ -147,7 +143,7 @@ func (r *StreamReader) fill() error {
 	return nil
 }
 
-// finishTrailer validates CRC32/ISIZE once the final block has decoded.
+// finishTrailer checks the gzip trailer once the final block has decoded.
 func (r *StreamReader) finishTrailer() error {
 	if r.trailerDone {
 		return nil
@@ -155,27 +151,17 @@ func (r *StreamReader) finishTrailer() error {
 	tail := r.state.Tail()
 	// Any input we never submitted is also part of the tail.
 	tail = append(append([]byte{}, tail...), r.inbuf...)
-	if len(tail) < 8 {
-		if !r.srcExhaust {
-			// Pull the remainder of the trailer from the source.
-			rest, err := io.ReadAll(io.LimitReader(r.src, 16))
-			if err != nil {
-				return err
-			}
-			tail = append(tail, rest...)
-			r.srcExhaust = true
+	if len(tail) < 8 && !r.srcExhaust {
+		// Pull the remainder of the trailer from the source.
+		rest, err := io.ReadAll(io.LimitReader(r.src, 16))
+		if err != nil {
+			return err
 		}
-		if len(tail) < 8 {
-			return errors.New("nxzip: missing gzip trailer")
-		}
+		tail = append(tail, rest...)
+		r.srcExhaust = true
 	}
-	wantCRC := binary.LittleEndian.Uint32(tail[0:4])
-	wantISize := binary.LittleEndian.Uint32(tail[4:8])
-	if got := r.crc.Sum(); got != wantCRC {
-		return fmt.Errorf("nxzip: stream CRC32 %08x, want %08x", got, wantCRC)
-	}
-	if r.isize != wantISize {
-		return fmt.Errorf("nxzip: stream ISIZE %d, want %d", r.isize, wantISize)
+	if err := deflate.CheckGzipTrailer(tail, r.crc.Sum(), int(r.state.Produced())); err != nil {
+		return err
 	}
 	r.trailerDone = true
 	return nil

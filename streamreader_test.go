@@ -81,6 +81,9 @@ func TestStreamReaderSmallReads(t *testing.T) {
 	}
 }
 
+// TestStreamReaderDetectsCorruptTrailer: a damaged trailer fails
+// StreamReader in the class it fails Reader in — one trailer check, so one
+// set of sentinels.
 func TestStreamReaderDetectsCorruptTrailer(t *testing.T) {
 	acc := Open(P9())
 	defer acc.Close()
@@ -89,11 +92,22 @@ func TestStreamReaderDetectsCorruptTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte{}, gz...)
-	bad[len(bad)-6] ^= 0xFF // CRC byte
-	r := acc.NewStreamReader(bytes.NewReader(bad), 0)
-	if _, err := io.ReadAll(r); err == nil {
-		t.Fatal("corrupt trailer accepted")
+	for _, tc := range []struct {
+		name, class string
+		damage      func([]byte) []byte
+	}{
+		{"crc", "bad checksum", func(b []byte) []byte { b[len(b)-6] ^= 0xFF; return b }},
+		{"isize", "bad length", func(b []byte) []byte { b[len(b)-2] ^= 0xFF; return b }},
+		{"cut", "bad framing", func(b []byte) []byte { return b[:len(b)-3] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := tc.damage(append([]byte{}, gz...))
+			_, err := io.ReadAll(acc.NewStreamReader(bytes.NewReader(bad), 0))
+			_, rerr := io.ReadAll(acc.NewReader(bytes.NewReader(bad)))
+			if got, want := readerErrClass(err), readerErrClass(rerr); got != tc.class || want != tc.class {
+				t.Fatalf("StreamReader: %s, Reader: %s, want %s", got, want, tc.class)
+			}
+		})
 	}
 }
 

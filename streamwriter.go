@@ -1,11 +1,11 @@
 package nxzip
 
 import (
-	"encoding/binary"
 	"io"
 	"sync/atomic"
 
 	"nxzip/internal/checksum"
+	"nxzip/internal/deflate"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nx"
 )
@@ -72,8 +72,6 @@ func (a *Accelerator) NewStreamWriterChunk(out io.Writer, chunk int) *StreamWrit
 	w.ctx.Store(a.nctx.PickSticky())
 	return w
 }
-
-var gzipStreamHeader = []byte{0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255}
 
 // Write tops the pending bytes up to a chunk — so segments fall on
 // multiples of chunk however the Writes were cut — and runs it, and the
@@ -151,7 +149,7 @@ func (w *StreamWriter) cut(j *segmentJob, rest []byte, i int, final bool) {
 // many before the first failure.
 func (w *StreamWriter) wave(rest []byte, final bool) (emitted int, _ error) {
 	if !w.started {
-		if _, w.err = w.out.Write(gzipStreamHeader); w.err != nil {
+		if _, w.err = w.out.Write(deflate.AppendGzipHeader(nil)); w.err != nil {
 			return 0, w.err
 		}
 		w.started = true
@@ -160,11 +158,14 @@ func (w *StreamWriter) wave(rest []byte, final bool) (emitted int, _ error) {
 		func(j *segmentJob, i int) { w.cut(j, rest, i, final) },
 		w.run,
 		func(j *segmentJob) error {
+			w.crc.Update(j.src)
+			w.isize += uint32(len(j.src))
+			if j.final {
+				j.body = deflate.AppendGzipTrailer(j.body, w.crc.Sum(), int(w.isize))
+			}
 			if _, err := w.out.Write(j.body); err != nil {
 				return err
 			}
-			w.crc.Update(j.src)
-			w.isize += uint32(len(j.src))
 			w.Stats.add(&j.m)
 			w.acc.met.streamSegments.Inc()
 			return nil
@@ -188,17 +189,13 @@ func (w *StreamWriter) run(_ int, j *segmentJob) (err error) {
 	return err
 }
 
-// Close submits the final segment and writes the gzip trailer.
+// Close submits the final segment, written with the gzip trailer behind it.
 func (w *StreamWriter) Close() error {
 	if w.err != nil || w.closed {
 		return w.err
 	}
 	if _, err := w.wave(nil, true); err != nil {
 		return err
-	}
-	trailer := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, w.crc.Sum()), w.isize)
-	if _, w.err = w.out.Write(trailer); w.err != nil {
-		return w.err
 	}
 	w.closed = true
 	if w.Stats.InBytes > 0 && w.Stats.OutBytes > 0 {
