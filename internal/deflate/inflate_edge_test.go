@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // to spare) and outside them (exact Dst, tight MaxOutput, last input bytes).
 
 // expand is lz77's reference semantics of a token stream.
-func expand(t *testing.T, tokens []lz77.Token) []byte {
+func expand(t testing.TB, tokens []lz77.Token) []byte {
 	t.Helper()
 	out, err := lz77.Expand(nil, tokens)
 	if err != nil {
@@ -208,5 +209,208 @@ func TestDecodeAllocsNothingInSteadyState(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Decompress of dynamic blocks into a roomy Dst: %v allocs/op, want 0", n)
+	}
+}
+
+// Long codes through the fast loop. longDHT gives the sixteen literals
+// 0xF0-0xFF 15-bit codes and match length 3 (symbol 257) a 12-bit one, both
+// longer than the literal/length primary table, so both resolve through a
+// sub-table link; 'g' and end-of-block get 10 bits, the longest code a
+// primary entry holds, 'a'-'f' 4-9 and every other length symbol 8. The
+// rest of the code space goes to filler literals the rows never use, so
+// the code is complete.
+const (
+	longLit   = 0xF0 // first of the sixteen 15-bit literals
+	longLitN  = 16
+	longLitCL = 15
+	wideLit   = 'g'
+	wideLitCL = 10
+	linkLen   = 3 // a match of this length is coded by symbol 257
+	linkLenCL = 12
+)
+
+func longDHT() *DHT {
+	ll := make([]uint8, NumLitLen)
+	for i := 0; i < longLitN; i++ {
+		ll[longLit+i] = longLitCL
+	}
+	ll[257] = linkLenCL
+	for i, c := range "abcdef" {
+		ll[c] = uint8(4 + i)
+	}
+	ll[wideLit] = wideLitCL
+	ll[EndOfBlock] = 10
+	for s := 258; s < NumLitLen; s++ {
+		ll[s] = 8
+	}
+	left := 1 << maxCodeLen
+	for _, l := range ll {
+		if l > 0 {
+			left -= 1 << (maxCodeLen - l)
+		}
+	}
+	for sym := 0; left > 0; sym++ { // largest free power of two first
+		if ll[sym] == 0 {
+			ll[sym] = uint8(maxCodeLen + 1 - bits.Len(uint(left)))
+			left -= 1 << (maxCodeLen - int(ll[sym]))
+		}
+	}
+	d := make([]uint8, NumDist)
+	for s := range d {
+		d[s] = 5
+	}
+	d[0], d[1] = 4, 4
+	return &DHT{LitLen: ll, Dist: d}
+}
+
+// longCodeRow is one stream of TestFastLoopLongCodeRows: a short history, pad
+// 9-bit literals (each shifts every later symbol by one bit modulo 8, so
+// sixteen pads put the symbols after them at every offset from a refill
+// twice), a match, a run of literals, then the row's terminator, an
+// optional tail, and trail bytes of input after the stream. A "long" run
+// is all 15-bit literals, each resolved from a link; a "mixed" run is one
+// of them and then 10-bit ones, the literal chain that leaves the fewest
+// bits in the buffer.
+type longCodeRow struct {
+	name   string
+	tokens []lz77.Token
+	run    int  // literals right after the first match
+	link   bool // the terminator is a match of linkLen
+	runEnd int  // output length just after the run
+	trail  int
+}
+
+func longCodeRows() []longCodeRow {
+	terms := []struct {
+		name string
+		tok  []lz77.Token
+	}{
+		{"eob", nil},
+		{"lit", []lz77.Token{lz77.Lit('a')}},
+		{"match", []lz77.Token{lz77.Match(10, 3)}},
+		{"link", []lz77.Token{lz77.Match(linkLen, 2)}},
+	}
+	// 36 bytes of input keep the fast loop running past the run; the two
+	// long matches put the run 580 bytes before the end of the output.
+	var tail []lz77.Token
+	for i := 0; i < 32; i++ {
+		tail = append(tail, lz77.Lit('f'))
+	}
+	tail = append(tail, lz77.Match(258, 1), lz77.Match(258, 7))
+	var rows []longCodeRow
+	for pad := 0; pad < 16; pad++ {
+		for run := 0; run <= 4; run++ {
+			for _, mixed := range []bool{false, true} {
+				if mixed && run < 2 {
+					continue
+				}
+				for _, term := range terms {
+					for _, tailed := range []bool{false, true} {
+						var tokens []lz77.Token
+						for _, c := range "abcdefab" {
+							tokens = append(tokens, lz77.Lit(byte(c)))
+						}
+						for i := 0; i < pad; i++ {
+							tokens = append(tokens, lz77.Lit('f'))
+						}
+						tokens = append(tokens, lz77.Match(6, 4))
+						for i := 0; i < run; i++ {
+							lit := byte(longLit + (pad+i)%longLitN)
+							if mixed && i > 0 {
+								lit = wideLit
+							}
+							tokens = append(tokens, lz77.Lit(lit))
+						}
+						runEnd := 8 + pad + 6 + run
+						tokens = append(tokens, term.tok...)
+						trails := []int{0}
+						if tailed {
+							tokens = append(tokens, tail...)
+						} else if !mixed {
+							trails = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+						}
+						kind := "long"
+						if mixed {
+							kind = "mixed"
+						}
+						for _, trail := range trails {
+							rows = append(rows, longCodeRow{
+								name:   fmt.Sprintf("pad %d/%s run %d/%s/tail %v/trail %d", pad, kind, run, term.name, tailed, trail),
+								tokens: tokens, run: run, link: term.name == "link", runEnd: runEnd, trail: trail,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// encode writes the row as one dynamic block with longDHT, trail bytes
+// after it.
+func (row longCodeRow) encode(t testing.TB, dht *DHT) (comp, plain []byte) {
+	t.Helper()
+	plain = expand(t, row.tokens)
+	comp, err := EncodeTokens(row.tokens, plain, ModeDynamic, dht)
+	if err != nil {
+		t.Fatalf("%s: %v", row.name, err)
+	}
+	return append(comp, make([]byte, row.trail)...), plain
+}
+
+// streamLitLenLengths reads the code lengths a dynamic block's header
+// carries for the literal/length alphabet.
+func streamLitLenLengths(t *testing.T, comp []byte) []uint8 {
+	t.Helper()
+	in := new(inflater)
+	in.r.Reset(comp)
+	if hdr, err := in.r.ReadBits(3); err != nil || hdr>>1 != 2 {
+		t.Fatalf("not a dynamic block: header %d, %v", hdr, err)
+	}
+	if err := in.readDynamicHeader(&in.r); err != nil {
+		t.Fatal(err)
+	}
+	return in.lengths[:NumLitLen]
+}
+
+func TestFastLoopLongCodeRows(t *testing.T) {
+	dht := longDHT()
+	for _, row := range longCodeRows() {
+		comp, plain := row.encode(t, dht)
+		lens := streamLitLenLengths(t, comp)
+		for _, tok := range row.tokens {
+			lit, want := tok.Literal(), uint8(0)
+			switch {
+			case tok.IsMatch():
+			case lit >= longLit:
+				want = longLitCL
+			case lit == wideLit:
+				want = wideLitCL
+			}
+			if want != 0 && lens[lit] != want {
+				t.Fatalf("%s: literal %#x has a %d-bit code, want %d", row.name, lit, lens[lit], want)
+			}
+		}
+		if row.link && lens[257] != linkLenCL {
+			t.Fatalf("%s: length %d has a %d-bit code, want %d", row.name, linkLen, lens[257], linkLenCL)
+		}
+		n := len(plain)
+		for _, maxOut := range []int{n - 1, n, n + 1} {
+			for _, dstCap := range []int{-1, n, n + 4096} {
+				checkEqualsReference(t, fmt.Sprintf("%s/max=%d/cap=%d", row.name, maxOut, dstCap), comp, maxOut, dstCap)
+			}
+		}
+		if row.run == 0 || row.trail > 0 || n < row.runEnd+fastOutMargin {
+			continue
+		}
+		// The fast loop's output limit, then the budget itself, just after
+		// the run: the loop must stop there, or not, and hand over cleanly.
+		for _, at := range []int{row.runEnd + fastOutMargin, row.runEnd} {
+			for _, lim := range []int{at - 1, at, at + 1} {
+				checkEqualsReference(t, fmt.Sprintf("%s/max=%d", row.name, lim), comp, lim, -1)
+				checkEqualsReference(t, fmt.Sprintf("%s/cap=%d", row.name, lim), comp, 0, lim)
+			}
+		}
 	}
 }

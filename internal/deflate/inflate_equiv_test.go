@@ -145,6 +145,16 @@ func FuzzInflateEqualsReference(f *testing.F) {
 			}
 		}
 	}
+	// Streams whose literal codes reach 15 bits, which Compress never
+	// makes from inputs this short.
+	dht := longDHT()
+	for _, row := range longCodeRows() {
+		if row.trail == 0 {
+			comp, plain := row.encode(f, dht)
+			f.Add(comp, uint16(0), uint16(0))
+			f.Add(comp, uint16(len(plain)), uint16(len(plain)+1))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, max16, cap16 uint16) {
 		maxOut := int(max16) // 0 = the 1 GiB default, bounded below
 		if maxOut == 0 {
