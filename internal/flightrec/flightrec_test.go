@@ -513,6 +513,45 @@ func TestHandler(t *testing.T) {
 	}
 }
 
+// TestLastTriggerOnlyOnceFired: a recorder that never fired has no
+// last_trigger in its Status or its /debug/postmortems listing (a zero
+// time.Time would read as year 1), and one that has fired has a real one
+// in both.
+func TestLastTriggerOnlyOnceFired(t *testing.T) {
+	r := New(t.TempDir())
+	documents := func() map[string]map[string]json.RawMessage {
+		status, err := json.Marshal(r.Status())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/postmortems", nil))
+		docs := map[string]map[string]json.RawMessage{}
+		for name, body := range map[string][]byte{"Status": status, "/debug/postmortems": rec.Body.Bytes()} {
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal(body, &keys); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			docs[name] = keys
+		}
+		return docs
+	}
+	for name, keys := range documents() {
+		if v, ok := keys["last_trigger"]; ok {
+			t.Errorf("%s of a recorder that never fired: last_trigger %s", name, v)
+		}
+	}
+	if _, err := r.TriggerPostmortem("fired"); err != nil {
+		t.Fatal(err)
+	}
+	for name, keys := range documents() {
+		var at time.Time
+		if err := json.Unmarshal(keys["last_trigger"], &at); err != nil || at.IsZero() {
+			t.Errorf("%s after a trigger: last_trigger %s (%v)", name, keys["last_trigger"], err)
+		}
+	}
+}
+
 // TestCloseStopsIntake verifies a closed recorder drops work instead of
 // corrupting state.
 func TestCloseStopsIntake(t *testing.T) {

@@ -234,7 +234,7 @@ func (r *Recorder) Handler() http.Handler {
 			}
 			out := struct {
 				Count       int64     `json:"count"`
-				LastTrigger time.Time `json:"last_trigger,omitempty"`
+				LastTrigger time.Time `json:"last_trigger,omitzero"`
 				LastReason  string    `json:"last_reason,omitempty"`
 				Bundles     []entry   `json:"bundles"`
 			}{Count: r.pmCount.Load(), Bundles: []entry{}}

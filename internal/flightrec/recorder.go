@@ -393,7 +393,7 @@ type Status struct {
 	P99QueueUS  float64 `json:"p99_queue_us"`
 	Postmortems int64   `json:"postmortems"`
 	// LastTrigger/LastReason describe the most recent postmortem.
-	LastTrigger time.Time `json:"last_trigger,omitempty"`
+	LastTrigger time.Time `json:"last_trigger,omitzero"`
 	LastReason  string    `json:"last_reason,omitempty"`
 	// Slowest is the "slowest recent requests" feed, worst first.
 	Slowest []telemetry.Digest `json:"slowest,omitempty"`
