@@ -14,6 +14,7 @@ import (
 
 	"nxzip"
 	"nxzip/internal/corpus"
+	"nxzip/internal/deflate"
 	"nxzip/internal/experiments"
 )
 
@@ -57,6 +58,40 @@ func BenchmarkDeviceDecompressGzipP9(b *testing.B) {
 		if _, _, err := acc.DecompressGzip(gz); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInflateKindsP9 times the inflate kernel alone on what a P9
+// device writes for bench's bulk_oneshot payloads: the eight 1 MiB classes
+// at seed 1 (generated as that workload generates them), each compressed
+// with CompressGzip and decoded from its raw DEFLATE body by
+// deflate.Decompress into a reused Dst. One sub-benchmark per class.
+func BenchmarkInflateKindsP9(b *testing.B) {
+	acc := nxzip.Open(nxzip.P9())
+	defer acc.Close()
+	kinds := []corpus.Kind{corpus.Text, corpus.HTML, corpus.JSONLogs, corpus.Source,
+		corpus.Columnar, corpus.DNA, corpus.Binary, corpus.Random}
+	const seed = 1
+	for ki, k := range kinds {
+		src := corpus.Generate(k, 1<<20, seed*131+int64(ki))
+		gz, _, err := acc.CompressGzip(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, _, _, err := deflate.GzipUnwrap(gz)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]byte, 0, len(src))
+		b.Run(k.String(), func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				out, err := deflate.Decompress(body, deflate.InflateOptions{Dst: dst})
+				if err != nil || len(out) != len(src) {
+					b.Fatalf("%d bytes, %v", len(out), err)
+				}
+			}
+		})
 	}
 }
 

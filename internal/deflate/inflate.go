@@ -82,12 +82,19 @@ const (
 	// followStripe is how much output a decode with a Follower produces
 	// between publishes: the fast loop stops at each multiple of it.
 	followStripe = 64 << 10
+
+	// The primary index widths of every decode table an inflater reads,
+	// fixed and dynamic. A 10-bit literal/length root resolves every code
+	// of up to 10 bits in one load, where 9 sent the long literal codes of
+	// high-entropy blocks through a sub-table link.
+	litLenTableBits = 10
+	distTableBits   = huffman.DefaultPrimaryBits
 )
 
 // The RFC 1951 static tables, shared by every pass (read-only once built).
 var fixedLitLen, fixedDist = func() (ll, d huffman.Decoder) {
-	if err := errors.Join(ll.Init(FixedLitLenLengths(), huffman.DefaultPrimaryBits, litLenValues[:]),
-		d.Init(FixedDistLengths(), huffman.DefaultPrimaryBits, distValues[:])); err != nil {
+	if err := errors.Join(ll.Init(FixedLitLenLengths(), litLenTableBits, litLenValues[:]),
+		d.Init(FixedDistLengths(), distTableBits, distValues[:])); err != nil {
 		panic(err) // the fixed code is a constant
 	}
 	return
@@ -273,10 +280,10 @@ func (in *inflater) readDynamicHeader(r *bitio.Reader) error {
 	if lengths[EndOfBlock] == 0 {
 		return fmt.Errorf("%w: no end-of-block code", ErrCorrupt)
 	}
-	if err := in.litLen.Init(lengths[:nlit], huffman.DefaultPrimaryBits, litLenValues[:]); err != nil {
+	if err := in.litLen.Init(lengths[:nlit], litLenTableBits, litLenValues[:]); err != nil {
 		return fmt.Errorf("%w: litlen table: %v", ErrCorrupt, err)
 	}
-	if err := in.dist.Init(lengths[nlit:], huffman.DefaultPrimaryBits, distValues[:]); err != nil {
+	if err := in.dist.Init(lengths[nlit:], distTableBits, distValues[:]); err != nil {
 		return fmt.Errorf("%w: dist table: %v", ErrCorrupt, err)
 	}
 	return nil
@@ -322,77 +329,117 @@ func (in *inflater) publish() {
 // are in place the rest can be copied in words from that far back.
 var widen = [8]int{0, 8, 8, 9, 8, 10, 12, 14}
 
+// refill tops the bit buffer up to 56..63 valid bits from data[pos:], which
+// must hold 8 bytes. Bits above nb are the same bytes OR-ed in again, so
+// only whole bytes are counted as taken.
+func refill(data []byte, pos int, bb uint64, nb uint) (int, uint64, uint) {
+	return pos + int(63-nb)>>3, bb | binary.LittleEndian.Uint64(data[pos:])<<nb, nb | 56
+}
+
 // fast decodes symbols while at least fastInMargin bytes of input are
 // unread and n is at most limit (fastOutMargin short of both the output
 // backing and maxOut), so that no symbol needs an end-of-input, capacity or
 // budget check of its own. The bit buffer lives in locals — bb holds nb
 // valid bits, the byte after them is data[pos] — and goes back to the
 // Reader on the way out.
+//
+// At the top of every iteration nb >= 56 and e is the next symbol's
+// literal/length entry, looked up with at least 15 valid bits. That entry
+// survives a refill: a refill ORs bits in only at and above nb, and an
+// entry whose code is at most nb bits long depends on valid bits alone (a
+// primary index wider than the code repeats the entry over every value of
+// the bits past it; a link is resolved only at the top, from a full
+// buffer). So a literal run refills and carries on with the entry it
+// stopped at, and a match looks up the next symbol before its copy, which
+// does not depend on it; no symbol is looked up twice.
 func (in *inflater) fast(litLen, dist *huffman.Decoder, limit int) (eob bool, err error) {
 	data, pos, bb, nb := in.r.State()
 	out, n := in.out, in.n
+	// The primary parts are read as arrays, so a masked index needs no
+	// bounds check; links index the whole tables.
 	llTab, llBits := litLen.Table()
 	dTab, dBits := dist.Table()
-	llMask, dMask := uint64(1)<<llBits-1, uint64(1)<<dBits-1
-loop:
-	for pos+fastInMargin <= len(data) && n <= limit {
-		// Refill to 56..63 bits: bits above nb are the same bytes OR-ed in
-		// again, so only whole bytes are counted as taken.
-		bb |= binary.LittleEndian.Uint64(data[pos:]) << nb
-		pos += int(63-nb) >> 3
-		nb |= 56
-
-		e := llTab[bb&llMask]
-	dispatch:
+	if llBits != litLenTableBits || dBits != distTableBits {
+		panic("deflate: decode table built at another width")
+	}
+	llPrim := (*[1 << litLenTableBits]huffman.Entry)(llTab)
+	dPrim := (*[1 << distTableBits]huffman.Entry)(dTab)
+	const llMask, dMask = 1<<litLenTableBits - 1, 1<<distTableBits - 1
+	if pos+fastInMargin > len(data) || n > limit {
+		return false, nil
+	}
+	pos, bb, nb = refill(data, pos, bb, nb)
+	e := llPrim[bb&llMask]
+	for {
 		if e.IsLiteral() {
-			// Up to three literals on one refill (3 x 15 <= 56 bits);
-			// whatever follows them gets a full buffer of its own.
-			for k := 0; ; k++ {
-				bb >>= e.Len()
-				nb -= e.Len()
+			// Two literals, and a third while nb >= 30: at most 15 bits
+			// each, so the entry after them is looked up with nb >= 15.
+			out[n] = byte(e.Sym())
+			n++
+			bb >>= e.Len()
+			nb -= e.Len()
+			if e = llPrim[bb&llMask]; e.IsLiteral() {
 				out[n] = byte(e.Sym())
 				n++
-				if e = llTab[bb&llMask]; k == 2 || !e.IsLiteral() {
-					continue loop
+				bb >>= e.Len()
+				nb -= e.Len()
+				if e = llPrim[bb&llMask]; e.IsLiteral() && nb >= 30 {
+					out[n] = byte(e.Sym())
+					n++
+					bb >>= e.Len()
+					nb -= e.Len()
+					e = llPrim[bb&llMask]
 				}
 			}
+			if pos+fastInMargin > len(data) || n > limit {
+				break
+			}
+			pos, bb, nb = refill(data, pos, bb, nb)
+			continue
 		}
 		if e.IsSpecial() {
-			switch {
-			case e.IsLink():
-				e = e.Sub(llTab, bb>>llBits)
-				goto dispatch
-			case e.Sym() == EndOfBlock:
+			if e.IsLink() {
+				e = e.Sub(llTab, bb>>llBits) // nothing consumed: nb is still >= 56
+				continue
+			}
+			if e.Sym() == EndOfBlock {
 				bb >>= e.Len()
 				nb -= e.Len()
 				eob = true
-			default:
+			} else {
 				err = errLitLenCode
 			}
-			break loop
+			break
 		}
-		bb >>= e.Len()
-		length := e.Base() + int(bb&(1<<e.Extra()-1))
-		bb >>= e.Extra()
+		// Code and extra bits leave bb in one shift; the extra bits are
+		// read from the copy taken before it.
+		b := bb
+		bb >>= e.Len() + e.Extra()
 		nb -= e.Len() + e.Extra()
+		length := e.Base() + int(b>>e.Len()&(1<<e.Extra()-1))
 
-		de := dTab[bb&dMask]
+		de := dPrim[bb&dMask]
 		if de.IsSpecial() {
 			if de.IsLink() {
 				de = de.Sub(dTab, bb>>dBits)
 			}
 			if de.IsSpecial() {
 				err = errDistCode
-				break loop
+				break
 			}
 		}
-		bb >>= de.Len()
-		d := de.Base() + int(bb&(1<<de.Extra()-1))
-		bb >>= de.Extra()
+		b = bb
+		bb >>= de.Len() + de.Extra()
 		nb -= de.Len() + de.Extra()
+		d := de.Base() + int(b>>de.Len()&(1<<de.Extra()-1))
 		if d > n {
 			err = errDistance
-			break loop
+			break
+		}
+		more := pos+fastInMargin <= len(data)
+		if more {
+			pos, bb, nb = refill(data, pos, bb, nb)
+			e = llPrim[bb&llMask]
 		}
 		i, back := 0, d
 		if d < 8 {
@@ -409,6 +456,9 @@ loop:
 			binary.LittleEndian.PutUint64(out[n+i:], binary.LittleEndian.Uint64(out[n+i-back:]))
 		}
 		n += length
+		if !more || n > limit {
+			break
+		}
 	}
 	in.r.SetState(pos, bb, nb)
 	in.n = n
