@@ -108,13 +108,15 @@ type codec struct {
 	// is a ratio play, so it pays for the sampled table) and decompress.
 	compressFC, decompressFC FuncCode
 	// encode is the block encoder, nil for DEFLATE, whose encoder is the
-	// engine's LZ/Huffman pipeline (Engine.compress). maxInput is the
-	// longest source the encoder takes, 0 for any.
-	encode   func(src []byte) []byte
+	// engine's LZ/Huffman pipeline (Engine.compress): it appends the block
+	// for src to dst, which the engine hands it as the CRB's target.
+	// maxInput is the longest source the encoder takes, 0 for any.
+	encode   func(dst, src []byte) []byte
 	maxInput uint64
 	// decode decodes a whole stream in wrap or, with first, only the first
 	// member of a gzip stream, bounded by opts.MaxOutput (0: the codec's
-	// default). consumed is the source bytes the stream took.
+	// default), into opts.Dst's backing where it fits (the engine hands it
+	// the CRB's target). consumed is the source bytes the stream took.
 	decode func(src []byte, wrap Wrap, first bool, opts deflate.InflateOptions) (out []byte, consumed int, err error)
 	// tooLarge is what decode wraps when the output budget trips (DecodeCC).
 	tooLarge error
@@ -142,16 +144,16 @@ var codecs = [codecCount]codec{
 			return out, len(src), err
 		}},
 	Codec842: {name: "842", compressFC: FC842Compress, decompressFC: FC842Decompress,
-		encode: x842.Compress, maxInput: x842.MaxInput, decode: blockDecoder(x842.Decompress), tooLarge: x842.ErrTooLarge, ingestLanes: 1},
+		encode: x842.AppendCompress, maxInput: x842.MaxInput, decode: blockDecoder(x842.DecompressInto), tooLarge: x842.ErrTooLarge, ingestLanes: 1},
 	CodecLZ4: {name: "lz4", compressFC: FCLZ4Compress, decompressFC: FCLZ4Decompress,
-		encode: lz4.Compress, decode: blockDecoder(lz4.Decompress), tooLarge: lz4.ErrTooLarge, ingestLanes: 2},
+		encode: lz4.AppendCompress, maxInput: lz4.MaxInput, decode: blockDecoder(lz4.DecompressInto), tooLarge: lz4.ErrTooLarge, ingestLanes: 2},
 }
 
 // blockDecoder is a block codec's decoder in the table's shape: a block
 // has no framing and no members, and takes all of its source.
-func blockDecoder(decode func(src []byte, maxOutput int) ([]byte, error)) func([]byte, Wrap, bool, deflate.InflateOptions) ([]byte, int, error) {
+func blockDecoder(decode func(dst, src []byte, maxOutput int) ([]byte, error)) func([]byte, Wrap, bool, deflate.InflateOptions) ([]byte, int, error) {
 	return func(src []byte, _ Wrap, _ bool, opts deflate.InflateOptions) ([]byte, int, error) {
-		out, err := decode(src, opts.MaxOutput)
+		out, err := decode(opts.Dst, src, opts.MaxOutput)
 		return out, len(src), err
 	}
 }
@@ -193,7 +195,7 @@ func (c Codec) Encode(src []byte) ([]byte, error) {
 	if detail := c.overLimit(len(src)); detail != "" {
 		return nil, errors.New("nx: " + detail)
 	}
-	return codecs[c].encode(src), nil
+	return codecs[c].encode(nil, src), nil
 }
 
 // Decode runs the codec's decoder on the host — the engine's, minus the

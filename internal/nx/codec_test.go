@@ -227,7 +227,7 @@ func TestDecodeBudget(t *testing.T) {
 	// Transcode's decode pass answers the same way, whichever codec it reads.
 	for _, src := range []Codec{CodecLZ4, Codec842} {
 		csb, _, err := ctx.Submit(&CRB{Func: FCTranscode, Wrap: WrapGzip, SourceCodec: src, TargetCodec: CodecDeflate,
-			Input: codecs[src].encode(plain), MaxOutput: len(plain) - 1})
+			Input: codecs[src].encode(nil, plain), MaxOutput: len(plain) - 1})
 		if err != nil || csb.CC != CCTargetSpace {
 			t.Errorf("transcode from %s over its budget: cc=%v err=%v %q", src, csb.CC, err, csb.Detail)
 		}

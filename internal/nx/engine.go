@@ -672,7 +672,9 @@ func (e *Engine) blockCompress(crb *CRB, csb *CSB, x *xlate) {
 		csb.Detail = detail
 		return
 	}
-	out := codecs[c].encode(crb.Input)
+	// The block is appended to the target, as the DEFLATE path frames
+	// into it: with CRB.Target set, caller memory.
+	out := codecs[c].encode(crb.Target[:0], crb.Input)
 	ingest := int64(len(crb.Input)/(e.cfg.LZ.InputWidth*codecs[c].ingestLanes) + 1)
 	if e.complete(x, crb, csb, len(crb.Input), out, func(translate int64) pipeline.Breakdown {
 		return e.cfg.Pipeline.Compress(len(crb.Input), len(out), ingest, translate, false)
@@ -681,10 +683,11 @@ func (e *Engine) blockCompress(crb *CRB, csb *CSB, x *xlate) {
 	}
 }
 
-// blockDecompress is the matching generalized decompress path.
+// blockDecompress is the matching generalized decompress path; like the
+// DEFLATE one, it decodes into the target.
 func (e *Engine) blockDecompress(crb *CRB, csb *CSB, x *xlate) {
 	limit := decodeLimit(crb)
-	out, consumed, err := codecs[crb.Func.Codec()].decode(crb.Input, crb.Wrap, false, deflate.InflateOptions{MaxOutput: limit})
+	out, consumed, err := codecs[crb.Func.Codec()].decode(crb.Input, crb.Wrap, false, deflate.InflateOptions{MaxOutput: limit, Dst: crb.Target})
 	if err != nil {
 		e.decodeFailed(x, crb, csb, err, limit)
 		return

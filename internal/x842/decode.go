@@ -46,16 +46,27 @@ func truncated(what string) error {
 	return fmt.Errorf("%w: %w in %s", ErrCorrupt, ErrTruncated, what)
 }
 
-// Decompress decodes an 842 stream. maxOutput bounds the result
-// (0 = 256 MiB default).
+// Decompress decodes an 842 stream: DecompressInto a buffer of its own.
 func Decompress(src []byte, maxOutput int) ([]byte, error) {
+	return DecompressInto(nil, src, maxOutput)
+}
+
+// DecompressInto decodes an 842 stream, appending to dst[:0] and reusing
+// its capacity; with too little capacity the output moves to a buffer of
+// its own, and with none that buffer is sized from the stream. The caller
+// must not alias dst with src. maxOutput bounds the result (0 = 256 MiB
+// default); nothing past it or cap(dst) is written.
+func DecompressInto(dst, src []byte, maxOutput int) ([]byte, error) {
 	if maxOutput <= 0 {
 		maxOutput = defaultMaxOutput
 	}
-	// out is sized, not appended to: operations store through it, n is how
-	// much is decoded, and the bytes past n are still zero. A caller's exact
+	// out is sized, not appended to: operations store through it, never
+	// past the budget, and n is how much is decoded. A caller's exact
 	// budget is one allocation.
-	out := make([]byte, min(maxOutput, 2*len(src)+8*maxRepeat))
+	out := dst[:min(cap(dst), maxOutput)]
+	if cap(dst) == 0 {
+		out = make([]byte, min(maxOutput, 2*len(src)+8*maxRepeat))
+	}
 	var (
 		err error
 		n   int
@@ -165,6 +176,7 @@ func Decompress(src []byte, maxOutput int) ([]byte, error) {
 			if out, err = room(out, n, 8, maxOutput); err != nil {
 				return nil, err
 			}
+			binary.BigEndian.PutUint64(out[n:], 0)
 			n += 8
 		case opShortData:
 			if bp > end {

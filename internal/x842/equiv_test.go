@@ -47,7 +47,12 @@ func checkCompress(t testing.TB, name string, src []byte) {
 }
 
 // checkDecompress requires Decompress and refDecompress to agree on src:
-// equal bytes and an equal error class.
+// equal bytes and an equal error class. So must DecompressInto into a dst
+// half, exactly or more than the reference's output (or the budget, when
+// that fails) — one shape a call, in turn — holding bytes other than
+// zeros, which OP_ZEROS must store. Fence bytes sit past cap(dst) and, in a
+// dst larger than the budget, past the budget; the decoder may write
+// neither.
 func checkDecompress(t testing.TB, name string, src []byte, maxOut int) {
 	t.Helper()
 	want, wantErr := refDecompress(src, maxOut)
@@ -58,7 +63,35 @@ func checkDecompress(t testing.TB, name string, src []byte, maxOut int) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: %d bytes differ from reference's %d", name, len(got), len(want))
 	}
+	budget := maxOut
+	if budget <= 0 {
+		budget = defaultMaxOutput
+	}
+	size := len(want)
+	if wantErr != nil {
+		size = min(budget, 4*len(src)+64)
+	}
+	const fence = 0xA5
+	shapeTurn++
+	for _, c := range []int{size / 2, size, size + 4096}[shapeTurn%3:][:1] {
+		buf := bytes.Repeat([]byte{fence}, c+32)
+		got, gotErr := DecompressInto(buf[:0:c], src, maxOut)
+		if errClass(gotErr) != errClass(wantErr) {
+			t.Fatalf("%s/cap=%d: error %v, reference %v", name, c, gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s/cap=%d: %d bytes differ from reference's %d", name, c, len(got), len(want))
+		}
+		for i := min(c, budget); i < len(buf); i++ {
+			if buf[i] != fence {
+				t.Fatalf("%s/cap=%d: byte %d written, past the budget of %d or the capacity", name, c, i, maxOut)
+			}
+		}
+	}
 }
+
+// shapeTurn picks checkDecompress's shape of dst.
+var shapeTurn int
 
 // fifos is the three fifos' geometry, for tests that walk all of them.
 var fifos = []struct {
