@@ -136,10 +136,22 @@ func CompressGzip(src []byte, opts Options) ([]byte, error) {
 // ISIZE. It returns the CRC-32 it verified — the plaintext's — so a caller
 // that reports the checksum need not compute it again; with
 // opts.Follower, the follower holds the Adler-32 as well.
+//
+// With no opts.Dst the output buffer is sized once, from the trailer's
+// ISIZE plus the fast loop's margin, but to no more than the budget or
+// isizeTrust times the stream's length: a trailer that lies costs at most
+// that, and a stream that expands further grows from there.
 func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, err error) {
-	body, _, _, err := GzipUnwrap(src)
+	body, _, isize, err := GzipUnwrap(src)
 	if err != nil {
 		return nil, 0, err
+	}
+	if opts.Dst == nil && isize > 0 {
+		limit := opts.MaxOutput
+		if limit <= 0 {
+			limit = defaultMaxOutput
+		}
+		opts.Dst = make([]byte, 0, min(int(isize)+fastOutMargin, limit, isizeTrust*len(src)))
 	}
 	out, err = Decompress(body, opts)
 	if err != nil {
@@ -151,6 +163,11 @@ func DecompressGzip(src []byte, opts InflateOptions) (out []byte, crc uint32, er
 	}
 	return out, crc, nil
 }
+
+// isizeTrust is how many times its own length a gzip stream's ISIZE may
+// size DecompressGzip's output buffer to: past that the trailer is taken
+// for a lie, or for a stream too compressible to size up front.
+const isizeTrust = 64
 
 // trailerCRC is the CRC-32 of a decode's output, which its gzip trailer is
 // checked against: the follower's, when one rode the decode, or else
