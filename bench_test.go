@@ -7,6 +7,7 @@ package nxzip_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"testing"
@@ -16,6 +17,8 @@ import (
 	"nxzip/internal/corpus"
 	"nxzip/internal/deflate"
 	"nxzip/internal/experiments"
+	"nxzip/internal/lz4"
+	"nxzip/internal/x842"
 )
 
 // BenchmarkExperiments runs each registry entry end to end.
@@ -92,6 +95,47 @@ func BenchmarkInflateKindsP9(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBlockCodecKinds times the host kernels of bench's codec_mix
+// workload on its four classes at seed 1, 64 KiB each (the first payload
+// of each class, generated as that workload generates them): the lz4 and
+// 842 encoders and decoders through the calls its ledger makes
+// (Compress, and Decompress under an exact budget), and SoftwareGunzip on
+// a compress/gzip stream of the payload. One sub-benchmark per kernel and
+// class; DESIGN §5h's per-class table is read from it.
+func BenchmarkBlockCodecKinds(b *testing.B) {
+	kinds := []corpus.Kind{corpus.Text, corpus.JSONLogs, corpus.Columnar, corpus.Binary}
+	const seed, size = 1, 64 << 10
+	for ki, k := range kinds {
+		src := corpus.Generate(k, 8*size, seed*131+int64(ki))[:size]
+		lz, x := lz4.Compress(src), x842.Compress(src)
+		var gz bytes.Buffer
+		w := gzip.NewWriter(&gz)
+		w.Write(src)
+		w.Close()
+		kernels := []struct {
+			name string
+			run  func() ([]byte, error)
+		}{
+			{"lz4.compress", func() ([]byte, error) { return lz4.Compress(src), nil }},
+			{"lz4.decompress", func() ([]byte, error) { return lz4.Decompress(lz, len(src)) }},
+			{"x842.compress", func() ([]byte, error) { return x842.Compress(src), nil }},
+			{"x842.decompress", func() ([]byte, error) { return x842.Decompress(x, len(src)) }},
+			{"softgunzip", func() ([]byte, error) { return nxzip.SoftwareGunzip(gz.Bytes()) }},
+		}
+		for _, kr := range kernels {
+			b.Run(kr.name+"/"+k.String(), func(b *testing.B) {
+				b.SetBytes(size)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := kr.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

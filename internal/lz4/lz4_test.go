@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"nxzip/internal/corpus"
+	"nxzip/internal/testutil"
 )
 
 func roundTrip(t *testing.T, src []byte) []byte {
@@ -120,6 +123,23 @@ func TestDecompressBitFlips(t *testing.T) {
 		// Any outcome is fine except a panic or an unbounded buffer.
 		if err == nil && len(out) > 1<<20 {
 			t.Fatalf("flip at %d: %d bytes escaped the budget", i, len(out))
+		}
+	}
+}
+
+// TestAppendCompressAllocatesNothing is the encoder's allocation gate (make
+// bench-alloc): into a dst with CompressBound room, once the table list
+// holds a table, a block allocates nothing — no output, no table, no clear.
+func TestAppendCompressAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, k := range []corpus.Kind{corpus.Text, corpus.Binary, corpus.Zeros} {
+		src := corpus.Generate(k, 64<<10, 3)
+		dst := make([]byte, 0, CompressBound(len(src)))
+		AppendCompress(dst, src)
+		if n := testing.AllocsPerRun(20, func() { AppendCompress(dst, src) }); n != 0 {
+			t.Errorf("%s: %v allocations a block, want 0", k, n)
 		}
 	}
 }

@@ -7,8 +7,10 @@ package nxzip
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -437,6 +439,78 @@ func TestOneShotAllocBound(t *testing.T) {
 			}
 		}); n > tc.bound {
 			t.Fatalf("%s: %.1f allocs per steady-state op, want <= %.0f", tc.name, n, tc.bound)
+		}
+	}
+}
+
+// codecMixPayloads are bench's codec_mix payloads as its allocation gates
+// see them: the first 64 KiB of each of its four classes at seed 1.
+func codecMixPayloads() map[corpus.Kind][]byte {
+	out := make(map[corpus.Kind][]byte)
+	for ki, k := range []corpus.Kind{corpus.Text, corpus.JSONLogs, corpus.Columnar, corpus.Binary} {
+		out[k] = corpus.Generate(k, 8<<16, 131+int64(ki))[:64<<10]
+	}
+	return out
+}
+
+// TestBlockDecodeMakesOnlyTheSettleClone: a block-codec DecompressFormat
+// decodes into the request's pooled target, so in steady state it
+// allocates the copy settle hands back and the returned Metrics — two
+// allocations, and bytes for the plaintext and little more.
+func TestBlockDecodeMakesOnlyTheSettleClone(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instruments allocations; gate runs in non-race builds")
+	}
+	acc := Open(Z15())
+	defer acc.Close()
+	for k, src := range codecMixPayloads() {
+		for _, f := range []Format{FormatLZ4, Format842} {
+			enc, _, err := acc.CompressFormat(f, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := func() {
+				if out, m, err := acc.DecompressFormat(f, enc, len(src)); err != nil || len(out) != len(src) || m.Degraded {
+					t.Fatalf("%s %s: %d bytes, err %v", f, k, len(out), err)
+				}
+			}
+			for i := 0; i < 4; i++ { // warm the request list and its target
+				op()
+			}
+			if n := testing.AllocsPerRun(20, op); n != 2 {
+				t.Errorf("%s %s: %v allocs per decode, want 2 (the clone and the Metrics)", f, k, n)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 20; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			if per := int((after.TotalAlloc - before.TotalAlloc) / 20); per > len(src)+1024 {
+				t.Errorf("%s %s: %d bytes allocated per decode of %d", f, k, per, len(src))
+			}
+		}
+	}
+}
+
+// TestSoftwareGunzipAllocBound: SoftwareGunzip sizes its output once from
+// the trailer, so a decode of a codec_mix payload allocates at most twice.
+func TestSoftwareGunzipAllocBound(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instruments allocations; gate runs in non-race builds")
+	}
+	for k, src := range codecMixPayloads() {
+		var b bytes.Buffer
+		w := gzip.NewWriter(&b)
+		w.Write(src)
+		w.Close()
+		gz := b.Bytes()
+		if n := testing.AllocsPerRun(20, func() {
+			if out, err := SoftwareGunzip(gz); err != nil || len(out) != len(src) {
+				t.Fatalf("%s: %d bytes, err %v", k, len(out), err)
+			}
+		}); n > 2 {
+			t.Errorf("%s: %v allocs per SoftwareGunzip, want <= 2", k, n)
 		}
 	}
 }

@@ -118,9 +118,11 @@ func (o *op) mapped() bool {
 }
 
 // pooledTarget reports whether the engine writes into the request's
-// scratch, the caller getting an exact-size copy.
+// scratch, the caller getting an exact-size copy: a one-shot compress or
+// decompress with no target of the caller's, in any format — the block
+// codecs encode and decode into the CRB target as DEFLATE does.
 func (o *op) pooledTarget() bool {
-	return o.dst == nil && o.mapped() && o.kind != opMember
+	return o.dst == nil && (o.kind == opCompress || o.kind == opDecompress)
 }
 
 // defaultMaxOutput is the decompression bound applied when the caller
