@@ -2,8 +2,10 @@ package deflate
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -164,6 +166,54 @@ func TestFirstMemberConsumedIsExact(t *testing.T) {
 	}
 	if len(stream) != 0 {
 		t.Fatalf("%d bytes left after the last member", len(stream))
+	}
+}
+
+func TestDecompressGzipMultiMembers(t *testing.T) {
+	// Streams of CompressGzip members, each decoded by DecompressGzipMulti
+	// and by compress/gzip to the concatenation of the plaintexts: members
+	// of differing content and block mode, a text cut into the 16 KiB
+	// members a chunking writer makes, and empty and one-byte members alone
+	// and between data.
+	text := corpus.Generate(corpus.Text, 100<<10, 5)
+	var kinds, chunks [][]byte
+	for i, k := range corpus.Kinds() {
+		kinds = append(kinds, corpus.Generate(k, 3000+1009*i, 7))
+	}
+	for lo := 0; lo < len(text); lo += 16 << 10 {
+		chunks = append(chunks, text[lo:min(lo+16<<10, len(text))])
+	}
+	rows := []struct {
+		name    string
+		members [][]byte
+	}{
+		{"one member", [][]byte{text}},
+		{"differing kinds", kinds},
+		{"16 KiB chunks", chunks},
+		{"empty", [][]byte{{}}},
+		{"one byte", [][]byte{[]byte("x")}},
+		{"empty and one-byte between data", [][]byte{kinds[0], {}, []byte("x"), {}, kinds[1], []byte("y")}},
+	}
+	for _, r := range rows {
+		var stream, want []byte
+		for i, m := range r.members {
+			gz, err := CompressGzip(m, Options{Level: 6, Mode: []BlockMode{ModeDynamic, ModeFixed, ModeStored}[i%3]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, want = append(stream, gz...), append(want, m...)
+		}
+		got, err := DecompressGzipMulti(stream, InflateOptions{})
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: DecompressGzipMulti %d bytes, want %d, err %v", r.name, len(got), len(want), err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatalf("%s: compress/gzip: %v", r.name, err)
+		}
+		if std, err := io.ReadAll(zr); err != nil || !bytes.Equal(std, want) {
+			t.Errorf("%s: compress/gzip %d bytes, want %d, err %v", r.name, len(std), len(want), err)
+		}
 	}
 }
 
