@@ -8,12 +8,9 @@
 //	nxbench                  # every experiment in the registry
 //	nxbench -only E7         # one experiment by ID (E1..E25, A1..A11, H0)
 //	nxbench -ablations       # the A1–A11 design sweeps
-//	nxbench -parallel        # serial vs parallel Writer/Reader scaling
 //	nxbench -devices 8 -dispatch ll     # one E18 topology point
 //	nxbench -chaos fault-storm          # one chaos profile vs the clean baseline
 //	nxbench -serve :8090 -serve-dur 30s # workload behind the obs HTTP server (add -chaos mild)
-//	nxbench -trace out.json  # Chrome trace of a ParallelWriter workload
-//	nxbench -metrics         # metrics snapshot of the same workload
 //
 // E19's fault-rate sweep is -only E19; -chaos runs one named profile.
 package main
@@ -32,9 +29,6 @@ import (
 func main() {
 	only := flag.String("only", "", "run a single experiment id (E1..E25, A1..A11, H0)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablation sweeps")
-	parallel := flag.Bool("parallel", false, "measure serial vs parallel Writer/Reader throughput scaling")
-	tracePath := flag.String("trace", "", "run the trace workload and write Chrome trace_event JSON to this file")
-	metrics := flag.Bool("metrics", false, "run the trace workload and print the device metrics snapshot")
 	devices := flag.Int("devices", 0, "measure a single E18 topology point with this many z15 devices")
 	dispatch := flag.String("dispatch", "", "dispatch policy for the topology sweep: round-robin, least-loaded, affinity")
 	chaos := flag.String("chaos", "", "measure one chaos profile (mild, heavy, fault-storm, ... or \"class=rate,...\") against the clean baseline; with -serve, inject it into the served node")
@@ -49,8 +43,6 @@ func main() {
 	switch {
 	case *serve != "":
 		err = obsServe(*serve, *serveDur, *chaos)
-	case *tracePath != "" || *metrics:
-		err = traceDemo(*tracePath, *metrics)
 	case *chaos != "":
 		var p faultinject.Profile
 		if p, err = faultinject.ParseProfile(*chaos); err == nil {
@@ -76,8 +68,6 @@ func main() {
 			os.Exit(2)
 		}
 		tables = append(tables, e.Run())
-	case *parallel:
-		tables = parallelTables()
 	default:
 		for _, e := range experiments.Registry {
 			if !*ablations || e.Ablation() {

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	nxsim -accels 4 -tenants 32 -size 262144 -rate 20000 -dur 10
-//	nxsim -closed -tenants 64 -think 100us
-//	nxsim -serve :8091 -rate 20000        # repeated rounds behind the obs HTTP server
+//	nxsim -tenants 64 -think 100us   # closed loop (the default, -rate 0)
 package main
 
 import (
@@ -16,10 +15,8 @@ import (
 	"os"
 	"time"
 
-	"nxzip/internal/obs"
 	"nxzip/internal/queueing"
 	"nxzip/internal/stats"
-	"nxzip/internal/telemetry"
 )
 
 func main() {
@@ -34,8 +31,6 @@ func main() {
 		gbps     = flag.Float64("gbps", 7.5, "per-accelerator line rate, GB/s")
 		queueCap = flag.Int("qcap", 0, "receive FIFO bound (0 = unbounded)")
 		seed     = flag.Int64("seed", 1, "rng seed")
-		serve    = flag.String("serve", "", "serve /metrics,/snapshot,/healthz over repeated simulation rounds on this address (e.g. :8091)")
-		serveDur = flag.Duration("serve-dur", 0, "how long -serve keeps simulating (0 = until interrupted)")
 	)
 	flag.Parse()
 
@@ -46,13 +41,6 @@ func main() {
 		Sources:  *tenants,
 		QueueCap: *queueCap,
 		Service:  queueing.AcceleratorService(overheadSec(*overhead), *gbps*1e9),
-	}
-	if *serve != "" {
-		if err := serveSim(*serve, *serveDur, cfg, *rate, *tenants, *think, *size); err != nil {
-			fmt.Fprintf(os.Stderr, "nxsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	var res queueing.Result
 	mode := ""
@@ -79,63 +67,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nxsim: nothing completed — check rate/duration")
 		os.Exit(1)
 	}
-}
-
-// serveSim runs simulation rounds in a loop, folding each round's
-// results into a telemetry registry served over the observability HTTP
-// endpoints — a self-contained metrics source for exercising nxtop and
-// scrapers without real devices. Counters reuse the device namespace
-// (nx.requests, nx.in_bytes, nx.out_bytes) so the same dashboards read
-// both; the latency distribution lands in nx.queue_wait_us via its
-// per-round percentile profile (100 representative samples per round).
-func serveSim(addr string, dur time.Duration, base queueing.Config, rate float64, tenants int, think time.Duration, size int) error {
-	reg := telemetry.NewRegistry()
-	requests := reg.Counter("nx.requests")
-	inBytes := reg.Counter("nx.in_bytes")
-	outBytes := reg.Counter("nx.out_bytes")
-	rejects := reg.Counter("vas.fifo_rejects")
-	queueWait := reg.Histogram("nx.queue_wait_us")
-	rounds := reg.Counter("nxsim.rounds")
-
-	srv := obs.NewServer(obs.Options{
-		Addr:     addr,
-		Name:     "nxsim",
-		Snapshot: reg.Snapshot,
-		Health:   func() (healthy, total int) { return base.Servers, base.Servers },
-	})
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Printf("nxsim: serving http://%s/{metrics,snapshot,healthz}\n", srv.Addr())
-
-	var deadline time.Time
-	if dur > 0 {
-		deadline = time.Now().Add(dur)
-	}
-	for round := int64(0); deadline.IsZero() || time.Now().Before(deadline); round++ {
-		cfg := base
-		cfg.Seed = base.Seed + round
-		var res queueing.Result
-		if rate > 0 {
-			res = queueing.SimulateOpen(cfg, rate, queueing.FixedSize(size))
-		} else {
-			res = queueing.SimulateClosed(cfg, tenants, think.Seconds(), queueing.FixedSize(size))
-		}
-		requests.Add(res.Completed)
-		inBytes.Add(res.BytesServed)
-		// The queueing model moves bytes, it does not compress them; report
-		// output at the paper's nominal ~2:1 text ratio so rate panels show
-		// both directions.
-		outBytes.Add(res.BytesServed / 2)
-		rejects.Add(res.Rejected)
-		for p := 1; p <= 100; p++ {
-			queueWait.Observe(res.Latency.Percentile(float64(p)) * 1e6)
-		}
-		rounds.Inc()
-		time.Sleep(200 * time.Millisecond)
-	}
-	return nil
 }
 
 func overheadSec(d time.Duration) float64 { return d.Seconds() }

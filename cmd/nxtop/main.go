@@ -3,8 +3,8 @@
 // depth, windowed throughput and request rates, SLO verdicts and the
 // recent event tail, refreshed in place like top(1).
 //
-// Point it at anything exporting the endpoints — `nxbench -serve :8090`,
-// `nxsim -serve :8091`, or an application embedding Node.ServeObs:
+// Point it at anything exporting the endpoints — `nxbench -serve :8090`
+// or an application embedding Node.ServeObs:
 //
 //	nxtop -addr 127.0.0.1:8090
 //	nxtop -addr 127.0.0.1:8090 -interval 500ms
