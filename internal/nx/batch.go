@@ -43,8 +43,8 @@ func (c *Context) SubmitBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	p := getPending()
-	defer putPending(p)
+	p := c.getPending()
+	defer c.putPending(p)
 	for i := range entries {
 		en := &entries[i]
 		p.slots = append(p.slots, slot{crb: &en.CRB, csb: &en.CSB, rep: &en.Rep, err: en.Err})

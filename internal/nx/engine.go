@@ -631,7 +631,7 @@ func (e *Engine) decompress(crb *CRB, csb *CSB, x *xlate) {
 	// a pooled decompression allocates nothing when the output fits.
 	limit := decodeLimit(crb)
 	out, consumed, err := codecs[CodecDeflate].decode(crb.Input, crb.Wrap, crb.FirstMemberOnly,
-		deflate.InflateOptions{MaxOutput: limit, Dst: crb.Target, Follower: f})
+		deflate.InflateOptions{MaxOutput: limit, Dst: crb.Target, Follower: f, Key: x.area})
 	if err != nil {
 		e.decodeFailed(x, crb, csb, err, limit)
 		return
