@@ -12,7 +12,8 @@
 // host row that carries a bound is in only one file, worse, in its better
 // direction, than its limit, max(bound, 2 × the base's noise), or too
 // noisy to judge (its own noise above that limit), and when fail_ratio
-// rose. Other host rows, the traced runs' ledger among them, print with
+// rose. A bounded row whose limit is more than twice its bound prints a
+// WARN line: the base's noise leaves it ungated. Other host rows, the traced runs' ledger among them, print with
 // their ratio and never fail. -model-only leaves host rows and fail_ratio
 // out of the verdict, for runs shorter than the base's: their host rows
 // still carry warm-up.
@@ -170,6 +171,10 @@ func diff(w io.Writer, base, cur []result, host bool) int {
 				// The base's noise alone sets the limit: a noisy run does not
 				// widen its own tolerance.
 				limit := max(bm.Bound, 2*bm.Noise)
+				if limit > 2*bm.Bound {
+					fmt.Fprintf(w, "WARN %s %s: base noise %.0f%% gives limit %.0f%% (bound %.0f%%): ungated\n",
+						c.key(), name, 100*bm.Noise, 100*limit, 100*bm.Bound)
+				}
 				line := fmt.Sprintf("%s %s: host %.4g -> %.4g (x%.3f; %s, limit %.0f%%)",
 					c.key(), name, bm.Value, cm.Value, cm.Value/bm.Value, bm.Better, 100*limit)
 				switch {

@@ -54,6 +54,8 @@ func TestDiff(t *testing.T) {
 			"FAIL bulk_oneshot compress_mbps: host 40 -> 28 (x0.700; higher, limit 25%)"},
 		{"host row worse inside the noise", untraced("aaaa", "40", "0.2", "3.5", "0"), untraced("aaaa", "28", "0.05", "3.5", "0"), false, 0,
 			"ok   bulk_oneshot compress_mbps: host 40 -> 28 (x0.700; higher, limit 40%)"},
+		{"base noise leaves a host row ungated", untraced("aaaa", "40", "0.3", "3.5", "0"), untraced("aaaa", "28", "0.05", "3.5", "0"), false, 0,
+			"WARN bulk_oneshot compress_mbps: base noise 30% gives limit 60% (bound 25%): ungated"},
 		{"host row worse inside the new run's noise", "", untraced("aaaa", "28", "0.2", "3.5", "0"), false, 1,
 			"FAIL bulk_oneshot compress_mbps: host 40 -> 28 (x0.700; higher, limit 25%)"},
 		{"host row too noisy to judge", "", untraced("aaaa", "40", "0.3", "3.5", "0"), false, 1,

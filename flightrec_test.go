@@ -17,12 +17,14 @@ import (
 	"nxzip/internal/testutil"
 )
 
-// TestFlightRecorderAllocFree is the PR's zero-overhead gate: with the
-// flight recorder ATTACHED — every request minting a RequestID, its span
-// flowing through the pooled tracer into the tail sampler, and a digest
-// completing into the ring — the steady-state pooled one-shot path still
-// performs ZERO heap allocations per request. Runs in `make bench-alloc`
-// next to the detached gate (TestIntoPathAllocFree).
+// TestFlightRecorderAllocFree is the recorder's zero-overhead gate: with
+// the flight recorder ATTACHED — every request minting a RequestID,
+// recording its spans into the pooled request's span log, and completing
+// a digest and those spans into the recorder — the steady-state pooled
+// one-shot path still performs ZERO heap allocations per request. A
+// request the recorder keeps costs it nothing more either: its spans are
+// copied into storage the retained ring made up front. Runs in `make
+// bench-alloc` next to the detached gate (TestIntoPathAllocFree).
 func TestFlightRecorderAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instruments allocations; gate runs in non-race builds")
@@ -71,6 +73,51 @@ func TestFlightRecorderAllocFree(t *testing.T) {
 	}
 	if !bytes.Equal(pdst, src) {
 		t.Fatal("roundtrip mismatch after alloc gate")
+	}
+
+	// A kept request: both its attempts fail their CRC check, so it
+	// degrades to software and the recorder keeps it, spans and all. A
+	// clean request follows each one, so the device never collects the
+	// three failures in a row that would quarantine it and send the next
+	// kept request to software without a device attempt. The failure's own
+	// error values, failover event and software pass allocate; the same
+	// pair on a view with the event bus on and no recorder must allocate
+	// exactly as much.
+	kept := func(acc *Accelerator) float64 {
+		inj := acc.root.InstallInjectors(5, faultinject.Profile{})[0]
+		pair := func() {
+			inj.SetProfile(faultinject.Profile{CRCError: 1})
+			if dst, err = acc.CompressGzipInto(dst[:0], src, &m); err != nil || !m.Degraded || m.Redispatches != 2 {
+				t.Fatalf("injected CRC errors: err %v, degraded %v, redispatches %d", err, m.Degraded, m.Redispatches)
+			}
+			inj.SetProfile(faultinject.Profile{})
+			if dst, err = acc.CompressGzipInto(dst[:0], src, &m); err != nil || m.Degraded {
+				t.Fatalf("clean request: err %v, degraded %v", err, m.Degraded)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			pair()
+		}
+		return testing.AllocsPerRun(100, pair)
+	}
+	bare := Open(Config{Device: P9().Device, TableMode: TableFixed})
+	defer bare.Close()
+	bare.root.EnableEvents()
+	keptBefore := rec.Seq()
+	if with, without := kept(acc), kept(bare); with != without {
+		t.Fatalf("a kept request allocates %.1f times with the recorder attached, %.1f without", with, without)
+	}
+	degraded := 0
+	for _, rr := range rec.RetainedRequests() {
+		if rr.Digest.Outcome != telemetry.OutcomeDegraded {
+			continue
+		}
+		if degraded++; len(rr.Spans) != 2 {
+			t.Fatalf("kept degraded request %d holds %d spans, want its two attempts'", rr.Digest.Req, len(rr.Spans))
+		}
+	}
+	if rec.Seq() <= keptBefore || degraded < 32 {
+		t.Fatalf("the recorder kept %d degraded requests during the gate", degraded)
 	}
 }
 

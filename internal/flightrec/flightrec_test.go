@@ -28,38 +28,34 @@ func okDigest(req uint64, totalUS float64) *telemetry.Digest {
 	}
 }
 
+// reqSpans is the one span of request req, as its span log hands it over.
+func reqSpans(req uint64) []telemetry.Span {
+	return []telemetry.Span{{Op: "compress", PID: 1, ReqID: req}}
+}
+
 func TestRetentionPredicates(t *testing.T) {
 	r := New("")
-	emitSpan := func(req uint64) {
-		s := r.Tracer().Start("compress", 1, 0)
-		s.ReqID = req
-		r.Tracer().Finish(s)
-	}
 
-	// Clean first-try request: digest recorded, spans recycled.
-	emitSpan(1)
-	r.Complete(okDigest(1, 100))
+	// Clean first-try request: digest recorded, spans not kept.
+	r.Complete(okDigest(1, 100), reqSpans(1))
 	if got := len(r.RetainedRequests()); got != 0 {
 		t.Fatalf("clean request retained: %d entries", got)
 	}
 
 	// Errored request: retained with its span.
-	emitSpan(2)
 	d := okDigest(2, 100)
 	d.Outcome = telemetry.OutcomeError
-	r.Complete(d)
+	r.Complete(d, reqSpans(2))
 
 	// Degraded request: retained.
-	emitSpan(3)
 	d = okDigest(3, 100)
 	d.Outcome = telemetry.OutcomeDegraded
-	r.Complete(d)
+	r.Complete(d, reqSpans(3))
 
 	// Re-dispatched request (failover): retained even though it ended OK.
-	emitSpan(4)
 	d = okDigest(4, 100)
 	d.Attempts = 2
-	r.Complete(d)
+	r.Complete(d, reqSpans(4))
 
 	ret := r.RetainedRequests()
 	if len(ret) != 3 {
@@ -82,24 +78,24 @@ func TestSlowPredicateGatedByMinSamples(t *testing.T) {
 	r := New("")
 	// Before minSamples, even a wild outlier is not "slow".
 	d := okDigest(1, 1e6)
-	r.Complete(d)
+	r.Complete(d, nil)
 	if len(r.RetainedRequests()) != 0 {
 		t.Fatal("outlier retained before minSamples")
 	}
 	// Feed a uniform baseline past minSamples and the recalc there.
 	for i := uint64(2); i <= minSamples+6; i++ {
-		r.Complete(okDigest(i, 100))
+		r.Complete(okDigest(i, 100), nil)
 	}
 	p99t, _ := r.P99s()
 	if p99t <= 0 {
 		t.Fatalf("p99 not established: %v", p99t)
 	}
 	before := len(r.RetainedRequests())
-	r.Complete(okDigest(1000, 50*p99t))
+	r.Complete(okDigest(1000, 50*p99t), nil)
 	if len(r.RetainedRequests()) != before+1 {
 		t.Fatal("slow outlier not retained after minSamples")
 	}
-	r.Complete(okDigest(1001, p99t/2))
+	r.Complete(okDigest(1001, p99t/2), nil)
 	if len(r.RetainedRequests()) != before+1 {
 		t.Fatal("fast request wrongly retained")
 	}
@@ -145,7 +141,7 @@ func TestSamplerDeterminism(t *testing.T) {
 			if i%131 == 0 {
 				d.Outcome = telemetry.OutcomeDegraded
 			}
-			r.Complete(d)
+			r.Complete(d, nil)
 		}
 		var kept []uint64
 		for _, e := range r.RetainedRequests() {
@@ -181,7 +177,7 @@ func TestDigestRingMonotonicity(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Complete(okDigest(uint64(w*perWorker+i+1), 100))
+				r.Complete(okDigest(uint64(w*perWorker+i+1), 100), nil)
 			}
 		}(w)
 	}
@@ -203,35 +199,56 @@ func TestDigestRingMonotonicity(t *testing.T) {
 	}
 }
 
-// TestPendingCollision puts two live requests in the same pending slot:
-// the newer claims it; the evicted one still retains digest-only.
-func TestPendingCollision(t *testing.T) {
+// TestKeptSpansAreCopies: a kept request's spans are copied, stages and
+// all, so the caller's log can be reused at once; every kept span gets an
+// ID of its own; a request handed over with no spans is kept digest-only;
+// and a ring slot reused after the wrap holds only its new request's spans.
+func TestKeptSpansAreCopies(t *testing.T) {
 	r := New("")
-	tr := r.Tracer()
-	emit := func(req uint64) {
-		s := tr.Start("compress", 1, 0)
-		s.ReqID = req
-		tr.Finish(s)
+	log := telemetry.NewSpanLog()
+	now := time.Now()
+	for hop := 0; hop < 2; hop++ {
+		s := log.Open()
+		s.ReqID, s.Hop, s.CC = 3, hop, "crc-error"
+		s.RecordStage(telemetry.StageSubmit, now, now, 0)
+		s.RecordStage(telemetry.StageLZ, now, now, 345)
 	}
-	const later = 3 + pendingSlots
-	emit(3)
-	emit(later) // the same slot as 3: evicts request 3's span
 	d := okDigest(3, 100)
+	d.Attempts = 2
+	r.Complete(d, log.Spans())
+	log.Reset()
+	s := log.Open()
+	s.ReqID, s.CC = 4, "success"
+	s.RecordStage(telemetry.StageDecode, now, now, 9)
+	r.Complete(okDigest(4, 100), log.Spans())
+	d = okDigest(5, 100)
 	d.Outcome = telemetry.OutcomeError
-	r.Complete(d)
-	d = okDigest(later, 100)
-	d.Outcome = telemetry.OutcomeError
-	r.Complete(d)
+	r.Complete(d, nil)
 
 	ret := r.RetainedRequests()
-	if len(ret) != 2 {
-		t.Fatalf("retained %d, want 2", len(ret))
+	if len(ret) != 2 || ret[0].Digest.Req != 3 || ret[1].Digest.Req != 5 {
+		t.Fatalf("retained %+v, want requests 3 and 5", ret)
 	}
-	if len(ret[0].Spans) != 0 {
-		t.Errorf("evicted request 3 kept %d spans, want digest-only", len(ret[0].Spans))
+	ids := map[uint64]bool{}
+	for hop, sp := range ret[0].Spans {
+		if sp.ReqID != 3 || sp.Hop != hop || sp.CC != "crc-error" || len(sp.Stages) != 2 ||
+			sp.Stages[1].Stage != telemetry.StageLZ || sp.Stages[1].Cycles != 345 || ids[sp.ID] || sp.ID == 0 {
+			t.Errorf("kept span %d of request 3: %+v", hop, sp)
+		}
+		ids[sp.ID] = true
 	}
-	if len(ret[1].Spans) != 1 {
-		t.Errorf("request %d kept %d spans, want 1", later, len(ret[1].Spans))
+	if len(ret[0].Spans) != 2 || len(ret[1].Spans) != 0 {
+		t.Errorf("request 3 kept %d spans, request 5 %d; want 2 and 0", len(ret[0].Spans), len(ret[1].Spans))
+	}
+	for i := 0; i < retainedCap; i++ {
+		d := okDigest(uint64(10+i), 100)
+		d.Outcome = telemetry.OutcomeError
+		r.Complete(d, reqSpans(uint64(10+i)))
+	}
+	for _, rr := range r.RetainedRequests() {
+		if len(rr.Spans) != 1 || rr.Spans[0].ReqID != rr.Digest.Req || len(rr.Spans[0].Stages) != 0 {
+			t.Fatalf("after the wrap, request %d holds %d spans (first %+v)", rr.Digest.Req, len(rr.Spans), rr.Spans[0])
+		}
 	}
 }
 
@@ -259,15 +276,10 @@ func TestPostmortemBundleCompleteness(t *testing.T) {
 	reg.Counter("nx.requests").Add(5)
 	r.SetSources(testSources(reg))
 
-	tr := r.Tracer()
-	s := tr.Start("compress", 1, 0)
-	s.ReqID = 9
-	s.Hop = 1
-	tr.Finish(s)
 	d := okDigest(9, 100)
 	d.Attempts = 2
-	r.Complete(d)
-	r.Complete(okDigest(10, 100))
+	r.Complete(d, []telemetry.Span{{Op: "compress", PID: 1, ReqID: 9, Hop: 1}})
+	r.Complete(okDigest(10, 100), nil)
 
 	path, err := r.TriggerPostmortem("test trigger")
 	if err != nil {
@@ -342,19 +354,17 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	srcs.Events = func(int) []telemetry.Event { return events }
 	r.SetSources(srcs)
-	tr := r.Tracer()
 	for req := uint64(1); req <= 3; req++ {
-		s := tr.Start("compress-dht", 7, 1)
-		s.ReqID, s.Hop, s.Tenant, s.Priority, s.CC = req, int(req), 5, "batch", "ok"
 		now := time.Now()
+		s := telemetry.Span{Op: "compress-dht", PID: 7, Window: 1, Start: now, End: now.Add(time.Millisecond)}
+		s.ReqID, s.Hop, s.Tenant, s.Priority, s.CC = req, int(req), 5, "batch", "ok"
 		s.RecordStage(telemetry.StageSubmit, now, now.Add(time.Microsecond), 0)
 		s.RecordPipeline(now, now.Add(time.Millisecond), []telemetry.PipelineStage{
 			{Stage: telemetry.StageSetup, Cycles: 10}, {Stage: telemetry.StageLZ, Cycles: 800},
 		})
-		tr.Finish(s)
 		d := okDigest(req, 100)
 		d.Outcome = telemetry.OutcomeDegraded
-		r.Complete(d)
+		r.Complete(d, []telemetry.Span{s})
 	}
 	path, err := r.TriggerPostmortem("round trip")
 	if err != nil {
@@ -447,7 +457,7 @@ func TestTriggerWithoutDir(t *testing.T) {
 func TestHandler(t *testing.T) {
 	dir := t.TempDir()
 	r := New(dir)
-	r.Complete(okDigest(1, 100))
+	r.Complete(okDigest(1, 100), nil)
 	if _, err := r.TriggerPostmortem("handler test"); err != nil {
 		t.Fatal(err)
 	}
@@ -556,26 +566,12 @@ func TestLastTriggerOnlyOnceFired(t *testing.T) {
 // corrupting state.
 func TestCloseStopsIntake(t *testing.T) {
 	r := New("")
-	r.Complete(okDigest(1, 100))
+	r.Complete(okDigest(1, 100), nil)
 	r.Close()
-	if seq := r.Complete(okDigest(2, 100)); seq != 0 {
+	if seq := r.Complete(okDigest(2, 100), nil); seq != 0 {
 		t.Fatalf("Complete after Close returned seq %d", seq)
 	}
 	if r.Seq() != 1 {
 		t.Fatalf("Seq moved after Close: %d", r.Seq())
-	}
-}
-
-// TestEmitAfterCloseRecycles: a closed recorder parks nothing, so a span
-// it is handed goes straight back to its tracer, which zeroes it.
-func TestEmitAfterCloseRecycles(t *testing.T) {
-	r := New("")
-	tr := r.Tracer()
-	r.Close()
-	s := tr.Start("compress", 1, 0)
-	s.ReqID, s.InBytes = 5, 4096
-	tr.Finish(s)
-	if s.ReqID != 0 || s.Op != "" || s.InBytes != 0 {
-		t.Fatalf("span emitted after Close was not recycled: req %d op %q in %d", s.ReqID, s.Op, s.InBytes)
 	}
 }

@@ -31,22 +31,20 @@ func lastReqs(puts, n, capacity int) []uint64 {
 
 // TestRingsOrderAcrossWrap pins Digests, Slowest, Seq, RetainedRequests
 // and Status().Retained after cap-1, cap, cap+1 and 2*cap+3 requests.
-// Every request errs, so every one is retained, and odd ones park a
-// span first.
+// Every request errs, so every one is retained, and odd ones hand over a
+// span with their digest.
 func TestRingsOrderAcrossWrap(t *testing.T) {
 	for _, capacity := range []int{digestCap, retainedCap} {
 		for _, puts := range []int{capacity - 1, capacity, capacity + 1, 2*capacity + 3} {
 			r := New("")
-			tr := r.Tracer()
 			for i := 1; i <= puts; i++ {
+				var spans []telemetry.Span
 				if i%2 == 1 {
-					s := tr.Start("compress", 1, 0)
-					s.ReqID = uint64(i)
-					tr.Finish(s)
+					spans = reqSpans(uint64(i))
 				}
 				d := okDigest(uint64(i), float64(i))
 				d.Outcome = telemetry.OutcomeError
-				if seq := r.Complete(d); seq != uint64(i) {
+				if seq := r.Complete(d, spans); seq != uint64(i) {
 					t.Fatalf("puts=%d: Complete #%d returned seq %d", puts, i, seq)
 				}
 			}
@@ -107,20 +105,18 @@ func TestPostmortemShapePinned(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("nx.requests").Add(5)
 	r.SetSources(testSources(reg))
-	tr := r.Tracer()
 	for req := uint64(1); req <= retainedCap+1; req++ {
-		s := tr.Start("compress-dht", 7, 1)
+		now := time.Now()
+		s := telemetry.Span{Op: "compress-dht", PID: 7, Window: 1, Start: now, End: now.Add(time.Millisecond)}
 		s.ReqID, s.Hop, s.Tenant, s.Priority = req, 1, 5, "batch"
 		s.CC, s.InBytes, s.OutBytes, s.DeviceCycles = "ok", 4096, 1024, 900
-		now := time.Now()
 		s.RecordStage(telemetry.StageSubmit, now, now.Add(time.Microsecond), 0)
 		s.RecordPipeline(now, now.Add(time.Millisecond), []telemetry.PipelineStage{
 			{Stage: telemetry.StageSetup, Cycles: 10}, {Stage: telemetry.StageLZ, Cycles: 800},
 		})
-		tr.Finish(s)
 		d := okDigest(req, 100)
 		d.Attempts = 2
-		r.Complete(d)
+		r.Complete(d, []telemetry.Span{s})
 	}
 	path, err := r.TriggerPostmortem("pin")
 	if err != nil {

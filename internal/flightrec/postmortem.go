@@ -143,12 +143,12 @@ func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
 	for _, d := range r.Digests(0) {
 		lines = append(lines, line{Kind: "digest", Digest: d})
 	}
-	// Retained spans are copied out under the recorder lock: eviction
-	// recycles them.
+	// Retained spans are copied out under the recorder lock: the ring
+	// reuses their storage.
 	r.mu.Lock()
 	for _, e := range r.ret.Last(0) {
-		for _, s := range e.spans[:e.n] {
-			lines = append(lines, line{Kind: "span", Span: s.Record()})
+		for i := range e.spans {
+			lines = append(lines, line{Kind: "span", Span: e.spans[i].Record()})
 		}
 	}
 	r.mu.Unlock()

@@ -16,6 +16,7 @@ import (
 	"nxzip/internal/deflate"
 	"nxzip/internal/lz77"
 	"nxzip/internal/pipeline"
+	"nxzip/internal/telemetry"
 )
 
 // FuncCode selects the engine operation, mirroring the NX function codes.
@@ -222,6 +223,11 @@ type CRB struct {
 	// Hop is the dispatch attempt ordinal under ReqID: 0 for the original
 	// dispatch, 1.. for failover re-dispatches to other devices.
 	Hop int
+	// Spans, when non-nil, is the submitter's own span storage: each
+	// dispatch of this CRB records its span there, whether or not a tracer
+	// is installed, so a caller that keeps a request's history pays no
+	// allocation and no lock for it.
+	Spans *telemetry.SpanLog
 
 	Input     []byte
 	SourceVA  uint64

@@ -273,13 +273,7 @@ func (n *Node) Bus() *telemetry.Bus { return n.bus.Load() }
 // all devices interleave in one sink with one id sequence, exactly like
 // the single-device Device.StartTrace.
 func (n *Node) StartTrace(sink telemetry.Sink) {
-	n.InstallTracer(telemetry.NewTracer(sink))
-}
-
-// InstallTracer installs an existing tracer across every device — the
-// flight recorder uses this to attach its own tracer, whose spans it
-// recycles, instead of a fresh one.
-func (n *Node) InstallTracer(t *telemetry.Tracer) {
+	t := telemetry.NewTracer(sink)
 	for _, d := range n.devs {
 		d.InstallTracer(t)
 	}
