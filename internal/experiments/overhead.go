@@ -15,8 +15,9 @@ import (
 // that attaching a surface — E20 the full operational surface (event bus
 // wired through every layer, window sampler ticking, HTTP server up with
 // a client scraping /metrics throughout), E22 the flight recorder (every
-// request minting a RequestID, completing a digest into the ring, its
-// span flowing through the pooled tracer and tail sampler) — costs less
+// request minting a RequestID, recording its spans into its own span log,
+// completing a digest into the ring, and the tail sampler copying the spans
+// of the requests it keeps) — costs less
 // than ~2% of the clean node's throughput. E25 measures its accounting
 // plane the same way.
 
@@ -131,15 +132,15 @@ func E20ObservabilityOverhead() *Table {
 	return t
 }
 
-// E22FlightRecorderOverhead: the recorder, memory-only (digest ring, tail
-// sampler and pooled tracer live; no postmortem dir, so no disk I/O).
-// The digest is one locked struct copy, spans recycle through a pool, and
-// the p99 recalculation amortizes over 64 completions on preallocated
-// scratch.
+// E22FlightRecorderOverhead: the recorder, memory-only (digest ring and
+// tail sampler live; no postmortem dir, so no disk I/O). The digest is one
+// locked struct copy, spans are recorded into the request's own storage
+// and copied only for a kept request, and the p99 recalculation amortizes
+// over 64 completions on preallocated scratch.
 func E22FlightRecorderOverhead() *Table {
 	t := drawerOverheadTable("E22",
 		"flight recorder overhead: clean node vs recorder attached (RequestID + digest ring + tail sampler)",
-		"every request mints a RequestID, stamps it through dispatch, completes a digest; spans pool-recycle through the tail sampler",
+		"every request mints a RequestID, stamps it through dispatch, records its spans in its own storage, completes a digest; the tail sampler copies a kept request's spans",
 		func(node *nxzip.Node) func() {
 			node.EnableFlightRecorder("")
 			return func() {}

@@ -346,3 +346,40 @@ func TestSnapshotAppend(t *testing.T) {
 		t.Fatalf("append result = %+v", s.Counters)
 	}
 }
+
+// TestSpanLogHoldsMaxRequestSpans: a log opens emptied spans up to
+// MaxRequestSpans and then refuses, Reset keeps the storage (a reused
+// span keeps its Stages backing), and a nil log records nothing.
+func TestSpanLogHoldsMaxRequestSpans(t *testing.T) {
+	var none *SpanLog
+	if none.Open() != nil || none.Spans() != nil {
+		t.Fatal("a nil log handed out a span")
+	}
+	l := NewSpanLog()
+	now := time.Now()
+	for i := 0; i < MaxRequestSpans; i++ {
+		s := l.Open()
+		if s == nil {
+			t.Fatalf("span %d refused", i)
+		}
+		s.Hop = i
+		s.RecordStage(StageSubmit, now, now, 0)
+	}
+	if l.Open() != nil {
+		t.Fatal("a full log handed out a span")
+	}
+	for i, s := range l.Spans() {
+		if s.Hop != i || len(s.Stages) != 1 {
+			t.Fatalf("span %d: hop %d, %d stages", i, s.Hop, len(s.Stages))
+		}
+	}
+	first := &l.Spans()[0].Stages[:1][0]
+	l.Reset()
+	s := l.Open()
+	if len(l.Spans()) != 1 || s.Hop != 0 || len(s.Stages) != 0 {
+		t.Fatalf("reopened span not emptied: %+v", s)
+	}
+	if s.RecordStage(StageFIFO, now, now, 0); &s.Stages[0] != first {
+		t.Fatal("a reused span did not keep its Stages backing")
+	}
+}

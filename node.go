@@ -166,7 +166,9 @@ func (n *Node) Metrics() *telemetry.Snapshot {
 func (n *Node) VASStats() vas.Stats { return n.topo.VASStats() }
 
 // StartTrace enables request-lifecycle tracing node-wide: one shared
-// tracer (one span-id sequence, one sink) across every device.
+// tracer (one span-id sequence, one sink) across every device. It and
+// the flight recorder do not displace each other: with both on, the sink
+// receives every span and the recorder keeps its requests' spans too.
 func (n *Node) StartTrace(sink telemetry.Sink) { n.topo.StartTrace(sink) }
 
 // StopTrace disables tracing on every device and closes the sink

@@ -241,7 +241,9 @@ func (a *Accelerator) Metrics() *telemetry.Snapshot { return a.root.Metrics() }
 // FIFO residency, translation and fault rounds, pipeline stages, CSB
 // completion) emitted to sink when the request completes. With tracing
 // off — the default — the request path allocates nothing for telemetry.
-// On a multi-device node one shared tracer covers every device.
+// On a multi-device node one shared tracer covers every device. Tracing
+// and the flight recorder do not displace each other: with both on, the
+// sink receives every span and the recorder keeps its requests' spans.
 func (a *Accelerator) StartTrace(sink telemetry.Sink) { a.node.StartTrace(sink) }
 
 // StopTrace disables tracing and closes the sink (flushing, for the
