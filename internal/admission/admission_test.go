@@ -12,9 +12,9 @@ import (
 
 // admitN admits n requests of class cl and returns their tickets,
 // failing the test on any shed.
-func admitN(t *testing.T, c *Controller, cl Class, tenant uint64, n int) []*Ticket {
+func admitN(t *testing.T, c *Controller, cl Class, tenant uint64, n int) []Ticket {
 	t.Helper()
-	tickets := make([]*Ticket, 0, n)
+	tickets := make([]Ticket, 0, n)
 	for i := 0; i < n; i++ {
 		tk, dec, err := c.Admit(AdmitRequest{Class: cl, Tenant: tenant})
 		if err != nil || dec != DecisionAdmit {
@@ -31,7 +31,7 @@ func TestNilControllerAdmitsEverything(t *testing.T) {
 	if err != nil || dec != DecisionAdmit {
 		t.Fatalf("nil controller: dec=%v err=%v", dec, err)
 	}
-	tk.Release() // nil ticket must be safe
+	tk.Release() // the zero ticket must be safe
 	if s := c.StatusNow(); s.Inflight != 0 {
 		t.Fatalf("nil controller status: %+v", s)
 	}
@@ -41,7 +41,7 @@ func TestAdmitNormalLoadAllClasses(t *testing.T) {
 	c := NewController(Config{MaxInflight: 8}, nil, nil)
 	for _, cl := range []Class{Interactive, Batch, Background} {
 		tk, dec, err := c.Admit(AdmitRequest{Class: cl})
-		if err != nil || dec != DecisionAdmit || tk == nil {
+		if err != nil || dec != DecisionAdmit || tk == (Ticket{}) {
 			t.Fatalf("%v: dec=%v err=%v", cl, dec, err)
 		}
 		tk.Release()
@@ -59,6 +59,20 @@ func TestTicketReleaseIdempotent(t *testing.T) {
 	tk.Release()
 	if got := c.StatusNow().Inflight; got != 0 {
 		t.Fatalf("inflight after double release = %d, want 0", got)
+	}
+}
+
+// TestUnqueuedReleaseReadsNoClock: only a waiter's sojourn needs the time
+// at a release, so with nobody queued an admit and its release read the
+// clock once, at the admit.
+func TestUnqueuedReleaseReadsNoClock(t *testing.T) {
+	c := NewController(Config{MaxInflight: 2}, nil, nil)
+	reads := 0
+	c.now = func() time.Time { reads++; return time.Now() }
+	tk := admitN(t, c, Interactive, 1, 1)[0]
+	tk.Release()
+	if reads != 1 {
+		t.Fatalf("an unqueued admit and release read the clock %d times, want 1", reads)
 	}
 }
 
@@ -515,7 +529,7 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				tk, dec, _ := c.Admit(AdmitRequest{Class: Class(i % int(ClassCount)), Tenant: uint64(g % 4)})
-				if dec == DecisionAdmit && tk != nil {
+				if dec == DecisionAdmit {
 					tk.Release()
 				}
 			}

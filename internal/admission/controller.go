@@ -68,22 +68,26 @@ type AdmitRequest struct {
 	NoWait bool
 }
 
-// Ticket is an admitted request's in-flight slot. Release it exactly
-// once when the request completes (success or failure); Release is
-// idempotent so defer is safe alongside explicit calls.
+// Ticket is an admitted request's in-flight slot, a value its owner
+// holds (the zero Ticket holds none). Release it when the request
+// completes (success or failure); Release empties the ticket it is called
+// on, so a second call on it is a no-op and defer is safe alongside
+// explicit calls. A copy is a second claim on the same slot: release
+// through one variable only.
 type Ticket struct {
 	c      *Controller
 	tenant uint64
-	once   sync.Once
 }
 
 // Release frees the slot, handing it to the oldest highest-priority
 // queued waiter if one is pending.
 func (t *Ticket) Release() {
-	if t == nil {
+	if t.c == nil {
 		return
 	}
-	t.once.Do(func() { t.c.release(t.tenant) })
+	c := t.c
+	t.c = nil
+	c.release(t.tenant)
 }
 
 // tenantActiveWindow is how long an idle tenant keeps counting toward
@@ -346,19 +350,19 @@ func (c *Controller) rejectLocked(class Class, tenant uint64, reason string) err
 
 // Admit presents one request at the gate. Outcomes:
 //
-//	Ticket, DecisionAdmit, nil   — dispatch to hardware; Release the ticket.
-//	nil, DecisionDegrade, nil    — brownout: run the software fallback.
-//	nil, _, err                  — shed (errors.Is(err, ErrOverloaded)) or
-//	                               canceled while queued (ErrCanceled).
-//	                               With NoWait set, a saturated gate
-//	                               returns ErrWouldWait (neither a shed
-//	                               nor counted) instead of queueing.
+//	Ticket, DecisionAdmit, nil     — dispatch to hardware; Release the ticket.
+//	Ticket{}, DecisionDegrade, nil — brownout: run the software fallback.
+//	Ticket{}, _, err               — shed (errors.Is(err, ErrOverloaded)) or
+//	                                 canceled while queued (ErrCanceled).
+//	                                 With NoWait set, a saturated gate
+//	                                 returns ErrWouldWait (neither a shed
+//	                                 nor counted) instead of queueing.
 //
-// A nil *Controller admits everything (no gate configured): callers on
-// the hot path pay a single nil check.
-func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
+// A nil *Controller admits everything (no gate configured) with the zero
+// Ticket: callers on the hot path pay a single nil check.
+func (c *Controller) Admit(req AdmitRequest) (Ticket, Decision, error) {
 	if c == nil {
-		return nil, DecisionAdmit, nil
+		return Ticket{}, DecisionAdmit, nil
 	}
 	class := req.Class
 	if class < 0 || class >= ClassCount {
@@ -377,12 +381,12 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 	if level >= LevelShedBackground && class == Background {
 		err := c.rejectLocked(class, req.Tenant, "brownout")
 		c.mu.Unlock()
-		return nil, 0, err
+		return Ticket{}, 0, err
 	}
 	if level >= LevelShedBatch && class == Batch {
 		c.degraded[class].Inc()
 		c.mu.Unlock()
-		return nil, DecisionDegrade, nil
+		return Ticket{}, DecisionDegrade, nil
 	}
 
 	// A NoWait caller asks only "is there a free slot right now": a full
@@ -391,7 +395,7 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 	// and a quota shed here would misread self-occupancy as overload.
 	if req.NoWait && c.inflight >= c.cfg.MaxInflight {
 		c.mu.Unlock()
-		return nil, 0, ErrWouldWait
+		return Ticket{}, 0, ErrWouldWait
 	}
 
 	// Weighted tenant quota, enforced only under brownout so the gate is
@@ -406,7 +410,7 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 			if t.inflight >= quota {
 				err := c.rejectLocked(class, req.Tenant, "quota")
 				c.mu.Unlock()
-				return nil, 0, err
+				return Ticket{}, 0, err
 			}
 		}
 	}
@@ -418,7 +422,7 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 		c.inflG.Set(int64(c.inflight))
 		c.admitted[class].Inc()
 		c.mu.Unlock()
-		return &Ticket{c: c, tenant: req.Tenant}, DecisionAdmit, nil
+		return Ticket{c: c, tenant: req.Tenant}, DecisionAdmit, nil
 	}
 
 	// No slot: level was LevelSaturated (the lock pins inflight), so the
@@ -428,7 +432,7 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 	if c.queued >= c.cfg.QueueLimit {
 		err := c.rejectLocked(class, req.Tenant, "queue-full")
 		c.mu.Unlock()
-		return nil, 0, err
+		return Ticket{}, 0, err
 	}
 	w := &waiter{class: class, tenant: req.Tenant, enq: now, grant: make(chan error, 1)}
 	w.elem = c.queues[class].PushBack(w)
@@ -440,7 +444,7 @@ func (c *Controller) Admit(req AdmitRequest) (*Ticket, Decision, error) {
 }
 
 // wait parks a queued request until grant, timeout, deadline or cancel.
-func (c *Controller) wait(w *waiter, req AdmitRequest) (*Ticket, Decision, error) {
+func (c *Controller) wait(w *waiter, req AdmitRequest) (Ticket, Decision, error) {
 	timeout := c.cfg.MaxWait
 	reason := "queue-timeout"
 	if !req.Deadline.IsZero() {
@@ -458,9 +462,9 @@ func (c *Controller) wait(w *waiter, req AdmitRequest) (*Ticket, Decision, error
 	select {
 	case err := <-w.grant:
 		if err != nil {
-			return nil, 0, err
+			return Ticket{}, 0, err
 		}
-		return &Ticket{c: c, tenant: w.tenant}, DecisionAdmit, nil
+		return Ticket{c: c, tenant: w.tenant}, DecisionAdmit, nil
 	case <-timer.C:
 		return c.abandon(w, reason, nil)
 	case <-req.Cancel:
@@ -473,18 +477,18 @@ func (c *Controller) wait(w *waiter, req AdmitRequest) (*Ticket, Decision, error
 // the slot is already ours. A *canceled* waiter must never dispatch,
 // so a racing grant is handed straight back and the caller still sees
 // ErrCanceled.
-func (c *Controller) abandon(w *waiter, reason string, cause error) (*Ticket, Decision, error) {
+func (c *Controller) abandon(w *waiter, reason string, cause error) (Ticket, Decision, error) {
 	c.mu.Lock()
 	if w.done {
 		c.mu.Unlock()
 		if err := <-w.grant; err != nil {
-			return nil, 0, err
+			return Ticket{}, 0, err
 		}
 		if cause != nil {
-			(&Ticket{c: c, tenant: w.tenant}).Release()
-			return nil, 0, cause
+			c.release(w.tenant)
+			return Ticket{}, 0, cause
 		}
-		return &Ticket{c: c, tenant: w.tenant}, DecisionAdmit, nil
+		return Ticket{c: c, tenant: w.tenant}, DecisionAdmit, nil
 	}
 	w.done = true
 	c.queues[w.class].Remove(w.elem)
@@ -492,24 +496,23 @@ func (c *Controller) abandon(w *waiter, reason string, cause error) (*Ticket, De
 	c.queueG.Set(int64(c.queued))
 	if cause != nil {
 		c.mu.Unlock()
-		return nil, 0, cause
+		return Ticket{}, 0, cause
 	}
 	c.evicted.Inc()
 	err := c.rejectLocked(w.class, w.tenant, reason)
 	c.mu.Unlock()
-	return nil, 0, err
+	return Ticket{}, 0, err
 }
 
 // release frees one in-flight slot, preferring to hand it straight to a
 // queued waiter (oldest of the best class), evicting stale heads per
 // the CoDel law on the way.
 func (c *Controller) release(tenant uint64) {
-	now := c.now()
 	c.mu.Lock()
 	if t, ok := c.tenants[tenant]; ok && t.inflight > 0 {
 		t.inflight--
 	}
-	if !c.grantLocked(now) {
+	if !c.grantLocked() {
 		c.inflight--
 		c.inflG.Set(int64(c.inflight))
 	}
@@ -519,7 +522,12 @@ func (c *Controller) release(tenant uint64) {
 // grantLocked hands the freed slot to a waiter, returning false when
 // the queue is empty (the slot goes back to the pool). Heads whose
 // sojourn violates the CoDel law are evicted and the scan continues.
-func (c *Controller) grantLocked(now time.Time) bool {
+// Only a sojourn needs the time, so an empty queue reads no clock.
+func (c *Controller) grantLocked() bool {
+	var now time.Time
+	if c.queued > 0 {
+		now = c.now()
+	}
 	for {
 		var w *waiter
 		for cl := Class(0); cl < ClassCount; cl++ {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nxzip/internal/admission"
 	"nxzip/internal/corpus"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/testutil"
@@ -130,13 +131,31 @@ func TestIntoPathAllocFree(t *testing.T) {
 		name string
 		mode TableMode
 	}{{"TableFixed", TableFixed}, {"TableDynamic", TableDynamic}} {
-		t.Run(tc.name, func(t *testing.T) { intoPathAllocFree(t, tc.mode) })
+		t.Run(tc.name, func(t *testing.T) {
+			acc := Open(Config{Device: P9().Device, TableMode: tc.mode})
+			defer acc.Close()
+			intoPathAllocFree(t, acc)
+		})
 	}
+	// Gated is small_into's configuration: a z15 node with the flight
+	// recorder and the admission gate on. The gate's ticket is a value the
+	// request holds, so admitting a request allocates nothing either.
+	t.Run("Gated", func(t *testing.T) {
+		cfg := Z15Node(1)
+		cfg.TableMode = TableFixed
+		node, err := OpenNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.EnableFlightRecorder("")
+		node.EnableAdmission(admission.Config{})
+		acc := node.View()
+		defer acc.Close()
+		intoPathAllocFree(t, acc)
+	})
 }
 
-func intoPathAllocFree(t *testing.T, mode TableMode) {
-	acc := Open(Config{Device: P9().Device, TableMode: mode})
-	defer acc.Close()
+func intoPathAllocFree(t *testing.T, acc *Accelerator) {
 	src := corpus.Generate(corpus.Text, 8<<10, 3)
 	dst := make([]byte, 0, 16<<10)
 	var m Metrics

@@ -146,7 +146,7 @@ type request struct {
 
 	id           uint64
 	start        time.Time
-	ticket       *admission.Ticket
+	ticket       admission.Ticket
 	brownout     bool // the gate degraded the request: software only
 	attempts     int  // device attempts started
 	redispatches int  // failed attempts absorbed
